@@ -7,7 +7,8 @@ exits with a contract code:
     0   verdict true / computation succeeded
     1   verdict false (the checked property fails)
     2   usage error (bad flags, malformed profile spec, bad preconditions)
-    3   numeric failure (quadrature did not converge, overflow)
+    3   numeric failure (quadrature did not converge, no root bracketed,
+        overflow)
 
 The output directory comes from ``--output-dir``, the ``HEISURF_OUTPUT_DIR``
 environment variable, or the current directory, in that order.  Stochastic
@@ -51,7 +52,8 @@ from .meshes import (
 from .profilespec import ProfileSpec, ProfileSpecError, parse_profile
 from .quadrature import QuadratureError
 from .reports import atomic_write_text, dump_csv, dump_json, fmt17
-from .strips import ProfileError, PwlProfile, broken_plane, strip_surface
+from .strips import (ProfileError, PwlProfile, SolverError, broken_plane,
+                     strip_surface)
 from .surfaces import strip_patch
 from .variation import second_variation_experiment
 
@@ -122,6 +124,16 @@ def _finite(value: float, what: str) -> float:
     if not math.isfinite(value):
         raise ValueError(f"unbounded window: {what} must be finite")
     return value
+
+
+def _check_common_flags(args) -> None:
+    """Domain checks of flags shared by several commands, made once."""
+    u = getattr(args, "u", None)
+    if u is not None and not (math.isfinite(u) and u >= 0.0):
+        raise ValueError(f"--u must be a finite nonnegative number, got {u!r}")
+    lines = getattr(args, "lines", None)
+    if lines is not None and lines < 1:
+        raise ValueError(f"--lines must be at least 1, got {lines}")
 
 
 def _build_profile(text: str) -> tuple[ProfileSpec, Any]:
@@ -678,9 +690,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 0 if code in (0, None) else int(code)
     args.argv = argv
     try:
+        _check_common_flags(args)
         return int(args.func(args))
-    except (QuadratureError, DomainError, ZeroDivisionError, OverflowError,
-            FloatingPointError) as exc:
+    except (QuadratureError, SolverError, DomainError, ZeroDivisionError,
+            OverflowError, FloatingPointError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except (ProfileSpecError, ProfileError, ValueError, TypeError) as exc:

@@ -366,29 +366,22 @@ def sigma_rho_membership(rho: Profile, window: tuple[float, float]) -> Membershi
     parameter is clamped, which extends the surface by translates of its
     first/last chord.  The extension is still swept monotonically, so
     crossing counts against it remain meaningful for the census.
+
+    The sweep parameter w of a point at abscissa x and height z solves
+    (1 - s) w + s rho(w) = z with s = (x + 1)/2, through `Profile.solve`:
+    exactly, piece by piece, for a PWL rho, by safeguarded Newton-bisection
+    for a closed-form one.
     """
     a, b = float(window[0]), float(window[1])
     if not b > a:
         raise ValueError("window must satisfy a < b")
     _check_increasing(rho, a, b)
 
-    def solve(x, z):
-        # invert (1-s) w + s rho(w) = z for the sweep parameter w, s=(x+1)/2
-        s = np.clip(0.5 * (x + 1.0), 0.0, 1.0)
-        lo = np.full(np.shape(z), a, dtype=float)
-        hi = np.full(np.shape(z), b, dtype=float)
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            h = (1.0 - s) * mid + s * np.asarray(rho(mid), dtype=float)
-            take = h < z
-            lo = np.where(take, mid, lo)
-            hi = np.where(take, hi, mid)
-        return 0.5 * (lo + hi)
-
     def offset(points):
         pts = np.asarray(points, dtype=float)
         x, y, z = pts[..., 0], pts[..., 1], pts[..., 2]
-        w = solve(x, z)
+        s = np.clip(0.5 * (x + 1.0), 0.0, 1.0)
+        w = rho.solve(1.0 - s, s, z, a, b)
         r = np.asarray(rho(w), dtype=float)
         y_surf = 2.0 * w - (x + 1.0) * (w + r)
         return y - y_surf
@@ -806,25 +799,33 @@ def _build_minimal(u: float, resolution: int,
     wall_b = np.stack([np.ones(n), np.full(n, -u), zw], axis=-1)
     families["wall"] = np.stack([wall_a, wall_b], axis=1)
 
+    a_axis, b2 = hyperbola_constants(u)
+
     def arc_param(x, y, corner_y):
         """Arc abscissa whose chord through (-1, corner_y) passes (x, y).
 
-        The chord-side function is strictly monotone in the arc parameter
-        (the arc slope stays below u in magnitude), so bisection applies;
-        ``corner_y`` may be an array selecting the focus per point.
+        The corners (-1, +-u) are the foci of the guide hyperbola, so with
+        X = x' + 1 the chord (X, Y) = (0, c) + l (x + 1, y - c) meets
+        Y^2/A^2 - X^2/B^2 = 1 where l solves the quadratic
+        (dy^2 - A dx^2/2) l^2 + 2 c dy l + B^2 = 0 (B^2 = 2A).  The wanted
+        root is the one ahead of the focus (l > 0) on the lower branch
+        (Y < 0); there is at most one.  Points with no such root (off the
+        swept pieces) get the arc end x' = 0.  ``corner_y`` may be an array
+        selecting the focus per point.
         """
-        lo = np.zeros_like(x)
-        hi = np.ones_like(x)
         dx1 = x + 1.0
         dy = y - corner_y
-        sgn = np.where(corner_y > 0, 1.0, -1.0)
-        for _ in range(48):
-            mid = 0.5 * (lo + hi)
-            cross = (mid + 1.0) * dy - (hyperbola_y(u, mid) - corner_y) * dx1
-            take = sgn * cross > 0.0
-            lo = np.where(take, mid, lo)
-            hi = np.where(take, hi, mid)
-        return 0.5 * (lo + hi)
+        quad = dy * dy - 0.5 * a_axis * dx1 * dx1
+        half = corner_y * dy
+        with np.errstate(divide="ignore", invalid="ignore"):
+            root = np.sqrt(np.maximum(half * half - quad * b2, 0.0))
+            big = -(half + np.where(half < 0.0, -root, root))
+            lam = np.nan
+            for cand in (b2 / big, big / quad):
+                ahead = (cand > 0.0) & (corner_y + cand * dy < 0.0)
+                lam = np.where(ahead, cand, lam)
+            t = lam * dx1 - 1.0
+        return np.clip(np.nan_to_num(t, nan=0.0), 0.0, 1.0)
 
     def chord_z(x, y, xp):
         yp = hyperbola_y(u, xp)
@@ -894,6 +895,11 @@ def build_competitor(kind: str, u: float,
     segments through a straight interior segment; ``"minimal"`` sweeps them
     along the horizontal lift of the guide hyperbola arc.  ``resolution``
     controls how many representative segments per family are stored.
+
+    Both kinds evaluate their graph in closed form: the harmonic sweep
+    parameter solves a linear equation along each chord, and the minimal
+    kind finds where the chord from a focus corner meets the guide arc as
+    the root of a quadratic, so no iteration is involved.
     """
     if kind not in ("harmonic", "minimal"):
         raise ValueError("kind must be 'harmonic' or 'minimal'")

@@ -35,6 +35,7 @@ from .quadrature import VRegion
 
 __all__ = [
     "ProfileError",
+    "SolverError",
     "Profile",
     "PwlProfile",
     "CallableProfile",
@@ -54,6 +55,29 @@ class ProfileError(ValueError):
     pass
 
 
+class SolverError(ArithmeticError):
+    """An equation handed to `Profile.solve` has no root it can reach."""
+
+
+#: Doublings of the search step before an unbounded root counts as missing.
+_BRACKET_DOUBLINGS = 64
+#: Safeguarded Newton steps allowed per point before `SolverError`; points
+#: that converge need a handful (a Newton step is taken only when it at
+#: most halves the step before it, a bisection halves the bracket).
+_MAX_STEPS = 200
+
+
+def _flat_equation(p, q, c):
+    p, q, c = np.broadcast_arrays(*(np.asarray(a, dtype=float)
+                                    for a in (p, q, c)))
+    return p.ravel(), q.ravel(), c.ravel(), c.shape
+
+
+def _shaped(w: np.ndarray, shape):
+    w = w.reshape(shape)
+    return w if w.ndim else float(w)
+
+
 class Profile:
     """Real function of one variable with slope and tail information."""
 
@@ -61,6 +85,17 @@ class Profile:
         raise NotImplementedError
 
     def derivative(self, w):  # pragma: no cover - abstract
+        raise NotImplementedError
+
+    def solve(self, p, q, c, lo: float = -math.inf,
+              hi: float = math.inf):  # pragma: no cover - abstract
+        """The w in [lo, hi] with p w + q f(w) = c, for an increasing left side.
+
+        ``p``, ``q`` and ``c`` broadcast against each other; the result has
+        their common shape.  Where the left side stays above (below) ``c`` on
+        the whole interval the result is ``lo`` (``hi``).  An unbounded end
+        with no root toward it raises `SolverError`.
+        """
         raise NotImplementedError
 
     def slope_bounds(self) -> tuple[float, float]:  # pragma: no cover
@@ -136,6 +171,35 @@ class PwlProfile(Profile):
         idx = np.searchsorted(self.w, w, side="right")
         out = self.piece_slopes()[idx]
         return out if out.ndim else float(out)
+
+    def solve(self, p, q, c, lo: float = -math.inf, hi: float = math.inf):
+        """Exact root of p w + q f(w) = c, one affine equation per point.
+
+        The left side is affine between knots, so each point's piece is found
+        by counting the knots inside (lo, hi) where the left side is still at
+        most ``c``; the affine equation of that piece is then solved and the
+        root kept inside the piece, which also clamps to ``lo``/``hi``.
+        """
+        p, q, c, shape = _flat_equation(p, q, c)
+        lo, hi = float(lo), float(hi)
+        first = int(np.searchsorted(self.w, lo, side="right"))
+        last = int(np.searchsorted(self.w, hi, side="left"))
+        k = np.zeros(c.shape, dtype=np.intp)
+        for wk, vk in zip(self.w[first:last], self.v[first:last]):
+            k += p * wk + q * vk <= c
+        edges = np.concatenate([[lo], self.w[first:last], [hi]])
+        left, right = edges[k], edges[k + 1]
+        piece = first + k
+        anchor = np.minimum(piece, len(self.w) - 1)
+        wa, va = self.w[anchor], self.v[anchor]
+        rate = p + q * self.piece_slopes()[piece]
+        if np.any(np.isinf(left - right) & ~(rate > 0)):
+            raise SolverError("no root: the left side does not increase "
+                              "without bound on an unbounded piece")
+        num = c - p * wa - q * va
+        step = np.divide(num, rate, out=np.where(num < 0, -np.inf, np.inf),
+                         where=rate != 0)
+        return _shaped(np.clip(wa + step, left, right), shape)
 
     def slope_bounds(self) -> tuple[float, float]:
         s = self.piece_slopes()
@@ -249,6 +313,79 @@ class CallableProfile(Profile):
         out = (self(w + h) - self(w - h)) / (2.0 * h)
         return out if np.ndim(out) else float(out)
 
+    def solve(self, p, q, c, lo: float = -math.inf, hi: float = math.inf):
+        """Root of p w + q f(w) = c by safeguarded Newton-bisection.
+
+        A finite ``lo``/``hi`` is a bracket end as given; an infinite one is
+        found by doubling a step outward from ``c/p`` (or the finite end)
+        and raises `SolverError` after `_BRACKET_DOUBLINGS` doublings.
+        Inside the bracket a Newton step is taken when it stays inside and
+        at most halves the previous step, else the bracket is bisected.  A
+        point stops once its step is at the ulp level or its residual is at
+        the rounding level of p w and c (which includes a residual of 0).
+        """
+        p, q, c, shape = _flat_equation(p, q, c)
+        lo, hi = float(lo), float(hi)
+        eps = np.finfo(float).eps
+
+        def g(w, i):
+            return p[i] * w + q[i] * np.asarray(self(w), dtype=float) - c[i]
+
+        n = c.size
+        idx = np.arange(n)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            guess = np.where(p != 0.0, c / p, 0.0)
+        guess = np.clip(np.nan_to_num(guess), lo, hi)
+        if math.isfinite(lo):
+            L = np.full(n, lo)
+            gL = g(L, idx)
+        else:
+            L, gL = _outward(g, idx, guess, -1.0)
+        if math.isfinite(hi):
+            H = np.full(n, hi)
+            gH = g(H, idx)
+        else:
+            H, gH = _outward(g, idx, guess, 1.0)
+        if np.isnan(gL).any() or np.isnan(gH).any():
+            raise SolverError("the equation is not finite at the bracket ends")
+        out = np.where(gL >= 0.0, L, H)
+        act = np.flatnonzero((gL < 0.0) & (gH > 0.0))
+        L, H, gL, gH = L[act], H[act], gL[act], gH[act]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            w = L - gL * (H - L) / (gH - gL)
+        w = np.where((w > L) & (w < H), w, 0.5 * (L + H))
+        last = H - L
+        # steps stop at the ulp of the root, or of eps * bracket near w = 0
+        floor = eps * last
+        for _ in range(_MAX_STEPS):
+            if not act.size:
+                break
+            gw = g(w, act)
+            if np.isnan(gw).any():
+                raise SolverError(
+                    "the equation is not finite inside the bracket")
+            settled = np.abs(gw) <= 4.0 * eps * (np.abs(p[act] * w)
+                                                  + np.abs(c[act]))
+            L = np.where(gw < 0.0, w, L)
+            H = np.where(gw > 0.0, w, H)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                slope = p[act] + q[act] * np.asarray(self.derivative(w),
+                                                     dtype=float)
+                newton = w - gw / slope
+            take = ((newton > L) & (newton < H)
+                    & (np.abs(newton - w) <= 0.5 * last))
+            nxt = np.where(take, newton, 0.5 * (L + H))
+            last = np.abs(nxt - w)
+            ulp = np.spacing(np.maximum(np.abs(nxt), floor))
+            done = settled | (last <= 2.0 * ulp)
+            out[act[done]] = np.where(settled, w, nxt)[done]
+            keep = ~done
+            act, w, L, H = act[keep], nxt[keep], L[keep], H[keep]
+            last, floor = last[keep], floor[keep]
+        if act.size:
+            raise SolverError(f"no convergence within {_MAX_STEPS} steps")
+        return _shaped(out, shape)
+
     def slope_bounds(self) -> tuple[float, float]:
         if self.slopes is None:
             raise ProfileError("slope range not declared for this profile")
@@ -258,6 +395,28 @@ class CallableProfile(Profile):
         if self.tails is None:
             raise ProfileError("tail limits not declared for this profile")
         return self.tails
+
+
+def _outward(g, idx: np.ndarray, start: np.ndarray,
+             direction: float) -> tuple[np.ndarray, np.ndarray]:
+    """Double a step from ``start`` until ``direction * g`` is nonnegative."""
+    step = np.ones_like(start)
+    end = start + direction * step
+    val = g(end, idx)
+    todo = np.flatnonzero(~(direction * val >= 0.0))
+    for _ in range(_BRACKET_DOUBLINGS):
+        if not todo.size:
+            break
+        step[todo] *= 2.0
+        end[todo] = start[todo] + direction * step[todo]
+        val[todo] = g(end[todo], idx[todo])
+        todo = todo[~(direction * val[todo] >= 0.0)]
+    if todo.size:
+        side = "below" if direction < 0 else "above"
+        raise SolverError(
+            f"no root bracketed {side} w = {float(start[todo[0]])!r} within "
+            f"{_BRACKET_DOUBLINGS} doublings of the search step")
+    return end, val
 
 
 # ---------------------------------------------------------------------------
@@ -318,41 +477,15 @@ def eta_of(alpha: PwlProfile) -> PwlProfile:
 # ruling-equation solver
 
 
-def _solve_height(sigma: Profile, x: np.ndarray, zprime: np.ndarray,
-                  iters: int = 64) -> np.ndarray:
-    """Solve z - x^2 sigma(z)/2 = z' by expanding-bracket bisection.
+def _solve_height(sigma: Profile, x, zprime):
+    """Ruling height z with z - x^2 sigma(z)/2 = z', over the whole line.
 
-    Assumes the left side is strictly increasing in z (graphical strip).
+    `Profile.solve` is exact piece by piece for a PWL sigma and a
+    safeguarded Newton-bisection otherwise.  The left side must increase in
+    z (graphical strip); where no root is reached, `SolverError` is raised.
     """
     x = np.asarray(x, dtype=float)
-    zprime = np.asarray(zprime, dtype=float)
-    x, zprime = np.broadcast_arrays(x, zprime)
-    half_x2 = 0.5 * x * x
-
-    def g(z):
-        return z - half_x2 * np.asarray(sigma(z)) - zprime
-
-    span = np.ones_like(zprime)
-    lo = zprime - span
-    hi = zprime + span
-    for _ in range(64):
-        bad = g(lo) > 0.0
-        if not bad.any():
-            break
-        span2 = np.where(bad, 2.0 * (zprime - lo), 0.0)
-        lo = np.where(bad, zprime - span2, lo)
-    for _ in range(64):
-        bad = g(hi) < 0.0
-        if not bad.any():
-            break
-        span2 = np.where(bad, 2.0 * (hi - zprime), 0.0)
-        hi = np.where(bad, zprime + span2, hi)
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        below = g(mid) <= 0.0
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
-    return 0.5 * (lo + hi)
+    return sigma.solve(1.0, -0.5 * x * x, zprime)
 
 
 # ---------------------------------------------------------------------------

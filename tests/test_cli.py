@@ -6,6 +6,7 @@ import os
 import pytest
 
 import heisurf.cli as cli
+import heisurf.strips as strips
 from heisurf.quadrature import QuadratureError
 
 AREA_ID = (2.0 / 3.0) * (2.0 * math.sqrt(5.0) + math.asinh(2.0))
@@ -210,6 +211,46 @@ def test_numeric_failures_exit_with_three(tmp_path, monkeypatch):
 
     monkeypatch.setattr(cli, "sigma_rho_area_quadrature", explode)
     assert run(tmp_path, "sigma-rho", "--rho", "id", "--window", "0,1") == 3
+
+
+def test_unbracketed_root_exits_with_three(tmp_path, monkeypatch, capsys):
+    # with no room to widen the search step, the ruling heights of the
+    # dilated graph (far from z') cannot be bracketed
+    monkeypatch.setattr(strips, "_BRACKET_DOUBLINGS", 0)
+    assert run(tmp_path, "scaling-limit", "--profile", "arctan(-1)") == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numeric failure: no root bracketed")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("area", "--surface", "broken-plane", "--u", "nan", "--z-cap", "1"),
+    ("area", "--surface", "broken-plane", "--u", "inf", "--z-cap", "1"),
+    ("energy", "--surface", "broken-plane", "--u", "-1", "--z-cap", "1"),
+    ("energy", "--surface", "broken-plane", "--u", "nan", "--z-cap", "1"),
+    ("monotonicity", "--surface", "broken-plane", "--u", "-0.5"),
+    ("competitor", "--u", "nan"),
+    ("export-obj", "--surface", "broken-plane", "--u", "inf", "--window",
+     "-1,1", "--res", "2"),
+])
+def test_bad_opening_exits_with_two(tmp_path, capsys, argv):
+    assert run(tmp_path, *argv) == 2
+    assert capsys.readouterr().err.startswith("error: --u must be")
+    assert not os.listdir(str(tmp_path))
+
+
+@pytest.mark.parametrize("argv", [
+    ("monotonicity", "--surface", "sigma-rho", "--rho", "id", "--window",
+     "0,1", "--lines", "0"),
+    ("calibrate-lines", "--lines", "0"),
+    ("calibrate-lines", "--lines", "-3"),
+])
+def test_too_few_lines_exit_with_two(tmp_path, capsys, argv):
+    assert run(tmp_path, *argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --lines must be at least 1")
+    assert "Warning" not in err
+    assert not os.listdir(str(tmp_path))
 
 
 # ---------------------------------------------------------------------------

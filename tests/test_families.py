@@ -44,6 +44,7 @@ from heisurf.families import (
     wedge_area,
 )
 from heisurf.lines import monotonicity_check
+from heisurf.profilespec import profile_from_string
 from heisurf.quadrature import QuadConfig
 from heisurf.strips import CallableProfile, GraphicalStrip, ProfileError, PwlProfile
 from heisurf.surfaces import strip_patch
@@ -277,6 +278,72 @@ def test_line_census_against_a_spanning_member_is_clean():
     rep = monotonicity_check(memb, radius=1.0, n=200, seed=11)
     assert rep.passed
     assert rep.max_crossings <= 1
+
+
+def sweep_bisection(rho, s, z, lo, hi, steps=200):
+    """200 halvings of [lo, hi] for the sweep equation (1-s) w + s rho(w) = z.
+
+    The left side increases, so heights outside its range run into lo or
+    hi: the clamp the membership offset relies on.
+    """
+    s, z = np.broadcast_arrays(np.asarray(s, dtype=float),
+                               np.asarray(z, dtype=float))
+    a = np.full(z.shape, float(lo))
+    b = np.full(z.shape, float(hi))
+    for _ in range(steps):
+        m = 0.5 * (a + b)
+        below = (1.0 - s) * m + s * np.asarray(rho(m), dtype=float) < z
+        a = np.where(below, m, a)
+        b = np.where(below, b, m)
+    return 0.5 * (a + b)
+
+
+SWEEP_PWL = PwlProfile.from_knots([(-0.4, -0.1), (0.2, 0.5), (0.6, 0.55),
+                                   (1.0, 1.4)], slope_left=0.3,
+                                  slope_right=2.0)
+
+
+@pytest.mark.parametrize("rho, window", [
+    (SWEEP_PWL, (0.0, 1.0)),         # knots inside and on the edge
+    (SWEEP_PWL, (0.2, 0.6)),         # knots on both edges
+    (SWEEP_PWL, (1.5, 4.0)),         # every knot to the left
+    (SWEEP_PWL, (-3.0, -1.0)),       # every knot to the right
+    (SWEEP_PWL, (-1e3, 1e3)),
+    (profile_from_string("id"), (0.0, 1.0)),
+    (profile_from_string("arctan(1)"), (0.0, 1.0)),
+    (profile_from_string("arctan(1)"), (-1e3, 1e3)),
+    (rho_exp(0.8), (0.0, 1.0)),
+], ids=["pwl-inside", "pwl-edges", "pwl-left", "pwl-right", "pwl-wide",
+        "id", "arctan(1)", "arctan(1)-wide", "exp(0.8)"])
+def test_sweep_parameter_solve_matches_bisection(rho, window):
+    rng = np.random.default_rng(5)
+    a, b = window
+    s = np.concatenate([[0.0, 1.0], rng.uniform(0.0, 1.0, 3998)])
+    lo_h = min(float(rho(a)), a)
+    hi_h = max(float(rho(b)), b)
+    pad = 0.25 * (hi_h - lo_h) + 0.5
+    z = rng.uniform(lo_h - pad, hi_h + pad, 4000)
+    got = np.asarray(rho.solve(1.0 - s, s, z, a, b), dtype=float)
+    ref = sweep_bisection(rho, s, z, a, b)
+    assert np.max(np.abs(got - ref) / np.maximum(1.0, np.abs(ref))) <= 1e-12
+    assert np.any(got == a) and np.any(got == b)
+
+
+# recorded from the 60-step bisection the exact solvers replaced:
+# 500 lines, radius 1.5, 400 scan points, as in the benchmark's census
+CENSUS_HISTOGRAMS = {
+    ("id", 3): {0: 192, 1: 308},
+    ("id", 20210518): {0: 176, 1: 324},
+    ("arctan(1)", 3): {0: 197, 1: 303},
+    ("arctan(1)", 20210518): {0: 187, 1: 313},
+}
+
+
+@pytest.mark.parametrize("spec, seed", sorted(CENSUS_HISTOGRAMS))
+def test_sigma_rho_census_histograms_are_unchanged(spec, seed):
+    memb = sigma_rho_membership(profile_from_string(spec), (0.0, 1.0))
+    rep = monotonicity_check(memb, radius=1.5, n=500, seed=seed, n_scan=400)
+    assert dict(rep.histogram) == CENSUS_HISTOGRAMS[spec, seed]
 
 
 @settings(derandomize=True, max_examples=60)

@@ -13,6 +13,8 @@ from heisurf.strips import (
     GraphicalStrip,
     ProfileError,
     PwlProfile,
+    SolverError,
+    _solve_height,
     alpha_to_sigma,
     broken_plane,
     eta_of,
@@ -213,6 +215,97 @@ def test_field_regions_partition_the_window():
     one = lambda x, z: np.ones(np.shape(x))
     total = sum(integrate_region(one, r) for r in regions)
     assert total == pytest.approx(4.0, rel=1e-6)
+
+
+# ---------------------------------------------------------------------------
+# the equation solver, against a plain bisection oracle
+
+
+def bisect_reference(f, p, q, c, lo, hi, steps=200):
+    """200 halvings of [lo, hi] for p w + q f(w) = c (left side increasing).
+
+    Where the left side keeps one sign the halvings run into lo or hi,
+    which is the clamp `Profile.solve` promises.
+    """
+    p, q, c = np.broadcast_arrays(*(np.asarray(a, dtype=float)
+                                    for a in (p, q, c)))
+    a = np.full(c.shape, float(lo))
+    b = np.full(c.shape, float(hi))
+    for _ in range(steps):
+        m = 0.5 * (a + b)
+        below = p * m + q * np.asarray(f(m), dtype=float) < c
+        a = np.where(below, m, a)
+        b = np.where(below, b, m)
+    return 0.5 * (a + b)
+
+
+def assert_matches(got, ref):
+    got = np.asarray(got, dtype=float)
+    assert got.shape == ref.shape
+    assert np.max(np.abs(got - ref) / np.maximum(1.0, np.abs(ref))) <= 1e-12
+
+
+GRAPHICAL_PWL = PwlProfile.from_knots(
+    [(-1.0, 0.2), (-0.3, 0.9), (0.4, -0.4), (1.5, 0.3)],
+    slope_left=-1.5, slope_right=1.9)
+
+
+@pytest.mark.parametrize("window", [
+    (-0.3, 0.4),    # knots on both edges
+    (-0.5, 1.0),    # knots inside
+    (2.0, 3.0),     # every knot to the left
+    (-5.0, -2.0),   # every knot to the right
+    (-1e3, 1e3),    # wide
+])
+def test_pwl_solve_matches_bisection(window):
+    rng = np.random.default_rng(7)
+    x = rng.uniform(-1.0, 1.0, 4000)
+    lo, hi = window
+    span = hi - lo
+    # heights reaching past both ends exercise the clamp
+    zp = rng.uniform(lo - 0.5 * span - 1.0, hi + 0.5 * span + 1.0, 4000)
+    q = -0.5 * x * x
+    got = GRAPHICAL_PWL.solve(1.0, q, zp, lo, hi)
+    assert_matches(got, bisect_reference(GRAPHICAL_PWL, 1.0, q, zp, lo, hi))
+    assert np.any(got == lo) and np.any(got == hi)
+
+
+def test_pwl_solve_is_exact_on_one_piece():
+    line = PwlProfile.line(1.0)
+    assert line.solve(0.25, 0.75, 0.5, 0.0, 1.0) == 0.5
+    assert line.solve(0.25, 0.75, -2.0, 0.0, 1.0) == 0.0
+    assert line.solve(0.25, 0.75, 7.0, 0.0, 1.0) == 1.0
+    assert np.shape(line.solve(1.0, 0.0, np.zeros((2, 3)))) == (2, 3)
+
+
+@pytest.mark.parametrize("sigma, x_max", [
+    (GRAPHICAL_PWL, 1.0),
+    # a non-increasing profile keeps the ruling equation monotone for all x
+    (CallableProfile(lambda z: -np.arctan(z),
+                     dfn=lambda z: -1.0 / (1.0 + np.asarray(z) ** 2)), 20.0),
+], ids=["pwl", "arctan(-1)"])
+def test_unbounded_ruling_height_matches_bisection(sigma, x_max):
+    rng = np.random.default_rng(11)
+    x = rng.uniform(-x_max, x_max, 3000)
+    zp = rng.uniform(-500.0, 500.0, 3000)
+    ref = bisect_reference(sigma, 1.0, -0.5 * x * x, zp, -1e6, 1e6)
+    got = _solve_height(sigma, x, zp)
+    assert_matches(got, ref)
+    residual = got - 0.5 * x * x * np.asarray(sigma(got)) - zp
+    assert np.max(np.abs(residual) / np.maximum(1.0, np.abs(zp))) < 1e-12
+
+
+def test_ruling_height_without_a_root_raises():
+    # x = 1: z - sigma(z)/2 = atan(z) never reaches 5
+    bounded = CallableProfile(
+        lambda z: 2.0 * z - 2.0 * np.arctan(z),
+        dfn=lambda z: 2.0 - 2.0 / (1.0 + np.asarray(z) ** 2))
+    assert _solve_height(bounded, 1.0, 1.0) == pytest.approx(math.tan(1.0))
+    with pytest.raises(SolverError):
+        _solve_height(bounded, np.ones(3), np.array([0.0, 5.0, 1.0]))
+    # slope 2 at x = 1: the left side is flat, no height solves it
+    with pytest.raises(SolverError):
+        _solve_height(PwlProfile.line(2.0, 1.0), 1.0, 0.0)
 
 
 # ---------------------------------------------------------------------------
