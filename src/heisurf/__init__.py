@@ -1,23 +1,13 @@
 """Minimal-surface constructions in the 3D Heisenberg group.
 
-Subpackages cover: group arithmetic (core), intrinsic graphs and areas
-(graphs), graphical strips (strips), ruled deformations and second variation
-(variation), kinematic line sampling (lines), scaling limits / non-unique
-fillings / competitor surfaces (families), and mesh export (meshes).
+Modules cover: the group law as array kernels (core), intrinsic graphs and
+areas (graphs), graphical strips (strips), ruled deformations and second
+variation (variation), kinematic line sampling (lines), scaling limits /
+non-unique fillings / competitor surfaces (families), and mesh export
+(meshes).  The package namespace re-exports the family constructions, the
+mesh constructors and the profile spec language.
 """
 
-from .core import (
-    GroupPoint,
-    HorizontalLine,
-    Similarity,
-    V0Point,
-    horizontal_chord_offset,
-    intrinsic_project,
-    koranyi_distance,
-    koranyi_norm,
-    line_parabola,
-    multiply,
-)
 from .families import (
     CompareReport,
     CompetitorSurface,

@@ -69,6 +69,13 @@ EXIT_NUMERIC = 3
 
 _SLOPE_EPS = 1e-9
 
+#: One slope rule per chart, shared by check-strip and check-minimal: the
+#: lowest admissible slope and the bound every slope stays below.  The alpha
+#: slope t is the sigma slope 2t/(2+t), so sigma's [-2, 2) is alpha's
+#: [-1, inf); an alpha fan of slope -2 is not a strip (`alpha_to_sigma`
+#: refuses it).
+_SLOPE_RULES = {"sigma": (-2.0, 2.0), "alpha": (-1.0, math.inf)}
+
 
 # ---------------------------------------------------------------------------
 # small plumbing
@@ -131,6 +138,17 @@ def _check_common_flags(args) -> None:
     u = getattr(args, "u", None)
     if u is not None and not (math.isfinite(u) and u >= 0.0):
         raise ValueError(f"--u must be a finite nonnegative number, got {u!r}")
+    window = getattr(args, "window", None)
+    # scaling-limit's --window is a scalar half-width, not a 'lo,hi' pair
+    if isinstance(window, str):
+        lo, hi = _parse_pair(window, "--window")
+        if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+            raise ValueError("--window must be two finite numbers lo < hi, "
+                             f"got {window!r}")
+    x_max = getattr(args, "x_max", None)
+    if x_max is not None and not (math.isfinite(x_max) and x_max > 0.0):
+        raise ValueError(f"--x-max must be a finite positive number, "
+                         f"got {x_max!r}")
     lines = getattr(args, "lines", None)
     if lines is not None and lines < 1:
         raise ValueError(f"--lines must be at least 1, got {lines}")
@@ -179,53 +197,44 @@ def _witness_json(witness):
 # verdict commands on profiles
 
 
-def _cmd_check_strip(args) -> int:
+def _slope_verdict(args):
+    """Verdict of ``--profile`` under its chart's slope rule.
+
+    Returns (spec, slope bounds, verdict, witness, verdict-line detail).
+    """
     spec, profile = _build_profile(args.profile)
     lo, hi = profile.slope_bounds()
-    if args.kind == "sigma":
-        ok = lo >= -2.0 - _SLOPE_EPS and hi < 2.0
-        witness = _slope_witness(profile, -2.0 - _SLOPE_EPS)
-        if witness is None and not ok:
-            witness = (hi, (-math.inf, math.inf))
-        rule = "sigma slopes must lie in [-2, 2)"
-    else:
-        ok = lo >= -2.0 - _SLOPE_EPS and hi > -2.0 + _SLOPE_EPS
-        witness = _slope_witness(profile, -2.0 - _SLOPE_EPS)
-        if witness is None and not ok:
-            witness = (hi, (-math.inf, math.inf))
-        rule = "alpha slopes must stay >= -2 with the sweep not everywhere degenerate"
-    detail = f"profile={spec.spec_string()} slopes=[{fmt17(lo)},{fmt17(hi)}]"
-    if not ok and witness is not None:
-        detail += " " + _witness_text(witness)
-    _write_json(args, _payload(
-        args, profile=spec.to_json(), kind=args.kind, verdict=bool(ok),
-        slope_bounds=[lo, hi], witness=_witness_json(witness), rule=rule))
-    print(f"check-strip: {'PASS' if ok else 'FAIL'} {detail}")
-    return EXIT_TRUE if ok else EXIT_FALSE
-
-
-def _cmd_check_minimal(args) -> int:
-    spec, profile = _build_profile(args.profile)
-    lo, hi = profile.slope_bounds()
-    if args.kind == "alpha":
-        threshold = -1.0
-        rule = "area minimality needs all alpha slopes >= -1"
-    else:
-        threshold = -2.0
-        rule = ("area minimality needs the strip graphical: "
-                "sigma slopes in [-2, 2)")
-    ok = lo >= threshold - _SLOPE_EPS
-    if args.kind == "sigma":
-        ok = ok and hi < 2.0
-    witness = _slope_witness(profile, threshold - _SLOPE_EPS)
+    floor, ceiling = _SLOPE_RULES[args.kind]
+    ok = lo >= floor - _SLOPE_EPS and hi < ceiling
+    witness = _slope_witness(profile, floor - _SLOPE_EPS)
     if witness is None and not ok:
         witness = (hi, (-math.inf, math.inf))
     detail = f"profile={spec.spec_string()} slopes=[{fmt17(lo)},{fmt17(hi)}]"
     if not ok and witness is not None:
         detail += " " + _witness_text(witness)
+    return spec, [lo, hi], ok, witness, detail
+
+
+def _cmd_check_strip(args) -> int:
+    spec, bounds, ok, witness, detail = _slope_verdict(args)
+    rule = ("sigma slopes must lie in [-2, 2)" if args.kind == "sigma" else
+            "alpha slopes must be >= -1 (sigma slopes in [-2, 2))")
     _write_json(args, _payload(
         args, profile=spec.to_json(), kind=args.kind, verdict=bool(ok),
-        slope_bounds=[lo, hi], threshold=threshold,
+        slope_bounds=bounds, witness=_witness_json(witness), rule=rule))
+    print(f"check-strip: {'PASS' if ok else 'FAIL'} {detail}")
+    return EXIT_TRUE if ok else EXIT_FALSE
+
+
+def _cmd_check_minimal(args) -> int:
+    spec, bounds, ok, witness, detail = _slope_verdict(args)
+    rule = ("area minimality needs all alpha slopes >= -1"
+            if args.kind == "alpha" else
+            "area minimality needs the strip graphical: "
+            "sigma slopes in [-2, 2)")
+    _write_json(args, _payload(
+        args, profile=spec.to_json(), kind=args.kind, verdict=bool(ok),
+        slope_bounds=bounds, threshold=_SLOPE_RULES[args.kind][0],
         witness=_witness_json(witness), rule=rule))
     print(f"check-minimal: {'PASS' if ok else 'FAIL'} {detail}")
     return EXIT_TRUE if ok else EXIT_FALSE
@@ -481,16 +490,12 @@ def _cmd_export_obj(args) -> int:
                                                  "surface strip"))
         window = _parse_pair(_require(args, "window", "surface strip"),
                              "--window")
-        window = (_finite(window[0], "--window"),
-                  _finite(window[1], "--window"))
         strip = strip_surface(profile, kind=args.kind, x_max=args.x_max)
         mesh = strip_mesh(strip, window, x_res, res, header)
     elif args.surface == "broken-plane":
         u = _require(args, "u", "surface broken-plane")
         window = _parse_pair(_require(args, "window",
                                       "surface broken-plane"), "--window")
-        window = (_finite(window[0], "--window"),
-                  _finite(window[1], "--window"))
         bp = broken_plane(u, x_max=args.x_max)
         mesh = broken_plane_mesh(bp, window, x_res, res, header)
     elif args.surface == "sigma-rho":
@@ -498,8 +503,6 @@ def _cmd_export_obj(args) -> int:
                                              "surface sigma-rho"))
         window = _parse_pair(_require(args, "window", "surface sigma-rho"),
                              "--window")
-        window = (_finite(window[0], "--window"),
-                  _finite(window[1], "--window"))
         surface = sigma_rho_surface(rho, window)
         mesh = mesh_from_ruled(surface, res, x_res, header)
     else:

@@ -1,4 +1,4 @@
-"""Heisenberg group arithmetic: points, Koranyi metric, symmetries, lines.
+"""Heisenberg group arithmetic: product, Koranyi metric, projection, symmetries.
 
 The group is R^3 with product
 
@@ -6,34 +6,18 @@ The group is R^3 with product
 
 so the z axis is the center.  Left-invariant horizontal frame:
 X = (1, 0, -y/2), Y = (0, 1, x/2).  A horizontal line is a left coset
-p * <X + m Y>; lines parallel to the Y axis carry an explicit vertical tag.
+p * <X + m Y>.
 
-Scalar helpers work on frozen dataclasses; the *_arr kernels accept numpy
-arrays of shape (..., 3) and are what the Monte-Carlo modules use.
+The *_arr kernels accept numpy arrays of shape (..., 3) and are the one
+implementation of the group law.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import NamedTuple, Sequence, Union
 
 import numpy as np
 
 __all__ = [
-    "GroupPoint",
-    "V0Point",
-    "HorizontalLine",
-    "Similarity",
-    "ORIGIN",
-    "multiply",
-    "inverse",
-    "koranyi_norm",
-    "koranyi_distance",
-    "intrinsic_project",
-    "graph_point",
-    "line_parabola",
-    "horizontal_chord_offset",
-    "apply_similarity",
     "mul_arr",
     "inv_arr",
     "norm_arr",
@@ -117,189 +101,3 @@ def dilate_arr(a: float, b: float, p: np.ndarray) -> np.ndarray:
     out[..., 1] = b * p[..., 1]
     out[..., 2] = a * b * p[..., 2]
     return out
-
-
-# ---------------------------------------------------------------------------
-# scalar wrappers
-
-
-class V0Point(NamedTuple):
-    """Point of the vertical plane V0 = {y = 0}, coordinates (x, z)."""
-
-    x: float
-    z: float
-
-
-@dataclass(frozen=True)
-class GroupPoint:
-    x: float
-    y: float
-    z: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x, self.y, self.z], dtype=float)
-
-    @staticmethod
-    def from_array(a: Sequence[float]) -> "GroupPoint":
-        return GroupPoint(float(a[0]), float(a[1]), float(a[2]))
-
-    def __mul__(self, other: "GroupPoint") -> "GroupPoint":
-        return multiply(self, other)
-
-    def inv(self) -> "GroupPoint":
-        return GroupPoint(-self.x, -self.y, -self.z)
-
-
-ORIGIN = GroupPoint(0.0, 0.0, 0.0)
-
-
-def multiply(p: GroupPoint, q: GroupPoint) -> GroupPoint:
-    return GroupPoint(
-        p.x + q.x,
-        p.y + q.y,
-        p.z + q.z + 0.5 * (p.x * q.y - p.y * q.x),
-    )
-
-
-def inverse(p: GroupPoint) -> GroupPoint:
-    return p.inv()
-
-
-def koranyi_norm(p: GroupPoint) -> float:
-    r2 = p.x * p.x + p.y * p.y
-    return (r2 * r2 + p.z * p.z) ** 0.25
-
-
-def koranyi_distance(p: GroupPoint, q: GroupPoint) -> float:
-    return koranyi_norm(multiply(p.inv(), q))
-
-
-def intrinsic_project(p: GroupPoint) -> V0Point:
-    """Projection along vertical cosets: Pi(x, y, z) = (x, z - x y / 2)."""
-    return V0Point(p.x, p.z - 0.5 * p.x * p.y)
-
-
-def graph_point(u: V0Point, value: float) -> GroupPoint:
-    """Graph map Psi(u) = u * Y^value; a section of intrinsic_project."""
-    base = GroupPoint(u.x, 0.0, u.z)
-    return multiply(base, GroupPoint(0.0, value, 0.0))
-
-
-def horizontal_chord_offset(p: GroupPoint, q: GroupPoint) -> float:
-    """Signed vertical offset of q from the horizontal plane through p.
-
-    Zero iff the chord [p, q] lies on a horizontal line; antisymmetric in
-    (p, q) and invariant under simultaneous left translation.
-    """
-    return (
-        q.z
-        - p.z
-        - 0.5 * (p.x * (q.y - p.y) - p.y * (q.x - p.x))
-    )
-
-
-# ---------------------------------------------------------------------------
-# horizontal lines
-
-
-@dataclass(frozen=True)
-class HorizontalLine:
-    """Horizontal line base * <X + slope Y>; slope None tags Y-parallel lines."""
-
-    base: GroupPoint
-    slope: Union[float, None]
-
-    def direction(self) -> np.ndarray:
-        """Planar direction of the line (unnormalized)."""
-        if self.slope is None:
-            return np.array([0.0, 1.0])
-        return np.array([1.0, float(self.slope)])
-
-    def point_at(self, t: float) -> GroupPoint:
-        """Point at parameter t; t is the x displacement (y displacement if vertical)."""
-        if self.slope is None:
-            step = GroupPoint(0.0, float(t), 0.0)
-        else:
-            step = GroupPoint(float(t), float(self.slope) * float(t), 0.0)
-        return multiply(self.base, step)
-
-    def points_at(self, t: np.ndarray) -> np.ndarray:
-        t = np.asarray(t, dtype=float)
-        if self.slope is None:
-            step = np.stack([np.zeros_like(t), t, np.zeros_like(t)], axis=-1)
-        else:
-            step = np.stack(
-                [t, float(self.slope) * t, np.zeros_like(t)], axis=-1
-            )
-        return mul_arr(self.base.as_array(), step)
-
-
-def line_parabola(line: HorizontalLine) -> tuple[float, float, float]:
-    """Coefficients (c0, c1, c2) of the projected parabola z = c0 + c1 x + c2 x^2.
-
-    Raises ValueError for Y-parallel lines, whose projection is a single point.
-    """
-    if line.slope is None:
-        raise ValueError("line projects to a point")
-    p, m = line.base, float(line.slope)
-    c2 = -0.5 * m
-    c1 = m * p.x - p.y
-    c0 = p.z + 0.5 * p.x * p.y - 0.5 * m * p.x * p.x
-    return (c0, c1, c2)
-
-
-# ---------------------------------------------------------------------------
-# similarities
-
-
-@dataclass(frozen=True)
-class Similarity:
-    """Dilation / rotation / left-translation, or a composition of those.
-
-    kind is one of "dilation" (params (a, b)), "rotation" (params (theta,)),
-    "translation" (params (GroupPoint,)), "compose" (params: inner
-    Similarity objects, applied right-to-left like function composition).
-    """
-
-    kind: str
-    params: tuple
-
-    @staticmethod
-    def dilation(a: float, b: float) -> "Similarity":
-        if a == 0.0 or b == 0.0:
-            raise ValueError("degenerate dilation")
-        return Similarity("dilation", (float(a), float(b)))
-
-    @staticmethod
-    def rotation(theta: float) -> "Similarity":
-        return Similarity("rotation", (float(theta),))
-
-    @staticmethod
-    def translation(g: GroupPoint) -> "Similarity":
-        return Similarity("translation", (g,))
-
-    @staticmethod
-    def compose(*sims: "Similarity") -> "Similarity":
-        return Similarity("compose", tuple(sims))
-
-    def apply_arr(self, p: np.ndarray) -> np.ndarray:
-        if self.kind == "dilation":
-            a, b = self.params
-            return dilate_arr(a, b, p)
-        if self.kind == "rotation":
-            return rotate_arr(self.params[0], p)
-        if self.kind == "translation":
-            return mul_arr(self.params[0].as_array(), p)
-        if self.kind == "compose":
-            out = np.asarray(p, dtype=float)
-            for sim in reversed(self.params):
-                out = sim.apply_arr(out)
-            return out
-        raise ValueError(f"unknown similarity kind {self.kind!r}")
-
-    def __call__(self, p: GroupPoint) -> GroupPoint:
-        return GroupPoint.from_array(self.apply_arr(p.as_array()))
-
-
-def apply_similarity(sim: Similarity, p: GroupPoint) -> GroupPoint:
-    return sim(p)

@@ -46,7 +46,6 @@ __all__ = [
     "sigma_rho_surface",
     "sigma_rho_membership",
     "MembershipSlab",
-    "chord_height",
     "sigma_rho_area",
     "sigma_rho_area_quadrature",
     "ChordObstructionReport",
@@ -132,16 +131,6 @@ class RuledEntireGraph:
         x = np.asarray(x, dtype=float)
         zp = np.asarray(zprime, dtype=float)
         return self.graph_value(t * x, t * t * zp) / t
-
-    def membership_offset(self, points: np.ndarray) -> np.ndarray:
-        """Signed y offset from the slope band at each point's own height."""
-        pts = np.asarray(points, dtype=float)
-        x, y, z = pts[..., 0], pts[..., 1], pts[..., 2]
-        sa = x * np.asarray(self.sigma_plus(z), dtype=float)
-        sb = x * np.asarray(self.band_lower(z), dtype=float)
-        lo = np.minimum(sa, sb)
-        hi = np.maximum(sa, sb)
-        return np.where(y > hi, y - hi, np.where(y < lo, y - lo, 0.0))
 
 
 def tail_slope_limits(profile: Profile, window: float = 1.0e3) -> tuple[float, float]:
@@ -389,22 +378,6 @@ def sigma_rho_membership(rho: Profile, window: tuple[float, float]) -> Membershi
     return MembershipSlab(offset, x_max=1.0, name="sigma-rho")
 
 
-def chord_height(z_left, z_right, x):
-    """Intrinsic height z - xy/2 along a left-to-right boundary chord.
-
-    The chord runs from ``(-1, 2 z_left, z_left)`` to
-    ``(1, -2 z_right, z_right)``; its intrinsic height at abscissa ``x`` is
-    ``z_left (x-1)^2 / 2 + z_right (x+1)^2 / 2``.  Surjectivity of this
-    family in the sweep parameter is what makes the spanning surfaces cover
-    the full slab footprint.
-    """
-    z1 = np.asarray(z_left, dtype=float)
-    z2 = np.asarray(z_right, dtype=float)
-    x = np.asarray(x, dtype=float)
-    out = 0.5 * z1 * (x - 1.0) ** 2 + 0.5 * z2 * (x + 1.0) ** 2
-    return out if out.ndim else float(out)
-
-
 def sigma_rho_area(rho: Profile, a: float, b: float) -> float:
     """Closed-form spanning area over sweep window [a, b].
 
@@ -595,14 +568,6 @@ class CompetitorSurface:
     phi_y: Callable[[np.ndarray, np.ndarray], np.ndarray] = field(repr=False)
     region: VRegion = field(repr=False)
     regions: Mapping[str, VRegion] = field(repr=False, default=None)
-
-    @property
-    def apex(self) -> np.ndarray:
-        return np.array([0.0, self.apex_y, -0.5 * self.apex_y])
-
-    @property
-    def far_point(self) -> np.ndarray:
-        return np.array([1.0, -self.u, self.exit_height])
 
     def all_segments(self) -> np.ndarray:
         parts = [np.asarray(v, dtype=float) for v in self.families.values()]

@@ -18,8 +18,8 @@ central; a point with no room for any central stencil raises DomainError.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
-from typing import Callable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -28,13 +28,9 @@ from .quadrature import DEFAULT_2D, QuadConfig, VRegion, integrate_region
 __all__ = [
     "DomainError",
     "ScalarField",
-    "PlanarCurve",
-    "LiftedCurve",
     "intrinsic_gradient",
     "graph_area",
     "dirichlet_energy",
-    "characteristic_curve",
-    "horizontal_lift",
     "zgraph_area",
 ]
 
@@ -107,44 +103,28 @@ def _central_partials(
 
 @dataclass
 class ScalarField:
-    """Scalar field on a rectangular window of V0, closed form or gridded.
+    """Closed-form scalar field on a rectangular window of V0.
 
-    Exactly one of fn / grid is set.  entire=True marks fields defined on all
-    of V0 (evaluation outside the window is then allowed); region optionally
-    restricts the domain to a vertically convex subset of the window.
+    entire=True marks fields defined on all of V0 (evaluation outside the
+    window is then allowed); region optionally restricts the domain to a
+    vertically convex subset of the window.
     """
 
     window: tuple[float, float, float, float]
-    fn: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
-    grid: Optional[tuple[np.ndarray, np.ndarray, np.ndarray]] = None
+    fn: Callable[[np.ndarray, np.ndarray], np.ndarray]
     region: Optional[VRegion] = None
     entire: bool = False
     name: str = ""
 
     def __post_init__(self):
-        if (self.fn is None) == (self.grid is None):
-            raise ValueError("exactly one of fn/grid must be given")
         x0, x1, z0, z1 = self.window
         if not (x1 > x0 and z1 > z0):
             raise ValueError("empty window")
-        if self.grid is not None:
-            xs, zs, vals = self.grid
-            if vals.shape != (len(xs), len(zs)):
-                raise ValueError("grid shape mismatch")
 
     @staticmethod
     def from_function(fn, window, region=None, entire=False, name="") -> "ScalarField":
         return ScalarField(window=tuple(map(float, window)), fn=fn,
                            region=region, entire=entire, name=name)
-
-    @staticmethod
-    def from_samples(xs, zs, values, region=None, name="") -> "ScalarField":
-        xs = np.asarray(xs, dtype=float)
-        zs = np.asarray(zs, dtype=float)
-        values = np.asarray(values, dtype=float)
-        window = (float(xs[0]), float(xs[-1]), float(zs[0]), float(zs[-1]))
-        return ScalarField(window=window, grid=(xs, zs, values),
-                           region=region, name=name)
 
     def default_region(self) -> VRegion:
         if self.region is not None:
@@ -168,35 +148,7 @@ class ScalarField:
     def __call__(self, x, z) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         z = np.asarray(z, dtype=float)
-        if self.fn is not None:
-            return np.asarray(self.fn(x, z), dtype=float)
-        return self._bilinear(x, z)
-
-    def _bilinear(self, x: np.ndarray, z: np.ndarray) -> np.ndarray:
-        xs, zs, vals = self.grid
-        i = np.clip(np.searchsorted(xs, x) - 1, 0, len(xs) - 2)
-        j = np.clip(np.searchsorted(zs, z) - 1, 0, len(zs) - 2)
-        tx = np.clip((x - xs[i]) / (xs[i + 1] - xs[i]), 0.0, 1.0)
-        tz = np.clip((z - zs[j]) / (zs[j + 1] - zs[j]), 0.0, 1.0)
-        v00 = vals[i, j]
-        v10 = vals[i + 1, j]
-        v01 = vals[i, j + 1]
-        v11 = vals[i + 1, j + 1]
-        return (
-            v00 * (1 - tx) * (1 - tz)
-            + v10 * tx * (1 - tz)
-            + v01 * (1 - tx) * tz
-            + v11 * tx * tz
-        )
-
-    def sampled(self, nx: int, nz: int) -> "ScalarField":
-        """Gridded copy on an nx-by-nz lattice over the window."""
-        x0, x1, z0, z1 = self.window
-        xs = np.linspace(x0, x1, nx)
-        zs = np.linspace(z0, z1, nz)
-        vals = self(*np.meshgrid(xs, zs, indexing="ij"))
-        return ScalarField.from_samples(xs, zs, vals, region=self.region,
-                                        name=self.name + ":sampled")
+        return np.asarray(self.fn(x, z), dtype=float)
 
 
 def intrinsic_gradient(
@@ -263,132 +215,6 @@ def dirichlet_energy(
         return 0.5 * g * g
 
     return integrate_region(integrand, reg, cfg)
-
-
-# ---------------------------------------------------------------------------
-# characteristic curves
-
-
-def characteristic_curve(
-    field: ScalarField,
-    start: tuple[float, float],
-    x_end: float,
-    step: float = 1e-3,
-) -> tuple[np.ndarray, np.ndarray, dict]:
-    """Integral curve of g'(x) = -f(x, g(x)) by fixed-step RK4.
-
-    Returns (xs, gs, meta).  The trace truncates at the domain boundary;
-    leaving the domain on the very first step is an error.  meta flags
-    whether local Lipschitz behaviour of f in z supports uniqueness.
-    """
-    x0, g0 = float(start[0]), float(start[1])
-    x_end = float(x_end)
-    if not field.domain_contains(np.array(x0), np.array(g0)):
-        raise DomainError("characteristic start outside domain")
-
-    meta = {"uniqueness_guaranteed": True, "truncated": False}
-    hprobe = _H_REL * field.diagonal()
-    try:
-        s_big = _one_sided_zslope(field, x0, g0, hprobe)
-        s_small = _one_sided_zslope(field, x0, g0, hprobe / 16.0)
-        if not np.isfinite(s_small) or s_small > 2.5 * s_big + 1e-9:
-            meta["uniqueness_guaranteed"] = False
-    except Exception:
-        meta["uniqueness_guaranteed"] = False
-
-    direction = 1.0 if x_end >= x0 else -1.0
-    n_steps = max(1, int(math.ceil(abs(x_end - x0) / step)))
-    xs = [x0]
-    gs = [g0]
-    x, g = x0, g0
-    rhs = lambda xx, gg: -float(field(np.array(xx), np.array(gg)))
-    for k in range(n_steps):
-        hstep = min(step, abs(x_end - x)) * direction
-        if hstep == 0.0:
-            break
-        k1 = rhs(x, g)
-        k2 = rhs(x + hstep / 2, g + hstep * k1 / 2)
-        k3 = rhs(x + hstep / 2, g + hstep * k2 / 2)
-        k4 = rhs(x + hstep, g + hstep * k3)
-        g_next = g + hstep * (k1 + 2 * k2 + 2 * k3 + k4) / 6.0
-        x_next = x + hstep
-        if not field.domain_contains(np.array(x_next), np.array(g_next)):
-            if k == 0:
-                raise DomainError("characteristic leaves domain immediately")
-            meta["truncated"] = True
-            break
-        x, g = x_next, g_next
-        xs.append(x)
-        gs.append(g)
-    return np.array(xs), np.array(gs), meta
-
-
-def _one_sided_zslope(field: ScalarField, x: float, z: float, h: float) -> float:
-    f0 = float(field(np.array(x), np.array(z)))
-    fp = float(field(np.array(x), np.array(z + h)))
-    fm = float(field(np.array(x), np.array(z - h)))
-    return max(abs(fp - f0), abs(f0 - fm)) / h
-
-
-# ---------------------------------------------------------------------------
-# curves and lifts
-
-
-@dataclass(frozen=True)
-class PlanarCurve:
-    """Polyline in the plane A = {z = 0}, stored as an (N, 2) array."""
-
-    points: np.ndarray
-
-    def __post_init__(self):
-        pts = np.asarray(self.points, dtype=float)
-        if pts.ndim != 2 or pts.shape[1] != 2 or len(pts) < 2:
-            raise ValueError("need an (N, 2) array, N >= 2")
-        object.__setattr__(self, "points", pts)
-
-    @staticmethod
-    def from_function(fn: Callable[[np.ndarray], tuple], t0: float, t1: float, n: int) -> "PlanarCurve":
-        t = np.linspace(float(t0), float(t1), int(n))
-        x, y = fn(t)
-        return PlanarCurve(np.stack([x, y], axis=-1))
-
-
-@dataclass(frozen=True)
-class LiftedCurve:
-    """Horizontal polyline in the group with a declared horizontality budget."""
-
-    points: np.ndarray
-    tolerance: float = 1e-12
-
-    def __post_init__(self):
-        pts = np.asarray(self.points, dtype=float)
-        if pts.ndim != 2 or pts.shape[1] != 3 or len(pts) < 2:
-            raise ValueError("need an (N, 3) array, N >= 2")
-        object.__setattr__(self, "points", pts)
-        res = self.residual()
-        if res > self.tolerance:
-            raise ValueError(f"lift residual {res:.3e} exceeds tolerance")
-
-    def residual(self) -> float:
-        from .core import chord_offset_arr
-
-        p = self.points
-        if len(p) < 2:
-            return 0.0
-        return float(np.max(np.abs(chord_offset_arr(p[:-1], p[1:]))))
-
-
-def horizontal_lift(curve: PlanarCurve, z0: float = 0.0, tolerance: float = 1e-12) -> LiftedCurve:
-    """Lift a planar polyline edge by edge: dz = (x dy - y dx) / 2.
-
-    Each chord of the result is horizontal by construction; around a closed
-    loop the lift climbs by the signed enclosed area.
-    """
-    xy = curve.points
-    x, y = xy[:, 0], xy[:, 1]
-    dz = 0.5 * (x[:-1] * np.diff(y) - y[:-1] * np.diff(x))
-    z = float(z0) + np.concatenate([[0.0], np.cumsum(dz)])
-    return LiftedCurve(np.stack([x, y, z], axis=-1), tolerance=tolerance)
 
 
 # ---------------------------------------------------------------------------

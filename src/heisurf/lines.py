@@ -16,21 +16,17 @@ arclength, so steep and shallow directions are handled identically.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .core import GroupPoint, HorizontalLine, rotate_arr
-from .strips import GraphicalStrip, Profile, strip_surface
+from .core import rotate_arr
+from .strips import Profile, strip_surface
 
 __all__ = [
     "LineSample",
-    "line_through",
-    "line_through_points",
-    "translate_line",
     "line_ball_distance",
     "box_volume",
     "sample_lines",
@@ -60,48 +56,6 @@ class LineSample:
         base = np.stack(np.broadcast_arrays(
             ts, self.v + 0.0 * ts, self.w - 0.5 * self.v * ts), axis=-1)
         return rotate_arr(self.theta, base)
-
-    def point_at(self, t: float) -> GroupPoint:
-        return GroupPoint(*self.points_at(float(t)))
-
-    def direction(self) -> np.ndarray:
-        return np.array([math.cos(self.theta), math.sin(self.theta),
-                         -0.5 * self.v])
-
-    def as_horizontal_line(self) -> HorizontalLine:
-        base = self.point_at(0.0)
-        if abs(math.cos(self.theta)) < 1e-15:
-            return HorizontalLine(base, None)
-        return HorizontalLine(base, math.tan(self.theta))
-
-
-def line_through(p: GroupPoint, angle: float) -> LineSample:
-    """Horizontal line through p with plane direction angle."""
-    theta = float(angle) % math.pi
-    q = rotate_arr(-theta, p.as_array())
-    v = float(q[1])
-    w = float(q[2] + 0.5 * q[0] * q[1])
-    return LineSample(theta, v, w)
-
-
-def line_through_points(p: GroupPoint, q: GroupPoint,
-                        tol: float = 1e-9) -> LineSample:
-    from .core import horizontal_chord_offset
-
-    off = horizontal_chord_offset(p, q)
-    if abs(off) > tol:
-        raise ValueError(f"chord is not horizontal (offset {off:.3e})")
-    dx, dy = q.x - p.x, q.y - p.y
-    if dx == 0.0 and dy == 0.0:
-        raise ValueError("points have equal plane projections")
-    return line_through(p, math.atan2(dy, dx))
-
-
-def translate_line(line: LineSample, g: GroupPoint) -> LineSample:
-    """Left translation by g in chart coordinates: a unit-Jacobian shear."""
-    a, b, c = rotate_arr(-line.theta, g.as_array())
-    return LineSample(line.theta, line.v + b,
-                      line.w + a * line.v + c + 0.5 * a * b)
 
 
 # ---------------------------------------------------------------------------
@@ -136,24 +90,28 @@ def _sample_box(radius: float, n: int, rng: np.random.Generator):
     return theta, v, w
 
 
-def sample_lines(radius: float, n: int, seed: int = 0) -> list[LineSample]:
-    """Exactly n lines meeting the gauge ball, uniform for the line measure."""
+def sample_lines(radius: float, n: int,
+                 seed: int = 0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Exactly n lines meeting the gauge ball, uniform for the line measure.
+
+    Returns the chart coordinates (theta, v, w) as three arrays of length n.
+    """
     if n < 1:
         raise ValueError("need at least one line")
     rng = np.random.default_rng(seed)
-    out: list[LineSample] = []
-    while len(out) < n:
-        theta, v, w = _sample_box(radius, max(2 * (n - len(out)), 64), rng)
+    parts = []
+    kept = 0
+    while kept < n:
+        theta, v, w = _sample_box(radius, max(2 * (n - kept), 64), rng)
         hit = line_ball_distance(v, w) <= radius
-        for th, vv, ww in zip(theta[hit], v[hit], w[hit]):
-            out.append(LineSample(float(th), float(vv), float(ww)))
-            if len(out) == n:
-                break
-    return out
+        parts.append((theta[hit], v[hit], w[hit]))
+        kept += int(np.count_nonzero(hit))
+    theta, v, w = (np.concatenate(c)[:n] for c in zip(*parts))
+    return theta, v, w
 
 
 def line_measure_of_ball(radius: float, n: int, seed: int = 0,
-                         center: Optional[GroupPoint] = None):
+                         center: Optional[Sequence[float]] = None):
     """Monte-Carlo measure of the lines meeting B(center, r), with SE.
 
     For an off-origin center the box is the padded axis-aligned hull of the
@@ -166,7 +124,7 @@ def line_measure_of_ball(radius: float, n: int, seed: int = 0,
         p = float(np.mean(line_ball_distance(v, w) <= radius))
         vol = box_volume(radius)
     else:
-        gx, gy, gz = center.as_array()
+        gx, gy, gz = map(float, center)
         r1 = math.hypot(gx, gy)
         vmax = radius + r1
         wmax = 1.5 * radius ** 2 + r1 * vmax + abs(gz) + 0.5 * r1 * r1
@@ -354,20 +312,6 @@ class CrossingReport:
     def passed(self) -> bool:
         return self.max_crossings <= 1
 
-    def to_json(self) -> str:
-        return json.dumps({
-            "n_lines": self.n_lines,
-            "seed": self.seed,
-            "radius": self.radius,
-            "histogram": {str(k): c for k, c in self.histogram.items()},
-            "degenerate_lines": self.degenerate_lines,
-            "violations": [
-                {"theta": line.theta, "v": line.v, "w": line.w,
-                 "roots": list(roots)}
-                for line, roots in self.violations
-            ],
-        }, sort_keys=True)
-
 
 def monotonicity_check(surface, radius: float = 1.5, n: int = 400,
                        seed: int = 0, n_scan: int = 400, x_max: float = 1.0,
@@ -381,16 +325,7 @@ def monotonicity_check(surface, radius: float = 1.5, n: int = 400,
     """
     if isinstance(surface, Profile):
         surface = strip_surface(surface, x_max=x_max)
-    rng = np.random.default_rng(seed)
-    kept: list[tuple[float, float, float]] = []
-    while len(kept) < n:
-        th, vv, ww = _sample_box(radius, max(2 * (n - len(kept)), 64), rng)
-        hit = line_ball_distance(vv, ww) <= radius
-        kept.extend(zip(th[hit], vv[hit], ww[hit]))
-    kept = kept[:n]
-    theta = np.array([k[0] for k in kept])
-    v = np.array([k[1] for k in kept])
-    w = np.array([k[2] for k in kept])
+    theta, v, w = sample_lines(radius, n, seed)
     counts = crossing_counts(surface, theta, v, w, n_scan=n_scan)
     hist: dict[int, int] = {}
     bad: list[tuple[LineSample, tuple[float, ...]]] = []

@@ -16,7 +16,7 @@ Registry kinds:
     line x = 1: value ``u`` left of ``-u/2``, slope -2 across the middle,
     value ``-u`` right of ``u/2``.
 ``arctan(scale)``
-    ``scale * arctan(z)`` with exact derivative and tail limits declared.
+    ``scale * arctan(z)`` with exact derivative and declared slope range.
 ``triangle-bump(height, halfwidth)``
     The tent of the given height supported on ``[-halfwidth, halfwidth]``.
 ``samples(w1, v1, w2, v2, ...)``
@@ -72,11 +72,9 @@ def _build_arctan(scale: float = 1.0) -> Profile:
     s = float(scale)
     if s == 0.0:
         return PwlProfile.constant(0.0)
-    half = 0.5 * math.pi * s
     return CallableProfile(
         fn=lambda z: s * np.arctan(z),
         dfn=lambda z: s / (1.0 + np.asarray(z, dtype=float) ** 2),
-        tails=(-half, half),
         slopes=(min(0.0, s), max(0.0, s)),
         name=f"arctan({s!r})",
     )

@@ -24,14 +24,12 @@ does not.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .core import GroupPoint, HorizontalLine, project_arr
-from .graphs import ScalarField
-from .quadrature import VRegion
+from .core import project_arr
 
 __all__ = [
     "ProfileError",
@@ -46,7 +44,6 @@ __all__ = [
     "BrokenPlane",
     "broken_plane",
     "strip_surface",
-    "is_graphical_strip",
     "is_area_minimizing",
 ]
 
@@ -79,7 +76,7 @@ def _shaped(w: np.ndarray, shape):
 
 
 class Profile:
-    """Real function of one variable with slope and tail information."""
+    """Real function of one variable with slope information."""
 
     def __call__(self, w):  # pragma: no cover - abstract
         raise NotImplementedError
@@ -99,9 +96,6 @@ class Profile:
         raise NotImplementedError
 
     def slope_bounds(self) -> tuple[float, float]:  # pragma: no cover
-        raise NotImplementedError
-
-    def limits(self) -> tuple[float, float]:  # pragma: no cover
         raise NotImplementedError
 
 
@@ -205,13 +199,6 @@ class PwlProfile(Profile):
         s = self.piece_slopes()
         return float(np.min(s)), float(np.max(s))
 
-    def limits(self) -> tuple[float, float]:
-        left = float(self.v[0]) if self.slope_left == 0 else (
-            -math.inf if self.slope_left > 0 else math.inf)
-        right = float(self.v[-1]) if self.slope_right == 0 else (
-            math.inf if self.slope_right > 0 else -math.inf)
-        return left, right
-
     # -- exact algebra ------------------------------------------------------
 
     def _binary(self, other, op) -> "PwlProfile":
@@ -227,16 +214,8 @@ class PwlProfile(Profile):
             float(op(self.slope_right, other.slope_right)),
         )
 
-    def __add__(self, other):
-        return self._binary(other, lambda a, b: a + b)
-
-    __radd__ = __add__
-
     def __sub__(self, other):
         return self._binary(other, lambda a, b: a - b)
-
-    def __neg__(self):
-        return self * (-1.0)
 
     def __mul__(self, c: float):
         c = float(c)
@@ -244,10 +223,6 @@ class PwlProfile(Profile):
                           self.slope_right * c)
 
     __rmul__ = __mul__
-
-    def shifted(self, dw: float = 0.0, dv: float = 0.0) -> "PwlProfile":
-        return PwlProfile(self.w + float(dw), self.v + float(dv),
-                          self.slope_left, self.slope_right)
 
     def inverse(self) -> "PwlProfile":
         slopes = self.piece_slopes()
@@ -292,11 +267,10 @@ class PwlProfile(Profile):
 
 @dataclass(frozen=True)
 class CallableProfile(Profile):
-    """Closed-form profile; slope range and tail limits supplied by caller."""
+    """Closed-form profile; slope range supplied by caller."""
 
     fn: Callable[[np.ndarray], np.ndarray]
     dfn: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    tails: Optional[tuple[float, float]] = None
     slopes: Optional[tuple[float, float]] = None
     name: str = ""
 
@@ -390,11 +364,6 @@ class CallableProfile(Profile):
         if self.slopes is None:
             raise ProfileError("slope range not declared for this profile")
         return self.slopes
-
-    def limits(self) -> tuple[float, float]:
-        if self.tails is None:
-            raise ProfileError("tail limits not declared for this profile")
-        return self.tails
 
 
 def _outward(g, idx: np.ndarray, start: np.ndarray,
@@ -499,68 +468,13 @@ class GraphicalStrip:
     sigma: Profile
     x_max: float = 1.0
 
-    def ruling(self, z: float) -> HorizontalLine:
-        return HorizontalLine(GroupPoint(0.0, 0.0, float(z)),
-                              float(self.sigma(float(z))))
-
-    def points(self, x, z) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        z = np.asarray(z, dtype=float)
-        return np.stack(np.broadcast_arrays(x, x * np.asarray(self.sigma(z)), z),
-                        axis=-1)
-
     def membership_offset(self, points: np.ndarray) -> np.ndarray:
         p = np.asarray(points, dtype=float)
         return p[..., 1] - p[..., 0] * np.asarray(self.sigma(p[..., 2]))
 
-    def contains(self, points: np.ndarray, tol: float = 1e-9) -> np.ndarray:
-        p = np.asarray(points, dtype=float)
-        return (np.abs(self.membership_offset(p)) <= tol) & \
-            (np.abs(p[..., 0]) <= self.x_max + tol)
-
     def is_graphical(self) -> bool:
         lo, hi = self.sigma.slope_bounds()
         return lo >= -2.0 and hi < 2.0
-
-    def graph_field(self, z_window: tuple[float, float]) -> ScalarField:
-        """Intrinsic graph function of the strip over a height window."""
-        if not self.is_graphical():
-            raise ProfileError("strip is not a graph over the axis")
-        z0, z1 = map(float, z_window)
-        sigma = self.sigma
-
-        def fn(x, zp):
-            z = _solve_height(sigma, x, zp)
-            return np.asarray(x) * np.asarray(sigma(z))
-
-        return ScalarField.from_function(
-            fn, (-self.x_max, self.x_max, z0, z1), name="strip")
-
-    def field_regions(self, z_window: tuple[float, float]) -> list[VRegion]:
-        """Bands of the graph window between knot parabolas z' = z_i - x^2 s_i/2.
-
-        The graph function is smooth inside each band; integrating band by
-        band keeps its slope kinks on region boundaries.
-        """
-        if not isinstance(self.sigma, PwlProfile):
-            return [VRegion.rect(-self.x_max, self.x_max, *z_window)]
-        z0, z1 = map(float, z_window)
-        xm = self.x_max
-
-        def parab(zi, si):
-            return lambda x, zi=zi, si=si: zi - 0.5 * si * np.asarray(x) ** 2
-
-        floor = lambda x: np.full(np.shape(x), z0, dtype=float)
-        ceil = lambda x: np.full(np.shape(x), z1, dtype=float)
-        walls = [floor]
-        for zi, si in zip(self.sigma.w, self.sigma.v):
-            p = parab(zi, si)
-            walls.append(lambda x, p=p: np.clip(p(x), z0, z1))
-        walls.append(ceil)
-        out = []
-        for lo, hi in zip(walls[:-1], walls[1:]):
-            out.append(VRegion(-xm, xm, lo, hi))
-        return out
 
 
 @dataclass(frozen=True)
@@ -585,52 +499,12 @@ class BrokenPlane:
                        np.where(zp < -0.5 * u * x * x, u * x, fan))
         return out if out.ndim else float(out)
 
-    def graph_field(self, z_window: Optional[tuple[float, float]] = None) -> ScalarField:
-        if z_window is None:
-            half = max(self.u, 1.0) * self.x_max ** 2
-            z_window = (-half, half)
-        return ScalarField.from_function(
-            self.value, (-self.x_max, self.x_max, *z_window),
-            entire=True, name="broken-plane")
-
-    def fan_region(self) -> VRegion:
-        u, xm = self.u, self.x_max
-        return VRegion(-xm, xm,
-                       lambda x: -0.5 * u * np.asarray(x) ** 2,
-                       lambda x: 0.5 * u * np.asarray(x) ** 2)
-
-    def upper_region(self, z_top: float) -> VRegion:
-        u, xm = self.u, self.x_max
-        return VRegion(-xm, xm,
-                       lambda x: 0.5 * u * np.asarray(x) ** 2,
-                       lambda x: np.full(np.shape(x), float(z_top)))
-
-    def lower_region(self, z_bottom: float) -> VRegion:
-        u, xm = self.u, self.x_max
-        return VRegion(-xm, xm,
-                       lambda x: np.full(np.shape(x), float(z_bottom)),
-                       lambda x: -0.5 * u * np.asarray(x) ** 2)
-
     def membership_offset(self, points: np.ndarray) -> np.ndarray:
         p = np.asarray(points, dtype=float)
         flat = project_arr(p.reshape(-1, 3))
         vals = self.value(flat[:, 0], flat[:, 1])
         off = p.reshape(-1, 3)[:, 1] - vals
         return off.reshape(p.shape[:-1])
-
-    def contains(self, points: np.ndarray, tol: float = 1e-9) -> np.ndarray:
-        p = np.asarray(points, dtype=float)
-        return (np.abs(self.membership_offset(p)) <= tol) & \
-            (np.abs(p[..., 0]) <= self.x_max + tol)
-
-    def witness_chord(self) -> tuple[GroupPoint, GroupPoint]:
-        """Horizontal chord with both ends on the surface but not its interior."""
-        u = self.u
-        if u <= 0:
-            raise ValueError("the flat plane has no such chord")
-        h = 0.5 * self.x_max
-        return (GroupPoint(h, -u * h, u * h * h / 2.0),
-                GroupPoint(-h, -u * h, -u * h * h / 2.0))
 
 
 def broken_plane(u: float, x_max: float = 1.0) -> BrokenPlane:
@@ -645,10 +519,6 @@ def strip_surface(profile: Profile, kind: str = "sigma",
     elif kind != "sigma":
         raise ValueError("kind must be 'sigma' or 'alpha'")
     return GraphicalStrip(profile, float(x_max))
-
-
-def is_graphical_strip(strip: GraphicalStrip) -> bool:
-    return strip.is_graphical()
 
 
 def is_area_minimizing(surface) -> bool:

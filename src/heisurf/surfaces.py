@@ -14,13 +14,12 @@ m = dy/dx, so the graph Dirichlet energy is (1/2) int int m^2 |x_B - x_A|
 """
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field as dc_field
-from typing import Callable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Callable, Optional
 
 import numpy as np
 
-from .core import GroupPoint, chord_offset_arr
+from .core import chord_offset_arr
 from .quadrature import DEFAULT_2D, QuadConfig, VRegion, integrate_region
 
 __all__ = ["RuledSurface", "strip_patch"]

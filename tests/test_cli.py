@@ -2,6 +2,7 @@
 import json
 import math
 import os
+import warnings
 
 import pytest
 
@@ -36,6 +37,32 @@ def test_check_strip_rejects_a_steep_profile(tmp_path):
     assert run(tmp_path, "check-strip", "--profile", "linear(-3)",
                "--kind", "alpha") == 1
     assert load(tmp_path, "check-strip.json")["verdict"] is False
+
+
+def test_check_strip_refuses_the_alpha_fan_like_export_obj(
+        tmp_path, capsys):
+    # slope -2 in the alpha chart is a fan, not a strip: export-obj refuses
+    # the same profile, so check-strip must not pass it
+    argv = ("--kind", "alpha", "--profile", "broken-plane-alpha(1)")
+    assert run(tmp_path, "check-strip", *argv) == 1
+    assert "witness slope -2 on [-0.5,0.5]" in capsys.readouterr().out
+    assert load(tmp_path, "check-strip.json")["witness"]["slope"] == -2.0
+    assert run(tmp_path, "export-obj", "--surface", "strip", *argv,
+               "--window", "-1,1", "--res", "2") == 2
+
+
+@pytest.mark.parametrize("kind, profile", [
+    ("alpha", "samples(0,0,1,-1.5)"),
+    ("sigma", "samples(0,0,0.25,-1.5)"),  # the same surface, sigma chart
+])
+def test_check_strip_charts_agree_on_one_surface(tmp_path, kind, profile):
+    assert run(tmp_path, "check-strip", "--kind", kind,
+               "--profile", profile) == 1
+
+
+def test_check_strip_accepts_arctan_in_the_alpha_chart(tmp_path):
+    assert run(tmp_path, "check-strip", "--kind", "alpha",
+               "--profile", "arctan(-1)") == 0
 
 
 def test_check_minimal_flags_the_broken_plane_with_a_witness(tmp_path, capsys):
@@ -250,6 +277,33 @@ def test_too_few_lines_exit_with_two(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert err.startswith("error: --lines must be at least 1")
     assert "Warning" not in err
+    assert not os.listdir(str(tmp_path))
+
+
+@pytest.mark.parametrize("argv", [
+    ("area", "--surface", "sigma-rho", "--rho", "id", "--window", "0,inf"),
+    ("monotonicity", "--surface", "sigma-rho", "--rho", "id", "--window",
+     "0,inf", "--lines", "10"),
+    ("area", "--surface", "strip", "--profile", "arctan(-1)", "--window",
+     "0,inf"),
+    ("sigma-rho", "--rho", "id", "--window", "0,inf"),
+    ("energy", "--surface", "strip", "--profile", "arctan(-1)", "--window",
+     "1,-1"),
+    ("export-obj", "--surface", "broken-plane", "--u", "1", "--window",
+     "nan,1", "--res", "2"),
+    ("area", "--surface", "strip", "--profile", "arctan(-1)", "--window",
+     "-1,1", "--x-max", "-1"),
+    ("monotonicity", "--surface", "strip", "--profile", "arctan(-1)",
+     "--x-max", "inf", "--lines", "10"),
+])
+def test_out_of_domain_window_or_width_exits_with_two(tmp_path, capsys, argv):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run(tmp_path, *argv) == 2
+    assert not caught
+    err = capsys.readouterr().err
+    assert err.startswith(("error: --window must be", "error: --x-max must be"))
+    assert err.count("\n") == 1 and "Warning" not in err
     assert not os.listdir(str(tmp_path))
 
 

@@ -1,4 +1,4 @@
-"""Group arithmetic, metric, projections, lines, similarities."""
+"""Group arithmetic, metric, projections, lines and symmetries as array kernels."""
 import math
 
 import numpy as np
@@ -7,69 +7,66 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from heisurf.core import (
-    ORIGIN,
-    GroupPoint,
-    HorizontalLine,
-    Similarity,
-    V0Point,
     chord_offset_arr,
-    graph_point,
-    horizontal_chord_offset,
-    intrinsic_project,
+    dilate_arr,
     inv_arr,
-    koranyi_distance,
-    koranyi_norm,
-    line_parabola,
     mul_arr,
-    multiply,
     norm_arr,
     project_arr,
+    rotate_arr,
 )
+from heisurf.lines import LineSample
 
 coords = st.floats(-50.0, 50.0, allow_nan=False, allow_infinity=False)
-points = st.builds(GroupPoint, coords, coords, coords)
+points = st.builds(lambda x, y, z: np.array([x, y, z]), coords, coords, coords)
+
+
+def line_points(base, m, t):
+    """Points base * (t, m t, 0) of the horizontal line of slope m through base."""
+    t = np.asarray(t, dtype=float)
+    step = np.stack([t, m * t, np.zeros_like(t)], axis=-1)
+    return mul_arr(base, step)
 
 
 def test_multiply_examples():
-    p = multiply(GroupPoint(1, 0, 0), GroupPoint(0, 1, 0))
-    assert (p.x, p.y, p.z) == (1.0, 1.0, 0.5)
-    q = multiply(GroupPoint(-1, 2, 1).inv(), GroupPoint(1, -10, 5))
-    assert (q.x, q.y, q.z) == (2.0, -12.0, 0.0)
+    assert mul_arr([1, 0, 0], [0, 1, 0]).tolist() == [1.0, 1.0, 0.5]
+    q = mul_arr(inv_arr([-1, 2, 1]), [1, -10, 5])
+    assert q.tolist() == [2.0, -12.0, 0.0]
 
 
 def test_center_is_central():
-    center = GroupPoint(0, 0, 3.7)
-    p = GroupPoint(1.2, -0.4, 0.9)
-    assert multiply(center, p) == multiply(p, center)
+    center = np.array([0.0, 0.0, 3.7])
+    p = np.array([1.2, -0.4, 0.9])
+    assert np.array_equal(mul_arr(center, p), mul_arr(p, center))
 
 
 @settings(max_examples=100, derandomize=True)
 @given(points, points, points)
 def test_group_axioms(p, q, r):
-    lhs = multiply(multiply(p, q), r)
-    rhs = multiply(p, multiply(q, r))
-    assert math.isclose(lhs.x, rhs.x, abs_tol=1e-9)
-    assert math.isclose(lhs.y, rhs.y, abs_tol=1e-9)
-    assert math.isclose(lhs.z, rhs.z, abs_tol=1e-9)
-    e = multiply(p, p.inv())
-    assert abs(e.x) < 1e-12 and abs(e.y) < 1e-12 and abs(e.z) < 1e-12
-    assert multiply(p, ORIGIN) == p
+    lhs = mul_arr(mul_arr(p, q), r)
+    rhs = mul_arr(p, mul_arr(q, r))
+    assert np.allclose(lhs, rhs, rtol=0.0, atol=1e-9)
+    e = mul_arr(p, inv_arr(p))
+    assert np.all(np.abs(e) < 1e-12)
+    assert np.array_equal(mul_arr(p, np.zeros(3)), p)
 
 
 def test_koranyi_norm_values():
-    assert koranyi_norm(GroupPoint(1, 0, 0)) == 1.0
-    assert koranyi_norm(GroupPoint(0, 0, 1)) == 1.0
-    assert koranyi_norm(GroupPoint(0, 0, 4)) == 2.0
-    assert math.isclose(koranyi_norm(GroupPoint(1, 1, 0)), 2.0 ** 0.5)
+    assert norm_arr([1, 0, 0]) == 1.0
+    assert norm_arr([0, 0, 1]) == 1.0
+    assert norm_arr([0, 0, 4]) == 2.0
+    assert math.isclose(norm_arr([1, 1, 0]), 2.0 ** 0.5)
 
 
 @settings(max_examples=100, derandomize=True)
 @given(points, points, points)
 def test_distance_left_invariant_and_symmetric(g, p, q):
-    d = koranyi_distance(p, q)
-    d_translated = koranyi_distance(multiply(g, p), multiply(g, q))
+    d = norm_arr(mul_arr(inv_arr(p), q))
+    gp, gq = mul_arr(g, p), mul_arr(g, q)
+    d_translated = norm_arr(mul_arr(inv_arr(gp), gq))
     assert math.isclose(d, d_translated, rel_tol=1e-10, abs_tol=1e-10)
-    assert math.isclose(d, koranyi_distance(q, p), rel_tol=1e-12, abs_tol=1e-12)
+    d_back = norm_arr(mul_arr(inv_arr(q), p))
+    assert math.isclose(d, d_back, rel_tol=1e-12, abs_tol=1e-12)
 
 
 def test_dilation_scales_distance_exactly():
@@ -77,108 +74,97 @@ def test_dilation_scales_distance_exactly():
     p = rng.normal(size=(64, 3))
     q = rng.normal(size=(64, 3))
     for t in (0.25, 2.0, 13.0):
-        sim = Similarity.dilation(t, t)
         d0 = norm_arr(mul_arr(inv_arr(p), q))
-        d1 = norm_arr(mul_arr(inv_arr(sim.apply_arr(p)), sim.apply_arr(q)))
+        d1 = norm_arr(mul_arr(inv_arr(dilate_arr(t, t, p)), dilate_arr(t, t, q)))
         assert np.allclose(d1, t * d0, rtol=1e-12)
 
 
 def test_intrinsic_project_example_and_section():
-    assert intrinsic_project(GroupPoint(1, 2, 3)) == V0Point(1.0, 2.0)
+    assert project_arr([1, 2, 3]).tolist() == [1.0, 2.0]
     rng = np.random.default_rng(1)
     for x, z in rng.normal(size=(32, 2)):
-        u = V0Point(x, z)
         val = x * z - 0.3 * x  # arbitrary graph value
-        back = intrinsic_project(graph_point(u, val))
-        assert math.isclose(back.x, u.x, abs_tol=1e-12)
-        assert math.isclose(back.z, u.z, abs_tol=1e-12)
+        # graph map u * Y^val is a section of the projection
+        back = project_arr(mul_arr([x, 0.0, z], [0.0, val, 0.0]))
+        assert np.allclose(back, [x, z], rtol=0.0, atol=1e-12)
 
 
 def test_project_constant_on_vertical_cosets():
-    u = GroupPoint(0.7, 0.0, -0.2)
+    u = np.array([0.7, 0.0, -0.2])
     for s in (-2.0, 0.3, 5.0):
-        p = multiply(u, GroupPoint(0, s, 0))
-        pr = intrinsic_project(p)
-        assert math.isclose(pr.x, 0.7, abs_tol=1e-14)
-        assert math.isclose(pr.z, -0.2, abs_tol=1e-14)
+        pr = project_arr(mul_arr(u, [0.0, s, 0.0]))
+        assert math.isclose(pr[0], 0.7, abs_tol=1e-14)
+        assert math.isclose(pr[1], -0.2, abs_tol=1e-14)
 
 
 def test_line_parabola_examples():
-    line = HorizontalLine(ORIGIN, 1.0)
-    assert line_parabola(line) == (0.0, 0.0, -0.5)
-    line = HorizontalLine(GroupPoint(0, 1, 0), 0.0)
-    assert line_parabola(line) == (0.0, -1.0, -0.0)
-    line = HorizontalLine(GroupPoint(1, 0, 0), 2.0)
-    c0, c1, c2 = line_parabola(line)
-    # -(x-1)^2 expanded
-    assert (c0, c1, c2) == (-1.0, 2.0, -1.0)
+    # a horizontal line of slope m projects to a parabola z' = c0 + c1 x + c2 x^2
+    x = np.linspace(-2.0, 2.0, 9)
+    proj = project_arr(line_points([0.0, 0.0, 0.0], 1.0, x))
+    assert np.allclose(proj[:, 1], -0.5 * x ** 2, rtol=0.0, atol=1e-15)
+    proj = project_arr(line_points([0.0, 1.0, 0.0], 0.0, x))
+    assert np.allclose(proj[:, 1], -x, rtol=0.0, atol=1e-15)
+    proj = project_arr(line_points([1.0, 0.0, 0.0], 2.0, x - 1.0))
+    assert np.allclose(proj[:, 1], -(x - 1.0) ** 2, rtol=0.0, atol=1e-14)
 
 
 def test_line_parabola_matches_projected_samples():
     rng = np.random.default_rng(3)
     for _ in range(20):
-        base = GroupPoint(*rng.normal(size=3))
+        base = rng.normal(size=3)
         m = float(rng.normal())
-        line = HorizontalLine(base, m)
-        c0, c1, c2 = line_parabola(line)
-        ts = np.linspace(-2, 2, 100)
-        pts = line.points_at(ts)
-        proj = project_arr(pts)
+        proj = project_arr(line_points(base, m, np.linspace(-2, 2, 100)))
+        c2, c1, c0 = np.polyfit(proj[:, 0], proj[:, 1], 2)
+        assert c2 == pytest.approx(-0.5 * m, abs=1e-10)
         fitted = c0 + c1 * proj[:, 0] + c2 * proj[:, 0] ** 2
         assert np.max(np.abs(fitted - proj[:, 1])) <= 1e-10
 
 
 def test_vertical_line_projects_to_point():
-    line = HorizontalLine(GroupPoint(0.5, 0, 0.1), None)
-    with pytest.raises(ValueError):
-        line_parabola(line)
-    pts = line.points_at(np.linspace(-3, 3, 7))
-    proj = project_arr(pts)
-    assert np.ptp(proj[:, 0]) == 0.0
+    # a Y-parallel horizontal line (theta = pi/2) projects to one point of V0
+    line = LineSample(math.pi / 2, -0.5, 0.1)
+    proj = project_arr(line.points_at(np.linspace(-3, 3, 7)))
+    assert np.ptp(proj[:, 0]) <= 1e-15
     assert np.max(np.abs(proj[:, 1] - proj[0, 1])) <= 1e-12
 
 
 def test_chord_offset_examples():
     # wedge chord of the unit broken plane: horizontal, oracle via the product
-    p = GroupPoint(0.5, -0.5, 0.125)
-    q = GroupPoint(-0.5, -0.5, -0.125)
-    assert horizontal_chord_offset(p, q) == 0.0
-    assert multiply(p.inv(), q).z == 0.0
-    assert horizontal_chord_offset(ORIGIN, GroupPoint(0, 0, 1)) == 1.0
-    assert horizontal_chord_offset(GroupPoint(1, 0, 0), GroupPoint(1, 1, 0)) == -0.5
+    p = np.array([0.5, -0.5, 0.125])
+    q = np.array([-0.5, -0.5, -0.125])
+    assert chord_offset_arr(p, q) == 0.0
+    assert mul_arr(inv_arr(p), q)[2] == 0.0
+    assert chord_offset_arr([0, 0, 0], [0, 0, 1]) == 1.0
+    assert chord_offset_arr([1, 0, 0], [1, 1, 0]) == -0.5
 
 
 @settings(max_examples=100, derandomize=True)
 @given(points, points)
 def test_chord_offset_is_z_of_quotient(p, q):
-    off = horizontal_chord_offset(p, q)
-    assert math.isclose(off, multiply(p.inv(), q).z, rel_tol=1e-9, abs_tol=1e-9)
-    assert math.isclose(
-        horizontal_chord_offset(q, p), -off, rel_tol=1e-9, abs_tol=1e-9
-    )
+    off = chord_offset_arr(p, q)
+    assert math.isclose(off, mul_arr(inv_arr(p), q)[2], rel_tol=1e-9,
+                        abs_tol=1e-9)
+    assert math.isclose(chord_offset_arr(q, p), -off, rel_tol=1e-9,
+                        abs_tol=1e-9)
 
 
 def test_points_of_line_have_zero_offset():
     rng = np.random.default_rng(5)
     for _ in range(16):
-        base = GroupPoint(*rng.normal(size=3))
+        base = rng.normal(size=3)
         m = float(rng.normal())
-        line = HorizontalLine(base, m)
-        pts = line.points_at(rng.normal(size=8))
+        pts = line_points(base, m, rng.normal(size=8))
         offs = chord_offset_arr(pts[:1], pts)
         assert np.max(np.abs(offs)) <= 1e-12
 
 
 def test_similarity_examples():
-    sim = Similarity.dilation(-1.0, -1.0)
-    assert sim(GroupPoint(1, 2, 3)) == GroupPoint(-1, -2, 3)
-    assert sim(sim(GroupPoint(0.3, -0.7, 0.1))) == GroupPoint(0.3, -0.7, 0.1)
-    rot = Similarity.rotation(math.pi / 2)
-    img = rot(GroupPoint(1, 0, 0))
-    assert math.isclose(img.x, 0.0, abs_tol=1e-15)
-    assert math.isclose(img.y, 1.0, abs_tol=1e-15)
-    tr = Similarity.translation(GroupPoint(1, 0, 0))
-    assert tr(GroupPoint(0, 1, 0)) == GroupPoint(1, 1, 0.5)
+    flip = np.array([1.0, 2.0, 3.0])
+    assert dilate_arr(-1.0, -1.0, flip).tolist() == [-1.0, -2.0, 3.0]
+    p = np.array([0.3, -0.7, 0.1])
+    assert np.array_equal(dilate_arr(-1.0, -1.0, dilate_arr(-1.0, -1.0, p)), p)
+    img = rotate_arr(math.pi / 2, np.array([1.0, 0.0, 0.0]))
+    assert np.allclose(img, [0.0, 1.0, 0.0], rtol=0.0, atol=1e-15)
 
 
 def test_rotation_is_automorphism_and_isometry():
@@ -186,27 +172,16 @@ def test_rotation_is_automorphism_and_isometry():
     p = rng.normal(size=(50, 3))
     q = rng.normal(size=(50, 3))
     for theta in (0.3, 1.2, 2.9):
-        rot = Similarity.rotation(theta)
-        lhs = rot.apply_arr(mul_arr(p, q))
-        rhs = mul_arr(rot.apply_arr(p), rot.apply_arr(q))
+        lhs = rotate_arr(theta, mul_arr(p, q))
+        rhs = mul_arr(rotate_arr(theta, p), rotate_arr(theta, q))
         assert np.allclose(lhs, rhs, atol=1e-12)
-        assert np.allclose(norm_arr(rot.apply_arr(p)), norm_arr(p), rtol=1e-12)
-
-
-def test_composition_applies_right_to_left():
-    rot = Similarity.rotation(math.pi / 2)
-    tr = Similarity.translation(GroupPoint(1, 0, 0))
-    sim = Similarity.compose(tr, rot)  # rotate first, then translate
-    img = sim(GroupPoint(1, 0, 0))
-    assert math.isclose(img.x, 1.0, abs_tol=1e-15)
-    assert math.isclose(img.y, 1.0, abs_tol=1e-15)
-    assert math.isclose(img.z, 0.5, abs_tol=1e-15)
+        assert np.allclose(norm_arr(rotate_arr(theta, p)), norm_arr(p),
+                           rtol=1e-12)
 
 
 def test_horizontal_plane_contains_own_lines():
     # every point of a line through p lies in the horizontal plane of p
-    base = GroupPoint(0.2, -1.4, 0.8)
+    base = np.array([0.2, -1.4, 0.8])
     for m in (-2.0, 0.0, 0.7):
-        line = HorizontalLine(base, m)
-        for t in (-1.5, 0.4, 2.2):
-            assert abs(horizontal_chord_offset(base, line.point_at(t))) < 1e-12
+        pts = line_points(base, m, [-1.5, 0.4, 2.2])
+        assert np.max(np.abs(chord_offset_arr(base, pts))) < 1e-12

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from heisurf.core import chord_offset_arr
+from heisurf.core import chord_offset_arr, project_arr
 from heisurf.families import (
     ChordObstructionReport,
     CompetitorSurface,
@@ -24,7 +24,6 @@ from heisurf.families import (
     broken_plane_energy,
     broken_plane_graph_value,
     build_competitor,
-    chord_height,
     chord_obstruction_check,
     competitor_compare,
     hyperbola_constants,
@@ -240,11 +239,18 @@ def test_decreasing_reparametrization_is_rejected():
 
 
 def test_chord_height_interpolates_the_endpoint_heights():
-    assert chord_height(1.0, 1.0, 0.0) == 1.0
-    assert chord_height(0.3, 0.8, -1.0) == pytest.approx(2.0 * 0.3)
-    assert chord_height(0.3, 0.8, 1.0) == pytest.approx(2.0 * 0.8)
-    x = np.linspace(-1.0, 1.0, 17)
-    assert np.allclose(chord_height(0.4, 0.4, x), 0.4 * (x * x + 1.0))
+    # the chord from (-1, 2w, w) to (1, -2 rho(w), rho(w)) has intrinsic
+    # height z - xy/2 = w (x-1)^2 / 2 + rho(w) (x+1)^2 / 2 at abscissa x
+    surface = sigma_rho_surface(RHO_CUBE, (0.0, 1.0))
+    w = np.linspace(0.05, 0.95, 7)[:, None]
+    pts = surface.point(w, np.linspace(0.0, 1.0, 17)[None, :])
+    x = pts[..., 0]
+    height = project_arr(pts)[..., 1]
+    expected = 0.5 * w * (x - 1.0) ** 2 + 0.5 * w ** 3 * (x + 1.0) ** 2
+    assert np.allclose(height, expected, rtol=0.0, atol=1e-14)
+    assert np.allclose(height[:, 0], 2.0 * w[:, 0], rtol=0.0, atol=1e-14)
+    assert np.allclose(height[:, -1], 2.0 * w[:, 0] ** 3, rtol=0.0,
+                       atol=1e-14)
 
 
 def test_interior_cross_chords_are_never_horizontal():
@@ -431,12 +437,17 @@ def test_harmonic_slope_balance_holds_and_is_harmonic_only():
 
 
 def test_competitor_anchor_points():
+    # the spine runs from the apex (0, apex_y, -apex_y/2) to the far corner
+    # (1, -u, exit_height)
     h = build_competitor("harmonic", 1.0)
-    assert np.allclose(h.apex, [0.0, -0.5, 0.25])
-    assert np.allclose(h.far_point, [1.0, -1.0, 0.5])
+    assert (h.apex_y, h.exit_height) == (-0.5, 0.5)
+    assert np.allclose(h.spine[0], [0.0, -0.5, 0.25])
+    assert np.allclose(h.spine[-1], [1.0, -1.0, 0.5])
     m = build_competitor("minimal", 1.0)
-    assert np.allclose(m.apex, [0.0, A_INTERCEPT_1, -0.5 * A_INTERCEPT_1])
-    assert np.allclose(m.far_point, [1.0, -1.0, B_EXIT_1])
+    assert m.apex_y == pytest.approx(A_INTERCEPT_1, abs=1e-12)
+    assert m.exit_height == pytest.approx(B_EXIT_1, abs=1e-12)
+    assert np.allclose(m.spine[0], [0.0, A_INTERCEPT_1, -0.5 * A_INTERCEPT_1])
+    assert np.allclose(m.spine[-1], [1.0, -1.0, B_EXIT_1])
 
 
 @pytest.mark.parametrize("kind", ["harmonic", "minimal"])

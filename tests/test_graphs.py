@@ -1,4 +1,4 @@
-"""Intrinsic-graph areas, characteristic curves, lifts, z-graphs.
+"""Intrinsic-graph areas, horizontal loops, z-graphs.
 
 Closed-form oracles.  The two-half-plane surface with a flat fan at height
 zero (y = -u x for z > 0, y = u x for z < 0, the sector |y| <= u|x| in
@@ -14,26 +14,22 @@ with gradient -2z/x^2 on the wedge and -+u outside.  Wedge integrals (u=1,
     area   = int |x|^2/2 * sqrt(1+s^2) ds dx = (sqrt(2) + asinh 1) / 3
     energy = (1/2) int (2z/x^2)^2        = 1/9.
 
-Characteristics of the fan satisfy g' = 2g/x, so they are parabolas C x^2.
-A z-graph z = phi has perimeter density |(phi_x + y/2, phi_y - x/2)|: for
-phi = +-xy/2 over the unit square this is |y| resp. |x| (area 1/2), and for
-phi = 0 over the unit disk it is r/2 (area pi/3).
+The horizontal lift of a closed planar loop climbs by its enclosed signed
+area.  A z-graph z = phi has perimeter density |(phi_x + y/2, phi_y - x/2)|:
+for phi = +-xy/2 over the unit square this is |y| resp. |x| (area 1/2), and
+for phi = 0 over the unit disk it is r/2 (area pi/3).
 """
 import math
 
 import numpy as np
 import pytest
 
-from heisurf.core import GroupPoint, V0Point, graph_point
+from heisurf.core import mul_arr
 from heisurf.graphs import (
     DomainError,
-    LiftedCurve,
-    PlanarCurve,
     ScalarField,
-    characteristic_curve,
     dirichlet_energy,
     graph_area,
-    horizontal_lift,
     intrinsic_gradient,
     zgraph_area,
 )
@@ -139,22 +135,6 @@ def test_area_over_empty_region_is_zero():
     assert graph_area(linear_field(0.5), empty) == 0.0
 
 
-def test_gridded_linear_field_reproduces_area():
-    f = linear_field(0.75).sampled(9, 9)
-    assert graph_area(f) == pytest.approx(math.sqrt(1.5625), abs=1e-9)
-
-
-def test_bilinear_interpolation_reproduces_affine_data():
-    xs = np.linspace(-1.0, 2.0, 5)
-    zs = np.linspace(0.0, 3.0, 7)
-    vals = 2.0 * xs[:, None] - 3.0 * zs[None, :] + 0.5
-    f = ScalarField.from_samples(xs, zs, vals)
-    rng = np.random.default_rng(7)
-    x = rng.uniform(-1.0, 2.0, size=40)
-    z = rng.uniform(0.0, 3.0, size=40)
-    assert np.allclose(f(x, z), 2.0 * x - 3.0 * z + 0.5, atol=1e-12)
-
-
 # ---------------------------------------------------------------------------
 # graph map
 
@@ -164,79 +144,44 @@ def test_fan_graph_lands_on_the_two_half_planes():
     for x in (-1.0, -0.5, 0.3, 1.0):
         for z in (-0.6, -0.1, 0.0, 0.1, 0.6):
             val = float(f(np.array(x), np.array(z)))
-            p = graph_point(V0Point(x, z), val)
-            if p.z > 1e-12:
-                assert p.y == pytest.approx(-p.x, abs=1e-12)
-            elif p.z < -1e-12:
-                assert p.y == pytest.approx(p.x, abs=1e-12)
+            # graph map: (x, 0, z) * (0, f(x, z), 0)
+            px, py, pz = mul_arr([x, 0.0, z], [0.0, val, 0.0])
+            if pz > 1e-12:
+                assert py == pytest.approx(-px, abs=1e-12)
+            elif pz < -1e-12:
+                assert py == pytest.approx(px, abs=1e-12)
             else:
-                assert abs(p.y) <= abs(p.x) + 1e-12
+                assert abs(py) <= abs(px) + 1e-12
 
 
 # ---------------------------------------------------------------------------
-# characteristic curves
+# horizontal loops
 
 
-def test_fan_characteristic_is_a_parabola():
-    xs, gs, meta = characteristic_curve(fan_field(1.0), (1.0, 0.25), 0.2)
-    assert meta["uniqueness_guaranteed"]
-    assert not meta["truncated"]
-    assert np.max(np.abs(gs - 0.25 * xs ** 2)) < 1e-6
+def loop_endpoint(xy: np.ndarray, z0: float) -> np.ndarray:
+    """End of the horizontal lift of a planar polyline started at height z0.
 
-
-def test_characteristic_of_constant_slope_field():
-    f = ScalarField.from_function(lambda x, z: -0.5 * x + 0.0 * z,
-                                  (-2.0, 2.0, -2.0, 2.0), entire=True)
-    xs, gs, _ = characteristic_curve(f, (0.0, 0.0), 1.0)
-    assert gs[-1] == pytest.approx(0.25, abs=1e-9)
-
-
-def test_characteristic_truncates_at_domain_boundary():
-    f = ScalarField.from_function(lambda x, z: 0.0 * x, (0.0, 1.0, 0.0, 1.0))
-    xs, gs, meta = characteristic_curve(f, (0.5, 0.5), 1.7)
-    assert meta["truncated"]
-    assert 0.99 < xs[-1] <= 1.0 + 1e-9
-
-
-def test_characteristic_leaving_immediately_fails():
-    f = ScalarField.from_function(lambda x, z: 0.0 * x, (0.0, 1.0, 0.0, 1.0))
-    with pytest.raises(DomainError):
-        characteristic_curve(f, (1.0, 0.5), 2.0)
-    with pytest.raises(DomainError):
-        characteristic_curve(f, (1.5, 0.5), 2.0)
-
-
-def test_sqrt_field_is_flagged_non_unique():
-    f = ScalarField.from_function(lambda x, z: 2.0 * np.sqrt(np.abs(z)) + 0.0 * x,
-                                  (-1.0, 1.0, -1.0, 1.0), entire=True)
-    _, _, meta = characteristic_curve(f, (0.0, 0.0), 0.5)
-    assert not meta["uniqueness_guaranteed"]
-
-
-# ---------------------------------------------------------------------------
-# lifts
+    Each vertex is the previous one times the horizontal step (dx, dy, 0).
+    """
+    p = np.array([xy[0, 0], xy[0, 1], z0])
+    for dx, dy in np.diff(xy, axis=0):
+        p = mul_arr(p, [dx, dy, 0.0])
+    return p
 
 
 def test_lift_of_square_loop_climbs_by_enclosed_area():
-    square = PlanarCurve(np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0],
-                                   [0.0, 1.0], [0.0, 0.0]]))
-    lifted = horizontal_lift(square, z0=0.0)
-    assert lifted.points[-1, 2] == pytest.approx(1.0, abs=1e-14)
-    assert lifted.residual() <= 1e-12
+    square = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0],
+                       [0.0, 0.0]])
+    end = loop_endpoint(square, 0.0)
+    assert end.tolist() == [0.0, 0.0, 1.0]
 
 
 def test_lift_of_circle_climbs_by_pi():
     n = 200
     t = np.linspace(0.0, 2.0 * math.pi, n + 1)
-    circle = PlanarCurve(np.stack([np.cos(t), np.sin(t)], axis=-1))
-    lifted = horizontal_lift(circle, z0=-1.0)
-    assert lifted.points[-1, 2] - lifted.points[0, 2] == pytest.approx(
-        math.pi, rel=3e-4)
-
-
-def test_non_horizontal_polyline_is_rejected():
-    with pytest.raises(ValueError, match="residual"):
-        LiftedCurve(np.array([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]]))
+    circle = np.stack([np.cos(t), np.sin(t)], axis=-1)
+    end = loop_endpoint(circle, -1.0)
+    assert end[2] + 1.0 == pytest.approx(math.pi, rel=3e-4)
 
 
 # ---------------------------------------------------------------------------

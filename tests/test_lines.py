@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from heisurf.core import GroupPoint, chord_offset_arr, multiply, norm_arr
+from heisurf.core import chord_offset_arr, norm_arr
 from heisurf.lines import (
     CalibrationResult,
     LineSample,
@@ -15,13 +15,10 @@ from heisurf.lines import (
     crossings,
     line_ball_distance,
     line_measure_of_ball,
-    line_through,
-    line_through_points,
     monotonicity_check,
     perimeter_estimate,
     relative_perimeter,
     sample_lines,
-    translate_line,
 )
 from heisurf.strips import PwlProfile, broken_plane, strip_surface
 
@@ -40,44 +37,13 @@ def test_line_points_are_horizontal_chords(theta, v, w):
     assert np.max(np.abs(off)) < 1e-12
 
 
-@settings(derandomize=True, max_examples=80)
-@given(angles, finite, finite, finite)
-def test_parameter_extraction_roundtrip(theta, v, w, t):
-    line = LineSample(theta, v, w)
-    again = line_through(line.point_at(t), theta)
-    assert math.isclose(again.theta, theta, abs_tol=1e-12)
-    assert math.isclose(again.v, v, abs_tol=1e-9)
-    assert math.isclose(again.w, w, abs_tol=1e-9)
-
-
 def test_line_through_points_recovers_shortcut_chord():
-    p = GroupPoint(0.5, -0.5, 0.125)
-    q = GroupPoint(-0.5, -0.5, -0.125)
-    line = line_through_points(p, q)
-    assert line.theta == 0.0
-    assert line.v == -0.5
-    assert abs(line.w) < 1e-15
+    # the witness chord of the unit broken plane is a segment of this line
+    line = LineSample(0.0, -0.5, 0.0)
+    ends = line.points_at([0.5, -0.5])
+    assert ends.tolist() == [[0.5, -0.5, 0.125], [-0.5, -0.5, -0.125]]
     # the chord midpoint sits on the line but off the broken plane
-    mid = line.point_at(0.0)
-    assert mid.as_array() == pytest.approx([0.0, -0.5, 0.0])
-
-
-def test_line_through_points_rejects_non_horizontal_chord():
-    with pytest.raises(ValueError):
-        line_through_points(GroupPoint(0.0, 0.0, 0.0), GroupPoint(1.0, 1.0, 1.0))
-
-
-@settings(derandomize=True, max_examples=60)
-@given(angles, finite, finite, finite, finite, finite)
-def test_translation_action_matches_translated_points(theta, v, w, a, b, c):
-    line = LineSample(theta, v, w)
-    g = GroupPoint(a, b, c)
-    moved = translate_line(line, g)
-    # the closed-form shear must agree with translating a point and re-reading
-    p = multiply(g, line.point_at(0.3))
-    again = line_through(p, theta)
-    assert math.isclose(moved.v, again.v, abs_tol=1e-9)
-    assert math.isclose(moved.w, again.w, abs_tol=1e-8)
+    assert line.points_at(0.0).tolist() == [0.0, -0.5, 0.0]
 
 
 def test_ball_distance_special_cases():
@@ -97,10 +63,11 @@ def test_ball_distance_matches_grid_minimum():
 
 
 def test_sampler_is_deterministic_inside_and_rejects_empty():
-    lines = sample_lines(1.0, 200, seed=3)
-    assert lines == sample_lines(1.0, 200, seed=3)
-    d = line_ball_distance([l.v for l in lines], [l.w for l in lines])
-    assert np.all(d <= 1.0)
+    theta, v, w = sample_lines(1.0, 200, seed=3)
+    for a, b in zip((theta, v, w), sample_lines(1.0, 200, seed=3)):
+        assert np.array_equal(a, b)
+    assert theta.shape == v.shape == w.shape == (200,)
+    assert np.all(line_ball_distance(v, w) <= 1.0)
     with pytest.raises(ValueError):
         sample_lines(1.0, 0)
 
@@ -115,15 +82,16 @@ def test_measure_scales_like_radius_cubed():
 
 def test_measure_is_translation_invariant():
     origin, se0 = line_measure_of_ball(1.0, 150_000, seed=5)
-    g = GroupPoint(0.6, -0.4, 0.3)
-    moved, se1 = line_measure_of_ball(1.0, 150_000, seed=6, center=g)
+    moved, se1 = line_measure_of_ball(1.0, 150_000, seed=6,
+                                      center=(0.6, -0.4, 0.3))
     assert abs(moved - origin) < 3.0 * math.hypot(se0, se1)
     assert se1 < 0.05 * moved
 
 
 def test_crossings_on_shortcut_chord_line():
     bp = broken_plane(1.0, x_max=1.0)
-    line = line_through_points(*bp.witness_chord())
+    # the line through the witness chord (+-1/2, -1/2, +-1/8)
+    line = LineSample(0.0, -0.5, 0.0)
     hit = crossings(bp, line)
     assert hit.count == 2
     assert hit.roots == pytest.approx([-0.5, 0.5], abs=1e-6)
@@ -132,9 +100,9 @@ def test_crossings_on_shortcut_chord_line():
 
 def test_plane_crossing_trivia():
     plane = strip_surface(PwlProfile.constant(0.0), x_max=4.0)
-    parallel = line_through(GroupPoint(0.0, 1.0, 0.0), 0.0)
+    parallel = LineSample(0.0, 1.0, 0.0)  # through (0, 1, 0) along x
     assert crossings(plane, parallel).count == 0
-    across = line_through(GroupPoint(0.0, 0.0, 0.0), math.pi / 2)
+    across = LineSample(math.pi / 2, 0.0, 0.0)  # through the origin along y
     assert crossings(plane, across).count == 1
 
 
@@ -177,18 +145,19 @@ def test_graphical_strips_meet_lines_at_most_once():
         sigma = PwlProfile(w, v, RNG.uniform(-1.9, 1.9), RNG.uniform(-1.9, 1.9))
         strip = strip_surface(sigma, x_max=1.0)
         assert strip.is_graphical
-        for line in sample_lines(1.5, 25, seed=100 + trial):
+        for th, vv, ww in zip(*sample_lines(1.5, 25, seed=100 + trial)):
+            line = LineSample(float(th), float(vv), float(ww))
             assert crossings(strip, line, n_scan=600).count <= 1
 
 
 def test_bulk_counts_match_scalar_counts():
     bp = broken_plane(1.0, x_max=1.0)
-    lines = sample_lines(1.2, 120, seed=21)
-    theta = np.array([l.theta for l in lines])
-    v = np.array([l.v for l in lines])
-    w = np.array([l.w for l in lines])
+    theta, v, w = sample_lines(1.2, 120, seed=21)
     bulk = crossing_counts(bp, theta, v, w, n_scan=400)
-    scalar = np.array([crossings(bp, l, n_scan=400).count for l in lines])
+    scalar = np.array([
+        crossings(bp, LineSample(float(th), float(vv), float(ww)),
+                  n_scan=400).count
+        for th, vv, ww in zip(theta, v, w)])
     assert np.array_equal(bulk, scalar)
 
 
@@ -198,8 +167,7 @@ def test_monotonicity_check_passes_admissible_profile():
     assert report.passed
     assert report.max_crossings <= 1
     assert sum(report.histogram.values()) == 150
-    assert report.to_json() == monotonicity_check(sigma, radius=1.5, n=150,
-                                                  seed=2).to_json()
+    assert report == monotonicity_check(sigma, radius=1.5, n=150, seed=2)
 
 
 def test_monotonicity_check_flags_broken_plane():

@@ -88,9 +88,9 @@ def test_arctan_profile_carries_exact_derivative_and_tails():
     assert isinstance(profile, CallableProfile)
     assert float(profile(1.0)) == pytest.approx(-math.pi / 4.0)
     assert profile.derivative(0.0) == pytest.approx(-1.0)
-    at_minus_inf, at_plus_inf = profile.limits()
-    assert at_minus_inf == pytest.approx(math.pi / 2.0)
-    assert at_plus_inf == pytest.approx(-math.pi / 2.0)
+    assert profile(-1e12) == pytest.approx(math.pi / 2.0)
+    assert profile(1e12) == pytest.approx(-math.pi / 2.0)
+    assert profile.slope_bounds() == (-1.0, 0.0)
     assert profile_from_string("arctan(0)")(3.0) == 0.0
 
 

@@ -5,8 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from heisurf.core import GroupPoint, horizontal_chord_offset
-from heisurf.quadrature import VRegion, integrate_region
+from heisurf.core import chord_offset_arr
 from heisurf.strips import (
     BrokenPlane,
     CallableProfile,
@@ -19,7 +18,6 @@ from heisurf.strips import (
     broken_plane,
     eta_of,
     is_area_minimizing,
-    is_graphical_strip,
     sigma_to_alpha,
     strip_surface,
 )
@@ -38,11 +36,9 @@ def triangle_bump() -> PwlProfile:
 def test_constant_and_line_profiles():
     c = PwlProfile.constant(2.5)
     assert c(-7.0) == 2.5 and c(3.0) == 2.5
-    assert c.limits() == (2.5, 2.5)
     line = PwlProfile.line(0.5, 1.0)
     assert line(4.0) == pytest.approx(3.0)
     assert line.derivative(-10.0) == 0.5
-    assert line.limits() == (-math.inf, math.inf)
 
 
 def test_triangle_bump_evaluation_and_slopes():
@@ -53,18 +49,14 @@ def test_triangle_bump_evaluation_and_slopes():
     assert p.derivative(-0.5) == 1.0
     assert p.derivative(0.0) == -1.0  # right-continuous at the knot
     assert p.slope_bounds() == (-1.0, 1.0)
-    assert p.limits() == (0.0, 0.0)
 
 
 def test_profile_algebra_is_pointwise():
     p = triangle_bump()
     q = PwlProfile.line(0.3, -0.2)
     w = RNG.uniform(-3.0, 3.0, size=50)
-    assert np.allclose((p + q)(w), p(w) + q(w), atol=1e-12)
     assert np.allclose((p - q)(w), p(w) - q(w), atol=1e-12)
     assert np.allclose((2.5 * p)(w), 2.5 * p(w), atol=1e-12)
-    assert np.allclose(p.shifted(dw=1.0, dv=-2.0)(w), p(w - 1.0) - 2.0,
-                       atol=1e-12)
 
 
 def test_inverse_of_increasing_profile():
@@ -160,61 +152,53 @@ def test_strip_points_and_membership():
     strip = GraphicalStrip(PwlProfile.line(0.5))
     x = RNG.uniform(-1.0, 1.0, size=30)
     z = RNG.uniform(-2.0, 2.0, size=30)
-    pts = strip.points(x, z)
+    pts = np.stack([x, x * strip.sigma(z), z], axis=-1)
     assert np.all(np.abs(strip.membership_offset(pts)) < 1e-14)
-    assert np.all(strip.contains(pts))
     off = pts.copy()
     off[:, 1] += 1e-3
-    assert not np.any(strip.contains(off))
+    assert np.all(np.abs(strip.membership_offset(off)) > 1e-9)
 
 
 def test_strip_rulings_are_horizontal_lines():
     strip = GraphicalStrip(triangle_bump())
-    line = strip.ruling(0.5)
-    assert line.slope == pytest.approx(0.5)
+    assert strip.sigma(0.5) == pytest.approx(0.5)
     ts = np.linspace(-1.0, 1.0, 7)
-    pts = np.array([line.point_at(t).as_array() for t in ts])
-    assert np.all(strip.contains(pts, tol=1e-12))
-    p, q = line.point_at(-0.7), line.point_at(0.9)
-    assert horizontal_chord_offset(p, q) == pytest.approx(0.0, abs=1e-14)
+    ruling = np.stack([ts, ts * strip.sigma(0.5), np.full_like(ts, 0.5)],
+                      axis=-1)
+    assert np.all(np.abs(strip.membership_offset(ruling)) <= 1e-12)
+    assert np.max(np.abs(chord_offset_arr(ruling[:1], ruling))) <= 1e-14
+
+
+def strip_graph(sigma, x, zp):
+    """Graph function of a strip: x sigma(z) at the ruling height of (x, z')."""
+    return x * np.asarray(sigma(_solve_height(sigma, x, zp)))
 
 
 def test_graph_field_matches_closed_form():
-    strip = GraphicalStrip(PwlProfile.line(-1.0))
-    f = strip.graph_field((-1.0, 1.0))
+    sigma = PwlProfile.line(-1.0)
     x = RNG.uniform(-1.0, 1.0, size=25)
     zp = RNG.uniform(-1.0, 1.0, size=25)
     expected = -x * zp / (1.0 + 0.5 * x * x)
-    assert np.allclose(f(x, zp), expected, atol=1e-9)
+    assert np.allclose(strip_graph(sigma, x, zp), expected, atol=1e-9)
 
 
 def test_graph_field_points_lie_on_strip():
     sigma = PwlProfile.from_knots([(-0.5, 0.3), (0.5, -0.6)],
                                   slope_left=-1.5, slope_right=1.0)
     strip = GraphicalStrip(sigma)
-    f = strip.graph_field((-2.0, 2.0))
     x = RNG.uniform(-1.0, 1.0, size=40)
     zp = RNG.uniform(-2.0, 2.0, size=40)
-    vals = f(x, zp)
+    vals = strip_graph(sigma, x, zp)
     pts = np.stack([x, vals, zp + 0.5 * x * vals], axis=-1)
     assert np.all(np.abs(strip.membership_offset(pts)) < 1e-9)
 
 
 def test_nongraphical_strip_refuses_graph_field():
     strip = GraphicalStrip(PwlProfile.line(2.5))
-    assert not is_graphical_strip(strip)
-    with pytest.raises(ProfileError):
-        strip.graph_field((-1.0, 1.0))
-
-
-def test_field_regions_partition_the_window():
-    sigma = PwlProfile.from_knots([(-0.4, 0.5), (0.3, -0.2)],
-                                  slope_left=0.5, slope_right=-1.0)
-    strip = GraphicalStrip(sigma)
-    regions = strip.field_regions((-1.0, 1.0))
-    one = lambda x, z: np.ones(np.shape(x))
-    total = sum(integrate_region(one, r) for r in regions)
-    assert total == pytest.approx(4.0, rel=1e-6)
+    assert not strip.is_graphical()
+    # z - x^2 sigma(z)/2 decreases at x = 1: no ruling height to solve for
+    with pytest.raises(SolverError):
+        _solve_height(strip.sigma, 1.0, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -321,20 +305,19 @@ def test_broken_plane_value_and_membership():
     lower = np.array([0.7, 0.7, -0.3])
     sector = np.array([0.8, 0.5, 0.0])
     for p in (upper, lower, sector):
-        assert bp.contains(p)
-    assert not bp.contains(np.array([0.7, 0.6, 0.3]))
+        assert bp.membership_offset(p) == pytest.approx(0.0, abs=1e-12)
+    assert abs(bp.membership_offset(np.array([0.7, 0.6, 0.3]))) > 1e-9
 
 
 def test_broken_plane_witness_chord_is_frozen():
     bp = broken_plane(1.0)
-    p, q = bp.witness_chord()
-    assert (p.x, p.y, p.z) == (0.5, -0.5, 0.125)
-    assert (q.x, q.y, q.z) == (-0.5, -0.5, -0.125)
-    assert horizontal_chord_offset(p, q) == pytest.approx(0.0, abs=1e-15)
-    assert bp.contains(p.as_array()) and bp.contains(q.as_array())
+    p = np.array([0.5, -0.5, 0.125])
+    q = np.array([-0.5, -0.5, -0.125])
+    assert chord_offset_arr(p, q) == 0.0
+    assert bp.membership_offset(p) == 0.0 and bp.membership_offset(q) == 0.0
     # chord midpoint (x = 0) lies off the surface: the chord is a shortcut
     mid = np.array([0.0, -0.5, 0.0])
-    assert not bp.contains(mid)
+    assert abs(bp.membership_offset(mid)) > 0.1
 
 
 def test_minimality_classification():
@@ -350,17 +333,15 @@ def test_minimality_classification():
 def test_strip_surface_from_alpha_profile():
     strip = strip_surface(PwlProfile.line(2.0), kind="alpha")
     assert float(strip.sigma(3.0)) == pytest.approx(3.0)
-    assert is_graphical_strip(strip)
+    assert strip.is_graphical()
 
 
 def test_callable_profile_arctan():
     sigma = CallableProfile(np.arctan, dfn=lambda w: 1.0 / (1.0 + w * w),
-                            tails=(-math.pi / 2, math.pi / 2),
                             slopes=(0.0, 1.0))
-    assert sigma.limits() == (-math.pi / 2, math.pi / 2)
     assert float(sigma.derivative(1.0)) == pytest.approx(0.5)
     noderiv = CallableProfile(np.arctan)
     assert float(noderiv.derivative(1.0)) == pytest.approx(0.5, abs=1e-6)
     with pytest.raises(ProfileError):
-        noderiv.limits()
-    assert is_graphical_strip(GraphicalStrip(sigma))
+        noderiv.slope_bounds()
+    assert GraphicalStrip(sigma).is_graphical()
