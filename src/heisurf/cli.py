@@ -149,6 +149,17 @@ def _check_common_flags(args) -> None:
     if x_max is not None and not (math.isfinite(x_max) and x_max > 0.0):
         raise ValueError(f"--x-max must be a finite positive number, "
                          f"got {x_max!r}")
+    # these surfaces have a fixed width |x| <= 1, and the broken-plane
+    # area/energy closed forms have a fixed slab |z| <= --z-cap
+    surface = getattr(args, "surface", None)
+    fixed = (surface == "sigma-rho" or (surface == "broken-plane"
+                                        and args.command in ("area", "energy")))
+    if fixed and x_max != 1.0:
+        raise ValueError(f"--x-max must be 1 with {args.command} --surface "
+                         f"{surface}, got {x_max!r}")
+    if fixed and surface == "broken-plane" and window is not None:
+        raise ValueError(f"--window must be omitted with {args.command} "
+                         f"--surface broken-plane; its slab is |z| <= --z-cap")
     lines = getattr(args, "lines", None)
     if lines is not None and lines < 1:
         raise ValueError(f"--lines must be at least 1, got {lines}")
@@ -417,8 +428,7 @@ def _cmd_sigma_rho(args) -> int:
 
 def _cmd_competitor(args) -> int:
     report = competitor_compare(args.u, z_cap=args.z_cap,
-                                z_floor=args.z_floor,
-                                resolution=args.resolution)
+                                z_floor=args.z_floor)
     ok = report.area_margin > 0.0
     rows = [
         ("area_competitor", report.area_competitor),
@@ -544,7 +554,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="is the profile's ruled surface a graph?")
     p.add_argument("--profile", required=True)
     p.add_argument("--kind", choices=("sigma", "alpha"), default="sigma")
-    p.add_argument("--x-max", type=float, default=1.0)
     _add_common(p)
     p.set_defaults(func=_cmd_check_strip)
 
@@ -552,7 +561,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="is the profile's surface area-minimizing?")
     p.add_argument("--profile", required=True)
     p.add_argument("--kind", choices=("alpha", "sigma"), default="alpha")
-    p.add_argument("--x-max", type=float, default=1.0)
     _add_common(p)
     p.set_defaults(func=_cmd_check_minimal)
 
@@ -625,7 +633,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--u", type=float, required=True)
     p.add_argument("--z-cap", type=float, default=None)
     p.add_argument("--z-floor", type=float, default=None)
-    p.add_argument("--resolution", type=int, default=129)
     _add_common(p)
     p.set_defaults(func=_cmd_competitor)
 

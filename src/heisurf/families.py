@@ -14,9 +14,10 @@ Three constructions share this module:
   endpoint data, which is what makes the minimizing filling non-unique.
 
 * **Competitor surfaces** (`build_competitor`): two spanning surfaces for
-  the truncated broken-plane boundary, swept by horizontal segments either
-  through a fixed interior segment (kind ``"harmonic"``) or along the
-  horizontal lift of a hyperbola arc (kind ``"minimal"``).
+  the truncated broken-plane boundary from one sweep: horizontal segments
+  from the focus corners (-1, +-u) through the horizontal lift of a guide
+  curve, the straight nexus (kind ``"harmonic"``) or a hyperbola arc
+  (kind ``"minimal"``).
   `competitor_compare` doubles the half-surfaces by the flip
   (x, y, z) -> (-x, y, -z) and reports their area/energy against the
   broken-plane patch over the same vertical window.
@@ -24,6 +25,7 @@ Three constructions share this module:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Optional, Sequence
@@ -541,6 +543,77 @@ def tangent_bisection_residual(u: float, n: int = 100) -> float:
     return float(np.max(np.abs(dot_u - dot_l)))
 
 
+def _nexus_y(u: float, t):
+    """Footprint of the straight guide, the nexus y = -u(1+t)/2."""
+    return -0.5 * u * (1.0 + t)
+
+
+def _nexus_slope(u: float, t):
+    return np.full(np.shape(t), -0.5 * u)
+
+
+def _nexus_lift_z(u: float, t):
+    """Height u(1+t)/4 of the horizontal lift of the nexus."""
+    return 0.25 * u * (1.0 + t)
+
+
+def _nexus_param(u: float, x, y, corner_y):
+    """Nexus abscissa whose chord through (-1, corner_y) passes (x, y).
+
+    The chord (-1, c) + l (x + 1, y - c) meets y = -u(1+x)/2 at
+    l = -c / (y - c + u (x+1)/2), so the abscissa is
+    l (x + 1) - 1 = -c / ((y - c)/(x + 1) + u/2) - 1.  Points
+    whose chord meets the nexus outside 0 <= t <= 1, or not ahead of the
+    corner, get the nearer end.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = -corner_y / ((y - corner_y) / (x + 1.0) + 0.5 * u) - 1.0
+    return np.clip(np.nan_to_num(t, nan=0.0), 0.0, 1.0)
+
+
+def _arc_param(u: float, x, y, corner_y):
+    """Arc abscissa whose chord through (-1, corner_y) passes (x, y).
+
+    The corners (-1, +-u) are the foci of the guide hyperbola, so with
+    X = x' + 1 the chord (X, Y) = (0, c) + l (x + 1, y - c) meets
+    Y^2/A^2 - X^2/B^2 = 1 where l solves the quadratic
+    (dy^2 - A dx^2/2) l^2 + 2 c dy l + B^2 = 0 (B^2 = 2A).  The wanted
+    root is the one ahead of the focus (l > 0) on the lower branch
+    (Y < 0); there is at most one.  Points with no such root (off the
+    swept pieces) get the arc end x' = 0.
+    """
+    a_axis, b2 = hyperbola_constants(u)
+    dx1 = x + 1.0
+    dy = y - corner_y
+    quad = dy * dy - 0.5 * a_axis * dx1 * dx1
+    half = corner_y * dy
+    with np.errstate(divide="ignore", invalid="ignore"):
+        root = np.sqrt(np.maximum(half * half - quad * b2, 0.0))
+        big = -(half + np.where(half < 0.0, -root, root))
+        lam = np.nan
+        for cand in (b2 / big, big / quad):
+            ahead = (cand > 0.0) & (corner_y + cand * dy < 0.0)
+            lam = np.where(ahead, cand, lam)
+        t = lam * dx1 - 1.0
+    return np.clip(np.nan_to_num(t, nan=0.0), 0.0, 1.0)
+
+
+#: The sweep guide of each competitor kind over 0 <= t <= 1, as functions
+#: of (u, ...): footprint y(t), its slope y'(t), the height z(t) of its
+#: horizontal lift, and the chord root t(x, y, c) where the chord from the
+#: corner (-1, c) through (x, y) meets the guide.
+_GUIDES = {
+    "harmonic": (_nexus_y, _nexus_slope, _nexus_lift_z, _nexus_param),
+    "minimal": (hyperbola_y, hyperbola_slope, hyperbola_lift_z, _arc_param),
+}
+
+# dense spine sampling keeps the consecutive-chord horizontality offset of
+# the curved guide (the arc-to-chord sliver, ~|y''| dx^3 / 12) below the
+# 1e-12 gate; every 16th spine point carries a stored segment
+_SPINE_POINTS = 4097
+_SEGMENT_STRIDE = 16
+
+
 @dataclass(frozen=True, eq=False)
 class CompetitorSurface:
     """Half of a spanning surface for the truncated broken-plane boundary.
@@ -554,7 +627,8 @@ class CompetitorSurface:
     on the x = 0 line; ``exit_height`` is the z value at which the sweep
     reaches the far corner (1, -u).  For the harmonic kind these are -u/2
     and u/2; for the minimal kind they are the hyperbola intercept ``a``
-    and the lift endpoint height ``b``.
+    and the lift endpoint height ``b``.  ``regions`` splits Omega along the
+    sweep seams into the pieces on which the graph is analytic.
     """
 
     kind: str
@@ -566,8 +640,7 @@ class CompetitorSurface:
     phi: Callable[[np.ndarray, np.ndarray], np.ndarray] = field(repr=False)
     slope: Callable[[np.ndarray, np.ndarray], np.ndarray] = field(repr=False)
     phi_y: Callable[[np.ndarray, np.ndarray], np.ndarray] = field(repr=False)
-    region: VRegion = field(repr=False)
-    regions: Mapping[str, VRegion] = field(repr=False, default=None)
+    regions: Mapping[str, VRegion] = field(repr=False)
 
     def all_segments(self) -> np.ndarray:
         parts = [np.asarray(v, dtype=float) for v in self.families.values()]
@@ -595,286 +668,139 @@ class CompetitorSurface:
         return float(np.max(np.abs(0.5 * (s_up + s_lo) + 0.5 * self.u)))
 
 
-def _fan_chords(apex_y: float, u: float, x):
-    """Upper/lower footprint chords from the apex (0, apex_y) to (-1, +-u)."""
-    x = np.asarray(x, dtype=float)
-    upper = apex_y + (apex_y - u) * x
-    lower = apex_y + (apex_y + u) * x
-    return upper, lower
-
-
 def _wedge_subregions(apex_y: float, u: float,
-                      divider: Callable[[np.ndarray], np.ndarray]
+                      guide_y: Callable[[np.ndarray], np.ndarray]
                       ) -> dict[str, VRegion]:
     """Split the wedge triangle along the sweep seams into smooth pieces.
 
-    ``divider`` is the footprint of the sweep guide for x >= 0 (the nexus
-    line or the hyperbola arc); for x <= 0 the seams are the two fan
-    chords.  The graph function is analytic on each piece, so quadrature
+    The seams are the guide footprint ``guide_y`` for x >= 0 and, for
+    x <= 0, the two fan chords from the apex (0, apex_y) to the corners
+    (-1, +-u).  The graph function is analytic on each piece, so quadrature
     keeps its full order there.
     """
-    def upper_lo(x):
-        x = np.asarray(x, dtype=float)
-        chord = apex_y + (apex_y - u) * x
-        return np.where(x <= 0.0, chord, divider(np.clip(x, 0.0, 1.0)))
+    def upper_chord(x):
+        return apex_y + (apex_y - u) * np.asarray(x, dtype=float)
 
-    def lower_hi(x):
-        x = np.asarray(x, dtype=float)
-        chord = apex_y + (apex_y + u) * x
-        return np.where(x <= 0.0, chord, divider(np.clip(x, 0.0, 1.0)))
+    def lower_chord(x):
+        return apex_y + (apex_y + u) * np.asarray(x, dtype=float)
 
-    fan = VRegion(-1.0, 0.0,
-                  lambda x: apex_y + (apex_y + u) * np.asarray(x, dtype=float),
-                  lambda x: apex_y + (apex_y - u) * np.asarray(x, dtype=float))
+    def seam(chord):
+        def bound(x):
+            x = np.asarray(x, dtype=float)
+            return np.where(x <= 0.0, chord(x), guide_y(np.clip(x, 0.0, 1.0)))
+        return bound
+
     top = lambda x: -u * np.asarray(x, dtype=float)
     bottom = lambda x: np.full(np.shape(x), -float(u))
     return {
-        "fan": fan,
-        "upper": VRegion(-1.0, 1.0, upper_lo, top),
-        "lower": VRegion(-1.0, 1.0, bottom, lower_hi),
+        "fan": VRegion(-1.0, 0.0, lower_chord, upper_chord),
+        "upper": VRegion(-1.0, 1.0, seam(upper_chord), top),
+        "lower": VRegion(-1.0, 1.0, bottom, seam(lower_chord)),
     }
 
 
-def _build_harmonic(u: float, resolution: int) -> CompetitorSurface:
-    n = resolution
-    t = np.linspace(0.0, 1.0, n)
-    spine = np.stack([t, -0.5 * u * (1.0 + t), 0.25 * u * (1.0 + t)], axis=-1)
-    apex_y = -0.5 * u
+def build_competitor(kind: str, u: float) -> CompetitorSurface:
+    """Assemble one of the two spanning half-surfaces.
 
-    upper_ends = np.stack([-np.ones(n), np.full(n, u), 0.5 * u * t], axis=-1)
-    lower_ends = np.stack([-np.ones(n), np.full(n, -u), -0.5 * u * t], axis=-1)
+    Both kinds are one sweep: horizontal segments from the focus corners
+    (-1, +-u) to the horizontal lift of a guide curve over 0 <= x <= 1,
+    closed by a fan of segments from the guide's start, the apex on the
+    x = 0 line, to the edge x = -1.  ``kind`` selects the guide:
+    ``"harmonic"`` the straight nexus y = -u(1+x)/2, ``"minimal"`` the
+    lower arc of the hyperbola with foci (-1, +-u).  A fixed number of
+    segments per family is stored; they serve the segment identities only.
+
+    The graph is evaluated in closed form: the chord from a corner through
+    a point meets the nexus at the root of a linear equation and the arc at
+    the root of a quadratic, so no iteration is involved.
+    """
+    if kind not in _GUIDES:
+        raise ValueError("kind must be 'harmonic' or 'minimal'")
+    if not u > 0:
+        raise ValueError("u must be positive")
+    u = float(u)
+    guide_y, guide_slope, guide_z, root = (
+        functools.partial(f, u) for f in _GUIDES[kind])
+    apex_y = guide_y(0.0)
+    exit_height = guide_z(1.0)
+    t = np.linspace(0.0, 1.0, _SPINE_POINTS)
+    spine = np.stack([t, guide_y(t), guide_z(t)], axis=-1)
+
+    sweep = spine[::_SEGMENT_STRIDE]
+    xs, ys, zs = sweep.T
+    n = len(sweep)
+
+    def points(x, y, z):
+        return np.stack(np.broadcast_arrays(x, y, z), axis=-1)
+
+    def segments(start, end):
+        return np.stack([start, end], axis=1)
+
+    zf = np.linspace(0.5 * u, exit_height, n)
+    zw = np.linspace(exit_height, exit_height + u, n)
     families = {
-        "upper": np.stack([spine, upper_ends], axis=1),
-        "lower": np.stack([spine, lower_ends], axis=1),
+        "upper": segments(sweep, points(
+            -1.0, u, zs + 0.5 * (xs * (u - ys) - ys * (-1.0 - xs)))),
+        "lower": segments(sweep, points(
+            -1.0, -u, zs + 0.5 * (xs * (-u - ys) - ys * (-1.0 - xs)))),
+        "fan": segments(points(0.0, apex_y, np.full(n, -0.5 * apex_y)),
+                        points(-1.0, np.linspace(-u, u, n), 0.0)),
+        # the connector in the plane y = -u between the two patch bottom
+        # edges; one segment repeated when the exit height is u/2
+        "flat": segments(points(-1.0, -u, zf - u), points(1.0, -u, zf)),
+        "wall": segments(points(-1.0, u, zw), points(1.0, -u, zw)),
     }
-    ys = np.linspace(-u, u, n)
-    apex = np.array([0.0, apex_y, -0.5 * apex_y])
-    fan_ends = np.stack([-np.ones(n), ys, np.zeros(n)], axis=-1)
-    families["fan"] = np.stack([np.broadcast_to(apex, (n, 3)), fan_ends],
-                               axis=1)
-    zs = np.linspace(0.5 * u, 1.5 * u, n)
-    wall_a = np.stack([-np.ones(n), np.full(n, u), zs], axis=-1)
-    wall_b = np.stack([np.ones(n), np.full(n, -u), zs], axis=-1)
-    families["wall"] = np.stack([wall_a, wall_b], axis=1)
+    regions = _wedge_subregions(apex_y, u, guide_y)
 
     def branch(x, y):
+        """Broadcast points, their fan mask, and the height c of the focus
+        corner (-1, c) their segment runs to (+u on or above the seam)."""
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
         x, y = np.broadcast_arrays(x, y)
-        uf, lf = _fan_chords(apex_y, u, x)
-        fan = (x <= 0.0) & (y <= uf) & (y >= lf)
-        y_nexus = -0.5 * u * (1.0 + x)
-        upper = ~fan & (((x <= 0.0) & (y > uf)) | ((x > 0.0) & (y >= y_nexus)))
-        return x, y, fan, upper
+        fan = ((x <= 0.0) & (y >= regions["fan"].lo(x))
+               & (y <= regions["fan"].hi(x)))
+        corner = np.where(~fan & (y >= regions["upper"].lo(x)), u, -u)
+        return x, y, fan, corner
 
     def phi(x, y):
-        x, y, fan, upper = branch(x, y)
-        z_fan = 0.25 * u * (1.0 + x)
-
-        dx1 = x + 1.0
-        safe = np.where(dx1 > 1e-300, dx1, 1.0)
-        s_up = (y - u) / safe
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t_up = u / np.where(-s_up - 0.5 * u > 0, -s_up - 0.5 * u, np.inf) - 1.0
-        t_up = np.clip(t_up, 0.0, 1.0)
-        z_up = 0.5 * u * t_up + 0.5 * (-(y - u) - u * dx1)
-
-        s_lo = (y + u) / safe
-        denom = u + 2.0 * s_lo
-        t_lo = np.divide(u - 2.0 * s_lo, denom,
-                         out=np.ones_like(denom), where=denom != 0.0)
-        t_lo = np.clip(t_lo, 0.0, 1.0)
-        z_lo = -0.5 * u * t_lo + 0.5 * (-(y + u) + u * dx1)
-
-        out = np.where(fan, z_fan, np.where(upper, z_up, z_lo))
+        # the height of the horizontal chord from the guide point at t
+        x, y, fan, corner = branch(x, y)
+        t = root(x, y, corner)
+        yt = guide_y(t)
+        chord = guide_z(t) + 0.5 * (t * (y - yt) - yt * (x - t))
+        out = np.where(fan, -0.5 * apex_y * (1.0 + x), chord)
         return out if out.ndim else float(out)
 
     def slope(x, y):
-        x, y, fan, upper = branch(x, y)
+        x, y, fan, corner = branch(x, y)
         safe_x = np.where(np.abs(x) > 1e-300, x, 1.0)
         s_fan = np.where(np.abs(x) > 1e-12, (y - apex_y) / safe_x, 0.0)
         dx1 = np.where(x + 1.0 > 1e-300, x + 1.0, 1.0)
-        s_up = (y - u) / dx1
-        s_lo = (y + u) / dx1
-        out = np.where(fan, s_fan, np.where(upper, s_up, s_lo))
+        out = np.where(fan, s_fan, (y - corner) / dx1)
         return out if out.ndim else float(out)
 
     def phi_y(x, y):
-        # differentiating the sweep parameter through the chord equations:
-        # upper t = u/D - 1 with D = (u - y)/(x+1) - u/2, lower
-        # t = (u - 2s)/(u + 2s) with s = (y + u)/(x+1); the fan height does
-        # not depend on y.  On the nexus both sides give phi_y = x/2, so the
-        # seam is a characteristic curve of the graph.
-        x, y, fan, upper = branch(x, y)
-        dx1 = np.where(x + 1.0 > 1e-300, x + 1.0, 1.0)
-        d_up = (u - y) / dx1 - 0.5 * u
-        d_up = np.where(np.abs(d_up) > 1e-300, d_up, 1.0)
-        g_up = 0.5 * u * u / (d_up * d_up * dx1) - 0.5
-        s_lo = (y + u) / dx1
-        denom = u + 2.0 * s_lo
-        denom = np.where(np.abs(denom) > 1e-300, denom, 1.0)
-        g_lo = 2.0 * u * u / (denom * denom * dx1) - 0.5
-        out = np.where(fan, 0.0, np.where(upper, g_up, g_lo))
-        return out if out.ndim else float(out)
-
-    region = VRegion(-1.0, 1.0,
-                     lambda x: np.full(np.shape(x), -float(u)),
-                     lambda x: -float(u) * np.asarray(x, dtype=float))
-    regions = _wedge_subregions(apex_y, u,
-                                lambda x: -0.5 * u * (1.0 + np.asarray(x)))
-    return CompetitorSurface("harmonic", u, apex_y, 0.5 * u, spine, families,
-                             phi, slope, phi_y, region, regions)
-
-
-def _build_minimal(u: float, resolution: int,
-                   n_lift: int = 4097) -> CompetitorSurface:
-    apex_y = hyperbola_intercept(u)
-    # dense spine sampling keeps the consecutive-chord horizontality offset
-    # (the arc-to-chord sliver, ~|y''| dx^3 / 12) below the 1e-12 gate
-    xg = np.linspace(0.0, 1.0, n_lift)
-    yg = hyperbola_y(u, xg)
-    z_table = hyperbola_lift_z(u, xg)
-    b = float(hyperbola_lift_z(u, 1.0))
-
-    spine = np.stack([xg, yg, z_table], axis=-1)
-    n = resolution
-    idx = np.linspace(0, n_lift - 1, n).round().astype(int)
-    xs, ys, zs = xg[idx], yg[idx], z_table[idx]
-
-    z_up = zs + 0.5 * (xs * (u - ys) - ys * (-1.0 - xs))
-    z_lo = zs + 0.5 * (xs * (-u - ys) - ys * (-1.0 - xs))
-    spine_samples = np.stack([xs, ys, zs], axis=-1)
-    upper_ends = np.stack([-np.ones(n), np.full(n, u), z_up], axis=-1)
-    lower_ends = np.stack([-np.ones(n), np.full(n, -u), z_lo], axis=-1)
-    families = {
-        "upper": np.stack([spine_samples, upper_ends], axis=1),
-        "lower": np.stack([spine_samples, lower_ends], axis=1),
-    }
-    ysg = np.linspace(-u, u, n)
-    apex = np.array([0.0, apex_y, -0.5 * apex_y])
-    fan_ends = np.stack([-np.ones(n), ysg, np.zeros(n)], axis=-1)
-    families["fan"] = np.stack([np.broadcast_to(apex, (n, 3)), fan_ends],
-                               axis=1)
-    zf = np.linspace(0.5 * u, b, n)
-    flat_a = np.stack([-np.ones(n), np.full(n, -u), zf - u], axis=-1)
-    flat_b = np.stack([np.ones(n), np.full(n, -u), zf], axis=-1)
-    families["flat"] = np.stack([flat_a, flat_b], axis=1)
-    zw = np.linspace(b, b + u, n)
-    wall_a = np.stack([-np.ones(n), np.full(n, u), zw], axis=-1)
-    wall_b = np.stack([np.ones(n), np.full(n, -u), zw], axis=-1)
-    families["wall"] = np.stack([wall_a, wall_b], axis=1)
-
-    a_axis, b2 = hyperbola_constants(u)
-
-    def arc_param(x, y, corner_y):
-        """Arc abscissa whose chord through (-1, corner_y) passes (x, y).
-
-        The corners (-1, +-u) are the foci of the guide hyperbola, so with
-        X = x' + 1 the chord (X, Y) = (0, c) + l (x + 1, y - c) meets
-        Y^2/A^2 - X^2/B^2 = 1 where l solves the quadratic
-        (dy^2 - A dx^2/2) l^2 + 2 c dy l + B^2 = 0 (B^2 = 2A).  The wanted
-        root is the one ahead of the focus (l > 0) on the lower branch
-        (Y < 0); there is at most one.  Points with no such root (off the
-        swept pieces) get the arc end x' = 0.  ``corner_y`` may be an array
-        selecting the focus per point.
-        """
-        dx1 = x + 1.0
-        dy = y - corner_y
-        quad = dy * dy - 0.5 * a_axis * dx1 * dx1
-        half = corner_y * dy
-        with np.errstate(divide="ignore", invalid="ignore"):
-            root = np.sqrt(np.maximum(half * half - quad * b2, 0.0))
-            big = -(half + np.where(half < 0.0, -root, root))
-            lam = np.nan
-            for cand in (b2 / big, big / quad):
-                ahead = (cand > 0.0) & (corner_y + cand * dy < 0.0)
-                lam = np.where(ahead, cand, lam)
-            t = lam * dx1 - 1.0
-        return np.clip(np.nan_to_num(t, nan=0.0), 0.0, 1.0)
-
-    def chord_z(x, y, xp):
-        yp = hyperbola_y(u, xp)
-        zp = hyperbola_lift_z(u, xp)
-        return zp + 0.5 * (xp * (y - yp) - yp * (x - xp))
-
-    def branch(x, y):
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        x, y = np.broadcast_arrays(x, y)
-        uf, lf = _fan_chords(apex_y, u, x)
-        fan = (x <= 0.0) & (y <= uf) & (y >= lf)
-        arc = hyperbola_y(u, np.clip(x, 0.0, 1.0))
-        upper = ~fan & (((x <= 0.0) & (y > uf)) | ((x > 0.0) & (y >= arc)))
-        return x, y, fan, upper
-
-    def phi(x, y):
-        x, y, fan, upper = branch(x, y)
-        z_fan = -0.5 * apex_y * (1.0 + x)
-        corner = np.where(upper, u, -u)
-        xp = arc_param(x, y, corner)
-        out = np.where(fan, z_fan, chord_z(x, y, xp))
-        return out if out.ndim else float(out)
-
-    def slope(x, y):
-        x, y, fan, upper = branch(x, y)
-        safe_x = np.where(np.abs(x) > 1e-300, x, 1.0)
-        s_fan = np.where(np.abs(x) > 1e-12, (y - apex_y) / safe_x, 0.0)
-        dx1 = np.where(x + 1.0 > 1e-300, x + 1.0, 1.0)
-        s_up = (y - u) / dx1
-        s_lo = (y + u) / dx1
-        out = np.where(fan, s_fan, np.where(upper, s_up, s_lo))
-        return out if out.ndim else float(out)
-
-    def phi_y(x, y):
-        # implicit differentiation through the arc parameter t: with
-        # Y the arc height, F(x, y, t) the chord height and
+        # implicit differentiation through the guide parameter t: with
+        # Y the guide footprint, F(x, y, t) the chord height and
         # G = (t+1)(y - c) - (Y - c)(x+1) the collinearity constraint,
         # phi_y = F_y + F_t t_y = t/2 - (t+1) F_t / G_t where
         # F_t = ((t - x) Y' + (y - Y))/2 uses the lift ODE z' = (tY' - Y)/2.
-        # On the arc F_t = 0, so phi_y = x/2 there: the lifted arc is a
-        # characteristic curve of the graph.
-        x, y, fan, upper = branch(x, y)
-        corner = np.where(upper, u, -u)
-        t = arc_param(x, y, corner)
-        yt = hyperbola_y(u, t)
-        dyt = hyperbola_slope(u, t)
+        # On the guide F_t = 0, so phi_y = x/2 there: the lifted guide is a
+        # characteristic curve of the graph.  The fan height does not
+        # depend on y.
+        x, y, fan, corner = branch(x, y)
+        t = root(x, y, corner)
+        yt = guide_y(t)
+        dyt = guide_slope(t)
         f_t = 0.5 * ((t - x) * dyt + (y - yt))
         g_t = (y - corner) - dyt * (x + 1.0)
         g_t = np.where(np.abs(g_t) > 1e-300, g_t, 1.0)
         out = np.where(fan, 0.0, 0.5 * t - (t + 1.0) * f_t / g_t)
         return out if out.ndim else float(out)
 
-    region = VRegion(-1.0, 1.0,
-                     lambda x: np.full(np.shape(x), -float(u)),
-                     lambda x: -float(u) * np.asarray(x, dtype=float))
-    regions = _wedge_subregions(apex_y, u, lambda x: hyperbola_y(u, x))
-    return CompetitorSurface("minimal", u, apex_y, b, spine, families, phi,
-                             slope, phi_y, region, regions)
-
-
-def build_competitor(kind: str, u: float,
-                     resolution: int = 257) -> CompetitorSurface:
-    """Assemble one of the two spanning half-surfaces at a given sampling.
-
-    ``kind`` selects the sweep guide: ``"harmonic"`` sweeps horizontal
-    segments through a straight interior segment; ``"minimal"`` sweeps them
-    along the horizontal lift of the guide hyperbola arc.  ``resolution``
-    controls how many representative segments per family are stored.
-
-    Both kinds evaluate their graph in closed form: the harmonic sweep
-    parameter solves a linear equation along each chord, and the minimal
-    kind finds where the chord from a focus corner meets the guide arc as
-    the root of a quadratic, so no iteration is involved.
-    """
-    if kind not in ("harmonic", "minimal"):
-        raise ValueError("kind must be 'harmonic' or 'minimal'")
-    if not u > 0:
-        raise ValueError("u must be positive")
-    if resolution < 9:
-        raise ValueError("resolution too small")
-    if kind == "harmonic":
-        return _build_harmonic(float(u), int(resolution))
-    return _build_minimal(float(u), int(resolution))
+    return CompetitorSurface(kind, u, apex_y, exit_height, spine, families,
+                             phi, slope, phi_y, regions)
 
 
 # ---------------------------------------------------------------------------
@@ -916,8 +842,7 @@ def broken_plane_energy(u: float, z_cap: float) -> float:
 _COMP_CFG = QuadConfig(rel_tol=1e-6, max_levels=10, n0=4)
 
 
-def patch_area(comp: CompetitorSurface,
-               cfg: QuadConfig = _COMP_CFG) -> float:
+def patch_area(comp: CompetitorSurface) -> float:
     """Area of the z-graph patch, integrated piecewise between the seams.
 
     Along each horizontal chord the graph satisfies
@@ -931,12 +856,11 @@ def patch_area(comp: CompetitorSurface,
         s = comp.slope(x, y)
         return np.sqrt(1.0 + s * s) * np.abs(comp.phi_y(x, y) - 0.5 * x)
 
-    return float(sum(integrate_region(integrand, reg, cfg)
+    return float(sum(integrate_region(integrand, reg, _COMP_CFG)
                      for reg in comp.regions.values()))
 
 
-def patch_energy(comp: CompetitorSurface,
-                 cfg: QuadConfig = _COMP_CFG) -> float:
+def patch_energy(comp: CompetitorSurface) -> float:
     """Dirichlet energy of the z-graph patch, pulled back to its footprint.
 
     On a surface swept by horizontal segments the intrinsic gradient of the
@@ -950,7 +874,7 @@ def patch_energy(comp: CompetitorSurface,
         s = comp.slope(x, y)
         return 0.5 * s * s * np.abs(comp.phi_y(x, y) - 0.5 * x)
 
-    return float(sum(integrate_region(integrand, reg, cfg)
+    return float(sum(integrate_region(integrand, reg, _COMP_CFG)
                      for reg in comp.regions.values()))
 
 
@@ -974,8 +898,6 @@ class CompareReport:
     energy_reference: float
     area_pieces: Mapping[str, float]
     energy_pieces: Mapping[str, float]
-    minimal: Optional[CompetitorSurface]
-    harmonic: Optional[CompetitorSurface]
 
     @property
     def area_margin(self) -> float:
@@ -987,9 +909,7 @@ class CompareReport:
 
 
 def competitor_compare(u: float, z_cap: Optional[float] = None,
-                       z_floor: Optional[float] = None,
-                       cfg: QuadConfig = _COMP_CFG,
-                       resolution: int = 129) -> CompareReport:
+                       z_floor: Optional[float] = None) -> CompareReport:
     """Compare both spanning surfaces against the broken plane on a window.
 
     With the default window the doubled half-surfaces and the broken-plane
@@ -1003,8 +923,8 @@ def competitor_compare(u: float, z_cap: Optional[float] = None,
     z_cap = 2.0 * float(u) if z_cap is None else float(z_cap)
     root = math.sqrt(1.0 + u * u)
 
-    minimal = build_competitor("minimal", u, resolution)
-    harmonic = build_competitor("harmonic", u, resolution)
+    minimal = build_competitor("minimal", u)
+    harmonic = build_competitor("harmonic", u)
     b = minimal.exit_height
     if z_cap < max(b, u):
         raise ValueError("z_cap must clear the sweep exit height and fan")
@@ -1019,15 +939,15 @@ def competitor_compare(u: float, z_cap: Optional[float] = None,
         pieces = {"band": band}
         eband_w = u * u * (z_cap - z_floor)
         return CompareReport(u, z_cap, z_floor, band, band, eband_w, eband_w,
-                             pieces, {"band": eband_w}, minimal, harmonic)
+                             pieces, {"band": eband_w})
 
-    patch_min = patch_area(minimal, cfg=cfg)
+    patch_min = patch_area(minimal)
     flats = 2.0 * (b - 0.5 * u)
     wall_min = 2.0 * root * (z_cap - b)
     area_comp = 2.0 * (patch_min + flats + wall_min)
     area_ref = broken_plane_area(u, z_cap)
 
-    e_patch = patch_energy(harmonic, cfg=cfg)
+    e_patch = patch_energy(harmonic)
     e_wall = u * u * (z_cap - 0.5 * u)
     energy_comp = 2.0 * (e_patch + e_wall)
     energy_ref = broken_plane_energy(u, z_cap)
@@ -1046,5 +966,4 @@ def competitor_compare(u: float, z_cap: Optional[float] = None,
         "reference_planes": 2.0 * u * u * z_cap,
     }
     return CompareReport(u, z_cap, None, area_comp, area_ref, energy_comp,
-                         energy_ref, area_pieces, energy_pieces, minimal,
-                         harmonic)
+                         energy_ref, area_pieces, energy_pieces)

@@ -51,6 +51,17 @@ def test_check_strip_refuses_the_alpha_fan_like_export_obj(
                "--window", "-1,1", "--res", "2") == 2
 
 
+def test_check_strip_has_no_width_flag(tmp_path, capsys):
+    # the slope rule is the graphical condition on the slab |x| < 1 only;
+    # at x_max = 2 this profile's strip is crossed twice by a census line
+    assert run(tmp_path, "check-strip", "--x-max", "2",
+               "--profile", "linear(0.6)") == 2
+    assert "unrecognized arguments: --x-max" in capsys.readouterr().err
+    assert run(tmp_path, "check-minimal", "--x-max", "2",
+               "--profile", "linear(0.6)") == 2
+    assert not os.listdir(str(tmp_path))
+
+
 @pytest.mark.parametrize("kind, profile", [
     ("alpha", "samples(0,0,1,-1.5)"),
     ("sigma", "samples(0,0,0.25,-1.5)"),  # the same surface, sigma chart
@@ -169,6 +180,13 @@ def test_competitor_compare_beats_the_broken_plane(tmp_path):
     assert data["area_margin"] > 0.0
     assert data["energy_margin"] > 0.0
     assert (tmp_path / "competitor.csv").exists()
+
+
+def test_competitor_has_no_resolution_flag(tmp_path, capsys):
+    # no verdict or artifact depended on the stored segment count
+    assert run(tmp_path, "competitor", "--u", "1", "--resolution", "9") == 2
+    assert "unrecognized arguments: --resolution" in capsys.readouterr().err
+    assert not os.listdir(str(tmp_path))
 
 
 def test_calibrate_lines_reproduces_the_cubed_radius_ratio(tmp_path):
@@ -295,6 +313,23 @@ def test_too_few_lines_exit_with_two(tmp_path, capsys, argv):
      "-1,1", "--x-max", "-1"),
     ("monotonicity", "--surface", "strip", "--profile", "arctan(-1)",
      "--x-max", "inf", "--lines", "10"),
+    # flags a fixed-width surface would ignore
+    ("area", "--surface", "broken-plane", "--u", "1", "--z-cap", "2",
+     "--window", "0,1"),
+    ("area", "--surface", "broken-plane", "--u", "1", "--z-cap", "2",
+     "--x-max", "2"),
+    ("energy", "--surface", "broken-plane", "--u", "1", "--z-cap", "2",
+     "--window", "0,1"),
+    ("energy", "--surface", "broken-plane", "--u", "1", "--z-cap", "2",
+     "--x-max", "0.5"),
+    ("monotonicity", "--surface", "sigma-rho", "--rho", "id", "--window",
+     "0,1", "--x-max", "3", "--lines", "10"),
+    ("area", "--surface", "sigma-rho", "--rho", "id", "--window", "0,1",
+     "--x-max", "2"),
+    ("energy", "--surface", "sigma-rho", "--rho", "id", "--window", "0,1",
+     "--x-max", "2"),
+    ("export-obj", "--surface", "sigma-rho", "--rho", "id", "--window",
+     "0,1", "--x-max", "2", "--res", "2"),
 ])
 def test_out_of_domain_window_or_width_exits_with_two(tmp_path, capsys, argv):
     with warnings.catch_warnings(record=True) as caught:

@@ -520,8 +520,6 @@ def test_build_competitor_validates_inputs():
         build_competitor("fan", 1.0)
     with pytest.raises(ValueError):
         build_competitor("minimal", 0.0)
-    with pytest.raises(ValueError):
-        build_competitor("minimal", 1.0, resolution=4)
 
 
 # ---------------------------------------------------------------------------
@@ -548,6 +546,19 @@ def test_both_competitors_beat_the_broken_plane(u):
     assert rep.energy_competitor == pytest.approx(
         2.0 * (rep.energy_pieces["patch"] + rep.energy_pieces["wall"]),
         rel=1e-12)
+
+
+def test_comparison_pieces_at_unit_opening_are_pinned():
+    # recorded from the separate harmonic and minimal builders the shared
+    # sweep replaced; the patch pieces are quadratures of phi_y and slope
+    rep = competitor_compare(1.0)
+    assert rep.area_pieces["patch"] == pytest.approx(1.7764093892167814,
+                                                     rel=1e-12)
+    assert rep.area_pieces["flats"] == pytest.approx(0.2183293464312086,
+                                                     rel=1e-12)
+    assert rep.energy_pieces["patch"] == pytest.approx(0.45327126877516938,
+                                                       rel=1e-12)
+    assert rep.area_margin == pytest.approx(0.22167401548856169, rel=1e-12)
 
 
 def test_margins_do_not_depend_on_the_window_height():
