@@ -8,7 +8,11 @@ exits with a contract code:
     1   verdict false (the checked property fails)
     2   usage error (bad flags, malformed profile spec, bad preconditions)
     3   numeric failure (quadrature did not converge, no root bracketed,
-        overflow)
+        a floating-point fault such as overflow or division by zero)
+
+Two tables decide which flags a run may take: `_SURFACES` says which surface
+flags each (command, ``--surface``) pair reads, and `_DOMAINS` holds the
+domain of each numeric flag.  Both are checked once, before any handler.
 
 The output directory comes from ``--output-dir``, the ``HEISURF_OUTPUT_DIR``
 environment variable, or the current directory, in that order.  Stochastic
@@ -23,6 +27,7 @@ import os
 import re
 import shlex
 import sys
+import warnings
 from typing import Any, Optional, Sequence
 
 import numpy as np
@@ -78,32 +83,131 @@ _SLOPE_RULES = {"sigma": (-2.0, 2.0), "alpha": (-1.0, math.inf)}
 
 
 # ---------------------------------------------------------------------------
+# flag tables
+
+#: argparse settings of the surface flags, keyed by dest.  They all default
+#: to None, so that a given flag can be told from an omitted one.
+_SURFACE_FLAGS = {
+    "profile": {}, "kind": {"choices": ("sigma", "alpha")}, "rho": {},
+    "u": {"type": float},
+    "competitor_kind": {"choices": ("minimal", "harmonic")},
+    "z_cap": {"type": float}, "window": {"help": "height window 'lo,hi'"},
+    "x_max": {"type": float},
+}
+
+#: The surface flags each (command, --surface) pair reads; a trailing "?"
+#: marks one that may be omitted.  Any other surface flag is refused.
+_SURFACES = {
+    **{(command, surface): flags
+       for command in ("area", "energy")
+       for surface, flags in (("strip", "profile kind? window x_max?"),
+                              ("broken-plane", "u z_cap"),
+                              ("sigma-rho", "rho window"))},
+    ("monotonicity", "strip"): "profile kind? x_max?",
+    ("monotonicity", "broken-plane"): "u x_max?",
+    ("monotonicity", "sigma-rho"): "rho window",
+    ("export-obj", "strip"): "profile kind? window x_max?",
+    ("export-obj", "broken-plane"): "u window x_max?",
+    ("export-obj", "sigma-rho"): "rho window",
+    ("export-obj", "competitor"): "u competitor_kind? z_cap?",
+}
+
+#: What an omitted optional surface flag stands for; an omitted competitor
+#: --z-cap is twice the opening.
+_SURFACE_DEFAULTS = {"kind": "sigma", "x_max": 1.0,
+                     "competitor_kind": "minimal"}
+
+_NONNEGATIVE = (lambda x: math.isfinite(x) and x >= 0.0,
+                "a finite number >= 0")
+_POSITIVE = (lambda x: math.isfinite(x) and x > 0.0, "a finite number > 0")
+
+#: The domain of each numeric flag: a test and what the error says the
+#: value must be.  A (command, flag) key overrides the flag's domain for one
+#: command.  Comma-separated values are tested as tuples of floats.
+_DOMAINS = {
+    **dict.fromkeys(("u", "max_z"), _NONNEGATIVE),
+    **dict.fromkeys(("x_max", "radius", "r1", "r2"), _POSITIVE),
+    **dict.fromkeys(("z_cap", "z_floor"), (math.isfinite, "a finite number")),
+    "window": (lambda w: (len(w) == 2 and all(map(math.isfinite, w))
+                          and w[0] < w[1]), "two finite numbers lo < hi"),
+    ("scaling-limit", "window"): _POSITIVE,
+    "lambdas": (lambda ls: (len(set(ls)) == len(ls) >= 2
+                            and all(_POSITIVE[0](x) for x in ls)),
+                "two or more distinct finite numbers > 0"),
+    "t_grid": (lambda ts: all(map(math.isfinite, ts)), "finite numbers"),
+    **dict.fromkeys(("lines", "res", "x_res"), (lambda n: n >= 1,
+                                                "at least 1")),
+    **dict.fromkeys(("check_chords", "seed"), (lambda n: n >= 0,
+                                               "at least 0")),
+}
+
+
+def _option(dest: str) -> str:
+    return "--" + dest.replace("_", "-")
+
+
+def _check_domains(args) -> None:
+    """Test every given numeric flag against its domain; comma-separated
+    values are replaced by their tuples of floats."""
+    for dest, value in list(vars(args).items()):
+        domain = _DOMAINS.get((args.command, dest), _DOMAINS.get(dest))
+        if domain is None or value is None:
+            continue
+        test, text = domain
+        try:
+            parsed = (tuple(float(p) for p in value.split(","))
+                      if isinstance(value, str) else value)
+            ok = test(parsed)
+        except ValueError:
+            ok = False
+        if not ok:
+            raise ValueError(f"{_option(dest)} must be {text}, got {value!r}")
+        setattr(args, dest, parsed)
+
+
+def _read_surface_flags(args) -> None:
+    """Check the surface flags against `_SURFACES`: refuse the ones the pair
+    does not read and require the ones it cannot do without.  Fill in the
+    defaults, build --profile/--rho, and keep in ``args.inputs`` the values
+    the payload records."""
+    surface = getattr(args, "surface", None)
+    if surface is None:
+        return
+    reads = _SURFACES[args.command, surface].split()
+    pair = f"{args.command} --surface {surface}"
+    args.inputs = {}
+    for dest in _SURFACE_FLAGS:
+        value = getattr(args, dest, None)
+        if dest not in reads and dest + "?" not in reads:
+            if value is not None:
+                raise ValueError(f"{_option(dest)} must be omitted with {pair}")
+            continue
+        if value is None and dest in reads:
+            raise ValueError(f"{_option(dest)} is required with {pair}")
+        if value is None:
+            value = _SURFACE_DEFAULTS.get(dest)
+        args.inputs[dest] = list(value) if dest == "window" else value
+        if dest in ("profile", "rho"):
+            spec, value = _build_profile(value)
+            args.inputs[dest] = spec.to_json()
+        setattr(args, dest, value)
+
+
+def _build_surface(args):
+    """The surface the pair's command works on."""
+    if args.surface == "strip":
+        return strip_surface(args.profile, kind=args.kind, x_max=args.x_max)
+    if args.surface == "broken-plane":
+        return broken_plane(args.u, x_max=args.x_max)
+    if args.surface == "competitor":
+        return build_competitor(args.competitor_kind, args.u)
+    if args.command == "monotonicity":
+        return sigma_rho_membership(args.rho, args.window)
+    return sigma_rho_surface(args.rho, args.window)
+
+
+# ---------------------------------------------------------------------------
 # small plumbing
-
-
-def _parse_pair(text: str, what: str) -> tuple[float, float]:
-    parts = [p.strip() for p in str(text).split(",")]
-    if len(parts) != 2:
-        raise ValueError(f"{what} must be two comma-separated numbers")
-    try:
-        lo, hi = float(parts[0]), float(parts[1])
-    except ValueError:
-        raise ValueError(f"{what} must be two comma-separated numbers")
-    return lo, hi
-
-
-def _parse_floats(text: str, what: str) -> tuple[float, ...]:
-    try:
-        return tuple(float(p) for p in str(text).split(",") if p.strip())
-    except ValueError:
-        raise ValueError(f"{what} must be comma-separated numbers")
-
-
-def _require(args, flag: str, when: str) -> Any:
-    value = getattr(args, flag.replace("-", "_"))
-    if value is None:
-        raise ValueError(f"--{flag} is required with {when}")
-    return value
 
 
 def _outdir(args) -> str:
@@ -124,45 +228,6 @@ def _payload(args, **entries) -> dict:
 def _write_json(args, payload: dict) -> str:
     return atomic_write_text(_artifact_path(args, ".json"),
                              dump_json(payload))
-
-
-def _finite(value: float, what: str) -> float:
-    value = float(value)
-    if not math.isfinite(value):
-        raise ValueError(f"unbounded window: {what} must be finite")
-    return value
-
-
-def _check_common_flags(args) -> None:
-    """Domain checks of flags shared by several commands, made once."""
-    u = getattr(args, "u", None)
-    if u is not None and not (math.isfinite(u) and u >= 0.0):
-        raise ValueError(f"--u must be a finite nonnegative number, got {u!r}")
-    window = getattr(args, "window", None)
-    # scaling-limit's --window is a scalar half-width, not a 'lo,hi' pair
-    if isinstance(window, str):
-        lo, hi = _parse_pair(window, "--window")
-        if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
-            raise ValueError("--window must be two finite numbers lo < hi, "
-                             f"got {window!r}")
-    x_max = getattr(args, "x_max", None)
-    if x_max is not None and not (math.isfinite(x_max) and x_max > 0.0):
-        raise ValueError(f"--x-max must be a finite positive number, "
-                         f"got {x_max!r}")
-    # these surfaces have a fixed width |x| <= 1, and the broken-plane
-    # area/energy closed forms have a fixed slab |z| <= --z-cap
-    surface = getattr(args, "surface", None)
-    fixed = (surface == "sigma-rho" or (surface == "broken-plane"
-                                        and args.command in ("area", "energy")))
-    if fixed and x_max != 1.0:
-        raise ValueError(f"--x-max must be 1 with {args.command} --surface "
-                         f"{surface}, got {x_max!r}")
-    if fixed and surface == "broken-plane" and window is not None:
-        raise ValueError(f"--window must be omitted with {args.command} "
-                         f"--surface broken-plane; its slab is |z| <= --z-cap")
-    lines = getattr(args, "lines", None)
-    if lines is not None and lines < 1:
-        raise ValueError(f"--lines must be at least 1, got {lines}")
 
 
 def _build_profile(text: str) -> tuple[ProfileSpec, Any]:
@@ -255,45 +320,21 @@ def _cmd_check_minimal(args) -> int:
 # scalar computations
 
 
-def _strip_quantity(args, which: str) -> tuple[float, dict]:
-    spec, profile = _build_profile(_require(args, "profile", "surface strip"))
-    window = _parse_pair(_require(args, "window", "surface strip"), "--window")
-    strip = strip_surface(profile, kind=args.kind, x_max=args.x_max)
-    patch = strip_patch(strip, window)
-    value = patch.area() if which == "area" else patch.intrinsic_energy()
-    return value, {"profile": spec.to_json(), "kind": args.kind,
-                   "window": list(window), "x_max": args.x_max}
-
-
-def _broken_plane_quantity(args, which: str) -> tuple[float, dict]:
-    u = _require(args, "u", "surface broken-plane")
-    z_cap = _finite(_require(args, "z-cap", "surface broken-plane"), "--z-cap")
-    fn = broken_plane_area if which == "area" else broken_plane_energy
-    return fn(u, z_cap), {"u": u, "z_cap": z_cap}
-
-
-def _sigma_rho_quantity(args, which: str) -> tuple[float, dict]:
-    spec, rho = _build_profile(_require(args, "rho", "surface sigma-rho"))
-    a, b = _parse_pair(_require(args, "window", "surface sigma-rho"),
-                       "--window")
-    if which == "area":
-        value = sigma_rho_area(rho, a, b)
-    else:
-        value = sigma_rho_surface(rho, (a, b)).intrinsic_energy()
-    return value, {"rho": spec.to_json(), "window": [a, b]}
-
-
 def _cmd_scalar(args) -> int:
-    which = args.command
-    if args.surface == "strip":
-        value, inputs = _strip_quantity(args, which)
-    elif args.surface == "broken-plane":
-        value, inputs = _broken_plane_quantity(args, which)
+    area = args.command == "area"
+    if args.surface == "broken-plane":
+        fn = broken_plane_area if area else broken_plane_energy
+        value = fn(args.u, args.z_cap)
+    elif args.surface == "sigma-rho" and area:
+        value = sigma_rho_area(args.rho, *args.window)
     else:
-        value, inputs = _sigma_rho_quantity(args, which)
+        surface = _build_surface(args)
+        if args.surface == "strip":
+            surface = strip_patch(surface, args.window)
+        value = surface.area() if area else surface.intrinsic_energy()
     _write_json(args, _payload(args, surface=args.surface, value=value,
-                               **inputs))
-    print(f"{which}: OK surface={args.surface} value={fmt17(value)}")
+                               **args.inputs))
+    print(f"{args.command}: OK surface={args.surface} value={fmt17(value)}")
     return EXIT_TRUE
 
 
@@ -308,12 +349,8 @@ def _cmd_second_variation(args) -> int:
         raise ValueError("second-variation needs piecewise-linear profiles "
                          "(constant, linear, broken-plane-alpha, "
                          "triangle-bump or samples)")
-    window = None if args.window is None else _parse_pair(args.window,
-                                                          "--window")
-    lambdas = (_parse_floats(args.lambdas, "--lambdas")
-               if args.lambdas else (0.02, 0.04, 0.06, 0.08))
-    result = second_variation_experiment(alpha, tau, window=window,
-                                         lambdas=lambdas)
+    result = second_variation_experiment(alpha, tau, window=args.window,
+                                         lambdas=args.lambdas)
     # plateaued sweeps carry an odd |lambda|^3 residual, so the fit only
     # reaches a few percent of the analytic value; 5% covers both regimes
     ok = result.consistent(rel_tol=0.05)
@@ -337,26 +374,9 @@ def _cmd_second_variation(args) -> int:
     return EXIT_TRUE if ok else EXIT_FALSE
 
 
-def _monotonicity_surface(args):
-    if args.surface == "strip":
-        spec, profile = _build_profile(_require(args, "profile",
-                                                "surface strip"))
-        return strip_surface(profile, kind=args.kind, x_max=args.x_max), \
-            {"profile": spec.to_json(), "kind": args.kind}
-    if args.surface == "broken-plane":
-        u = _require(args, "u", "surface broken-plane")
-        return broken_plane(u, x_max=args.x_max), {"u": u}
-    spec, rho = _build_profile(_require(args, "rho", "surface sigma-rho"))
-    window = _parse_pair(_require(args, "window", "surface sigma-rho"),
-                         "--window")
-    return sigma_rho_membership(rho, window), \
-        {"rho": spec.to_json(), "window": list(window)}
-
-
 def _cmd_monotonicity(args) -> int:
-    surface, inputs = _monotonicity_surface(args)
-    report = monotonicity_check(surface, radius=args.radius, n=args.lines,
-                                seed=args.seed, n_scan=args.scan)
+    report = monotonicity_check(_build_surface(args), radius=args.radius,
+                                n=args.lines, seed=args.seed)
     ok = report.passed
     histogram = {str(k): v for k, v in report.histogram.items()}
     violations = [{"theta": line.theta, "v": line.v, "w": line.w,
@@ -366,26 +386,32 @@ def _cmd_monotonicity(args) -> int:
         args, surface=args.surface, n_lines=report.n_lines, seed=report.seed,
         radius=report.radius, histogram=histogram,
         degenerate_lines=report.degenerate_lines, violations=violations,
-        max_crossings=report.max_crossings, verdict=bool(ok), **inputs))
+        max_crossings=report.max_crossings, verdict=bool(ok),
+        **args.inputs))
     print(f"monotonicity: {'PASS' if ok else 'FAIL'} surface={args.surface} "
           f"lines={report.n_lines} max-crossings={report.max_crossings} "
           f"violations={len(report.violations)}")
     return EXIT_TRUE if ok else EXIT_FALSE
 
 
+def _finite_or_none(value: float) -> Optional[float]:
+    return value if math.isfinite(value) else None
+
+
 def _cmd_scaling_limit(args) -> int:
     spec, profile = _build_profile(args.profile)
     graph = RuledEntireGraph(profile)
-    t_grid = (_parse_floats(args.t_grid, "--t-grid")
-              if args.t_grid else (2.0, 4.0, 8.0, 16.0))
-    report = scaling_limit(graph, t_grid=t_grid, window=args.window)
+    report = scaling_limit(graph, t_grid=args.t_grid, window=args.window)
     ok = (not report.errors) or report.converged()
+    # a vertical-plane limit has infinite opening and tail slopes; `kind`
+    # says so, and the payload writes them as null
     _write_json(args, _payload(
         args, profile=spec.to_json(), kind=report.kind,
-        slope_neg_limit=report.slope_neg_limit,
-        slope_pos_limit=report.slope_pos_limit,
-        theta=report.theta, u=report.u, t_grid=list(report.t_grid),
-        errors=list(report.errors), converged=bool(ok)))
+        slope_neg_limit=_finite_or_none(report.slope_neg_limit),
+        slope_pos_limit=_finite_or_none(report.slope_pos_limit),
+        theta=report.theta, u=_finite_or_none(report.u),
+        t_grid=list(report.t_grid), errors=list(report.errors),
+        converged=bool(ok)))
     u_text = "inf" if math.isinf(report.u) else fmt17(report.u)
     print(f"scaling-limit: {'PASS' if ok else 'FAIL'} kind={report.kind} "
           f"theta={fmt17(report.theta)} u={u_text}")
@@ -394,7 +420,7 @@ def _cmd_scaling_limit(args) -> int:
 
 def _cmd_sigma_rho(args) -> int:
     spec, rho = _build_profile(args.rho)
-    a, b = _parse_pair(args.window, "--window")
+    a, b = args.window
     closed = sigma_rho_area(rho, a, b)
     quad = sigma_rho_area_quadrature(rho, a, b)
     gap = abs(closed - quad) / max(abs(closed), 1e-300)
@@ -461,8 +487,6 @@ def _cmd_competitor(args) -> int:
 
 
 def _cmd_calibrate_lines(args) -> int:
-    if args.r1 <= 0 or args.r2 <= 0:
-        raise ValueError("radii must be positive")
     result = calibrate_ratio(args.r1, args.r2, n=args.lines, seed=args.seed)
     ok = abs(result.zscore) <= args.max_z
     _write_json(args, _payload(
@@ -479,48 +503,21 @@ def _cmd_calibrate_lines(args) -> int:
 # mesh export
 
 
-def _export_header(args, res_main: int, res_cross: int) -> tuple[str, ...]:
-    seed = getattr(args, "seed", None)
-    return (
-        "heisurf " + shlex.join(args.argv),
-        f"seed: {'none' if seed is None else seed}",
-        f"resolution: {res_main}x{res_cross}",
-    )
-
-
 def _cmd_export_obj(args) -> int:
     res = args.res
-    if res < 1:
-        raise ValueError("--res must be at least 1")
     x_res = args.x_res if args.x_res is not None else res
-    header = _export_header(args, res, x_res)
-
+    header = ("heisurf " + shlex.join(args.argv), "seed: none",
+              f"resolution: {res}x{x_res}")
+    surface = _build_surface(args)
     if args.surface == "strip":
-        _spec, profile = _build_profile(_require(args, "profile",
-                                                 "surface strip"))
-        window = _parse_pair(_require(args, "window", "surface strip"),
-                             "--window")
-        strip = strip_surface(profile, kind=args.kind, x_max=args.x_max)
-        mesh = strip_mesh(strip, window, x_res, res, header)
+        mesh = strip_mesh(surface, args.window, x_res, res, header)
     elif args.surface == "broken-plane":
-        u = _require(args, "u", "surface broken-plane")
-        window = _parse_pair(_require(args, "window",
-                                      "surface broken-plane"), "--window")
-        bp = broken_plane(u, x_max=args.x_max)
-        mesh = broken_plane_mesh(bp, window, x_res, res, header)
+        mesh = broken_plane_mesh(surface, args.window, x_res, res, header)
     elif args.surface == "sigma-rho":
-        _spec, rho = _build_profile(_require(args, "rho",
-                                             "surface sigma-rho"))
-        window = _parse_pair(_require(args, "window", "surface sigma-rho"),
-                             "--window")
-        surface = sigma_rho_surface(rho, window)
         mesh = mesh_from_ruled(surface, res, x_res, header)
     else:
-        u = _require(args, "u", "surface competitor")
-        comp = build_competitor(args.competitor_kind, u)
-        z_cap = _finite(2.0 * u if args.z_cap is None else args.z_cap,
-                        "--z-cap")
-        mesh = competitor_mesh(comp, z_cap, res, x_res, header)
+        z_cap = 2.0 * args.u if args.z_cap is None else args.z_cap
+        mesh = competitor_mesh(surface, z_cap, res, x_res, header)
 
     base = args.out or args.surface
     path = os.path.join(_outdir(args), base + ".obj")
@@ -535,6 +532,14 @@ def _cmd_export_obj(args) -> int:
 # parser
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argparse parser whose usage errors are one stderr line, like
+    every other exit-2 error."""
+
+    def error(self, message: str):
+        self.exit(EXIT_USAGE, f"error: {message}\n")
+
+
 def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--output-dir", default=None,
                      help="directory for artifacts (default: "
@@ -544,8 +549,18 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
                           "(default: the subcommand name)")
 
 
+def _add_surface(sub: argparse.ArgumentParser, command: str) -> None:
+    """--surface and every surface flag one of its choices reads."""
+    pairs = {s: f.replace("?", "").split()
+             for (c, s), f in _SURFACES.items() if c == command}
+    sub.add_argument("--surface", choices=tuple(pairs), required=True)
+    for dest, settings in _SURFACE_FLAGS.items():
+        if any(dest in reads for reads in pairs.values()):
+            sub.add_argument(_option(dest), default=None, **settings)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="heisurf",
         description="Minimal-surface experiments in the Heisenberg group.")
     subs = parser.add_subparsers(dest="command", required=True)
@@ -567,17 +582,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name, help_text in (("area", "horizontal perimeter of a surface"),
                             ("energy", "intrinsic Dirichlet energy")):
         p = subs.add_parser(name, help=help_text)
-        p.add_argument("--surface",
-                       choices=("strip", "broken-plane", "sigma-rho"),
-                       required=True)
-        p.add_argument("--profile", default=None)
-        p.add_argument("--kind", choices=("sigma", "alpha"), default="sigma")
-        p.add_argument("--rho", default=None)
-        p.add_argument("--u", type=float, default=None)
-        p.add_argument("--z-cap", type=float, default=None)
-        p.add_argument("--window", default=None,
-                       help="height window 'lo,hi'")
-        p.add_argument("--x-max", type=float, default=1.0)
+        _add_surface(p, name)
         _add_common(p)
         p.set_defaults(func=_cmd_scalar)
 
@@ -586,24 +591,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", required=True)
     p.add_argument("--tau", required=True)
     p.add_argument("--window", default=None)
-    p.add_argument("--lambdas", default=None)
+    p.add_argument("--lambdas", default=(0.02, 0.04, 0.06, 0.08))
     _add_common(p)
     p.set_defaults(func=_cmd_second_variation)
 
     p = subs.add_parser("monotonicity",
                         help="crossing census over random horizontal lines")
-    p.add_argument("--surface",
-                   choices=("strip", "broken-plane", "sigma-rho"),
-                   required=True)
-    p.add_argument("--profile", default=None)
-    p.add_argument("--kind", choices=("sigma", "alpha"), default="sigma")
-    p.add_argument("--rho", default=None)
-    p.add_argument("--u", type=float, default=None)
-    p.add_argument("--window", default=None)
-    p.add_argument("--x-max", type=float, default=1.0)
+    _add_surface(p, "monotonicity")
     p.add_argument("--lines", type=int, default=400)
     p.add_argument("--radius", type=float, default=1.5)
-    p.add_argument("--scan", type=int, default=400)
     p.add_argument("--seed", type=int, default=0)
     _add_common(p)
     p.set_defaults(func=_cmd_monotonicity)
@@ -612,7 +608,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="classify the blow-down of an entire graph")
     p.add_argument("--profile", required=True,
                    help="non-increasing ruling slope profile")
-    p.add_argument("--t-grid", default=None)
+    p.add_argument("--t-grid", default=(2.0, 4.0, 8.0, 16.0))
     p.add_argument("--window", type=float, default=1.0e3)
     _add_common(p)
     p.set_defaults(func=_cmd_scaling_limit)
@@ -637,19 +633,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_competitor)
 
     p = subs.add_parser("export-obj", help="write a surface mesh as .obj")
-    p.add_argument("--surface",
-                   choices=("strip", "broken-plane", "sigma-rho",
-                            "competitor"),
-                   required=True)
-    p.add_argument("--profile", default=None)
-    p.add_argument("--kind", choices=("sigma", "alpha"), default="sigma")
-    p.add_argument("--rho", default=None)
-    p.add_argument("--u", type=float, default=None)
-    p.add_argument("--competitor-kind", choices=("minimal", "harmonic"),
-                   default="minimal")
-    p.add_argument("--z-cap", type=float, default=None)
-    p.add_argument("--window", default=None)
-    p.add_argument("--x-max", type=float, default=1.0)
+    _add_surface(p, "export-obj")
     p.add_argument("--res", type=int, required=True)
     p.add_argument("--x-res", type=int, default=None)
     _add_common(p)
@@ -668,30 +652,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-#: Flags whose values may start with a minus sign (e.g. ``--window -2,2``);
-#: they are merged into ``--flag=value`` form so argparse does not mistake the
-#: value for an option.
-_PAIR_FLAGS = frozenset({"--window", "--lambdas", "--t-grid"})
+#: A value that starts with a minus sign (``--window -2,2``, ``--z-cap -1e-3``,
+#: ``--u -inf``) is merged into ``--flag=value`` form so argparse does not
+#: mistake it for an option.
+_NEGATIVE_VALUE = re.compile(r"-(?:[\d.]|inf|nan)", re.IGNORECASE)
 
 
-def _merge_pair_flags(argv: list) -> list:
+def _merge_negative_values(argv: list) -> list:
     merged = []
-    i = 0
-    while i < len(argv):
-        token = argv[i]
-        nxt = argv[i + 1] if i + 1 < len(argv) else None
-        if token in _PAIR_FLAGS and nxt is not None and re.match(r"-[\d.]", nxt):
-            merged.append(f"{token}={nxt}")
-            i += 2
+    for token in argv:
+        if (merged and merged[-1].startswith("--") and "=" not in merged[-1]
+                and _NEGATIVE_VALUE.match(token)):
+            merged[-1] += "=" + token
         else:
             merged.append(token)
-            i += 1
     return merged
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     argv = list(sys.argv[1:]) if argv is None else [str(a) for a in argv]
-    argv = _merge_pair_flags(argv)
+    argv = _merge_negative_values(argv)
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -700,10 +680,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 0 if code in (0, None) else int(code)
     args.argv = argv
     try:
-        _check_common_flags(args)
-        return int(args.func(args))
+        _check_domains(args)
+        _read_surface_flags(args)
+        # a floating-point fault is a numeric failure, not a stderr warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            return int(args.func(args))
     except (QuadratureError, SolverError, DomainError, ZeroDivisionError,
-            OverflowError, FloatingPointError) as exc:
+            OverflowError, FloatingPointError, RuntimeWarning) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except (ProfileSpecError, ProfileError, ValueError, TypeError) as exc:

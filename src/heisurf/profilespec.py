@@ -167,6 +167,10 @@ class ProfileSpec:
                     raise ProfileSpecError(
                         f"parameter {key!r} of {self.kind} must be a number, "
                         f"got {value!r}")
+                if not math.isfinite(params[key]):
+                    raise ProfileSpecError(
+                        f"parameter {key!r} of {self.kind} must be finite, "
+                        f"got {value!r}")
         missing = [p for p in schema.params if p not in params]
         if missing:
             raise ProfileSpecError(

@@ -342,6 +342,72 @@ def test_out_of_domain_window_or_width_exits_with_two(tmp_path, capsys, argv):
     assert not os.listdir(str(tmp_path))
 
 
+@pytest.mark.parametrize("argv, message", [
+    # out of domain: each used to run on and give a verdict or a failure
+    (("competitor", "--u", "1", "--z-cap", "nan"), "--z-cap must be"),
+    (("competitor", "--u", "1", "--z-floor", "inf"), "--z-floor must be"),
+    (("calibrate-lines", "--r1", "nan", "--lines", "10"), "--r1 must be"),
+    (("calibrate-lines", "--max-z", "nan", "--lines", "10"),
+     "--max-z must be"),
+    (("monotonicity", "--surface", "broken-plane", "--u", "1", "--radius",
+      "nan", "--lines", "10"), "--radius must be"),
+    (("monotonicity", "--surface", "broken-plane", "--u", "1", "--radius",
+      "0", "--lines", "10"), "--radius must be"),
+    (("scaling-limit", "--profile", "arctan(-1)", "--window", "inf"),
+     "--window must be"),
+    (("second-variation", "--alpha", "broken-plane-alpha(1)", "--tau",
+      "triangle-bump(1,1)", "--lambdas", "0"), "--lambdas must be"),
+    # surface flags the chosen surface does not read
+    (("export-obj", "--surface", "competitor", "--u", "1", "--res", "2",
+      "--window", "0,1"), "--window must be omitted"),
+    (("monotonicity", "--surface", "broken-plane", "--u", "1", "--window",
+      "0,1", "--lines", "10"), "--window must be omitted"),
+    (("export-obj", "--surface", "broken-plane", "--u", "1", "--window",
+      "-1,1", "--res", "2", "--z-cap", "3"), "--z-cap must be omitted"),
+    (("area", "--surface", "sigma-rho", "--rho", "id", "--window", "0,1",
+      "--kind", "alpha"), "--kind must be omitted"),
+    (("area", "--surface", "strip", "--profile", "arctan(-1)", "--window",
+      "0,1", "--rho", "id"), "--rho must be omitted"),
+    (("area", "--surface", "sigma-rho", "--rho", "id", "--window", "0,1",
+      "--x-max", "1"), "--x-max must be omitted"),
+    (("area", "--surface", "strip", "--window", "0,1"),
+     "--profile is required"),
+    # the census no longer takes a scan resolution
+    (("monotonicity", "--surface", "broken-plane", "--u", "1", "--scan", "2"),
+     "unrecognized arguments: --scan"),
+])
+def test_flag_outside_the_tables_exits_with_two(tmp_path, capfd, argv,
+                                                message):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run(tmp_path, *argv) == 2
+    assert not caught
+    err = capfd.readouterr().err
+    assert err.startswith("error: " + message)
+    assert err.count("\n") == 1
+    assert not os.listdir(str(tmp_path))
+
+
+def test_scaling_limit_writes_null_for_an_infinite_opening(tmp_path):
+    assert run(tmp_path, "scaling-limit", "--profile", "linear(-1)") == 0
+    text = (tmp_path / "scaling-limit.json").read_text()
+    assert "Infinity" not in text
+    data = json.loads(text)
+    assert data["kind"] == "vertical-plane-limit"
+    assert data["u"] is None
+    assert data["slope_neg_limit"] is None
+    assert data["slope_pos_limit"] is None
+
+
+def test_census_records_the_strip_width(tmp_path):
+    assert run(tmp_path, "monotonicity", "--surface", "strip", "--profile",
+               "arctan(-1)", "--lines", "10") == 0
+    assert load(tmp_path, "monotonicity.json")["x_max"] == 1.0
+    assert run(tmp_path, "monotonicity", "--surface", "broken-plane", "--u",
+               "1", "--x-max", "2", "--lines", "10") in (0, 1)
+    assert load(tmp_path, "monotonicity.json")["x_max"] == 2.0
+
+
 # ---------------------------------------------------------------------------
 # determinism
 

@@ -110,6 +110,13 @@ def test_spec_rejects_unknown_kind_and_parameters():
         ProfileSpec(kind="constant", window=(1.0, 1.0))
 
 
+@pytest.mark.parametrize("text", ["arctan(nan)", "linear(1,inf)",
+                                  "broken-plane-alpha(-inf)"])
+def test_spec_rejects_non_finite_parameters(text):
+    with pytest.raises(ProfileSpecError, match="must be finite"):
+        parse_profile(text)
+
+
 # ---------------------------------------------------------------------------
 # round trips
 
