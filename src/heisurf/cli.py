@@ -7,8 +7,8 @@ exits with a contract code:
     0   verdict true / computation succeeded
     1   verdict false (the checked property fails)
     2   usage error (bad flags, malformed profile spec, bad preconditions)
-    3   numeric failure (quadrature did not converge, no root bracketed,
-        a floating-point fault such as overflow or division by zero)
+    3   numeric failure (no quadrature convergence or bracketed root, a
+        floating-point fault, a degenerate mesh, too few calibration lines)
 
 Two tables decide which flags a run may take: `_SURFACES` says which surface
 flags each (command, ``--surface``) pair reads, and `_DOMAINS` holds the
@@ -46,8 +46,9 @@ from .families import (
     sigma_rho_surface,
 )
 from .graphs import DomainError
-from .lines import calibrate_ratio, monotonicity_check
+from .lines import CalibrationError, calibrate_ratio, monotonicity_check
 from .meshes import (
+    DegenerateMeshError,
     broken_plane_mesh,
     competitor_mesh,
     mesh_from_ruled,
@@ -686,8 +687,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             return int(args.func(args))
-    except (QuadratureError, SolverError, DomainError, ZeroDivisionError,
-            OverflowError, FloatingPointError, RuntimeWarning) as exc:
+    except (QuadratureError, SolverError, DomainError, CalibrationError,
+            DegenerateMeshError, ArithmeticError, RuntimeWarning) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except (ProfileSpecError, ProfileError, ValueError, TypeError) as exc:

@@ -8,10 +8,12 @@ ball of radius r therefore scales exactly like r^3; both facts are backed
 by Monte-Carlo tests rather than taken on faith.
 
 Crossing counts against a surface are sign changes of a membership offset
-along the line, so they see only transversal intersections.  A graphical
-strip with slopes in [-2, 2) meets almost every horizontal line at most
-once; surfaces carrying a horizontal shortcut chord are met twice, and the
-census in `monotonicity_check` finds such lines.  The parameter t is plane
+along the line, so they see only transversal intersections; one kernel,
+`_crossings`, scans every line on one grid and bisects the brackets of all
+lines at once, for every caller.  A graphical strip with slopes in [-2, 2)
+meets almost every horizontal line at most once; surfaces carrying a
+horizontal shortcut chord are met twice, and the census in
+`monotonicity_check` finds such lines.  The parameter t is plane
 arclength, so steep and shallow directions are handled identically.
 """
 from __future__ import annotations
@@ -22,7 +24,6 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .core import rotate_arr
 from .strips import Profile, strip_surface
 
 __all__ = [
@@ -32,13 +33,13 @@ __all__ = [
     "sample_lines",
     "line_measure_of_ball",
     "CalibrationResult",
+    "CalibrationError",
     "calibrate_ratio",
     "LineCrossings",
     "crossings",
     "crossing_counts",
     "CrossingReport",
     "monotonicity_check",
-    "relative_perimeter",
     "perimeter_estimate",
 ]
 
@@ -52,10 +53,8 @@ class LineSample:
     w: float
 
     def points_at(self, ts) -> np.ndarray:
-        ts = np.asarray(ts, dtype=float)
-        base = np.stack(np.broadcast_arrays(
-            ts, self.v + 0.0 * ts, self.w - 0.5 * self.v * ts), axis=-1)
-        return rotate_arr(self.theta, base)
+        return _line_points(self.theta, self.v, self.w,
+                            np.asarray(ts, dtype=float))
 
 
 # ---------------------------------------------------------------------------
@@ -154,51 +153,131 @@ class CalibrationResult:
         return (self.ratio - self.expected) / self.se
 
 
+class CalibrationError(ValueError):
+    """A radius met no line or every line: too few lines to calibrate."""
+
+
 def calibrate_ratio(r_small: float = 1.0, r_big: float = 2.0,
                     n: int = 200_000, seed: int = 0) -> CalibrationResult:
     """Ratio of hit measures for two radii; should equal the cubed ratio."""
     m1, s1 = line_measure_of_ball(r_small, n, seed)
     m2, s2 = line_measure_of_ball(r_big, n, seed + 1)
+    for radius, m, s in ((r_small, m1, s1), (r_big, m2, s2)):
+        if s == 0.0:  # it met no line (m = 0) or every line
+            raise CalibrationError(
+                f"radius {radius:g} met {'every' if m else 'no'} line of {n}: "
+                "no spread in its hit fraction")
     ratio = m2 / m1
     se = ratio * math.sqrt((s1 / m1) ** 2 + (s2 / m2) ** 2)
     return CalibrationResult(ratio, se, (r_big / r_small) ** 3)
 
 
 # ---------------------------------------------------------------------------
-# crossings
+# crossings: one scan and one bisection for every caller
+
+_REACH = 50.0  # every line's t-window lies inside [-_REACH, _REACH]
+_CHUNK = 4096  # lines per scan call, which bounds the scan's memory
+
+
+def _line_points(theta, v, w, ts):
+    """Points rot_theta(t, v, w - v t/2) at parameters ts (broadcast)."""
+    cos, sin = np.cos(theta), np.sin(theta)
+    return np.stack([ts * cos - v * sin, ts * sin + v * cos,
+                     w - 0.5 * v * ts], axis=-1)
 
 
 def _offset_and_inside(surface):
+    """(offset, inside test or None) of a surface, or the pair itself."""
     if isinstance(surface, tuple):
-        offset_fn, inside_fn = surface
-        return offset_fn, inside_fn
-    if hasattr(surface, "membership_offset"):
-        offset_fn = surface.membership_offset
-        xm = getattr(surface, "x_max", None)
-        if xm is None:
-            return offset_fn, None
-        return offset_fn, lambda pts: np.abs(pts[..., 0]) <= xm
-    raise TypeError(f"cannot count crossings against {type(surface).__name__}")
+        return surface
+    xm = getattr(surface, "x_max", None)
+    return surface.membership_offset, (
+        None if xm is None else lambda pts: np.abs(pts[..., 0]) <= xm)
 
 
-def _window_bounds(theta, v, xm, reach):
-    """Per-line t-interval with |x(t)| <= xm, clipped to [-reach, reach].
-
-    x(t) is linear in t, so the inside set is a single interval and sign
-    changes between consecutive window samples are all transversal hits.
+def _windows(surface, theta, v, window=None):
+    """Per-line t-intervals: `window`, else where |x(t)| <= x_max (padded
+    by 1e-3), else the reach.  x(t) is linear in t, so the inside set is
+    one interval and sign changes on it are all transversal hits.
     """
+    xm = getattr(surface, "x_max", None)
+    if window is not None or xm is None:
+        t0, t1 = (-_REACH, _REACH) if window is None else window
+        return np.full(len(theta), float(t0)), np.full(len(theta), float(t1))
     cos, sin = np.cos(theta), np.sin(theta)
     steep = np.abs(cos) < 1e-9
     safe = np.where(steep, 1.0, cos)
     lo = (-xm + v * sin) / safe
     hi = (xm + v * sin) / safe
     lo, hi = np.minimum(lo, hi), np.maximum(lo, hi)
-    lo = np.where(steep, -reach, np.maximum(lo, -reach) - 1e-3)
-    hi = np.where(steep, reach, np.minimum(hi, reach) + 1e-3)
+    lo = np.where(steep, -_REACH, np.maximum(lo, -_REACH) - 1e-3)
+    hi = np.where(steep, _REACH, np.minimum(hi, _REACH) + 1e-3)
     # steep lines with |x| beyond the strip never cross it
     miss = steep & (np.abs(v * sin) > xm)
     hi = np.where(miss, lo, hi)
     return lo, hi
+
+
+def _scan(offset_fn, theta, v, w, lo, hi, n_scan):
+    """Offsets at n_scan points of each window [lo, hi], chunk by chunk.
+
+    Yields (slice, ts, offsets, changes), changes marking the grid cells
+    whose ends have opposite nonzero signs.  The grid starts slightly off
+    the window's ends so that it does not land exactly on surface points.
+    """
+    grid = np.linspace(0.0, 1.0, n_scan) + 1.738e-9
+    for start in range(0, len(theta), _CHUNK):
+        sl = slice(start, start + _CHUNK)
+        ts = lo[sl, None] + (hi[sl] - lo[sl])[:, None] * grid
+        F = np.asarray(offset_fn(_line_points(
+            theta[sl, None], v[sl, None], w[sl, None], ts)))
+        s = np.sign(F)
+        yield sl, ts, F, s[:, :-1] * s[:, 1:] < 0
+
+
+def _crossings(surface, theta, v, w, n_scan, window=None):
+    """(counts, roots in line order, degenerate) of the lines (theta, v, w).
+
+    All brackets of the scan are bisected together, one offset call per
+    step, to max(1e-10, 1e-14 window length).  Roots outside the surface's
+    extent are dropped; a line's roots closer than 1e-8 (times a window
+    length above 1) merge, flagging the line degenerate (grazing contact).
+    """
+    offset_fn, inside_fn = _offset_and_inside(surface)
+    lo, hi = _windows(surface, theta, v, window)
+    parts = [(np.empty(0, dtype=int), np.empty(0), np.empty(0), np.empty(0))]
+    for sl, ts, F, changes in _scan(offset_fn, theta, v, w, lo, hi, n_scan):
+        row, col = np.nonzero(changes & (hi[sl] > lo[sl])[:, None])
+        parts.append((row + sl.start, ts[row, col], ts[row, col + 1],
+                      F[row, col]))
+    line, a, b, fa = map(np.concatenate, zip(*parts))
+    tol = np.maximum(1e-10, 1e-14 * (hi - lo))[line]
+    live = np.nonzero(b - a > tol)[0]
+    while live.size:
+        m = 0.5 * (a[live] + b[live])
+        k = line[live]
+        fm = np.asarray(offset_fn(_line_points(theta[k], v[k], w[k], m)))
+        hit = fm == 0.0
+        left = ~hit & ((fm < 0) == (fa[live] < 0))
+        a[live] = np.where(left | hit, m, a[live])
+        b[live] = np.where(left, b[live], m)
+        fa[live] = np.where(left, fm, fa[live])
+        live = live[b[live] - a[live] > tol[live]]
+    root = 0.5 * (a + b)
+    if inside_fn is not None:
+        inside = np.asarray(inside_fn(_line_points(
+            theta[line], v[line], w[line], root)), dtype=bool)
+        line, root = line[inside], root[inside]
+    # a line's roots are sorted, so only a root close to its predecessor
+    # can merge into the last kept one (j), which a merge leaves in place
+    eps = 1e-8 * np.maximum(1.0, np.abs(hi - lo))[line]
+    keep = np.ones(len(root), dtype=bool)
+    close = (line[1:] == line[:-1]) & (np.abs(np.diff(root)) <= eps[1:])
+    for i in np.nonzero(close)[0] + 1:
+        j = i - 1 if keep[i - 1] else j
+        keep[i] = abs(root[i] - root[j]) > eps[i]
+    return (np.bincount(line[keep], minlength=len(theta)), root[keep],
+            np.bincount(line[~keep], minlength=len(theta)) > 0)
 
 
 class LineCrossings(NamedTuple):
@@ -209,87 +288,32 @@ class LineCrossings(NamedTuple):
 
 def crossings(surface, line: LineSample,
               t_window: Optional[tuple[float, float]] = None,
-              n_scan: int = 1024, reach: float = 50.0) -> LineCrossings:
-    """Transversal crossings of the line with the surface.
+              n_scan: int = 1024) -> LineCrossings:
+    """Transversal crossings of one line: the crossing kernel on its own.
 
-    Counts sign changes of the membership offset along the line, refines
-    each bracket by bisection to 1e-10, and keeps roots where the point
-    lies inside the surface's extent.  Roots closer than 1e-8 are merged
-    and the result flagged degenerate (a grazing contact).
+    Sign changes of the membership offset on an n_scan grid, bisected to
+    1e-10, kept inside the surface's extent; roots closer than 1e-8 merge
+    and flag the line degenerate (a grazing contact).
     """
-    offset_fn, inside_fn = _offset_and_inside(surface)
-    if t_window is None:
-        xm = getattr(surface, "x_max", None)
-        if xm is not None:
-            lo, hi = _window_bounds(np.array(line.theta), np.array(line.v),
-                                    xm, reach)
-            t_window = (float(lo), float(hi))
-        else:
-            t_window = (-reach, reach)
-    t0, t1 = t_window
-    if not t1 > t0:
-        return LineCrossings(0, (), False)
-    # offset grid start slightly to avoid landing exactly on surface points
-    ts = np.linspace(t0, t1, n_scan) + 1.738e-9 * (t1 - t0)
-    F = np.asarray(offset_fn(line.points_at(ts)))
-    sign = np.sign(F)
-    nz = sign != 0
-    idx = np.nonzero(nz[:-1] & nz[1:] & (sign[:-1] * sign[1:] < 0))[0]
-    tol = max(1e-10, 1e-14 * (t1 - t0))
-    roots = []
-    for i in idx:
-        a, b = ts[i], ts[i + 1]
-        fa = float(F[i])
-        while b - a > tol:
-            m = 0.5 * (a + b)
-            fm = float(offset_fn(line.points_at(np.array(m))))
-            if fm == 0.0:
-                a = b = m
-                break
-            if (fm < 0) == (fa < 0):
-                a, fa = m, fm
-            else:
-                b = m
-        root = 0.5 * (a + b)
-        if inside_fn is None or bool(np.all(inside_fn(line.points_at(np.array(root))))):
-            roots.append(float(root))
-    merged = []
-    for r in roots:
-        if not merged or abs(r - merged[-1]) > 1e-8 * max(1.0, abs(t1 - t0)):
-            merged.append(r)
-    return LineCrossings(len(merged), tuple(merged), len(merged) < len(roots))
+    count, roots, degenerate = _crossings(
+        surface, *np.array([[line.theta], [line.v], [line.w]]), n_scan,
+        t_window)
+    return LineCrossings(int(count[0]), tuple(roots.tolist()),
+                         bool(degenerate[0]))
 
 
-def crossing_counts(surface, theta, v, w, n_scan: int = 256,
-                    reach: float = 50.0, chunk: int = 4096) -> np.ndarray:
-    """Vectorized crossing counts for a batch of lines given as arrays.
+def crossing_counts(surface, theta, v, w, n_scan: int = 256) -> np.ndarray:
+    """Grid sign-change counts for a batch of lines given as arrays.
 
-    Counts grid sign changes without root refinement; adequate for census
-    statistics where only the count matters.  Requires the surface to have
-    a finite x extent (x_max) so each line meets it in one t-interval.
+    The crossing kernel's scan alone, without refinement or the extent
+    filter: census statistics where only the count matters.
     """
     offset_fn, _ = _offset_and_inside(surface)
-    xm = getattr(surface, "x_max", None)
-    if xm is None:
-        raise TypeError("bulk counting needs a surface with x_max")
-    theta = np.asarray(theta, dtype=float)
-    v = np.asarray(v, dtype=float)
-    w = np.asarray(w, dtype=float)
-    counts = np.zeros(theta.shape[0], dtype=int)
-    grid = np.linspace(0.0, 1.0, n_scan) + 1.738e-9
-    for start in range(0, theta.shape[0], chunk):
-        sl = slice(start, min(start + chunk, theta.shape[0]))
-        th, vv, ww = theta[sl], v[sl], w[sl]
-        lo, hi = _window_bounds(th, vv, xm, reach)
-        ts = lo[:, None] + (hi - lo)[:, None] * grid[None, :]
-        cos, sin = np.cos(th)[:, None], np.sin(th)[:, None]
-        x = ts * cos - vv[:, None] * sin
-        y = ts * sin + vv[:, None] * cos
-        z = ww[:, None] - 0.5 * vv[:, None] * ts
-        F = np.asarray(offset_fn(np.stack([x, y, z], axis=-1)))
-        s = np.sign(F)
-        counts[sl] = np.sum((s[:, :-1] * s[:, 1:] < 0)
-                            & (s[:, :-1] != 0) & (s[:, 1:] != 0), axis=1)
+    theta, v, w = (np.asarray(a, dtype=float) for a in (theta, v, w))
+    lo, hi = _windows(surface, theta, v)
+    counts = np.zeros(len(theta), dtype=int)
+    for sl, _, _, changes in _scan(offset_fn, theta, v, w, lo, hi, n_scan):
+        counts[sl] = np.count_nonzero(changes, axis=1)
     return counts
 
 
@@ -319,54 +343,27 @@ def monotonicity_check(surface, radius: float = 1.5, n: int = 400,
     """Crossing-count census over random lines meeting a gauge ball.
 
     Accepts a slope profile (realized as a strip of the given half-width)
-    or any surface with a membership offset.  Lines crossing twice or more
-    are refined and recorded as violation witnesses; grazing contacts are
-    merged away and never counted as violations.
+    or any surface with a membership offset.  Lines that `crossing_counts`
+    counts twice or more are re-counted by one kernel call at
+    max(n_scan, 800) points; those still crossing twice are the witnesses.
+    Grazing contacts are merged away and never counted as violations.
     """
     if isinstance(surface, Profile):
         surface = strip_surface(surface, x_max=x_max)
     theta, v, w = sample_lines(radius, n, seed)
     counts = crossing_counts(surface, theta, v, w, n_scan=n_scan)
-    hist: dict[int, int] = {}
-    bad: list[tuple[LineSample, tuple[float, ...]]] = []
-    degenerate = 0
-    for c in counts:
-        hist[int(c)] = hist.get(int(c), 0) + 1
-    for i in np.nonzero(counts > 1)[0]:
-        line = LineSample(float(theta[i]), float(v[i]), float(w[i]))
-        refined = crossings(surface, line, n_scan=max(n_scan, 800))
-        if refined.degenerate:
-            degenerate += 1
-        if refined.count > 1 and len(bad) < max_violations:
-            bad.append((line, refined.roots))
-        elif refined.count <= 1:
-            # the coarse census overcounted a grazing contact; fix the bin
-            hist[int(counts[i])] -= 1
-            if hist[int(counts[i])] == 0:
-                del hist[int(counts[i])]
-            hist[refined.count] = hist.get(refined.count, 0) + 1
-    return CrossingReport(n, seed, radius, dict(sorted(hist.items())),
-                          tuple(bad), degenerate)
-
-
-def relative_perimeter(surface_e, surface_f, radius: float, n: int = 20_000,
-                       seed: int = 0, n_scan: int = 256):
-    """Mean crossing counts of two surfaces against one shared line sample.
-
-    Returns ((mean_e, se_e), (mean_f, se_f)).  The kinematic formula makes
-    each mean proportional to the surface's perimeter inside the ball with
-    a common constant, so the comparison needs no normalization; sharing
-    the sample makes equal surfaces compare exactly equal.
-    """
-    rng = np.random.default_rng(seed)
-    theta, v, w = _sample_box(radius, n, rng)
-    out = []
-    for surface in (surface_e, surface_f):
-        counts = crossing_counts(surface, theta, v, w, n_scan=n_scan,
-                                 reach=2.5 * radius)
-        out.append((float(np.mean(counts)),
-                    float(np.std(counts)) / math.sqrt(n)))
-    return out[0], out[1]
+    multi = np.nonzero(counts > 1)[0]
+    refined, roots, degenerate = _crossings(
+        surface, theta[multi], v[multi], w[multi], max(n_scan, 800))
+    counts[multi] = refined
+    bins, sizes = np.unique(counts, return_counts=True)
+    per_line = np.split(roots, np.cumsum(refined)[:-1])
+    bad = tuple((LineSample(float(theta[i]), float(v[i]), float(w[i])),
+                 tuple(r.tolist()))
+                for i, r in zip(multi, per_line) if len(r) > 1)
+    return CrossingReport(n, seed, radius,
+                          dict(zip(bins.tolist(), sizes.tolist())),
+                          bad[:max_violations], int(np.sum(degenerate)))
 
 
 def perimeter_estimate(surface, radius: float, n: int = 20_000,
@@ -381,12 +378,8 @@ def perimeter_estimate(surface, radius: float, n: int = 20_000,
     """
     rng = np.random.default_rng(seed)
     theta, v, w = _sample_box(radius, n, rng)
-    counts = np.zeros(n)
-    reach = 2.5 * radius
-    for i in range(n):
-        line = LineSample(float(theta[i]), float(v[i]), float(w[i]))
-        counts[i] = crossings(surface, line, t_window=(-reach, reach),
-                              n_scan=n_scan).count
+    counts, _, _ = _crossings(surface, theta, v, w, n_scan,
+                              (-2.5 * radius, 2.5 * radius))
     scale = box_volume(radius) / 2.0
     est = scale * float(np.mean(counts))
     se = scale * float(np.std(counts)) / math.sqrt(n)

@@ -19,9 +19,10 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .reports import atomic_write_text, fmt17
+from .reports import atomic_write_text
 
 __all__ = [
+    "DegenerateMeshError",
     "MeshObj",
     "mesh_from_mapped_grid",
     "mesh_from_graph",
@@ -45,6 +46,10 @@ def _triangle_areas(vertices: np.ndarray, faces: np.ndarray) -> np.ndarray:
     return 0.5 * np.linalg.norm(np.cross(b - a, c - a), axis=-1)
 
 
+class DegenerateMeshError(ValueError):
+    """A mesh with a (numerically) zero-area triangle."""
+
+
 @dataclass(frozen=True, eq=False)
 class MeshObj:
     """Triangle mesh with provenance comments and validated topology."""
@@ -64,7 +69,8 @@ class MeshObj:
         if f.size:
             areas = _triangle_areas(v, f)
             if np.any(areas <= _DEGENERATE_REL * scale * scale):
-                raise ValueError("degenerate (zero-area) triangle in mesh")
+                raise DegenerateMeshError(
+                    "degenerate (zero-area) triangle in mesh")
         object.__setattr__(self, "vertices", v)
         object.__setattr__(self, "faces", f)
         object.__setattr__(self, "header",
@@ -101,12 +107,11 @@ class MeshObj:
         return [e for e, c in self.edge_use_counts().items() if c == 1]
 
     def to_obj_text(self) -> str:
-        lines = [f"# {line}" for line in self.header]
-        for x, y, z in self.vertices:
-            lines.append(f"v {fmt17(x)} {fmt17(y)} {fmt17(z)}")
-        for i, j, k in self.faces:
-            lines.append(f"f {i} {j} {k}")
-        return "\n".join(lines) + "\n"
+        return ("".join(f"# {line}\n" for line in self.header)
+                + ("v %.17g %.17g %.17g\n" * self.n_vertices
+                   % tuple(self.vertices.ravel().tolist()))
+                + ("f %d %d %d\n" * self.n_faces
+                   % tuple(self.faces.ravel().tolist())))
 
 
 # ---------------------------------------------------------------------------

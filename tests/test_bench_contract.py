@@ -10,6 +10,8 @@ import importlib.util
 import os
 
 import heisurf.families as families
+import heisurf.lines as lines
+from heisurf.strips import broken_plane
 
 TRACING = os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "bench", "tracing.py")
@@ -45,3 +47,25 @@ def test_tracer_wraps_every_target_and_the_competitor_fields():
                  "CompetitorSurface.slope", "CompetitorSurface.phi_y"):
         assert calls.get(name, 0) > 0, name
     assert tracer.counters["families.phi.points"] > 0
+
+
+def test_tracer_counts_the_census_scan_and_the_crossings_calls():
+    tracing = _load_tracing()
+    bp = broken_plane(1.0)
+    untraced = lines.monotonicity_check(bp, n=200, seed=101)
+    assert untraced.max_crossings >= 2  # the census re-counts some lines
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        report = lines.monotonicity_check(bp, n=200, seed=101)
+        hit = lines.crossings(bp, lines.LineSample(0.0, -0.5, 0.0))
+    finally:
+        tracer.remove()
+    assert report == untraced
+    assert hit.count == 2
+    # the offset-point counter reads the count pass's arguments; the
+    # census's re-count and refinement stay inside the crossing kernel
+    assert tracer.counters["lines.offset_points"] == 200 * 400
+    calls = tracer.summary((0, tracing.Counter()))["calls"]
+    assert calls.get("crossings", 0) == 1
+    assert calls.get("monotonicity_check", 0) == 1

@@ -268,6 +268,25 @@ def test_unbracketed_root_exits_with_three(tmp_path, monkeypatch, capsys):
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv, text", [
+    # a radius that meets no line, or every line, has no hit-fraction spread
+    (("calibrate-lines", "--lines", "1"), "radius 1 met no line of 1"),
+    (("calibrate-lines", "--lines", "1", "--r1", "1.5", "--r2", "1.5"),
+     "radius 1.5 met no line of 1"),
+    (("calibrate-lines", "--lines", "1", "--seed", "2"),
+     "radius 1 met every line of 1"),
+    # the opening is too small for the mesh's triangles to have area
+    (("export-obj", "--surface", "competitor", "--u", "1e-12", "--res", "3"),
+     "degenerate (zero-area) triangle"),
+])
+def test_degenerate_numerics_exit_with_three(tmp_path, capsys, argv, text):
+    assert run(tmp_path, *argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numeric failure: ") and text in err
+    assert err.count("\n") == 1 and "float division" not in err
+    assert not os.listdir(str(tmp_path))
+
+
 @pytest.mark.parametrize("argv", [
     ("area", "--surface", "broken-plane", "--u", "nan", "--z-cap", "1"),
     ("area", "--surface", "broken-plane", "--u", "inf", "--z-cap", "1"),

@@ -17,10 +17,9 @@ from heisurf.lines import (
     line_measure_of_ball,
     monotonicity_check,
     perimeter_estimate,
-    relative_perimeter,
     sample_lines,
 )
-from heisurf.strips import PwlProfile, broken_plane, strip_surface
+from heisurf.strips import BrokenPlane, PwlProfile, broken_plane, strip_surface
 
 RNG = np.random.default_rng(7)
 
@@ -132,6 +131,14 @@ def test_grazing_pair_is_merged_and_flagged():
                     n_scan=1024)
     assert hit.count == 1
     assert hit.degenerate
+    # three roots 6e-9 apart: the third is 1.2e-8 from the last kept root,
+    # so it stays although it is within 1e-8 of the merged middle one
+    chain = (lambda pts: (pts[..., 0] - 1.0) * (pts[..., 0] - 1.0 - 6e-9)
+             * (pts[..., 0] - 1.0 - 1.2e-8), None)
+    hit = crossings(chain, line, t_window=(1.0 - 4e-9, 1.0 + 2.1e-8),
+                    n_scan=1024)
+    assert hit.count == 2
+    assert hit.degenerate
 
 
 def test_graphical_strips_meet_lines_at_most_once():
@@ -181,16 +188,49 @@ def test_monotonicity_check_flags_broken_plane():
     assert len(roots) >= 2
 
 
-def test_relative_perimeter_shares_the_sample():
-    plane = strip_surface(PwlProfile.constant(0.0), x_max=1.0)
-    bump = strip_surface(PwlProfile.from_knots(
-        [(-0.5, 0.0), (0.0, 0.6), (0.5, 0.0)], 0.0, 0.0), x_max=1.0)
-    (same_a, _), (same_b, _) = relative_perimeter(plane, plane, 1.0,
-                                                  n=2000, seed=8)
-    assert same_a == same_b
-    (flat, se_flat), (bumped, se_bump) = relative_perimeter(
-        plane, bump, 1.0, n=60_000, seed=8)
-    assert bumped - flat > 3.0 * math.hypot(se_flat, se_bump)
+# recorded from the per-line refinement the crossing kernel replaced: the
+# broken plane u = 1 against 2,000 lines of radius 1.5 at seed 101, as
+# (theta, v, w) of each witness line and its two roots
+CENSUS_101_WITNESSES = [
+    (0.5629207030578826, -0.13871776991974816, -0.061224613946421425,
+     (-0.6131925161259058, 0.8827220043020141)),
+    (3.0356123662233534, -0.2519048596935569, -0.09100130895370517,
+     (-0.2034633118183285, 0.7225053860834469)),
+    (0.27592917497158637, 0.6816025159210461, -0.09697296433517977,
+     (-0.38078526594294426, 1.2200629364895024)),
+    (2.9148454469843537, 0.6279325241177327, 0.053751016789155504,
+     (-1.004576606751313, 0.3925029233135843)),
+    (3.1246739916841166, -0.7349615338902689, -0.012455286898547246,
+     (-0.7105038599235027, 0.7602611143160423)),
+    (3.0789210154011317, 0.4790912320628129, -0.030287889300570914,
+     (-0.5432468519468906, 0.42251217435656474)),
+    (2.573495064939383, -0.28513692414170455, -0.08687580260424621,
+     (-0.06295444421977098, 1.2914587136888116)),
+    (2.8558727451628627, 0.1404053404297705, 0.010543277221881198,
+     (-0.2572069085672154, 0.15018342165866055)),
+]
+
+
+def test_broken_plane_census_is_unchanged_in_few_offset_calls(monkeypatch):
+    calls = []
+    offset = BrokenPlane.membership_offset
+
+    def counted(self, points):
+        calls.append(np.shape(points))
+        return offset(self, points)
+
+    monkeypatch.setattr(BrokenPlane, "membership_offset", counted)
+    report = monotonicity_check(broken_plane(1.0), radius=1.5, n=2000,
+                                seed=101)
+    assert report.histogram == {0: 672, 1: 1301, 2: 27}
+    assert report.degenerate_lines == 0
+    assert [(line.theta, line.v, line.w) for line, _ in report.violations] \
+        == [witness[:3] for witness in CENSUS_101_WITNESSES]
+    for (_, roots), witness in zip(report.violations, CENSUS_101_WITNESSES):
+        assert roots == pytest.approx(witness[3], rel=0.0, abs=1e-12)
+    # a scan, a re-scan and one offset call per bisection step for all
+    # roots; refining root by root took 1,378 calls
+    assert len(calls) < 60
 
 
 def test_perimeter_estimate_of_flat_disk():
@@ -200,3 +240,5 @@ def test_perimeter_estimate_of_flat_disk():
     est, se = perimeter_estimate(disk, radius=1.0, n=9000, seed=9, n_scan=257)
     assert se < 0.06
     assert abs(est - math.pi / 3.0) < 3.5 * se
+    # recorded from the per-line loop the crossing kernel replaced
+    assert (est, se) == (1.070235897322923, 0.03151953683739433)

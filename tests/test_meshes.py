@@ -14,6 +14,7 @@ from heisurf.meshes import (
     strip_mesh,
     write_obj,
 )
+from heisurf.reports import fmt17
 from heisurf.strips import PwlProfile, broken_plane, strip_surface
 
 
@@ -222,3 +223,18 @@ def test_obj_vertices_use_seventeen_significant_digits():
         (0.0, 1.0), (0.0, 1.0), 1, 1)
     first = mesh.to_obj_text().splitlines()[0]
     assert first == "v 0.10000000000000001 0 0"
+
+
+def test_obj_text_matches_per_element_fmt17():
+    # the bounding-box diagonal of a mesh 1e300 wide overflows to inf
+    with np.errstate(over="ignore"):
+        extremes = MeshObj([[-0.0, 1e-300, 1e300], [0.1, -1e300, -1e-300],
+                            [5e-324, 1.0, -0.1]], np.empty((0, 3), dtype=int),
+                           ("extremes",))
+    flat = flat_graph(3, 2)
+    for mesh in (extremes, MeshObj(flat.vertices * 0.1, flat.faces, ("flat",))):
+        lines = [f"# {line}" for line in mesh.header]
+        lines += [f"v {fmt17(x)} {fmt17(y)} {fmt17(z)}"
+                  for x, y, z in mesh.vertices]
+        lines += [f"f {i} {j} {k}" for i, j, k in mesh.faces]
+        assert mesh.to_obj_text() == "\n".join(lines) + "\n"
