@@ -386,7 +386,8 @@ def _cmd_monotonicity(args) -> int:
     _write_json(args, _payload(
         args, surface=args.surface, n_lines=report.n_lines, seed=report.seed,
         radius=report.radius, histogram=histogram,
-        degenerate_lines=report.degenerate_lines, violations=violations,
+        degenerate_lines=report.degenerate_lines,
+        count_method=report.count_method, violations=violations,
         max_crossings=report.max_crossings, verdict=bool(ok),
         **args.inputs))
     print(f"monotonicity: {'PASS' if ok else 'FAIL'} surface={args.surface} "

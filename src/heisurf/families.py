@@ -35,7 +35,8 @@ import numpy as np
 from .core import chord_offset_arr
 from .quadrature import (DEFAULT_1D, QuadConfig, VRegion, integrate_1d,
                          integrate_region)
-from .strips import Profile, ProfileError, _solve_height
+from .strips import (Profile, ProfileError, PwlProfile, _solve_height,
+                     affine_product, constant_poly)
 from .surfaces import RuledSurface
 from .variation import g_primitive
 
@@ -344,6 +345,9 @@ class MembershipSlab:
     fn: Callable[[np.ndarray], np.ndarray]
     x_max: float = 1.0
     name: str = ""
+    #: Cuts and pieces of the offset along lines, as
+    #: `strips.GraphicalStrip.line_pieces`; None where it has no pieces.
+    line_pieces: Optional[Callable] = None
 
     def membership_offset(self, points: np.ndarray) -> np.ndarray:
         return self.fn(points)
@@ -362,6 +366,14 @@ def sigma_rho_membership(rho: Profile, window: tuple[float, float]) -> Membershi
     (1 - s) w + s rho(w) = z with s = (x + 1)/2, through `Profile.solve`:
     exactly, piece by piece, for a PWL rho, by safeguarded Newton-bisection
     for a closed-form one.
+
+    For a PWL rho the slab also has line pieces.  The sweep parameter is at
+    least c where z - (1 - s) c - s rho(c) >= 0, which is affine in t along
+    a line, for c in the window ends and rho's knots between them.  Beyond
+    the ends the offset is that of the clamped chord, affine in t.  On a
+    piece rho(w) = rho(c) + m (w - c) the offset is E + 2 (w - c) (s (1 + m)
+    - 1), with E the offset at w = c and (w - c) (1 - s + s m) equal to the
+    cut at c; times 1 - s + s m > 0 it is a quadratic.
     """
     a, b = float(window[0]), float(window[1])
     if not b > a:
@@ -377,7 +389,24 @@ def sigma_rho_membership(rho: Profile, window: tuple[float, float]) -> Membershi
         y_surf = 2.0 * w - (x + 1.0) * (w + r)
         return y - y_surf
 
-    return MembershipSlab(offset, x_max=1.0, name="sigma-rho")
+    if not isinstance(rho, PwlProfile):
+        return MembershipSlab(offset, x_max=1.0, name="sigma-rho")
+    c = np.concatenate([[a], rho.w[(rho.w > a) & (rho.w < b)], [b]])
+    r, m = rho(c)[:, None], rho.derivative(c[:-1])[:, None]
+    one = constant_poly(1.0)
+
+    def pieces(x, y, z):
+        s = 0.5 * (x + one)[:, None, :]
+        cuts = z[:, None, :] - constant_poly(c) - (r - c[:, None]) * s
+        clamped = (y[:, None, :] - constant_poly(2.0 * c)
+                   + 2.0 * (c[:, None] + r) * s)
+        inner = (affine_product(clamped[:, :-1], one + (m - 1.0) * s)
+                 + 2.0 * affine_product(cuts[:, :-1], (1.0 + m) * s - one))
+        return cuts, np.concatenate([clamped[:, :1], inner, clamped[:, -1:]],
+                                    axis=1)
+
+    return MembershipSlab(offset, x_max=1.0, name="sigma-rho",
+                          line_pieces=pieces)
 
 
 def sigma_rho_area(rho: Profile, a: float, b: float) -> float:

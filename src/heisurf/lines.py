@@ -7,10 +7,15 @@ induced (v, w) maps are shears).  The measure of the lines meeting a gauge
 ball of radius r therefore scales exactly like r^3; both facts are backed
 by Monte-Carlo tests rather than taken on faith.
 
-Crossing counts against a surface are sign changes of a membership offset
-along the line, so they see only transversal intersections; one kernel,
-`_crossings`, scans every line on one grid and bisects the brackets of all
-lines at once, for every caller.  A graphical strip with slopes in [-2, 2)
+Along a line x, y and z are affine in t.  For a piecewise-polynomial
+surface (a PWL strip, a broken plane, the sigma-rho slab of a PWL rho) the
+membership offset is then, piece by piece, a polynomial of degree <= 2 in
+t, and `_exact_crossings` solves every piece of every line at once in
+closed form, keeping the roots with |x| <= x_max.  For a closed-form
+profile crossings are sign changes of the offset: `_crossings` scans every
+line on one grid and bisects the brackets of all lines at once; it also
+serves `crossings`, `crossing_counts` and `perimeter_estimate`.  Both see
+only transversal intersections.  A graphical strip with slopes in [-2, 2)
 meets almost every horizontal line at most once; surfaces carrying a
 horizontal shortcut chord are met twice, and the census in
 `monotonicity_check` finds such lines.  The parameter t is plane
@@ -173,10 +178,10 @@ def calibrate_ratio(r_small: float = 1.0, r_big: float = 2.0,
 
 
 # ---------------------------------------------------------------------------
-# crossings: one scan and one bisection for every caller
+# crossings by scan: one scan and one bisection for closed-form surfaces
 
 _REACH = 50.0  # every line's t-window lies inside [-_REACH, _REACH]
-_CHUNK = 4096  # lines per scan call, which bounds the scan's memory
+_CHUNK = 4096  # lines per kernel call, which bounds the kernels' memory
 
 
 def _line_points(theta, v, w, ts):
@@ -268,16 +273,216 @@ def _crossings(surface, theta, v, w, n_scan, window=None):
         inside = np.asarray(inside_fn(_line_points(
             theta[line], v[line], w[line], root)), dtype=bool)
         line, root = line[inside], root[inside]
-    # a line's roots are sorted, so only a root close to its predecessor
-    # can merge into the last kept one (j), which a merge leaves in place
-    eps = 1e-8 * np.maximum(1.0, np.abs(hi - lo))[line]
+    return _merge(line, root, 1e-8 * np.maximum(1.0, np.abs(hi - lo))[line],
+                  len(theta))
+
+
+def _merge(line, root, eps, n_lines):
+    """(counts, kept roots, degenerate) of roots sorted within each line.
+
+    A root within eps of the last kept root of its line merges into it and
+    flags the line degenerate (a grazing contact).  Only a root close to
+    its predecessor can merge into the last kept one (j), which a merge
+    leaves in place.
+    """
     keep = np.ones(len(root), dtype=bool)
     close = (line[1:] == line[:-1]) & (np.abs(np.diff(root)) <= eps[1:])
     for i in np.nonzero(close)[0] + 1:
         j = i - 1 if keep[i - 1] else j
         keep[i] = abs(root[i] - root[j]) > eps[i]
-    return (np.bincount(line[keep], minlength=len(theta)), root[keep],
-            np.bincount(line[~keep], minlength=len(theta)) > 0)
+    return (np.bincount(line[keep], minlength=n_lines), root[keep],
+            np.bincount(line[~keep], minlength=n_lines) > 0)
+
+
+# ---------------------------------------------------------------------------
+# exact crossings of piecewise-polynomial surfaces
+
+#: Points of a line closer than this (times max(1, |t|)) form one cluster.
+_NEAR = 1e-12
+
+
+def _near(t):
+    return _NEAR * np.maximum(1.0, np.abs(t))
+
+
+def _line_polys(theta, v, w):
+    """x, y and z along the lines as polynomials in t (strips' convention)."""
+    cos, sin, zero = np.cos(theta), np.sin(theta), np.zeros_like(theta)
+    return (np.stack([-v * sin, cos, zero], axis=-1),
+            np.stack([v * cos, sin, zero], axis=-1),
+            np.stack([w, -0.5 * v, zero], axis=-1))
+
+
+def _normalized(c):
+    """Polynomials divided by their largest coefficient: same roots and
+    signs, and no overflow in the discriminant or in Horner's rule."""
+    scale = np.max(np.abs(c), axis=-1, keepdims=True)
+    return c / np.where(scale > 0.0, scale, 1.0)
+
+
+def _horner(c, t):
+    return c[..., 0] + t * (c[..., 1] + t * c[..., 2])
+
+
+def _poly_roots(c):
+    """Real roots of c0 + c1 t + c2 t^2 in two slots, NaN where missing.
+
+    The stable quadratic formula: q = -(c1 + sign(c1) sqrt(disc))/2 and the
+    roots q/c2 and c0/q, so a linear polynomial keeps only -c0/c1, a
+    constant none, and a double root is returned twice.
+    """
+    c0, c1, c2 = c[..., 0], c[..., 1], c[..., 2]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        q = -0.5 * (c1 + np.copysign(np.sqrt(c1 * c1 - 4.0 * c2 * c0), c1))
+        roots = np.stack([q / c2, np.where(q == 0.0, q / c2, c0 / q)], -1)
+    return np.where(np.isfinite(roots), roots, np.nan)
+
+
+def _cut_steps(cuts, roots):
+    """Change in the number of nonnegative cuts at each of their roots.
+
+    A quadratic's two roots step by -s, then +s in root order, with s the
+    sign of its t^2 coefficient, so a double root nets zero.  A lone root
+    (a linear cut, or a quadratic whose other root overflowed) steps by
+    the sign of the slope there.
+    """
+    s = np.sign(cuts[..., 2])
+    first = np.where(roots[..., 0] <= roots[..., 1], -s, s)
+    pair = np.stack([first, -first], axis=-1)
+    with np.errstate(invalid="ignore"):
+        lone = np.sign(cuts[..., 1, None] + 2.0 * cuts[..., 2, None] * roots)
+    steps = np.where(np.isnan(roots).any(axis=-1, keepdims=True), lone, pair)
+    return np.where(np.isnan(roots), 0, steps).astype(int)
+
+
+def _window(x, x_max):
+    """The t-interval of each line where |x| <= x_max (empty: lo >= hi).
+
+    Along a line with constant x it is the whole line or empty, as the
+    infinite quotients say.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        a, b = (-x_max - x[:, 0]) / x[:, 1], (x_max - x[:, 0]) / x[:, 1]
+    return np.minimum(a, b), np.maximum(a, b)
+
+
+def _interior_point(lo, hi):
+    """A point of each interval (lo, hi), ends possibly infinite."""
+    lo_in, hi_in = np.isfinite(lo), np.isfinite(hi)
+    lo0, hi0 = np.where(lo_in, lo, 0.0), np.where(hi_in, hi, 0.0)
+    return np.where(lo_in & hi_in, 0.5 * (lo0 + hi0),
+                    np.where(lo_in, lo0 + 1.0, np.where(hi_in, hi0 - 1.0, 0.0)))
+
+
+def _intervals(cuts, pieces):
+    """Sorted cut roots of each line (missing ones NaN, last) and, for each
+    interval [lo, hi) they bound, its piece, normalized.
+
+    The piece of the first interval is the number of cuts nonnegative left
+    of every root, and each root steps it (`_cut_steps`), so an interval
+    too short to hold a float still gets its piece.
+    """
+    n = len(cuts)
+    cuts = _normalized(cuts)
+    ends = _poly_roots(cuts)
+    steps = _cut_steps(cuts, ends).reshape(n, -1)
+    ends = ends.reshape(n, -1)
+    width = int(np.max(np.count_nonzero(~np.isnan(ends), axis=1)))
+    order = np.argsort(ends, axis=1)[:, :width]
+    ends = np.take_along_axis(ends, order, axis=1)
+    steps = np.take_along_axis(steps, order, axis=1)
+    t0 = np.nan_to_num(np.concatenate([ends, np.full((n, 1), np.nan)],
+                                      axis=1)[:, :1] - 1.0)
+    piece = np.count_nonzero(_horner(cuts, t0) >= 0.0, axis=1)[:, None] \
+        + np.cumsum(np.concatenate([np.zeros((n, 1), dtype=int), steps],
+                                   axis=1), axis=1)
+    return ends, _normalized(np.take_along_axis(pieces, piece[..., None],
+                                                axis=1))
+
+
+def _piece_crossings(x, cuts, pieces, x_max):
+    """(line, root, grazing) of every contact of the lines with |x| <= x_max.
+
+    The candidates are the cut roots and each piece's roots in its interval
+    (to `_NEAR`), inside the window; candidates closer than `_NEAR` form one
+    cluster.  The pieces are the offset times a positive factor, so the
+    offset's sign is read from them between clusters, away from every
+    root.  A cluster is a crossing where that sign changes across it, and
+    a grazing contact where the sign is the same on both sides but two
+    piece roots meet in it (a double root, or two pieces touching zero at
+    their boundary).  A crossing at a piece boundary, or inside pieces too
+    short for floats, is one sign change; where the offset is zero on one
+    side (the line lies in the surface there) the cluster is no contact.
+    """
+    n = len(x)
+    ends, coef = _intervals(cuts, pieces)
+    bounds = np.where(np.isnan(ends), np.inf, ends)
+    lo = np.concatenate([np.full((n, 1), -np.inf), bounds], axis=1)[..., None]
+    hi = np.concatenate([bounds, np.full((n, 1), np.inf)], axis=1)[..., None]
+    roots = _poly_roots(coef)
+    near = (roots >= lo - np.where(np.isfinite(lo), _near(lo), 0.0)) \
+        & (roots <= hi + np.where(np.isfinite(hi), _near(hi), 0.0))
+    t = np.concatenate([ends, np.where(near, roots, np.nan).reshape(n, -1)],
+                       axis=1)
+    is_root = np.arange(t.shape[1]) >= ends.shape[1]
+    # the candidates inside the window, as one flat list in line order
+    t_lo, t_hi = _window(x, x_max)
+    ok = (t > t_lo[:, None]) & (t < t_hi[:, None])
+    line = np.broadcast_to(np.arange(n)[:, None], t.shape)[ok]
+    t, is_root = t[ok], np.broadcast_to(is_root, ok.shape)[ok]
+    if not len(t):
+        return line, t, is_root
+    order = np.lexsort((t, line))
+    line, t, is_root = line[order], t[order], is_root[order]
+    starts = np.flatnonzero(np.concatenate([
+        [True], (line[1:] != line[:-1]) | (t[1:] - t[:-1] > _near(t[1:]))]))
+    c_line, c_first = line[starts], t[starts]
+    c_last = t[np.concatenate([starts[1:], [len(t)]]) - 1]
+    n_roots = np.add.reduceat(is_root.astype(int), starts)
+    root = np.minimum.reduceat(np.where(is_root, t, np.inf), starts)
+    root = np.where(n_roots > 0, root, c_first)
+    same = c_line[1:] == c_line[:-1]
+    left = np.where(np.concatenate([[False], same]),
+                    np.concatenate([[np.nan], c_last[:-1]]), t_lo[c_line])
+    right = np.where(np.concatenate([same, [False]]),
+                     np.concatenate([c_first[1:], [np.nan]]), t_hi[c_line])
+
+    def sign(at):
+        j = np.count_nonzero(ends[c_line] <= at[:, None], axis=1)
+        return np.sign(_horner(coef[c_line, j], at))
+
+    change = (sign(_interior_point(left, c_first))
+              * sign(_interior_point(c_last, right)))
+    grazing = (change > 0.0) & (n_roots >= 2)
+    keep = (change < 0.0) | grazing
+    return c_line[keep], root[keep], grazing[keep]
+
+
+def _exact_crossings(surface, theta, v, w):
+    """(counts, roots in line order, degenerate) from the surface's line
+    pieces, or None when it has none.
+
+    The crossings are exact, over |x| <= x_max with no padding and no
+    reach (`_piece_crossings`).  A crossing on a piece boundary counts once;
+    a grazing contact counts as one and flags the line degenerate, as do
+    roots closer than 1e-8, which merge.
+    """
+    line_pieces = getattr(surface, "line_pieces", None)
+    if line_pieces is None or line_pieces(
+            *_line_polys(theta[:1], v[:1], w[:1])) is None:
+        return None
+    parts = []
+    for start in range(0, len(theta), _CHUNK):
+        sl = slice(start, start + _CHUNK)
+        x, y, z = _line_polys(theta[sl], v[sl], w[sl])
+        line, root, grazing = _piece_crossings(x, *line_pieces(x, y, z),
+                                               surface.x_max)
+        parts.append((line + start, root, grazing))
+    line, root, grazing = map(np.concatenate, zip(*parts))
+    counts, roots, degenerate = _merge(line, root, np.full(len(root), 1e-8),
+                                       len(theta))
+    return counts, roots, degenerate | (np.bincount(
+        line[grazing], minlength=len(theta)) > 0)
 
 
 class LineCrossings(NamedTuple):
@@ -289,7 +494,7 @@ class LineCrossings(NamedTuple):
 def crossings(surface, line: LineSample,
               t_window: Optional[tuple[float, float]] = None,
               n_scan: int = 1024) -> LineCrossings:
-    """Transversal crossings of one line: the crossing kernel on its own.
+    """Transversal crossings of one line: the scan kernel on its own.
 
     Sign changes of the membership offset on an n_scan grid, bisected to
     1e-10, kept inside the surface's extent; roots closer than 1e-8 merge
@@ -327,6 +532,7 @@ class CrossingReport:
     histogram: dict[int, int]
     violations: tuple[tuple[LineSample, tuple[float, ...]], ...]
     degenerate_lines: int = 0
+    count_method: str = "scan"
 
     @property
     def max_crossings(self) -> int:
@@ -343,19 +549,29 @@ def monotonicity_check(surface, radius: float = 1.5, n: int = 400,
     """Crossing-count census over random lines meeting a gauge ball.
 
     Accepts a slope profile (realized as a strip of the given half-width)
-    or any surface with a membership offset.  Lines that `crossing_counts`
-    counts twice or more are re-counted by one kernel call at
-    max(n_scan, 800) points; those still crossing twice are the witnesses.
+    or any surface with a membership offset.  A surface with line pieces
+    (a PWL strip, a broken plane, the sigma-rho slab of a PWL rho) is
+    counted exactly, every line at once, and ``n_scan`` plays no role
+    (count method "exact").  Otherwise (a closed-form sigma or rho) lines
+    that `crossing_counts` counts twice or more at ``n_scan`` points are
+    re-counted by one kernel call at max(n_scan, 800) points (count
+    method "scan").  Lines still crossing twice are the witnesses.
     Grazing contacts are merged away and never counted as violations.
     """
     if isinstance(surface, Profile):
         surface = strip_surface(surface, x_max=x_max)
     theta, v, w = sample_lines(radius, n, seed)
-    counts = crossing_counts(surface, theta, v, w, n_scan=n_scan)
-    multi = np.nonzero(counts > 1)[0]
-    refined, roots, degenerate = _crossings(
-        surface, theta[multi], v[multi], w[multi], max(n_scan, 800))
-    counts[multi] = refined
+    exact = _exact_crossings(surface, theta, v, w)
+    if exact is None:
+        counts = crossing_counts(surface, theta, v, w, n_scan=n_scan)
+        multi = np.nonzero(counts > 1)[0]
+        refined, roots, degenerate = _crossings(
+            surface, theta[multi], v[multi], w[multi], max(n_scan, 800))
+        counts[multi] = refined
+    else:
+        counts, roots, degenerate = exact
+        multi = np.nonzero(counts > 1)[0]
+        refined, roots = counts[multi], roots[np.repeat(counts > 1, counts)]
     bins, sizes = np.unique(counts, return_counts=True)
     per_line = np.split(roots, np.cumsum(refined)[:-1])
     bad = tuple((LineSample(float(theta[i]), float(v[i]), float(w[i])),
@@ -363,7 +579,8 @@ def monotonicity_check(surface, radius: float = 1.5, n: int = 400,
                 for i, r in zip(multi, per_line) if len(r) > 1)
     return CrossingReport(n, seed, radius,
                           dict(zip(bins.tolist(), sizes.tolist())),
-                          bad[:max_violations], int(np.sum(degenerate)))
+                          bad[:max_violations], int(np.sum(degenerate)),
+                          "scan" if exact is None else "exact")
 
 
 def perimeter_estimate(surface, radius: float, n: int = 20_000,

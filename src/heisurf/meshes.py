@@ -46,6 +46,20 @@ def _triangle_areas(vertices: np.ndarray, faces: np.ndarray) -> np.ndarray:
     return 0.5 * np.linalg.norm(np.cross(b - a, c - a), axis=-1)
 
 
+def _degenerate_faces(vertices: np.ndarray, faces: np.ndarray) -> np.ndarray:
+    """Mask of the faces below _DEGENERATE_REL of the squared diagonal.
+
+    The vertices are first scaled by the power of two that brings the
+    largest coordinate into [0.5, 1).  That scaling is exact, so the mask
+    is the unscaled one, but neither the diagonal nor an area can overflow
+    however large the (finite) coordinates are.
+    """
+    top = float(np.max(np.abs(vertices), initial=0.0))
+    v = np.ldexp(vertices, -math.frexp(top)[1])
+    diagonal = float(np.linalg.norm(v.max(axis=0) - v.min(axis=0)))
+    return _triangle_areas(v, faces) <= _DEGENERATE_REL * diagonal * diagonal
+
+
 class DegenerateMeshError(ValueError):
     """A mesh with a (numerically) zero-area triangle."""
 
@@ -65,23 +79,12 @@ class MeshObj:
             raise ValueError("mesh vertices must be finite")
         if f.size and (f.min() < 1 or f.max() > len(v)):
             raise ValueError("face index out of range")
-        scale = self._diagonal(v)
-        if f.size:
-            areas = _triangle_areas(v, f)
-            if np.any(areas <= _DEGENERATE_REL * scale * scale):
-                raise DegenerateMeshError(
-                    "degenerate (zero-area) triangle in mesh")
+        if f.size and np.any(_degenerate_faces(v, f)):
+            raise DegenerateMeshError("degenerate (zero-area) triangle in mesh")
         object.__setattr__(self, "vertices", v)
         object.__setattr__(self, "faces", f)
         object.__setattr__(self, "header",
                            tuple(str(line) for line in self.header))
-
-    @staticmethod
-    def _diagonal(v: np.ndarray) -> float:
-        if not len(v):
-            return 1.0
-        span = float(np.linalg.norm(v.max(axis=0) - v.min(axis=0)))
-        return span if span > 0.0 else 1.0
 
     @property
     def n_vertices(self) -> int:
@@ -160,9 +163,7 @@ def mesh_from_mapped_grid(point_fn: Callable[[np.ndarray, np.ndarray], np.ndarra
     vertices = pts.reshape(-1, 3)
     faces = _grid_faces(res_u, res_v)
     if drop_degenerate:
-        scale = MeshObj._diagonal(vertices)
-        areas = _triangle_areas(vertices, faces)
-        faces = faces[areas > _DEGENERATE_REL * scale * scale]
+        faces = faces[~_degenerate_faces(vertices, faces)]
     return MeshObj(vertices, faces, tuple(header))
 
 

@@ -20,6 +20,13 @@ half-planes {y = -ux, z > 0} and {y = ux, z < 0} joined by the flat sector
 {z = 0, |y| <= u|x|} - is the basic non-minimizing example: it carries
 horizontal chords whose endpoints lie on the surface but whose interior
 does not.
+
+Along a horizontal line x, y and z are affine in the line parameter t, so
+the membership offset of a PWL strip or of a broken plane is, piece by
+piece, a polynomial of degree <= 2 in t after clearing a positive factor.
+`line_pieces` hands these polynomials to the exact crossing census in
+`lines`.  A polynomial in t is an array whose last axis holds the
+coefficients of (1, t, t^2).
 """
 from __future__ import annotations
 
@@ -45,6 +52,8 @@ __all__ = [
     "broken_plane",
     "strip_surface",
     "is_area_minimizing",
+    "constant_poly",
+    "affine_product",
 ]
 
 
@@ -458,6 +467,23 @@ def _solve_height(sigma: Profile, x, zprime):
 
 
 # ---------------------------------------------------------------------------
+# polynomials along a line
+
+
+def constant_poly(c) -> np.ndarray:
+    """The constant polynomials c (any shape) as coefficient arrays."""
+    c = np.asarray(c, dtype=float)
+    return np.stack([c, np.zeros_like(c), np.zeros_like(c)], axis=-1)
+
+
+def affine_product(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Product of polynomials of degree <= 1, broadcast on leading axes."""
+    return np.stack([p[..., 0] * q[..., 0],
+                     p[..., 0] * q[..., 1] + p[..., 1] * q[..., 0],
+                     p[..., 1] * q[..., 1]], axis=-1)
+
+
+# ---------------------------------------------------------------------------
 # strips
 
 
@@ -471,6 +497,28 @@ class GraphicalStrip:
     def membership_offset(self, points: np.ndarray) -> np.ndarray:
         p = np.asarray(points, dtype=float)
         return p[..., 1] - p[..., 0] * np.asarray(self.sigma(p[..., 2]))
+
+    def line_pieces(self, x, y, z):
+        """Cuts and pieces of the offset along lines; None unless sigma is PWL.
+
+        ``x``, ``y``, ``z`` are (n, 3) polynomials, one line each.  The
+        result is (cuts, pieces): (n, K, 3) and (n, K + 1, 3) polynomials.
+        Where k of the cuts are >= 0 the line is on piece k, and there the
+        offset times a positive factor is pieces[:, k].  Here a line is on
+        piece k of sigma where k knots z_j have z(t) - z_j >= 0, and the
+        offset y - x sigma(z) is y - s x - m x (z - z_a), with sigma equal
+        to s at its anchor knot z_a and of slope m on the piece.
+        """
+        sigma = self.sigma
+        if not isinstance(sigma, PwlProfile):
+            return None
+        cuts = z[:, None, :] - constant_poly(sigma.w)
+        anchor = np.minimum(np.arange(len(sigma.w) + 1), len(sigma.w) - 1)
+        slope, at = sigma.piece_slopes()[:, None], sigma.v[anchor, None]
+        xs = x[:, None, :]
+        pieces = (y[:, None, :] - at * xs - slope * affine_product(
+            xs, z[:, None, :] - constant_poly(sigma.w[anchor])))
+        return cuts, pieces
 
     def is_graphical(self) -> bool:
         lo, hi = self.sigma.slope_bounds()
@@ -505,6 +553,21 @@ class BrokenPlane:
         vals = self.value(flat[:, 0], flat[:, 1])
         off = p.reshape(-1, 3)[:, 1] - vals
         return off.reshape(p.shape[:-1])
+
+    def line_pieces(self, x, y, z):
+        """Cuts and pieces of the offset along lines, as for a strip.
+
+        The cuts are z' -+ u x^2/2 with z' = z - x y/2, so a line is on
+        piece 0 (y = u x), 1 (the fan) or 2 (y = -u x) as `value` says.
+        The half-plane offsets are y -+ u x; on the fan x^2 times the offset
+        y + 2 z'/x is 2 x z.
+        """
+        zp = z - 0.5 * affine_product(x, y)
+        bend = 0.5 * self.u * affine_product(x, x)
+        cuts = np.stack([zp - bend, zp + bend], axis=1)
+        pieces = np.stack([y - self.u * x, 2.0 * affine_product(x, z),
+                           y + self.u * x], axis=1)
+        return cuts, pieces
 
 
 def broken_plane(u: float, x_max: float = 1.0) -> BrokenPlane:

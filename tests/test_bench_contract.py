@@ -11,7 +11,8 @@ import os
 
 import heisurf.families as families
 import heisurf.lines as lines
-from heisurf.strips import broken_plane
+from heisurf.profilespec import profile_from_string
+from heisurf.strips import broken_plane, strip_surface
 
 TRACING = os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "bench", "tracing.py")
@@ -52,20 +53,29 @@ def test_tracer_wraps_every_target_and_the_competitor_fields():
 def test_tracer_counts_the_census_scan_and_the_crossings_calls():
     tracing = _load_tracing()
     bp = broken_plane(1.0)
-    untraced = lines.monotonicity_check(bp, n=200, seed=101)
-    assert untraced.max_crossings >= 2  # the census re-counts some lines
+    smooth = strip_surface(profile_from_string("arctan(-1)"))
+    untraced = [lines.monotonicity_check(s, n=200, seed=101)
+                for s in (smooth, bp)]
+    assert untraced[1].max_crossings >= 2  # the census files witnesses
+    assert [r.count_method for r in untraced] == ["scan", "exact"]
     tracer = tracing.Tracer()
     tracer.install()
     try:
-        report = lines.monotonicity_check(bp, n=200, seed=101)
+        scanned = lines.monotonicity_check(smooth, n=200, seed=101)
+        mark = tracer.mark()
+        exact = lines.monotonicity_check(bp, n=200, seed=101)
+        exact_pass = tracer.summary(mark)
         hit = lines.crossings(bp, lines.LineSample(0.0, -0.5, 0.0))
     finally:
         tracer.remove()
-    assert report == untraced
+    assert [scanned, exact] == untraced
     assert hit.count == 2
-    # the offset-point counter reads the count pass's arguments; the
-    # census's re-count and refinement stay inside the crossing kernel
+    # the closed-form strip is scanned: the offset-point counter reads the
+    # count pass's arguments, its re-count stays inside the crossing kernel
     assert tracer.counters["lines.offset_points"] == 200 * 400
+    # the broken plane is counted exactly, without a single offset call
+    assert "BrokenPlane.membership_offset" not in exact_pass["calls"]
+    assert exact_pass["counters"].get("lines.offset_points", 0) == 0
     calls = tracer.summary((0, tracing.Counter()))["calls"]
     assert calls.get("crossings", 0) == 1
-    assert calls.get("monotonicity_check", 0) == 1
+    assert calls.get("monotonicity_check", 0) == 2

@@ -418,6 +418,19 @@ def test_scaling_limit_writes_null_for_an_infinite_opening(tmp_path):
     assert data["slope_pos_limit"] is None
 
 
+@pytest.mark.parametrize("surface, method", [
+    (("strip", "--profile", "samples(0,0,1,-1.5)"), "exact"),
+    (("strip", "--profile", "arctan(-1)"), "scan"),
+    (("broken-plane", "--u", "1"), "exact"),
+    (("sigma-rho", "--rho", "id", "--window", "0,1"), "exact"),
+    (("sigma-rho", "--rho", "arctan(1)", "--window", "0,1"), "scan"),
+])
+def test_census_records_its_count_method(tmp_path, surface, method):
+    assert run(tmp_path, "monotonicity", "--surface", *surface,
+               "--lines", "20") in (0, 1)
+    assert load(tmp_path, "monotonicity.json")["count_method"] == method
+
+
 def test_census_records_the_strip_width(tmp_path):
     assert run(tmp_path, "monotonicity", "--surface", "strip", "--profile",
                "arctan(-1)", "--lines", "10") == 0

@@ -6,9 +6,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from heisurf.core import chord_offset_arr, norm_arr
+from heisurf.families import MembershipSlab, sigma_rho_membership
 from heisurf.lines import (
     CalibrationResult,
     LineSample,
+    _crossings,
+    _exact_crossings,
+    _line_points,
     box_volume,
     calibrate_ratio,
     crossing_counts,
@@ -190,7 +194,7 @@ def test_monotonicity_check_flags_broken_plane():
 
 # recorded from the per-line refinement the crossing kernel replaced: the
 # broken plane u = 1 against 2,000 lines of radius 1.5 at seed 101, as
-# (theta, v, w) of each witness line and its two roots
+# (theta, v, w) of each witness line and its two roots, bisected to 1e-10
 CENSUS_101_WITNESSES = [
     (0.5629207030578826, -0.13871776991974816, -0.061224613946421425,
      (-0.6131925161259058, 0.8827220043020141)),
@@ -212,6 +216,7 @@ CENSUS_101_WITNESSES = [
 
 
 def test_broken_plane_census_is_unchanged_in_few_offset_calls(monkeypatch):
+    bp = broken_plane(1.0)
     calls = []
     offset = BrokenPlane.membership_offset
 
@@ -220,17 +225,30 @@ def test_broken_plane_census_is_unchanged_in_few_offset_calls(monkeypatch):
         return offset(self, points)
 
     monkeypatch.setattr(BrokenPlane, "membership_offset", counted)
-    report = monotonicity_check(broken_plane(1.0), radius=1.5, n=2000,
-                                seed=101)
+    report = monotonicity_check(bp, radius=1.5, n=2000, seed=101)
     assert report.histogram == {0: 672, 1: 1301, 2: 27}
     assert report.degenerate_lines == 0
+    assert report.count_method == "exact"
     assert [(line.theta, line.v, line.w) for line, _ in report.violations] \
         == [witness[:3] for witness in CENSUS_101_WITNESSES]
-    for (_, roots), witness in zip(report.violations, CENSUS_101_WITNESSES):
-        assert roots == pytest.approx(witness[3], rel=0.0, abs=1e-12)
-    # a scan, a re-scan and one offset call per bisection step for all
-    # roots; refining root by root took 1,378 calls
-    assert len(calls) < 60
+    # the exact census never evaluates the offset; a scan, a re-scan and a
+    # bisection took 27 calls, refining root by root 1,378
+    assert not calls
+    monkeypatch.undo()
+    # the scan kernel still reproduces the recorded roots
+    theta, v, w = np.array([witness[:3] for witness in CENSUS_101_WITNESSES]).T
+    counts, bisected, _ = _crossings(bp, theta, v, w, 800)
+    assert counts.tolist() == [2] * len(CENSUS_101_WITNESSES)
+    assert bisected == pytest.approx(
+        [r for witness in CENSUS_101_WITNESSES for r in witness[3]],
+        rel=0.0, abs=1e-12)
+    # the census's roots are exact: the offset vanishes at them to
+    # rounding, and they lie within the bisection's tolerance of its roots
+    exact = [r for _, roots in report.violations for r in roots]
+    assert exact == pytest.approx(bisected.tolist(), rel=0.0, abs=1e-10)
+    for line, roots in report.violations:
+        assert np.max(np.abs(bp.membership_offset(line.points_at(roots)))) \
+            < 1e-15
 
 
 def test_perimeter_estimate_of_flat_disk():
@@ -242,3 +260,95 @@ def test_perimeter_estimate_of_flat_disk():
     assert abs(est - math.pi / 3.0) < 3.5 * se
     # recorded from the per-line loop the crossing kernel replaced
     assert (est, se) == (1.070235897322923, 0.03151953683739433)
+
+
+# ---------------------------------------------------------------------------
+# exact roots of piecewise-polynomial surfaces against the scan
+
+
+@st.composite
+def pwl_profiles(draw, slopes, values=(-1.0, 1.0)):
+    """PWL profile with 1-4 knots in [-2.5, 2.5] and every slope drawn."""
+    n = draw(st.integers(1, 4))
+    gaps = draw(st.lists(st.floats(0.2, 1.5), min_size=n - 1, max_size=n - 1))
+    w = np.cumsum([draw(st.floats(-2.5, 0.0))] + gaps)
+    s = draw(st.lists(st.floats(*slopes), min_size=n + 1, max_size=n + 1))
+    v = np.concatenate([[draw(st.floats(*values))],
+                        np.diff(w) * np.asarray(s[1:-1])]).cumsum()
+    return PwlProfile(w, v, s[0], s[-1])
+
+
+piecewise_surfaces = st.one_of(
+    pwl_profiles((-1.9, 1.9)).map(strip_surface),
+    st.floats(0.0, 3.0, exclude_min=True).map(broken_plane),
+    pwl_profiles((0.2, 3.0), (-0.5, 0.5)).map(
+        lambda rho: sigma_rho_membership(rho, (0.0, 1.0))))
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(piecewise_surfaces, st.integers(0, 2**16))
+def test_exact_roots_lie_on_the_surface_and_contain_the_scan(surface, seed):
+    theta, v, w = sample_lines(1.5, 120, seed)
+    counts, roots, _ = _exact_crossings(surface, theta, v, w)
+    line = np.repeat(np.arange(len(theta)), counts)
+    pts = _line_points(theta[line], v[line], w[line], roots)
+    assert np.all(np.abs(surface.membership_offset(pts)) <= 1e-9)
+    # x is evaluated here in another order than in the kernel's filter
+    assert np.all(np.abs(pts[:, 0]) <= surface.x_max * (1.0 + 1e-12))
+    # the scan sees a subset of the transversal crossings
+    scanned, _, _ = _crossings(surface, theta, v, w, 4000)
+    assert np.all(counts >= scanned)
+    # the census verdict does not depend on the count method
+    scan_only = MembershipSlab(surface.membership_offset, surface.x_max)
+    exact = monotonicity_check(surface, n=120, seed=seed)
+    scan = monotonicity_check(scan_only, n=120, seed=seed)
+    assert (exact.count_method, scan.count_method) == ("exact", "scan")
+    assert exact.passed == scan.passed
+
+
+def test_line_tangent_to_a_strip_piece_is_one_degenerate_contact():
+    # along theta = 0, v = 1/4, w = 1/8 the offset of sigma(z) = 8 z is
+    # t^2 - t + 1/4 = (t - 1/2)^2: a double root at x = 1/2
+    strip = strip_surface(PwlProfile.line(8.0))
+    counts, roots, degenerate = _exact_crossings(
+        strip, np.array([0.0]), np.array([0.25]), np.array([0.125]))
+    assert counts.tolist() == [1] and roots.tolist() == [0.5]
+    assert degenerate.tolist() == [True]
+
+
+def test_lines_through_a_sigma_knot_count_it_once():
+    # sigma = 1/2 + |z| crosses its knot z = 0 at the point (1/2, 1/4, 0);
+    # lines through it in 64 directions meet the strip there, and only there
+    sigma = PwlProfile(np.array([0.0]), np.array([0.5]), -1.0, 1.0)
+    strip = strip_surface(sigma)
+    theta = np.linspace(0.0, math.pi, 64, endpoint=False)
+    cos, sin = np.cos(theta), np.sin(theta)
+    t0, v = 0.5 * cos + 0.25 * sin, -0.5 * sin + 0.25 * cos
+    w = 0.5 * v * t0
+    assert np.abs(_line_points(theta, v, w, t0)
+                  - [0.5, 0.25, 0.0]).max() < 1e-15
+    counts, roots, degenerate = _exact_crossings(strip, theta, v, w)
+    assert counts.tolist() == [1] * 64 and not degenerate.any()
+    assert np.abs(roots - t0).max() < 1e-12
+
+
+def test_pieces_too_short_for_floats_keep_their_crossings():
+    # sigma steps from 0 to 4 over a knot gap of 1e-9 or 1e-300: the strip
+    # holds the fan {z = 0, 0 <= y/x <= 4} either way, which the exact
+    # counts see through sign changes when the piece between the knots is
+    # shorter than float spacing along the line
+    theta, v, w = sample_lines(1.5, 2000, 5)
+    counts = [_exact_crossings(strip_surface(PwlProfile(
+        np.array([0.0, gap]), np.array([0.0, 4.0]))), theta, v, w)[0]
+        for gap in (1e-9, 1e-300)]
+    assert np.array_equal(counts[0], counts[1])
+    scanned, _, _ = _crossings(strip_surface(PwlProfile(
+        np.array([0.0, 1e-9]), np.array([0.0, 4.0]))), theta, v, w, 4000)
+    assert np.all(counts[0] >= scanned) and counts[0].max() == 3
+
+
+def test_line_inside_the_fan_has_no_exact_crossing():
+    # the x-axis lies in the broken plane's fan, where the offset is zero
+    counts, roots, _ = _exact_crossings(broken_plane(1.0), np.zeros(1),
+                                        np.zeros(1), np.zeros(1))
+    assert counts.tolist() == [0] and roots.size == 0

@@ -77,6 +77,21 @@ def test_degenerate_triangles_are_rejected():
         MeshObj(verts, [[1, 2, 3]])
 
 
+@pytest.mark.parametrize("scale", [1e-200, 1.0, 1e200, 1e307])
+def test_degeneracy_is_judged_at_any_scale_without_overflow(scale):
+    # the squared diagonal of a mesh this large overflows unless scaled
+    verts = scale * np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0],
+                              [0.0, 1.0, 0.0], [1.0, 2.0, 0.0]])
+    with np.errstate(over="raise", under="ignore"):
+        assert MeshObj(verts, [[1, 2, 3]]).n_faces == 1
+        with pytest.raises(ValueError, match="degenerate"):
+            MeshObj(verts, [[1, 2, 3], [1, 2, 2]])
+        kept = mesh_from_mapped_grid(
+            lambda X, Z: scale * np.stack([X, X * Z, Z], axis=-1),
+            (-1.0, 1.0), (0.0, 1.0), 2, 2, drop_degenerate=True)
+    assert kept.n_faces == 8 and np.isfinite(kept.vertices).all()
+
+
 def test_face_indices_must_be_in_range():
     verts = [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]
     with pytest.raises(ValueError, match="out of range"):
@@ -226,8 +241,8 @@ def test_obj_vertices_use_seventeen_significant_digits():
 
 
 def test_obj_text_matches_per_element_fmt17():
-    # the bounding-box diagonal of a mesh 1e300 wide overflows to inf
-    with np.errstate(over="ignore"):
+    # a mesh 1e300 wide is validated without overflow
+    with np.errstate(over="raise"):
         extremes = MeshObj([[-0.0, 1e-300, 1e300], [0.1, -1e300, -1e-300],
                             [5e-324, 1.0, -0.1]], np.empty((0, 3), dtype=int),
                            ("extremes",))
