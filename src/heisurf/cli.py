@@ -45,7 +45,6 @@ from .families import (
     sigma_rho_membership,
     sigma_rho_surface,
 )
-from .graphs import DomainError
 from .lines import CalibrationError, calibrate_ratio, monotonicity_check
 from .meshes import (
     DegenerateMeshError,
@@ -688,7 +687,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             return int(args.func(args))
-    except (QuadratureError, SolverError, DomainError, CalibrationError,
+    except (QuadratureError, SolverError, CalibrationError,
             DegenerateMeshError, ArithmeticError, RuntimeWarning) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

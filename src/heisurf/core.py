@@ -13,8 +13,6 @@ implementation of the group law.
 """
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 __all__ = [
@@ -23,7 +21,6 @@ __all__ = [
     "norm_arr",
     "project_arr",
     "chord_offset_arr",
-    "rotate_arr",
     "dilate_arr",
 ]
 
@@ -80,17 +77,6 @@ def chord_offset_arr(p: np.ndarray, q: np.ndarray) -> np.ndarray:
             - p[..., 1] * (q[..., 0] - p[..., 0])
         )
     )
-
-
-def rotate_arr(theta: float, p: np.ndarray) -> np.ndarray:
-    """Rotation about the z axis; a group automorphism and Koranyi isometry."""
-    p = np.asarray(p, dtype=float)
-    c, s = math.cos(theta), math.sin(theta)
-    out = np.empty_like(p)
-    out[..., 0] = c * p[..., 0] - s * p[..., 1]
-    out[..., 1] = s * p[..., 0] + c * p[..., 1]
-    out[..., 2] = p[..., 2]
-    return out
 
 
 def dilate_arr(a: float, b: float, p: np.ndarray) -> np.ndarray:

@@ -33,8 +33,7 @@ from typing import Callable, Mapping, Optional, Sequence
 import numpy as np
 
 from .core import chord_offset_arr
-from .quadrature import (DEFAULT_1D, QuadConfig, VRegion, integrate_1d,
-                         integrate_region)
+from .quadrature import QuadConfig, VRegion, integrate_1d, integrate_region
 from .strips import (Profile, ProfileError, PwlProfile, _solve_height,
                      affine_product, constant_poly)
 from .surfaces import RuledSurface
@@ -82,30 +81,19 @@ _BAND_PROBES = np.linspace(-64.0, 64.0, 257)
 class RuledEntireGraph:
     """Entire intrinsic graph ruled by horizontal lines through the y axis.
 
-    The ruling at height ``z`` is ``t -> (t, t*s, z)`` with slope ``s`` in
-    the band ``[sigma_minus(z), sigma_plus(z)]``.  Both band edges must be
-    non-increasing so that distinct rulings never cross; with a single
-    profile the band is degenerate and the graph is the closure of the
-    rulings' union.
+    The ruling at height ``z`` is ``t -> (t, t*s, z)`` with slope
+    ``s = sigma_plus(z)``.  The profile must be non-increasing so that
+    distinct rulings never cross; at a jump of the profile the rulings
+    take every slope between its two sides, and the graph is the closure
+    of the rulings' union.
     """
 
     sigma_plus: Profile
-    sigma_minus: Optional[Profile] = None
-    name: str = ""
 
     def __post_init__(self):
-        z = _BAND_PROBES
-        hi = np.asarray(self.sigma_plus(z), dtype=float)
-        lo = np.asarray(self.band_lower(z), dtype=float)
-        for vals, tag in ((hi, "sigma_plus"), (lo, "sigma_minus")):
-            if np.any(np.diff(vals) > 1e-12):
-                raise ProfileError(f"{tag} must be non-increasing")
-        if np.any(lo > hi + 1e-12):
-            raise ProfileError("sigma_minus must stay below sigma_plus")
-
-    @property
-    def band_lower(self) -> Profile:
-        return self.sigma_minus if self.sigma_minus is not None else self.sigma_plus
+        hi = np.asarray(self.sigma_plus(_BAND_PROBES), dtype=float)
+        if np.any(np.diff(hi) > 1e-12):
+            raise ProfileError("sigma_plus must be non-increasing")
 
     def graph_value(self, x, zprime):
         """Graph function y = f(x, z') over the vertical plane.
@@ -212,24 +200,23 @@ class ScalingLimitReport:
             return "vertical-plane-limit"
         return "plane" if self.u == 0.0 else "broken-plane"
 
-    def converged(self, drop: float = 0.75, floor: float = 1e-9) -> bool:
-        """Errors decrease along the t grid (at least geometrically)."""
+    def converged(self) -> bool:
+        """Errors decrease along the t grid at least geometrically: each is
+        at most 0.75 of the one before, plus 1e-9.  A single error must be
+        below 1e-9."""
         errs = self.errors
         if len(errs) < 2:
-            return bool(errs) and errs[-1] < floor
-        return all(b <= drop * a + floor for a, b in zip(errs, errs[1:]))
+            return bool(errs) and errs[-1] < 1e-9
+        return all(b <= 0.75 * a + 1e-9 for a, b in zip(errs, errs[1:]))
 
 
-_DEFAULT_PROBES = tuple(
-    (x, z)
-    for x in (-0.8, -0.45, 0.45, 0.8)
-    for z in (-0.8, -0.35, 0.35, 0.8)
-)
+#: The (x, z') points where the rescaled graphs meet the limit graph.
+_PROBES = np.array([(x, z) for x in (-0.8, -0.45, 0.45, 0.8)
+                    for z in (-0.8, -0.35, 0.35, 0.8)])
 
 
 def scaling_limit(graph: RuledEntireGraph,
                   t_grid: Sequence[float] = (2.0, 4.0, 8.0, 16.0),
-                  probes: Optional[Sequence[tuple[float, float]]] = None,
                   window: float = 1.0e3) -> ScalingLimitReport:
     """Classify the blow-down of an entire ruled graph.
 
@@ -242,11 +229,7 @@ def scaling_limit(graph: RuledEntireGraph,
     ts = tuple(float(t) for t in t_grid)
     if not ts or any(t <= 0 for t in ts) or list(ts) != sorted(ts):
         raise ValueError("t grid must be positive and increasing")
-    pts = np.asarray(probes if probes is not None else _DEFAULT_PROBES,
-                     dtype=float)
-    if pts.ndim != 2 or pts.shape[1] != 2:
-        raise ValueError("probes must be (x, z') pairs")
-    reach = 2.0 * max(ts) ** 2 * float(np.max(np.abs(pts[:, 1])))
+    reach = 2.0 * max(ts) ** 2 * float(np.max(np.abs(_PROBES[:, 1])))
     if reach > window:
         raise ValueError(
             "window too small for requested t: dilations sample heights up "
@@ -266,9 +249,9 @@ def scaling_limit(graph: RuledEntireGraph,
     errors: list[float] = []
     if math.isfinite(slope_neg) and math.isfinite(slope_pos):
         ref = broken_plane_graph_value(slope_neg, slope_pos,
-                                       pts[:, 0], pts[:, 1])
+                                       _PROBES[:, 0], _PROBES[:, 1])
         for t in ts:
-            ft = graph.dilated_value(t, pts[:, 0], pts[:, 1])
+            ft = graph.dilated_value(t, _PROBES[:, 0], _PROBES[:, 1])
             errors.append(float(np.max(np.abs(ft - ref))))
     return ScalingLimitReport(slope_neg, slope_pos, theta, u, ts,
                               tuple(errors))
@@ -331,7 +314,7 @@ def sigma_rho_surface(rho: Profile, window: tuple[float, float]) -> RuledSurface
 
     knots = tuple(float(k) for k in getattr(rho, "w", ()) if a < k < b)
     return RuledSurface(left, right, (a, b), knots=knots, da=dleft,
-                        db=dright, name="sigma-rho")
+                        db=dright)
 
 
 @dataclass(frozen=True)
@@ -344,10 +327,9 @@ class MembershipSlab:
 
     fn: Callable[[np.ndarray], np.ndarray]
     x_max: float = 1.0
-    name: str = ""
     #: Cuts and pieces of the offset along lines, as
-    #: `strips.GraphicalStrip.line_pieces`; None where it has no pieces.
-    line_pieces: Optional[Callable] = None
+    #: `strips.GraphicalStrip.line_pieces`; by default it has none (None).
+    line_pieces: Callable = lambda x, y, z: None
 
     def membership_offset(self, points: np.ndarray) -> np.ndarray:
         return self.fn(points)
@@ -390,7 +372,7 @@ def sigma_rho_membership(rho: Profile, window: tuple[float, float]) -> Membershi
         return y - y_surf
 
     if not isinstance(rho, PwlProfile):
-        return MembershipSlab(offset, x_max=1.0, name="sigma-rho")
+        return MembershipSlab(offset)
     c = np.concatenate([[a], rho.w[(rho.w > a) & (rho.w < b)], [b]])
     r, m = rho(c)[:, None], rho.derivative(c[:-1])[:, None]
     one = constant_poly(1.0)
@@ -405,8 +387,7 @@ def sigma_rho_membership(rho: Profile, window: tuple[float, float]) -> Membershi
         return cuts, np.concatenate([clamped[:, :1], inner, clamped[:, -1:]],
                                     axis=1)
 
-    return MembershipSlab(offset, x_max=1.0, name="sigma-rho",
-                          line_pieces=pieces)
+    return MembershipSlab(offset, line_pieces=pieces)
 
 
 def sigma_rho_area(rho: Profile, a: float, b: float) -> float:
@@ -429,8 +410,7 @@ def sigma_rho_area(rho: Profile, a: float, b: float) -> float:
     return (4.0 / 3.0) * (g_primitive(m1) - g_primitive(m0))
 
 
-def sigma_rho_area_quadrature(rho: Profile, a: float, b: float,
-                              cfg: QuadConfig = DEFAULT_1D) -> float:
+def sigma_rho_area_quadrature(rho: Profile, a: float, b: float) -> float:
     """Same spanning area by direct quadrature of the ruled area element."""
     a, b = float(a), float(b)
     if a > b:
@@ -445,7 +425,7 @@ def sigma_rho_area_quadrature(rho: Profile, a: float, b: float,
         return (4.0 / 3.0) * (1.0 + dr) * np.sqrt(1.0 + (z + r) ** 2)
 
     knots = tuple(float(k) for k in getattr(rho, "w", ()) if a < k < b)
-    return integrate_1d(integrand, a, b, cfg=cfg, knots=knots)
+    return integrate_1d(integrand, a, b, knots=knots)
 
 
 @dataclass(frozen=True)
@@ -459,15 +439,16 @@ class ChordObstructionReport:
 
 
 def chord_obstruction_check(rho: Profile, z_left: float, z_right: float,
-                            n: int = 10_000, seed: int = 0,
-                            pad: float = 1e-3) -> ChordObstructionReport:
+                            n: int = 10_000, seed: int = 0
+                            ) -> ChordObstructionReport:
     """Check that no chord between interior points of two rulings is horizontal.
 
     Chords between two distinct rulings of the spanning surface are
     horizontal only at the two corner pairs (x, x') = (-1, 1) and (1, -1);
     a horizontal chord between interior points would let a sweep jump
-    between rulings.  The check samples interior abscissa pairs and records
-    the smallest |offset|, plus the corner offsets which must vanish.
+    between rulings.  The check samples abscissa pairs in [-1 + 1e-3,
+    1 - 1e-3] and records the smallest |offset|, plus the corner offsets
+    which must vanish.
     """
     z1, z2 = float(z_left), float(z_right)
     if z1 == z2:
@@ -475,8 +456,8 @@ def chord_obstruction_check(rho: Profile, z_left: float, z_right: float,
     if n < 1:
         raise ValueError("need at least one sample pair")
     rng = np.random.default_rng(seed)
-    x1 = rng.uniform(-1.0 + pad, 1.0 - pad, size=n)
-    x2 = rng.uniform(-1.0 + pad, 1.0 - pad, size=n)
+    x1 = rng.uniform(-1.0 + 1e-3, 1.0 - 1e-3, size=n)
+    x2 = rng.uniform(-1.0 + 1e-3, 1.0 - 1e-3, size=n)
     p = _ruling_points(rho, np.full(n, z1), x1)
     q = _ruling_points(rho, np.full(n, z2), x2)
     off = np.abs(chord_offset_arr(p, q))

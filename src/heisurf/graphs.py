@@ -225,7 +225,6 @@ def zgraph_area(
     phi: Callable[[np.ndarray, np.ndarray], np.ndarray],
     region: VRegion,
     cfg: QuadConfig = DEFAULT_2D,
-    clip_stencil: bool = True,
 ) -> float:
     """Perimeter of the z-graph z = phi(x, y) over a planar region.
 
@@ -233,10 +232,9 @@ def zgraph_area(
     with the same shrink-to-fit stencil policy as intrinsic graphs.
     """
     h0 = _H_REL * region.diagonal()
-    inside = region.contains if clip_stencil else None
 
     def integrand(x, y):
-        px, py = _central_partials(phi, x, y, h0, inside)
+        px, py = _central_partials(phi, x, y, h0, region.contains)
         return np.hypot(px + 0.5 * y, py - 0.5 * x)
 
     return integrate_region(integrand, region, cfg)

@@ -14,12 +14,14 @@ t, and `_exact_crossings` solves every piece of every line at once in
 closed form, keeping the roots with |x| <= x_max.  For a closed-form
 profile crossings are sign changes of the offset: `_crossings` scans every
 line on one grid and bisects the brackets of all lines at once; it also
-serves `crossings`, `crossing_counts` and `perimeter_estimate`.  Both see
-only transversal intersections.  A graphical strip with slopes in [-2, 2)
-meets almost every horizontal line at most once; surfaces carrying a
-horizontal shortcut chord are met twice, and the census in
-`monotonicity_check` finds such lines.  The parameter t is plane
-arclength, so steep and shallow directions are handled identically.
+serves `crossings` and `crossing_counts`.  Both see only transversal
+intersections, and both read the same three members of a surface:
+`membership_offset`, `x_max` and `line_pieces` (None where it has none).
+A graphical strip with slopes in [-2, 2) meets almost every horizontal
+line at most once; surfaces carrying a horizontal shortcut chord are met
+twice, and the census in `monotonicity_check` finds such lines.  The
+parameter t is plane arclength, so steep and shallow directions are
+handled identically.
 """
 from __future__ import annotations
 
@@ -45,7 +47,6 @@ __all__ = [
     "crossing_counts",
     "CrossingReport",
     "monotonicity_check",
-    "perimeter_estimate",
 ]
 
 
@@ -191,24 +192,12 @@ def _line_points(theta, v, w, ts):
                      w - 0.5 * v * ts], axis=-1)
 
 
-def _offset_and_inside(surface):
-    """(offset, inside test or None) of a surface, or the pair itself."""
-    if isinstance(surface, tuple):
-        return surface
-    xm = getattr(surface, "x_max", None)
-    return surface.membership_offset, (
-        None if xm is None else lambda pts: np.abs(pts[..., 0]) <= xm)
-
-
-def _windows(surface, theta, v, window=None):
-    """Per-line t-intervals: `window`, else where |x(t)| <= x_max (padded
-    by 1e-3), else the reach.  x(t) is linear in t, so the inside set is
-    one interval and sign changes on it are all transversal hits.
+def _windows(surface, theta, v):
+    """Per-line t-intervals where |x(t)| <= x_max, padded by 1e-3 and kept
+    inside the reach.  x(t) is linear in t, so the inside set is one
+    interval and sign changes on it are all transversal hits.
     """
-    xm = getattr(surface, "x_max", None)
-    if window is not None or xm is None:
-        t0, t1 = (-_REACH, _REACH) if window is None else window
-        return np.full(len(theta), float(t0)), np.full(len(theta), float(t1))
+    xm = surface.x_max
     cos, sin = np.cos(theta), np.sin(theta)
     steep = np.abs(cos) < 1e-9
     safe = np.where(steep, 1.0, cos)
@@ -240,16 +229,16 @@ def _scan(offset_fn, theta, v, w, lo, hi, n_scan):
         yield sl, ts, F, s[:, :-1] * s[:, 1:] < 0
 
 
-def _crossings(surface, theta, v, w, n_scan, window=None):
+def _crossings(surface, theta, v, w, n_scan):
     """(counts, roots in line order, degenerate) of the lines (theta, v, w).
 
     All brackets of the scan are bisected together, one offset call per
-    step, to max(1e-10, 1e-14 window length).  Roots outside the surface's
-    extent are dropped; a line's roots closer than 1e-8 (times a window
-    length above 1) merge, flagging the line degenerate (grazing contact).
+    step, to max(1e-10, 1e-14 window length).  Roots with |x| > x_max are
+    dropped; a line's roots closer than 1e-8 (times a window length above
+    1) merge, flagging the line degenerate (grazing contact).
     """
-    offset_fn, inside_fn = _offset_and_inside(surface)
-    lo, hi = _windows(surface, theta, v, window)
+    offset_fn = surface.membership_offset
+    lo, hi = _windows(surface, theta, v)
     parts = [(np.empty(0, dtype=int), np.empty(0), np.empty(0), np.empty(0))]
     for sl, ts, F, changes in _scan(offset_fn, theta, v, w, lo, hi, n_scan):
         row, col = np.nonzero(changes & (hi[sl] > lo[sl])[:, None])
@@ -269,10 +258,9 @@ def _crossings(surface, theta, v, w, n_scan, window=None):
         fa[live] = np.where(left, fm, fa[live])
         live = live[b[live] - a[live] > tol[live]]
     root = 0.5 * (a + b)
-    if inside_fn is not None:
-        inside = np.asarray(inside_fn(_line_points(
-            theta[line], v[line], w[line], root)), dtype=bool)
-        line, root = line[inside], root[inside]
+    inside = np.abs(_line_points(theta[line], v[line], w[line], root)[:, 0]) \
+        <= surface.x_max
+    line, root = line[inside], root[inside]
     return _merge(line, root, 1e-8 * np.maximum(1.0, np.abs(hi - lo))[line],
                   len(theta))
 
@@ -460,23 +448,21 @@ def _piece_crossings(x, cuts, pieces, x_max):
 
 def _exact_crossings(surface, theta, v, w):
     """(counts, roots in line order, degenerate) from the surface's line
-    pieces, or None when it has none.
+    pieces, or None when it has none (`line_pieces` returns None).
 
     The crossings are exact, over |x| <= x_max with no padding and no
     reach (`_piece_crossings`).  A crossing on a piece boundary counts once;
     a grazing contact counts as one and flags the line degenerate, as do
     roots closer than 1e-8, which merge.
     """
-    line_pieces = getattr(surface, "line_pieces", None)
-    if line_pieces is None or line_pieces(
-            *_line_polys(theta[:1], v[:1], w[:1])) is None:
+    if surface.line_pieces(*_line_polys(theta[:1], v[:1], w[:1])) is None:
         return None
     parts = []
     for start in range(0, len(theta), _CHUNK):
         sl = slice(start, start + _CHUNK)
         x, y, z = _line_polys(theta[sl], v[sl], w[sl])
-        line, root, grazing = _piece_crossings(x, *line_pieces(x, y, z),
-                                               surface.x_max)
+        line, root, grazing = _piece_crossings(
+            x, *surface.line_pieces(x, y, z), surface.x_max)
         parts.append((line + start, root, grazing))
     line, root, grazing = map(np.concatenate, zip(*parts))
     counts, roots, degenerate = _merge(line, root, np.full(len(root), 1e-8),
@@ -492,32 +478,31 @@ class LineCrossings(NamedTuple):
 
 
 def crossings(surface, line: LineSample,
-              t_window: Optional[tuple[float, float]] = None,
               n_scan: int = 1024) -> LineCrossings:
     """Transversal crossings of one line: the scan kernel on its own.
 
-    Sign changes of the membership offset on an n_scan grid, bisected to
-    1e-10, kept inside the surface's extent; roots closer than 1e-8 merge
-    and flag the line degenerate (a grazing contact).
+    Sign changes of the membership offset on an n_scan grid over the
+    line's window (|x| <= x_max, padded by 1e-3), bisected to 1e-10, kept
+    where |x| <= x_max; roots closer than 1e-8 merge and flag the line
+    degenerate (a grazing contact).
     """
     count, roots, degenerate = _crossings(
-        surface, *np.array([[line.theta], [line.v], [line.w]]), n_scan,
-        t_window)
+        surface, *np.array([[line.theta], [line.v], [line.w]]), n_scan)
     return LineCrossings(int(count[0]), tuple(roots.tolist()),
                          bool(degenerate[0]))
 
 
-def crossing_counts(surface, theta, v, w, n_scan: int = 256) -> np.ndarray:
+def crossing_counts(surface, theta, v, w, n_scan: int) -> np.ndarray:
     """Grid sign-change counts for a batch of lines given as arrays.
 
     The crossing kernel's scan alone, without refinement or the extent
     filter: census statistics where only the count matters.
     """
-    offset_fn, _ = _offset_and_inside(surface)
     theta, v, w = (np.asarray(a, dtype=float) for a in (theta, v, w))
     lo, hi = _windows(surface, theta, v)
     counts = np.zeros(len(theta), dtype=int)
-    for sl, _, _, changes in _scan(offset_fn, theta, v, w, lo, hi, n_scan):
+    for sl, _, _, changes in _scan(surface.membership_offset, theta, v, w,
+                                   lo, hi, n_scan):
         counts[sl] = np.count_nonzero(changes, axis=1)
     return counts
 
@@ -543,30 +528,33 @@ class CrossingReport:
         return self.max_crossings <= 1
 
 
+#: Census scan points per line, re-count points and witnesses reported.
+_CENSUS_SCAN, _CENSUS_RECOUNT, _WITNESSES = 400, 800, 8
+
+
 def monotonicity_check(surface, radius: float = 1.5, n: int = 400,
-                       seed: int = 0, n_scan: int = 400, x_max: float = 1.0,
-                       max_violations: int = 8) -> CrossingReport:
+                       seed: int = 0) -> CrossingReport:
     """Crossing-count census over random lines meeting a gauge ball.
 
-    Accepts a slope profile (realized as a strip of the given half-width)
-    or any surface with a membership offset.  A surface with line pieces
-    (a PWL strip, a broken plane, the sigma-rho slab of a PWL rho) is
-    counted exactly, every line at once, and ``n_scan`` plays no role
-    (count method "exact").  Otherwise (a closed-form sigma or rho) lines
-    that `crossing_counts` counts twice or more at ``n_scan`` points are
-    re-counted by one kernel call at max(n_scan, 800) points (count
-    method "scan").  Lines still crossing twice are the witnesses.
-    Grazing contacts are merged away and never counted as violations.
+    Accepts a slope profile (realized as a strip of half-width 1) or any
+    surface with a membership offset.  A surface with line pieces (a PWL
+    strip, a broken plane, the sigma-rho slab of a PWL rho) is counted
+    exactly, every line at once (count method "exact").  Otherwise (a
+    closed-form sigma or rho) `crossing_counts` scans every line at 400
+    points, and the lines it counts twice or more are re-counted by one
+    kernel call at 800 points (count method "scan").  Lines still crossing
+    twice are the witnesses; the first 8 are reported.  Grazing contacts
+    are merged away and never counted as violations.
     """
     if isinstance(surface, Profile):
-        surface = strip_surface(surface, x_max=x_max)
+        surface = strip_surface(surface)
     theta, v, w = sample_lines(radius, n, seed)
     exact = _exact_crossings(surface, theta, v, w)
     if exact is None:
-        counts = crossing_counts(surface, theta, v, w, n_scan=n_scan)
+        counts = crossing_counts(surface, theta, v, w, n_scan=_CENSUS_SCAN)
         multi = np.nonzero(counts > 1)[0]
         refined, roots, degenerate = _crossings(
-            surface, theta[multi], v[multi], w[multi], max(n_scan, 800))
+            surface, theta[multi], v[multi], w[multi], _CENSUS_RECOUNT)
         counts[multi] = refined
     else:
         counts, roots, degenerate = exact
@@ -579,25 +567,6 @@ def monotonicity_check(surface, radius: float = 1.5, n: int = 400,
                 for i, r in zip(multi, per_line) if len(r) > 1)
     return CrossingReport(n, seed, radius,
                           dict(zip(bins.tolist(), sizes.tolist())),
-                          bad[:max_violations], int(np.sum(degenerate)),
+                          bad[:_WITNESSES], int(np.sum(degenerate)),
                           "scan" if exact is None else "exact")
 
-
-def perimeter_estimate(surface, radius: float, n: int = 20_000,
-                       seed: int = 0, n_scan: int = 512):
-    """Absolute perimeter inside the sampling box via the crossing formula.
-
-    Empirically, in this chart normalization the line measure of crossings
-    equals twice the perimeter (validated against the flat disk, whose
-    perimeter is pi/3), giving (est, se) = box volume x mean count / 2.
-    The surface must effectively lie inside the gauge ball of the given
-    radius for the estimate to be its total perimeter.
-    """
-    rng = np.random.default_rng(seed)
-    theta, v, w = _sample_box(radius, n, rng)
-    counts, _, _ = _crossings(surface, theta, v, w, n_scan,
-                              (-2.5 * radius, 2.5 * radius))
-    scale = box_volume(radius) / 2.0
-    est = scale * float(np.mean(counts))
-    se = scale * float(np.std(counts)) / math.sqrt(n)
-    return est, se

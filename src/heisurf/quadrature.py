@@ -31,9 +31,12 @@ class QuadratureError(RuntimeError):
 @dataclass(frozen=True)
 class QuadConfig:
     rel_tol: float = 1e-5
-    abs_floor: float = 1e-12
     max_levels: int = 22
     n0: int = 8
+
+
+#: An integral smaller than _ABS_FLOOR / rel_tol converges to this absolute error.
+_ABS_FLOOR = 1e-12
 
 
 DEFAULT_1D = QuadConfig()
@@ -48,7 +51,7 @@ def _refine(sums: Callable[[int], float], cfg: QuadConfig, what: str) -> float:
         if prev_raw is not None:
             ext = raw + (raw - prev_raw) / 3.0  # midpoint error is O(h^2)
             if prev_ext is not None:
-                scale = max(abs(ext), cfg.abs_floor / cfg.rel_tol)
+                scale = max(abs(ext), _ABS_FLOOR / cfg.rel_tol)
                 if abs(ext - prev_ext) <= cfg.rel_tol * scale:
                     return ext
             prev_ext = ext
@@ -107,13 +110,13 @@ class VRegion:
         hi = np.asarray(self.hi(x), dtype=float)
         return lo, np.maximum(hi, lo)
 
-    def contains(self, x: np.ndarray, t: np.ndarray, pad: float = 0.0) -> np.ndarray:
+    def contains(self, x: np.ndarray, t: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         t = np.asarray(t, dtype=float)
-        inside_x = (x >= self.x0 + pad) & (x <= self.x1 - pad)
+        inside_x = (x >= self.x0) & (x <= self.x1)
         lo = np.asarray(self.lo(np.clip(x, self.x0, self.x1)), dtype=float)
         hi = np.asarray(self.hi(np.clip(x, self.x0, self.x1)), dtype=float)
-        return inside_x & (t >= lo + pad) & (t <= hi - pad)
+        return inside_x & (t >= lo) & (t <= hi)
 
     def diagonal(self) -> float:
         xs = np.linspace(self.x0, self.x1, 129)

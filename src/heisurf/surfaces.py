@@ -14,8 +14,8 @@ m = dy/dx, so the graph Dirichlet energy is (1/2) int int m^2 |x_B - x_A|
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Optional
+from dataclasses import KW_ONLY, dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -24,26 +24,23 @@ from .quadrature import DEFAULT_2D, QuadConfig, VRegion, integrate_region
 
 __all__ = ["RuledSurface", "strip_patch"]
 
-_FD_H = 1e-6
-
 
 @dataclass(frozen=True)
 class RuledSurface:
     """Horizontally ruled patch between two endpoint curves.
 
-    a, b map an array of parameters to points of shape (..., 3); da, db are
-    optional exact derivatives (finite differences otherwise).  knots lists
-    parameter values where the endpoint curves kink: integration splits
-    there, and difference stencils never straddle a kink.
+    a, b map an array of parameters to points of shape (..., 3); da, db
+    (keyword-only) are their exact derivatives.  knots lists parameter
+    values where the endpoint curves kink: integration splits there.
     """
 
     a: Callable[[np.ndarray], np.ndarray]
     b: Callable[[np.ndarray], np.ndarray]
     w_range: tuple[float, float]
     knots: tuple[float, ...] = ()
-    da: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    db: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    name: str = ""
+    _: KW_ONLY
+    da: Callable[[np.ndarray], np.ndarray]
+    db: Callable[[np.ndarray], np.ndarray]
 
     def __post_init__(self):
         w0, w1 = map(float, self.w_range)
@@ -73,23 +70,11 @@ class RuledSurface:
         cuts = [self.w_range[0], *self.knots, self.w_range[1]]
         return list(zip(cuts[:-1], cuts[1:]))
 
-    def _derivatives(self, w: np.ndarray, lo: float, hi: float):
-        if self.da is not None and self.db is not None:
-            return (np.asarray(self.da(w), dtype=float),
-                    np.asarray(self.db(w), dtype=float))
-        h = np.minimum(_FD_H * (1.0 + np.abs(w)),
-                       0.45 * np.minimum(w - lo, hi - w))
-        h = h[..., None]
-        dA = (np.asarray(self.a(w + h[..., 0]), dtype=float)
-              - np.asarray(self.a(w - h[..., 0]), dtype=float)) / (2.0 * h)
-        dB = (np.asarray(self.b(w + h[..., 0]), dtype=float)
-              - np.asarray(self.b(w - h[..., 0]), dtype=float)) / (2.0 * h)
-        return dA, dB
-
-    def _density(self, w, s, lo, hi, weight):
+    def _density(self, w, s, weight):
         A = np.asarray(self.a(w), dtype=float)
         B = np.asarray(self.b(w), dtype=float)
-        dA, dB = self._derivatives(w, lo, hi)
+        dA = np.asarray(self.da(w), dtype=float)
+        dB = np.asarray(self.db(w), dtype=float)
         sl = s[..., None]
         P = (1.0 - sl) * A + sl * B
         Pt = (1.0 - sl) * dA + sl * dB
@@ -105,9 +90,7 @@ class RuledSurface:
         for lo, hi in self._edges():
             region = VRegion.rect(lo, hi, 0.0, 1.0)
             total += integrate_region(
-                lambda w, s, lo=lo, hi=hi: self._density(
-                    w, s, lo, hi, lambda dx, dy: np.hypot(dx, dy)),
-                region, cfg)
+                lambda w, s: self._density(w, s, np.hypot), region, cfg)
         return total
 
     def intrinsic_energy(self, cfg: QuadConfig = DEFAULT_2D) -> float:
@@ -126,8 +109,7 @@ class RuledSurface:
         for lo, hi in self._edges():
             region = VRegion.rect(lo, hi, 0.0, 1.0)
             total += integrate_region(
-                lambda w, s, lo=lo, hi=hi: self._density(w, s, lo, hi, weight),
-                region, cfg)
+                lambda w, s: self._density(w, s, weight), region, cfg)
         return total
 
 
@@ -168,4 +150,4 @@ def strip_patch(strip, z_window: tuple[float, float],
     if hasattr(sigma, "w"):
         knots = tuple(float(k) for k in np.asarray(sigma.w))
     return RuledSurface(left, right, (z0, z1), knots=knots,
-                        da=dleft, db=dright, name="strip-patch")
+                        da=dleft, db=dright)

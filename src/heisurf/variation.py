@@ -237,7 +237,7 @@ class DeformationData:
         knots = tuple(float(k) for k in np.unique(
             np.concatenate([delta.w, self.alpha.w])))
         return RuledSurface(left, right, self.window, knots=knots,
-                            da=dleft, db=dright, name="deformed-strip")
+                            da=dleft, db=dright)
 
 
 @dataclass(frozen=True)
@@ -250,10 +250,12 @@ class SecondVariationResult:
     residual_order: float
     window: tuple[float, float]
 
-    def consistent(self, rel_tol: float = 1e-4, min_order: float = 2.7) -> bool:
+    def consistent(self, rel_tol: float = 1e-4) -> bool:
+        """The quadratic fit matches II to rel_tol and the fitted residual
+        order is at least 2.7."""
         ref = max(abs(self.second_variation), 1e-12)
         return (abs(self.quadratic_fit - self.second_variation) <= rel_tol * ref
-                and self.residual_order >= min_order)
+                and self.residual_order >= 2.7)
 
 
 def second_variation_experiment(

@@ -56,3 +56,42 @@ def test_no_unused_module_imports(stem):
                     for name, line in _imported_names(tree).items()
                     if name not in used)
     assert not unused, f"heisurf/{stem}.py imports unused names: {unused}"
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
+def _private_definitions(tree: ast.Module) -> list[tuple[str, int]]:
+    """Private module-level names and private methods of a module."""
+    found = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            found.append((node.name, node.lineno))
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) \
+                else [node.target]
+            found += [(target.id, node.lineno) for target in targets
+                      if isinstance(target, ast.Name)]
+        if isinstance(node, ast.ClassDef):
+            found += [(item.name, item.lineno) for item in node.body
+                      if isinstance(item, ast.FunctionDef)]
+    return [(name, line) for name, line in found if _private(name)]
+
+
+def test_every_private_definition_is_used_in_the_package():
+    trees = {stem: _tree(stem) for stem in ["__init__", *MODULES]}
+    used = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                used.update(alias.name for alias in node.names)
+    unused = sorted(f"{stem}.py:{line} {name}"
+                    for stem, tree in trees.items()
+                    for name, line in _private_definitions(tree)
+                    if name not in used)
+    assert not unused, f"private names no code in heisurf uses: {unused}"

@@ -13,7 +13,6 @@ from heisurf.core import (
     mul_arr,
     norm_arr,
     project_arr,
-    rotate_arr,
 )
 from heisurf.lines import LineSample
 
@@ -163,20 +162,6 @@ def test_similarity_examples():
     assert dilate_arr(-1.0, -1.0, flip).tolist() == [-1.0, -2.0, 3.0]
     p = np.array([0.3, -0.7, 0.1])
     assert np.array_equal(dilate_arr(-1.0, -1.0, dilate_arr(-1.0, -1.0, p)), p)
-    img = rotate_arr(math.pi / 2, np.array([1.0, 0.0, 0.0]))
-    assert np.allclose(img, [0.0, 1.0, 0.0], rtol=0.0, atol=1e-15)
-
-
-def test_rotation_is_automorphism_and_isometry():
-    rng = np.random.default_rng(11)
-    p = rng.normal(size=(50, 3))
-    q = rng.normal(size=(50, 3))
-    for theta in (0.3, 1.2, 2.9):
-        lhs = rotate_arr(theta, mul_arr(p, q))
-        rhs = mul_arr(rotate_arr(theta, p), rotate_arr(theta, q))
-        assert np.allclose(lhs, rhs, atol=1e-12)
-        assert np.allclose(norm_arr(rotate_arr(theta, p)), norm_arr(p),
-                           rtol=1e-12)
 
 
 def test_horizontal_plane_contains_own_lines():

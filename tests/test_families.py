@@ -144,12 +144,6 @@ def test_increasing_profile_is_rejected():
         RuledEntireGraph(CallableProfile(lambda z: np.arctan(z)))
 
 
-def test_band_order_is_enforced():
-    with pytest.raises(ProfileError):
-        RuledEntireGraph(PwlProfile.constant(-1.0),
-                         sigma_minus=PwlProfile.constant(1.0))
-
-
 def test_window_too_small_for_dilations_raises():
     graph = RuledEntireGraph(step_profile(1.0))
     with pytest.raises(ValueError, match="window too small"):
@@ -348,7 +342,7 @@ CENSUS_HISTOGRAMS = {
 @pytest.mark.parametrize("spec, seed", sorted(CENSUS_HISTOGRAMS))
 def test_sigma_rho_census_histograms_are_unchanged(spec, seed):
     memb = sigma_rho_membership(profile_from_string(spec), (0.0, 1.0))
-    rep = monotonicity_check(memb, radius=1.5, n=500, seed=seed, n_scan=400)
+    rep = monotonicity_check(memb, radius=1.5, n=500, seed=seed)
     assert dict(rep.histogram) == CENSUS_HISTOGRAMS[spec, seed]
 
 

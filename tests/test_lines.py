@@ -13,6 +13,7 @@ from heisurf.lines import (
     _crossings,
     _exact_crossings,
     _line_points,
+    _merge,
     box_volume,
     calibrate_ratio,
     crossing_counts,
@@ -20,7 +21,6 @@ from heisurf.lines import (
     line_ball_distance,
     line_measure_of_ball,
     monotonicity_check,
-    perimeter_estimate,
     sample_lines,
 )
 from heisurf.strips import BrokenPlane, PwlProfile, broken_plane, strip_surface
@@ -127,22 +127,20 @@ def test_far_line_misses_strip():
 
 
 def test_grazing_pair_is_merged_and_flagged():
-    gap = 5e-9
-    surface = (lambda pts: (pts[..., 0] - 1.0) * (pts[..., 0] - 1.0 - gap),
-               None)
-    line = LineSample(0.0, 0.0, 0.0)
-    hit = crossings(surface, line, t_window=(1.0 - 4e-9, 1.0 + 9e-9),
-                    n_scan=1024)
-    assert hit.count == 1
-    assert hit.degenerate
+    # two roots of one line 5e-9 apart, within the 1e-8 merge distance
+    counts, roots, degenerate = _merge(
+        np.zeros(2, dtype=int), 1.0 + np.array([0.0, 5e-9]), np.full(2, 1e-8), 1)
+    assert counts.tolist() == [1]
+    assert roots.tolist() == [1.0]
+    assert degenerate.tolist() == [True]
     # three roots 6e-9 apart: the third is 1.2e-8 from the last kept root,
     # so it stays although it is within 1e-8 of the merged middle one
-    chain = (lambda pts: (pts[..., 0] - 1.0) * (pts[..., 0] - 1.0 - 6e-9)
-             * (pts[..., 0] - 1.0 - 1.2e-8), None)
-    hit = crossings(chain, line, t_window=(1.0 - 4e-9, 1.0 + 2.1e-8),
-                    n_scan=1024)
-    assert hit.count == 2
-    assert hit.degenerate
+    counts, roots, degenerate = _merge(
+        np.zeros(3, dtype=int), 1.0 + np.array([0.0, 6e-9, 1.2e-8]),
+        np.full(3, 1e-8), 1)
+    assert counts.tolist() == [2]
+    assert roots.tolist() == [1.0, 1.0 + 1.2e-8]
+    assert degenerate.tolist() == [True]
 
 
 def test_graphical_strips_meet_lines_at_most_once():
@@ -249,17 +247,6 @@ def test_broken_plane_census_is_unchanged_in_few_offset_calls(monkeypatch):
     for line, roots in report.violations:
         assert np.max(np.abs(bp.membership_offset(line.points_at(roots)))) \
             < 1e-15
-
-
-def test_perimeter_estimate_of_flat_disk():
-    # {z = 0, x^2 + y^2 <= 1} has horizontal perimeter pi/3
-    disk = (lambda pts: pts[..., 2],
-            lambda pts: pts[..., 0] ** 2 + pts[..., 1] ** 2 <= 1.0)
-    est, se = perimeter_estimate(disk, radius=1.0, n=9000, seed=9, n_scan=257)
-    assert se < 0.06
-    assert abs(est - math.pi / 3.0) < 3.5 * se
-    # recorded from the per-line loop the crossing kernel replaced
-    assert (est, se) == (1.070235897322923, 0.03151953683739433)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""The README's command-line quick tour runs as documented."""
+"""The README's command-line and library quick tours run as documented."""
 import os
 import re
 import shlex
@@ -10,11 +10,15 @@ import heisurf.cli as cli
 README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
 
 
-def _quick_tour() -> list[str]:
+def _block(heading: str, language: str) -> str:
+    """The first ```language block after the README heading."""
     with open(README, encoding="utf-8") as fh:
-        text = fh.read()
-    section = text.split("## Command-line quick tour", 1)[1]
-    block = re.search(r"```sh\n(.*?)```", section, re.DOTALL).group(1)
+        section = fh.read().split(heading, 1)[1]
+    return re.search(rf"```{language}\n(.*?)```", section, re.DOTALL).group(1)
+
+
+def _quick_tour() -> list[str]:
+    block = _block("## Command-line quick tour", "sh")
     return [line for line in block.splitlines() if line.startswith("heisurf ")]
 
 
@@ -33,3 +37,7 @@ def test_quick_tour_line_runs(tmp_path, capfd, line):
     assert code == (1 if line.startswith(FAILING) else 0)
     assert capfd.readouterr().err == ""
     assert os.listdir(str(tmp_path))
+
+
+def test_library_quick_tour_runs():
+    exec(compile(_block("## Library quick tour", "python"), README, "exec"), {})

@@ -64,7 +64,7 @@ def test_broken_horizontality_is_detected():
         out[..., 2] += 0.01
         return out
 
-    bad = RuledSurface(good.a, bad_b, (0.0, 1.0))
+    bad = RuledSurface(good.a, bad_b, (0.0, 1.0), da=good.da, db=good.db)
     assert bad.horizontality_residual() == pytest.approx(0.01, rel=1e-10)
 
 
@@ -74,7 +74,10 @@ def test_vertical_rulings_have_euclidean_area_but_no_energy():
     b = lambda w: np.stack(np.broadcast_arrays(
         0.0 * np.asarray(w), 1.0 + 0.0 * np.asarray(w), np.asarray(w, float)),
         axis=-1)
-    patch = RuledSurface(a, b, (0.0, 3.0))
+    up = lambda w: np.stack(np.broadcast_arrays(
+        0.0 * np.asarray(w), 0.0 * np.asarray(w), 1.0 + 0.0 * np.asarray(w)),
+        axis=-1)
+    patch = RuledSurface(a, b, (0.0, 3.0), da=up, db=up)
     assert patch.horizontality_residual() < 1e-15
     assert patch.area() == pytest.approx(3.0, abs=1e-9)
     with pytest.raises(ValueError, match="vertical ruling"):
