@@ -36,7 +36,7 @@ from .core import chord_offset_arr
 from .quadrature import QuadConfig, VRegion, integrate_1d, integrate_region
 from .strips import (Profile, ProfileError, PwlProfile, _solve_height,
                      affine_product, constant_poly)
-from .surfaces import RuledSurface
+from .surfaces import IDENTITY, RuledSurface
 from .variation import g_primitive
 
 __all__ = [
@@ -85,14 +85,19 @@ class RuledEntireGraph:
     ``s = sigma_plus(z)``.  The profile must be non-increasing so that
     distinct rulings never cross; at a jump of the profile the rulings
     take every slope between its two sides, and the graph is the closure
-    of the rulings' union.
+    of the rulings' union.  A piecewise-linear profile is checked exactly,
+    tails included; a closed-form one at the heights `_BAND_PROBES`.
     """
 
     sigma_plus: Profile
 
     def __post_init__(self):
-        hi = np.asarray(self.sigma_plus(_BAND_PROBES), dtype=float)
-        if np.any(np.diff(hi) > 1e-12):
+        if isinstance(self.sigma_plus, PwlProfile):
+            rising = np.any(self.sigma_plus.piece_slopes() > 0.0)
+        else:
+            hi = np.asarray(self.sigma_plus(_BAND_PROBES), dtype=float)
+            rising = np.any(np.diff(hi) > 1e-12)
+        if rising:
             raise ProfileError("sigma_plus must be non-increasing")
 
     def graph_value(self, x, zprime):
@@ -292,29 +297,8 @@ def sigma_rho_surface(rho: Profile, window: tuple[float, float]) -> RuledSurface
     if not b > a:
         raise ValueError("window must satisfy a < b")
     _check_increasing(rho, a, b)
-
-    def left(w):
-        w = np.asarray(w, dtype=float)
-        return np.stack([-np.ones_like(w), 2.0 * w, w], axis=-1)
-
-    def right(w):
-        w = np.asarray(w, dtype=float)
-        r = np.asarray(rho(w), dtype=float) * np.ones_like(w)
-        return np.stack([np.ones_like(w), -2.0 * r, r], axis=-1)
-
-    def dleft(w):
-        w = np.asarray(w, dtype=float)
-        one = np.ones_like(w)
-        return np.stack([np.zeros_like(w), 2.0 * one, one], axis=-1)
-
-    def dright(w):
-        w = np.asarray(w, dtype=float)
-        dr = np.asarray(rho.derivative(w), dtype=float) * np.ones_like(w)
-        return np.stack([np.zeros_like(w), -2.0 * dr, dr], axis=-1)
-
-    knots = tuple(float(k) for k in getattr(rho, "w", ()) if a < k < b)
-    return RuledSurface(left, right, (a, b), knots=knots, da=dleft,
-                        db=dright)
+    return RuledSurface((-1.0, 2.0, IDENTITY, IDENTITY), (1.0, -2.0, rho, rho),
+                        (a, b))
 
 
 @dataclass(frozen=True)

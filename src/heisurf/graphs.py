@@ -187,11 +187,7 @@ def _resolve_region(field: ScalarField, region: Optional[VRegion]) -> VRegion:
     return region if region is not None else field.default_region()
 
 
-def graph_area(
-    field: ScalarField,
-    region: Optional[VRegion] = None,
-    cfg: QuadConfig = DEFAULT_2D,
-) -> float:
+def graph_area(field: ScalarField, region: Optional[VRegion] = None) -> float:
     """Sub-Riemannian area of the intrinsic graph of f over the region."""
     reg = _resolve_region(field, region)
 
@@ -199,14 +195,10 @@ def graph_area(
         g = intrinsic_gradient(field, x, z, clip=reg)
         return np.sqrt(1.0 + g * g)
 
-    return integrate_region(integrand, reg, cfg)
+    return integrate_region(integrand, reg)
 
 
-def dirichlet_energy(
-    field: ScalarField,
-    region: Optional[VRegion] = None,
-    cfg: QuadConfig = DEFAULT_2D,
-) -> float:
+def dirichlet_energy(field: ScalarField, region: Optional[VRegion] = None) -> float:
     """Intrinsic Dirichlet energy (1/2) int (grad_f f)^2."""
     reg = _resolve_region(field, region)
 
@@ -214,7 +206,7 @@ def dirichlet_energy(
         g = intrinsic_gradient(field, x, z, clip=reg)
         return 0.5 * g * g
 
-    return integrate_region(integrand, reg, cfg)
+    return integrate_region(integrand, reg)
 
 
 # ---------------------------------------------------------------------------

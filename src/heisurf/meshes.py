@@ -189,13 +189,8 @@ def mesh_from_graph(phi: Callable[[np.ndarray, np.ndarray], np.ndarray],
 def mesh_from_ruled(surface, res_w: int, res_s: int,
                     header: Sequence[str] = ()) -> MeshObj:
     """Mesh of a ruled surface sampled on its (w, s) parameter grid."""
-    w0, w1 = surface.w_range
-
-    def point(W, S):
-        return surface.point(W, S)
-
-    return mesh_from_mapped_grid(point, (w0, w1), (0.0, 1.0), res_w, res_s,
-                                 header)
+    return mesh_from_mapped_grid(surface.point, surface.w_range, (0.0, 1.0),
+                                 res_w, res_s, header)
 
 
 def merge_meshes(meshes: Iterable[MeshObj],

@@ -240,6 +240,28 @@ class PwlProfile(Profile):
         return PwlProfile(self.v, self.w, 1.0 / self.slope_left,
                           1.0 / self.slope_right)
 
+    def preimage(self, v: float) -> Optional[float]:
+        """Leftmost w with self(w) = v, for a nondecreasing profile.
+
+        Inside the knot range this is the first knot at level v or the
+        interpolant on the piece that rises through v; beyond it, the tail's
+        affine root, or None where the tail does not rise to v.
+        """
+        w, vals = self.w, self.v
+        if v < vals[0]:
+            if self.slope_left > 0:
+                return float(w[0] - (vals[0] - v) / self.slope_left)
+            return None
+        if v > vals[-1]:
+            if self.slope_right > 0:
+                return float(w[-1] + (v - vals[-1]) / self.slope_right)
+            return None
+        i = int(np.searchsorted(vals, v, side="left"))
+        if vals[i] == v:
+            return float(w[i])
+        frac = (v - vals[i - 1]) / (vals[i] - vals[i - 1])
+        return float(w[i - 1] + frac * (w[i] - w[i - 1]))
+
     def compose(self, inner: "PwlProfile") -> "PwlProfile":
         """Exact self(inner(.)) for a nondecreasing inner profile.
 
@@ -249,24 +271,9 @@ class PwlProfile(Profile):
         """
         if np.any(inner.piece_slopes() < 0):
             raise ProfileError("compose needs a nondecreasing inner profile")
-        wi, vi = inner.w, inner.v
-        pulled: list[float] = []
-        for v in self.w:
-            if v < vi[0]:
-                if inner.slope_left > 0:
-                    pulled.append(float(wi[0] - (vi[0] - v) / inner.slope_left))
-            elif v > vi[-1]:
-                if inner.slope_right > 0:
-                    pulled.append(float(wi[-1] + (v - vi[-1]) / inner.slope_right))
-            else:
-                i = int(np.searchsorted(vi, v, side="left"))
-                if vi[i] == v:
-                    pulled.append(float(wi[i]))
-                else:
-                    frac = (v - vi[i - 1]) / (vi[i] - vi[i - 1])
-                    pulled.append(float(wi[i - 1] + frac * (wi[i] - wi[i - 1])))
-        grid = np.unique(np.concatenate([wi, np.asarray(pulled, dtype=float)])) \
-            if pulled else wi
+        pulled = [w for w in map(inner.preimage, self.w) if w is not None]
+        grid = np.unique(np.concatenate([inner.w, pulled])) \
+            if pulled else inner.w
         return PwlProfile(
             grid, self(inner(grid)),
             self.slope_left * inner.slope_left,

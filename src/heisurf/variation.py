@@ -109,24 +109,6 @@ def ruled_area_closed_form(alpha: PwlProfile, tau: Optional[PwlProfile],
 # second variation
 
 
-def _eta_preimage(eta: PwlProfile, v: float) -> float:
-    """Leftmost w with eta(w) = v for a non-decreasing height map."""
-    vals = eta.v
-    if v <= vals[0]:
-        if eta.slope_left <= 0:
-            raise ProfileError("height map does not reach the requested level")
-        return float(eta.w[0] - (vals[0] - v) / eta.slope_left)
-    if v >= vals[-1]:
-        if eta.slope_right <= 0:
-            raise ProfileError("height map does not reach the requested level")
-        return float(eta.w[-1] + (v - vals[-1]) / eta.slope_right)
-    i = int(np.searchsorted(vals, v, side="left"))
-    if vals[i] == v:
-        return float(eta.w[i])
-    frac = (v - vals[i - 1]) / (vals[i] - vals[i - 1])
-    return float(eta.w[i - 1] + frac * (eta.w[i] - eta.w[i - 1]))
-
-
 def _auto_window(alpha: PwlProfile, tau: PwlProfile) -> tuple[float, float]:
     if tau.slope_left != 0 or tau.slope_right != 0 or tau.v[0] != 0 or \
             tau.v[-1] != 0:
@@ -135,9 +117,12 @@ def _auto_window(alpha: PwlProfile, tau: PwlProfile) -> tuple[float, float]:
     eta = eta_of(alpha)
     if np.any(eta.piece_slopes() < 0):
         raise ProfileError("graph profile slopes below -2 are not supported")
+    ends = [eta.preimage(float(v)) for v in (tau.w[0], tau.w[-1])]
+    if None in ends:
+        raise ProfileError("height map does not reach the requested level")
     pad = 1.0 + float(np.max(np.abs(tau.v)))
-    lo = min(_eta_preimage(eta, float(tau.w[0])), float(alpha.w[0]))
-    hi = max(_eta_preimage(eta, float(tau.w[-1])), float(alpha.w[-1]))
+    lo = min(ends[0], float(alpha.w[0]))
+    hi = max(ends[1], float(alpha.w[-1]))
     return lo - pad, hi + pad
 
 
@@ -200,44 +185,15 @@ class DeformationData:
         return ruled_area_closed_form(self.alpha, tau, self.window)
 
     def surface(self, lam: float, half: bool = True) -> RuledSurface:
-        """Ambient ruled patch of the deformed strip (for cross-checks)."""
-        eta = eta_of(self.alpha)
-        delta = self.delta(lam)
+        """Ambient ruled patch of the deformed strip (for cross-checks).
 
-        def left(w):
-            w = np.asarray(w, dtype=float)
-            z = np.asarray(eta(w))
-            if half:
-                return np.stack(np.broadcast_arrays(0.0 * w, 0.0 * w, z), axis=-1)
-            return np.stack(np.broadcast_arrays(-1.0 + 0.0 * w,
-                                                -np.asarray(delta(w)), z), axis=-1)
-
-        def dleft(w):
-            w = np.asarray(w, dtype=float)
-            dz = np.asarray(eta.derivative(w))
-            if half:
-                return np.stack(np.broadcast_arrays(0.0 * w, 0.0 * w, dz), axis=-1)
-            return np.stack(np.broadcast_arrays(0.0 * w,
-                                                -np.asarray(delta.derivative(w)),
-                                                dz), axis=-1)
-
-        def right(w):
-            w = np.asarray(w, dtype=float)
-            return np.stack(np.broadcast_arrays(1.0 + 0.0 * w,
-                                                np.asarray(delta(w)),
-                                                np.asarray(eta(w))), axis=-1)
-
-        def dright(w):
-            w = np.asarray(w, dtype=float)
-            return np.stack(np.broadcast_arrays(0.0 * w,
-                                                np.asarray(delta.derivative(w)),
-                                                np.asarray(eta.derivative(w))),
-                            axis=-1)
-
-        knots = tuple(float(k) for k in np.unique(
-            np.concatenate([delta.w, self.alpha.w])))
-        return RuledSurface(left, right, self.window, knots=knots,
-                            da=dleft, db=dright)
+        Its rulings run at heights eta(w) with plane slope delta(w), from
+        the axis (half=True) or from x = -1 to x = 1.
+        """
+        eta, delta = eta_of(self.alpha), self.delta(lam)
+        x = 0.0 if half else -1.0
+        return RuledSurface((x, x, delta, eta), (1.0, 1.0, delta, eta),
+                            self.window)
 
 
 @dataclass(frozen=True)

@@ -163,6 +163,19 @@ def test_scaling_limit_rejects_an_increasing_slope_profile(tmp_path):
     assert run(tmp_path, "scaling-limit", "--profile", "arctan(1)") == 2
 
 
+@pytest.mark.parametrize("profile", [
+    "samples(-1,0,30,-1,40,0,200,-2)",
+    # the same rise past |z| = 64, where the tails are still read
+    "samples(-1,0,100,-1,150,0,200,-2)",
+])
+def test_scaling_limit_rejects_a_rise_anywhere_in_a_pwl_profile(
+        tmp_path, capsys, profile):
+    assert run(tmp_path, "scaling-limit", "--profile", profile) == 2
+    err = capsys.readouterr().err
+    assert err.splitlines() == ["error: sigma_plus must be non-increasing"]
+    assert not os.listdir(str(tmp_path))
+
+
 def test_sigma_rho_reports_area_and_chord_obstruction(tmp_path):
     rc = run(tmp_path, "sigma-rho", "--rho", "id", "--window", "0,1",
              "--check-chords", "50")

@@ -77,6 +77,17 @@ def test_compose_is_exact():
     assert np.allclose(comp(w), p(q(w)), atol=1e-12)
 
 
+def test_preimage_is_the_leftmost_point_at_a_level():
+    # a plateau at level 1 on [1, 2], a rising left tail, a flat right tail
+    p = PwlProfile.from_knots([(0.0, 0.0), (1.0, 1.0), (2.0, 1.0)],
+                              slope_left=0.5, slope_right=0.0)
+    assert p.preimage(-1.0) == -2.0
+    assert p.preimage(0.0) == 0.0
+    assert p.preimage(0.25) == 0.25
+    assert p.preimage(1.0) == 1.0
+    assert p.preimage(1.5) is None
+
+
 # ---------------------------------------------------------------------------
 # transforms between slope and graph profiles
 
