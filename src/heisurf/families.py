@@ -267,9 +267,16 @@ def scaling_limit(graph: RuledEntireGraph,
 
 
 def _check_increasing(rho: Profile, a: float, b: float) -> None:
-    z = np.linspace(a, b, 513)
-    v = np.asarray(rho(z), dtype=float)
-    if np.any(np.diff(v) <= 0.0):
+    """A piecewise-linear rho is checked exactly, on the slopes of the
+    pieces that meet (a, b); a closed-form one at 513 heights of [a, b]."""
+    if isinstance(rho, PwlProfile):
+        first = int(np.searchsorted(rho.w, a, side="right"))
+        last = int(np.searchsorted(rho.w, b, side="left"))
+        falling = np.any(rho.piece_slopes()[first:last + 1] <= 0.0)
+    else:
+        v = np.asarray(rho(np.linspace(a, b, 513)), dtype=float)
+        falling = np.any(np.diff(v) <= 0.0)
+    if falling:
         raise ProfileError("rho must be strictly increasing on the window")
 
 

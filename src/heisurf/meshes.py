@@ -4,12 +4,16 @@ Meshes are deterministic: vertices come from structured grids traversed in
 a fixed row-major order, numbers are written with 17 significant digits,
 and the same inputs always produce byte-identical ``.obj`` text.  Files
 contain only comment, ``v`` and ``f`` records, with 1-based face indices
-and the group z coordinate up.
+and the group z coordinate up.  The writer formats each distinct
+coordinate bit pattern once, so ``-0.0`` stays ``-0``, and each vertex
+index once; the records are gathered from those strings.
 
 Graph patches are tessellated over mapped grids ``(x, t) -> (x, y(x, t))``
 so the footprint may have curved upper/lower edges; columns where the
 footprint pinches to a point produce collapsed cells whose zero-area
-triangles are dropped, keeping the mesh valid at wedge corners.
+triangles are dropped, keeping the mesh valid at wedge corners.  Every
+exported mesh is validated once, as a whole: the competitor's pieces are
+joined as arrays before its one `MeshObj` is made.
 """
 from __future__ import annotations
 
@@ -94,27 +98,29 @@ class MeshObj:
     def n_faces(self) -> int:
         return len(self.faces)
 
-    def triangle_areas(self) -> np.ndarray:
-        return _triangle_areas(self.vertices, self.faces)
-
-    def edge_use_counts(self) -> dict[tuple[int, int], int]:
-        """How many faces use each undirected edge (1-based indices)."""
-        counts: dict[tuple[int, int], int] = {}
-        for i, j, k in self.faces:
-            for a, b in ((i, j), (j, k), (k, i)):
-                key = (min(a, b), max(a, b))
-                counts[key] = counts.get(key, 0) + 1
-        return counts
-
-    def boundary_edges(self) -> list[tuple[int, int]]:
-        return [e for e, c in self.edge_use_counts().items() if c == 1]
-
     def to_obj_text(self) -> str:
+        """The OBJ text: header comments, then ``v`` and ``f`` records.
+
+        Coordinates are written with ``%.17g``, so they read back exactly.
+        Each distinct bit pattern is formatted once (``-0.0`` stays ``-0``)
+        and each vertex index once; the records gather those strings.
+        """
+        bits = self.vertices.ravel().view(np.int64)
+        distinct, inverse = np.unique(bits, return_inverse=True)
+        numbers = _format_each("%.17g", distinct.view(np.float64).tolist())
+        indices = _format_each("%d", range(1, self.n_vertices + 1))
         return ("".join(f"# {line}\n" for line in self.header)
-                + ("v %.17g %.17g %.17g\n" * self.n_vertices
-                   % tuple(self.vertices.ravel().tolist()))
-                + ("f %d %d %d\n" * self.n_faces
-                   % tuple(self.faces.ravel().tolist())))
+                + ("v %s %s %s\n" * self.n_vertices
+                   % tuple(numbers[inverse].tolist()))
+                + ("f %s %s %s\n" * self.n_faces
+                   % tuple(indices[self.faces.ravel() - 1].tolist())))
+
+
+def _format_each(spec: str, values) -> np.ndarray:
+    """``spec % value`` for each value, as an object array for gathering."""
+    values = tuple(values)
+    words = ((spec + "\n") * len(values) % values).split("\n")[:-1]
+    return np.array(words, dtype=object)
 
 
 # ---------------------------------------------------------------------------
@@ -136,18 +142,11 @@ def _grid_faces(nu: int, nv: int) -> np.ndarray:
     return faces
 
 
-def mesh_from_mapped_grid(point_fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
-                          u_range: tuple[float, float],
-                          v_range: tuple[float, float],
-                          res_u: int, res_v: int,
-                          header: Sequence[str] = (),
-                          drop_degenerate: bool = False) -> MeshObj:
-    """Tessellate ``point_fn`` over a parameter rectangle.
-
-    ``point_fn`` maps broadcastable parameter arrays to points of shape
-    ``(..., 3)``.  With ``drop_degenerate`` the zero-area triangles that a
-    pinched parametrization produces are removed instead of rejected.
-    """
+def _grid(point_fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
+          u_range: tuple[float, float], v_range: tuple[float, float],
+          res_u: int, res_v: int,
+          drop_degenerate: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """Vertices and faces of ``point_fn`` over a parameter rectangle."""
     if res_u < 1 or res_v < 1:
         raise ValueError("resolution must be at least 1 cell per direction")
     for lo, hi in (u_range, v_range):
@@ -164,7 +163,31 @@ def mesh_from_mapped_grid(point_fn: Callable[[np.ndarray, np.ndarray], np.ndarra
     faces = _grid_faces(res_u, res_v)
     if drop_degenerate:
         faces = faces[~_degenerate_faces(vertices, faces)]
-    return MeshObj(vertices, faces, tuple(header))
+    return vertices, faces
+
+
+def _stack(pieces: Sequence[tuple[np.ndarray, np.ndarray]]
+           ) -> tuple[np.ndarray, np.ndarray]:
+    """Concatenate (vertices, faces) pieces, reindexing the faces."""
+    offsets = np.cumsum([0] + [len(v) for v, _ in pieces])
+    return (np.concatenate([v for v, _ in pieces]),
+            np.concatenate([f + k for (_, f), k in zip(pieces, offsets)]))
+
+
+def mesh_from_mapped_grid(point_fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
+                          u_range: tuple[float, float],
+                          v_range: tuple[float, float],
+                          res_u: int, res_v: int,
+                          header: Sequence[str] = (),
+                          drop_degenerate: bool = False) -> MeshObj:
+    """Tessellate ``point_fn`` over a parameter rectangle.
+
+    ``point_fn`` maps broadcastable parameter arrays to points of shape
+    ``(..., 3)``.  With ``drop_degenerate`` the zero-area triangles that a
+    pinched parametrization produces are removed instead of rejected.
+    """
+    return MeshObj(*_grid(point_fn, u_range, v_range, res_u, res_v,
+                          drop_degenerate), tuple(header))
 
 
 def mesh_from_graph(phi: Callable[[np.ndarray, np.ndarray], np.ndarray],
@@ -196,18 +219,10 @@ def mesh_from_ruled(surface, res_w: int, res_s: int,
 def merge_meshes(meshes: Iterable[MeshObj],
                  header: Sequence[str] = ()) -> MeshObj:
     """Concatenate meshes, reindexing faces; headers come from the argument."""
-    parts = list(meshes)
+    parts = [(mesh.vertices, mesh.faces) for mesh in meshes]
     if not parts:
         raise ValueError("nothing to merge")
-    vertices = []
-    faces = []
-    offset = 0
-    for mesh in parts:
-        vertices.append(mesh.vertices)
-        faces.append(mesh.faces + offset)
-        offset += mesh.n_vertices
-    return MeshObj(np.concatenate(vertices), np.concatenate(faces),
-                   tuple(header))
+    return MeshObj(*_stack(parts), tuple(header))
 
 
 # ---------------------------------------------------------------------------
@@ -271,16 +286,17 @@ def competitor_mesh(comp, z_cap: float, res: int, res_cross: int,
     def wall_point(X, Z):
         return np.stack([X, -u * X, Z], axis=-1)
 
-    # the flip has determinant +1 (a rotation about the y axis), so the
+    # the pieces are joined as arrays and validated once, as one mesh: a
+    # piece's bounding box lies inside the whole one's, so no piece's own
+    # check could reject a face that the whole mesh's check accepts.  The
+    # flip has determinant +1 (a rotation about the y axis), so the
     # mirrored pieces keep their winding
-    patch = mesh_from_mapped_grid(patch_point, (-1.0, 1.0), (0.0, 1.0),
-                                  res, res_cross, drop_degenerate=True)
-    pieces = [patch, MeshObj(_flip(patch.vertices), patch.faces)]
+    patch = _grid(patch_point, (-1.0, 1.0), (0.0, 1.0), res, res_cross,
+                  drop_degenerate=True)
+    pieces = [patch, (_flip(patch[0]), patch[1])]
     if z_cap > b:
-        wall = mesh_from_mapped_grid(wall_point, (-1.0, 1.0), (b, z_cap),
-                                     res, res_cross)
-        pieces.append(wall)
-        pieces.append(MeshObj(_flip(wall.vertices), wall.faces))
+        wall = _grid(wall_point, (-1.0, 1.0), (b, z_cap), res, res_cross)
+        pieces += [wall, (_flip(wall[0]), wall[1])]
 
     xs = np.linspace(-1.0, 1.0, res + 1)
     bottom = np.asarray(comp.phi(xs, np.full_like(xs, -u)), dtype=float)
@@ -292,9 +308,9 @@ def competitor_mesh(comp, z_cap: float, res: int, res_cross: int,
             Z = z_lo + np.asarray(T, dtype=float) * (z_hi - z_lo)
             return np.stack([X, -u * np.ones_like(X), Z], axis=-1)
 
-        pieces.append(mesh_from_mapped_grid(flat_point, (-1.0, 1.0),
-                                            (0.0, 1.0), res, res_cross))
-    return merge_meshes(pieces, header)
+        pieces.append(_grid(flat_point, (-1.0, 1.0), (0.0, 1.0), res,
+                            res_cross))
+    return MeshObj(*_stack(pieces), tuple(header))
 
 
 def write_obj(mesh: MeshObj, path: str) -> str:

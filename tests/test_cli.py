@@ -176,6 +176,31 @@ def test_scaling_limit_rejects_a_rise_anywhere_in_a_pwl_profile(
     assert not os.listdir(str(tmp_path))
 
 
+#: rho falls on [0.5, 0.5005], between two of 513 probes of [0, 1]
+NARROW_DIP = "samples(0,0,0.5,0.5,0.5005,0.4999,1,1)"
+
+
+@pytest.mark.parametrize("argv", [
+    ("sigma-rho", "--rho", NARROW_DIP, "--window", "0,1"),
+    ("area", "--surface", "sigma-rho", "--rho", NARROW_DIP, "--window", "0,1"),
+    ("export-obj", "--surface", "sigma-rho", "--rho", NARROW_DIP,
+     "--window", "0,1", "--res", "4"),
+])
+def test_sigma_rho_rejects_a_narrow_dip_in_a_pwl_rho(tmp_path, capsys, argv):
+    assert run(tmp_path, *argv) == 2
+    err = capsys.readouterr().err
+    assert err.splitlines() == ["error: rho must be strictly increasing "
+                                "on the window"]
+    assert not os.listdir(str(tmp_path))
+
+
+@pytest.mark.parametrize("window", ["0,0.5", "0.5005,1", "0.6,1"])
+def test_sigma_rho_accepts_a_pwl_rho_that_dips_outside_the_window(
+        tmp_path, window):
+    assert run(tmp_path, "sigma-rho", "--rho", NARROW_DIP,
+               "--window", window) == 0
+
+
 def test_sigma_rho_reports_area_and_chord_obstruction(tmp_path):
     rc = run(tmp_path, "sigma-rho", "--rho", "id", "--window", "0,1",
              "--check-chords", "50")

@@ -1,7 +1,10 @@
 """Deterministic structured-grid meshes and Wavefront OBJ export."""
+import hashlib
+
 import numpy as np
 import pytest
 
+from heisurf import cli, meshes
 from heisurf.families import build_competitor, sigma_rho_surface
 from heisurf.meshes import (
     MeshObj,
@@ -135,11 +138,21 @@ def test_merge_reindexes_faces():
 # watertightness
 
 
+def edge_use_counts(mesh):
+    """How many faces use each undirected edge (1-based indices)."""
+    counts = {}
+    for i, j, k in mesh.faces.tolist():
+        for a, b in ((i, j), (j, k), (k, i)):
+            key = (min(a, b), max(a, b))
+            counts[key] = counts.get(key, 0) + 1
+    return counts
+
+
 def test_broken_plane_mesh_is_watertight_inside_its_window():
     mesh = broken_plane_mesh(broken_plane(1.0), (-2.0, 2.0), 10, 8)
-    counts = mesh.edge_use_counts()
+    counts = edge_use_counts(mesh)
     assert max(counts.values()) == 2
-    assert len(mesh.boundary_edges()) == 2 * 10 + 2 * 8
+    assert sum(c == 1 for c in counts.values()) == 2 * 10 + 2 * 8
 
 
 def test_ruled_mesh_of_the_spanning_surface():
@@ -147,7 +160,7 @@ def test_ruled_mesh_of_the_spanning_surface():
     mesh = mesh_from_ruled(surface, 6, 5)
     assert mesh.n_vertices == 7 * 6
     assert mesh.n_faces == 2 * 6 * 5
-    assert max(mesh.edge_use_counts().values()) == 2
+    assert max(edge_use_counts(mesh).values()) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -246,10 +259,54 @@ def test_obj_text_matches_per_element_fmt17():
         extremes = MeshObj([[-0.0, 1e-300, 1e300], [0.1, -1e300, -1e-300],
                             [5e-324, 1.0, -0.1]], np.empty((0, 3), dtype=int),
                            ("extremes",))
+        # signed zeros, repeats across vertices and the extremes, with faces
+        signed = MeshObj([[0.0, -0.0, 1e300], [-1e300, 0.0, -0.0],
+                          [5e-324, 1e300, 0.0], [-0.0, 0.0, -1e300],
+                          [0.0, 1e300, 1e300]],
+                         [[1, 2, 3], [1, 3, 4], [4, 5, 2], [5, 3, 1]])
     flat = flat_graph(3, 2)
-    for mesh in (extremes, MeshObj(flat.vertices * 0.1, flat.faces, ("flat",))):
+    for mesh in (extremes, signed,
+                 MeshObj(flat.vertices * 0.1, flat.faces, ("flat",))):
         lines = [f"# {line}" for line in mesh.header]
         lines += [f"v {fmt17(x)} {fmt17(y)} {fmt17(z)}"
                   for x, y, z in mesh.vertices]
         lines += [f"f {i} {j} {k}" for i, j, k in mesh.faces]
         assert mesh.to_obj_text() == "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("argv, digest", [
+    (("export-obj", "--surface", "competitor", "--u", "1",
+      "--competitor-kind", "minimal", "--res", "100"),
+     "9558698cf7413185dd2846eeb9186ea80e68399a3d48c0abc67801aebd729217"),
+    (("export-obj", "--surface", "strip", "--profile",
+      "samples(-2,0.3,-1,-0.9,0,0.4,1,1.5,2,0.25)", "--window", "-2,2",
+      "--res", "100"),
+     "9efa6814e739cd68342e44dff45b25a08edd19e0f4d236a579da67ee2677cce6"),
+])
+def test_obj_records_are_pinned(tmp_path, monkeypatch, argv, digest):
+    # the v and f records, without the header that repeats the command line
+    monkeypatch.setenv(cli.OUTPUT_DIR_ENV, str(tmp_path))
+    assert cli.main(list(argv)) == 0
+    (path,) = tmp_path.iterdir()
+    records = b"".join(line for line in path.read_bytes().splitlines(True)
+                       if not line.startswith(b"#"))
+    assert hashlib.sha256(records).hexdigest() == digest
+
+
+def test_competitor_export_validates_its_mesh_once(tmp_path, monkeypatch):
+    # the drop mask of the patch grid and the check of the merged mesh are
+    # the only area evaluations; no piece is validated on its own
+    evaluated = []
+    areas = meshes._triangle_areas
+
+    def counted(vertices, faces):
+        evaluated.append(len(faces))
+        return areas(vertices, faces)
+
+    monkeypatch.setattr(meshes, "_triangle_areas", counted)
+    res = 20
+    assert cli.main(["export-obj", "--surface", "competitor", "--u", "1",
+                     "--res", str(res), "--output-dir", str(tmp_path)]) == 0
+    with open(tmp_path / "competitor.obj", encoding="ascii") as fh:
+        merged = sum(line.startswith("f ") for line in fh)
+    assert sum(evaluated) <= 2 * res * res + merged
