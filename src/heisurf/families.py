@@ -347,11 +347,23 @@ def sigma_rho_membership(rho: Profile, window: tuple[float, float]) -> Membershi
     piece rho(w) = rho(c) + m (w - c) the offset is E + 2 (w - c) (s (1 + m)
     - 1), with E the offset at w = c and (w - c) (1 - s + s m) equal to the
     cut at c; times 1 - s + s m > 0 it is a quadratic.
+
+    For a closed-form rho the slab has cuts and no pieces.  The horizontal
+    chords through a point meet the left boundary line at M = P/Q and the
+    right one at R = U/V, with P = y + 2z, Q = 2 (1 - x), U = 2z - y and
+    V = 2 (1 + x).  Along a line the four are affine in t, so M and R are
+    Moebius with their poles at the slab's edges, and M' = -D/Q^2 and
+    R' = D/V^2 share the constant D.  Where a <= M <= b the offset has the
+    sign of rho(M) - R, which is monotone along the line for an increasing
+    rho; where M < a (M > b) it has the sign of the chord offset clamped
+    at a (b), which is affine in t.  So between the roots of the cuts
+    P - a Q and P - b Q the offset changes sign at most once.
     """
     a, b = float(window[0]), float(window[1])
     if not b > a:
         raise ValueError("window must satisfy a < b")
     _check_increasing(rho, a, b)
+    one = constant_poly(1.0)
 
     def offset(points):
         pts = np.asarray(points, dtype=float)
@@ -363,10 +375,13 @@ def sigma_rho_membership(rho: Profile, window: tuple[float, float]) -> Membershi
         return y - y_surf
 
     if not isinstance(rho, PwlProfile):
-        return MembershipSlab(offset)
+        def ends(x, y, z):
+            p, q = y + 2.0 * z, 2.0 * (one - x)
+            return np.stack([p - a * q, p - b * q], axis=1), None
+
+        return MembershipSlab(offset, line_pieces=ends)
     c = np.concatenate([[a], rho.w[(rho.w > a) & (rho.w < b)], [b]])
     r, m = rho(c)[:, None], rho.derivative(c[:-1])[:, None]
-    one = constant_poly(1.0)
 
     def pieces(x, y, z):
         s = 0.5 * (x + one)[:, None, :]

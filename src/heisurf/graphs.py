@@ -5,9 +5,8 @@ A scalar field f on V0 = {y = 0} (coordinates (x, z)) determines the graph
 
     area = int_W sqrt(1 + (grad_f f)^2) dmu,   grad_f f = d_x f - f d_z f,
 
-and the intrinsic Dirichlet energy replaces sqrt(1 + s^2) by s^2 / 2.  The
-same machinery covers z-graphs z = phi(x, y), whose perimeter density is
-|(phi_x + y/2, phi_y - x/2)|.
+The same machinery covers z-graphs z = phi(x, y), whose perimeter density
+is |(phi_x + y/2, phi_y - x/2)|.
 
 Derivatives are central finite differences.  The step shrinks per point (by
 halving, floor 1e-9 * scale) so the stencil never leaves the integration
@@ -30,7 +29,6 @@ __all__ = [
     "ScalarField",
     "intrinsic_gradient",
     "graph_area",
-    "dirichlet_energy",
     "zgraph_area",
 ]
 
@@ -180,7 +178,7 @@ def intrinsic_gradient(
 
 
 # ---------------------------------------------------------------------------
-# area and energy
+# area
 
 
 def _resolve_region(field: ScalarField, region: Optional[VRegion]) -> VRegion:
@@ -194,17 +192,6 @@ def graph_area(field: ScalarField, region: Optional[VRegion] = None) -> float:
     def integrand(x, z):
         g = intrinsic_gradient(field, x, z, clip=reg)
         return np.sqrt(1.0 + g * g)
-
-    return integrate_region(integrand, reg)
-
-
-def dirichlet_energy(field: ScalarField, region: Optional[VRegion] = None) -> float:
-    """Intrinsic Dirichlet energy (1/2) int (grad_f f)^2."""
-    reg = _resolve_region(field, region)
-
-    def integrand(x, z):
-        g = intrinsic_gradient(field, x, z, clip=reg)
-        return 0.5 * g * g
 
     return integrate_region(integrand, reg)
 

@@ -11,11 +11,17 @@ Along a line x, y and z are affine in t.  For a piecewise-polynomial
 surface (a PWL strip, a broken plane, the sigma-rho slab of a PWL rho) the
 membership offset is then, piece by piece, a polynomial of degree <= 2 in
 t, and `_exact_crossings` solves every piece of every line at once in
-closed form, keeping the roots with |x| <= x_max.  For a closed-form
-profile crossings are sign changes of the offset: `_crossings` scans every
-line on one grid and bisects the brackets of all lines at once; it also
-serves `crossings` and `crossing_counts`.  Both see only transversal
-intersections, and both read the same three members of a surface:
+closed form, keeping the roots with |x| <= x_max.  For the strip of an
+arctan profile and the sigma-rho slab of a closed-form rho the line pieces
+are cuts alone: between the roots of these polynomials the offset changes
+sign at most once, so `_cut_crossings` counts a line's crossings as the
+sign changes of the offset at its window's ends (|x| <= x_max) and those
+roots, and bisects only the lines it counts twice or more.  For any other
+closed-form surface crossings are sign changes of the offset on a grid:
+`_crossings` scans every line's window (padded by 1e-3, within a reach of
+|t| <= 50) and bisects the brackets of all lines at once; it also serves
+`crossings` and `crossing_counts`.  All of them see only transversal
+intersections, and all read the same three members of a surface:
 `membership_offset`, `x_max` and `line_pieces` (None where it has none).
 A graphical strip with slopes in [-2, 2) meets almost every horizontal
 line at most once; surfaces carrying a horizontal shortcut chord are met
@@ -59,6 +65,8 @@ class LineSample:
     w: float
 
     def points_at(self, ts) -> np.ndarray:
+        """Points of this line at parameters ts: the oracle the tests hold
+        the batched line geometry (`_line_points`, `_line_polys`) to."""
         return _line_points(self.theta, self.v, self.w,
                             np.asarray(ts, dtype=float))
 
@@ -121,7 +129,8 @@ def line_measure_of_ball(radius: float, n: int, seed: int = 0,
 
     For an off-origin center the box is the padded axis-aligned hull of the
     sheared chart image, so agreement with the origin estimate is a real
-    test of translation invariance, not an algebraic identity.
+    test of translation invariance, not an algebraic identity: ``center``
+    is that oracle, and the census and calibration use the origin alone.
     """
     rng = np.random.default_rng(seed)
     if center is None:
@@ -229,23 +238,13 @@ def _scan(offset_fn, theta, v, w, lo, hi, n_scan):
         yield sl, ts, F, s[:, :-1] * s[:, 1:] < 0
 
 
-def _crossings(surface, theta, v, w, n_scan):
-    """(counts, roots in line order, degenerate) of the lines (theta, v, w).
-
-    All brackets of the scan are bisected together, one offset call per
-    step, to max(1e-10, 1e-14 window length).  Roots with |x| > x_max are
-    dropped; a line's roots closer than 1e-8 (times a window length above
-    1) merge, flagging the line degenerate (grazing contact).
+def _bisect(offset_fn, theta, v, w, brackets, length):
+    """Roots of the sign-change brackets (line, a, b, offset at a), in their
+    order: all bisected together, one offset call per step, to
+    max(1e-10, 1e-14 length) with ``length`` the window length of each line.
     """
-    offset_fn = surface.membership_offset
-    lo, hi = _windows(surface, theta, v)
-    parts = [(np.empty(0, dtype=int), np.empty(0), np.empty(0), np.empty(0))]
-    for sl, ts, F, changes in _scan(offset_fn, theta, v, w, lo, hi, n_scan):
-        row, col = np.nonzero(changes & (hi[sl] > lo[sl])[:, None])
-        parts.append((row + sl.start, ts[row, col], ts[row, col + 1],
-                      F[row, col]))
-    line, a, b, fa = map(np.concatenate, zip(*parts))
-    tol = np.maximum(1e-10, 1e-14 * (hi - lo))[line]
+    line, a, b, fa = map(np.concatenate, zip(*brackets))
+    tol = np.maximum(1e-10, 1e-14 * length)[line]
     live = np.nonzero(b - a > tol)[0]
     while live.size:
         m = 0.5 * (a[live] + b[live])
@@ -257,7 +256,29 @@ def _crossings(surface, theta, v, w, n_scan):
         b[live] = np.where(left, b[live], m)
         fa[live] = np.where(left, fm, fa[live])
         live = live[b[live] - a[live] > tol[live]]
-    root = 0.5 * (a + b)
+    return line, 0.5 * (a + b)
+
+
+#: No bracket: the empty start of a bracket list.
+_NO_BRACKET = (np.empty(0, dtype=int), np.empty(0), np.empty(0), np.empty(0))
+
+
+def _crossings(surface, theta, v, w, n_scan):
+    """(counts, roots in line order, degenerate) of the lines (theta, v, w).
+
+    The brackets of the scan are bisected (`_bisect`).  Roots with
+    |x| > x_max are dropped; a line's roots closer than 1e-8 (times a
+    window length above 1) merge, flagging the line degenerate (grazing
+    contact).
+    """
+    offset_fn = surface.membership_offset
+    lo, hi = _windows(surface, theta, v)
+    brackets = [_NO_BRACKET]
+    for sl, ts, F, changes in _scan(offset_fn, theta, v, w, lo, hi, n_scan):
+        row, col = np.nonzero(changes & (hi[sl] > lo[sl])[:, None])
+        brackets.append((row + sl.start, ts[row, col], ts[row, col + 1],
+                         F[row, col]))
+    line, root = _bisect(offset_fn, theta, v, w, brackets, hi - lo)
     inside = np.abs(_line_points(theta[line], v[line], w[line], root)[:, 0]) \
         <= surface.x_max
     line, root = line[inside], root[inside]
@@ -446,17 +467,55 @@ def _piece_crossings(x, cuts, pieces, x_max):
     return c_line[keep], root[keep], grazing[keep]
 
 
+def _cut_crossings(surface, theta, v, w):
+    """(counts, roots of the lines crossing twice or more, degenerate) of a
+    surface whose line pieces are cuts alone (pieces None).
+
+    Between consecutive cut roots the offset changes sign at most once, so
+    a line's count is the number of sign changes of the offset at its
+    window's ends (|x| <= x_max) and the cut roots inside.  Only the lines
+    counted twice or more are bisected (`_bisect`); their roots closer
+    than 1e-8 (times a window length above 1) merge, flagging the line
+    degenerate, and a line merged down to one crossing keeps no root.
+    """
+    counts = np.zeros(len(theta), dtype=int)
+    length = np.zeros(len(theta))
+    brackets = [_NO_BRACKET]
+    for start in range(0, len(theta), _CHUNK):
+        sl = slice(start, start + _CHUNK)
+        x, y, z = _line_polys(theta[sl], v[sl], w[sl])
+        cuts, _ = surface.line_pieces(x, y, z)
+        lo, hi = _window(x, surface.x_max)
+        t = _poly_roots(_normalized(cuts)).reshape(len(x), -1)
+        t = np.where((t > lo[:, None]) & (t < hi[:, None]), t, hi[:, None])
+        t = np.sort(np.concatenate([lo[:, None], t, hi[:, None]], axis=1))
+        F = np.asarray(surface.membership_offset(_line_points(
+            theta[sl, None], v[sl, None], w[sl, None], t)))
+        sign = np.sign(F)
+        change = sign[:, :-1] * sign[:, 1:] < 0
+        counts[sl] = np.count_nonzero(change, axis=1)
+        length[sl] = hi - lo
+        row, col = np.nonzero(change & (counts[sl] > 1)[:, None])
+        brackets.append((row + start, t[row, col], t[row, col + 1],
+                         F[row, col]))
+    line, root = _bisect(surface.membership_offset, theta, v, w, brackets,
+                         length)
+    merged, roots, degenerate = _merge(
+        line, root, 1e-8 * np.maximum(1.0, length)[line], len(theta))
+    multi = counts > 1
+    counts[multi] = merged[multi]
+    return counts, roots[np.repeat(merged > 1, merged)], degenerate
+
+
 def _exact_crossings(surface, theta, v, w):
     """(counts, roots in line order, degenerate) from the surface's line
-    pieces, or None when it has none (`line_pieces` returns None).
+    pieces.
 
     The crossings are exact, over |x| <= x_max with no padding and no
     reach (`_piece_crossings`).  A crossing on a piece boundary counts once;
     a grazing contact counts as one and flags the line degenerate, as do
     roots closer than 1e-8, which merge.
     """
-    if surface.line_pieces(*_line_polys(theta[:1], v[:1], w[:1])) is None:
-        return None
     parts = []
     for start in range(0, len(theta), _CHUNK):
         sl = slice(start, start + _CHUNK)
@@ -496,7 +555,8 @@ def crossing_counts(surface, theta, v, w, n_scan: int) -> np.ndarray:
     """Grid sign-change counts for a batch of lines given as arrays.
 
     The crossing kernel's scan alone, without refinement or the extent
-    filter: census statistics where only the count matters.
+    filter: the census's first count of a surface with no line pieces (the
+    strip of a closed-form sigma other than arctan).
     """
     theta, v, w = (np.asarray(a, dtype=float) for a in (theta, v, w))
     lo, hi = _windows(surface, theta, v)
@@ -537,36 +597,43 @@ def monotonicity_check(surface, radius: float = 1.5, n: int = 400,
     """Crossing-count census over random lines meeting a gauge ball.
 
     Accepts a slope profile (realized as a strip of half-width 1) or any
-    surface with a membership offset.  A surface with line pieces (a PWL
-    strip, a broken plane, the sigma-rho slab of a PWL rho) is counted
-    exactly, every line at once (count method "exact").  Otherwise (a
-    closed-form sigma or rho) `crossing_counts` scans every line at 400
-    points, and the lines it counts twice or more are re-counted by one
-    kernel call at 800 points (count method "scan").  Lines still crossing
-    twice are the witnesses; the first 8 are reported.  Grazing contacts
-    are merged away and never counted as violations.
+    surface with a membership offset.  A surface with line pieces is
+    counted exactly over |x| <= x_max (count method "exact"): the pieces of
+    a PWL strip, a broken plane or the sigma-rho slab of a PWL rho are
+    solved for every line at once (`_exact_crossings`), and the strip of an
+    arctan profile or the slab of a closed-form rho is counted from the
+    offset's signs at its cuts (`_cut_crossings`).  Otherwise (a
+    closed-form sigma other than arctan, or a surface with no line pieces)
+    `crossing_counts` scans every line at 400 points, and the lines it
+    counts twice or more are re-counted by one kernel call at 800 points
+    (count method "scan").  Lines still crossing twice are the witnesses;
+    the first 8 are reported.  Grazing contacts are merged away and never
+    counted as violations.
     """
     if isinstance(surface, Profile):
         surface = strip_surface(surface)
     theta, v, w = sample_lines(radius, n, seed)
-    exact = _exact_crossings(surface, theta, v, w)
-    if exact is None:
+    found = surface.line_pieces(*_line_polys(theta[:1], v[:1], w[:1]))
+    if found is None:
         counts = crossing_counts(surface, theta, v, w, n_scan=_CENSUS_SCAN)
         multi = np.nonzero(counts > 1)[0]
         refined, roots, degenerate = _crossings(
             surface, theta[multi], v[multi], w[multi], _CENSUS_RECOUNT)
         counts[multi] = refined
+        roots = roots[np.repeat(refined > 1, refined)]
+    elif found[1] is None:
+        counts, roots, degenerate = _cut_crossings(surface, theta, v, w)
     else:
-        counts, roots, degenerate = exact
-        multi = np.nonzero(counts > 1)[0]
-        refined, roots = counts[multi], roots[np.repeat(counts > 1, counts)]
+        counts, roots, degenerate = _exact_crossings(surface, theta, v, w)
+        roots = roots[np.repeat(counts > 1, counts)]
     bins, sizes = np.unique(counts, return_counts=True)
-    per_line = np.split(roots, np.cumsum(refined)[:-1])
+    multi = np.nonzero(counts > 1)[0]
+    per_line = np.split(roots, np.cumsum(counts[multi])[:-1])
     bad = tuple((LineSample(float(theta[i]), float(v[i]), float(w[i])),
                  tuple(r.tolist()))
-                for i, r in zip(multi, per_line) if len(r) > 1)
+                for i, r in zip(multi, per_line))
     return CrossingReport(n, seed, radius,
                           dict(zip(bins.tolist(), sizes.tolist())),
                           bad[:_WITNESSES], int(np.sum(degenerate)),
-                          "scan" if exact is None else "exact")
+                          "scan" if found is None else "exact")
 

@@ -2,8 +2,9 @@
 
 A ProfileSpec pins a profile down as data - a registry kind plus numeric
 parameters - so the same profile can be requested from a command-line
-string such as ``broken-plane-alpha(1)``, stored in JSON, and rebuilt
-later, with every artifact recording exactly which profile produced it.
+string such as ``broken-plane-alpha(1)`` and recorded in JSON whose fields
+are the `ProfileSpec` constructor's own, so every artifact records exactly
+which profile produced it.
 
 Registry kinds:
 
@@ -31,9 +32,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping, Optional
 
-import numpy as np
-
-from .strips import CallableProfile, Profile, PwlProfile
+from .strips import ArctanProfile, Profile, PwlProfile
 
 __all__ = [
     "ProfileSpecError",
@@ -72,12 +71,7 @@ def _build_arctan(scale: float = 1.0) -> Profile:
     s = float(scale)
     if s == 0.0:
         return PwlProfile.constant(0.0)
-    return CallableProfile(
-        fn=lambda z: s * np.arctan(z),
-        dfn=lambda z: s / (1.0 + np.asarray(z, dtype=float) ** 2),
-        slopes=(min(0.0, s), max(0.0, s)),
-        name=f"arctan({s!r})",
-    )
+    return ArctanProfile(s)
 
 
 def _build_triangle_bump(height: float = 1.0, halfwidth: float = 1.0) -> Profile:
@@ -216,24 +210,6 @@ class ProfileSpec:
             "parameters": params,
             "window": None if self.window is None else list(self.window),
         }
-
-    @staticmethod
-    def from_json(data: Mapping[str, Any]) -> "ProfileSpec":
-        if not isinstance(data, Mapping):
-            raise ProfileSpecError("profile spec JSON must be an object")
-        extra = set(data) - {"name", "kind", "parameters", "window"}
-        if extra:
-            raise ProfileSpecError(
-                f"unknown profile spec fields: {sorted(extra)}")
-        if "kind" not in data:
-            raise ProfileSpecError("profile spec JSON needs a 'kind' field")
-        window = data.get("window")
-        return ProfileSpec(
-            kind=str(data["kind"]),
-            parameters=dict(data.get("parameters", {})),
-            name=str(data.get("name", "")),
-            window=None if window is None else (window[0], window[1]),
-        )
 
 
 # ---------------------------------------------------------------------------

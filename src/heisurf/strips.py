@@ -24,9 +24,10 @@ does not.
 Along a horizontal line x, y and z are affine in the line parameter t, so
 the membership offset of a PWL strip or of a broken plane is, piece by
 piece, a polynomial of degree <= 2 in t after clearing a positive factor.
-`line_pieces` hands these polynomials to the exact crossing census in
-`lines`.  A polynomial in t is an array whose last axis holds the
-coefficients of (1, t, t^2).
+For the strip of an `ArctanProfile` the points where the offset can turn
+are the roots of such polynomials.  `line_pieces` hands these polynomials
+to the exact crossing census in `lines`.  A polynomial in t is an array
+whose last axis holds the coefficients of (1, t, t^2).
 """
 from __future__ import annotations
 
@@ -44,6 +45,7 @@ __all__ = [
     "Profile",
     "PwlProfile",
     "CallableProfile",
+    "ArctanProfile",
     "sigma_to_alpha",
     "alpha_to_sigma",
     "eta_of",
@@ -382,6 +384,26 @@ class CallableProfile(Profile):
         return self.slopes
 
 
+class ArctanProfile(CallableProfile):
+    """``scale * arctan(z)``, a closed-form profile that keeps its scale.
+
+    Its slope scale / (1 + z^2) is rational, so along a line the points
+    where its strip's offset turns are the roots of polynomials in t, and
+    the census counts the strip's crossings exactly (see
+    `GraphicalStrip.line_pieces`).
+    """
+
+    scale: float
+
+    def __init__(self, scale: float):
+        s = float(scale)
+        super().__init__(
+            fn=lambda z: s * np.arctan(z),
+            dfn=lambda z: s / (1.0 + np.asarray(z, dtype=float) ** 2),
+            slopes=(min(0.0, s), max(0.0, s)), name=f"arctan({s!r})")
+        object.__setattr__(self, "scale", s)
+
+
 def _outward(g, idx: np.ndarray, start: np.ndarray,
              direction: float) -> tuple[np.ndarray, np.ndarray]:
     """Double a step from ``start`` until ``direction * g`` is nonnegative."""
@@ -506,7 +528,8 @@ class GraphicalStrip:
         return p[..., 1] - p[..., 0] * np.asarray(self.sigma(p[..., 2]))
 
     def line_pieces(self, x, y, z):
-        """Cuts and pieces of the offset along lines; None unless sigma is PWL.
+        """Cuts and pieces of the offset along lines; None for a closed-form
+        sigma other than `ArctanProfile`.
 
         ``x``, ``y``, ``z`` are (n, 3) polynomials, one line each.  The
         result is (cuts, pieces): (n, K, 3) and (n, K + 1, 3) polynomials.
@@ -515,8 +538,18 @@ class GraphicalStrip:
         piece k of sigma where k knots z_j have z(t) - z_j >= 0, and the
         offset y - x sigma(z) is y - s x - m x (z - z_a), with sigma equal
         to s at its anchor knot z_a and of slope m on the piece.
+
+        For sigma = k arctan the pieces are None and the cuts are x and
+        k x^2 - 2 (1 + z^2): along a line y/x - sigma(z) has t-derivative
+        v (sigma'(z) x^2 - 2) / (2 x^2), so between consecutive cut roots
+        it is monotone, x keeps its sign and the offset changes sign at
+        most once.
         """
         sigma = self.sigma
+        if isinstance(sigma, ArctanProfile):
+            turn = (sigma.scale * affine_product(x, x)
+                    - 2.0 * (constant_poly(1.0) + affine_product(z, z)))
+            return np.stack([x, turn], axis=1), None
         if not isinstance(sigma, PwlProfile):
             return None
         cuts = z[:, None, :] - constant_poly(sigma.w)

@@ -9,10 +9,12 @@ without running the benchmark.
 import importlib.util
 import os
 
+import numpy as np
+
 import heisurf.families as families
 import heisurf.lines as lines
 from heisurf.profilespec import profile_from_string
-from heisurf.strips import broken_plane, strip_surface
+from heisurf.strips import CallableProfile, broken_plane, strip_surface
 
 TRACING = os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "bench", "tracing.py")
@@ -53,14 +55,20 @@ def test_tracer_wraps_every_target_and_the_competitor_fields():
 def test_tracer_counts_the_census_scan_and_the_crossings_calls():
     tracing = _load_tracing()
     bp = broken_plane(1.0)
-    smooth = strip_surface(profile_from_string("arctan(-1)"))
+    # a library closed-form profile has no line pieces: it is scanned
+    smooth = strip_surface(CallableProfile(
+        lambda z: -np.arctan(z), dfn=lambda z: -1.0 / (1.0 + z * z)))
+    arctan = strip_surface(profile_from_string("arctan(-1)"))
     untraced = [lines.monotonicity_check(s, n=200, seed=101)
-                for s in (smooth, bp)]
+                for s in (smooth, bp, arctan)]
     assert untraced[1].max_crossings >= 2  # the census files witnesses
-    assert [r.count_method for r in untraced] == ["scan", "exact"]
+    assert [r.count_method for r in untraced] == ["scan", "exact", "exact"]
     tracer = tracing.Tracer()
     tracer.install()
     try:
+        mark = tracer.mark()
+        closed_form = lines.monotonicity_check(arctan, n=200, seed=101)
+        closed_form_pass = tracer.summary(mark)
         scanned = lines.monotonicity_check(smooth, n=200, seed=101)
         mark = tracer.mark()
         exact = lines.monotonicity_check(bp, n=200, seed=101)
@@ -68,9 +76,12 @@ def test_tracer_counts_the_census_scan_and_the_crossings_calls():
         hit = lines.crossings(bp, lines.LineSample(0.0, -0.5, 0.0))
     finally:
         tracer.remove()
-    assert [scanned, exact] == untraced
+    assert [scanned, exact, closed_form] == untraced
     assert hit.count == 2
-    # the closed-form strip is scanned: the offset-point counter reads the
+    # the CLI's arctan profile is counted from its cuts, without a scan
+    assert "crossing_counts" not in closed_form_pass["calls"]
+    assert closed_form_pass["counters"].get("lines.offset_points", 0) == 0
+    # the library strip is scanned: the offset-point counter reads the
     # count pass's arguments, its re-count stays inside the crossing kernel
     assert tracer.counters["lines.offset_points"] == 200 * 400
     # the broken plane is counted exactly, without a single offset call
@@ -78,4 +89,5 @@ def test_tracer_counts_the_census_scan_and_the_crossings_calls():
     assert exact_pass["counters"].get("lines.offset_points", 0) == 0
     calls = tracer.summary((0, tracing.Counter()))["calls"]
     assert calls.get("crossings", 0) == 1
-    assert calls.get("monotonicity_check", 0) == 2
+    assert calls.get("crossing_counts", 0) == 1
+    assert calls.get("monotonicity_check", 0) == 3

@@ -7,6 +7,7 @@ import warnings
 import pytest
 
 import heisurf.cli as cli
+import heisurf.profilespec as profilespec
 import heisurf.strips as strips
 from heisurf.quadrature import QuadratureError
 
@@ -458,15 +459,52 @@ def test_scaling_limit_writes_null_for_an_infinite_opening(tmp_path):
 
 @pytest.mark.parametrize("surface, method", [
     (("strip", "--profile", "samples(0,0,1,-1.5)"), "exact"),
-    (("strip", "--profile", "arctan(-1)"), "scan"),
+    (("strip", "--profile", "arctan(-1)"), "exact"),
     (("broken-plane", "--u", "1"), "exact"),
     (("sigma-rho", "--rho", "id", "--window", "0,1"), "exact"),
-    (("sigma-rho", "--rho", "arctan(1)", "--window", "0,1"), "scan"),
+    (("sigma-rho", "--rho", "arctan(1)", "--window", "0,1"), "exact"),
 ])
 def test_census_records_its_count_method(tmp_path, surface, method):
     assert run(tmp_path, "monotonicity", "--surface", *surface,
                "--lines", "20") in (0, 1)
     assert load(tmp_path, "monotonicity.json")["count_method"] == method
+
+
+#: One profile of every kind the CLI builds, and a window on which it
+#: increases where it has one (a sigma-rho rho must).
+CENSUS_PROFILES = {
+    "constant": ("constant(0.5)", None),
+    "linear": ("linear(0.5,0.25)", "-1,2"),
+    "broken-plane-alpha": ("broken-plane-alpha(1)", None),
+    "arctan": ("arctan(-1)", None),
+    "triangle-bump": ("triangle-bump(1,1)", "-1,0"),
+    "samples": ("samples(-1,0,0,1,1,3)", "-1,1"),
+    "id": ("id", "0,1"),
+}
+
+
+def test_every_profile_the_cli_builds_is_counted_exactly(tmp_path,
+                                                         monkeypatch):
+    # a closed-form kind the census can only scan would fall back to
+    # crossing_counts; fail instead
+    def no_scan(*args, **kwargs):
+        raise AssertionError("the census scanned")
+
+    monkeypatch.setattr("heisurf.lines.crossing_counts", no_scan)
+    monkeypatch.setattr("heisurf.lines._crossings", no_scan)
+    kinds = set(profilespec.registry_kinds()) | set(profilespec._ALIASES)
+    assert set(CENSUS_PROFILES) == kinds
+    rhos = [("arctan(2.5)", "-3,2")]
+    for text, window in CENSUS_PROFILES.values():
+        argv = ("--surface", "strip", "--profile", text)
+        assert run(tmp_path, "monotonicity", *argv, "--lines", "50") in (0, 1)
+        assert load(tmp_path, "monotonicity.json")["count_method"] == "exact"
+        if window is not None:
+            rhos.append((text, window))
+    for text, window in rhos:
+        argv = ("--surface", "sigma-rho", "--rho", text, "--window", window)
+        assert run(tmp_path, "monotonicity", *argv, "--lines", "50") in (0, 1)
+        assert load(tmp_path, "monotonicity.json")["count_method"] == "exact"
 
 
 def test_census_records_the_strip_width(tmp_path):

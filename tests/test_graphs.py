@@ -8,11 +8,10 @@ zero (y = -u x for z > 0, y = u x for z < 0, the sector |y| <= u|x| in
               = -2 z / x        for |z| <= u x^2 / 2   (the fan wedge)
               =  u x            for z < -u x^2 / 2
 
-with gradient -2z/x^2 on the wedge and -+u outside.  Wedge integrals (u=1,
+with gradient -2z/x^2 on the wedge and -+u outside.  The wedge area (u=1,
 |x| <= 1) via z = (x^2/2) s:
 
-    area   = int |x|^2/2 * sqrt(1+s^2) ds dx = (sqrt(2) + asinh 1) / 3
-    energy = (1/2) int (2z/x^2)^2        = 1/9.
+    area   = int |x|^2/2 * sqrt(1+s^2) ds dx = (sqrt(2) + asinh 1) / 3.
 
 The horizontal lift of a closed planar loop climbs by its enclosed signed
 area.  A z-graph z = phi has perimeter density |(phi_x + y/2, phi_y - x/2)|:
@@ -28,7 +27,6 @@ from heisurf.core import mul_arr
 from heisurf.graphs import (
     DomainError,
     ScalarField,
-    dirichlet_energy,
     graph_area,
     intrinsic_gradient,
     zgraph_area,
@@ -106,7 +104,7 @@ def test_gradient_without_room_for_stencil_fails():
 
 
 # ---------------------------------------------------------------------------
-# area and energy
+# area
 
 
 def test_area_of_tilted_plane_is_exact():
@@ -114,19 +112,9 @@ def test_area_of_tilted_plane_is_exact():
     assert graph_area(f) == pytest.approx(math.sqrt(1.5625), abs=1e-10)
 
 
-def test_energy_of_tilted_plane_is_exact():
-    f = linear_field(0.75)
-    assert dirichlet_energy(f) == pytest.approx(0.5 * 0.75 ** 2, abs=1e-10)
-
-
 def test_fan_wedge_area_matches_closed_form():
     area = graph_area(fan_field(1.0), wedge_region())
     assert area == pytest.approx(WEDGE_AREA, rel=1e-4)
-
-
-def test_fan_wedge_energy_matches_closed_form():
-    energy = dirichlet_energy(fan_field(1.0), wedge_region())
-    assert energy == pytest.approx(1.0 / 9.0, rel=1e-4)
 
 
 def test_area_over_empty_region_is_zero():

@@ -5,15 +5,20 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import heisurf.lines as lines
 from heisurf.core import chord_offset_arr, norm_arr
 from heisurf.families import MembershipSlab, sigma_rho_membership
 from heisurf.lines import (
     CalibrationResult,
     LineSample,
     _crossings,
+    _cut_crossings,
     _exact_crossings,
     _line_points,
+    _line_polys,
     _merge,
+    _poly_roots,
+    _window,
     box_volume,
     calibrate_ratio,
     crossing_counts,
@@ -23,7 +28,8 @@ from heisurf.lines import (
     monotonicity_check,
     sample_lines,
 )
-from heisurf.strips import BrokenPlane, PwlProfile, broken_plane, strip_surface
+from heisurf.strips import (ArctanProfile, BrokenPlane, CallableProfile,
+                            PwlProfile, broken_plane, strip_surface)
 
 RNG = np.random.default_rng(7)
 
@@ -339,3 +345,114 @@ def test_line_inside_the_fan_has_no_exact_crossing():
     counts, roots, _ = _exact_crossings(broken_plane(1.0), np.zeros(1),
                                         np.zeros(1), np.zeros(1))
     assert counts.tolist() == [0] and roots.size == 0
+
+
+# ---------------------------------------------------------------------------
+# exact counts of arctan strips and closed-form slabs against the scan
+
+
+def _dense_counts(surface, theta, v, w, n_scan):
+    """`_crossings` at n_scan points per line over each line's whole
+    window: its reach (|t| <= 50) is widened to hold every window."""
+    reach = float(np.max(np.abs(_window(_line_polys(theta, v, w)[0],
+                                        surface.x_max))))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(lines, "_REACH", max(lines._REACH, reach))
+        return _crossings(surface, theta, v, w, n_scan)[0]
+
+
+def _check_cut_counts(surface, seed):
+    """The census's cut counts of 500 lines equal the dense scan's."""
+    theta, v, w = sample_lines(1.5, 500, seed)
+    counts, roots, _ = _cut_crossings(surface, theta, v, w)
+    dense = _dense_counts(surface, theta, v, w, 3200)
+    # a line whose two roots share a cell of that grid (as where one of
+    # them lies in its 1e-3 padding beyond |x| = x_max) is scanned again,
+    # 32 times finer
+    for i in np.nonzero(counts != dense)[0]:
+        line = theta[i:i + 1], v[i:i + 1], w[i:i + 1]
+        assert counts[i] == _dense_counts(surface, *line, 102_400)[0]
+    # the witnesses' roots lie on the surface, inside |x| <= x_max (x is
+    # evaluated here in another order than in the window)
+    multi = counts > 1
+    line = np.repeat(np.nonzero(multi)[0], counts[multi])
+    pts = _line_points(theta[line], v[line], w[line], roots)
+    assert np.all(np.abs(surface.membership_offset(pts)) <= 1e-9)
+    assert np.all(np.abs(pts[:, 0]) <= surface.x_max * (1.0 + 1e-12))
+
+
+#: An increasing closed-form rho whose slope swings from 0.1 to 1.9.
+WIGGLE = CallableProfile(lambda m: m + 0.9 * np.sin(m),
+                         dfn=lambda m: 1.0 + 0.9 * np.cos(m))
+
+arctan_strips = st.builds(
+    lambda k, x_max: strip_surface(ArctanProfile(k), x_max=x_max),
+    st.floats(-4.0, 10.0), st.sampled_from((0.5, 1.0, 2.0)))
+closed_form_slabs = st.builds(
+    sigma_rho_membership,
+    # a subnormal k rounds k arctan flat, which the check of rho refuses
+    st.floats(0.0, 5.0, exclude_min=True, allow_subnormal=False)
+    .map(ArctanProfile) | st.just(WIGGLE),
+    st.sampled_from(((0.0, 1.0), (-3.0, 2.0), (-1e3, 1e3))))
+
+
+@settings(derandomize=True, database=None, max_examples=30, deadline=None)
+@given(arctan_strips, st.integers(0, 2**16))
+def test_arctan_strip_counts_equal_the_dense_scan(surface, seed):
+    _check_cut_counts(surface, seed)
+
+
+@settings(derandomize=True, database=None, max_examples=8, deadline=None)
+@given(closed_form_slabs, st.integers(0, 2**16))
+def test_closed_form_slab_counts_equal_the_dense_scan(surface, seed):
+    _check_cut_counts(surface, seed)
+
+
+def test_a_line_crossing_an_arctan_strip_twice_on_one_side_counts_two():
+    # x stays in (0.7, 0.9) between the two crossings, and the offset turns
+    # between them (sigma' x^2 = 2 at t = -3.0): the window's ends and x = 0
+    # alone bracket no sign change
+    strip = strip_surface(ArctanProfile(8.0))
+    line = LineSample(math.pi / 2 - 0.02, -0.9, 0.0)
+    counts, roots, degenerate = _cut_crossings(
+        strip, *np.array([[line.theta], [line.v], [line.w]]))
+    assert counts.tolist() == [2] and not degenerate.any()
+    assert np.all((line.points_at(roots)[:, 0] > 0.7)
+                  & (line.points_at(roots)[:, 0] < 0.9))
+    dense = crossings(strip, line, n_scan=3200)
+    assert dense.count == 2
+    assert roots == pytest.approx(dense.roots, rel=0.0, abs=1e-9)
+
+
+def test_slab_offset_changes_sign_at_most_once_between_its_cuts():
+    # the horizontal chords through a point meet the boundary lines at
+    # M = (y + 2z) / (2 (1 - x)) and R = (2z - y) / (2 (1 + x)); where
+    # a <= M <= b the offset has the sign of rho(M) - R, monotone along the
+    # line, and where M < a (M > b) that of the chord clamped at a (b)
+    a, b = -3.0, 2.0
+    slab = sigma_rho_membership(WIGGLE, (a, b))
+    theta, v, w = sample_lines(1.5, 200, 11)
+    x, y, z = _line_polys(theta, v, w)
+    cuts, pieces = slab.line_pieces(x, y, z)
+    assert pieces is None
+    lo, hi = _window(x, slab.x_max)
+    t = lo[:, None] + (hi - lo)[:, None] * np.linspace(0.0, 1.0, 2001)[1:-1]
+    px, py, pz = np.moveaxis(_line_points(theta[:, None], v[:, None],
+                                          w[:, None], t), -1, 0)
+    m = (py + 2.0 * pz) / (2.0 - 2.0 * px)
+    r = (2.0 * pz - py) / (2.0 + 2.0 * px)
+    sign = np.sign(slab.membership_offset(np.stack([px, py, pz], axis=-1)))
+    g = WIGGLE(m) - r
+    steps = np.diff(g, axis=1)
+    assert np.all((steps <= 1e-12).all(axis=1) | (steps >= -1e-12).all(axis=1))
+    inside = (m >= a) & (m <= b)
+    assert np.array_equal(sign[inside], np.sign(g[inside]))
+    for c, side in ((a, m < a), (b, m > b)):
+        clamped = py - 2.0 * c + (px + 1.0) * (c + WIGGLE(c))
+        assert np.array_equal(sign[side], np.sign(clamped[side]))
+    # the cuts are M = a and M = b
+    at = _line_points(theta[:, None, None], v[:, None, None],
+                      w[:, None, None], _poly_roots(cuts))
+    m_cut = (at[..., 1] + 2.0 * at[..., 2]) / (2.0 - 2.0 * at[..., 0])
+    assert np.nanmax(np.abs(m_cut[:, 0] - a)) < 1e-9
+    assert np.nanmax(np.abs(m_cut[:, 1] - b)) < 1e-9
