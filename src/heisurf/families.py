@@ -12,6 +12,9 @@ Three constructions share this module:
   increasing reparametrization ``rho``.  Every member spans the same
   boundary pair and `sigma_rho_area` shows the area depends only on the
   endpoint data, which is what makes the minimizing filling non-unique.
+  `sigma_rho_membership` extends a member to the slab |x| <= 1 with a
+  membership offset and, for every increasing ``rho``, the line cuts the
+  exact crossing census in `lines` reads.
 
 * **Competitor surfaces** (`build_competitor`): two spanning surfaces for
   the truncated broken-plane boundary from one sweep: horizontal segments
@@ -35,7 +38,7 @@ import numpy as np
 from .core import chord_offset_arr
 from .quadrature import QuadConfig, VRegion, integrate_1d, integrate_region
 from .strips import (Profile, ProfileError, PwlProfile, _solve_height,
-                     affine_product, constant_poly)
+                     constant_poly)
 from .surfaces import IDENTITY, RuledSurface
 from .variation import g_primitive
 
@@ -318,9 +321,9 @@ class MembershipSlab:
 
     fn: Callable[[np.ndarray], np.ndarray]
     x_max: float = 1.0
-    #: Cuts and pieces of the offset along lines, as
-    #: `strips.GraphicalStrip.line_pieces`; by default it has none (None).
-    line_pieces: Callable = lambda x, y, z: None
+    #: Cuts of the offset along lines, as `strips.GraphicalStrip.line_cuts`;
+    #: by default it has none (None).
+    line_cuts: Callable = lambda x, y, z: None
 
     def membership_offset(self, points: np.ndarray) -> np.ndarray:
         return self.fn(points)
@@ -340,30 +343,21 @@ def sigma_rho_membership(rho: Profile, window: tuple[float, float]) -> Membershi
     exactly, piece by piece, for a PWL rho, by safeguarded Newton-bisection
     for a closed-form one.
 
-    For a PWL rho the slab also has line pieces.  The sweep parameter is at
-    least c where z - (1 - s) c - s rho(c) >= 0, which is affine in t along
-    a line, for c in the window ends and rho's knots between them.  Beyond
-    the ends the offset is that of the clamped chord, affine in t.  On a
-    piece rho(w) = rho(c) + m (w - c) the offset is E + 2 (w - c) (s (1 + m)
-    - 1), with E the offset at w = c and (w - c) (1 - s + s m) equal to the
-    cut at c; times 1 - s + s m > 0 it is a quadratic.
-
-    For a closed-form rho the slab has cuts and no pieces.  The horizontal
-    chords through a point meet the left boundary line at M = P/Q and the
-    right one at R = U/V, with P = y + 2z, Q = 2 (1 - x), U = 2z - y and
-    V = 2 (1 + x).  Along a line the four are affine in t, so M and R are
-    Moebius with their poles at the slab's edges, and M' = -D/Q^2 and
-    R' = D/V^2 share the constant D.  Where a <= M <= b the offset has the
-    sign of rho(M) - R, which is monotone along the line for an increasing
-    rho; where M < a (M > b) it has the sign of the chord offset clamped
-    at a (b), which is affine in t.  So between the roots of the cuts
-    P - a Q and P - b Q the offset changes sign at most once.
+    The slab has line cuts.  The horizontal chords through a point meet
+    the left boundary line at M = P/Q and the right one at R = U/V, with
+    P = y + 2z, Q = 2 (1 - x), U = 2z - y and V = 2 (1 + x).  Along a line
+    the four are affine in t, so M and R are Moebius with their poles at
+    the slab's edges, and M' = -D/Q^2 and R' = D/V^2 share the constant D.
+    Where a <= M <= b the offset has the sign of rho(M) - R, which is
+    monotone along the line for every increasing rho; where M < a (M > b)
+    it has the sign of the chord offset clamped at a (b), which is affine
+    in t.  So between the roots of the cuts P - a Q and P - b Q the offset
+    changes sign at most once.
     """
     a, b = float(window[0]), float(window[1])
     if not b > a:
         raise ValueError("window must satisfy a < b")
     _check_increasing(rho, a, b)
-    one = constant_poly(1.0)
 
     def offset(points):
         pts = np.asarray(points, dtype=float)
@@ -374,26 +368,11 @@ def sigma_rho_membership(rho: Profile, window: tuple[float, float]) -> Membershi
         y_surf = 2.0 * w - (x + 1.0) * (w + r)
         return y - y_surf
 
-    if not isinstance(rho, PwlProfile):
-        def ends(x, y, z):
-            p, q = y + 2.0 * z, 2.0 * (one - x)
-            return np.stack([p - a * q, p - b * q], axis=1), None
+    def cuts(x, y, z):
+        p, q = y + 2.0 * z, 2.0 * (constant_poly(1.0) - x)
+        return np.stack([p - a * q, p - b * q], axis=1)
 
-        return MembershipSlab(offset, line_pieces=ends)
-    c = np.concatenate([[a], rho.w[(rho.w > a) & (rho.w < b)], [b]])
-    r, m = rho(c)[:, None], rho.derivative(c[:-1])[:, None]
-
-    def pieces(x, y, z):
-        s = 0.5 * (x + one)[:, None, :]
-        cuts = z[:, None, :] - constant_poly(c) - (r - c[:, None]) * s
-        clamped = (y[:, None, :] - constant_poly(2.0 * c)
-                   + 2.0 * (c[:, None] + r) * s)
-        inner = (affine_product(clamped[:, :-1], one + (m - 1.0) * s)
-                 + 2.0 * affine_product(cuts[:, :-1], (1.0 + m) * s - one))
-        return cuts, np.concatenate([clamped[:, :1], inner, clamped[:, -1:]],
-                                    axis=1)
-
-    return MembershipSlab(offset, line_pieces=pieces)
+    return MembershipSlab(offset, line_cuts=cuts)
 
 
 def sigma_rho_area(rho: Profile, a: float, b: float) -> float:

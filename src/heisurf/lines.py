@@ -7,22 +7,20 @@ induced (v, w) maps are shears).  The measure of the lines meeting a gauge
 ball of radius r therefore scales exactly like r^3; both facts are backed
 by Monte-Carlo tests rather than taken on faith.
 
-Along a line x, y and z are affine in t.  For a piecewise-polynomial
-surface (a PWL strip, a broken plane, the sigma-rho slab of a PWL rho) the
-membership offset is then, piece by piece, a polynomial of degree <= 2 in
-t, and `_exact_crossings` solves every piece of every line at once in
-closed form, keeping the roots with |x| <= x_max.  For the strip of an
-arctan profile and the sigma-rho slab of a closed-form rho the line pieces
-are cuts alone: between the roots of these polynomials the offset changes
-sign at most once, so `_cut_crossings` counts a line's crossings as the
-sign changes of the offset at its window's ends (|x| <= x_max) and those
-roots, and bisects only the lines it counts twice or more.  For any other
-closed-form surface crossings are sign changes of the offset on a grid:
-`_crossings` scans every line's window (padded by 1e-3, within a reach of
-|t| <= 50) and bisects the brackets of all lines at once; it also serves
-`crossings` and `crossing_counts`.  All of them see only transversal
-intersections, and all read the same three members of a surface:
-`membership_offset`, `x_max` and `line_pieces` (None where it has none).
+Along a line x, y and z are affine in t.  The strip of a PWL or arctan
+profile, a broken plane and a sigma-rho slab hand the census cuts along a
+batch of lines (`line_cuts`): polynomials in t of degree <= 2 between whose
+roots the membership offset changes sign at most once.  `_cut_crossings`
+counts a line's crossings exactly, as the sign changes of the offset at its
+window's ends (|x| <= x_max) and beside each cut root, and bisects only the
+lines it counts twice or more.  For any other closed-form surface crossings
+are sign changes of the offset on a grid: `_crossings` scans every line's
+window (padded by 1e-3 and clamped to |t| <= 50, so it misses crossings of
+near-steep lines beyond that) and bisects the brackets of all lines at
+once; it also serves `crossings` and `crossing_counts`.  Both see only
+transversal intersections, and both read the same three members of a
+surface: `membership_offset`, `x_max` and `line_cuts` (None where it has
+none).
 A graphical strip with slopes in [-2, 2) meets almost every horizontal
 line at most once; surfaces carrying a horizontal shortcut chord are met
 twice, and the census in `monotonicity_check` finds such lines.  The
@@ -190,7 +188,10 @@ def calibrate_ratio(r_small: float = 1.0, r_big: float = 2.0,
 # ---------------------------------------------------------------------------
 # crossings by scan: one scan and one bisection for closed-form surfaces
 
-_REACH = 50.0  # every line's t-window lies inside [-_REACH, _REACH]
+# The scan clamps every line's t-window to [-_REACH, _REACH], so it misses
+# the crossings of a near-steep line (window about 2 x_max / |cos theta|
+# long) that lie beyond |t| = _REACH.
+_REACH = 50.0
 _CHUNK = 4096  # lines per kernel call, which bounds the kernels' memory
 
 
@@ -202,8 +203,8 @@ def _line_points(theta, v, w, ts):
 
 
 def _windows(surface, theta, v):
-    """Per-line t-intervals where |x(t)| <= x_max, padded by 1e-3 and kept
-    inside the reach.  x(t) is linear in t, so the inside set is one
+    """Per-line t-intervals where |x(t)| <= x_max, padded by 1e-3 and
+    clamped to |t| <= _REACH.  x(t) is linear in t, so the inside set is one
     interval and sign changes on it are all transversal hits.
     """
     xm = surface.x_max
@@ -304,9 +305,10 @@ def _merge(line, root, eps, n_lines):
 
 
 # ---------------------------------------------------------------------------
-# exact crossings of piecewise-polynomial surfaces
+# exact crossings from a surface's cuts
 
-#: Points of a line closer than this (times max(1, |t|)) form one cluster.
+#: The census reads the offset this far (times max(1, |t|)) on each side of
+#: a cut root, so crossings closer than that to a root count as one.
 _NEAR = 1e-12
 
 
@@ -324,13 +326,9 @@ def _line_polys(theta, v, w):
 
 def _normalized(c):
     """Polynomials divided by their largest coefficient: same roots and
-    signs, and no overflow in the discriminant or in Horner's rule."""
+    signs, and no overflow in the discriminant."""
     scale = np.max(np.abs(c), axis=-1, keepdims=True)
     return c / np.where(scale > 0.0, scale, 1.0)
-
-
-def _horner(c, t):
-    return c[..., 0] + t * (c[..., 1] + t * c[..., 2])
 
 
 def _poly_roots(c):
@@ -347,23 +345,6 @@ def _poly_roots(c):
     return np.where(np.isfinite(roots), roots, np.nan)
 
 
-def _cut_steps(cuts, roots):
-    """Change in the number of nonnegative cuts at each of their roots.
-
-    A quadratic's two roots step by -s, then +s in root order, with s the
-    sign of its t^2 coefficient, so a double root nets zero.  A lone root
-    (a linear cut, or a quadratic whose other root overflowed) steps by
-    the sign of the slope there.
-    """
-    s = np.sign(cuts[..., 2])
-    first = np.where(roots[..., 0] <= roots[..., 1], -s, s)
-    pair = np.stack([first, -first], axis=-1)
-    with np.errstate(invalid="ignore"):
-        lone = np.sign(cuts[..., 1, None] + 2.0 * cuts[..., 2, None] * roots)
-    steps = np.where(np.isnan(roots).any(axis=-1, keepdims=True), lone, pair)
-    return np.where(np.isnan(roots), 0, steps).astype(int)
-
-
 def _window(x, x_max):
     """The t-interval of each line where |x| <= x_max (empty: lo >= hi).
 
@@ -375,108 +356,35 @@ def _window(x, x_max):
     return np.minimum(a, b), np.maximum(a, b)
 
 
-def _interior_point(lo, hi):
-    """A point of each interval (lo, hi), ends possibly infinite."""
-    lo_in, hi_in = np.isfinite(lo), np.isfinite(hi)
-    lo0, hi0 = np.where(lo_in, lo, 0.0), np.where(hi_in, hi, 0.0)
-    return np.where(lo_in & hi_in, 0.5 * (lo0 + hi0),
-                    np.where(lo_in, lo0 + 1.0, np.where(hi_in, hi0 - 1.0, 0.0)))
-
-
-def _intervals(cuts, pieces):
-    """Sorted cut roots of each line (missing ones NaN, last) and, for each
-    interval [lo, hi) they bound, its piece, normalized.
-
-    The piece of the first interval is the number of cuts nonnegative left
-    of every root, and each root steps it (`_cut_steps`), so an interval
-    too short to hold a float still gets its piece.
-    """
-    n = len(cuts)
-    cuts = _normalized(cuts)
-    ends = _poly_roots(cuts)
-    steps = _cut_steps(cuts, ends).reshape(n, -1)
-    ends = ends.reshape(n, -1)
-    width = int(np.max(np.count_nonzero(~np.isnan(ends), axis=1)))
-    order = np.argsort(ends, axis=1)[:, :width]
-    ends = np.take_along_axis(ends, order, axis=1)
-    steps = np.take_along_axis(steps, order, axis=1)
-    t0 = np.nan_to_num(np.concatenate([ends, np.full((n, 1), np.nan)],
-                                      axis=1)[:, :1] - 1.0)
-    piece = np.count_nonzero(_horner(cuts, t0) >= 0.0, axis=1)[:, None] \
-        + np.cumsum(np.concatenate([np.zeros((n, 1), dtype=int), steps],
-                                   axis=1), axis=1)
-    return ends, _normalized(np.take_along_axis(pieces, piece[..., None],
-                                                axis=1))
-
-
-def _piece_crossings(x, cuts, pieces, x_max):
-    """(line, root, grazing) of every contact of the lines with |x| <= x_max.
-
-    The candidates are the cut roots and each piece's roots in its interval
-    (to `_NEAR`), inside the window; candidates closer than `_NEAR` form one
-    cluster.  The pieces are the offset times a positive factor, so the
-    offset's sign is read from them between clusters, away from every
-    root.  A cluster is a crossing where that sign changes across it, and
-    a grazing contact where the sign is the same on both sides but two
-    piece roots meet in it (a double root, or two pieces touching zero at
-    their boundary).  A crossing at a piece boundary, or inside pieces too
-    short for floats, is one sign change; where the offset is zero on one
-    side (the line lies in the surface there) the cluster is no contact.
-    """
-    n = len(x)
-    ends, coef = _intervals(cuts, pieces)
-    bounds = np.where(np.isnan(ends), np.inf, ends)
-    lo = np.concatenate([np.full((n, 1), -np.inf), bounds], axis=1)[..., None]
-    hi = np.concatenate([bounds, np.full((n, 1), np.inf)], axis=1)[..., None]
-    roots = _poly_roots(coef)
-    near = (roots >= lo - np.where(np.isfinite(lo), _near(lo), 0.0)) \
-        & (roots <= hi + np.where(np.isfinite(hi), _near(hi), 0.0))
-    t = np.concatenate([ends, np.where(near, roots, np.nan).reshape(n, -1)],
-                       axis=1)
-    is_root = np.arange(t.shape[1]) >= ends.shape[1]
-    # the candidates inside the window, as one flat list in line order
-    t_lo, t_hi = _window(x, x_max)
-    ok = (t > t_lo[:, None]) & (t < t_hi[:, None])
-    line = np.broadcast_to(np.arange(n)[:, None], t.shape)[ok]
-    t, is_root = t[ok], np.broadcast_to(is_root, ok.shape)[ok]
-    if not len(t):
-        return line, t, is_root
-    order = np.lexsort((t, line))
-    line, t, is_root = line[order], t[order], is_root[order]
-    starts = np.flatnonzero(np.concatenate([
-        [True], (line[1:] != line[:-1]) | (t[1:] - t[:-1] > _near(t[1:]))]))
-    c_line, c_first = line[starts], t[starts]
-    c_last = t[np.concatenate([starts[1:], [len(t)]]) - 1]
-    n_roots = np.add.reduceat(is_root.astype(int), starts)
-    root = np.minimum.reduceat(np.where(is_root, t, np.inf), starts)
-    root = np.where(n_roots > 0, root, c_first)
-    same = c_line[1:] == c_line[:-1]
-    left = np.where(np.concatenate([[False], same]),
-                    np.concatenate([[np.nan], c_last[:-1]]), t_lo[c_line])
-    right = np.where(np.concatenate([same, [False]]),
-                     np.concatenate([c_first[1:], [np.nan]]), t_hi[c_line])
-
-    def sign(at):
-        j = np.count_nonzero(ends[c_line] <= at[:, None], axis=1)
-        return np.sign(_horner(coef[c_line, j], at))
-
-    change = (sign(_interior_point(left, c_first))
-              * sign(_interior_point(c_last, right)))
-    grazing = (change > 0.0) & (n_roots >= 2)
-    keep = (change < 0.0) | grazing
-    return c_line[keep], root[keep], grazing[keep]
+def _readings(lo, hi, roots):
+    """Sorted points of each line's window [lo, hi] at which the offset's
+    sign is read: the window's ends and, `_near` away on both sides, each
+    cut root inside it (clipped to the window)."""
+    lo, hi = lo[:, None], hi[:, None]
+    inside = (roots > lo) & (roots < hi)
+    width = int(np.max(np.count_nonzero(inside, axis=1)))
+    # the roots inside first, in order; the columns no line fills go
+    roots = np.sort(np.where(inside, roots, np.inf), axis=1)[:, :width]
+    live = np.isfinite(roots)
+    roots = np.where(live, roots, hi)
+    t = np.concatenate([lo, np.where(live, roots - _near(roots), lo),
+                        roots + _near(roots), hi], axis=1)
+    return np.sort(np.clip(t, lo, hi), axis=1)
 
 
 def _cut_crossings(surface, theta, v, w):
     """(counts, roots of the lines crossing twice or more, degenerate) of a
-    surface whose line pieces are cuts alone (pieces None).
+    surface with line cuts (`line_cuts`).
 
     Between consecutive cut roots the offset changes sign at most once, so
-    a line's count is the number of sign changes of the offset at its
-    window's ends (|x| <= x_max) and the cut roots inside.  Only the lines
-    counted twice or more are bisected (`_bisect`); their roots closer
-    than 1e-8 (times a window length above 1) merge, flagging the line
-    degenerate, and a line merged down to one crossing keeps no root.
+    a line's count is the number of sign changes of the offset read at its
+    window's ends (|x| <= x_max) and on both sides of each cut root inside
+    (`_readings`).  Reading beside a root, not at it, keeps a crossing that
+    lies on a root, or between roots closer than float spacing, as one
+    sign change.  Only the lines counted twice or more are bisected
+    (`_bisect`); their roots closer than 1e-8 (times a window length above
+    1) merge, flagging the line degenerate, and a line merged down to one
+    crossing keeps no root.
     """
     counts = np.zeros(len(theta), dtype=int)
     length = np.zeros(len(theta))
@@ -484,11 +392,9 @@ def _cut_crossings(surface, theta, v, w):
     for start in range(0, len(theta), _CHUNK):
         sl = slice(start, start + _CHUNK)
         x, y, z = _line_polys(theta[sl], v[sl], w[sl])
-        cuts, _ = surface.line_pieces(x, y, z)
         lo, hi = _window(x, surface.x_max)
-        t = _poly_roots(_normalized(cuts)).reshape(len(x), -1)
-        t = np.where((t > lo[:, None]) & (t < hi[:, None]), t, hi[:, None])
-        t = np.sort(np.concatenate([lo[:, None], t, hi[:, None]], axis=1))
+        roots = _poly_roots(_normalized(surface.line_cuts(x, y, z)))
+        t = _readings(lo, hi, roots.reshape(len(x), -1))
         F = np.asarray(surface.membership_offset(_line_points(
             theta[sl, None], v[sl, None], w[sl, None], t)))
         sign = np.sign(F)
@@ -507,29 +413,6 @@ def _cut_crossings(surface, theta, v, w):
     return counts, roots[np.repeat(merged > 1, merged)], degenerate
 
 
-def _exact_crossings(surface, theta, v, w):
-    """(counts, roots in line order, degenerate) from the surface's line
-    pieces.
-
-    The crossings are exact, over |x| <= x_max with no padding and no
-    reach (`_piece_crossings`).  A crossing on a piece boundary counts once;
-    a grazing contact counts as one and flags the line degenerate, as do
-    roots closer than 1e-8, which merge.
-    """
-    parts = []
-    for start in range(0, len(theta), _CHUNK):
-        sl = slice(start, start + _CHUNK)
-        x, y, z = _line_polys(theta[sl], v[sl], w[sl])
-        line, root, grazing = _piece_crossings(
-            x, *surface.line_pieces(x, y, z), surface.x_max)
-        parts.append((line + start, root, grazing))
-    line, root, grazing = map(np.concatenate, zip(*parts))
-    counts, roots, degenerate = _merge(line, root, np.full(len(root), 1e-8),
-                                       len(theta))
-    return counts, roots, degenerate | (np.bincount(
-        line[grazing], minlength=len(theta)) > 0)
-
-
 class LineCrossings(NamedTuple):
     count: int
     roots: tuple[float, ...]
@@ -543,7 +426,8 @@ def crossings(surface, line: LineSample,
     Sign changes of the membership offset on an n_scan grid over the
     line's window (|x| <= x_max, padded by 1e-3), bisected to 1e-10, kept
     where |x| <= x_max; roots closer than 1e-8 merge and flag the line
-    degenerate (a grazing contact).
+    degenerate (a grazing contact).  The window is clamped to |t| <= 50,
+    so crossings of a near-steep line beyond that are missed.
     """
     count, roots, degenerate = _crossings(
         surface, *np.array([[line.theta], [line.v], [line.w]]), n_scan)
@@ -555,8 +439,10 @@ def crossing_counts(surface, theta, v, w, n_scan: int) -> np.ndarray:
     """Grid sign-change counts for a batch of lines given as arrays.
 
     The crossing kernel's scan alone, without refinement or the extent
-    filter: the census's first count of a surface with no line pieces (the
-    strip of a closed-form sigma other than arctan).
+    filter: the census's first count of a surface with no line cuts (the
+    strip of a closed-form sigma other than arctan).  Like `crossings` it
+    clamps each window to |t| <= 50, so it misses crossings of near-steep
+    lines beyond that.
     """
     theta, v, w = (np.asarray(a, dtype=float) for a in (theta, v, w))
     lo, hi = _windows(surface, theta, v)
@@ -597,35 +483,31 @@ def monotonicity_check(surface, radius: float = 1.5, n: int = 400,
     """Crossing-count census over random lines meeting a gauge ball.
 
     Accepts a slope profile (realized as a strip of half-width 1) or any
-    surface with a membership offset.  A surface with line pieces is
-    counted exactly over |x| <= x_max (count method "exact"): the pieces of
-    a PWL strip, a broken plane or the sigma-rho slab of a PWL rho are
-    solved for every line at once (`_exact_crossings`), and the strip of an
-    arctan profile or the slab of a closed-form rho is counted from the
-    offset's signs at its cuts (`_cut_crossings`).  Otherwise (a
-    closed-form sigma other than arctan, or a surface with no line pieces)
-    `crossing_counts` scans every line at 400 points, and the lines it
-    counts twice or more are re-counted by one kernel call at 800 points
-    (count method "scan").  Lines still crossing twice are the witnesses;
-    the first 8 are reported.  Grazing contacts are merged away and never
-    counted as violations.
+    surface with a membership offset.  A surface with line cuts (a strip
+    of a PWL or arctan profile, a broken plane, a sigma-rho slab) is
+    counted exactly over |x| <= x_max from the offset's signs beside its
+    cuts (`_cut_crossings`, count method "exact").  Otherwise (the strip
+    of a closed-form sigma other than arctan, or a surface with no line
+    cuts) `crossing_counts` scans every line at 400 points, and the lines
+    it counts twice or more are re-counted by one kernel call at 800
+    points (count method "scan").  Lines still crossing twice are the
+    witnesses; the first 8 are reported.  Grazing contacts are merged away
+    and never counted as violations.
     """
     if isinstance(surface, Profile):
         surface = strip_surface(surface)
     theta, v, w = sample_lines(radius, n, seed)
-    found = surface.line_pieces(*_line_polys(theta[:1], v[:1], w[:1]))
-    if found is None:
+    if surface.line_cuts(*_line_polys(theta[:1], v[:1], w[:1])) is None:
         counts = crossing_counts(surface, theta, v, w, n_scan=_CENSUS_SCAN)
         multi = np.nonzero(counts > 1)[0]
         refined, roots, degenerate = _crossings(
             surface, theta[multi], v[multi], w[multi], _CENSUS_RECOUNT)
         counts[multi] = refined
         roots = roots[np.repeat(refined > 1, refined)]
-    elif found[1] is None:
-        counts, roots, degenerate = _cut_crossings(surface, theta, v, w)
+        method = "scan"
     else:
-        counts, roots, degenerate = _exact_crossings(surface, theta, v, w)
-        roots = roots[np.repeat(counts > 1, counts)]
+        counts, roots, degenerate = _cut_crossings(surface, theta, v, w)
+        method = "exact"
     bins, sizes = np.unique(counts, return_counts=True)
     multi = np.nonzero(counts > 1)[0]
     per_line = np.split(roots, np.cumsum(counts[multi])[:-1])
@@ -634,6 +516,4 @@ def monotonicity_check(surface, radius: float = 1.5, n: int = 400,
                 for i, r in zip(multi, per_line))
     return CrossingReport(n, seed, radius,
                           dict(zip(bins.tolist(), sizes.tolist())),
-                          bad[:_WITNESSES], int(np.sum(degenerate)),
-                          "scan" if found is None else "exact")
-
+                          bad[:_WITNESSES], int(np.sum(degenerate)), method)

@@ -21,13 +21,11 @@ half-planes {y = -ux, z > 0} and {y = ux, z < 0} joined by the flat sector
 horizontal chords whose endpoints lie on the surface but whose interior
 does not.
 
-Along a horizontal line x, y and z are affine in the line parameter t, so
-the membership offset of a PWL strip or of a broken plane is, piece by
-piece, a polynomial of degree <= 2 in t after clearing a positive factor.
-For the strip of an `ArctanProfile` the points where the offset can turn
-are the roots of such polynomials.  `line_pieces` hands these polynomials
-to the exact crossing census in `lines`.  A polynomial in t is an array
-whose last axis holds the coefficients of (1, t, t^2).
+Along a horizontal line x, y and z are affine in the line parameter t.
+For a PWL or arctan strip and for a broken plane, `line_cuts` hands the
+crossing census in `lines` polynomials in t of degree <= 2 between whose
+roots the membership offset changes sign at most once.  A polynomial in t
+is an array whose last axis holds the coefficients of (1, t, t^2).
 """
 from __future__ import annotations
 
@@ -390,7 +388,7 @@ class ArctanProfile(CallableProfile):
     Its slope scale / (1 + z^2) is rational, so along a line the points
     where its strip's offset turns are the roots of polynomials in t, and
     the census counts the strip's crossings exactly (see
-    `GraphicalStrip.line_pieces`).
+    `GraphicalStrip.line_cuts`).
     """
 
     scale: float
@@ -527,38 +525,33 @@ class GraphicalStrip:
         p = np.asarray(points, dtype=float)
         return p[..., 1] - p[..., 0] * np.asarray(self.sigma(p[..., 2]))
 
-    def line_pieces(self, x, y, z):
-        """Cuts and pieces of the offset along lines; None for a closed-form
-        sigma other than `ArctanProfile`.
+    def line_cuts(self, x, y, z):
+        """Cuts of the offset along lines; None for a closed-form sigma
+        other than `ArctanProfile`.
 
-        ``x``, ``y``, ``z`` are (n, 3) polynomials, one line each.  The
-        result is (cuts, pieces): (n, K, 3) and (n, K + 1, 3) polynomials.
-        Where k of the cuts are >= 0 the line is on piece k, and there the
-        offset times a positive factor is pieces[:, k].  Here a line is on
-        piece k of sigma where k knots z_j have z(t) - z_j >= 0, and the
-        offset y - x sigma(z) is y - s x - m x (z - z_a), with sigma equal
-        to s at its anchor knot z_a and of slope m on the piece.
-
-        For sigma = k arctan the pieces are None and the cuts are x and
-        k x^2 - 2 (1 + z^2): along a line y/x - sigma(z) has t-derivative
-        v (sigma'(z) x^2 - 2) / (2 x^2), so between consecutive cut roots
-        it is monotone, x keeps its sign and the offset changes sign at
-        most once.
+        ``x``, ``y``, ``z`` are (n, 3) polynomials, one line each, and the
+        cuts are (n, K, 3) polynomials between whose roots the offset
+        changes sign at most once.  Along a line y/x - sigma(z) has
+        t-derivative v (sigma'(z) x^2 - 2) / (2 x^2), so it is monotone
+        where x and sigma'(z) x^2 - 2 keep their signs, and there the offset
+        x (y/x - sigma(z)) changes sign at most once.  For sigma = k arctan
+        the cuts are x and k x^2 - 2 (1 + z^2).  For a PWL sigma they are x,
+        z - z_j for each knot z_j, and m x^2 - 2 for each piece slope m > 0
+        (where m <= 0, m x^2 - 2 is negative).
         """
         sigma = self.sigma
         if isinstance(sigma, ArctanProfile):
             turn = (sigma.scale * affine_product(x, x)
                     - 2.0 * (constant_poly(1.0) + affine_product(z, z)))
-            return np.stack([x, turn], axis=1), None
+            return np.stack([x, turn], axis=1)
         if not isinstance(sigma, PwlProfile):
             return None
-        cuts = z[:, None, :] - constant_poly(sigma.w)
-        anchor = np.minimum(np.arange(len(sigma.w) + 1), len(sigma.w) - 1)
-        slope, at = sigma.piece_slopes()[:, None], sigma.v[anchor, None]
-        xs = x[:, None, :]
-        pieces = (y[:, None, :] - at * xs - slope * affine_product(
-            xs, z[:, None, :] - constant_poly(sigma.w[anchor])))
-        return cuts, pieces
+        m = np.unique(sigma.piece_slopes())
+        turn = (m[m > 0.0, None] * affine_product(x, x)[:, None, :]
+                - constant_poly(2.0))
+        return np.concatenate([x[:, None, :],
+                               z[:, None, :] - constant_poly(sigma.w), turn],
+                              axis=1)
 
     def is_graphical(self) -> bool:
         lo, hi = self.sigma.slope_bounds()
@@ -594,20 +587,16 @@ class BrokenPlane:
         off = p.reshape(-1, 3)[:, 1] - vals
         return off.reshape(p.shape[:-1])
 
-    def line_pieces(self, x, y, z):
-        """Cuts and pieces of the offset along lines, as for a strip.
-
-        The cuts are z' -+ u x^2/2 with z' = z - x y/2, so a line is on
-        piece 0 (y = u x), 1 (the fan) or 2 (y = -u x) as `value` says.
-        The half-plane offsets are y -+ u x; on the fan x^2 times the offset
-        y + 2 z'/x is 2 x z.
+    def line_cuts(self, x, y, z):
+        """Cuts of the offset along lines, as for a strip: z' -+ u x^2/2
+        with z' = z - x y/2, where `value` changes piece, and x.  On a
+        half-plane the offset y -+ u x is affine in t.  On the fan x^2 times
+        the offset y + 2 z'/x is 2 x z, so where x keeps its sign the offset
+        has the sign of -+z, which is affine in t.
         """
         zp = z - 0.5 * affine_product(x, y)
         bend = 0.5 * self.u * affine_product(x, x)
-        cuts = np.stack([zp - bend, zp + bend], axis=1)
-        pieces = np.stack([y - self.u * x, 2.0 * affine_product(x, z),
-                           y + self.u * x], axis=1)
-        return cuts, pieces
+        return np.stack([zp - bend, zp + bend, x], axis=1)
 
 
 def broken_plane(u: float, x_max: float = 1.0) -> BrokenPlane:

@@ -55,7 +55,7 @@ def test_tracer_wraps_every_target_and_the_competitor_fields():
 def test_tracer_counts_the_census_scan_and_the_crossings_calls():
     tracing = _load_tracing()
     bp = broken_plane(1.0)
-    # a library closed-form profile has no line pieces: it is scanned
+    # a library closed-form profile has no line cuts: it is scanned
     smooth = strip_surface(CallableProfile(
         lambda z: -np.arctan(z), dfn=lambda z: -1.0 / (1.0 + z * z)))
     arctan = strip_surface(profile_from_string("arctan(-1)"))
@@ -84,8 +84,8 @@ def test_tracer_counts_the_census_scan_and_the_crossings_calls():
     # the library strip is scanned: the offset-point counter reads the
     # count pass's arguments, its re-count stays inside the crossing kernel
     assert tracer.counters["lines.offset_points"] == 200 * 400
-    # the broken plane is counted exactly, without a single offset call
-    assert "BrokenPlane.membership_offset" not in exact_pass["calls"]
+    # the broken plane is counted exactly, without a scan
+    assert "crossing_counts" not in exact_pass["calls"]
     assert exact_pass["counters"].get("lines.offset_points", 0) == 0
     calls = tracer.summary((0, tracing.Counter()))["calls"]
     assert calls.get("crossings", 0) == 1
