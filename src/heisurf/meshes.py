@@ -5,8 +5,10 @@ a fixed row-major order, numbers are written with 17 significant digits,
 and the same inputs always produce byte-identical ``.obj`` text.  Files
 contain only comment, ``v`` and ``f`` records, with 1-based face indices
 and the group z coordinate up.  The writer formats each distinct
-coordinate bit pattern once, so ``-0.0`` stays ``-0``, and each vertex
-index once; the records are gathered from those strings.
+coordinate magnitude once and puts the sign back from each value's sign
+bit, so ``-0.0`` stays ``-0``; face indices come from a digit table of
+``1..n``.  Each record is one row of bytes, laid out from those
+NUL-padded cells, and the NULs are dropped at the end.
 
 Graph patches are tessellated over mapped grids ``(x, t) -> (x, y(x, t))``
 so the footprint may have curved upper/lower edges; columns where the
@@ -44,10 +46,21 @@ _DEGENERATE_REL = 1e-12
 
 
 def _triangle_areas(vertices: np.ndarray, faces: np.ndarray) -> np.ndarray:
-    a = vertices[faces[:, 0] - 1]
-    b = vertices[faces[:, 1] - 1]
-    c = vertices[faces[:, 2] - 1]
-    return 0.5 * np.linalg.norm(np.cross(b - a, c - a), axis=-1)
+    """Area of each face of an (n, 3) vertex array and 1-based (m, 3) faces.
+
+    Written out by component on contiguous coordinate columns, in the order
+    of operations of ``0.5 * norm(cross(b - a, c - a))``, so the areas
+    equal that form bit for bit.
+    """
+    x, y, z = np.ascontiguousarray(vertices.T)
+    i, j, k = np.ascontiguousarray(faces.T) - 1
+    ax, ay, az = x[i], y[i], z[i]
+    ux, uy, uz = x[j] - ax, y[j] - ay, z[j] - az
+    wx, wy, wz = x[k] - ax, y[k] - ay, z[k] - az
+    cx = uy * wz - uz * wy
+    cy = uz * wx - ux * wz
+    cz = ux * wy - uy * wx
+    return 0.5 * np.sqrt((cx * cx + cy * cy) + cz * cz)
 
 
 def _degenerate_faces(vertices: np.ndarray, faces: np.ndarray) -> np.ndarray:
@@ -56,12 +69,15 @@ def _degenerate_faces(vertices: np.ndarray, faces: np.ndarray) -> np.ndarray:
     The vertices are first scaled by the power of two that brings the
     largest coordinate into [0.5, 1).  That scaling is exact, so the mask
     is the unscaled one, but neither the diagonal nor an area can overflow
-    however large the (finite) coordinates are.
+    however large the (finite) coordinates are.  The scaled vertices are
+    kept as contiguous x, y, z columns for the diagonal and the areas.
     """
     top = float(np.max(np.abs(vertices), initial=0.0))
-    v = np.ldexp(vertices, -math.frexp(top)[1])
-    diagonal = float(np.linalg.norm(v.max(axis=0) - v.min(axis=0)))
-    return _triangle_areas(v, faces) <= _DEGENERATE_REL * diagonal * diagonal
+    columns = np.ldexp(vertices.T, -math.frexp(top)[1], order="C")
+    dx, dy, dz = columns.max(axis=1) - columns.min(axis=1)
+    diagonal = math.sqrt((dx * dx + dy * dy) + dz * dz)
+    return (_triangle_areas(columns.T, faces)
+            <= _DEGENERATE_REL * diagonal * diagonal)
 
 
 class DegenerateMeshError(ValueError):
@@ -102,25 +118,69 @@ class MeshObj:
         """The OBJ text: header comments, then ``v`` and ``f`` records.
 
         Coordinates are written with ``%.17g``, so they read back exactly.
-        Each distinct bit pattern is formatted once (``-0.0`` stays ``-0``)
-        and each vertex index once; the records gather those strings.
+        Each distinct magnitude is formatted once, and a ``-`` is put back
+        from each value's sign bit (``-0.0`` stays ``-0``); face indices
+        are gathered from a digit table of ``1..n``.  Each record is laid
+        out as one row of bytes (`_records`).
         """
-        bits = self.vertices.ravel().view(np.int64)
-        distinct, inverse = np.unique(bits, return_inverse=True)
-        numbers = _format_each("%.17g", distinct.view(np.float64).tolist())
-        indices = _format_each("%d", range(1, self.n_vertices + 1))
-        return ("".join(f"# {line}\n" for line in self.header)
-                + ("v %s %s %s\n" * self.n_vertices
-                   % tuple(numbers[inverse].tolist()))
-                + ("f %s %s %s\n" * self.n_faces
-                   % tuple(indices[self.faces.ravel() - 1].tolist())))
+        digits = _index_digits(self.n_vertices)
+        return "".join((
+            *(f"# {line}\n" for line in self.header),
+            _records("v", _coordinate_cells(self.vertices)),
+            _records("f", np.take(digits, self.faces - 1, axis=0))))
 
 
-def _format_each(spec: str, values) -> np.ndarray:
-    """``spec % value`` for each value, as an object array for gathering."""
-    values = tuple(values)
-    words = ((spec + "\n") * len(values) % values).split("\n")[:-1]
-    return np.array(words, dtype=object)
+# clears the sign bit of a float64 viewed as int64
+_MAGNITUDE = np.int64(0x7FFF_FFFF_FFFF_FFFF)
+
+
+def _coordinate_cells(vertices: np.ndarray) -> np.ndarray:
+    """``%.17g`` of each coordinate, as ``(n, 3, w)`` NUL-padded ASCII cells.
+
+    Each distinct magnitude is formatted once; the cell of a value whose
+    sign bit is set is that magnitude's digits after a ``-``.
+    """
+    bits = vertices.ravel().view(np.int64)
+    magnitudes, inverse = np.unique(bits & _MAGNITUDE, return_inverse=True)
+    words = ("%.17g " * len(magnitudes)
+             % tuple(magnitudes.view(np.float64).tolist()))
+    table = np.array(words.encode("ascii").split(), dtype=bytes)
+    k, w = len(table), table.itemsize
+    signed = np.zeros((2, k, w + 1), dtype=np.uint8)
+    signed[:, :, -w:] = table.view(np.uint8).reshape(k, w)
+    signed[1, :, 0] = ord("-")
+    cells = np.take(signed.reshape(2 * k, w + 1), inverse + k * (bits < 0),
+                    axis=0)
+    return cells.reshape(-1, 3, w + 1)
+
+
+def _index_digits(n: int) -> np.ndarray:
+    """ASCII digits of ``1..n``, one row each, NUL in place of leading zeros."""
+    width = len(str(n))
+    index = np.arange(1, n + 1)
+    table = np.empty((n, width), dtype=np.uint8)
+    for column in range(width):
+        place = 10 ** (width - 1 - column)
+        table[:, column] = index // place % 10 + ord("0")
+        table[:place - 1, column] = 0  # 1..place-1 have no digit here
+    return table
+
+
+def _records(kind: str, cells: np.ndarray) -> str:
+    """``kind cell cell cell\\n`` per record of ``(m, 3, w)`` NUL-padded cells.
+
+    Each record is laid out as one uint8 row; the NULs of the padding are
+    dropped from the rows at the end.
+    """
+    m, _, w = cells.shape
+    rows = np.empty((m, 3 * w + 5), dtype=np.uint8)
+    rows[:, 0] = ord(kind)
+    fields = rows[:, 1:-1].reshape(m, 3, w + 1)
+    fields[:, :, 0] = ord(" ")
+    fields[:, :, 1:] = cells
+    rows[:, -1] = ord("\n")
+    flat = rows.ravel()
+    return flat[flat != 0].tobytes().decode("ascii")
 
 
 # ---------------------------------------------------------------------------

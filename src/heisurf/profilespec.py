@@ -22,8 +22,9 @@ Registry kinds:
     The tent of the given height supported on ``[-halfwidth, halfwidth]``.
 ``samples(w1, v1, w2, v2, ...)``
     Piecewise-linear interpolation through the listed knots; abscissae
-    must be strictly increasing.  The JSON form also carries optional
-    ``slope_left`` / ``slope_right`` tail slopes.
+    must be strictly increasing and each piece's slope finite (a knot gap
+    so small that the slope overflows is refused).  The JSON form also
+    carries optional ``slope_left`` / ``slope_right`` tail slopes.
 """
 from __future__ import annotations
 
@@ -129,6 +130,10 @@ def _check_points(points: Any) -> tuple[tuple[float, float], ...]:
     if any(b <= a for a, b in zip(ws, ws[1:])):
         raise ProfileSpecError(
             "samples abscissae must be strictly increasing")
+    for (w0, v0), (w1, v1) in zip(pts, pts[1:]):
+        if not math.isfinite((v1 - v0) / (w1 - w0)):
+            raise ProfileSpecError(
+                f"samples slope between w={w0!r} and w={w1!r} is not finite")
     return pts
 
 

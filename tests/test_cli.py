@@ -327,6 +327,25 @@ def test_degenerate_numerics_exit_with_three(tmp_path, capsys, argv, text):
 
 
 @pytest.mark.parametrize("argv", [
+    ("check-strip", "--profile", "samples(0,0,1e-310,4)"),
+    ("check-minimal", "--kind", "sigma", "--profile", "samples(0,0,1e-310,4)"),
+    ("monotonicity", "--surface", "strip", "--profile",
+     "samples(0,0,1e-310,4)"),
+    ("export-obj", "--surface", "strip", "--profile", "samples(0,0,1e-310,4)",
+     "--window", "-1,1", "--res", "4"),
+    ("scaling-limit", "--profile", "samples(0,0,1e-310,-4)"),
+])
+def test_knot_pair_with_overflowing_slope_exits_with_two(tmp_path, capsys,
+                                                          argv):
+    # 4 / 1e-310 overflows; every command refuses the profile as it parses
+    assert run(tmp_path, *argv) == 2
+    err = capsys.readouterr().err
+    assert err == ("error: samples slope between w=0.0 and w=1e-310 is not "
+                   "finite\n")
+    assert not os.listdir(str(tmp_path))
+
+
+@pytest.mark.parametrize("argv", [
     ("area", "--surface", "broken-plane", "--u", "nan", "--z-cap", "1"),
     ("area", "--surface", "broken-plane", "--u", "inf", "--z-cap", "1"),
     ("energy", "--surface", "broken-plane", "--u", "-1", "--z-cap", "1"),

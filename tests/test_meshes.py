@@ -95,6 +95,51 @@ def test_degeneracy_is_judged_at_any_scale_without_overflow(scale):
     assert kept.n_faces == 8 and np.isfinite(kept.vertices).all()
 
 
+def reference_areas(vertices, faces):
+    a, b, c = (vertices[faces[:, i] - 1] for i in range(3))
+    return 0.5 * np.linalg.norm(np.cross(b - a, c - a), axis=-1)
+
+
+def reference_degenerate(vertices, faces):
+    top = float(np.max(np.abs(vertices)))
+    v = np.ldexp(vertices, -np.frexp(top)[1])
+    diagonal = float(np.linalg.norm(v.max(axis=0) - v.min(axis=0)))
+    return reference_areas(v, faces) <= 1e-12 * diagonal * diagonal
+
+
+def random_mesh(rng, n, m, scale):
+    """Vertices with mixed exponents around `scale`; some faces collapsed
+    (a repeated vertex) and some of about the threshold's area."""
+    vertices = (rng.uniform(-1.0, 1.0, (n, 3)) * scale
+                * 10.0 ** rng.integers(-3, 1, (n, 3)))
+    faces = rng.integers(1, n + 1, (m, 3))
+    faces[::7, 2] = faces[::7, 0]
+    near = rng.uniform(-1.0, 1.0, (3, 3)) * scale
+    near[2] = near[0] + np.array([1e-12, 2e-12, 0.0]) * scale
+    vertices[:3] = near
+    faces[1::7] = [1, 2, 3]
+    return vertices, faces
+
+
+@pytest.mark.parametrize("scale", [1e-300, 1e-160, 1.0, 1e150, 1e300])
+def test_areas_and_degenerate_mask_equal_the_cross_norm_form(scale):
+    rng = np.random.default_rng(int(np.log10(scale)) + 400)
+    for n in (3, 50, 2000):
+        vertices, faces = random_mesh(rng, n, 3 * n, scale)
+        mask = meshes._degenerate_faces(vertices, faces)
+        np.testing.assert_array_equal(
+            mask, reference_degenerate(vertices, faces))
+        assert mask[::7].all() and (n == 3 or not mask.all())
+        # unscaled areas overflow at 1e300 and underflow at 1e-300 alike
+        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+            areas = meshes._triangle_areas(vertices, faces)
+            expected = reference_areas(vertices, faces)
+        np.testing.assert_array_equal(areas, expected)
+        finite = np.isfinite(expected)
+        assert (areas[finite].view(np.int64)
+                == expected[finite].view(np.int64)).all()
+
+
 def test_face_indices_must_be_in_range():
     verts = [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]
     with pytest.raises(ValueError, match="out of range"):
@@ -272,6 +317,35 @@ def test_obj_text_matches_per_element_fmt17():
                   for x, y, z in mesh.vertices]
         lines += [f"f {i} {j} {k}" for i, j, k in mesh.faces]
         assert mesh.to_obj_text() == "\n".join(lines) + "\n"
+
+
+def reference_obj(mesh):
+    return ("".join(f"# {line}\n" for line in mesh.header)
+            + "".join("v %.17g %.17g %.17g\n" % tuple(v)
+                      for v in mesh.vertices.tolist())
+            + "".join("f %d %d %d\n" % tuple(f) for f in mesh.faces.tolist()))
+
+
+# the vertex counts at which the widest face index gains a digit
+@pytest.mark.parametrize("n", [3, 9, 10, 99, 100, 999, 1000, 1001, 10000,
+                               10001])
+@pytest.mark.parametrize("header", [(), ("made by test", "second line")])
+def test_obj_text_equals_a_per_record_writer(n, header):
+    rng = np.random.default_rng(n)
+    # every coordinate drawn from the extremes or with a random exponent
+    extremes = [0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300, 0.1, -1.0]
+    mixed = rng.standard_normal(3 * n) * 10.0 ** rng.integers(-320, 300, 3 * n)
+    coordinates = np.where(rng.random(3 * n) < 0.3,
+                           rng.choice(extremes, 3 * n), mixed)
+    bare = MeshObj(coordinates.reshape(n, 3), np.empty((0, 3), dtype=int),
+                   header)
+    # faces that use every vertex, the last one included
+    order = rng.permutation(n) + 1
+    faced = MeshObj(rng.uniform(-1.0, 1.0, (n, 3)),
+                    np.stack([order, np.roll(order, 1), np.roll(order, 2)], 1),
+                    header)
+    for mesh in (bare, faced):
+        assert mesh.to_obj_text() == reference_obj(mesh)
 
 
 @pytest.mark.parametrize("argv, digest", [

@@ -67,6 +67,16 @@ def test_samples_rejects_nonincreasing_or_nonfinite_abscissae():
         parse_profile("samples(0,inf)")
 
 
+def test_samples_rejects_a_piece_whose_slope_overflows():
+    # 4 / 1e-310 overflows; 4 / 1e-300 and the reversed gaps do not
+    for bad in ("samples(0,0,1e-310,4)", "samples(0,0,1e-310,-4,1,0)",
+                "samples(-1e308,-1e308,1e308,1e308)"):
+        with pytest.raises(ProfileSpecError, match="slope .* not finite"):
+            parse_profile(bad)
+    for good in ("samples(0,0,1e-300,4)", "samples(-1e308,0,1e308,1)"):
+        assert len(parse_profile(good).parameters["points"]) == 2
+
+
 # ---------------------------------------------------------------------------
 # building profiles
 
