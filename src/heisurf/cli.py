@@ -18,10 +18,14 @@ The output directory comes from ``--output-dir``, the ``HEISURF_OUTPUT_DIR``
 environment variable, or the current directory, in that order.  Stochastic
 commands take ``--seed``; identical arguments and seed reproduce the output
 files byte for byte.
+
+`main` may be called repeatedly in one process: it builds its parser on the
+first call and reuses it on every later one.
 """
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import re
@@ -560,7 +564,15 @@ def _add_surface(sub: argparse.ArgumentParser, command: str) -> None:
             sub.add_argument(_option(dest), default=None, **settings)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``heisurf`` parser, built on the first call and shared after it.
+
+    Every call returns the same parser, so it must not be mutated.  Reuse
+    is safe because `parse_args` returns a fresh namespace each time, every
+    default is an immutable constant, and ``--output-dir`` falls back to
+    ``HEISURF_OUTPUT_DIR`` when a command runs, not here.
+    """
     parser = _Parser(
         prog="heisurf",
         description="Minimal-surface experiments in the Heisenberg group.")
@@ -671,6 +683,11 @@ def _merge_negative_values(argv: list) -> list:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    """Run one ``heisurf`` command and return its exit code.
+
+    ``argv`` defaults to ``sys.argv[1:]``.  `main` may be called repeatedly
+    in one process; the parser is built on the first call (`build_parser`).
+    """
     argv = list(sys.argv[1:]) if argv is None else [str(a) for a in argv]
     argv = _merge_negative_values(argv)
     parser = build_parser()

@@ -8,7 +8,8 @@ and the group z coordinate up.  The writer formats each distinct
 coordinate magnitude once and puts the sign back from each value's sign
 bit, so ``-0.0`` stays ``-0``; face indices come from a digit table of
 ``1..n``.  Each record is one row of bytes, laid out from those
-NUL-padded cells, and the NULs are dropped at the end.
+NUL-padded cells, and the NULs are dropped at the end; `write_obj` writes
+those bytes without decoding them into text.
 
 Graph patches are tessellated over mapped grids ``(x, t) -> (x, y(x, t))``
 so the footprint may have curved upper/lower edges; columns where the
@@ -114,18 +115,20 @@ class MeshObj:
     def n_faces(self) -> int:
         return len(self.faces)
 
-    def to_obj_text(self) -> str:
-        """The OBJ text: header comments, then ``v`` and ``f`` records.
+    def to_obj_text(self) -> bytes:
+        """The OBJ text as ASCII bytes: header comments, then ``v`` and
+        ``f`` records.
 
         Coordinates are written with ``%.17g``, so they read back exactly.
         Each distinct magnitude is formatted once, and a ``-`` is put back
         from each value's sign bit (``-0.0`` stays ``-0``); face indices
         are gathered from a digit table of ``1..n``.  Each record is laid
-        out as one row of bytes (`_records`).
+        out as one row of bytes (`_records`); the bytes are never decoded
+        into a `str`, and `write_obj` writes them as they are.
         """
         digits = _index_digits(self.n_vertices)
-        return "".join((
-            *(f"# {line}\n" for line in self.header),
+        return b"".join((
+            "".join(f"# {line}\n" for line in self.header).encode("ascii"),
             _records("v", _coordinate_cells(self.vertices)),
             _records("f", np.take(digits, self.faces - 1, axis=0))))
 
@@ -166,7 +169,7 @@ def _index_digits(n: int) -> np.ndarray:
     return table
 
 
-def _records(kind: str, cells: np.ndarray) -> str:
+def _records(kind: str, cells: np.ndarray) -> bytes:
     """``kind cell cell cell\\n`` per record of ``(m, 3, w)`` NUL-padded cells.
 
     Each record is laid out as one uint8 row; the NULs of the padding are
@@ -180,7 +183,7 @@ def _records(kind: str, cells: np.ndarray) -> str:
     fields[:, :, 1:] = cells
     rows[:, -1] = ord("\n")
     flat = rows.ravel()
-    return flat[flat != 0].tobytes().decode("ascii")
+    return flat[flat != 0].tobytes()
 
 
 # ---------------------------------------------------------------------------

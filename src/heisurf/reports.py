@@ -3,8 +3,9 @@
 Every number is written with 17 significant digits, enough to round-trip a
 double exactly, so re-running a command with the same inputs produces
 byte-identical files and reproducibility can be checked by hashing.  Files
-are written to a temporary name in the target directory and renamed into
-place, so readers never observe a half-written artifact.
+(ASCII text, or bytes such as an OBJ export) are written to a temporary
+name in the target directory and renamed into place, so readers never
+observe a half-written artifact.
 """
 from __future__ import annotations
 
@@ -130,14 +131,17 @@ def dump_csv(header: Sequence[str], rows: Sequence[Sequence[Any]]) -> str:
     return "\n".join(out) + "\n"
 
 
-def atomic_write_text(path: str, text: str) -> str:
-    """Write text to path via a temporary file and rename."""
+def atomic_write_text(path: str, data: str | bytes) -> str:
+    """Write ASCII text, or bytes as they are, to path via a temporary file
+    and rename."""
+    if isinstance(data, str):
+        data = data.encode("ascii")
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
     try:
-        with os.fdopen(fd, "w", encoding="ascii", newline="\n") as handle:
-            handle.write(text)
+        with os.fdopen(fd, "wb") as handle:
+            handle.write(data)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

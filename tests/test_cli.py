@@ -2,6 +2,8 @@
 import json
 import math
 import os
+import subprocess
+import sys
 import warnings
 
 import pytest
@@ -10,6 +12,8 @@ import heisurf.cli as cli
 import heisurf.profilespec as profilespec
 import heisurf.strips as strips
 from heisurf.quadrature import QuadratureError
+
+SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
 
 AREA_ID = (2.0 / 3.0) * (2.0 * math.sqrt(5.0) + math.asinh(2.0))
 
@@ -553,3 +557,67 @@ def test_reruns_with_identical_arguments_are_byte_identical(tmp_path):
     first = (tmp_path / "competitor.obj").read_bytes()
     run(tmp_path, *argv)
     assert (tmp_path / "competitor.obj").read_bytes() == first
+
+
+# ---------------------------------------------------------------------------
+# one parser per process
+
+
+def _fresh_interpreter(*args, env=None):
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": SRC,
+                                          **(env or {})})
+
+
+def _artifacts(directory):
+    return {name: (directory / name).read_bytes()
+            for name in sorted(os.listdir(str(directory)))}
+
+
+def test_importing_the_cli_builds_no_parser():
+    # the parser is built by the first `main` call, never at import
+    probe = ("import heisurf.cli as cli\n"
+             "print(cli.build_parser.cache_info().currsize)\n"
+             "cli.main(['--help'])\n"
+             "cli.main(['--help'])\n"
+             "print(cli.build_parser.cache_info().misses)\n")
+    done = _fresh_interpreter("-c", probe)
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert (lines[0], lines[-1]) == ("0", "1")
+
+
+#: Run in this order in one process; the shared parser must carry nothing
+#: from one run to the next: a usage error, help, a seeded census, and the
+#: same census at its default seed.
+SHARED_PARSER_RUNS = (
+    ("monotonicity", "--surface", "strip", "--profile", "arctan(-1)",
+     "--lines", "0"),
+    ("--help",),
+    ("monotonicity", "--surface", "broken-plane", "--u", "1", "--seed", "5"),
+    ("monotonicity", "--surface", "broken-plane", "--u", "1"),
+)
+
+
+def test_the_shared_parser_carries_no_state_between_calls(
+        tmp_path, monkeypatch, capfd):
+    # the output directory comes from the environment, so that the recorded
+    # argv, and with it the artifacts, do not name a directory
+    monkeypatch.setenv("COLUMNS", "80")
+    codes, seeds = [], []
+    for i, argv in enumerate(SHARED_PARSER_RUNS):
+        here, fresh = tmp_path / f"here-{i}", tmp_path / f"fresh-{i}"
+        here.mkdir()
+        fresh.mkdir()
+        monkeypatch.setenv(cli.OUTPUT_DIR_ENV, str(here))
+        code = cli.main(list(argv))
+        out, err = capfd.readouterr()
+        done = _fresh_interpreter("-m", "heisurf.cli", *argv,
+                                  env={cli.OUTPUT_DIR_ENV: str(fresh)})
+        assert (code, out, err, _artifacts(here)) == (
+            done.returncode, done.stdout, done.stderr, _artifacts(fresh)), argv
+        codes.append(code)
+        if (here / "monotonicity.json").exists():
+            seeds.append(load(here, "monotonicity.json")["seed"])
+    assert codes == [2, 0, 1, 1]
+    assert seeds == [5, 0]

@@ -1,5 +1,6 @@
 """Deterministic structured-grid meshes and Wavefront OBJ export."""
 import hashlib
+import os
 
 import numpy as np
 import pytest
@@ -273,21 +274,29 @@ def test_competitor_cap_must_clear_the_exit_height():
 
 def test_obj_text_format_and_determinism(tmp_path):
     mesh = flat_graph(2, 2)
-    text = mesh.to_obj_text()
-    assert text == mesh.to_obj_text()
+    text = mesh.to_obj_text().decode("ascii")
+    assert mesh.to_obj_text() == mesh.to_obj_text()
     lines = text.splitlines()
     assert len(lines) == 9 + 8
     assert all(line.startswith("v ") for line in lines[:9])
     assert all(line.startswith("f ") for line in lines[9:])
     assert text.endswith("\n")
     with_header = MeshObj(mesh.vertices, mesh.faces, ("made by test",))
-    assert with_header.to_obj_text().splitlines()[0] == "# made by test"
+    assert with_header.to_obj_text().splitlines()[0] == b"# made by test"
     p1 = tmp_path / "a.obj"
     p2 = tmp_path / "b.obj"
     write_obj(with_header, str(p1))
     write_obj(with_header, str(p2))
     assert p1.read_bytes() == p2.read_bytes()
     assert p1.read_bytes().decode("ascii").splitlines()[0] == "# made by test"
+    # OBJ text is ASCII: a header that is not is refused, and leaves no
+    # file, not even a temporary one
+    accented = MeshObj(mesh.vertices, mesh.faces, ("café",))
+    with pytest.raises(UnicodeEncodeError):
+        accented.to_obj_text()
+    with pytest.raises(UnicodeEncodeError):
+        write_obj(accented, str(tmp_path / "c.obj"))
+    assert sorted(os.listdir(str(tmp_path))) == ["a.obj", "b.obj"]
 
 
 def test_obj_vertices_use_seventeen_significant_digits():
@@ -295,7 +304,7 @@ def test_obj_vertices_use_seventeen_significant_digits():
         lambda U, V: np.stack([U + 0.1, V, U], axis=-1),
         (0.0, 1.0), (0.0, 1.0), 1, 1)
     first = mesh.to_obj_text().splitlines()[0]
-    assert first == "v 0.10000000000000001 0 0"
+    assert first == b"v 0.10000000000000001 0 0"
 
 
 def test_obj_text_matches_per_element_fmt17():
@@ -316,7 +325,7 @@ def test_obj_text_matches_per_element_fmt17():
         lines += [f"v {fmt17(x)} {fmt17(y)} {fmt17(z)}"
                   for x, y, z in mesh.vertices]
         lines += [f"f {i} {j} {k}" for i, j, k in mesh.faces]
-        assert mesh.to_obj_text() == "\n".join(lines) + "\n"
+        assert mesh.to_obj_text() == ("\n".join(lines) + "\n").encode("ascii")
 
 
 def reference_obj(mesh):
@@ -345,7 +354,7 @@ def test_obj_text_equals_a_per_record_writer(n, header):
                     np.stack([order, np.roll(order, 1), np.roll(order, 2)], 1),
                     header)
     for mesh in (bare, faced):
-        assert mesh.to_obj_text() == reference_obj(mesh)
+        assert mesh.to_obj_text() == reference_obj(mesh).encode("ascii")
 
 
 @pytest.mark.parametrize("argv, digest", [
