@@ -37,8 +37,8 @@ import numpy as np
 
 from .core import chord_offset_arr
 from .quadrature import QuadConfig, VRegion, integrate_1d, integrate_region
-from .strips import (Profile, ProfileError, PwlProfile, _solve_height,
-                     constant_poly)
+from .strips import (Profile, ProfileError, PwlProfile, SolverError,
+                     _solve_height, constant_poly)
 from .surfaces import IDENTITY, RuledSurface
 from .variation import g_primitive
 
@@ -707,7 +707,8 @@ def build_competitor(kind: str, u: float) -> CompetitorSurface:
 
     The graph is evaluated in closed form: the chord from a corner through
     a point meets the nexus at the root of a linear equation and the arc at
-    the root of a quadratic, so no iteration is involved.
+    the root of a quadratic, so no iteration is involved.  An opening so
+    large that the exit height is not finite raises `SolverError`.
     """
     if kind not in _GUIDES:
         raise ValueError("kind must be 'harmonic' or 'minimal'")
@@ -718,6 +719,9 @@ def build_competitor(kind: str, u: float) -> CompetitorSurface:
         functools.partial(f, u) for f in _GUIDES[kind])
     apex_y = guide_y(0.0)
     exit_height = guide_z(1.0)
+    if not math.isfinite(exit_height):
+        raise SolverError(f"build_competitor: the {kind} sweep's exit height "
+                          f"is not finite at u={u!r}")
     t = np.linspace(0.0, 1.0, _SPINE_POINTS)
     spine = np.stack([t, guide_y(t), guide_z(t)], axis=-1)
 

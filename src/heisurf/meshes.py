@@ -5,11 +5,15 @@ a fixed row-major order, numbers are written with 17 significant digits,
 and the same inputs always produce byte-identical ``.obj`` text.  Files
 contain only comment, ``v`` and ``f`` records, with 1-based face indices
 and the group z coordinate up.  The writer formats each distinct
-coordinate magnitude once and puts the sign back from each value's sign
-bit, so ``-0.0`` stays ``-0``; face indices come from a digit table of
-``1..n``.  Each record is one row of bytes, laid out from those
-NUL-padded cells, and the NULs are dropped at the end; `write_obj` writes
-those bytes without decoding them into text.
+coordinate magnitude once per mesh and puts the sign back from each
+value's sign bit, so ``-0.0`` stays ``-0``; face indices come from a digit
+table of ``0..n``.  Each record is one row of bytes, laid out from those
+NUL-padded cells, and the NULs are dropped.
+
+Validation and OBJ writing both run over fixed-size chunks of `_CHUNK`
+faces or records, so their memory follows the mesh arrays, not the size
+of the OBJ text: `write_obj` streams the chunks through the one atomic
+writer of `reports`, and `MeshObj.to_obj_text` joins the same chunks.
 
 Graph patches are tessellated over mapped grids ``(x, t) -> (x, y(x, t))``
 so the footprint may have curved upper/lower edges; columns where the
@@ -20,13 +24,14 @@ joined as arrays before its one `MeshObj` is made.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .reports import atomic_write_text
+from .reports import atomic_write_chunks
 
 __all__ = [
     "DegenerateMeshError",
@@ -44,6 +49,9 @@ __all__ = [
 # triangles whose area is below this fraction of the squared bounding-box
 # diagonal count as degenerate
 _DEGENERATE_REL = 1e-12
+# faces per area pass and records per OBJ chunk, which bounds the memory of
+# validation and of the OBJ writer
+_CHUNK = 8192
 
 
 def _triangle_areas(vertices: np.ndarray, faces: np.ndarray) -> np.ndarray:
@@ -71,14 +79,19 @@ def _degenerate_faces(vertices: np.ndarray, faces: np.ndarray) -> np.ndarray:
     largest coordinate into [0.5, 1).  That scaling is exact, so the mask
     is the unscaled one, but neither the diagonal nor an area can overflow
     however large the (finite) coordinates are.  The scaled vertices are
-    kept as contiguous x, y, z columns for the diagonal and the areas.
+    kept as contiguous x, y, z columns for the diagonal and the areas,
+    which are taken `_CHUNK` faces at a time.
     """
     top = float(np.max(np.abs(vertices), initial=0.0))
     columns = np.ldexp(vertices.T, -math.frexp(top)[1], order="C")
     dx, dy, dz = columns.max(axis=1) - columns.min(axis=1)
     diagonal = math.sqrt((dx * dx + dy * dy) + dz * dz)
-    return (_triangle_areas(columns.T, faces)
-            <= _DEGENERATE_REL * diagonal * diagonal)
+    threshold = _DEGENERATE_REL * diagonal * diagonal
+    mask = np.empty(len(faces), dtype=bool)
+    for start in range(0, len(faces), _CHUNK):
+        sl = slice(start, start + _CHUNK)
+        mask[sl] = _triangle_areas(columns.T, faces[sl]) <= threshold
+    return mask
 
 
 class DegenerateMeshError(ValueError):
@@ -120,30 +133,42 @@ class MeshObj:
         ``f`` records.
 
         Coordinates are written with ``%.17g``, so they read back exactly.
-        Each distinct magnitude is formatted once, and a ``-`` is put back
-        from each value's sign bit (``-0.0`` stays ``-0``); face indices
-        are gathered from a digit table of ``1..n``.  Each record is laid
-        out as one row of bytes (`_records`); the bytes are never decoded
-        into a `str`, and `write_obj` writes them as they are.
+        This is the join of the chunks that `write_obj` streams to disk
+        (`_obj_chunks`); the bytes are never decoded into a `str`.
         """
+        return b"".join(self._obj_chunks())
+
+    def _obj_chunks(self) -> Iterator[bytes]:
+        """The OBJ bytes in order: the header, then `_CHUNK` records at a
+        time, ``v`` records first.
+
+        Each distinct magnitude is formatted once per mesh and a ``-`` is
+        put back from each value's sign bit (``-0.0`` stays ``-0``); face
+        indices are gathered from a digit table of ``0..n``.  Each chunk's
+        records are laid out as rows of bytes (`_records`).
+        """
+        yield "".join(f"# {line}\n" for line in self.header).encode("ascii")
+        cells, rows = _coordinate_table(self.vertices)
         digits = _index_digits(self.n_vertices)
-        return b"".join((
-            "".join(f"# {line}\n" for line in self.header).encode("ascii"),
-            _records("v", _coordinate_cells(self.vertices)),
-            _records("f", np.take(digits, self.faces - 1, axis=0))))
+        for kind, table, index in (("v", cells, rows),
+                                   ("f", digits, self.faces)):
+            for start in range(0, len(index), _CHUNK):
+                yield _records(kind, np.take(table, index[start:start + _CHUNK],
+                                             axis=0))
 
 
 # clears the sign bit of a float64 viewed as int64
 _MAGNITUDE = np.int64(0x7FFF_FFFF_FFFF_FFFF)
 
 
-def _coordinate_cells(vertices: np.ndarray) -> np.ndarray:
-    """``%.17g`` of each coordinate, as ``(n, 3, w)`` NUL-padded ASCII cells.
+def _coordinate_table(vertices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``%.17g`` cells of the signed coordinates and each coordinate's row.
 
-    Each distinct magnitude is formatted once; the cell of a value whose
-    sign bit is set is that magnitude's digits after a ``-``.
+    The table holds NUL-padded ASCII cells, one per distinct magnitude and
+    then each of those after a ``-``; the ``(n, 3)`` rows pick a value's
+    cell by its magnitude and sign bit.  Each magnitude is formatted once.
     """
-    bits = vertices.ravel().view(np.int64)
+    bits = vertices.view(np.int64)
     magnitudes, inverse = np.unique(bits & _MAGNITUDE, return_inverse=True)
     words = ("%.17g " * len(magnitudes)
              % tuple(magnitudes.view(np.float64).tolist()))
@@ -152,20 +177,20 @@ def _coordinate_cells(vertices: np.ndarray) -> np.ndarray:
     signed = np.zeros((2, k, w + 1), dtype=np.uint8)
     signed[:, :, -w:] = table.view(np.uint8).reshape(k, w)
     signed[1, :, 0] = ord("-")
-    cells = np.take(signed.reshape(2 * k, w + 1), inverse + k * (bits < 0),
-                    axis=0)
-    return cells.reshape(-1, 3, w + 1)
+    return (signed.reshape(2 * k, w + 1),
+            inverse.reshape(bits.shape) + k * (bits < 0))
 
 
 def _index_digits(n: int) -> np.ndarray:
-    """ASCII digits of ``1..n``, one row each, NUL in place of leading zeros."""
+    """ASCII digits of ``0..n``, row i holding i's, NUL in place of leading
+    zeros; row 0 is all NUL, as 1-based face indices never use it."""
     width = len(str(n))
-    index = np.arange(1, n + 1)
-    table = np.empty((n, width), dtype=np.uint8)
+    index = np.arange(n + 1)
+    table = np.empty((n + 1, width), dtype=np.uint8)
     for column in range(width):
         place = 10 ** (width - 1 - column)
         table[:, column] = index // place % 10 + ord("0")
-        table[:place - 1, column] = 0  # 1..place-1 have no digit here
+        table[:place, column] = 0  # 0..place-1 have no digit here
     return table
 
 
@@ -377,5 +402,13 @@ def competitor_mesh(comp, z_cap: float, res: int, res_cross: int,
 
 
 def write_obj(mesh: MeshObj, path: str) -> str:
-    """Write the mesh atomically; identical meshes give identical bytes."""
-    return atomic_write_text(path, mesh.to_obj_text())
+    """Write the mesh atomically; identical meshes give identical bytes.
+
+    The OBJ bytes are streamed to the file a chunk at a time through
+    `reports.atomic_write_chunks`, so no copy of the whole text is made.
+    The header is encoded first: a non-ASCII one fails before any
+    directory or file is made.
+    """
+    chunks = mesh._obj_chunks()
+    header = next(chunks)
+    return atomic_write_chunks(path, itertools.chain((header,), chunks))

@@ -3,9 +3,11 @@
 Every number is written with 17 significant digits, enough to round-trip a
 double exactly, so re-running a command with the same inputs produces
 byte-identical files and reproducibility can be checked by hashing.  Files
-(ASCII text, or bytes such as an OBJ export) are written to a temporary
-name in the target directory and renamed into place, so readers never
-observe a half-written artifact.
+are written by one atomic writer, `atomic_write_chunks`: the bytes go to a
+temporary name in the target directory, chunk by chunk, and the file is
+renamed into place, so readers never observe a half-written artifact.  An
+OBJ export streams its chunks through it, so its memory does not grow
+with the file; `atomic_write_text` hands it ASCII text or bytes whole.
 """
 from __future__ import annotations
 
@@ -13,7 +15,7 @@ import json
 import math
 import os
 import tempfile
-from typing import Any, Mapping, Sequence
+from typing import Any, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -21,6 +23,7 @@ __all__ = [
     "fmt17",
     "dump_json",
     "dump_csv",
+    "atomic_write_chunks",
     "atomic_write_text",
 ]
 
@@ -131,20 +134,32 @@ def dump_csv(header: Sequence[str], rows: Sequence[Sequence[Any]]) -> str:
     return "\n".join(out) + "\n"
 
 
-def atomic_write_text(path: str, data: str | bytes) -> str:
-    """Write ASCII text, or bytes as they are, to path via a temporary file
-    and rename."""
-    if isinstance(data, str):
-        data = data.encode("ascii")
+def atomic_write_chunks(path: str, chunks: Iterable[bytes]) -> str:
+    """Write byte chunks, in order, to path via a temporary file and rename.
+
+    The chunks are taken one at a time while the temporary file is open.
+    If taking or writing one fails, the temporary file is removed and an
+    existing file at path keeps its old bytes.
+    """
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
     try:
         with os.fdopen(fd, "wb") as handle:
-            handle.write(data)
+            handle.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
     return path
+
+
+def atomic_write_text(path: str, data: str | bytes) -> str:
+    """Write ASCII text, or bytes as they are, with `atomic_write_chunks`.
+
+    Text is encoded before any directory or file is made.
+    """
+    if isinstance(data, str):
+        data = data.encode("ascii")
+    return atomic_write_chunks(path, (data,))

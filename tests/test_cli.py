@@ -321,6 +321,14 @@ def test_unbracketed_root_exits_with_three(tmp_path, monkeypatch, capsys):
     # the opening is too small for the mesh's triangles to have area
     (("export-obj", "--surface", "competitor", "--u", "1e-12", "--res", "3"),
      "degenerate (zero-area) triangle"),
+    # the guide's constants lose every digit, so the sweep's exit height is
+    # not finite: both competitor commands fail as it is built
+    *((argv, "build_competitor: the minimal sweep's exit height is not "
+             "finite at u=1e+200") for argv in (
+        ("competitor", "--u", "1e200"),
+        ("export-obj", "--surface", "competitor", "--u", "1e200", "--res", "2"),
+        ("export-obj", "--surface", "competitor", "--u", "1e200", "--res", "2",
+         "--z-cap", "1e305"))),
 ])
 def test_degenerate_numerics_exit_with_three(tmp_path, capsys, argv, text):
     assert run(tmp_path, *argv) == 3

@@ -1,6 +1,7 @@
 """Deterministic structured-grid meshes and Wavefront OBJ export."""
 import hashlib
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -122,15 +123,33 @@ def random_mesh(rng, n, m, scale):
     return vertices, faces
 
 
+def threshold_ladder(vertices, faces):
+    """Make faces[2::7] cycle through (1, 2, k), k = 4..13, whose areas are
+    1/4 to 128 times that of face (1, 2, 3) and so straddle the threshold."""
+    a, c = vertices[0], vertices[2]
+    vertices[3:13] = a + np.outer(2.0 ** np.arange(-2, 8), c - a)
+    ladder = faces[2::7]
+    ladder[:, :2] = [1, 2]
+    ladder[:, 2] = 4 + np.arange(len(ladder)) % 10
+
+
 @pytest.mark.parametrize("scale", [1e-300, 1e-160, 1.0, 1e150, 1e300])
 def test_areas_and_degenerate_mask_equal_the_cross_norm_form(scale):
     rng = np.random.default_rng(int(np.log10(scale)) + 400)
-    for n in (3, 50, 2000):
+    chunk = meshes._CHUNK
+    for n in (3, 50, 2000, chunk - 1):
         vertices, faces = random_mesh(rng, n, 3 * n, scale)
+        if n > 3:
+            threshold_ladder(vertices, faces)
         mask = meshes._degenerate_faces(vertices, faces)
         np.testing.assert_array_equal(
             mask, reference_degenerate(vertices, faces))
         assert mask[::7].all() and (n == 3 or not mask.all())
+        # each area pass has faces on either side of the threshold
+        passes = range(0, len(faces), chunk)
+        for start in passes:
+            ladder = mask[start:start + chunk][(2 - start) % 7::7]
+            assert n == 3 or (ladder.any() and not ladder.all())
         # unscaled areas overflow at 1e300 and underflow at 1e-300 alike
         with np.errstate(over="ignore", under="ignore", invalid="ignore"):
             areas = meshes._triangle_areas(vertices, faces)
@@ -139,6 +158,8 @@ def test_areas_and_degenerate_mask_equal_the_cross_norm_form(scale):
         finite = np.isfinite(expected)
         assert (areas[finite].view(np.int64)
                 == expected[finite].view(np.int64)).all()
+    # the largest mesh spans three area passes
+    assert len(passes) == 3
 
 
 def test_face_indices_must_be_in_range():
@@ -335,11 +356,13 @@ def reference_obj(mesh):
             + "".join("f %d %d %d\n" % tuple(f) for f in mesh.faces.tolist()))
 
 
-# the vertex counts at which the widest face index gains a digit
+# the vertex counts at which the widest face index gains a digit, and the
+# record counts around the chunk boundaries of the OBJ writer
 @pytest.mark.parametrize("n", [3, 9, 10, 99, 100, 999, 1000, 1001, 10000,
-                               10001])
+                               10001, meshes._CHUNK - 1, meshes._CHUNK,
+                               meshes._CHUNK + 1, 2 * meshes._CHUNK + 1])
 @pytest.mark.parametrize("header", [(), ("made by test", "second line")])
-def test_obj_text_equals_a_per_record_writer(n, header):
+def test_obj_text_equals_a_per_record_writer(tmp_path, n, header):
     rng = np.random.default_rng(n)
     # every coordinate drawn from the extremes or with a random exponent
     extremes = [0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300, 0.1, -1.0]
@@ -354,7 +377,71 @@ def test_obj_text_equals_a_per_record_writer(n, header):
                     np.stack([order, np.roll(order, 1), np.roll(order, 2)], 1),
                     header)
     for mesh in (bare, faced):
+        path = tmp_path / f"{mesh.n_faces}.obj"
+        write_obj(mesh, str(path))
+        assert path.read_bytes() == mesh.to_obj_text()
         assert mesh.to_obj_text() == reference_obj(mesh).encode("ascii")
+
+
+def test_a_stream_that_fails_partway_leaves_no_file(tmp_path, monkeypatch):
+    mesh = flat_graph(2, 2)
+    records = meshes._records
+    calls = []
+
+    def failing(kind, cells):
+        calls.append(kind)
+        if len(calls) == 2:
+            # the v records are in the temporary file by now
+            assert [name for name in os.listdir(str(tmp_path))
+                    if name.startswith(".tmp-") and name.endswith("~")]
+            raise RuntimeError("stream broken")
+        return records(kind, cells)
+
+    monkeypatch.setattr(meshes, "_records", failing)
+    target = tmp_path / "mesh.obj"
+    with pytest.raises(RuntimeError, match="stream broken"):
+        write_obj(mesh, str(target))
+    assert calls == ["v", "f"] and not os.listdir(str(tmp_path))
+    target.write_bytes(b"old bytes\n")
+    calls.clear()
+    with pytest.raises(RuntimeError, match="stream broken"):
+        write_obj(mesh, str(target))
+    assert calls == ["v", "f"] and os.listdir(str(tmp_path)) == ["mesh.obj"]
+    assert target.read_bytes() == b"old bytes\n"
+
+
+def test_non_ascii_out_name_exits_two_and_makes_nothing(tmp_path, capsys):
+    # the header, which repeats the command line, is encoded before the
+    # writer makes a directory or a temporary file
+    out = tmp_path / "out"
+    assert cli.main(["export-obj", "--surface", "competitor", "--u", "1",
+                     "--res", "2", "--out", "café",
+                     "--output-dir", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "error: 'ascii' codec can't encode character '\\xe9' in position 66:"
+        " ordinal not in range(128)\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("res", [100, 200])
+def test_competitor_export_memory_follows_the_mesh_arrays(tmp_path, res):
+    # validation and the OBJ writer work chunk by chunk, so neither peak
+    # grows with a whole-mesh temporary or a whole-file text
+    comp = build_competitor("minimal", 1.0)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        mesh = competitor_mesh(comp, 2.0, res, res)
+        build_peak = tracemalloc.get_traced_memory()[1] - before
+        live = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        write_obj(mesh, str(tmp_path / "competitor.obj"))
+        write_peak = tracemalloc.get_traced_memory()[1] - live
+    finally:
+        tracemalloc.stop()
+    arrays = mesh.vertices.nbytes + mesh.faces.nbytes
+    assert build_peak <= 3 * arrays
+    assert write_peak <= 3 * arrays
 
 
 @pytest.mark.parametrize("argv, digest", [
