@@ -1,8 +1,14 @@
 """Command-line front end: one verdict line per run, artifacts on disk.
 
-Every subcommand prints a single verdict line on stdout, writes its report
-(JSON, plus CSV or ``.obj`` where natural) into the output directory, and
-exits with a contract code:
+Every subcommand's handler returns (verdict, detail, payload), and a CSV
+text where it has one.  One function, `_report`, takes what it returns:
+it writes the CSV and the payload, as JSON with the command and argv
+added, into the output directory, prints the verdict line
+``<command>: PASS|FAIL|OK <detail>`` (OK when the verdict is None), and
+picks the exit code.  ``export-obj`` writes its ``.obj`` itself and no
+JSON.  A payload that holds a NaN, or an infinity on a run whose verdict is
+not false, is a numeric failure, raised before anything is written; a
+failed verdict's witness interval may be unbounded.  The exit codes:
 
     0   verdict true / computation succeeded
     1   verdict false (the checked property fails)
@@ -61,8 +67,8 @@ from .meshes import (
 from .profilespec import ProfileSpec, ProfileSpecError, parse_profile
 from .quadrature import QuadratureError
 from .reports import atomic_write_text, dump_csv, dump_json, fmt17
-from .strips import (ProfileError, PwlProfile, SolverError, broken_plane,
-                     strip_surface)
+from .strips import (_SLOPE_EPS, _SLOPE_RULES, ProfileError, PwlProfile,
+                     SolverError, broken_plane, strip_surface)
 from .surfaces import strip_patch
 from .variation import second_variation_experiment
 
@@ -75,15 +81,6 @@ EXIT_TRUE = 0
 EXIT_FALSE = 1
 EXIT_USAGE = 2
 EXIT_NUMERIC = 3
-
-_SLOPE_EPS = 1e-9
-
-#: One slope rule per chart, shared by check-strip and check-minimal: the
-#: lowest admissible slope and the bound every slope stays below.  The alpha
-#: slope t is the sigma slope 2t/(2+t), so sigma's [-2, 2) is alpha's
-#: [-1, inf); an alpha fan of slope -2 is not a strip (`alpha_to_sigma`
-#: refuses it).
-_SLOPE_RULES = {"sigma": (-2.0, 2.0), "alpha": (-1.0, math.inf)}
 
 
 # ---------------------------------------------------------------------------
@@ -211,27 +208,45 @@ def _build_surface(args):
 
 
 # ---------------------------------------------------------------------------
-# small plumbing
+# the one output path
 
 
 def _outdir(args) -> str:
     return args.output_dir or os.environ.get(OUTPUT_DIR_ENV) or "."
 
 
-def _artifact_path(args, extension: str) -> str:
-    base = args.out or args.command
-    return os.path.join(_outdir(args), base + extension)
+def _non_finite(obj, key: str = "") -> list:
+    """(key, value) of every NaN or infinity in a payload, in order."""
+    if isinstance(obj, dict):
+        return [hit for k, v in obj.items() for hit in _non_finite(v, k)]
+    if isinstance(obj, (list, tuple)):
+        return [hit for v in obj for hit in _non_finite(v, key)]
+    finite = not isinstance(obj, float) or math.isfinite(obj)
+    return [] if finite else [(key, obj)]
 
 
-def _payload(args, **entries) -> dict:
-    return {"command": args.command,
-            "argv": ["heisurf", *args.argv],
-            **entries}
-
-
-def _write_json(args, payload: dict) -> str:
-    return atomic_write_text(_artifact_path(args, ".json"),
-                             dump_json(payload))
+def _report(args, verdict: Optional[bool], detail: str,
+            payload: Optional[dict], csv: Optional[str] = None) -> int:
+    """Write what a handler returned, print its verdict line and return its
+    exit code; a payload that may not be written is an `ArithmeticError`."""
+    failed = verdict is not None and not verdict
+    base = os.path.join(_outdir(args), args.out or args.command)
+    if payload is not None:
+        payload = {"command": args.command, "argv": ["heisurf", *args.argv],
+                   **payload}
+        bad = _non_finite(payload)
+        if any(math.isnan(value) for _, value in bad) or (bad and not failed):
+            key, value = min(bad, key=lambda hit: not math.isnan(hit[1]))
+            raise ArithmeticError(f"{key} is {fmt17(value)}, not finite")
+    word = "OK" if verdict is None else "FAIL" if failed else "PASS"
+    line = f"{args.command}: {word} {detail}"
+    if csv is not None:
+        path = atomic_write_text(base + ".csv", csv)
+        line += f" csv={os.path.basename(path)}"
+    if payload is not None:
+        atomic_write_text(base + ".json", dump_json(payload))
+    print(line)
+    return EXIT_FALSE if failed else EXIT_TRUE
 
 
 def _build_profile(text: str) -> tuple[ProfileSpec, Any]:
@@ -239,92 +254,59 @@ def _build_profile(text: str) -> tuple[ProfileSpec, Any]:
     return spec, spec.build()
 
 
-def _slope_witness(profile, threshold: float):
-    """Worst slope strictly below threshold, with its parameter interval."""
-    if isinstance(profile, PwlProfile):
-        slopes = profile.piece_slopes()
-        knots = profile.w
-        bounds = [(-math.inf, float(knots[0]))]
-        bounds += [(float(a), float(b)) for a, b in zip(knots[:-1], knots[1:])]
-        bounds.append((float(knots[-1]), math.inf))
-        idx = int(np.argmin(slopes))
-        if slopes[idx] >= threshold:
-            return None
-        return float(slopes[idx]), bounds[idx]
-    lo, _hi = profile.slope_bounds()
-    if lo >= threshold:
-        return None
-    z = np.linspace(-50.0, 50.0, 4001)
-    d = np.asarray(profile.derivative(z), dtype=float)
-    i = int(np.argmin(d))
-    return float(lo), (float(z[max(i - 1, 0)]),
-                       float(z[min(i + 1, len(z) - 1)]))
-
-
-def _witness_text(witness) -> str:
-    slope, (lo, hi) = witness
-    return f"witness slope {fmt17(slope)} on [{fmt17(lo)},{fmt17(hi)}]"
-
-
-def _witness_json(witness):
-    if witness is None:
-        return None
-    slope, (lo, hi) = witness
-    return {"slope": slope, "interval": [lo, hi]}
-
-
 # ---------------------------------------------------------------------------
 # verdict commands on profiles
 
+#: The rule each slope-verdict command records, by (command, chart).
+_RULES = {
+    ("check-strip", "sigma"): "sigma slopes must lie in [-2, 2)",
+    ("check-strip", "alpha"):
+        "alpha slopes must be >= -1 (sigma slopes in [-2, 2))",
+    ("check-minimal", "alpha"): "area minimality needs all alpha slopes >= -1",
+    ("check-minimal", "sigma"): "area minimality needs the strip graphical: "
+                                "sigma slopes in [-2, 2)",
+}
 
-def _slope_verdict(args):
-    """Verdict of ``--profile`` under its chart's slope rule.
 
-    Returns (spec, slope bounds, verdict, witness, verdict-line detail).
-    """
+def _lowest_slope_interval(profile) -> tuple[float, float]:
+    """A parameter interval on which the profile takes its lowest slope."""
+    if isinstance(profile, PwlProfile):
+        edges = [-math.inf, *map(float, profile.w), math.inf]
+        i = int(np.argmin(profile.piece_slopes()))
+        return edges[i], edges[i + 1]
+    z = np.linspace(-50.0, 50.0, 4001)
+    i = int(np.argmin(profile.derivative(z)))
+    return float(z[max(i - 1, 0)]), float(z[min(i + 1, len(z) - 1)])
+
+
+def _cmd_check(args):
+    """check-strip and check-minimal: ``--profile`` under its chart's slope
+    rule.  A failing profile's witness is its lowest slope where that is
+    too low, else its highest slope."""
     spec, profile = _build_profile(args.profile)
     lo, hi = profile.slope_bounds()
     floor, ceiling = _SLOPE_RULES[args.kind]
-    ok = lo >= floor - _SLOPE_EPS and hi < ceiling
-    witness = _slope_witness(profile, floor - _SLOPE_EPS)
-    if witness is None and not ok:
-        witness = (hi, (-math.inf, math.inf))
+    ok = bool(lo >= floor - _SLOPE_EPS and hi < ceiling)
     detail = f"profile={spec.spec_string()} slopes=[{fmt17(lo)},{fmt17(hi)}]"
-    if not ok and witness is not None:
-        detail += " " + _witness_text(witness)
-    return spec, [lo, hi], ok, witness, detail
-
-
-def _cmd_check_strip(args) -> int:
-    spec, bounds, ok, witness, detail = _slope_verdict(args)
-    rule = ("sigma slopes must lie in [-2, 2)" if args.kind == "sigma" else
-            "alpha slopes must be >= -1 (sigma slopes in [-2, 2))")
-    _write_json(args, _payload(
-        args, profile=spec.to_json(), kind=args.kind, verdict=bool(ok),
-        slope_bounds=bounds, witness=_witness_json(witness), rule=rule))
-    print(f"check-strip: {'PASS' if ok else 'FAIL'} {detail}")
-    return EXIT_TRUE if ok else EXIT_FALSE
-
-
-def _cmd_check_minimal(args) -> int:
-    spec, bounds, ok, witness, detail = _slope_verdict(args)
-    rule = ("area minimality needs all alpha slopes >= -1"
-            if args.kind == "alpha" else
-            "area minimality needs the strip graphical: "
-            "sigma slopes in [-2, 2)")
-    _write_json(args, _payload(
-        args, profile=spec.to_json(), kind=args.kind, verdict=bool(ok),
-        slope_bounds=bounds, threshold=_SLOPE_RULES[args.kind][0],
-        witness=_witness_json(witness), rule=rule))
-    print(f"check-minimal: {'PASS' if ok else 'FAIL'} {detail}")
-    return EXIT_TRUE if ok else EXIT_FALSE
+    payload = {"profile": spec.to_json(), "kind": args.kind, "verdict": ok,
+               "slope_bounds": [lo, hi], "witness": None,
+               "rule": _RULES[args.command, args.kind]}
+    if args.command == "check-minimal":
+        payload["threshold"] = floor
+    if not ok:
+        slope, (a, b) = ((float(lo), _lowest_slope_interval(profile))
+                         if lo < floor - _SLOPE_EPS else
+                         (hi, (-math.inf, math.inf)))
+        payload["witness"] = {"slope": slope, "interval": [a, b]}
+        detail += f" witness slope {fmt17(slope)} on [{fmt17(a)},{fmt17(b)}]"
+    return ok, detail, payload
 
 
 # ---------------------------------------------------------------------------
 # scalar computations
 
 
-def _cmd_scalar(args) -> int:
+def _cmd_scalar(args):
     area = args.command == "area"
     if args.surface == "broken-plane":
         fn = broken_plane_area if area else broken_plane_energy
@@ -336,17 +318,15 @@ def _cmd_scalar(args) -> int:
         if args.surface == "strip":
             surface = strip_patch(surface, args.window)
         value = surface.area() if area else surface.intrinsic_energy()
-    _write_json(args, _payload(args, surface=args.surface, value=value,
-                               **args.inputs))
-    print(f"{args.command}: OK surface={args.surface} value={fmt17(value)}")
-    return EXIT_TRUE
+    return (None, f"surface={args.surface} value={fmt17(value)}",
+            {"surface": args.surface, "value": value, **args.inputs})
 
 
 # ---------------------------------------------------------------------------
 # experiments
 
 
-def _cmd_second_variation(args) -> int:
+def _cmd_second_variation(args):
     alpha_spec, alpha = _build_profile(args.alpha)
     tau_spec, tau = _build_profile(args.tau)
     if not isinstance(alpha, PwlProfile) or not isinstance(tau, PwlProfile):
@@ -357,73 +337,67 @@ def _cmd_second_variation(args) -> int:
                                          lambdas=args.lambdas)
     # plateaued sweeps carry an odd |lambda|^3 residual, so the fit only
     # reaches a few percent of the analytic value; 5% covers both regimes
-    ok = result.consistent(rel_tol=0.05)
+    ok = bool(result.consistent(rel_tol=0.05))
     rows = [(lam, delta, lam * lam * result.second_variation)
             for lam, delta in zip(result.lambdas, result.delta_areas)]
-    csv_path = atomic_write_text(
-        _artifact_path(args, ".csv"),
-        dump_csv(("lambda", "delta_area", "quadratic_model"), rows))
-    _write_json(args, _payload(
-        args, alpha=alpha_spec.to_json(), tau=tau_spec.to_json(),
-        window=list(result.window), lambdas=list(result.lambdas),
-        delta_areas=list(result.delta_areas),
-        second_variation=result.second_variation,
-        quadratic_fit=result.quadratic_fit,
-        quartic_fit=result.quartic_fit,
-        residual_order=result.residual_order, consistent=bool(ok)))
-    print(f"second-variation: {'PASS' if ok else 'FAIL'} "
-          f"II={fmt17(result.second_variation)} "
-          f"fitted-c={fmt17(result.quadratic_fit)} "
-          f"order={result.residual_order:.2f} csv={os.path.basename(csv_path)}")
-    return EXIT_TRUE if ok else EXIT_FALSE
+    payload = {
+        "alpha": alpha_spec.to_json(), "tau": tau_spec.to_json(),
+        "window": list(result.window), "lambdas": list(result.lambdas),
+        "delta_areas": list(result.delta_areas),
+        "second_variation": result.second_variation,
+        "quadratic_fit": result.quadratic_fit,
+        "quartic_fit": result.quartic_fit,
+        "residual_order": result.residual_order, "consistent": ok}
+    detail = (f"II={fmt17(result.second_variation)} "
+              f"fitted-c={fmt17(result.quadratic_fit)} "
+              f"order={result.residual_order:.2f}")
+    return (ok, detail, payload,
+            dump_csv(("lambda", "delta_area", "quadratic_model"), rows))
 
 
-def _cmd_monotonicity(args) -> int:
+def _cmd_monotonicity(args):
     report = monotonicity_check(_build_surface(args), radius=args.radius,
                                 n=args.lines, seed=args.seed)
-    ok = report.passed
-    histogram = {str(k): v for k, v in report.histogram.items()}
+    ok = bool(report.passed)
     violations = [{"theta": line.theta, "v": line.v, "w": line.w,
                    "roots": list(roots)}
                   for line, roots in report.violations]
-    _write_json(args, _payload(
-        args, surface=args.surface, n_lines=report.n_lines, seed=report.seed,
-        radius=report.radius, histogram=histogram,
-        degenerate_lines=report.degenerate_lines,
-        count_method=report.count_method, violations=violations,
-        max_crossings=report.max_crossings, verdict=bool(ok),
-        **args.inputs))
-    print(f"monotonicity: {'PASS' if ok else 'FAIL'} surface={args.surface} "
-          f"lines={report.n_lines} max-crossings={report.max_crossings} "
-          f"violations={len(report.violations)}")
-    return EXIT_TRUE if ok else EXIT_FALSE
+    payload = {
+        "surface": args.surface, "n_lines": report.n_lines,
+        "seed": report.seed, "radius": report.radius,
+        "histogram": {str(k): v for k, v in report.histogram.items()},
+        "degenerate_lines": report.degenerate_lines,
+        "count_method": report.count_method, "violations": violations,
+        "max_crossings": report.max_crossings, "verdict": ok, **args.inputs}
+    return ok, (f"surface={args.surface} lines={report.n_lines} "
+                f"max-crossings={report.max_crossings} "
+                f"violations={len(report.violations)}"), payload
 
 
 def _finite_or_none(value: float) -> Optional[float]:
     return value if math.isfinite(value) else None
 
 
-def _cmd_scaling_limit(args) -> int:
+def _cmd_scaling_limit(args):
     spec, profile = _build_profile(args.profile)
     graph = RuledEntireGraph(profile)
     report = scaling_limit(graph, t_grid=args.t_grid, window=args.window)
-    ok = (not report.errors) or report.converged()
+    ok = bool((not report.errors) or report.converged())
     # a vertical-plane limit has infinite opening and tail slopes; `kind`
     # says so, and the payload writes them as null
-    _write_json(args, _payload(
-        args, profile=spec.to_json(), kind=report.kind,
-        slope_neg_limit=_finite_or_none(report.slope_neg_limit),
-        slope_pos_limit=_finite_or_none(report.slope_pos_limit),
-        theta=report.theta, u=_finite_or_none(report.u),
-        t_grid=list(report.t_grid), errors=list(report.errors),
-        converged=bool(ok)))
+    payload = {
+        "profile": spec.to_json(), "kind": report.kind,
+        "slope_neg_limit": _finite_or_none(report.slope_neg_limit),
+        "slope_pos_limit": _finite_or_none(report.slope_pos_limit),
+        "theta": report.theta, "u": _finite_or_none(report.u),
+        "t_grid": list(report.t_grid), "errors": list(report.errors),
+        "converged": ok}
     u_text = "inf" if math.isinf(report.u) else fmt17(report.u)
-    print(f"scaling-limit: {'PASS' if ok else 'FAIL'} kind={report.kind} "
-          f"theta={fmt17(report.theta)} u={u_text}")
-    return EXIT_TRUE if ok else EXIT_FALSE
+    return ok, (f"kind={report.kind} theta={fmt17(report.theta)} "
+                f"u={u_text}"), payload
 
 
-def _cmd_sigma_rho(args) -> int:
+def _cmd_sigma_rho(args):
     spec, rho = _build_profile(args.rho)
     a, b = args.window
     closed = sigma_rho_area(rho, a, b)
@@ -431,7 +405,8 @@ def _cmd_sigma_rho(args) -> int:
     gap = abs(closed - quad) / max(abs(closed), 1e-300)
     surface = sigma_rho_surface(rho, (a, b))
     residual = surface.horizontality_residual()
-    ok = gap <= 1e-6 and residual <= 1e-9
+    ok = bool(gap <= 1e-6 and residual <= 1e-9)
+    detail = f"area={fmt17(closed)} quad-gap={gap:.3e}"
     obstruction = None
     if args.check_chords:
         z1 = a + 0.25 * (b - a)
@@ -442,73 +417,58 @@ def _cmd_sigma_rho(args) -> int:
                        "min_abs_offset": rep.min_abs_offset,
                        "corner_offset": rep.corner_offset,
                        "n_pairs": rep.n_pairs}
-        ok = ok and rep.ok and rep.corner_offset <= 1e-9
-    _write_json(args, _payload(
-        args, rho=spec.to_json(), window=[a, b], area=closed,
-        area_quadrature=quad, relative_gap=gap,
-        horizontality_residual=residual, obstruction=obstruction,
-        verdict=bool(ok)))
-    extra = ""
-    if obstruction is not None:
-        extra = (" chords="
-                 + ("clear" if obstruction["ok"] else "violated"))
-    print(f"sigma-rho: {'PASS' if ok else 'FAIL'} area={fmt17(closed)} "
-          f"quad-gap={gap:.3e}{extra}")
-    return EXIT_TRUE if ok else EXIT_FALSE
+        ok = bool(ok and rep.ok and rep.corner_offset <= 1e-9)
+        detail += " chords=" + ("clear" if rep.ok else "violated")
+    return ok, detail, {
+        "rho": spec.to_json(), "window": [a, b], "area": closed,
+        "area_quadrature": quad, "relative_gap": gap,
+        "horizontality_residual": residual, "obstruction": obstruction,
+        "verdict": ok}
 
 
-def _cmd_competitor(args) -> int:
+def _cmd_competitor(args):
     report = competitor_compare(args.u, z_cap=args.z_cap,
                                 z_floor=args.z_floor)
-    ok = report.area_margin > 0.0
-    rows = [
-        ("area_competitor", report.area_competitor),
-        ("area_reference", report.area_reference),
-        ("area_margin", report.area_margin),
-        ("energy_competitor", report.energy_competitor),
-        ("energy_reference", report.energy_reference),
-        ("energy_margin", report.energy_margin),
-    ]
-    rows += [(f"area_piece_{k}", v) for k, v in report.area_pieces.items()]
-    rows += [(f"energy_piece_{k}", v)
-             for k, v in report.energy_pieces.items()]
-    csv_path = atomic_write_text(_artifact_path(args, ".csv"),
-                                 dump_csv(("quantity", "value"), rows))
-    _write_json(args, _payload(
-        args, u=report.u, z_cap=report.z_cap, z_floor=report.z_floor,
-        area_competitor=report.area_competitor,
-        area_reference=report.area_reference,
-        area_margin=report.area_margin,
-        energy_competitor=report.energy_competitor,
-        energy_reference=report.energy_reference,
-        energy_margin=report.energy_margin,
-        area_pieces=dict(report.area_pieces),
-        energy_pieces=dict(report.energy_pieces), verdict=bool(ok)))
-    print(f"competitor: {'PASS' if ok else 'FAIL'} u={fmt17(report.u)} "
-          f"area-margin={fmt17(report.area_margin)} "
-          f"energy-margin={fmt17(report.energy_margin)} "
-          f"csv={os.path.basename(csv_path)}")
-    return EXIT_TRUE if ok else EXIT_FALSE
+    ok = bool(report.area_margin > 0.0)
+    totals = {
+        "area_competitor": report.area_competitor,
+        "area_reference": report.area_reference,
+        "area_margin": report.area_margin,
+        "energy_competitor": report.energy_competitor,
+        "energy_reference": report.energy_reference,
+        "energy_margin": report.energy_margin,
+    }
+    rows = [*totals.items(),
+            *((f"area_piece_{k}", v) for k, v in report.area_pieces.items()),
+            *((f"energy_piece_{k}", v)
+              for k, v in report.energy_pieces.items())]
+    payload = {
+        "u": report.u, "z_cap": report.z_cap, "z_floor": report.z_floor,
+        **totals, "area_pieces": dict(report.area_pieces),
+        "energy_pieces": dict(report.energy_pieces), "verdict": ok}
+    detail = (f"u={fmt17(report.u)} "
+              f"area-margin={fmt17(report.area_margin)} "
+              f"energy-margin={fmt17(report.energy_margin)}")
+    return ok, detail, payload, dump_csv(("quantity", "value"), rows)
 
 
-def _cmd_calibrate_lines(args) -> int:
+def _cmd_calibrate_lines(args):
     result = calibrate_ratio(args.r1, args.r2, n=args.lines, seed=args.seed)
-    ok = abs(result.zscore) <= args.max_z
-    _write_json(args, _payload(
-        args, r1=args.r1, r2=args.r2, n=args.lines, seed=args.seed,
-        ratio=result.ratio, se=result.se, expected=result.expected,
-        zscore=result.zscore, max_z=args.max_z, verdict=bool(ok)))
-    print(f"calibrate-lines: {'PASS' if ok else 'FAIL'} "
-          f"ratio={fmt17(result.ratio)} expected={fmt17(result.expected)} "
-          f"z={result.zscore:+.2f}")
-    return EXIT_TRUE if ok else EXIT_FALSE
+    ok = bool(abs(result.zscore) <= args.max_z)
+    payload = {
+        "r1": args.r1, "r2": args.r2, "n": args.lines, "seed": args.seed,
+        "ratio": result.ratio, "se": result.se, "expected": result.expected,
+        "zscore": result.zscore, "max_z": args.max_z, "verdict": ok}
+    return ok, (f"ratio={fmt17(result.ratio)} "
+                f"expected={fmt17(result.expected)} "
+                f"z={result.zscore:+.2f}"), payload
 
 
 # ---------------------------------------------------------------------------
 # mesh export
 
 
-def _cmd_export_obj(args) -> int:
+def _cmd_export_obj(args):
     res = args.res
     x_res = args.x_res if args.x_res is not None else res
     header = ("heisurf " + shlex.join(args.argv), "seed: none",
@@ -524,13 +484,10 @@ def _cmd_export_obj(args) -> int:
         z_cap = 2.0 * args.u if args.z_cap is None else args.z_cap
         mesh = competitor_mesh(surface, z_cap, res, x_res, header)
 
-    base = args.out or args.surface
-    path = os.path.join(_outdir(args), base + ".obj")
+    path = os.path.join(_outdir(args), (args.out or args.surface) + ".obj")
     write_obj(mesh, path)
-    print(f"export-obj: OK surface={args.surface} "
-          f"vertices={mesh.n_vertices} faces={mesh.n_faces} "
-          f"file={os.path.basename(path)}")
-    return EXIT_TRUE
+    return None, (f"surface={args.surface} vertices={mesh.n_vertices} "
+                  f"faces={mesh.n_faces} file={os.path.basename(path)}"), None
 
 
 # ---------------------------------------------------------------------------
@@ -583,14 +540,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--profile", required=True)
     p.add_argument("--kind", choices=("sigma", "alpha"), default="sigma")
     _add_common(p)
-    p.set_defaults(func=_cmd_check_strip)
+    p.set_defaults(func=_cmd_check)
 
     p = subs.add_parser("check-minimal",
                         help="is the profile's surface area-minimizing?")
     p.add_argument("--profile", required=True)
     p.add_argument("--kind", choices=("alpha", "sigma"), default="alpha")
     _add_common(p)
-    p.set_defaults(func=_cmd_check_minimal)
+    p.set_defaults(func=_cmd_check)
 
     for name, help_text in (("area", "horizontal perimeter of a surface"),
                             ("energy", "intrinsic Dirichlet energy")):
@@ -703,7 +660,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # a floating-point fault is a numeric failure, not a stderr warning
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            return int(args.func(args))
+            return _report(args, *args.func(args))
     except (QuadratureError, SolverError, CalibrationError,
             DegenerateMeshError, ArithmeticError, RuntimeWarning) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)

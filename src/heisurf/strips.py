@@ -65,6 +65,14 @@ class SolverError(ArithmeticError):
     """An equation handed to `Profile.solve` has no root it can reach."""
 
 
+#: One slope rule per chart: the lowest admissible slope (a slope up to
+#: _SLOPE_EPS below it passes) and the bound every slope stays below.  The
+#: alpha slope t is the sigma slope 2t/(2+t), so sigma's [-2, 2) is alpha's
+#: [-1, inf); an alpha fan of slope -2 is not a strip (`alpha_to_sigma`
+#: refuses it).
+_SLOPE_RULES = {"sigma": (-2.0, 2.0), "alpha": (-1.0, math.inf)}
+_SLOPE_EPS = 1e-9
+
 #: Doublings of the search step before an unbounded root counts as missing.
 _BRACKET_DOUBLINGS = 64
 #: Safeguarded Newton steps allowed per point before `SolverError`; points
@@ -554,8 +562,10 @@ class GraphicalStrip:
                               axis=1)
 
     def is_graphical(self) -> bool:
+        """Do sigma's slopes lie in [-2, 2), down to `_SLOPE_EPS` below -2?"""
         lo, hi = self.sigma.slope_bounds()
-        return lo >= -2.0 and hi < 2.0
+        floor, ceiling = _SLOPE_RULES["sigma"]
+        return lo >= floor - _SLOPE_EPS and hi < ceiling
 
 
 @dataclass(frozen=True)

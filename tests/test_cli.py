@@ -1,4 +1,5 @@
 """Exit codes, verdict lines, and artifact determinism of the command line."""
+import hashlib
 import json
 import math
 import os
@@ -79,6 +80,21 @@ def test_check_strip_charts_agree_on_one_surface(tmp_path, kind, profile):
 def test_check_strip_accepts_arctan_in_the_alpha_chart(tmp_path):
     assert run(tmp_path, "check-strip", "--kind", "alpha",
                "--profile", "arctan(-1)") == 0
+
+
+@pytest.mark.parametrize("profile, graphical", [
+    ("linear(-2.0000000001)", True),  # within the tolerance below -2
+    ("linear(-2.1)", False),
+    ("linear(1.9999999)", True),
+    ("linear(2)", False),
+    ("arctan(-2.0000000001)", True),
+])
+def test_check_strip_and_the_library_share_one_slope_rule(tmp_path, profile,
+                                                          graphical):
+    strip = strips.strip_surface(profilespec.profile_from_string(profile))
+    assert strip.is_graphical() is strips.is_area_minimizing(strip) is graphical
+    assert run(tmp_path, "check-strip", "--profile", profile) == \
+        (0 if graphical else 1)
 
 
 def test_check_minimal_flags_the_broken_plane_with_a_witness(tmp_path, capsys):
@@ -358,6 +374,29 @@ def test_knot_pair_with_overflowing_slope_exits_with_two(tmp_path, capsys,
 
 
 @pytest.mark.parametrize("argv", [
+    # u^2 z_cap overflows to inf without a floating-point warning
+    ("area", "--surface", "broken-plane", "--u", "1", "--z-cap", "1e308"),
+    ("energy", "--surface", "broken-plane", "--u", "1", "--z-cap", "1e308"),
+    ("area", "--surface", "broken-plane", "--u", "1e300", "--z-cap", "1"),
+    # the competitor's pieces overflow to inf and its margins to nan
+    ("competitor", "--u", "1", "--z-cap", "1e308"),
+])
+def test_a_non_finite_result_exits_with_three_and_writes_nothing(
+        tmp_path, capsys, argv):
+    assert run(tmp_path, *argv) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("numeric failure: ") and err.count("\n") == 1
+    assert not os.listdir(str(tmp_path))
+
+
+def test_a_failed_verdict_may_record_an_unbounded_witness(tmp_path):
+    assert run(tmp_path, "check-strip", "--profile", "linear(-2.5)") == 1
+    assert load(tmp_path, "check-strip.json")["witness"] == {
+        "slope": -2.5, "interval": [-math.inf, 0.0]}
+
+
+@pytest.mark.parametrize("argv", [
     ("area", "--surface", "broken-plane", "--u", "nan", "--z-cap", "1"),
     ("area", "--surface", "broken-plane", "--u", "inf", "--z-cap", "1"),
     ("energy", "--surface", "broken-plane", "--u", "-1", "--z-cap", "1"),
@@ -565,6 +604,86 @@ def test_reruns_with_identical_arguments_are_byte_identical(tmp_path):
     first = (tmp_path / "competitor.obj").read_bytes()
     run(tmp_path, *argv)
     assert (tmp_path / "competitor.obj").read_bytes() == first
+
+
+#: Exit code, stdout line and sha256 of every artifact of each command of
+#: acceptance test_09, run with the output directory from the environment.
+PINNED_RUNS = {
+    ("check-strip", "--profile", "arctan(-1)"): (
+        0, "check-strip: PASS profile=arctan(-1.0) slopes=[-1,0]",
+        {"check-strip.json": "92d883568c95212679ca0162772eb823"
+                             "4cb65e8ae29a8e0d14d8d2ad0f1c263c"}),
+    ("check-minimal", "--profile", "broken-plane-alpha(1)"): (
+        1, "check-minimal: FAIL profile=broken-plane-alpha(1.0) "
+           "slopes=[-2,0] witness slope -2 on [-0.5,0.5]",
+        {"check-minimal.json": "7ec9f0a476a8f35e644b4af01d204764"
+                               "2784580cb59abfc5cb253ec235ee98b6"}),
+    ("area", "--surface", "sigma-rho", "--rho", "id", "--window", "0,1"): (
+        0, "area: OK surface=sigma-rho value=3.9438476201189268",
+        {"area.json": "392270305bdc9f262dbdccb912e6ec6c"
+                      "2f9c81815c1ac0a89526f59d97390f0c"}),
+    ("energy", "--surface", "broken-plane", "--u", "1", "--z-cap", "2"): (
+        0, "energy: OK surface=broken-plane value=4.1111111111111107",
+        {"energy.json": "0db29fd94a6702835c401534918650a8"
+                        "cda83a053f8bec55f26376e5e920c7ce"}),
+    ("second-variation", "--alpha", "broken-plane-alpha(1)",
+     "--tau", "triangle-bump(1,1)"): (
+        0, "second-variation: PASS II=-0.47140452079102996 "
+           "fitted-c=-0.46052159920199953 order=3.00 "
+           "csv=second-variation.csv",
+        {"second-variation.csv": "c5f733a0ba49717931030802fe147786"
+                                 "29a633595ee03f9c2528050c6515627c",
+         "second-variation.json": "0e7dca5b57e4cd92d09025d9a26e84da"
+                                  "26c91f9c7e56a137a2ac4093a75eaa05"}),
+    ("monotonicity", "--surface", "broken-plane", "--u", "1",
+     "--seed", "3"): (
+        1, "monotonicity: FAIL surface=broken-plane lines=400 "
+           "max-crossings=2 violations=3",
+        {"monotonicity.json": "5c3b32a93320b63649871ae5b42a8308"
+                              "f14538d1fd74ffe0eb65504aa0d4c8c0"}),
+    ("scaling-limit", "--profile", "arctan(-1)"): (
+        0, "scaling-limit: PASS kind=broken-plane theta=0 "
+           "u=1.5707963247949028",
+        {"scaling-limit.json": "af3b48797cf25f823539176d35c3911e"
+                               "80113c0de92bfc6809f42dc43067e6d3"}),
+    ("sigma-rho", "--rho", "id", "--window", "0,1", "--check-chords", "100",
+     "--seed", "5"): (
+        0, "sigma-rho: PASS area=3.9438476201189268 quad-gap=2.688e-09 "
+           "chords=clear",
+        {"sigma-rho.json": "75bed9ab35e4254584aa2d68132343b8"
+                           "dcfb268685538bcca5cf249bc125b459"}),
+    ("competitor", "--u", "1"): (
+        0, "competitor: PASS u=1 area-margin=0.22167401548856169 "
+           "energy-margin=0.20456857356077185 csv=competitor.csv",
+        {"competitor.csv": "46d6bba1702aa8d2b95d19800dee0d99"
+                           "74729454a87ac0fa5260cd5c2adc8137",
+         "competitor.json": "f6abc12cf6dd89d0d4ca3381049663c6"
+                            "862160083d2fc4976e5f712c5adf12f9"}),
+    ("export-obj", "--surface", "competitor", "--u", "1",
+     "--competitor-kind", "minimal", "--res", "10"): (
+        0, "export-obj: OK surface=competitor vertices=605 faces=980 "
+           "file=competitor.obj",
+        {"competitor.obj": "5ea6ccbdd23e0f77d2a5e0f1fb5594e4"
+                           "6f86bd115a02f9195a7001a3ce68cd4a"}),
+    ("calibrate-lines", "--lines", "20000", "--seed", "2"): (
+        0, "calibrate-lines: PASS ratio=7.910275441200727 expected=8 "
+           "z=-1.40",
+        {"calibrate-lines.json": "b6de7ef2a55f30a6d570d38fcd80b218"
+                                 "e5bcabf21e6686e436fe0e1cdd071f98"}),
+}
+
+
+@pytest.mark.parametrize("argv", list(PINNED_RUNS), ids=lambda a: a[0])
+def test_artifact_bytes_are_pinned(tmp_path, monkeypatch, capsys, argv):
+    # the output directory comes from the environment, so that the recorded
+    # argv names no temporary directory
+    monkeypatch.setenv(cli.OUTPUT_DIR_ENV, str(tmp_path))
+    code = cli.main(list(argv))
+    digests = {name: hashlib.sha256(data).hexdigest()
+               for name, data in _artifacts(tmp_path).items()}
+    assert (code, capsys.readouterr().out, digests) == (
+        PINNED_RUNS[argv][0], PINNED_RUNS[argv][1] + "\n",
+        PINNED_RUNS[argv][2])
 
 
 # ---------------------------------------------------------------------------

@@ -15,13 +15,15 @@ from hypothesis import strategies as st
 
 import heisurf.cli as cli
 
-#: Numbers from {nan, +-inf, 0, -1} and [-4, 4].  Half the runs draw only
-#: positive ones, which most numeric flags need, so that they get past the
-#: domain checks and into the computations.
-WILD = st.one_of(st.sampled_from(["nan", "inf", "-inf", "0", "-1"]),
+#: Numbers from {nan, +-inf, 0, -1}, finite numbers near overflow and
+#: underflow, and [-4, 4].  Half the runs draw only positive ones, which
+#: most numeric flags need, so that they get past the domain checks and into
+#: the computations.
+WILD = st.one_of(st.sampled_from(["nan", "inf", "-inf", "0", "-1", "1e308",
+                                  "-1e308", "1e-300"]),
                  st.floats(-4.0, 4.0).map(repr))
 TAME = st.one_of(st.floats(0.0, 4.0, exclude_min=True).map(repr),
-                 st.sampled_from(["0.5", "1", "2", "3"]))
+                 st.sampled_from(["0.5", "1", "2", "3", "1e308", "1e-300"]))
 COUNTS = st.one_of(st.integers(1, 6), st.integers(-2, 0)).map(str)
 LINES = st.one_of(st.integers(1, 60), st.integers(-2, 0)).map(str)
 KINDS = st.sampled_from(["sigma", "alpha", "sigma", "alpha", "beta"])

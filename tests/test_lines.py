@@ -158,7 +158,7 @@ def test_graphical_strips_meet_lines_at_most_once():
         v = np.concatenate([[0.0], np.cumsum(slopes * np.diff(w))])
         sigma = PwlProfile(w, v, RNG.uniform(-1.9, 1.9), RNG.uniform(-1.9, 1.9))
         strip = strip_surface(sigma, x_max=1.0)
-        assert strip.is_graphical
+        assert strip.is_graphical()
         for th, vv, ww in zip(*sample_lines(1.5, 25, seed=100 + trial)):
             line = LineSample(float(th), float(vv), float(ww))
             assert crossings(strip, line, n_scan=600).count <= 1
