@@ -7,20 +7,23 @@ induced (v, w) maps are shears).  The measure of the lines meeting a gauge
 ball of radius r therefore scales exactly like r^3; both facts are backed
 by Monte-Carlo tests rather than taken on faith.
 
-Along a line x, y and z are affine in t.  The strip of a PWL or arctan
-profile, a broken plane and a sigma-rho slab hand the census cuts along a
-batch of lines (`line_cuts`): polynomials in t of degree <= 2 between whose
-roots the membership offset changes sign at most once.  `_cut_crossings`
-counts a line's crossings exactly, as the sign changes of the offset at its
-window's ends (|x| <= x_max) and beside each cut root, and bisects only the
-lines it counts twice or more.  For any other closed-form surface crossings
-are sign changes of the offset on a grid: `_crossings` scans every line's
-window (padded by 1e-3 and clamped to |t| <= 50, so it misses crossings of
-near-steep lines beyond that) and bisects the brackets of all lines at
-once; it also serves `crossings` and `crossing_counts`.  Both see only
-transversal intersections, and both read the same three members of a
-surface: `membership_offset`, `x_max` and `line_cuts` (None where it has
-none).
+Along a line x, y and z are affine in t, and |x| <= x_max is one window
+of t (`_window`).  Crossings are the sign changes of the membership offset
+read along that window by one reader (`_sign_readings`), and one step
+(`_count_crossings`) counts them, bisects the brackets of the lines
+counted often enough, drops roots outside the window and merges grazing
+pairs.  The strip of a PWL or arctan profile, a broken plane and a
+sigma-rho slab hand the census cuts along a batch of lines (`line_cuts`):
+polynomials in t of degree <= 2 between whose roots the offset changes
+sign at most once.  Reading the offset at the window's ends and beside
+each cut root counts their crossings exactly (`_cut_crossings`), and only
+the lines counted twice or more are bisected.  The scan (`_crossings`,
+behind `crossings`, `crossing_counts` and the census of any other
+closed-form surface) reads a grid over the window padded by 1e-3 and
+clamped to |t| <= 50, so crossings of near-steep lines beyond that are
+missed.  Both see only transversal intersections, and both read the
+same three members of a surface: `membership_offset`, `x_max` and
+`line_cuts` (None where it has none).
 A graphical strip with slopes in [-2, 2) meets almost every horizontal
 line at most once; surfaces carrying a horizontal shortcut chord are met
 twice, and the census in `monotonicity_check` finds such lines.  The
@@ -63,8 +66,7 @@ class LineSample:
     w: float
 
     def points_at(self, ts) -> np.ndarray:
-        """Points of this line at parameters ts: the oracle the tests hold
-        the batched line geometry (`_line_points`, `_line_polys`) to."""
+        """Points of this line at parameters ts (`_line_points`)."""
         return _line_points(self.theta, self.v, self.w,
                             np.asarray(ts, dtype=float))
 
@@ -186,126 +188,14 @@ def calibrate_ratio(r_small: float = 1.0, r_big: float = 2.0,
 
 
 # ---------------------------------------------------------------------------
-# crossings by scan: one scan and one bisection for closed-form surfaces
+# crossings: one sign reader and one count step, read exactly beside a
+# surface's cuts or on a grid
 
-# The scan clamps every line's t-window to [-_REACH, _REACH], so it misses
+# The scan clamps every line's window to [-_REACH, _REACH], so it misses
 # the crossings of a near-steep line (window about 2 x_max / |cos theta|
 # long) that lie beyond |t| = _REACH.
 _REACH = 50.0
 _CHUNK = 4096  # lines per kernel call, which bounds the kernels' memory
-
-
-def _line_points(theta, v, w, ts):
-    """Points rot_theta(t, v, w - v t/2) at parameters ts (broadcast)."""
-    cos, sin = np.cos(theta), np.sin(theta)
-    return np.stack([ts * cos - v * sin, ts * sin + v * cos,
-                     w - 0.5 * v * ts], axis=-1)
-
-
-def _windows(surface, theta, v):
-    """Per-line t-intervals where |x(t)| <= x_max, padded by 1e-3 and
-    clamped to |t| <= _REACH.  x(t) is linear in t, so the inside set is one
-    interval and sign changes on it are all transversal hits.
-    """
-    xm = surface.x_max
-    cos, sin = np.cos(theta), np.sin(theta)
-    steep = np.abs(cos) < 1e-9
-    safe = np.where(steep, 1.0, cos)
-    lo = (-xm + v * sin) / safe
-    hi = (xm + v * sin) / safe
-    lo, hi = np.minimum(lo, hi), np.maximum(lo, hi)
-    lo = np.where(steep, -_REACH, np.maximum(lo, -_REACH) - 1e-3)
-    hi = np.where(steep, _REACH, np.minimum(hi, _REACH) + 1e-3)
-    # steep lines with |x| beyond the strip never cross it
-    miss = steep & (np.abs(v * sin) > xm)
-    hi = np.where(miss, lo, hi)
-    return lo, hi
-
-
-def _scan(offset_fn, theta, v, w, lo, hi, n_scan):
-    """Offsets at n_scan points of each window [lo, hi], chunk by chunk.
-
-    Yields (slice, ts, offsets, changes), changes marking the grid cells
-    whose ends have opposite nonzero signs.  The grid starts slightly off
-    the window's ends so that it does not land exactly on surface points.
-    """
-    grid = np.linspace(0.0, 1.0, n_scan) + 1.738e-9
-    for start in range(0, len(theta), _CHUNK):
-        sl = slice(start, start + _CHUNK)
-        ts = lo[sl, None] + (hi[sl] - lo[sl])[:, None] * grid
-        F = np.asarray(offset_fn(_line_points(
-            theta[sl, None], v[sl, None], w[sl, None], ts)))
-        s = np.sign(F)
-        yield sl, ts, F, s[:, :-1] * s[:, 1:] < 0
-
-
-def _bisect(offset_fn, theta, v, w, brackets, length):
-    """Roots of the sign-change brackets (line, a, b, offset at a), in their
-    order: all bisected together, one offset call per step, to
-    max(1e-10, 1e-14 length) with ``length`` the window length of each line.
-    """
-    line, a, b, fa = map(np.concatenate, zip(*brackets))
-    tol = np.maximum(1e-10, 1e-14 * length)[line]
-    live = np.nonzero(b - a > tol)[0]
-    while live.size:
-        m = 0.5 * (a[live] + b[live])
-        k = line[live]
-        fm = np.asarray(offset_fn(_line_points(theta[k], v[k], w[k], m)))
-        hit = fm == 0.0
-        left = ~hit & ((fm < 0) == (fa[live] < 0))
-        a[live] = np.where(left | hit, m, a[live])
-        b[live] = np.where(left, b[live], m)
-        fa[live] = np.where(left, fm, fa[live])
-        live = live[b[live] - a[live] > tol[live]]
-    return line, 0.5 * (a + b)
-
-
-#: No bracket: the empty start of a bracket list.
-_NO_BRACKET = (np.empty(0, dtype=int), np.empty(0), np.empty(0), np.empty(0))
-
-
-def _crossings(surface, theta, v, w, n_scan):
-    """(counts, roots in line order, degenerate) of the lines (theta, v, w).
-
-    The brackets of the scan are bisected (`_bisect`).  Roots with
-    |x| > x_max are dropped; a line's roots closer than 1e-8 (times a
-    window length above 1) merge, flagging the line degenerate (grazing
-    contact).
-    """
-    offset_fn = surface.membership_offset
-    lo, hi = _windows(surface, theta, v)
-    brackets = [_NO_BRACKET]
-    for sl, ts, F, changes in _scan(offset_fn, theta, v, w, lo, hi, n_scan):
-        row, col = np.nonzero(changes & (hi[sl] > lo[sl])[:, None])
-        brackets.append((row + sl.start, ts[row, col], ts[row, col + 1],
-                         F[row, col]))
-    line, root = _bisect(offset_fn, theta, v, w, brackets, hi - lo)
-    inside = np.abs(_line_points(theta[line], v[line], w[line], root)[:, 0]) \
-        <= surface.x_max
-    line, root = line[inside], root[inside]
-    return _merge(line, root, 1e-8 * np.maximum(1.0, np.abs(hi - lo))[line],
-                  len(theta))
-
-
-def _merge(line, root, eps, n_lines):
-    """(counts, kept roots, degenerate) of roots sorted within each line.
-
-    A root within eps of the last kept root of its line merges into it and
-    flags the line degenerate (a grazing contact).  Only a root close to
-    its predecessor can merge into the last kept one (j), which a merge
-    leaves in place.
-    """
-    keep = np.ones(len(root), dtype=bool)
-    close = (line[1:] == line[:-1]) & (np.abs(np.diff(root)) <= eps[1:])
-    for i in np.nonzero(close)[0] + 1:
-        j = i - 1 if keep[i - 1] else j
-        keep[i] = abs(root[i] - root[j]) > eps[i]
-    return (np.bincount(line[keep], minlength=n_lines), root[keep],
-            np.bincount(line[~keep], minlength=n_lines) > 0)
-
-
-# ---------------------------------------------------------------------------
-# exact crossings from a surface's cuts
 
 #: The census reads the offset this far (times max(1, |t|)) on each side of
 #: a cut root, so crossings closer than that to a root count as one.
@@ -314,6 +204,13 @@ _NEAR = 1e-12
 
 def _near(t):
     return _NEAR * np.maximum(1.0, np.abs(t))
+
+
+def _line_points(theta, v, w, ts):
+    """Points rot_theta(t, v, w - v t/2) at parameters ts (broadcast)."""
+    cos, sin = np.cos(theta), np.sin(theta)
+    return np.stack([ts * cos - v * sin, ts * sin + v * cos,
+                     w - 0.5 * v * ts], axis=-1)
 
 
 def _line_polys(theta, v, w):
@@ -346,13 +243,13 @@ def _poly_roots(c):
 
 
 def _window(x, x_max):
-    """The t-interval of each line where |x| <= x_max (empty: lo >= hi).
+    """The t-interval [lo, hi] of each line where |x| <= x_max.
 
-    Along a line with constant x it is the whole line or empty, as the
-    infinite quotients say.
+    x is linear in t, with slope cos theta, which is never 0 for a float
+    theta (cos(pi/2) rounds to 6.1e-17): the window is finite on every
+    line, if very long on a near-steep one.
     """
-    with np.errstate(divide="ignore", invalid="ignore"):
-        a, b = (-x_max - x[:, 0]) / x[:, 1], (x_max - x[:, 0]) / x[:, 1]
+    a, b = (-x_max - x[:, 0]) / x[:, 1], (x_max - x[:, 0]) / x[:, 1]
     return np.minimum(a, b), np.maximum(a, b)
 
 
@@ -372,45 +269,117 @@ def _readings(lo, hi, roots):
     return np.sort(np.clip(t, lo, hi), axis=1)
 
 
-def _cut_crossings(surface, theta, v, w):
-    """(counts, roots of the lines crossing twice or more, degenerate) of a
-    surface with line cuts (`line_cuts`).
+def _sign_readings(surface, theta, v, w, n_scan=None):
+    """The membership offset's signs along the lines, _CHUNK lines a call.
 
-    Between consecutive cut roots the offset changes sign at most once, so
-    a line's count is the number of sign changes of the offset read at its
-    window's ends (|x| <= x_max) and on both sides of each cut root inside
-    (`_readings`).  Reading beside a root, not at it, keeps a crossing that
-    lies on a root, or between roots closer than float spacing, as one
-    sign change.  Only the lines counted twice or more are bisected
-    (`_bisect`); their roots closer than 1e-8 (times a window length above
-    1) merge, flagging the line degenerate, and a line merged down to one
-    crossing keeps no root.
+    Yields (slice, (lo, hi), t, F, changes): the lines' windows, the
+    sorted parameters t at which the offset F is read, and ``changes``
+    marking the consecutive readings of opposite nonzero signs.  With
+    n_scan None the reading is exact: between consecutive cut roots
+    (`line_cuts`) the offset changes sign at most once, so t is the
+    window's ends and both sides of each root (`_readings`).  Otherwise
+    it is a scan: the window is clamped to |t| <= _REACH (a window wholly
+    beyond comes out reversed, lo > hi) and t is an n_scan grid from 1e-3
+    before it to 1e-3 past it, started slightly off the ends so that it
+    does not land exactly on surface points.
     """
-    counts = np.zeros(len(theta), dtype=int)
-    length = np.zeros(len(theta))
-    brackets = [_NO_BRACKET]
     for start in range(0, len(theta), _CHUNK):
         sl = slice(start, start + _CHUNK)
         x, y, z = _line_polys(theta[sl], v[sl], w[sl])
         lo, hi = _window(x, surface.x_max)
-        roots = _poly_roots(_normalized(surface.line_cuts(x, y, z)))
-        t = _readings(lo, hi, roots.reshape(len(x), -1))
+        if n_scan is None:
+            roots = _poly_roots(_normalized(surface.line_cuts(x, y, z)))
+            t = _readings(lo, hi, roots.reshape(len(x), -1))
+        else:
+            lo, hi = np.maximum(lo, -_REACH), np.minimum(hi, _REACH)
+            a, b = lo - 1e-3, hi + 1e-3
+            grid = np.linspace(0.0, 1.0, n_scan) + 1.738e-9
+            t = a[:, None] + (b - a)[:, None] * grid
         F = np.asarray(surface.membership_offset(_line_points(
             theta[sl, None], v[sl, None], w[sl, None], t)))
         sign = np.sign(F)
-        change = sign[:, :-1] * sign[:, 1:] < 0
-        counts[sl] = np.count_nonzero(change, axis=1)
-        length[sl] = hi - lo
-        row, col = np.nonzero(change & (counts[sl] > 1)[:, None])
-        brackets.append((row + start, t[row, col], t[row, col + 1],
+        yield sl, (lo, hi), t, F, sign[:, :-1] * sign[:, 1:] < 0
+
+
+def _bisect(offset_fn, theta, v, w, brackets, length):
+    """Roots of the sign-change brackets (line, a, b, offset at a), in their
+    order: all bisected together, one offset call per step, to
+    max(1e-10, 1e-14 length) with ``length`` the window length of each line.
+    """
+    line, a, b, fa = map(np.concatenate, zip(*brackets))
+    tol = np.maximum(1e-10, 1e-14 * length)[line]
+    live = np.nonzero(b - a > tol)[0]
+    while live.size:
+        m = 0.5 * (a[live] + b[live])
+        k = line[live]
+        fm = np.asarray(offset_fn(_line_points(theta[k], v[k], w[k], m)))
+        hit = fm == 0.0
+        left = ~hit & ((fm < 0) == (fa[live] < 0))
+        a[live] = np.where(left | hit, m, a[live])
+        b[live] = np.where(left, b[live], m)
+        fa[live] = np.where(left, fm, fa[live])
+        live = live[b[live] - a[live] > tol[live]]
+    return line, 0.5 * (a + b)
+
+
+def _merge(line, root, eps, n_lines):
+    """(counts, kept roots, degenerate) of roots sorted within each line.
+
+    A root within eps of the last kept root of its line merges into it and
+    flags the line degenerate (a grazing contact).  Only a root close to
+    its predecessor can merge into the last kept one (j), which a merge
+    leaves in place.
+    """
+    keep = np.ones(len(root), dtype=bool)
+    close = (line[1:] == line[:-1]) & (np.abs(np.diff(root)) <= eps[1:])
+    for i in np.nonzero(close)[0] + 1:
+        j = i - 1 if keep[i - 1] else j
+        keep[i] = abs(root[i] - root[j]) > eps[i]
+    return (np.bincount(line[keep], minlength=n_lines), root[keep],
+            np.bincount(line[~keep], minlength=n_lines) > 0)
+
+
+def _count_crossings(surface, theta, v, w, n_scan=None, least=1):
+    """(counts, roots of the lines crossing ``least`` times or more,
+    degenerate) of the lines (theta, v, w).
+
+    A line's count is its number of sign changes (`_sign_readings`, exact
+    with n_scan None, else a scan).  The lines counted ``least`` times or
+    more are bisected (`_bisect`) and recounted: their roots outside the
+    window are dropped, and roots closer than 1e-8 (times a window length
+    above 1) merge, flagging the line degenerate (a grazing contact).  A
+    line recounted below ``least`` keeps no root.
+    """
+    counts = np.zeros(len(theta), dtype=int)
+    lo, hi = np.zeros(len(theta)), np.zeros(len(theta))
+    brackets = [(np.empty(0, dtype=int),) + (np.empty(0),) * 3]
+    for sl, window, t, F, changes in _sign_readings(surface, theta, v, w,
+                                                    n_scan):
+        lo[sl], hi[sl] = window
+        counts[sl] = np.count_nonzero(changes, axis=1)
+        row, col = np.nonzero(changes & (counts[sl] >= least)[:, None])
+        brackets.append((row + sl.start, t[row, col], t[row, col + 1],
                          F[row, col]))
     line, root = _bisect(surface.membership_offset, theta, v, w, brackets,
-                         length)
+                         hi - lo)
+    inside = (root >= lo[line]) & (root <= hi[line])
+    line, root = line[inside], root[inside]
     merged, roots, degenerate = _merge(
-        line, root, 1e-8 * np.maximum(1.0, length)[line], len(theta))
-    multi = counts > 1
-    counts[multi] = merged[multi]
-    return counts, roots[np.repeat(merged > 1, merged)], degenerate
+        line, root, 1e-8 * np.maximum(1.0, hi - lo)[line], len(theta))
+    recounted = counts >= least
+    counts[recounted] = merged[recounted]
+    return counts, roots[np.repeat(merged >= least, merged)], degenerate
+
+
+def _crossings(surface, theta, v, w, n_scan):
+    """`_count_crossings` by a scan at n_scan points per line."""
+    return _count_crossings(surface, theta, v, w, n_scan)
+
+
+def _cut_crossings(surface, theta, v, w):
+    """`_count_crossings` read exactly beside a surface's cuts
+    (`line_cuts`); only the lines counted twice or more are bisected."""
+    return _count_crossings(surface, theta, v, w, least=2)
 
 
 class LineCrossings(NamedTuple):
@@ -421,13 +390,12 @@ class LineCrossings(NamedTuple):
 
 def crossings(surface, line: LineSample,
               n_scan: int = 1024) -> LineCrossings:
-    """Transversal crossings of one line: the scan kernel on its own.
+    """Transversal crossings of one line, scanned at n_scan points.
 
-    Sign changes of the membership offset on an n_scan grid over the
-    line's window (|x| <= x_max, padded by 1e-3), bisected to 1e-10, kept
-    where |x| <= x_max; roots closer than 1e-8 merge and flag the line
-    degenerate (a grazing contact).  The window is clamped to |t| <= 50,
-    so crossings of a near-steep line beyond that are missed.
+    `_count_crossings` of the line's window (|x| <= x_max) clamped to
+    |t| <= 50, so crossings of a near-steep line beyond that are missed:
+    roots bisected to 1e-10, and closer than 1e-8 merged, flagging the
+    line degenerate (a grazing contact).
     """
     count, roots, degenerate = _crossings(
         surface, *np.array([[line.theta], [line.v], [line.w]]), n_scan)
@@ -436,19 +404,18 @@ def crossings(surface, line: LineSample,
 
 
 def crossing_counts(surface, theta, v, w, n_scan: int) -> np.ndarray:
-    """Grid sign-change counts for a batch of lines given as arrays.
+    """Sign-change counts of the scan at n_scan points per line, for a
+    batch of lines given as arrays.
 
-    The crossing kernel's scan alone, without refinement or the extent
-    filter: the census's first count of a surface with no line cuts (the
-    strip of a closed-form sigma other than arctan).  Like `crossings` it
-    clamps each window to |t| <= 50, so it misses crossings of near-steep
-    lines beyond that.
+    The sign changes of `_sign_readings` alone, without the bisection,
+    the recount inside the window or the merge: the census's first count
+    of a surface with no line cuts (the strip of a closed-form sigma other
+    than arctan).  Like `crossings` it misses crossings of near-steep
+    lines beyond |t| = 50.
     """
     theta, v, w = (np.asarray(a, dtype=float) for a in (theta, v, w))
-    lo, hi = _windows(surface, theta, v)
     counts = np.zeros(len(theta), dtype=int)
-    for sl, _, _, changes in _scan(surface.membership_offset, theta, v, w,
-                                   lo, hi, n_scan):
+    for sl, _, _, _, changes in _sign_readings(surface, theta, v, w, n_scan):
         counts[sl] = np.count_nonzero(changes, axis=1)
     return counts
 

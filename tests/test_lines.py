@@ -1,4 +1,5 @@
 """Line-family geometry, hit sampling, and crossing counts."""
+import hashlib
 import math
 
 import numpy as np
@@ -129,6 +130,10 @@ def test_vertical_direction_line_crosses_once():
 def test_far_line_misses_strip():
     strip = strip_surface(PwlProfile.constant(0.0), x_max=1.0)
     assert crossings(strip, LineSample(0.0, 5.0, 0.0)).count == 0
+    # along theta = pi/2, x = -v up to 6.1e-17 t: these lines stay outside
+    # |x| <= 1, and the scan's sign changes beyond the window do not count
+    for v in (-1.5, 1.5):
+        assert crossings(strip, LineSample(math.pi / 2, v, 0.0)).count == 0
 
 
 def test_grazing_pair_is_merged_and_flagged():
@@ -250,6 +255,41 @@ def test_broken_plane_census_is_unchanged_in_few_offset_calls(monkeypatch):
     assert [r for _, roots in report.violations for r in roots] \
         == pytest.approx([r for witness in CENSUS_101_WITNESSES
                           for r in witness[3]], rel=0.0, abs=1e-10)
+
+
+def _scan_probe_lines():
+    """2,000 sampled lines and 112 within 1e-2 to 1e-8 of steep, whose
+    windows the scan clamps to |t| <= 50."""
+    theta, v, w = sample_lines(1.5, 2000, 11)
+    steep = np.array([(math.pi / 2 + sign * 10.0 ** -k, vv, ww)
+                      for k in range(2, 9) for sign in (-1, 1)
+                      for vv in (-1.4, -0.6, 0.3, 1.2) for ww in (-1.0, 0.5)])
+    return [np.concatenate(pair) for pair in zip((theta, v, w), steep.T)]
+
+
+# sha256 of the scan's counts, roots and degenerate flags at 400 points per
+# line (`_crossings`) and of its bare counts (`crossing_counts`) on the
+# probe lines, recorded from the scan when it had a window function of its
+# own with a special rule for steep lines
+@pytest.mark.parametrize("surface, digest", [
+    (broken_plane(1.0),
+     "3c010eba610c93a8edc95dd210d4311af03b3b76c37543694ecc0d224c7bc610"),
+    (strip_surface(ArctanProfile(8.0), x_max=2.0),
+     "afff6e03382e98dc2b0f0301d263984f7c03788ef2f4cf67282068342a29f17a"),
+    (strip_surface(PwlProfile.from_knots([(-1, 1), (0, -1), (1, 1)])),
+     "45b9bb8847befd23a8f9cc2bd46b9bef6e72b5e94a51801977013ba3fb62a3ad"),
+    (sigma_rho_membership(ArctanProfile(5.0), (-1e3, 1e3)),
+     "6735807b5ee93af2246ac5649c017c7cb2dcaac9e745a873d97621b0e1b4666e"),
+])
+def test_scan_outputs_are_unchanged_on_near_steep_lines(surface, digest):
+    theta, v, w = _scan_probe_lines()
+    counts, roots, degenerate = _crossings(surface, theta, v, w, 400)
+    bulk = crossing_counts(surface, theta, v, w, 400)
+    sha = hashlib.sha256()
+    for array in (counts.astype(np.int64), roots.astype(np.float64),
+                  degenerate.astype(bool), bulk.astype(np.int64)):
+        sha.update(array.tobytes())
+    assert sha.hexdigest() == digest
 
 
 # ---------------------------------------------------------------------------
