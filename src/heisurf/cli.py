@@ -16,6 +16,10 @@ failed verdict's witness interval may be unbounded.  The exit codes:
     3   numeric failure (no quadrature convergence or bracketed root, a
         floating-point fault, a degenerate mesh, too few calibration lines)
 
+A numeric failure is an `ArithmeticError` (every numeric error class of the
+package subclasses it) or a floating-point `RuntimeWarning`.  Each handler
+imports the modules it uses when it first runs.
+
 Two tables decide which flags a run may take: `_SURFACES` says which surface
 flags each (command, ``--surface``) pair reads, and `_DOMAINS` holds the
 domain of each numeric flag.  Both are checked once, before any handler.
@@ -42,35 +46,10 @@ from typing import Any, Optional, Sequence
 
 import numpy as np
 
-from .families import (
-    RuledEntireGraph,
-    broken_plane_area,
-    broken_plane_energy,
-    build_competitor,
-    chord_obstruction_check,
-    competitor_compare,
-    scaling_limit,
-    sigma_rho_area,
-    sigma_rho_area_quadrature,
-    sigma_rho_membership,
-    sigma_rho_surface,
-)
-from .lines import CalibrationError, calibrate_ratio, monotonicity_check
-from .meshes import (
-    DegenerateMeshError,
-    broken_plane_mesh,
-    competitor_mesh,
-    mesh_from_ruled,
-    strip_mesh,
-    write_obj,
-)
-from .profilespec import ProfileSpec, ProfileSpecError, parse_profile
-from .quadrature import QuadratureError
+from .profilespec import ProfileSpec, parse_profile
 from .reports import atomic_write_text, dump_csv, dump_json, fmt17
-from .strips import (_SLOPE_EPS, _SLOPE_RULES, ProfileError, PwlProfile,
-                     SolverError, broken_plane, strip_surface)
-from .surfaces import strip_patch
-from .variation import second_variation_experiment
+from .strips import (_SLOPE_EPS, _SLOPE_RULES, PwlProfile, broken_plane,
+                     strip_surface)
 
 __all__ = ["main", "build_parser", "OUTPUT_DIR_ENV",
            "EXIT_TRUE", "EXIT_FALSE", "EXIT_USAGE", "EXIT_NUMERIC"]
@@ -200,6 +179,8 @@ def _build_surface(args):
         return strip_surface(args.profile, kind=args.kind, x_max=args.x_max)
     if args.surface == "broken-plane":
         return broken_plane(args.u, x_max=args.x_max)
+    from .families import (build_competitor, sigma_rho_membership,
+                           sigma_rho_surface)
     if args.surface == "competitor":
         return build_competitor(args.competitor_kind, args.u)
     if args.command == "monotonicity":
@@ -307,6 +288,9 @@ def _cmd_check(args):
 
 
 def _cmd_scalar(args):
+    from .families import (broken_plane_area, broken_plane_energy,
+                           sigma_rho_area)
+    from .surfaces import strip_patch
     area = args.command == "area"
     if args.surface == "broken-plane":
         fn = broken_plane_area if area else broken_plane_energy
@@ -327,6 +311,7 @@ def _cmd_scalar(args):
 
 
 def _cmd_second_variation(args):
+    from .variation import second_variation_experiment
     alpha_spec, alpha = _build_profile(args.alpha)
     tau_spec, tau = _build_profile(args.tau)
     if not isinstance(alpha, PwlProfile) or not isinstance(tau, PwlProfile):
@@ -356,6 +341,7 @@ def _cmd_second_variation(args):
 
 
 def _cmd_monotonicity(args):
+    from .lines import monotonicity_check
     report = monotonicity_check(_build_surface(args), radius=args.radius,
                                 n=args.lines, seed=args.seed)
     ok = bool(report.passed)
@@ -379,6 +365,7 @@ def _finite_or_none(value: float) -> Optional[float]:
 
 
 def _cmd_scaling_limit(args):
+    from .families import RuledEntireGraph, scaling_limit
     spec, profile = _build_profile(args.profile)
     graph = RuledEntireGraph(profile)
     report = scaling_limit(graph, t_grid=args.t_grid, window=args.window)
@@ -398,6 +385,8 @@ def _cmd_scaling_limit(args):
 
 
 def _cmd_sigma_rho(args):
+    from .families import (chord_obstruction_check, sigma_rho_area,
+                           sigma_rho_area_quadrature, sigma_rho_surface)
     spec, rho = _build_profile(args.rho)
     a, b = args.window
     closed = sigma_rho_area(rho, a, b)
@@ -427,6 +416,7 @@ def _cmd_sigma_rho(args):
 
 
 def _cmd_competitor(args):
+    from .families import competitor_compare
     report = competitor_compare(args.u, z_cap=args.z_cap,
                                 z_floor=args.z_floor)
     ok = bool(report.area_margin > 0.0)
@@ -453,6 +443,7 @@ def _cmd_competitor(args):
 
 
 def _cmd_calibrate_lines(args):
+    from .lines import calibrate_ratio
     result = calibrate_ratio(args.r1, args.r2, n=args.lines, seed=args.seed)
     ok = bool(abs(result.zscore) <= args.max_z)
     payload = {
@@ -469,6 +460,8 @@ def _cmd_calibrate_lines(args):
 
 
 def _cmd_export_obj(args):
+    from .meshes import (broken_plane_mesh, competitor_mesh, mesh_from_ruled,
+                         strip_mesh, write_obj)
     res = args.res
     x_res = args.x_res if args.x_res is not None else res
     header = ("heisurf " + shlex.join(args.argv), "seed: none",
@@ -661,11 +654,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             return _report(args, *args.func(args))
-    except (QuadratureError, SolverError, CalibrationError,
-            DegenerateMeshError, ArithmeticError, RuntimeWarning) as exc:
+    except (ArithmeticError, RuntimeWarning) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (ProfileSpecError, ProfileError, ValueError, TypeError) as exc:
+    except (ValueError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

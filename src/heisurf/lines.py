@@ -168,7 +168,7 @@ class CalibrationResult:
         return (self.ratio - self.expected) / self.se
 
 
-class CalibrationError(ValueError):
+class CalibrationError(ValueError, ArithmeticError):
     """A radius met no line or every line: too few lines to calibrate."""
 
 
@@ -456,8 +456,9 @@ def monotonicity_check(surface, radius: float = 1.5, n: int = 400,
     cuts (`_cut_crossings`, count method "exact").  Otherwise (the strip
     of a closed-form sigma other than arctan, or a surface with no line
     cuts) `crossing_counts` scans every line at 400 points, and the lines
-    it counts twice or more are re-counted by one kernel call at 800
-    points (count method "scan").  Lines still crossing twice are the
+    it counts once or more are re-counted by one kernel call at 800
+    points, which drops the sign changes outside the line's window (count
+    method "scan").  Lines still crossing twice are the
     witnesses; the first 8 are reported.  Grazing contacts are merged away
     and never counted as violations.
     """
@@ -466,10 +467,10 @@ def monotonicity_check(surface, radius: float = 1.5, n: int = 400,
     theta, v, w = sample_lines(radius, n, seed)
     if surface.line_cuts(*_line_polys(theta[:1], v[:1], w[:1])) is None:
         counts = crossing_counts(surface, theta, v, w, n_scan=_CENSUS_SCAN)
-        multi = np.nonzero(counts > 1)[0]
+        crossed = np.nonzero(counts > 0)[0]
         refined, roots, degenerate = _crossings(
-            surface, theta[multi], v[multi], w[multi], _CENSUS_RECOUNT)
-        counts[multi] = refined
+            surface, theta[crossed], v[crossed], w[crossed], _CENSUS_RECOUNT)
+        counts[crossed] = refined
         roots = roots[np.repeat(refined > 1, refined)]
         method = "scan"
     else:

@@ -94,7 +94,7 @@ def _degenerate_faces(vertices: np.ndarray, faces: np.ndarray) -> np.ndarray:
     return mask
 
 
-class DegenerateMeshError(ValueError):
+class DegenerateMeshError(ValueError, ArithmeticError):
     """A mesh with a (numerically) zero-area triangle."""
 
 

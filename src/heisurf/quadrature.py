@@ -20,7 +20,7 @@ import numpy as np
 __all__ = ["QuadratureError", "QuadConfig", "VRegion", "integrate_1d", "integrate_region"]
 
 
-class QuadratureError(RuntimeError):
+class QuadratureError(RuntimeError, ArithmeticError):
     """Raised when refinement fails to converge; carries the last two estimates."""
 
     def __init__(self, message: str, estimates: tuple[float, float]):

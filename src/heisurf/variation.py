@@ -26,6 +26,7 @@ strips stop being graphical-minimizing.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -46,7 +47,10 @@ __all__ = [
     "second_variation_experiment",
 ]
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(40)
+@functools.cache
+def _gauss_legendre():
+    """40-point Gauss-Legendre nodes and weights, built on first use."""
+    return np.polynomial.legendre.leggauss(40)
 
 
 def g_primitive(m):
@@ -144,12 +148,13 @@ def second_variation(alpha: PwlProfile, tau: PwlProfile,
             if (e0 - v) * (e1 - v) < 0:
                 cuts.add(w0 + (v - e0) / (e1 - e0) * (w1 - w0))
     cuts = np.array(sorted(cuts))
+    gl_nodes, gl_weights = _gauss_legendre()
     total = 0.0
     for w0, w1 in zip(cuts[:-1], cuts[1:]):
         mid = 0.5 * (w0 + w1)
         slope = float(alpha.derivative(mid))
-        nodes = mid + 0.5 * (w1 - w0) * _GL_NODES
-        weights = 0.5 * (w1 - w0) * _GL_WEIGHTS
+        nodes = mid + 0.5 * (w1 - w0) * gl_nodes
+        weights = 0.5 * (w1 - w0) * gl_weights
         avals = np.asarray(alpha(nodes))
         tvals = np.asarray(tau(np.asarray(eta(nodes))))
         total += float(np.sum(

@@ -15,16 +15,44 @@ def _tree(stem: str) -> ast.Module:
     return ast.parse((SRC / f"{stem}.py").read_text(encoding="utf-8"))
 
 
+#: The names the package namespace exports.
+EXPORTS = [
+    "CompareReport", "CompetitorSurface", "MeshObj", "ProfileSpec",
+    "ProfileSpecError", "RuledEntireGraph", "ScalingLimitReport",
+    "broken_plane_area", "broken_plane_energy", "broken_plane_mesh",
+    "build_competitor", "chord_obstruction_check", "competitor_compare",
+    "competitor_mesh", "merge_meshes", "mesh_from_graph",
+    "mesh_from_mapped_grid", "mesh_from_ruled", "parse_profile",
+    "profile_from_string", "scaling_limit", "sigma_rho_area",
+    "sigma_rho_membership", "sigma_rho_surface", "strip_mesh", "write_obj",
+]
+
+
 def test_init_reexports_resolve():
-    for node in _tree("__init__").body:
-        if not isinstance(node, ast.ImportFrom):
-            continue
-        source = importlib.import_module(f"heisurf.{node.module}")
-        for alias in node.names:
-            bound = alias.asname or alias.name
-            assert hasattr(source, alias.name), \
-                f"heisurf.{node.module} has no {alias.name}"
-            assert getattr(heisurf, bound) is getattr(source, alias.name)
+    assert sorted(heisurf.__all__) == EXPORTS
+    assert sorted(heisurf._EXPORTS) == EXPORTS
+    for name, module in heisurf._EXPORTS.items():
+        source = importlib.import_module(f"heisurf.{module}")
+        assert getattr(heisurf, name) is getattr(source, name), name
+    assert set(EXPORTS) <= set(dir(heisurf))
+    namespace = {}
+    exec("from heisurf import *", namespace)
+    assert sorted(set(namespace) - {"__builtins__"}) == EXPORTS
+    with pytest.raises(AttributeError):
+        heisurf.no_such_name
+
+
+def test_numeric_errors_are_arithmetic_errors_and_keep_their_base():
+    from heisurf.lines import CalibrationError
+    from heisurf.meshes import DegenerateMeshError
+    from heisurf.quadrature import QuadratureError
+    from heisurf.strips import SolverError
+    for error, base in ((QuadratureError, RuntimeError),
+                        (CalibrationError, ValueError),
+                        (DegenerateMeshError, ValueError),
+                        (SolverError, ArithmeticError)):
+        assert issubclass(error, ArithmeticError), error
+        assert issubclass(error, base), error
 
 
 @pytest.mark.parametrize("stem", ["__init__", *MODULES])

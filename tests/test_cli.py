@@ -313,8 +313,10 @@ def test_numeric_failures_exit_with_three(tmp_path, monkeypatch):
     def explode(*args, **kwargs):
         raise QuadratureError("synthetic quadrature breakdown", (0.0, 1.0))
 
-    monkeypatch.setattr(cli, "sigma_rho_area_quadrature", explode)
+    monkeypatch.setattr("heisurf.families.sigma_rho_area_quadrature",
+                        explode)
     assert run(tmp_path, "sigma-rho", "--rho", "id", "--window", "0,1") == 3
+    assert os.listdir(str(tmp_path)) == []
 
 
 def test_unbracketed_root_exits_with_three(tmp_path, monkeypatch, capsys):
@@ -712,6 +714,37 @@ def test_importing_the_cli_builds_no_parser():
     assert done.returncode == 0, done.stderr
     lines = done.stdout.splitlines()
     assert (lines[0], lines[-1]) == ("0", "1")
+
+
+#: Modules no command needs before its handler runs.
+DEFERRED = ("heisurf.families", "heisurf.meshes", "heisurf.lines",
+            "heisurf.quadrature", "heisurf.surfaces", "heisurf.variation",
+            "heisurf.graphs", "numpy.polynomial")
+
+
+def test_importing_the_cli_loads_only_what_every_command_needs():
+    probe = ("import sys\n"
+             "import heisurf.cli\n"
+             "print(' '.join(sorted(sys.modules)))\n")
+    done = _fresh_interpreter("-c", probe)
+    assert done.returncode == 0, done.stderr
+    loaded = set(done.stdout.split())
+    assert {"numpy", "heisurf.strips", "heisurf.profilespec",
+            "heisurf.reports"} <= loaded
+    assert loaded.isdisjoint(DEFERRED), sorted(loaded.intersection(DEFERRED))
+
+
+def test_check_strip_runs_without_the_families(tmp_path):
+    done = _fresh_interpreter("-X", "importtime", "-m", "heisurf.cli",
+                              "check-strip", "--profile", "arctan(-1)",
+                              "--output-dir", str(tmp_path))
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("check-strip: PASS")
+    # -X importtime writes one "import time: ... | <module>" line per import
+    imported = {line.rsplit("|", 1)[-1].strip()
+                for line in done.stderr.splitlines()}
+    assert "heisurf.strips" in imported
+    assert "heisurf.families" not in imported
 
 
 #: Run in this order in one process; the shared parser must carry nothing

@@ -337,6 +337,19 @@ def test_exact_roots_lie_on_the_surface_and_contain_the_scan(surface, seed):
     assert exact.passed == scan.passed
 
 
+@pytest.mark.parametrize("seed", range(12))
+def test_scanned_census_files_lines_as_the_exact_census(seed):
+    # a raw sign change in the 1e-3 padding beyond |x| = x_max, or on a
+    # reversed window, is no crossing: the scan's re-count drops it, so a
+    # line that never meets the strip is not filed in bin 1
+    v_strip = strip_surface(PwlProfile.from_knots([(-1, 1), (0, -1), (1, 1)]))
+    scan_only = MembershipSlab(v_strip.membership_offset, v_strip.x_max)
+    exact = monotonicity_check(v_strip, n=2000, seed=seed)
+    scan = monotonicity_check(scan_only, n=2000, seed=seed)
+    assert (exact.count_method, scan.count_method) == ("exact", "scan")
+    assert scan.histogram == exact.histogram
+
+
 def test_line_tangent_to_a_strip_piece_has_no_crossing():
     # along theta = 0, v = 1/4, w = 1/8 the offset of sigma(z) = 8 z is
     # t^2 - t + 1/4 = (t - 1/2)^2: a double root at x = 1/2, where the
