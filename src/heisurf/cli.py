@@ -48,8 +48,8 @@ import numpy as np
 
 from .profilespec import ProfileSpec, parse_profile
 from .reports import atomic_write_text, dump_csv, dump_json, fmt17
-from .strips import (_SLOPE_EPS, _SLOPE_RULES, PwlProfile, broken_plane,
-                     strip_surface)
+from .strips import (SLOPE_RULES, PwlProfile, broken_plane,
+                     slope_rule_breaks, strip_surface)
 
 __all__ = ["main", "build_parser", "OUTPUT_DIR_ENV",
            "EXIT_TRUE", "EXIT_FALSE", "EXIT_USAGE", "EXIT_NUMERIC"]
@@ -196,16 +196,6 @@ def _outdir(args) -> str:
     return args.output_dir or os.environ.get(OUTPUT_DIR_ENV) or "."
 
 
-def _non_finite(obj, key: str = "") -> list:
-    """(key, value) of every NaN or infinity in a payload, in order."""
-    if isinstance(obj, dict):
-        return [hit for k, v in obj.items() for hit in _non_finite(v, k)]
-    if isinstance(obj, (list, tuple)):
-        return [hit for v in obj for hit in _non_finite(v, key)]
-    finite = not isinstance(obj, float) or math.isfinite(obj)
-    return [] if finite else [(key, obj)]
-
-
 def _report(args, verdict: Optional[bool], detail: str,
             payload: Optional[dict], csv: Optional[str] = None) -> int:
     """Write what a handler returned, print its verdict line and return its
@@ -213,9 +203,8 @@ def _report(args, verdict: Optional[bool], detail: str,
     failed = verdict is not None and not verdict
     base = os.path.join(_outdir(args), args.out or args.command)
     if payload is not None:
-        payload = {"command": args.command, "argv": ["heisurf", *args.argv],
-                   **payload}
-        bad = _non_finite(payload)
+        text, bad = dump_json({"command": args.command,
+                               "argv": ["heisurf", *args.argv], **payload})
         if any(math.isnan(value) for _, value in bad) or (bad and not failed):
             key, value = min(bad, key=lambda hit: not math.isnan(hit[1]))
             raise ArithmeticError(f"{key} is {fmt17(value)}, not finite")
@@ -225,7 +214,7 @@ def _report(args, verdict: Optional[bool], detail: str,
         path = atomic_write_text(base + ".csv", csv)
         line += f" csv={os.path.basename(path)}"
     if payload is not None:
-        atomic_write_text(base + ".json", dump_json(payload))
+        atomic_write_text(base + ".json", text)
     print(line)
     return EXIT_FALSE if failed else EXIT_TRUE
 
@@ -250,14 +239,14 @@ _RULES = {
 
 
 def _lowest_slope_interval(profile) -> tuple[float, float]:
-    """A parameter interval on which the profile takes its lowest slope."""
+    """The parameter interval where the profile takes its lowest slope: a
+    PWL profile's piece, else z = 0, where the slope scale / (1 + z^2) of
+    the one closed-form spec, scale * arctan(z) with scale < 0, is lowest."""
     if isinstance(profile, PwlProfile):
         edges = [-math.inf, *map(float, profile.w), math.inf]
         i = int(np.argmin(profile.piece_slopes()))
         return edges[i], edges[i + 1]
-    z = np.linspace(-50.0, 50.0, 4001)
-    i = int(np.argmin(profile.derivative(z)))
-    return float(z[max(i - 1, 0)]), float(z[min(i + 1, len(z) - 1)])
+    return 0.0, 0.0
 
 
 def _cmd_check(args):
@@ -266,18 +255,17 @@ def _cmd_check(args):
     too low, else its highest slope."""
     spec, profile = _build_profile(args.profile)
     lo, hi = profile.slope_bounds()
-    floor, ceiling = _SLOPE_RULES[args.kind]
-    ok = bool(lo >= floor - _SLOPE_EPS and hi < ceiling)
+    too_low, too_high = slope_rule_breaks(lo, hi, args.kind)
+    ok = not (too_low or too_high)
     detail = f"profile={spec.spec_string()} slopes=[{fmt17(lo)},{fmt17(hi)}]"
     payload = {"profile": spec.to_json(), "kind": args.kind, "verdict": ok,
                "slope_bounds": [lo, hi], "witness": None,
                "rule": _RULES[args.command, args.kind]}
     if args.command == "check-minimal":
-        payload["threshold"] = floor
+        payload["threshold"] = SLOPE_RULES[args.kind][0]
     if not ok:
         slope, (a, b) = ((float(lo), _lowest_slope_interval(profile))
-                         if lo < floor - _SLOPE_EPS else
-                         (hi, (-math.inf, math.inf)))
+                         if too_low else (hi, (-math.inf, math.inf)))
         payload["witness"] = {"slope": slope, "interval": [a, b]}
         detail += f" witness slope {fmt17(slope)} on [{fmt17(a)},{fmt17(b)}]"
     return ok, detail, payload
@@ -379,9 +367,8 @@ def _cmd_scaling_limit(args):
         "theta": report.theta, "u": _finite_or_none(report.u),
         "t_grid": list(report.t_grid), "errors": list(report.errors),
         "converged": ok}
-    u_text = "inf" if math.isinf(report.u) else fmt17(report.u)
     return ok, (f"kind={report.kind} theta={fmt17(report.theta)} "
-                f"u={u_text}"), payload
+                f"u={fmt17(report.u)}"), payload
 
 
 def _cmd_sigma_rho(args):

@@ -5,7 +5,8 @@ Three constructions share this module:
 * **Entire ruled graphs** (`RuledEntireGraph`): intrinsic graphs over the
   whole vertical plane whose rulings are horizontal lines through the y
   axis.  `scaling_limit` classifies the blow-down of such a graph as a
-  rotated broken plane with opening parameter ``u`` and rotation ``theta``.
+  rotated broken plane with opening parameter ``u`` and rotation ``theta``,
+  whose graph function is `strips.broken_plane_graph_value`.
 
 * **Equal-area spanning family** (`sigma_rho_surface`): ruled surfaces
   joining two fixed boundary lines by horizontal chords, parametrized by an
@@ -38,7 +39,7 @@ import numpy as np
 from .core import chord_offset_arr
 from .quadrature import QuadConfig, VRegion, integrate_1d, integrate_region
 from .strips import (Profile, ProfileError, PwlProfile, SolverError,
-                     _solve_height, constant_poly)
+                     broken_plane_graph_value, constant_poly)
 from .surfaces import IDENTITY, RuledSurface
 from .variation import g_primitive
 
@@ -113,8 +114,7 @@ class RuledEntireGraph:
         """
         x = np.asarray(x, dtype=float)
         zp = np.asarray(zprime, dtype=float)
-        x, zp = np.broadcast_arrays(x, zp)
-        z_star = _solve_height(self.sigma_plus, x, zp)
+        z_star = self.sigma_plus.solve(1.0, -0.5 * x * x, zp)
         x2 = x * x
         safe = np.where(x2 > 0.0, x2, 1.0)
         slope = np.where(x2 > 0.0, 2.0 * (z_star - zp) / safe,
@@ -157,31 +157,6 @@ def tail_slope_limits(profile: Profile, window: float = 1.0e3) -> tuple[float, f
         else:
             out.append(rich_outer)
     return out[0], out[1]
-
-
-def broken_plane_graph_value(slope_neg, slope_pos, x, zprime):
-    """Entire-graph function with constant ruling slopes away from a fan.
-
-    The ruling slope is ``slope_neg`` for heights below zero and
-    ``slope_pos`` above; the parabolic fan in between interpolates with
-    slope ``-2 z'/x^2``.  This is the pointwise limit of every blow-down of
-    an entire ruled graph whose profile has these two tail limits.
-    """
-    big, small = float(slope_neg), float(slope_pos)
-    if not (math.isfinite(big) and math.isfinite(small)):
-        raise ValueError("infinite limit slopes have no graph realization")
-    if small > big + 1e-12:
-        raise ValueError("need slope_neg >= slope_pos")
-    x = np.asarray(x, dtype=float)
-    zp = np.asarray(zprime, dtype=float)
-    x, zp = np.broadcast_arrays(x, zp)
-    x2 = x * x
-    z_upper = zp + 0.5 * small * x2
-    z_lower = zp + 0.5 * big * x2
-    fan = np.divide(-2.0 * zp, x2, out=np.zeros_like(zp), where=x2 > 0.0)
-    slope = np.where(z_upper > 0.0, small, np.where(z_lower < 0.0, big, fan))
-    out = x * slope
-    return out if out.ndim else float(out)
 
 
 @dataclass(frozen=True)
@@ -235,8 +210,8 @@ def scaling_limit(graph: RuledEntireGraph,
     against the limit graph, giving one max-error entry per ``t``.
     """
     ts = tuple(float(t) for t in t_grid)
-    if not ts or any(t <= 0 for t in ts) or list(ts) != sorted(ts):
-        raise ValueError("t grid must be positive and increasing")
+    if not (ts and ts[0] > 0 and all(b > a for a, b in zip(ts, ts[1:]))):
+        raise ValueError("t grid must be positive and strictly increasing")
     reach = 2.0 * max(ts) ** 2 * float(np.max(np.abs(_PROBES[:, 1])))
     if reach > window:
         raise ValueError(
@@ -269,9 +244,14 @@ def scaling_limit(graph: RuledEntireGraph,
 # the equal-area spanning family
 
 
-def _check_increasing(rho: Profile, a: float, b: float) -> None:
-    """A piecewise-linear rho is checked exactly, on the slopes of the
-    pieces that meet (a, b); a closed-form one at 513 heights of [a, b]."""
+def _sweep_window(rho: Profile, a, b) -> tuple[float, float]:
+    """The sweep window (a, b) as floats, refused unless a < b and rho
+    increases on it.  A piecewise-linear rho is checked exactly, on the
+    slopes of the pieces that meet (a, b); a closed-form one at 513 heights
+    of [a, b]."""
+    a, b = float(a), float(b)
+    if not b > a:
+        raise ValueError("window must satisfy a < b")
     if isinstance(rho, PwlProfile):
         first = int(np.searchsorted(rho.w, a, side="right"))
         last = int(np.searchsorted(rho.w, b, side="left"))
@@ -281,6 +261,7 @@ def _check_increasing(rho: Profile, a: float, b: float) -> None:
         falling = np.any(np.diff(v) <= 0.0)
     if falling:
         raise ProfileError("rho must be strictly increasing on the window")
+    return a, b
 
 
 def _ruling_points(rho: Profile, z, x) -> np.ndarray:
@@ -303,10 +284,7 @@ def sigma_rho_surface(rho: Profile, window: tuple[float, float]) -> RuledSurface
     reparametrization ``rho``, so all members of the family span the same
     boundary pair.
     """
-    a, b = float(window[0]), float(window[1])
-    if not b > a:
-        raise ValueError("window must satisfy a < b")
-    _check_increasing(rho, a, b)
+    a, b = _sweep_window(rho, *window)
     return RuledSurface((-1.0, 2.0, IDENTITY, IDENTITY), (1.0, -2.0, rho, rho),
                         (a, b))
 
@@ -354,10 +332,7 @@ def sigma_rho_membership(rho: Profile, window: tuple[float, float]) -> Membershi
     in t.  So between the roots of the cuts P - a Q and P - b Q the offset
     changes sign at most once.
     """
-    a, b = float(window[0]), float(window[1])
-    if not b > a:
-        raise ValueError("window must satisfy a < b")
-    _check_increasing(rho, a, b)
+    a, b = _sweep_window(rho, *window)
 
     def offset(points):
         pts = np.asarray(points, dtype=float)
@@ -384,12 +359,9 @@ def sigma_rho_area(rho: Profile, a: float, b: float) -> float:
     endpoint data — every reparametrization with the same endpoints has the
     same area.
     """
-    a, b = float(a), float(b)
-    if a > b:
-        raise ValueError("need a <= b")
-    if a == b:
+    if float(a) == float(b):
         return 0.0
-    _check_increasing(rho, a, b)
+    a, b = _sweep_window(rho, a, b)
     m0 = a + float(rho(a))
     m1 = b + float(rho(b))
     return (4.0 / 3.0) * (g_primitive(m1) - g_primitive(m0))
@@ -397,12 +369,9 @@ def sigma_rho_area(rho: Profile, a: float, b: float) -> float:
 
 def sigma_rho_area_quadrature(rho: Profile, a: float, b: float) -> float:
     """Same spanning area by direct quadrature of the ruled area element."""
-    a, b = float(a), float(b)
-    if a > b:
-        raise ValueError("need a <= b")
-    if a == b:
+    if float(a) == float(b):
         return 0.0
-    _check_increasing(rho, a, b)
+    a, b = _sweep_window(rho, a, b)
 
     def integrand(z):
         r = np.asarray(rho(z), dtype=float)
@@ -841,6 +810,17 @@ def broken_plane_energy(u: float, z_cap: float) -> float:
 _COMP_CFG = QuadConfig(rel_tol=1e-6, max_levels=10, n0=4)
 
 
+def _patch_integral(comp: CompetitorSurface, weight) -> float:
+    """Integral of weight(s) |phi_y - x/2| over the patch footprint, with s
+    the segment slope, one smooth piece between the seams at a time."""
+
+    def integrand(x, y):
+        return weight(comp.slope(x, y)) * np.abs(comp.phi_y(x, y) - 0.5 * x)
+
+    return float(sum(integrate_region(integrand, reg, _COMP_CFG)
+                     for reg in comp.regions.values()))
+
+
 def patch_area(comp: CompetitorSurface) -> float:
     """Area of the z-graph patch, integrated piecewise between the seams.
 
@@ -850,13 +830,7 @@ def patch_area(comp: CompetitorSurface) -> float:
     and its length is sqrt(1 + s^2) |phi_y - x/2|; only the closed-form
     y-partial is needed.
     """
-
-    def integrand(x, y):
-        s = comp.slope(x, y)
-        return np.sqrt(1.0 + s * s) * np.abs(comp.phi_y(x, y) - 0.5 * x)
-
-    return float(sum(integrate_region(integrand, reg, _COMP_CFG)
-                     for reg in comp.regions.values()))
+    return _patch_integral(comp, lambda s: np.sqrt(1.0 + s * s))
 
 
 def patch_energy(comp: CompetitorSurface) -> float:
@@ -865,16 +839,9 @@ def patch_energy(comp: CompetitorSurface) -> float:
     On a surface swept by horizontal segments the intrinsic gradient of the
     graph function equals the segment slope s, and the vertical-plane area
     element pulls back to |phi_y - x/2| dx dy, so the energy is
-    (1/2) iint s^2 |phi_y - x/2|.  Each smooth piece between the seams is
-    integrated separately.
+    (1/2) iint s^2 |phi_y - x/2|.
     """
-
-    def integrand(x, y):
-        s = comp.slope(x, y)
-        return 0.5 * s * s * np.abs(comp.phi_y(x, y) - 0.5 * x)
-
-    return float(sum(integrate_region(integrand, reg, _COMP_CFG)
-                     for reg in comp.regions.values()))
+    return _patch_integral(comp, lambda s: 0.5 * s * s)
 
 
 @dataclass(frozen=True, eq=False)

@@ -2,7 +2,10 @@
 
 Every number is written with 17 significant digits, enough to round-trip a
 double exactly, so re-running a command with the same inputs produces
-byte-identical files and reproducibility can be checked by hashing.  Files
+byte-identical files and reproducibility can be checked by hashing.
+`dump_json` walks a payload once: the same walk converts numpy scalars and
+arrays, writes the text and reports every NaN or infinity with its key, so
+a caller can refuse a payload by exactly the numbers it would write.  Files
 are written by one atomic writer, `atomic_write_chunks`: the bytes go to a
 temporary name in the target directory, chunk by chunk, and the file is
 renamed into place, so readers never observe a half-written artifact.  An
@@ -38,81 +41,61 @@ def fmt17(x: float) -> str:
     return format(x, ".17g")
 
 
-def _json_number(x: float) -> str:
-    x = float(x)
-    if math.isnan(x):
-        return "NaN"
-    if math.isinf(x):
-        return "Infinity" if x > 0 else "-Infinity"
-    return format(x, ".17g")
+#: The JSON words, which the standard parser accepts, for the non-finite
+#: numbers `fmt17` writes.
+_JSON_WORDS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
-def _normalize(obj: Any) -> Any:
-    """Reduce to plain dict/list/str/float/int/bool/None."""
-    if isinstance(obj, (bool, str)) or obj is None:
-        return obj
-    if isinstance(obj, (int, np.integer)):
-        return int(obj)
-    if isinstance(obj, (float, np.floating)):
-        return float(obj)
-    if isinstance(obj, np.ndarray):
-        return _normalize(obj.tolist())
-    if isinstance(obj, Mapping):
-        return {str(k): _normalize(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_normalize(v) for v in obj]
-    raise TypeError(f"cannot serialize {type(obj).__name__}")
-
-
-def _emit(obj: Any, lines: list[str], level: int) -> None:
-    pad = "  " * level
-    inner = "  " * (level + 1)
-    if obj is None:
-        lines.append("null")
-    elif obj is True:
-        lines.append("true")
-    elif obj is False:
-        lines.append("false")
-    elif isinstance(obj, str):
+def _emit(obj: Any, lines: list[str], level: int, key: str,
+          non_finite: list) -> None:
+    """Append the JSON text of ``obj`` to ``lines``, converting numpy
+    scalars and arrays on the way, and append (innermost key, value) of each
+    NaN or infinity to ``non_finite``."""
+    if obj is None or isinstance(obj, (bool, str)):
         lines.append(json.dumps(obj))
-    elif isinstance(obj, int):
-        lines.append(str(obj))
-    elif isinstance(obj, float):
-        lines.append(_json_number(obj))
-    elif isinstance(obj, dict):
+    elif isinstance(obj, (int, np.integer)):
+        lines.append(str(int(obj)))
+    elif isinstance(obj, (float, np.floating)):
+        text = fmt17(obj)
+        if text in _JSON_WORDS:
+            non_finite.append((key, float(obj)))
+        lines.append(_JSON_WORDS.get(text, text))
+    elif isinstance(obj, np.ndarray):
+        _emit(obj.tolist(), lines, level, key, non_finite)
+    elif isinstance(obj, (Mapping, list, tuple)):
+        if isinstance(obj, Mapping):
+            items = {str(k): v for k, v in obj.items()}
+            entries = ((json.dumps(k) + ": ", k, items[k])
+                       for k in sorted(items))
+            opening, closing = "{}"
+        else:
+            entries = (("", key, item) for item in obj)
+            opening, closing = "[]"
         if not obj:
-            lines.append("{}")
+            lines.append(opening + closing)
             return
-        lines.append("{\n")
-        for i, key in enumerate(sorted(obj)):
-            lines.append(f"{inner}{json.dumps(key)}: ")
-            _emit(obj[key], lines, level + 1)
-            lines.append(",\n" if i + 1 < len(obj) else "\n")
-        lines.append(pad + "}")
-    elif isinstance(obj, list):
-        if not obj:
-            lines.append("[]")
-            return
-        lines.append("[\n")
-        for i, item in enumerate(obj):
-            lines.append(inner)
-            _emit(item, lines, level + 1)
-            lines.append(",\n" if i + 1 < len(obj) else "\n")
-        lines.append(pad + "]")
-    else:  # pragma: no cover - _normalize rejects these first
+        separator = opening + "\n"
+        for label, inner_key, item in entries:
+            lines.append(separator + "  " * (level + 1) + label)
+            _emit(item, lines, level + 1, inner_key, non_finite)
+            separator = ",\n"
+        lines.append("\n" + "  " * level + closing)
+    else:
         raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-def dump_json(obj: Any) -> str:
+def dump_json(obj: Any) -> tuple[str, list[tuple[str, float]]]:
     """Serialize with sorted keys, two-space indent and 17-digit floats.
 
-    The output is parseable by ``json.loads`` (non-finite numbers use the
-    ``NaN``/``Infinity`` words that the standard parser accepts).
+    Returns the text and, in the order written, (innermost key, value) of
+    every NaN or infinity in it; a number outside any mapping has the key
+    "".  The text is parseable by ``json.loads``.
     """
     lines: list[str] = []
-    _emit(_normalize(obj), lines, 0)
+    non_finite: list[tuple[str, float]] = []
+    _emit(obj, lines, 0, "", non_finite)
     lines.append("\n")
-    return "".join(lines)
+    return "".join(lines), non_finite
 
 
 def _csv_cell(value: Any) -> str:

@@ -48,7 +48,10 @@ __all__ = [
     "alpha_to_sigma",
     "eta_of",
     "GraphicalStrip",
+    "SLOPE_RULES",
+    "slope_rule_breaks",
     "BrokenPlane",
+    "broken_plane_graph_value",
     "broken_plane",
     "strip_surface",
     "is_area_minimizing",
@@ -70,8 +73,18 @@ class SolverError(ArithmeticError):
 #: alpha slope t is the sigma slope 2t/(2+t), so sigma's [-2, 2) is alpha's
 #: [-1, inf); an alpha fan of slope -2 is not a strip (`alpha_to_sigma`
 #: refuses it).
-_SLOPE_RULES = {"sigma": (-2.0, 2.0), "alpha": (-1.0, math.inf)}
+SLOPE_RULES = {"sigma": (-2.0, 2.0), "alpha": (-1.0, math.inf)}
 _SLOPE_EPS = 1e-9
+
+
+def slope_rule_breaks(lo: float, hi: float,
+                      kind: str = "sigma") -> tuple[bool, bool]:
+    """Which ends of the slope range [lo, hi] break the chart's slope rule:
+    (lo is below the floor by more than `_SLOPE_EPS`, hi reaches the
+    ceiling).  A NaN end breaks the rule."""
+    floor, ceiling = SLOPE_RULES[kind]
+    return not lo >= floor - _SLOPE_EPS, not hi < ceiling
+
 
 #: Doublings of the search step before an unbounded root counts as missing.
 _BRACKET_DOUBLINGS = 64
@@ -487,21 +500,6 @@ def eta_of(alpha: PwlProfile) -> PwlProfile:
 
 
 # ---------------------------------------------------------------------------
-# ruling-equation solver
-
-
-def _solve_height(sigma: Profile, x, zprime):
-    """Ruling height z with z - x^2 sigma(z)/2 = z', over the whole line.
-
-    `Profile.solve` is exact piece by piece for a PWL sigma and a
-    safeguarded Newton-bisection otherwise.  The left side must increase in
-    z (graphical strip); where no root is reached, `SolverError` is raised.
-    """
-    x = np.asarray(x, dtype=float)
-    return sigma.solve(1.0, -0.5 * x * x, zprime)
-
-
-# ---------------------------------------------------------------------------
 # polynomials along a line
 
 
@@ -563,9 +561,7 @@ class GraphicalStrip:
 
     def is_graphical(self) -> bool:
         """Do sigma's slopes lie in [-2, 2), down to `_SLOPE_EPS` below -2?"""
-        lo, hi = self.sigma.slope_bounds()
-        floor, ceiling = _SLOPE_RULES["sigma"]
-        return lo >= floor - _SLOPE_EPS and hi < ceiling
+        return not any(slope_rule_breaks(*self.sigma.slope_bounds()))
 
 
 @dataclass(frozen=True)
@@ -581,14 +577,7 @@ class BrokenPlane:
 
     def value(self, x, zp):
         """Graph function over the axis: the fan contributes -2 z'/x."""
-        x = np.asarray(x, dtype=float)
-        zp = np.asarray(zp, dtype=float)
-        u = self.u
-        safe = np.where(x != 0.0, x, 1.0)
-        fan = -2.0 * zp / safe
-        out = np.where(zp > 0.5 * u * x * x, -u * x,
-                       np.where(zp < -0.5 * u * x * x, u * x, fan))
-        return out if out.ndim else float(out)
+        return broken_plane_graph_value(self.u, -self.u, x, zp)
 
     def membership_offset(self, points: np.ndarray) -> np.ndarray:
         p = np.asarray(points, dtype=float)
@@ -607,6 +596,28 @@ class BrokenPlane:
         zp = z - 0.5 * affine_product(x, y)
         bend = 0.5 * self.u * affine_product(x, x)
         return np.stack([zp - bend, zp + bend, x], axis=1)
+
+
+def broken_plane_graph_value(slope_neg, slope_pos, x, zprime):
+    """Graph function y = f(x, z') with constant ruling slopes away from a fan.
+
+    The ruling slope is ``slope_neg`` for heights below zero and
+    ``slope_pos`` above; the parabolic fan in between takes the value
+    -2 z'/x.  With slopes u and -u this is the broken plane of opening u,
+    and it is the pointwise limit of every blow-down of an entire ruled
+    graph whose profile has these two tail limits.
+    """
+    big, small = float(slope_neg), float(slope_pos)
+    if not (math.isfinite(big) and math.isfinite(small)):
+        raise ValueError("infinite limit slopes have no graph realization")
+    if small > big + 1e-12:
+        raise ValueError("need slope_neg >= slope_pos")
+    x = np.asarray(x, dtype=float)
+    zp = np.asarray(zprime, dtype=float)
+    fan = -2.0 * zp / np.where(x != 0.0, x, 1.0)
+    out = np.where(zp > -0.5 * small * x * x, small * x,
+                   np.where(zp < -0.5 * big * x * x, big * x, fan))
+    return out if out.ndim else float(out)
 
 
 def broken_plane(u: float, x_max: float = 1.0) -> BrokenPlane:

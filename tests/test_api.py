@@ -90,6 +90,16 @@ def _private(name: str) -> bool:
     return name.startswith("_") and not name.startswith("__")
 
 
+def test_no_module_imports_a_private_name_of_another():
+    # each rule has one owner module; the others call its public names
+    found = [f"heisurf/{stem}.py line {node.lineno}: {alias.name}"
+             for stem in ["__init__", *MODULES]
+             for node in ast.walk(_tree(stem))
+             if isinstance(node, ast.ImportFrom) and node.level
+             for alias in node.names if _private(alias.name)]
+    assert not found, found
+
+
 def _private_definitions(tree: ast.Module) -> list[tuple[str, int]]:
     """Private module-level names and private methods of a module."""
     found = []

@@ -5,8 +5,10 @@ import math
 import os
 import subprocess
 import sys
+import types
 import warnings
 
+import numpy as np
 import pytest
 
 import heisurf.cli as cli
@@ -107,6 +109,19 @@ def test_check_minimal_flags_the_broken_plane_with_a_witness(tmp_path, capsys):
     assert data["witness"]["slope"] == -2.0
 
 
+@pytest.mark.parametrize("command, kind", [
+    ("check-strip", "sigma"), ("check-minimal", "alpha"),
+    ("check-minimal", "sigma")])
+def test_an_arctan_witness_is_its_lowest_slope_at_zero(tmp_path, capsys,
+                                                       command, kind):
+    # the slope -3 / (1 + z^2) of arctan(-3) is lowest at z = 0 exactly
+    assert run(tmp_path, command, "--kind", kind,
+               "--profile", "arctan(-3)") == 1
+    assert "witness slope -3 on [0,0]" in capsys.readouterr().out
+    assert load(tmp_path, f"{command}.json")["witness"] == {
+        "slope": -3.0, "interval": [0.0, 0.0]}
+
+
 def test_check_minimal_accepts_the_flat_plane(tmp_path):
     assert run(tmp_path, "check-minimal", "--profile", "constant(0)") == 0
 
@@ -182,6 +197,15 @@ def test_scaling_limit_classifies_three_regimes(tmp_path):
 
 def test_scaling_limit_rejects_an_increasing_slope_profile(tmp_path):
     assert run(tmp_path, "scaling-limit", "--profile", "arctan(1)") == 2
+
+
+def test_scaling_limit_refuses_a_repeated_t(tmp_path, capsys):
+    # equal errors never shrink by the factor convergence asks for
+    assert run(tmp_path, "scaling-limit", "--profile", "arctan(-1)",
+               "--t-grid", "2,2") == 2
+    assert capsys.readouterr().err == (
+        "error: t grid must be positive and strictly increasing\n")
+    assert not os.listdir(str(tmp_path))
 
 
 @pytest.mark.parametrize("profile", [
@@ -389,6 +413,27 @@ def test_a_non_finite_result_exits_with_three_and_writes_nothing(
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("numeric failure: ") and err.count("\n") == 1
+    assert not os.listdir(str(tmp_path))
+
+
+@pytest.mark.parametrize("bad, key", [
+    (np.array([math.nan]), "1"),
+    (types.MappingProxyType({"x": math.nan}), "x"),
+], ids=["ndarray", "mapping"])
+def test_a_nan_inside_any_container_exits_with_three_and_writes_nothing(
+        tmp_path, monkeypatch, capsys, bad, key):
+    # the NaN sits in a numpy array or a mapping that is not a dict; the
+    # walk that writes the JSON is the one that finds it
+    import heisurf.lines as lines
+    report = types.SimpleNamespace(
+        passed=True, n_lines=1, seed=0, radius=1.5, histogram={1: bad},
+        degenerate_lines=0, count_method="exact", violations=[],
+        max_crossings=1)
+    monkeypatch.setattr(lines, "monotonicity_check", lambda *a, **k: report)
+    assert run(tmp_path, "monotonicity", "--surface", "broken-plane",
+               "--u", "1") == 3
+    assert capsys.readouterr() == (
+        "", f"numeric failure: {key} is nan, not finite\n")
     assert not os.listdir(str(tmp_path))
 
 
@@ -675,8 +720,32 @@ PINNED_RUNS = {
 }
 
 
-@pytest.mark.parametrize("argv", list(PINNED_RUNS), ids=lambda a: a[0])
-def test_artifact_bytes_are_pinned(tmp_path, monkeypatch, capsys, argv):
+#: Outputs of the broken-plane graph function (the fan vertices of an OBJ)
+#: and of the sigma-rho window check (a census of each kind of rho), pinned
+#: the same way.
+GUARD_RUNS = {
+    ("export-obj", "--surface", "broken-plane", "--u", "1", "--window",
+     "-1,1", "--res", "40"): (
+        0, "export-obj: OK surface=broken-plane vertices=1681 faces=3200 "
+           "file=broken-plane.obj",
+        {"broken-plane.obj": "e37831a66e94d8fa61ed01ced14a5189"
+                             "ff8531516fcc03045984d2c1e87ad2a8"}),
+    ("monotonicity", "--surface", "sigma-rho", "--rho", "arctan(1)",
+     "--window", "0,1", "--lines", "500", "--seed", "3"): (
+        0, "monotonicity: PASS surface=sigma-rho lines=500 max-crossings=1 "
+           "violations=0",
+        {"monotonicity.json": "6ae9888ac279dc170ebfffc659f14782"
+                              "020ff61ad6d7439db7340f15e85a0366"}),
+    ("monotonicity", "--surface", "sigma-rho", "--rho", "id",
+     "--window", "0,1", "--lines", "500", "--seed", "3"): (
+        0, "monotonicity: PASS surface=sigma-rho lines=500 max-crossings=1 "
+           "violations=0",
+        {"monotonicity.json": "44f654183bd04ee32b0d0e66ef2c0fdbc"
+                              "5af8431b58c0962df5ee6555cbf27ef"}),
+}
+
+
+def _assert_pinned(tmp_path, monkeypatch, capsys, argv, table):
     # the output directory comes from the environment, so that the recorded
     # argv names no temporary directory
     monkeypatch.setenv(cli.OUTPUT_DIR_ENV, str(tmp_path))
@@ -684,8 +753,19 @@ def test_artifact_bytes_are_pinned(tmp_path, monkeypatch, capsys, argv):
     digests = {name: hashlib.sha256(data).hexdigest()
                for name, data in _artifacts(tmp_path).items()}
     assert (code, capsys.readouterr().out, digests) == (
-        PINNED_RUNS[argv][0], PINNED_RUNS[argv][1] + "\n",
-        PINNED_RUNS[argv][2])
+        table[argv][0], table[argv][1] + "\n", table[argv][2])
+
+
+@pytest.mark.parametrize("argv", list(PINNED_RUNS), ids=lambda a: a[0])
+def test_artifact_bytes_are_pinned(tmp_path, monkeypatch, capsys, argv):
+    _assert_pinned(tmp_path, monkeypatch, capsys, argv, PINNED_RUNS)
+
+
+@pytest.mark.parametrize("argv", list(GUARD_RUNS),
+                         ids=["broken-plane-obj", "sigma-rho-arctan",
+                              "sigma-rho-id"])
+def test_shared_rule_outputs_are_pinned(tmp_path, monkeypatch, capsys, argv):
+    _assert_pinned(tmp_path, monkeypatch, capsys, argv, GUARD_RUNS)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,6 @@ from heisurf.strips import (
     ProfileError,
     PwlProfile,
     SolverError,
-    _solve_height,
     alpha_to_sigma,
     broken_plane,
     eta_of,
@@ -182,7 +181,7 @@ def test_strip_rulings_are_horizontal_lines():
 
 def strip_graph(sigma, x, zp):
     """Graph function of a strip: x sigma(z) at the ruling height of (x, z')."""
-    return x * np.asarray(sigma(_solve_height(sigma, x, zp)))
+    return x * np.asarray(sigma(sigma.solve(1.0, -0.5 * x * x, zp)))
 
 
 def test_graph_field_matches_closed_form():
@@ -209,7 +208,7 @@ def test_nongraphical_strip_refuses_graph_field():
     assert not strip.is_graphical()
     # z - x^2 sigma(z)/2 decreases at x = 1: no ruling height to solve for
     with pytest.raises(SolverError):
-        _solve_height(strip.sigma, 1.0, 0.0)
+        strip.sigma.solve(1.0, -0.5, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -284,7 +283,7 @@ def test_unbounded_ruling_height_matches_bisection(sigma, x_max):
     x = rng.uniform(-x_max, x_max, 3000)
     zp = rng.uniform(-500.0, 500.0, 3000)
     ref = bisect_reference(sigma, 1.0, -0.5 * x * x, zp, -1e6, 1e6)
-    got = _solve_height(sigma, x, zp)
+    got = sigma.solve(1.0, -0.5 * x * x, zp)
     assert_matches(got, ref)
     residual = got - 0.5 * x * x * np.asarray(sigma(got)) - zp
     assert np.max(np.abs(residual) / np.maximum(1.0, np.abs(zp))) < 1e-12
@@ -295,12 +294,12 @@ def test_ruling_height_without_a_root_raises():
     bounded = CallableProfile(
         lambda z: 2.0 * z - 2.0 * np.arctan(z),
         dfn=lambda z: 2.0 - 2.0 / (1.0 + np.asarray(z) ** 2))
-    assert _solve_height(bounded, 1.0, 1.0) == pytest.approx(math.tan(1.0))
+    assert bounded.solve(1.0, -0.5, 1.0) == pytest.approx(math.tan(1.0))
     with pytest.raises(SolverError):
-        _solve_height(bounded, np.ones(3), np.array([0.0, 5.0, 1.0]))
+        bounded.solve(1.0, -0.5, np.array([0.0, 5.0, 1.0]))
     # slope 2 at x = 1: the left side is flat, no height solves it
     with pytest.raises(SolverError):
-        _solve_height(PwlProfile.line(2.0, 1.0), 1.0, 0.0)
+        PwlProfile.line(2.0, 1.0).solve(1.0, -0.5, 0.0)
 
 
 # ---------------------------------------------------------------------------
