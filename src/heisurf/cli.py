@@ -107,7 +107,7 @@ _POSITIVE = (lambda x: math.isfinite(x) and x > 0.0, "a finite number > 0")
 _DOMAINS = {
     **dict.fromkeys(("u", "max_z"), _NONNEGATIVE),
     **dict.fromkeys(("x_max", "radius", "r1", "r2"), _POSITIVE),
-    **dict.fromkeys(("z_cap", "z_floor"), (math.isfinite, "a finite number")),
+    "z_cap": (math.isfinite, "a finite number"),
     "window": (lambda w: (len(w) == 2 and all(map(math.isfinite, w))
                           and w[0] < w[1]), "two finite numbers lo < hi"),
     ("scaling-limit", "window"): _POSITIVE,
@@ -404,8 +404,7 @@ def _cmd_sigma_rho(args):
 
 def _cmd_competitor(args):
     from .families import competitor_compare
-    report = competitor_compare(args.u, z_cap=args.z_cap,
-                                z_floor=args.z_floor)
+    report = competitor_compare(args.u, z_cap=args.z_cap)
     ok = bool(report.area_margin > 0.0)
     totals = {
         "area_competitor": report.area_competitor,
@@ -420,7 +419,7 @@ def _cmd_competitor(args):
             *((f"energy_piece_{k}", v)
               for k, v in report.energy_pieces.items())]
     payload = {
-        "u": report.u, "z_cap": report.z_cap, "z_floor": report.z_floor,
+        "u": report.u, "z_cap": report.z_cap,
         **totals, "area_pieces": dict(report.area_pieces),
         "energy_pieces": dict(report.energy_pieces), "verdict": ok}
     detail = (f"u={fmt17(report.u)} "
@@ -578,7 +577,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "plane")
     p.add_argument("--u", type=float, required=True)
     p.add_argument("--z-cap", type=float, default=None)
-    p.add_argument("--z-floor", type=float, default=None)
     _add_common(p)
     p.set_defaults(func=_cmd_competitor)
 

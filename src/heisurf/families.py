@@ -193,6 +193,30 @@ class ScalingLimitReport:
         return all(b <= 0.75 * a + 1e-9 for a, b in zip(errs, errs[1:]))
 
 
+def _opening(a: float, b: float) -> float:
+    """tan((atan a - atan b) / 2) for tail slopes a != b, not both infinite.
+
+    The algebraic half-angle form: with p = 1 + ab and
+    S = sqrt((1 + a^2)(1 + b^2)) = hypot(p, a - b), it is (a - b)/(p + S),
+    or (S - p)/(a - b) where p < 0 would cancel in p + S.  Exact slopes
+    give an exact opening: a = -b = 1 gives 1.  An infinite slope takes the
+    limit of the form that does not cancel.
+    """
+    if math.isinf(b):
+        return -_opening(b, a)
+    if math.isinf(a):
+        h = math.copysign(math.hypot(1.0, b), a)
+        return 1.0 / (b + h) if b * h >= 0.0 else h - b
+    p = 1.0 + a * b
+    if abs(p) > 2.0 ** 1000:
+        # p + S or S - p could overflow; atan m = +-pi/2 - atan(1/m) turns
+        # the opening into one of the reciprocal slopes
+        x, y = 1.0 / a, 1.0 / b
+        return _opening(y, x) if p > 0.0 else 1.0 / _opening(x, y)
+    s = math.hypot(p, a - b)
+    return (a - b) / (p + s) if p >= 0.0 else (s - p) / (a - b)
+
+
 #: The (x, z') points where the rescaled graphs meet the limit graph.
 _PROBES = np.array([(x, z) for x in (-0.8, -0.45, 0.45, 0.8)
                     for z in (-0.8, -0.35, 0.35, 0.8)])
@@ -219,15 +243,14 @@ def scaling_limit(graph: RuledEntireGraph,
             f"to about {reach:.3g} but only |z| <= {window:.3g} is trusted")
 
     slope_neg, slope_pos = tail_slope_limits(graph.sigma_plus, window)
-    angle_neg, angle_pos = math.atan(slope_neg), math.atan(slope_pos)
-    theta = (0.5 * (angle_neg + angle_pos)) % math.pi
+    theta = (0.5 * (math.atan(slope_neg) + math.atan(slope_pos))) % math.pi
     if math.isinf(slope_neg) and math.isinf(slope_pos):
         u = math.inf
     elif (math.isfinite(slope_neg) and math.isfinite(slope_pos)
           and abs(slope_neg - slope_pos) < 1e-6):
         u = 0.0
     else:
-        u = math.tan(0.5 * (angle_neg - angle_pos))
+        u = _opening(slope_neg, slope_pos)
 
     errors: list[float] = []
     if math.isfinite(slope_neg) and math.isfinite(slope_pos):
@@ -571,12 +594,6 @@ _GUIDES = {
     "minimal": (hyperbola_y, hyperbola_slope, hyperbola_lift_z, _arc_param),
 }
 
-# dense spine sampling keeps the consecutive-chord horizontality offset of
-# the curved guide (the arc-to-chord sliver, ~|y''| dx^3 / 12) below the
-# 1e-12 gate; every 16th spine point carries a stored segment
-_SPINE_POINTS = 4097
-_SEGMENT_STRIDE = 16
-
 
 @dataclass(frozen=True, eq=False)
 class CompetitorSurface:
@@ -592,43 +609,32 @@ class CompetitorSurface:
     reaches the far corner (1, -u).  For the harmonic kind these are -u/2
     and u/2; for the minimal kind they are the hyperbola intercept ``a``
     and the lift endpoint height ``b``.  ``regions`` splits Omega along the
-    sweep seams into the pieces on which the graph is analytic.
+    sweep seams into the pieces on which the graph is analytic.  The patch
+    is held only in closed form: its height ``phi``, the slope ``slope``
+    of the segment through a point, and the y-partial ``phi_y``.
     """
 
     kind: str
     u: float
     apex_y: float
     exit_height: float
-    spine: np.ndarray
-    families: Mapping[str, np.ndarray]
     phi: Callable[[np.ndarray, np.ndarray], np.ndarray] = field(repr=False)
     slope: Callable[[np.ndarray, np.ndarray], np.ndarray] = field(repr=False)
     phi_y: Callable[[np.ndarray, np.ndarray], np.ndarray] = field(repr=False)
     regions: Mapping[str, VRegion] = field(repr=False)
 
-    def all_segments(self) -> np.ndarray:
-        parts = [np.asarray(v, dtype=float) for v in self.families.values()]
-        spine = np.stack([self.spine[:-1], self.spine[1:]], axis=1)
-        return np.concatenate(parts + [spine], axis=0)
-
-    def horizontality_residual(self) -> float:
-        segs = self.all_segments()
-        off = chord_offset_arr(segs[:, 0, :], segs[:, 1, :])
-        return float(np.max(np.abs(off)))
-
     def nexus_slope_residual(self) -> float:
-        """Max deviation of the mean upper/lower segment slope from the
-        spine slope -u/2; the balance condition of the harmonic sweep."""
+        """Max deviation of the mean slope of the segments from a nexus
+        point to the corners (-1, +-u) from the nexus slope -u/2, at 257
+        sweep abscissae; the balance condition of the harmonic sweep."""
         if self.kind != "harmonic":
             raise ValueError("slope balance is a property of the harmonic "
                              "sweep; the minimal sweep satisfies an angle "
                              "bisection instead")
-        up = self.families["upper"]
-        lo = self.families["lower"]
-        s_up = ((up[:, 1, 1] - up[:, 0, 1])
-                / (up[:, 1, 0] - up[:, 0, 0]))
-        s_lo = ((lo[:, 1, 1] - lo[:, 0, 1])
-                / (lo[:, 1, 0] - lo[:, 0, 0]))
+        t = np.linspace(0.0, 1.0, 257)
+        y = _nexus_y(self.u, t)
+        s_up = (self.u - y) / (-1.0 - t)
+        s_lo = (-self.u - y) / (-1.0 - t)
         return float(np.max(np.abs(0.5 * (s_up + s_lo) + 0.5 * self.u)))
 
 
@@ -671,8 +677,7 @@ def build_competitor(kind: str, u: float) -> CompetitorSurface:
     closed by a fan of segments from the guide's start, the apex on the
     x = 0 line, to the edge x = -1.  ``kind`` selects the guide:
     ``"harmonic"`` the straight nexus y = -u(1+x)/2, ``"minimal"`` the
-    lower arc of the hyperbola with foci (-1, +-u).  A fixed number of
-    segments per family is stored; they serve the segment identities only.
+    lower arc of the hyperbola with foci (-1, +-u).
 
     The graph is evaluated in closed form: the chord from a corner through
     a point meets the nexus at the root of a linear equation and the arc at
@@ -691,33 +696,6 @@ def build_competitor(kind: str, u: float) -> CompetitorSurface:
     if not math.isfinite(exit_height):
         raise SolverError(f"build_competitor: the {kind} sweep's exit height "
                           f"is not finite at u={u!r}")
-    t = np.linspace(0.0, 1.0, _SPINE_POINTS)
-    spine = np.stack([t, guide_y(t), guide_z(t)], axis=-1)
-
-    sweep = spine[::_SEGMENT_STRIDE]
-    xs, ys, zs = sweep.T
-    n = len(sweep)
-
-    def points(x, y, z):
-        return np.stack(np.broadcast_arrays(x, y, z), axis=-1)
-
-    def segments(start, end):
-        return np.stack([start, end], axis=1)
-
-    zf = np.linspace(0.5 * u, exit_height, n)
-    zw = np.linspace(exit_height, exit_height + u, n)
-    families = {
-        "upper": segments(sweep, points(
-            -1.0, u, zs + 0.5 * (xs * (u - ys) - ys * (-1.0 - xs)))),
-        "lower": segments(sweep, points(
-            -1.0, -u, zs + 0.5 * (xs * (-u - ys) - ys * (-1.0 - xs)))),
-        "fan": segments(points(0.0, apex_y, np.full(n, -0.5 * apex_y)),
-                        points(-1.0, np.linspace(-u, u, n), 0.0)),
-        # the connector in the plane y = -u between the two patch bottom
-        # edges; one segment repeated when the exit height is u/2
-        "flat": segments(points(-1.0, -u, zf - u), points(1.0, -u, zf)),
-        "wall": segments(points(-1.0, u, zw), points(1.0, -u, zw)),
-    }
     regions = _wedge_subregions(apex_y, u, guide_y)
 
     def branch(x, y):
@@ -767,8 +745,8 @@ def build_competitor(kind: str, u: float) -> CompetitorSurface:
         out = np.where(fan, 0.0, 0.5 * t - (t + 1.0) * f_t / g_t)
         return out if out.ndim else float(out)
 
-    return CompetitorSurface(kind, u, apex_y, exit_height, spine, families,
-                             phi, slope, phi_y, regions)
+    return CompetitorSurface(kind, u, apex_y, exit_height, phi, slope, phi_y,
+                             regions)
 
 
 # ---------------------------------------------------------------------------
@@ -853,36 +831,30 @@ class CompareReport:
     same patch.  All surfaces are truncated to the spatial slab
     |z| <= z_cap (area/energy of the tilted half-planes and wall pieces is
     exact; the compact z-graph patches are integrated numerically).
+
+    Each margin is reference minus competitor, taken from the pieces that
+    do not depend on the cap: the cap's bands are the same on both sides
+    and cancel exactly, so the margins are the same for every cap.
     """
 
     u: float
     z_cap: float
-    z_floor: Optional[float]
     area_competitor: float
     area_reference: float
+    area_margin: float
     energy_competitor: float
     energy_reference: float
+    energy_margin: float
     area_pieces: Mapping[str, float]
     energy_pieces: Mapping[str, float]
 
-    @property
-    def area_margin(self) -> float:
-        return self.area_reference - self.area_competitor
 
-    @property
-    def energy_margin(self) -> float:
-        return self.energy_reference - self.energy_competitor
-
-
-def competitor_compare(u: float, z_cap: Optional[float] = None,
-                       z_floor: Optional[float] = None) -> CompareReport:
+def competitor_compare(u: float, z_cap: Optional[float] = None) -> CompareReport:
     """Compare both spanning surfaces against the broken plane on a window.
 
-    With the default window the doubled half-surfaces and the broken-plane
-    patch are truncated to the slab |z| <= z_cap (default 2u).  Passing
-    ``z_floor`` restricts the comparison to z >= z_floor; any floor above
-    the sweep exit height leaves only the tilted half-plane on both sides,
-    so the areas agree exactly.
+    The doubled half-surfaces and the broken-plane patch are truncated to
+    the slab |z| <= z_cap (default 2u), which must clear the sweep exit
+    height and the fan.
     """
     if not u > 0:
         raise ValueError("u must be positive")
@@ -895,34 +867,25 @@ def competitor_compare(u: float, z_cap: Optional[float] = None,
     if z_cap < max(b, u):
         raise ValueError("z_cap must clear the sweep exit height and fan")
 
-    if z_floor is not None:
-        z_floor = float(z_floor)
-        if z_floor < b:
-            raise ValueError(
-                "a floor below the sweep exit height does not reduce the "
-                "surfaces to a common half-plane")
-        band = 2.0 * (z_cap - z_floor) * root
-        pieces = {"band": band}
-        eband_w = u * u * (z_cap - z_floor)
-        return CompareReport(u, z_cap, z_floor, band, band, eband_w, eband_w,
-                             pieces, {"band": eband_w})
-
+    wedge = wedge_area(u)
     patch_min = patch_area(minimal)
     flats = 2.0 * (b - 0.5 * u)
     wall_min = 2.0 * root * (z_cap - b)
     area_comp = 2.0 * (patch_min + flats + wall_min)
-    area_ref = broken_plane_area(u, z_cap)
+    # the walls rise from the exit height b, the reference planes from 0
+    area_margin = wedge - 2.0 * (patch_min + flats) + 4.0 * root * b
 
     e_patch = patch_energy(harmonic)
     e_wall = u * u * (z_cap - 0.5 * u)
     energy_comp = 2.0 * (e_patch + e_wall)
-    energy_ref = broken_plane_energy(u, z_cap)
+    # the harmonic walls rise from its exit height u/2
+    energy_margin = u ** 3 / 9.0 - 2.0 * e_patch + u ** 3
 
     area_pieces = {
         "patch": patch_min,
         "flats": flats,
         "wall": wall_min,
-        "reference_wedge": wedge_area(u),
+        "reference_wedge": wedge,
         "reference_planes": 4.0 * z_cap * root,
     }
     energy_pieces = {
@@ -931,5 +894,7 @@ def competitor_compare(u: float, z_cap: Optional[float] = None,
         "reference_fan": u ** 3 / 9.0,
         "reference_planes": 2.0 * u * u * z_cap,
     }
-    return CompareReport(u, z_cap, None, area_comp, area_ref, energy_comp,
-                         energy_ref, area_pieces, energy_pieces)
+    return CompareReport(u, z_cap, area_comp, broken_plane_area(u, z_cap),
+                         area_margin, energy_comp,
+                         broken_plane_energy(u, z_cap), energy_margin,
+                         area_pieces, energy_pieces)

@@ -266,16 +266,14 @@ def mesh_from_mapped_grid(point_fn: Callable[[np.ndarray, np.ndarray], np.ndarra
                           u_range: tuple[float, float],
                           v_range: tuple[float, float],
                           res_u: int, res_v: int,
-                          header: Sequence[str] = (),
-                          drop_degenerate: bool = False) -> MeshObj:
+                          header: Sequence[str] = ()) -> MeshObj:
     """Tessellate ``point_fn`` over a parameter rectangle.
 
     ``point_fn`` maps broadcastable parameter arrays to points of shape
-    ``(..., 3)``.  With ``drop_degenerate`` the zero-area triangles that a
-    pinched parametrization produces are removed instead of rejected.
+    ``(..., 3)``.
     """
-    return MeshObj(*_grid(point_fn, u_range, v_range, res_u, res_v,
-                          drop_degenerate), tuple(header))
+    return MeshObj(*_grid(point_fn, u_range, v_range, res_u, res_v),
+                   tuple(header))
 
 
 def mesh_from_graph(phi: Callable[[np.ndarray, np.ndarray], np.ndarray],

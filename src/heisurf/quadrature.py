@@ -66,10 +66,9 @@ def integrate_1d(
     f: Callable[[np.ndarray], np.ndarray],
     a: float,
     b: float,
-    cfg: QuadConfig = DEFAULT_1D,
     knots: Sequence[float] = (),
 ) -> float:
-    """Integrate a vectorized integrand over [a, b].
+    """Integrate a vectorized integrand over [a, b] to `DEFAULT_1D`.
 
     Optional interior knots split the interval so each piece is smooth and the
     Richardson step keeps its full order across derivative breaks.
@@ -80,11 +79,11 @@ def integrate_1d(
     total = 0.0
     for lo, hi in zip(cuts[:-1], cuts[1:]):
         def sums(level: int, lo=lo, hi=hi) -> float:
-            n = cfg.n0 * (1 << level)
+            n = DEFAULT_1D.n0 * (1 << level)
             t = lo + (hi - lo) * (np.arange(n) + 0.5) / n
             return float(np.sum(f(t))) * (hi - lo) / n
 
-        total += _refine(sums, cfg, "integrate_1d")
+        total += _refine(sums, DEFAULT_1D, "integrate_1d")
     return total
 
 

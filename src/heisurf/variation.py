@@ -34,7 +34,6 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .strips import ProfileError, PwlProfile, eta_of
-from .surfaces import RuledSurface
 
 __all__ = [
     "g_primitive",
@@ -42,7 +41,6 @@ __all__ = [
     "delta_profile",
     "ruled_area_closed_form",
     "second_variation",
-    "DeformationData",
     "SecondVariationResult",
     "second_variation_experiment",
 ]
@@ -164,41 +162,7 @@ def second_variation(alpha: PwlProfile, tau: PwlProfile,
 
 
 # ---------------------------------------------------------------------------
-# deformation families and the numerical experiment
-
-
-@dataclass(frozen=True)
-class DeformationData:
-    """A strip profile, a deformation profile, and a working window."""
-
-    alpha: PwlProfile
-    tau: PwlProfile
-    window: tuple[float, float]
-
-    @staticmethod
-    def build(alpha: PwlProfile, tau: PwlProfile,
-              window: Optional[tuple[float, float]] = None) -> "DeformationData":
-        if window is None:
-            window = _auto_window(alpha, tau)
-        return DeformationData(alpha, tau, (float(window[0]), float(window[1])))
-
-    def delta(self, lam: float) -> PwlProfile:
-        return delta_profile(self.alpha, self.tau * float(lam))
-
-    def area(self, lam: float) -> float:
-        tau = self.tau * float(lam) if lam != 0.0 else None
-        return ruled_area_closed_form(self.alpha, tau, self.window)
-
-    def surface(self, lam: float, half: bool = True) -> RuledSurface:
-        """Ambient ruled patch of the deformed strip (for cross-checks).
-
-        Its rulings run at heights eta(w) with plane slope delta(w), from
-        the axis (half=True) or from x = -1 to x = 1.
-        """
-        eta, delta = eta_of(self.alpha), self.delta(lam)
-        x = 0.0 if half else -1.0
-        return RuledSurface((x, x, delta, eta), (1.0, 1.0, delta, eta),
-                            self.window)
+# the numerical experiment
 
 
 @dataclass(frozen=True)
@@ -236,14 +200,15 @@ def second_variation_experiment(
     about 3 and the fitted coefficient carries an O(max lam) bias of a few
     percent, so callers should gate them via consistent(rel_tol=0.05).
     """
-    data = DeformationData.build(alpha, tau, window)
-    ii = second_variation(alpha, tau, data.window)
-    base = data.area(0.0)
+    if window is None:
+        window = _auto_window(alpha, tau)
+    window = (float(window[0]), float(window[1]))
+    ii = second_variation(alpha, tau, window)
+    base = ruled_area_closed_form(alpha, None, window)
     lambdas = tuple(float(l) for l in lambdas)
-    deltas = []
-    for lam in lambdas:
-        deltas.append(data.area(lam) + data.area(-lam) - 2.0 * base)
-    deltas = np.asarray(deltas)
+    deltas = np.asarray([ruled_area_closed_form(alpha, tau * lam, window)
+                         + ruled_area_closed_form(alpha, tau * -lam, window)
+                         - 2.0 * base for lam in lambdas])
     lam2 = np.asarray(lambdas) ** 2
     design = np.stack([lam2, lam2 ** 2], axis=-1)
     (c2, c4), *_ = np.linalg.lstsq(design, deltas, rcond=None)
@@ -257,5 +222,5 @@ def second_variation_experiment(
         quadratic_fit=float(c2),
         quartic_fit=float(c4),
         residual_order=order,
-        window=data.window,
+        window=window,
     )

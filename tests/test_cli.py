@@ -520,7 +520,9 @@ def test_out_of_domain_window_or_width_exits_with_two(tmp_path, capsys, argv):
 @pytest.mark.parametrize("argv, message", [
     # out of domain: each used to run on and give a verdict or a failure
     (("competitor", "--u", "1", "--z-cap", "nan"), "--z-cap must be"),
-    (("competitor", "--u", "1", "--z-floor", "inf"), "--z-floor must be"),
+    # the competitor takes no floor: every floor compared a band with itself
+    (("competitor", "--u", "1", "--z-floor", "1"),
+     "unrecognized arguments: --z-floor"),
     (("calibrate-lines", "--r1", "nan", "--lines", "10"), "--r1 must be"),
     (("calibrate-lines", "--max-z", "nan", "--lines", "10"),
      "--max-z must be"),
@@ -700,12 +702,12 @@ PINNED_RUNS = {
         {"sigma-rho.json": "75bed9ab35e4254584aa2d68132343b8"
                            "dcfb268685538bcca5cf249bc125b459"}),
     ("competitor", "--u", "1"): (
-        0, "competitor: PASS u=1 area-margin=0.22167401548856169 "
-           "energy-margin=0.20456857356077185 csv=competitor.csv",
-        {"competitor.csv": "46d6bba1702aa8d2b95d19800dee0d99"
-                           "74729454a87ac0fa5260cd5c2adc8137",
-         "competitor.json": "f6abc12cf6dd89d0d4ca3381049663c6"
-                            "862160083d2fc4976e5f712c5adf12f9"}),
+        0, "competitor: PASS u=1 area-margin=0.22167401548856125 "
+           "energy-margin=0.20456857356077229 csv=competitor.csv",
+        {"competitor.csv": "9111a7d99602a9ea97924bf1823404e2"
+                           "9c770ecc814f336aef477410c53d26c9",
+         "competitor.json": "dba888274222055e243798f8c2b2f425"
+                            "305d27731a18ff8b224e55a307701cd9"}),
     ("export-obj", "--surface", "competitor", "--u", "1",
      "--competitor-kind", "minimal", "--res", "10"): (
         0, "export-obj: OK surface=competitor vertices=605 faces=980 "

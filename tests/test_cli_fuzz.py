@@ -77,8 +77,7 @@ def _grammar(numbers):
                           "--window": numbers},
         "sigma-rho": {"--rho": profiles, "--window": pairs,
                       "--check-chords": COUNTS, "--seed": COUNTS},
-        "competitor": {"--u": numbers, "--z-cap": numbers,
-                       "--z-floor": numbers},
+        "competitor": {"--u": numbers, "--z-cap": numbers},
         "export-obj": {**surface, "--res": COUNTS, "--x-res": COUNTS},
         "calibrate-lines": {"--r1": numbers, "--r2": numbers,
                             "--lines": LINES, "--seed": COUNTS,

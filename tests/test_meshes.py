@@ -93,7 +93,7 @@ def test_degeneracy_is_judged_at_any_scale_without_overflow(scale):
             MeshObj(verts, [[1, 2, 3], [1, 2, 2]])
         kept = mesh_from_mapped_grid(
             lambda X, Z: scale * np.stack([X, X * Z, Z], axis=-1),
-            (-1.0, 1.0), (0.0, 1.0), 2, 2, drop_degenerate=True)
+            (-1.0, 1.0), (0.0, 1.0), 2, 2)
     assert kept.n_faces == 8 and np.isfinite(kept.vertices).all()
 
 

@@ -41,3 +41,15 @@ def test_quick_tour_line_runs(tmp_path, capfd, line):
 
 def test_library_quick_tour_runs():
     exec(compile(_block("## Library quick tour", "python"), README, "exec"), {})
+
+
+def test_domain_table_names_every_checked_flag():
+    # the first column of the table under "Each numeric flag has one domain"
+    with open(README, encoding="utf-8") as fh:
+        section = fh.read().split("Each numeric flag has one domain", 1)[1]
+    rows = re.search(r"^\|.*?(?=^[^|])", section, re.DOTALL | re.MULTILINE)
+    listed = {flag for row in rows.group(0).splitlines()[2:]
+              for flag in re.findall(r"`(--[a-z0-9-]+)`", row.split("|")[1])}
+    checked = {cli._option(key[1] if isinstance(key, tuple) else key)
+               for key in cli._DOMAINS}
+    assert listed == checked

@@ -19,9 +19,9 @@ import math
 import numpy as np
 import pytest
 
-from heisurf.strips import ProfileError, PwlProfile
+from heisurf.strips import ProfileError, PwlProfile, eta_of
+from heisurf.surfaces import RuledSurface
 from heisurf.variation import (
-    DeformationData,
     SecondVariationResult,
     delta_profile,
     g_primitive,
@@ -34,6 +34,20 @@ from heisurf.variation import (
 TENT = PwlProfile.from_knots([(-1.0, 0.0), (0.0, 1.0), (1.0, 0.0)])
 ZERO = PwlProfile.constant(0.0)
 FAN_EDGE = PwlProfile.from_knots([(-0.5, 1.0), (0.5, -1.0)])
+
+
+def deformed_surface(alpha, tau, lam, window, half=True):
+    """Ambient ruled patch of the strip alpha deformed by lam tau: rulings
+    at heights eta(w) with plane slope delta(w), from the axis (half) or
+    from x = -1, to x = 1."""
+    eta, delta = eta_of(alpha), delta_profile(alpha, tau * lam)
+    x = 0.0 if half else -1.0
+    return RuledSurface((x, x, delta, eta), (1.0, 1.0, delta, eta), window)
+
+
+def auto_window(alpha, tau):
+    """The working window the experiment picks for (alpha, tau)."""
+    return second_variation_experiment(alpha, tau).window
 
 
 def test_zeta_profile_shifts_heights():
@@ -119,20 +133,19 @@ def test_experiment_on_tilted_strip():
 
 def test_closed_form_agrees_with_patch_quadrature():
     alpha = PwlProfile.line(-2.0 / 3.0)
-    data = DeformationData.build(alpha, TENT)
+    window = auto_window(alpha, TENT)
     lam = 0.3
-    closed = data.area(lam)
-    quad_half = data.surface(lam, half=True).area()
+    closed = ruled_area_closed_form(alpha, TENT * lam, window)
+    quad_half = deformed_surface(alpha, TENT, lam, window).area()
     assert quad_half == pytest.approx(closed, rel=2e-5)
-    quad_full = data.surface(lam, half=False).area()
+    quad_full = deformed_surface(alpha, TENT, lam, window, half=False).area()
     assert quad_full == pytest.approx(2.0 * closed, rel=2e-5)
 
 
 def test_auto_window_covers_support():
-    data = DeformationData.build(ZERO, TENT)
-    assert data.window == (-3.0, 3.0)
+    assert second_variation_experiment(ZERO, TENT).window == (-3.0, 3.0)
     with pytest.raises(ProfileError, match="compactly supported"):
-        DeformationData.build(ZERO, PwlProfile.line(1.0))
+        second_variation_experiment(ZERO, PwlProfile.line(1.0))
 
 
 def test_fan_edge_deformation_handles_the_plateau_heights_exactly():
@@ -142,8 +155,7 @@ def test_fan_edge_deformation_handles_the_plateau_heights_exactly():
     # lam tau(zeta^{-1}(0)) while keeping the slope -2 piece intact.
     # Here zeta(w) = w - 0.2 tau(w) fixes w* = 1/11, tau(w*) = 5/11.
     tau = PwlProfile.from_knots([(-1.0, 0.0), (0.0, 0.5), (1.0, 0.0)])
-    data = DeformationData.build(FAN_EDGE, tau)
-    delta = data.delta(0.4)
+    delta = delta_profile(FAN_EDGE, tau * 0.4)
     assert isinstance(delta, PwlProfile)
     assert float(delta(0.0)) == pytest.approx(-2.0 / 11.0, abs=1e-12)
     assert (float(delta(0.4)) - float(delta(-0.4))) / 0.8 == pytest.approx(
@@ -152,10 +164,10 @@ def test_fan_edge_deformation_handles_the_plateau_heights_exactly():
 
 
 def test_fan_edge_closed_form_area_matches_patch_quadrature():
-    data = DeformationData.build(FAN_EDGE, TENT)
+    window = auto_window(FAN_EDGE, TENT)
     for lam in (0.0, 0.3):
-        closed = data.area(lam)
-        quad = data.surface(lam, half=True).area()
+        closed = ruled_area_closed_form(FAN_EDGE, TENT * lam, window)
+        quad = deformed_surface(FAN_EDGE, TENT, lam, window).area()
         assert quad == pytest.approx(closed, rel=2e-5)
 
 
@@ -183,22 +195,20 @@ def test_deformed_sweep_near_the_fan_edge_stays_injective():
     # tent: the rulings' intrinsic projections are the parabolas
     # x -> eta(w) - x^2 delta(w) / 2, and the sweep stays injective while
     # the density eta' - x^2 delta'/2 keeps one sign on |x| <= 1
-    from heisurf.strips import eta_of
-
     alpha = PwlProfile.from_knots([(-0.5, 0.9), (0.5, -0.9)])
     tau = PwlProfile.from_knots([(-1.0, 0.0), (0.0, 0.5), (1.0, 0.0)])
-    data = DeformationData.build(alpha, tau)
+    window = auto_window(alpha, tau)
     lam = 0.4
     eta = eta_of(alpha)
-    delta = data.delta(lam)
-    w = np.linspace(data.window[0], data.window[1], 2001)
+    delta = delta_profile(alpha, tau * lam)
+    w = np.linspace(window[0], window[1], 2001)
     d_eta = np.diff(eta(w))
     d_delta = np.diff(np.asarray(delta(w)))
     assert np.all(d_eta > 0.0)
     assert np.all(d_eta - 0.5 * d_delta > 0.0)
 
-    surf = data.surface(lam, half=False)
-    ws = np.linspace(data.window[0], data.window[1], 41)
+    surf = deformed_surface(alpha, tau, lam, window, half=False)
+    ws = np.linspace(window[0], window[1], 41)
     ss = np.linspace(0.0, 1.0, 11)
     pts = np.stack([surf.point(np.full_like(ss, wv), ss) for wv in ws])
     flat = pts.reshape(-1, 3)
