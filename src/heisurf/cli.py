@@ -44,11 +44,9 @@ import sys
 import warnings
 from typing import Any, Optional, Sequence
 
-import numpy as np
-
 from .profilespec import ProfileSpec, parse_profile
 from .reports import atomic_write_text, dump_csv, dump_json, fmt17
-from .strips import (SLOPE_RULES, PwlProfile, broken_plane,
+from .strips import (SLOPE_RULES, broken_plane, require_pwl,
                      slope_rule_breaks, strip_surface)
 
 __all__ = ["main", "build_parser", "OUTPUT_DIR_ENV",
@@ -238,22 +236,15 @@ _RULES = {
 }
 
 
-def _lowest_slope_interval(profile) -> tuple[float, float]:
-    """The parameter interval where the profile takes its lowest slope: a
-    PWL profile's piece, else z = 0, where the slope scale / (1 + z^2) of
-    the one closed-form spec, scale * arctan(z) with scale < 0, is lowest."""
-    if isinstance(profile, PwlProfile):
-        edges = [-math.inf, *map(float, profile.w), math.inf]
-        i = int(np.argmin(profile.piece_slopes()))
-        return edges[i], edges[i + 1]
-    return 0.0, 0.0
-
-
 def _cmd_check(args):
     """check-strip and check-minimal: ``--profile`` under its chart's slope
     rule.  A failing profile's witness is its lowest slope where that is
-    too low, else its highest slope."""
+    too low, else its highest slope, on the interval where the profile
+    takes it (`Profile.where_slope`).  The alpha chart takes only a
+    piecewise-linear profile, as the alpha<->sigma transform does."""
     spec, profile = _build_profile(args.profile)
+    if args.kind == "alpha":
+        require_pwl(profile)
     lo, hi = profile.slope_bounds()
     too_low, too_high = slope_rule_breaks(lo, hi, args.kind)
     ok = not (too_low or too_high)
@@ -264,8 +255,8 @@ def _cmd_check(args):
     if args.command == "check-minimal":
         payload["threshold"] = SLOPE_RULES[args.kind][0]
     if not ok:
-        slope, (a, b) = ((float(lo), _lowest_slope_interval(profile))
-                         if too_low else (hi, (-math.inf, math.inf)))
+        slope = lo if too_low else hi
+        a, b = profile.where_slope(slope)
         payload["witness"] = {"slope": slope, "interval": [a, b]}
         detail += f" witness slope {fmt17(slope)} on [{fmt17(a)},{fmt17(b)}]"
     return ok, detail, payload
@@ -302,11 +293,8 @@ def _cmd_second_variation(args):
     from .variation import second_variation_experiment
     alpha_spec, alpha = _build_profile(args.alpha)
     tau_spec, tau = _build_profile(args.tau)
-    if not isinstance(alpha, PwlProfile) or not isinstance(tau, PwlProfile):
-        raise ValueError("second-variation needs piecewise-linear profiles "
-                         "(constant, linear, broken-plane-alpha, "
-                         "triangle-bump or samples)")
-    result = second_variation_experiment(alpha, tau, window=args.window,
+    result = second_variation_experiment(require_pwl(alpha), require_pwl(tau),
+                                         window=args.window,
                                          lambdas=args.lambdas)
     # plateaued sweeps carry an odd |lambda|^3 residual, so the fit only
     # reaches a few percent of the analytic value; 5% covers both regimes

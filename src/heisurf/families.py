@@ -38,7 +38,7 @@ import numpy as np
 
 from .core import chord_offset_arr
 from .quadrature import QuadConfig, VRegion, integrate_1d, integrate_region
-from .strips import (Profile, ProfileError, PwlProfile, SolverError,
+from .strips import (Profile, ProfileError, SolverError,
                      broken_plane_graph_value, constant_poly)
 from .surfaces import IDENTITY, RuledSurface
 from .variation import g_primitive
@@ -46,7 +46,6 @@ from .variation import g_primitive
 __all__ = [
     "RuledEntireGraph",
     "ScalingLimitReport",
-    "tail_slope_limits",
     "broken_plane_graph_value",
     "scaling_limit",
     "sigma_rho_surface",
@@ -78,9 +77,6 @@ __all__ = [
 # entire ruled graphs and their blow-down
 
 
-_BAND_PROBES = np.linspace(-64.0, 64.0, 257)
-
-
 @dataclass(frozen=True)
 class RuledEntireGraph:
     """Entire intrinsic graph ruled by horizontal lines through the y axis.
@@ -89,19 +85,14 @@ class RuledEntireGraph:
     ``s = sigma_plus(z)``.  The profile must be non-increasing so that
     distinct rulings never cross; at a jump of the profile the rulings
     take every slope between its two sides, and the graph is the closure
-    of the rulings' union.  A piecewise-linear profile is checked exactly,
-    tails included; a closed-form one at the heights `_BAND_PROBES`.
+    of the rulings' union.  The profile answers whether it ever rises
+    (`Profile.direction` over the whole line).
     """
 
     sigma_plus: Profile
 
     def __post_init__(self):
-        if isinstance(self.sigma_plus, PwlProfile):
-            rising = np.any(self.sigma_plus.piece_slopes() > 0.0)
-        else:
-            hi = np.asarray(self.sigma_plus(_BAND_PROBES), dtype=float)
-            rising = np.any(np.diff(hi) > 1e-12)
-        if rising:
+        if self.sigma_plus.direction(-math.inf, math.inf) != -1:
             raise ProfileError("sigma_plus must be non-increasing")
 
     def graph_value(self, x, zprime):
@@ -132,42 +123,15 @@ class RuledEntireGraph:
         return self.graph_value(t * x, t * t * zp) / t
 
 
-def tail_slope_limits(profile: Profile, window: float = 1.0e3) -> tuple[float, float]:
-    """Estimate the slope limits (at -inf, at +inf) from tail samples.
-
-    Richardson extrapolation in 1/z on the outer half of the window is exact
-    for ``c + O(1/z)`` tails.  A tail that keeps drifting between the two
-    extrapolation scales is reported as the appropriate infinity (the
-    profile is non-increasing, so the direction is determined by the sign
-    of the drift).
-    """
-    w = float(window)
-    if not w > 0:
-        raise ValueError("window must be positive")
-    out = []
-    for sgn in (-1.0, 1.0):
-        z = sgn * w
-        v4 = float(profile(z / 4.0))
-        v2 = float(profile(z / 2.0))
-        v1 = float(profile(z))
-        rich_outer = 2.0 * v1 - v2
-        rich_inner = 2.0 * v2 - v4
-        if abs(rich_outer - rich_inner) > 1e-2 * (1.0 + abs(rich_inner)):
-            out.append(math.inf if v1 > v2 else -math.inf)
-        else:
-            out.append(rich_outer)
-    return out[0], out[1]
-
-
 @dataclass(frozen=True)
 class ScalingLimitReport:
     """Classification of the blow-down of an entire ruled graph.
 
-    ``slope_neg_limit`` / ``slope_pos_limit`` are the estimated profile
-    limits at -inf / +inf.  The limit surface is the broken plane with
-    opening ``u`` rotated by ``theta`` about the z axis; ``errors`` are the
-    max probe-point deviations of the rescaled graph from the limit graph,
-    one entry per element of ``t_grid``.
+    ``slope_neg_limit`` / ``slope_pos_limit`` are the profile's limits at
+    -inf / +inf (`Profile.tail_limits`).  The limit surface is the broken
+    plane with opening ``u`` rotated by ``theta`` about the z axis;
+    ``errors`` are the max probe-point deviations of the rescaled graph
+    from the limit graph, one entry per element of ``t_grid``.
     """
 
     slope_neg_limit: float
@@ -194,13 +158,13 @@ class ScalingLimitReport:
 
 
 def _opening(a: float, b: float) -> float:
-    """tan((atan a - atan b) / 2) for tail slopes a != b, not both infinite.
+    """tan((atan a - atan b) / 2) for tail slopes a, b, not both infinite.
 
     The algebraic half-angle form: with p = 1 + ab and
     S = sqrt((1 + a^2)(1 + b^2)) = hypot(p, a - b), it is (a - b)/(p + S),
     or (S - p)/(a - b) where p < 0 would cancel in p + S.  Exact slopes
-    give an exact opening: a = -b = 1 gives 1.  An infinite slope takes the
-    limit of the form that does not cancel.
+    give an exact opening: a = -b = 1 gives 1, and a = b gives 0.  An
+    infinite slope takes the limit of the form that does not cancel.
     """
     if math.isinf(b):
         return -_opening(b, a)
@@ -227,11 +191,13 @@ def scaling_limit(graph: RuledEntireGraph,
                   window: float = 1.0e3) -> ScalingLimitReport:
     """Classify the blow-down of an entire ruled graph.
 
-    Tail limits of the upper profile are estimated at the edge of
-    ``window``; the resulting rotation/opening pair ``(theta, u)`` follows
-    from averaging/differencing the tail angles.  When both limits are
-    finite the rescaled graph is evaluated on the probe points and compared
-    against the limit graph, giving one max-error entry per ``t``.
+    The upper profile gives its own tail limits (`Profile.tail_limits`:
+    exact for PWL and arctan profiles, extrapolated at the edge of
+    ``window`` for a closed-form one).  The rotation/opening pair
+    ``(theta, u)`` follows from averaging/differencing the tail angles, and
+    equal limits give the plane u = 0.  When both limits are finite the
+    rescaled graph is evaluated on the probe points and compared against
+    the limit graph, giving one max-error entry per ``t``.
     """
     ts = tuple(float(t) for t in t_grid)
     if not (ts and ts[0] > 0 and all(b > a for a, b in zip(ts, ts[1:]))):
@@ -242,15 +208,10 @@ def scaling_limit(graph: RuledEntireGraph,
             "window too small for requested t: dilations sample heights up "
             f"to about {reach:.3g} but only |z| <= {window:.3g} is trusted")
 
-    slope_neg, slope_pos = tail_slope_limits(graph.sigma_plus, window)
+    slope_neg, slope_pos = graph.sigma_plus.tail_limits(window)
     theta = (0.5 * (math.atan(slope_neg) + math.atan(slope_pos))) % math.pi
-    if math.isinf(slope_neg) and math.isinf(slope_pos):
-        u = math.inf
-    elif (math.isfinite(slope_neg) and math.isfinite(slope_pos)
-          and abs(slope_neg - slope_pos) < 1e-6):
-        u = 0.0
-    else:
-        u = _opening(slope_neg, slope_pos)
+    u = (math.inf if math.isinf(slope_neg) and math.isinf(slope_pos)
+         else _opening(slope_neg, slope_pos))
 
     errors: list[float] = []
     if math.isfinite(slope_neg) and math.isfinite(slope_pos):
@@ -269,20 +230,11 @@ def scaling_limit(graph: RuledEntireGraph,
 
 def _sweep_window(rho: Profile, a, b) -> tuple[float, float]:
     """The sweep window (a, b) as floats, refused unless a < b and rho
-    increases on it.  A piecewise-linear rho is checked exactly, on the
-    slopes of the pieces that meet (a, b); a closed-form one at 513 heights
-    of [a, b]."""
+    says it strictly increases there (`Profile.direction`)."""
     a, b = float(a), float(b)
     if not b > a:
         raise ValueError("window must satisfy a < b")
-    if isinstance(rho, PwlProfile):
-        first = int(np.searchsorted(rho.w, a, side="right"))
-        last = int(np.searchsorted(rho.w, b, side="left"))
-        falling = np.any(rho.piece_slopes()[first:last + 1] <= 0.0)
-    else:
-        v = np.asarray(rho(np.linspace(a, b, 513)), dtype=float)
-        falling = np.any(np.diff(v) <= 0.0)
-    if falling:
+    if rho.direction(a, b) != 1:
         raise ProfileError("rho must be strictly increasing on the window")
     return a, b
 
@@ -401,7 +353,7 @@ def sigma_rho_area_quadrature(rho: Profile, a: float, b: float) -> float:
         dr = np.asarray(rho.derivative(z), dtype=float)
         return (4.0 / 3.0) * (1.0 + dr) * np.sqrt(1.0 + (z + r) ** 2)
 
-    knots = tuple(float(k) for k in getattr(rho, "w", ()) if a < k < b)
+    knots = tuple(float(k) for k in rho.knots if a < k < b)
     return integrate_1d(integrand, a, b, knots=knots)
 
 

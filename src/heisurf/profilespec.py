@@ -17,7 +17,8 @@ Registry kinds:
     line x = 1: value ``u`` left of ``-u/2``, slope -2 across the middle,
     value ``-u`` right of ``u/2``.
 ``arctan(scale)``
-    ``scale * arctan(z)`` with exact derivative and declared slope range.
+    ``scale * arctan(z)`` with exact derivative, slope range, direction
+    and tail limits.
 ``triangle-bump(height, halfwidth)``
     The tent of the given height supported on ``[-halfwidth, halfwidth]``.
 ``samples(w1, v1, w2, v2, ...)``

@@ -47,6 +47,7 @@ __all__ = [
     "sigma_to_alpha",
     "alpha_to_sigma",
     "eta_of",
+    "require_pwl",
     "GraphicalStrip",
     "SLOPE_RULES",
     "slope_rule_breaks",
@@ -106,7 +107,17 @@ def _shaped(w: np.ndarray, shape):
 
 
 class Profile:
-    """Real function of one variable with slope information."""
+    """Real function of one variable that answers for its own shape.
+
+    Besides its values and slopes a profile says where it takes a slope
+    (`where_slope`), whether it rises or falls on an interval
+    (`direction`) and what its limits at -inf and +inf are
+    (`tail_limits`).  Piecewise-linear and arctan profiles answer exactly;
+    a closed-form `CallableProfile` samples.  ``knots`` holds the points
+    where the slope may jump, where integrals split.
+    """
+
+    knots: Sequence[float] = ()
 
     def __call__(self, w):  # pragma: no cover - abstract
         raise NotImplementedError
@@ -126,6 +137,20 @@ class Profile:
         raise NotImplementedError
 
     def slope_bounds(self) -> tuple[float, float]:  # pragma: no cover
+        raise NotImplementedError
+
+    def where_slope(self, s: float) -> tuple[float, float]:  # pragma: no cover
+        """The interval (a, b) of the first maximal run of slope ``s``."""
+        raise NotImplementedError
+
+    def direction(self, a: float, b: float) -> int:  # pragma: no cover
+        """1 if the profile strictly increases on (a, b), -1 if it never
+        rises there, else 0."""
+        raise NotImplementedError
+
+    def tail_limits(self, window: float = 1.0e3
+                    ) -> tuple[float, float]:  # pragma: no cover
+        """The limits (at -inf, at +inf); a sampler reads out to ``window``."""
         raise NotImplementedError
 
 
@@ -228,6 +253,37 @@ class PwlProfile(Profile):
     def slope_bounds(self) -> tuple[float, float]:
         s = self.piece_slopes()
         return float(np.min(s)), float(np.max(s))
+
+    @property
+    def knots(self) -> np.ndarray:
+        return self.w
+
+    def where_slope(self, s: float) -> tuple[float, float]:
+        """The pieces from the first one of slope ``s`` up to the next piece
+        of another slope, as the interval between their outer knots."""
+        slopes = self.piece_slopes()
+        hit = np.flatnonzero(slopes == s)
+        if not hit.size:
+            raise ProfileError(f"no piece has slope {s!r}")
+        first = int(hit[0])
+        other = np.flatnonzero(slopes[first:] != s)
+        end = first + int(other[0]) if other.size else len(slopes)
+        edges = [-math.inf, *map(float, self.w), math.inf]
+        return edges[first], edges[end]
+
+    def direction(self, a: float, b: float) -> int:
+        """Exact, from the slopes of the pieces that meet (a, b)."""
+        first = int(np.searchsorted(self.w, a, side="right"))
+        last = int(np.searchsorted(self.w, b, side="left"))
+        s = self.piece_slopes()[first:last + 1]
+        return 1 if np.all(s > 0.0) else -1 if np.all(s <= 0.0) else 0
+
+    def tail_limits(self, window: float = 1.0e3) -> tuple[float, float]:
+        """Exact: the end value where a tail is flat, else the infinity its
+        slope heads to."""
+        ends = ((self.v[0], -self.slope_left), (self.v[-1], self.slope_right))
+        return tuple(float(v) if s == 0.0 else math.copysign(math.inf, s)
+                     for v, s in ends)
 
     # -- exact algebra ------------------------------------------------------
 
@@ -402,6 +458,31 @@ class CallableProfile(Profile):
             raise ProfileError("slope range not declared for this profile")
         return self.slopes
 
+    def where_slope(self, s: float) -> tuple[float, float]:
+        raise ProfileError("a closed-form profile does not locate its slopes")
+
+    def direction(self, a: float, b: float) -> int:
+        """Sampled at 513 heights of (a, b), an infinite end read at +-64;
+        a rise counts only above 1e-12."""
+        lo, hi = np.nan_to_num([a, b], posinf=64.0, neginf=-64.0)
+        d = np.diff(np.asarray(self(np.linspace(lo, hi, 513)), dtype=float))
+        return 1 if np.all(d > 0.0) else 0 if np.any(d > 1e-12) else -1
+
+    def tail_limits(self, window: float = 1.0e3) -> tuple[float, float]:
+        """Richardson extrapolation in 1/z at ``window`` and half of it,
+        exact for ``c + O(1/z)`` tails.  A tail whose extrapolations at
+        ``window`` and at half of it differ by more than 1e-2 (relative)
+        keeps drifting, and its limit is the infinity it drifts toward."""
+        out = []
+        for z in (-float(window), float(window)):
+            v4, v2, v1 = (float(self(z / k)) for k in (4.0, 2.0, 1.0))
+            outer, inner = 2.0 * v1 - v2, 2.0 * v2 - v4
+            if abs(outer - inner) > 1e-2 * (1.0 + abs(inner)):
+                out.append(math.inf if v1 > v2 else -math.inf)
+            else:
+                out.append(outer)
+        return out[0], out[1]
+
 
 class ArctanProfile(CallableProfile):
     """``scale * arctan(z)``, a closed-form profile that keeps its scale.
@@ -421,6 +502,21 @@ class ArctanProfile(CallableProfile):
             dfn=lambda z: s / (1.0 + np.asarray(z, dtype=float) ** 2),
             slopes=(min(0.0, s), max(0.0, s)), name=f"arctan({s!r})")
         object.__setattr__(self, "scale", s)
+
+    def where_slope(self, s: float) -> tuple[float, float]:
+        """The extreme slope ``scale`` is taken at z = 0 only."""
+        if s != self.scale:
+            raise ProfileError(
+                f"{self.name} locates only its extreme slope {self.scale!r}")
+        return 0.0, 0.0
+
+    def direction(self, a: float, b: float) -> int:
+        """1 if ``scale`` > 0, else -1: the profile is monotone."""
+        return 1 if self.scale > 0.0 else -1
+
+    def tail_limits(self, window: float = 1.0e3) -> tuple[float, float]:
+        h = 0.5 * math.pi * self.scale
+        return -h, h
 
 
 def _outward(g, idx: np.ndarray, start: np.ndarray,
@@ -455,10 +551,17 @@ def _map_end_slope(s: float, kind: str) -> float:
     return 2.0 * s / (2.0 + s)
 
 
+def require_pwl(profile: Profile) -> PwlProfile:
+    """``profile`` if it is piecewise linear, else the one refusal of every
+    exact alpha<->sigma transform and of each command that needs one."""
+    if not isinstance(profile, PwlProfile):
+        raise ProfileError("exact transform needs a piecewise-linear profile")
+    return profile
+
+
 def sigma_to_alpha(sigma: PwlProfile) -> PwlProfile:
     """Reparameterize a slope profile by graph height: knot (z, s) -> (z - s/2, s)."""
-    if not isinstance(sigma, PwlProfile):
-        raise ProfileError("exact transform needs a piecewise-linear profile")
+    require_pwl(sigma)
     if np.any(sigma.piece_slopes() >= 2.0):
         raise ProfileError("slope >= 2 breaks the height change of variables")
     return PwlProfile(
@@ -474,8 +577,7 @@ def alpha_to_sigma(alpha: PwlProfile) -> PwlProfile:
     A piece of slope exactly -2 maps a whole interval to a single height
     (a fan, not a graph) and is refused; slopes below -2 fold the strip over.
     """
-    if not isinstance(alpha, PwlProfile):
-        raise ProfileError("exact transform needs a piecewise-linear profile")
+    require_pwl(alpha)
     slopes = alpha.piece_slopes()
     if np.any(slopes == -2.0):
         raise ProfileError("plateau: slope -2 collapses an interval of heights")
@@ -490,8 +592,7 @@ def alpha_to_sigma(alpha: PwlProfile) -> PwlProfile:
 
 def eta_of(alpha: PwlProfile) -> PwlProfile:
     """Height map w -> w + alpha(w)/2 as an exact piecewise-linear profile."""
-    if not isinstance(alpha, PwlProfile):
-        raise ProfileError("exact transform needs a piecewise-linear profile")
+    require_pwl(alpha)
     return PwlProfile(
         alpha.w, alpha.w + alpha.v / 2.0,
         1.0 + alpha.slope_left / 2.0,

@@ -4,9 +4,9 @@ A patch joins two boundary curves, each given as data (x, c, f, g): the
 curve w -> (x, c f(w), g(w)) at a constant abscissa x, with f and g
 profiles.  The surface point at (w, s) is (1-s) A(w) + s B(w).  The
 w-tangents (0, c f'(w), g'(w)) come from the profiles' derivatives, and
-the quadrature splits at the knots of whichever profiles are piecewise
-linear.  When every chord A(w) -> B(w) is horizontal the segment itself is
-horizontal, and with h_t = z_t - (x y_t - y x_t)/2 (dual pairing of the
+the quadrature splits at the profiles' knots (`Profile.knots`).  When
+every chord A(w) -> B(w) is horizontal the segment itself is horizontal,
+and with h_t = z_t - (x y_t - y x_t)/2 (dual pairing of the
 w-tangent with the contact form) the perimeter is
 
     Per = int int |h_t(w, s)| * |(x_B - x_A, y_B - y_A)| ds dw.
@@ -24,7 +24,7 @@ import numpy as np
 
 from .core import chord_offset_arr
 from .quadrature import VRegion, integrate_region
-from .strips import CallableProfile, Profile, PwlProfile
+from .strips import CallableProfile, Profile
 
 __all__ = ["IDENTITY", "RuledSurface", "strip_patch"]
 
@@ -50,8 +50,8 @@ def _curve(end: Curve, w, tangent: bool = False) -> np.ndarray:
 class RuledSurface:
     """Horizontally ruled patch between two boundary curves (x, c, f, g).
 
-    ``knots`` (derived) lists the knots of the piecewise-linear profiles of
-    either curve inside the parameter range: integration splits there.
+    ``knots`` (derived) lists the knots of the profiles of either curve
+    inside the parameter range: integration splits there.
     """
 
     left: Curve
@@ -65,8 +65,7 @@ class RuledSurface:
             raise ValueError("empty parameter range")
         object.__setattr__(self, "w_range", (w0, w1))
         ks = {float(k) for _, _, f, g in (self.left, self.right)
-              for p in (f, g) if isinstance(p, PwlProfile)
-              for k in p.w if w0 < k < w1}
+              for p in (f, g) for k in p.knots if w0 < k < w1}
         object.__setattr__(self, "knots", tuple(sorted(ks)))
 
     # -- geometry -----------------------------------------------------------

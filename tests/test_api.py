@@ -100,6 +100,29 @@ def test_no_module_imports_a_private_name_of_another():
     assert not found, found
 
 
+#: The concrete profile kinds; only their owner module tells them apart.
+PROFILE_KINDS = {"PwlProfile", "ArctanProfile", "CallableProfile"}
+
+
+def _names(node: ast.AST) -> set[str]:
+    return {n.id if isinstance(n, ast.Name) else n.attr
+            for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute))}
+
+
+def test_only_strips_tests_the_kind_of_a_profile():
+    # a profile answers for itself through the `Profile` protocol, which
+    # another module may still test for (as `lines.monotonicity_check` does)
+    found = [f"heisurf/{stem}.py line {node.lineno}"
+             for stem in ["__init__", *MODULES] if stem != "strips"
+             for node in ast.walk(_tree(stem))
+             if isinstance(node, ast.Call)
+             and isinstance(node.func, ast.Name)
+             and node.func.id in ("isinstance", "issubclass")
+             and PROFILE_KINDS & {name for arg in node.args[1:]
+                                  for name in _names(arg)}]
+    assert not found, found
+
+
 def _private_definitions(tree: ast.Module) -> list[tuple[str, int]]:
     """Private module-level names and private methods of a module."""
     found = []

@@ -79,9 +79,21 @@ def test_check_strip_charts_agree_on_one_surface(tmp_path, kind, profile):
                "--profile", profile) == 1
 
 
-def test_check_strip_accepts_arctan_in_the_alpha_chart(tmp_path):
-    assert run(tmp_path, "check-strip", "--kind", "alpha",
-               "--profile", "arctan(-1)") == 0
+@pytest.mark.parametrize("argv", [
+    ("check-strip", "--kind", "alpha"),
+    ("check-minimal", "--kind", "alpha"),
+    ("monotonicity", "--surface", "strip", "--kind", "alpha"),
+    ("export-obj", "--surface", "strip", "--kind", "alpha", "--window",
+     "-1,1", "--res", "2"),
+], ids=lambda argv: argv[0])
+def test_every_command_refuses_arctan_in_the_alpha_chart(tmp_path, capsys,
+                                                          argv):
+    # the alpha<->sigma transform is exact only for PWL profiles, and each
+    # command that reads an alpha chart refuses the others alike
+    assert run(tmp_path, *argv, "--profile", "arctan(-1)") == 2
+    assert capsys.readouterr().err == (
+        "error: exact transform needs a piecewise-linear profile\n")
+    assert not os.listdir(str(tmp_path))
 
 
 @pytest.mark.parametrize("profile, graphical", [
@@ -114,9 +126,13 @@ def test_check_minimal_flags_the_broken_plane_with_a_witness(tmp_path, capsys):
     ("check-minimal", "sigma")])
 def test_an_arctan_witness_is_its_lowest_slope_at_zero(tmp_path, capsys,
                                                        command, kind):
-    # the slope -3 / (1 + z^2) of arctan(-3) is lowest at z = 0 exactly
-    assert run(tmp_path, command, "--kind", kind,
-               "--profile", "arctan(-3)") == 1
+    # the slope -3 / (1 + z^2) of arctan(-3) is lowest at z = 0 exactly;
+    # the alpha chart refuses a profile that is not PWL
+    code = run(tmp_path, command, "--kind", kind, "--profile", "arctan(-3)")
+    if kind == "alpha":
+        assert code == 2
+        return
+    assert code == 1
     assert "witness slope -3 on [0,0]" in capsys.readouterr().out
     assert load(tmp_path, f"{command}.json")["witness"] == {
         "slope": -3.0, "interval": [0.0, 0.0]}
@@ -438,9 +454,23 @@ def test_a_nan_inside_any_container_exits_with_three_and_writes_nothing(
 
 
 def test_a_failed_verdict_may_record_an_unbounded_witness(tmp_path):
+    # the knot of linear(-2.5) at 0 joins two pieces of one slope, and the
+    # witness is the whole run of them
     assert run(tmp_path, "check-strip", "--profile", "linear(-2.5)") == 1
     assert load(tmp_path, "check-strip.json")["witness"] == {
-        "slope": -2.5, "interval": [-math.inf, 0.0]}
+        "slope": -2.5, "interval": [-math.inf, math.inf]}
+
+
+@pytest.mark.parametrize("profile, interval", [
+    ("samples(0,0,1,2.5)", [0.0, 1.0]),
+    ("samples(-1,0,0,2,1,4,2,3)", [-1.0, 1.0]),
+    ("arctan(3)", [0.0, 0.0]),
+])
+def test_a_too_high_slope_is_witnessed_where_the_profile_takes_it(
+        tmp_path, profile, interval):
+    assert run(tmp_path, "check-strip", "--profile", profile) == 1
+    assert load(tmp_path, "check-strip.json")["witness"]["interval"] == \
+        interval
 
 
 @pytest.mark.parametrize("argv", [
@@ -692,9 +722,9 @@ PINNED_RUNS = {
                               "f14538d1fd74ffe0eb65504aa0d4c8c0"}),
     ("scaling-limit", "--profile", "arctan(-1)"): (
         0, "scaling-limit: PASS kind=broken-plane theta=0 "
-           "u=1.5707963247949028",
-        {"scaling-limit.json": "af3b48797cf25f823539176d35c3911e"
-                               "80113c0de92bfc6809f42dc43067e6d3"}),
+           "u=1.5707963267948966",
+        {"scaling-limit.json": "d4f16e176cdc294f5826c825943ccdef"
+                               "aa2bfc128e7ab71eda1f75cdebad246a"}),
     ("sigma-rho", "--rho", "id", "--window", "0,1", "--check-chords", "100",
      "--seed", "5"): (
         0, "sigma-rho: PASS area=3.9438476201189268 quad-gap=2.688e-09 "

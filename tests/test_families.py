@@ -38,7 +38,6 @@ from heisurf.families import (
     sigma_rho_area_quadrature,
     sigma_rho_membership,
     sigma_rho_surface,
-    tail_slope_limits,
     tangent_bisection_residual,
     wedge_area,
 )
@@ -148,7 +147,7 @@ def test_linear_profile_blows_down_to_vertical_plane():
 
 
 def test_tail_limits_of_reciprocal_tail_are_extrapolated_exactly():
-    lo, hi = tail_slope_limits(CallableProfile(lambda z: -np.arctan(z)))
+    lo, hi = CallableProfile(lambda z: -np.arctan(z)).tail_limits()
     assert lo == pytest.approx(0.5 * math.pi, abs=1e-6)
     assert hi == pytest.approx(-0.5 * math.pi, abs=1e-6)
 

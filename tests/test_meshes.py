@@ -20,7 +20,8 @@ from heisurf.meshes import (
     write_obj,
 )
 from heisurf.reports import fmt17
-from heisurf.strips import PwlProfile, broken_plane, strip_surface
+from heisurf.strips import (CallableProfile, PwlProfile, broken_plane,
+                            strip_surface)
 
 
 def flat_graph(res_x=2, res_z=2):
@@ -223,7 +224,7 @@ def test_broken_plane_mesh_is_watertight_inside_its_window():
 
 
 def test_ruled_mesh_of_the_spanning_surface():
-    surface = sigma_rho_surface(lambda z: z, (-2.0, 2.0))
+    surface = sigma_rho_surface(CallableProfile(lambda z: z), (-2.0, 2.0))
     mesh = mesh_from_ruled(surface, 6, 5)
     assert mesh.n_vertices == 7 * 6
     assert mesh.n_faces == 2 * 6 * 5

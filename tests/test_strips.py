@@ -3,9 +3,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from heisurf.core import chord_offset_arr
+from heisurf.families import RuledEntireGraph, scaling_limit
+from heisurf.profilespec import ProfileSpec
 from heisurf.strips import (
     BrokenPlane,
     CallableProfile,
@@ -85,6 +87,124 @@ def test_preimage_is_the_leftmost_point_at_a_level():
     assert p.preimage(0.25) == 0.25
     assert p.preimage(1.0) == 1.0
     assert p.preimage(1.5) is None
+
+
+# ---------------------------------------------------------------------------
+# the questions a profile answers, against dense evaluation
+
+#: Slopes of the drawn pieces and tails, the rule's ends -2 and 2 included.
+#: Knots lie on a grid of quarters and every value is a dyadic sum, so each
+#: piece's slope is exact and distinct slopes differ by at least 0.5.
+SLOPES = (-3.0, -2.5, -2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0, 3.0)
+#: The oracle's heights: a grid of 1/64 that holds every drawn knot, with
+#: room for a tail on both sides; an infinite end of an interval is read at
+#: its edge.
+GRID = np.arange(-16.0, 16.0 + 1.0 / 128.0, 1.0 / 64.0)
+ENDS = (-math.inf, -3.0, -1.0, -0.5, 0.0, 0.25, 1.0, 2.5, 4.0, math.inf)
+
+
+@st.composite
+def samples_specs(draw):
+    slopes = st.sampled_from(SLOPES)
+    w = draw(st.sampled_from((-2.0, -1.0, 0.0, 0.5)))
+    v = draw(st.sampled_from((-1.0, 0.0, 1.5)))
+    points = [(w, v)]
+    for _ in range(draw(st.integers(0, 4))):
+        gap = draw(st.sampled_from((0.25, 0.5, 1.0, 2.0)))
+        w, v = w + gap, v + draw(slopes) * gap
+        points.append((w, v))
+    return ProfileSpec("samples", {"points": points,
+                                   "slope_left": draw(slopes),
+                                   "slope_right": draw(slopes)})
+
+
+def _spec(kind, *names):
+    return lambda *values: ProfileSpec(kind, dict(zip(names, values)))
+
+
+PROFILE_SPECS = st.one_of(
+    samples_specs(),
+    st.builds(_spec("linear", "slope", "intercept"), st.sampled_from(SLOPES),
+              st.sampled_from((-1.0, 0.0, 1.5))),
+    st.builds(_spec("triangle-bump", "height", "halfwidth"),
+              st.sampled_from((-2.0, -1.0, 0.5, 1.0, 2.0, 3.0)),
+              st.sampled_from((0.25, 0.5, 1.0, 2.0))),
+    st.builds(_spec("broken-plane-alpha", "u"),
+              st.sampled_from((0.0, 0.5, 1.0, 2.0))),
+    st.builds(_spec("constant", "value"), st.sampled_from((-1.0, 0.0, 0.7))),
+    st.builds(_spec("arctan", "scale"),
+              st.sampled_from((-3.0, -2.0, -0.5, 0.5, 2.0, 3.0))),
+)
+
+
+def _grid_slopes(profile):
+    """Difference quotients of the profile on the cells of `GRID`."""
+    return np.diff(np.asarray(profile(GRID), dtype=float)) * 64.0
+
+
+def _check_where_slope(spec, profile):
+    if spec.kind == "arctan":
+        s = profile.scale
+        assert profile.where_slope(s) == (0.0, 0.0)
+        h = 1e-6
+        assert (profile(h) - profile(-h)) / (2 * h) == pytest.approx(s)
+        for z in (-1e-2, 1e-2):
+            outside = (profile(z + h) - profile(z - h)) / (2 * h)
+            assert abs(outside - s) > 1e-6
+        return
+    cells = _grid_slopes(profile)
+    mid = GRID[:-1] + 1.0 / 128.0
+    for s in np.unique(cells.round(9)):
+        a, b = profile.where_slope(float(s))
+        inside = (mid > a) & (mid < b)
+        assert inside.any() and np.allclose(cells[inside], s, atol=1e-9)
+        # the run is the first one, and it is maximal on both sides
+        assert not np.any(np.isclose(cells[mid < a], s, atol=1e-9))
+        if math.isfinite(b):
+            assert not math.isclose(cells[np.searchsorted(mid, b)], s,
+                                    abs_tol=1e-9)
+
+
+def _expected_direction(profile, a, b):
+    z = GRID[(GRID >= a) & (GRID <= b)]
+    d = np.diff(np.asarray(profile(z), dtype=float))
+    return 1 if np.all(d > 0.0) else -1 if np.all(d <= 0.0) else 0
+
+
+def _check_tail_limits(profile):
+    lo, hi = profile.tail_limits()
+    for limit, z in ((lo, -1e15), (hi, 1e15)):
+        value = float(profile(z))
+        if math.isinf(limit):
+            assert math.copysign(1.0, value) == math.copysign(1.0, limit)
+            assert abs(value) > 1e14
+        else:
+            assert value == pytest.approx(limit, rel=1e-12, abs=1e-300)
+    return lo, hi
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(PROFILE_SPECS, st.sampled_from(ENDS), st.sampled_from(ENDS))
+@example(ProfileSpec("linear", {"slope": 2.0}), -math.inf, math.inf)
+@example(ProfileSpec("linear", {"slope": -2.0}), -1.0, 1.0)
+@example(ProfileSpec("arctan", {"scale": -2.0}), -math.inf, 0.0)
+# an interval that ends on a knot, where the next piece turns
+@example(ProfileSpec("triangle-bump", {"height": 1.0, "halfwidth": 1.0}),
+         -0.5, 0.0)
+@example(ProfileSpec("samples", {"points": [(0.0, 0.0), (1.0, 2.0),
+                                            (2.0, 2.0), (3.0, 0.0)],
+                                 "slope_left": -2.0, "slope_right": 2.0}),
+         0.25, 2.5)
+def test_profiles_answer_as_their_dense_evaluation_does(spec, a, b):
+    profile = spec.build()
+    _check_where_slope(spec, profile)
+    if a != b:
+        a, b = min(a, b), max(a, b)
+        assert profile.direction(a, b) == _expected_direction(profile, a, b)
+    lo, hi = _check_tail_limits(profile)
+    if _expected_direction(profile, -math.inf, math.inf) == -1:
+        report = scaling_limit(RuledEntireGraph(profile))
+        assert (report.kind == "plane") == (lo == hi)
 
 
 # ---------------------------------------------------------------------------
