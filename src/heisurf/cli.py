@@ -15,6 +15,7 @@ failed verdict's witness interval may be unbounded.  The exit codes:
     2   usage error (bad flags, malformed profile spec, bad preconditions)
     3   numeric failure (no quadrature convergence or bracketed root, a
         floating-point fault, a degenerate mesh, too few calibration lines)
+        or out of memory (a `MemoryError`, say from a large size flag)
 
 A numeric failure is an `ArithmeticError` (every numeric error class of the
 package subclasses it) or a floating-point `RuntimeWarning`.  Each handler
@@ -633,6 +634,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (ValueError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except MemoryError:
+        print("out of memory: lower --lines, --res or --x-res",
+              file=sys.stderr)
+        return EXIT_NUMERIC
 
 
 if __name__ == "__main__":  # pragma: no cover

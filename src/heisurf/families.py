@@ -14,8 +14,9 @@ Three constructions share this module:
   boundary pair and `sigma_rho_area` shows the area depends only on the
   endpoint data, which is what makes the minimizing filling non-unique.
   `sigma_rho_membership` extends a member to the slab |x| <= 1 with a
-  membership offset and, for every increasing ``rho``, the line cuts the
-  exact crossing census in `lines` reads.
+  closed-form membership offset, read off the horizontal chord through
+  each point, and, for every increasing ``rho``, the line cuts the exact
+  crossing census in `lines` reads.
 
 * **Competitor surfaces** (`build_competitor`): two spanning surfaces for
   the truncated broken-plane boundary from one sweep: horizontal segments
@@ -105,7 +106,7 @@ class RuledEntireGraph:
         """
         x = np.asarray(x, dtype=float)
         zp = np.asarray(zprime, dtype=float)
-        z_star = self.sigma_plus.solve(1.0, -0.5 * x * x, zp)
+        z_star = self.sigma_plus.solve(-0.5 * x * x, zp)
         x2 = x * x
         safe = np.where(x2 > 0.0, x2, 1.0)
         slope = np.where(x2 > 0.0, 2.0 * (z_star - zp) / safe,
@@ -195,9 +196,11 @@ def scaling_limit(graph: RuledEntireGraph,
     exact for PWL and arctan profiles, extrapolated at the edge of
     ``window`` for a closed-form one).  The rotation/opening pair
     ``(theta, u)`` follows from averaging/differencing the tail angles, and
-    equal limits give the plane u = 0.  When both limits are finite the
-    rescaled graph is evaluated on the probe points and compared against
-    the limit graph, giving one max-error entry per ``t``.
+    equal limits give the plane u = 0.  A limit at +inf above the one at
+    -inf (a closed-form profile that rises beyond the heights its
+    `Profile.direction` reads) raises `ProfileError`.  When both limits are
+    finite the rescaled graph is evaluated on the probe points and compared
+    against the limit graph, giving one max-error entry per ``t``.
     """
     ts = tuple(float(t) for t in t_grid)
     if not (ts and ts[0] > 0 and all(b > a for a, b in zip(ts, ts[1:]))):
@@ -209,6 +212,9 @@ def scaling_limit(graph: RuledEntireGraph,
             f"to about {reach:.3g} but only |z| <= {window:.3g} is trusted")
 
     slope_neg, slope_pos = graph.sigma_plus.tail_limits(window)
+    if slope_pos > slope_neg:
+        raise ProfileError(
+            "sigma_plus rises: its limit at +inf exceeds its limit at -inf")
     theta = (0.5 * (math.atan(slope_neg) + math.atan(slope_pos))) % math.pi
     u = (math.inf if math.isinf(slope_neg) and math.isinf(slope_pos)
          else _opening(slope_neg, slope_pos))
@@ -268,8 +274,8 @@ def sigma_rho_surface(rho: Profile, window: tuple[float, float]) -> RuledSurface
 class MembershipSlab:
     """Adapter exposing a membership offset over the slab |x| <= x_max.
 
-    Suitable for the line-crossing census: the offset is the signed y
-    distance to the surface sheet above/below the query point.
+    Suitable for the line-crossing census: the offset is zero on the
+    surface and its sign says on which side of the sheet a point lies.
     """
 
     fn: Callable[[np.ndarray], np.ndarray]
@@ -285,38 +291,39 @@ class MembershipSlab:
 def sigma_rho_membership(rho: Profile, window: tuple[float, float]) -> MembershipSlab:
     """Membership offset for the spanning surface, extended monotonically.
 
-    Inside the swept height range the offset is the signed y distance to
-    the chord through the query point's height; beyond the range the sweep
-    parameter is clamped, which extends the surface by translates of its
-    first/last chord.  The extension is still swept monotonically, so
-    crossing counts against it remain meaningful for the census.
+    The horizontal chords through a point (x, y, z) meet the left boundary
+    line at height M = P/Q and the right one at height R = U/V, with
+    P = y + 2z, Q = 2 (1 - x), U = 2z - y and V = 2 (1 + x).  The offset is
+    y - y_surf(w), with y_surf(w) = 2w - (x + 1)(w + rho(w)) the y of the
+    member's chord from w = clip(M, a, b) at abscissa x; no root is solved.
+    It is zero exactly on the sheet, which beyond the window goes on by
+    vertical translates of the first/last chord, and its sign says on
+    which side of the sheet a point lies.  Q is formed from min(x, 1), so
+    a reading one rounding step past x = 1 keeps the sign of M.  On the
+    right boundary line (x = 1, y = -2z) M is 0/0, and the offset is
+    y + 2 clip(z, rho(a), rho(b)).
 
-    The sweep parameter w of a point at abscissa x and height z solves
-    (1 - s) w + s rho(w) = z with s = (x + 1)/2, through `Profile.solve`:
-    exactly, piece by piece, for a PWL rho, by safeguarded Newton-bisection
-    for a closed-form one.
-
-    The slab has line cuts.  The horizontal chords through a point meet
-    the left boundary line at M = P/Q and the right one at R = U/V, with
-    P = y + 2z, Q = 2 (1 - x), U = 2z - y and V = 2 (1 + x).  Along a line
-    the four are affine in t, so M and R are Moebius with their poles at
-    the slab's edges, and M' = -D/Q^2 and R' = D/V^2 share the constant D.
-    Where a <= M <= b the offset has the sign of rho(M) - R, which is
+    The slab has line cuts.  Along a line P, Q, U and V are affine in t,
+    so M and R are Moebius with their poles at the slab's edges, and
+    M' = -D/Q^2 and R' = D/V^2 share the constant D.  Where a <= M <= b
+    the offset is (x + 1)(rho(M) - R), of the sign of rho(M) - R, which is
     monotone along the line for every increasing rho; where M < a (M > b)
-    it has the sign of the chord offset clamped at a (b), which is affine
-    in t.  So between the roots of the cuts P - a Q and P - b Q the offset
-    changes sign at most once.
+    it is the chord offset clamped at a (b), which is affine in t.  So
+    between the roots of the cuts P - a Q and P - b Q the offset changes
+    sign at most once.
     """
     a, b = _sweep_window(rho, *window)
+    rho_a, rho_b = float(rho(a)), float(rho(b))
 
     def offset(points):
         pts = np.asarray(points, dtype=float)
         x, y, z = pts[..., 0], pts[..., 1], pts[..., 2]
-        s = np.clip(0.5 * (x + 1.0), 0.0, 1.0)
-        w = rho.solve(1.0 - s, s, z, a, b)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            m = (y + 2.0 * z) / (2.0 * (1.0 - np.minimum(x, 1.0)))
+        w = np.clip(m, a, b)
         r = np.asarray(rho(w), dtype=float)
-        y_surf = 2.0 * w - (x + 1.0) * (w + r)
-        return y - y_surf
+        return np.where(np.isnan(m), y + 2.0 * np.clip(z, rho_a, rho_b),
+                        y - 2.0 * w + (x + 1.0) * (w + r))
 
     def cuts(x, y, z):
         p, q = y + 2.0 * z, 2.0 * (constant_poly(1.0) - x)

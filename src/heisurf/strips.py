@@ -95,10 +95,10 @@ _BRACKET_DOUBLINGS = 64
 _MAX_STEPS = 200
 
 
-def _flat_equation(p, q, c):
-    p, q, c = np.broadcast_arrays(*(np.asarray(a, dtype=float)
-                                    for a in (p, q, c)))
-    return p.ravel(), q.ravel(), c.ravel(), c.shape
+def _flat_equation(q, c):
+    q, c = np.broadcast_arrays(np.asarray(q, dtype=float),
+                               np.asarray(c, dtype=float))
+    return q.ravel(), c.ravel(), c.shape
 
 
 def _shaped(w: np.ndarray, shape):
@@ -125,14 +125,12 @@ class Profile:
     def derivative(self, w):  # pragma: no cover - abstract
         raise NotImplementedError
 
-    def solve(self, p, q, c, lo: float = -math.inf,
-              hi: float = math.inf):  # pragma: no cover - abstract
-        """The w in [lo, hi] with p w + q f(w) = c, for an increasing left side.
+    def solve(self, q, c):  # pragma: no cover - abstract
+        """The w with w + q f(w) = c, for an increasing left side.
 
-        ``p``, ``q`` and ``c`` broadcast against each other; the result has
-        their common shape.  Where the left side stays above (below) ``c`` on
-        the whole interval the result is ``lo`` (``hi``).  An unbounded end
-        with no root toward it raises `SolverError`.
+        ``q`` and ``c`` broadcast against each other; the result has their
+        common shape.  A left side that does not reach ``c`` raises
+        `SolverError`.
         """
         raise NotImplementedError
 
@@ -221,31 +219,27 @@ class PwlProfile(Profile):
         out = self.piece_slopes()[idx]
         return out if out.ndim else float(out)
 
-    def solve(self, p, q, c, lo: float = -math.inf, hi: float = math.inf):
-        """Exact root of p w + q f(w) = c, one affine equation per point.
+    def solve(self, q, c):
+        """Exact root of w + q f(w) = c, one affine equation per point.
 
         The left side is affine between knots, so each point's piece is found
-        by counting the knots inside (lo, hi) where the left side is still at
-        most ``c``; the affine equation of that piece is then solved and the
-        root kept inside the piece, which also clamps to ``lo``/``hi``.
+        by counting the knots where the left side is still at most ``c``; the
+        affine equation of that piece is then solved and the root kept inside
+        the piece.
         """
-        p, q, c, shape = _flat_equation(p, q, c)
-        lo, hi = float(lo), float(hi)
-        first = int(np.searchsorted(self.w, lo, side="right"))
-        last = int(np.searchsorted(self.w, hi, side="left"))
+        q, c, shape = _flat_equation(q, c)
         k = np.zeros(c.shape, dtype=np.intp)
-        for wk, vk in zip(self.w[first:last], self.v[first:last]):
-            k += p * wk + q * vk <= c
-        edges = np.concatenate([[lo], self.w[first:last], [hi]])
+        for wk, vk in zip(self.w, self.v):
+            k += wk + q * vk <= c
+        edges = np.concatenate([[-math.inf], self.w, [math.inf]])
         left, right = edges[k], edges[k + 1]
-        piece = first + k
-        anchor = np.minimum(piece, len(self.w) - 1)
+        anchor = np.minimum(k, len(self.w) - 1)
         wa, va = self.w[anchor], self.v[anchor]
-        rate = p + q * self.piece_slopes()[piece]
+        rate = 1.0 + q * self.piece_slopes()[k]
         if np.any(np.isinf(left - right) & ~(rate > 0)):
             raise SolverError("no root: the left side does not increase "
                               "without bound on an unbounded piece")
-        num = c - p * wa - q * va
+        num = c - wa - q * va
         step = np.divide(num, rate, out=np.where(num < 0, -np.inf, np.inf),
                          where=rate != 0)
         return _shaped(np.clip(wa + step, left, right), shape)
@@ -380,41 +374,25 @@ class CallableProfile(Profile):
         out = (self(w + h) - self(w - h)) / (2.0 * h)
         return out if np.ndim(out) else float(out)
 
-    def solve(self, p, q, c, lo: float = -math.inf, hi: float = math.inf):
-        """Root of p w + q f(w) = c by safeguarded Newton-bisection.
+    def solve(self, q, c):
+        """Root of w + q f(w) = c by safeguarded Newton-bisection.
 
-        A finite ``lo``/``hi`` is a bracket end as given; an infinite one is
-        found by doubling a step outward from ``c/p`` (or the finite end)
-        and raises `SolverError` after `_BRACKET_DOUBLINGS` doublings.
+        The bracket is found by doubling a step outward from ``c`` on each
+        side; `SolverError` is raised after `_BRACKET_DOUBLINGS` doublings.
         Inside the bracket a Newton step is taken when it stays inside and
         at most halves the previous step, else the bracket is bisected.  A
         point stops once its step is at the ulp level or its residual is at
-        the rounding level of p w and c (which includes a residual of 0).
+        the rounding level of w and c (which includes a residual of 0).
         """
-        p, q, c, shape = _flat_equation(p, q, c)
-        lo, hi = float(lo), float(hi)
+        q, c, shape = _flat_equation(q, c)
         eps = np.finfo(float).eps
 
         def g(w, i):
-            return p[i] * w + q[i] * np.asarray(self(w), dtype=float) - c[i]
+            return w + q[i] * np.asarray(self(w), dtype=float) - c[i]
 
-        n = c.size
-        idx = np.arange(n)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            guess = np.where(p != 0.0, c / p, 0.0)
-        guess = np.clip(np.nan_to_num(guess), lo, hi)
-        if math.isfinite(lo):
-            L = np.full(n, lo)
-            gL = g(L, idx)
-        else:
-            L, gL = _outward(g, idx, guess, -1.0)
-        if math.isfinite(hi):
-            H = np.full(n, hi)
-            gH = g(H, idx)
-        else:
-            H, gH = _outward(g, idx, guess, 1.0)
-        if np.isnan(gL).any() or np.isnan(gH).any():
-            raise SolverError("the equation is not finite at the bracket ends")
+        idx = np.arange(c.size)
+        L, gL = _outward(g, idx, c, -1.0)
+        H, gH = _outward(g, idx, c, 1.0)
         out = np.where(gL >= 0.0, L, H)
         act = np.flatnonzero((gL < 0.0) & (gH > 0.0))
         L, H, gL, gH = L[act], H[act], gL[act], gH[act]
@@ -431,13 +409,12 @@ class CallableProfile(Profile):
             if np.isnan(gw).any():
                 raise SolverError(
                     "the equation is not finite inside the bracket")
-            settled = np.abs(gw) <= 4.0 * eps * (np.abs(p[act] * w)
-                                                  + np.abs(c[act]))
+            settled = np.abs(gw) <= 4.0 * eps * (np.abs(w) + np.abs(c[act]))
             L = np.where(gw < 0.0, w, L)
             H = np.where(gw > 0.0, w, H)
             with np.errstate(divide="ignore", invalid="ignore"):
-                slope = p[act] + q[act] * np.asarray(self.derivative(w),
-                                                     dtype=float)
+                slope = 1.0 + q[act] * np.asarray(self.derivative(w),
+                                                  dtype=float)
                 newton = w - gw / slope
             take = ((newton > L) & (newton < H)
                     & (np.abs(newton - w) <= 0.5 * last))

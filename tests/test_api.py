@@ -1,6 +1,7 @@
 """Package surface: every export resolves and no module-level import is unused."""
 import ast
 import importlib
+import inspect
 import pathlib
 
 import pytest
@@ -121,6 +122,14 @@ def test_only_strips_tests_the_kind_of_a_profile():
              and PROFILE_KINDS & {name for arg in node.args[1:]
                                   for name in _names(arg)}]
     assert not found, found
+
+
+def test_every_profile_kind_solves_with_the_protocol_signature():
+    # a narrowing of `Profile.solve` that misses one override fails here
+    from heisurf.strips import CallableProfile, Profile, PwlProfile
+    want = inspect.signature(Profile.solve)
+    for cls in (PwlProfile, CallableProfile):
+        assert inspect.signature(cls.solve) == want, cls.__name__
 
 
 def _private_definitions(tree: ast.Module) -> list[tuple[str, int]]:

@@ -369,6 +369,19 @@ def test_unbracketed_root_exits_with_three(tmp_path, monkeypatch, capsys):
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
+def test_out_of_memory_exits_with_three(tmp_path, monkeypatch, capsys):
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr("heisurf.lines.sample_lines", exhausted)
+    assert run(tmp_path, "monotonicity", "--surface", "strip", "--profile",
+               "linear(0.5)", "--lines", "10") == 3
+    err = capsys.readouterr().err
+    assert err.startswith("out of memory: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert os.listdir(str(tmp_path)) == []
+
+
 @pytest.mark.parametrize("argv, text", [
     # a radius that meets no line, or every line, has no hit-fraction spread
     (("calibrate-lines", "--lines", "1"), "radius 1 met no line of 1"),

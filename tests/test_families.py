@@ -157,6 +157,15 @@ def test_increasing_profile_is_rejected():
         RuledEntireGraph(CallableProfile(lambda z: np.arctan(z)))
 
 
+def test_a_profile_rising_beyond_its_direction_reading_is_refused():
+    # direction reads an infinite end at +-64 and misses the rise past
+    # z = 100, which the tail limits read at the window's edge
+    graph = RuledEntireGraph(CallableProfile(
+        lambda z: -np.arctan(z) + np.where(z > 100, 0.01 * (z - 100), 0)))
+    with pytest.raises(ProfileError, match="rises"):
+        scaling_limit(graph)
+
+
 def test_window_too_small_for_dilations_raises():
     graph = RuledEntireGraph(step_profile(1.0))
     with pytest.raises(ValueError, match="window too small"):
@@ -297,7 +306,7 @@ def sweep_bisection(rho, s, z, lo, hi, steps=200):
     """200 halvings of [lo, hi] for the sweep equation (1-s) w + s rho(w) = z.
 
     The left side increases, so heights outside its range run into lo or
-    hi: the clamp the membership offset relies on.
+    hi: the first/last chord that extends the spanning surface.
     """
     s, z = np.broadcast_arrays(np.asarray(s, dtype=float),
                                np.asarray(z, dtype=float))
@@ -329,17 +338,46 @@ SWEEP_PWL = PwlProfile.from_knots([(-0.4, -0.1), (0.2, 0.5), (0.6, 0.55),
 ], ids=["pwl-inside", "pwl-edges", "pwl-left", "pwl-right", "pwl-wide",
         "id", "arctan(1)", "arctan(1)-wide", "exp(0.8)"])
 def test_sweep_parameter_solve_matches_bisection(rho, window):
+    # the offset is read off the chord through the point, with no solve;
+    # its sign must be the side of the sheet found from the bisected sweep
+    # parameter w_ref, the sign of y - y_surf(w_ref), and it must be 0
+    # exactly where that is 0 (to the bisection's rounding)
     rng = np.random.default_rng(5)
     a, b = window
-    s = np.concatenate([[0.0, 1.0], rng.uniform(0.0, 1.0, 3998)])
+    n = 4000
+    # ends of the slab, and readings one ulp past x = 1
+    x = np.concatenate([np.full(100, -1.0), np.full(100, 1.0),
+                        np.full(200, np.nextafter(1.0, 2.0)),
+                        rng.uniform(-1.0, 1.0, n - 400)])
     lo_h = min(float(rho(a)), a)
     hi_h = max(float(rho(b)), b)
     pad = 0.25 * (hi_h - lo_h) + 0.5
-    z = rng.uniform(lo_h - pad, hi_h + pad, 4000)
-    got = np.asarray(rho.solve(1.0 - s, s, z, a, b), dtype=float)
-    ref = sweep_bisection(rho, s, z, a, b)
-    assert np.max(np.abs(got - ref) / np.maximum(1.0, np.abs(ref))) <= 1e-12
-    assert np.any(got == a) and np.any(got == b)
+    z = rng.uniform(lo_h - pad, hi_h + pad, n)
+
+    def y_surf(x, z):
+        w_ref = sweep_bisection(rho, np.clip(0.5 * (x + 1.0), 0.0, 1.0), z,
+                                a, b)
+        return 2.0 * w_ref - (x + 1.0) * (w_ref + np.asarray(rho(w_ref)))
+
+    # points above and below the sheet, down to 1e-6 of the height range
+    scale = (hi_h - lo_h + 1.0) * 10.0 ** rng.uniform(-6.0, 0.0, n)
+    y = y_surf(x, z) + rng.choice([-1.0, 1.0], n) * scale
+    # on the right boundary line (1, -2z, z), inside and beyond the swept
+    # heights
+    ra, rb = float(rho(a)), float(rho(b))
+    edge = np.array([ra - 1.0, ra, 0.5 * (ra + rb), rb, rb + 1.0])
+    x = np.concatenate([x, np.ones(5)])
+    y = np.concatenate([y, -2.0 * edge])
+    z = np.concatenate([z, edge])
+    ref = y - y_surf(x, z)
+    ref = np.where(np.abs(ref) <= 1e-12 * (1.0 + np.abs(y)), 0.0, ref)
+    got = sigma_rho_membership(rho, window).membership_offset(
+        np.stack([x, y, z], axis=-1))
+    assert np.array_equal(np.sign(got), np.sign(ref))
+    assert np.count_nonzero(ref == 0.0) >= 3
+    # readings on both clamped chords and inside the window
+    m = (y + 2.0 * z)[x < 1.0] / (2.0 * (1.0 - x[x < 1.0]))
+    assert np.any(m < a) and np.any(m > b) and np.any((m > a) & (m < b))
 
 
 # recorded from the 60-step bisection the exact solvers replaced:

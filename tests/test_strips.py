@@ -301,7 +301,7 @@ def test_strip_rulings_are_horizontal_lines():
 
 def strip_graph(sigma, x, zp):
     """Graph function of a strip: x sigma(z) at the ruling height of (x, z')."""
-    return x * np.asarray(sigma(sigma.solve(1.0, -0.5 * x * x, zp)))
+    return x * np.asarray(sigma(sigma.solve(-0.5 * x * x, zp)))
 
 
 def test_graph_field_matches_closed_form():
@@ -328,26 +328,23 @@ def test_nongraphical_strip_refuses_graph_field():
     assert not strip.is_graphical()
     # z - x^2 sigma(z)/2 decreases at x = 1: no ruling height to solve for
     with pytest.raises(SolverError):
-        strip.sigma.solve(1.0, -0.5, 0.0)
+        strip.sigma.solve(-0.5, 0.0)
 
 
 # ---------------------------------------------------------------------------
 # the equation solver, against a plain bisection oracle
 
 
-def bisect_reference(f, p, q, c, lo, hi, steps=200):
-    """200 halvings of [lo, hi] for p w + q f(w) = c (left side increasing).
-
-    Where the left side keeps one sign the halvings run into lo or hi,
-    which is the clamp `Profile.solve` promises.
-    """
-    p, q, c = np.broadcast_arrays(*(np.asarray(a, dtype=float)
-                                    for a in (p, q, c)))
+def bisect_reference(f, q, c, lo, hi, steps=200):
+    """200 halvings of [lo, hi] for w + q f(w) = c (left side increasing,
+    root inside [lo, hi])."""
+    q, c = np.broadcast_arrays(np.asarray(q, dtype=float),
+                               np.asarray(c, dtype=float))
     a = np.full(c.shape, float(lo))
     b = np.full(c.shape, float(hi))
     for _ in range(steps):
         m = 0.5 * (a + b)
-        below = p * m + q * np.asarray(f(m), dtype=float) < c
+        below = m + q * np.asarray(f(m), dtype=float) < c
         a = np.where(below, m, a)
         b = np.where(below, b, m)
     return 0.5 * (a + b)
@@ -372,24 +369,23 @@ GRAPHICAL_PWL = PwlProfile.from_knots(
     (-1e3, 1e3),    # wide
 ])
 def test_pwl_solve_matches_bisection(window):
+    # heights around the window put the roots among, left of and right of
+    # the knots
     rng = np.random.default_rng(7)
     x = rng.uniform(-1.0, 1.0, 4000)
     lo, hi = window
     span = hi - lo
-    # heights reaching past both ends exercise the clamp
     zp = rng.uniform(lo - 0.5 * span - 1.0, hi + 0.5 * span + 1.0, 4000)
     q = -0.5 * x * x
-    got = GRAPHICAL_PWL.solve(1.0, q, zp, lo, hi)
-    assert_matches(got, bisect_reference(GRAPHICAL_PWL, 1.0, q, zp, lo, hi))
-    assert np.any(got == lo) and np.any(got == hi)
+    got = GRAPHICAL_PWL.solve(q, zp)
+    assert_matches(got, bisect_reference(GRAPHICAL_PWL, q, zp, -1e6, 1e6))
 
 
 def test_pwl_solve_is_exact_on_one_piece():
     line = PwlProfile.line(1.0)
-    assert line.solve(0.25, 0.75, 0.5, 0.0, 1.0) == 0.5
-    assert line.solve(0.25, 0.75, -2.0, 0.0, 1.0) == 0.0
-    assert line.solve(0.25, 0.75, 7.0, 0.0, 1.0) == 1.0
-    assert np.shape(line.solve(1.0, 0.0, np.zeros((2, 3)))) == (2, 3)
+    assert line.solve(0.5, 0.75) == 0.5
+    assert line.solve(-0.5, -2.0) == -4.0
+    assert np.shape(line.solve(0.0, np.zeros((2, 3)))) == (2, 3)
 
 
 @pytest.mark.parametrize("sigma, x_max", [
@@ -402,8 +398,8 @@ def test_unbounded_ruling_height_matches_bisection(sigma, x_max):
     rng = np.random.default_rng(11)
     x = rng.uniform(-x_max, x_max, 3000)
     zp = rng.uniform(-500.0, 500.0, 3000)
-    ref = bisect_reference(sigma, 1.0, -0.5 * x * x, zp, -1e6, 1e6)
-    got = sigma.solve(1.0, -0.5 * x * x, zp)
+    ref = bisect_reference(sigma, -0.5 * x * x, zp, -1e6, 1e6)
+    got = sigma.solve(-0.5 * x * x, zp)
     assert_matches(got, ref)
     residual = got - 0.5 * x * x * np.asarray(sigma(got)) - zp
     assert np.max(np.abs(residual) / np.maximum(1.0, np.abs(zp))) < 1e-12
@@ -414,12 +410,12 @@ def test_ruling_height_without_a_root_raises():
     bounded = CallableProfile(
         lambda z: 2.0 * z - 2.0 * np.arctan(z),
         dfn=lambda z: 2.0 - 2.0 / (1.0 + np.asarray(z) ** 2))
-    assert bounded.solve(1.0, -0.5, 1.0) == pytest.approx(math.tan(1.0))
+    assert bounded.solve(-0.5, 1.0) == pytest.approx(math.tan(1.0))
     with pytest.raises(SolverError):
-        bounded.solve(1.0, -0.5, np.array([0.0, 5.0, 1.0]))
+        bounded.solve(-0.5, np.array([0.0, 5.0, 1.0]))
     # slope 2 at x = 1: the left side is flat, no height solves it
     with pytest.raises(SolverError):
-        PwlProfile.line(2.0, 1.0).solve(1.0, -0.5, 0.0)
+        PwlProfile.line(2.0, 1.0).solve(-0.5, 0.0)
 
 
 # ---------------------------------------------------------------------------
