@@ -17,7 +17,9 @@ sigma-rho slab hand the census cuts along a batch of lines (`line_cuts`):
 polynomials in t of degree <= 2 between whose roots the offset changes
 sign at most once.  Reading the offset at the window's ends and beside
 each cut root counts their crossings exactly (`_cut_crossings`), and only
-the lines counted twice or more are bisected.  The scan (`_crossings`,
+the lines counted twice or more are bisected.  Each chunk of lines has its
+polynomials, cut roots and reading points built once, and the bisection
+gathers its bracket lines once, not once a step.  The scan (`_crossings`,
 behind `crossings`, `crossing_counts` and the census of any other
 closed-form surface) reads a grid over the window padded by 1e-3 and
 clamped to |t| <= 50, so crossings of near-steep lines beyond that are
@@ -208,24 +210,36 @@ def _near(t):
 
 def _line_points(theta, v, w, ts):
     """Points rot_theta(t, v, w - v t/2) at parameters ts (broadcast)."""
-    cos, sin = np.cos(theta), np.sin(theta)
-    return np.stack([ts * cos - v * sin, ts * sin + v * cos,
-                     w - 0.5 * v * ts], axis=-1)
+    return _points(np.cos(theta), np.sin(theta), v, w, ts)
+
+
+def _points(cos, sin, v, w, ts):
+    """`_line_points` of the lines whose direction is (cos, sin)."""
+    x = ts * cos - v * sin
+    out = np.empty(x.shape + (3,))
+    out[..., 0] = x
+    out[..., 1] = ts * sin + v * cos
+    out[..., 2] = w - 0.5 * v * ts
+    return out
 
 
 def _line_polys(theta, v, w):
-    """x, y and z along the lines as polynomials in t (strips' convention)."""
-    cos, sin, zero = np.cos(theta), np.sin(theta), np.zeros_like(theta)
-    return (np.stack([-v * sin, cos, zero], axis=-1),
-            np.stack([v * cos, sin, zero], axis=-1),
-            np.stack([w, -0.5 * v, zero], axis=-1))
+    """x, y and z along the lines as polynomials in t (strips' convention):
+    the slopes of x and y are cos theta and sin theta."""
+    cos, sin = np.cos(theta), np.sin(theta)
+    x, y, z = np.zeros((3,) + np.shape(theta) + (3,))
+    x[..., 0], x[..., 1] = -v * sin, cos
+    y[..., 0], y[..., 1] = v * cos, sin
+    z[..., 0], z[..., 1] = w, -0.5 * v
+    return x, y, z
 
 
 def _normalized(c):
     """Polynomials divided by their largest coefficient: same roots and
     signs, and no overflow in the discriminant."""
-    scale = np.max(np.abs(c), axis=-1, keepdims=True)
-    return c / np.where(scale > 0.0, scale, 1.0)
+    a = np.abs(c)
+    scale = np.maximum(np.maximum(a[..., 0], a[..., 1]), a[..., 2])
+    return c / np.where(scale > 0.0, scale, 1.0)[..., None]
 
 
 def _poly_roots(c):
@@ -236,10 +250,13 @@ def _poly_roots(c):
     constant none, and a double root is returned twice.
     """
     c0, c1, c2 = c[..., 0], c[..., 1], c[..., 2]
+    roots = np.empty(c.shape[:-1] + (2,))
     with np.errstate(divide="ignore", invalid="ignore"):
         q = -0.5 * (c1 + np.copysign(np.sqrt(c1 * c1 - 4.0 * c2 * c0), c1))
-        roots = np.stack([q / c2, np.where(q == 0.0, q / c2, c0 / q)], -1)
-    return np.where(np.isfinite(roots), roots, np.nan)
+        roots[..., 0] = q / c2
+        roots[..., 1] = np.where(q == 0.0, roots[..., 0], c0 / q)
+    roots[~np.isfinite(roots)] = np.nan
+    return roots
 
 
 def _window(x, x_max):
@@ -264,8 +281,9 @@ def _readings(lo, hi, roots):
     roots = np.sort(np.where(inside, roots, np.inf), axis=1)[:, :width]
     live = np.isfinite(roots)
     roots = np.where(live, roots, hi)
-    t = np.concatenate([lo, np.where(live, roots - _near(roots), lo),
-                        roots + _near(roots), hi], axis=1)
+    near = _near(roots)
+    t = np.concatenate([lo, np.where(live, roots - near, lo), roots + near,
+                        hi], axis=1)
     return np.sort(np.clip(t, lo, hi), axis=1)
 
 
@@ -286,6 +304,7 @@ def _sign_readings(surface, theta, v, w, n_scan=None):
     for start in range(0, len(theta), _CHUNK):
         sl = slice(start, start + _CHUNK)
         x, y, z = _line_polys(theta[sl], v[sl], w[sl])
+        cos, sin = x[:, 1:2], y[:, 1:2]
         lo, hi = _window(x, surface.x_max)
         if n_scan is None:
             roots = _poly_roots(_normalized(surface.line_cuts(x, y, z)))
@@ -295,8 +314,8 @@ def _sign_readings(surface, theta, v, w, n_scan=None):
             a, b = lo - 1e-3, hi + 1e-3
             grid = np.linspace(0.0, 1.0, n_scan) + 1.738e-9
             t = a[:, None] + (b - a)[:, None] * grid
-        F = np.asarray(surface.membership_offset(_line_points(
-            theta[sl, None], v[sl, None], w[sl, None], t)))
+        F = np.asarray(surface.membership_offset(
+            _points(cos, sin, v[sl, None], w[sl, None], t)))
         sign = np.sign(F)
         yield sl, (lo, hi), t, F, sign[:, :-1] * sign[:, 1:] < 0
 
@@ -305,14 +324,16 @@ def _bisect(offset_fn, theta, v, w, brackets, length):
     """Roots of the sign-change brackets (line, a, b, offset at a), in their
     order: all bisected together, one offset call per step, to
     max(1e-10, 1e-14 length) with ``length`` the window length of each line.
+    The direction and chart of each bracket's line are gathered once.
     """
     line, a, b, fa = map(np.concatenate, zip(*brackets))
     tol = np.maximum(1e-10, 1e-14 * length)[line]
+    cos, sin, v, w = np.cos(theta[line]), np.sin(theta[line]), v[line], w[line]
     live = np.nonzero(b - a > tol)[0]
     while live.size:
         m = 0.5 * (a[live] + b[live])
-        k = line[live]
-        fm = np.asarray(offset_fn(_line_points(theta[k], v[k], w[k], m)))
+        fm = np.asarray(offset_fn(
+            _points(cos[live], sin[live], v[live], w[live], m)))
         hit = fm == 0.0
         left = ~hit & ((fm < 0) == (fa[live] < 0))
         a[live] = np.where(left | hit, m, a[live])

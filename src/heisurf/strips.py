@@ -14,8 +14,9 @@ a whole w-interval to one height: the surface there is a fan of lines, not
 a graph over the axis, and the conversion refuses it.
 
 A strip is graphical (the ruling equation z - x^2 sigma(z)/2 = z' has a
-unique solution for every |x| <= x_max) when sigma's slopes lie in [-2, 2);
-such strips are area-minimizing.  The broken plane with opening u > 0 - the
+unique solution for every |x| <= x_max) when sigma's slopes lie in
+[-2/x_max^2, 2/x_max^2), [-2, 2) at x_max = 1; such strips are
+area-minimizing.  The broken plane with opening u > 0 - the
 half-planes {y = -ux, z > 0} and {y = ux, z < 0} joined by the flat sector
 {z = 0, |y| <= u|x|} - is the basic non-minimizing example: it carries
 horizontal chords whose endpoints lie on the surface but whose interior
@@ -584,14 +585,19 @@ def eta_of(alpha: PwlProfile) -> PwlProfile:
 def constant_poly(c) -> np.ndarray:
     """The constant polynomials c (any shape) as coefficient arrays."""
     c = np.asarray(c, dtype=float)
-    return np.stack([c, np.zeros_like(c), np.zeros_like(c)], axis=-1)
+    out = np.zeros(c.shape + (3,))
+    out[..., 0] = c
+    return out
 
 
 def affine_product(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Product of polynomials of degree <= 1, broadcast on leading axes."""
-    return np.stack([p[..., 0] * q[..., 0],
-                     p[..., 0] * q[..., 1] + p[..., 1] * q[..., 0],
-                     p[..., 1] * q[..., 1]], axis=-1)
+    first = p[..., 0] * q[..., 0]
+    out = np.empty(first.shape + (3,))
+    out[..., 0] = first
+    out[..., 1] = p[..., 0] * q[..., 1] + p[..., 1] * q[..., 0]
+    out[..., 2] = p[..., 1] * q[..., 1]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -620,8 +626,12 @@ class GraphicalStrip:
         where x and sigma'(z) x^2 - 2 keep their signs, and there the offset
         x (y/x - sigma(z)) changes sign at most once.  For sigma = k arctan
         the cuts are x and k x^2 - 2 (1 + z^2).  For a PWL sigma they are x,
-        z - z_j for each knot z_j, and m x^2 - 2 for each piece slope m > 0
-        (where m <= 0, m x^2 - 2 is negative).
+        z - z_j for each knot z_j, and m x^2 - 2 for each piece slope m
+        with m x_max^2 >= 2: elsewhere m x^2 - 2 is negative on the slab.
+        A turn cut is kept up to a margin in x of 1e-12 (x_max^2 + x0^2) /
+        x_max past the slab, with x0 the largest |x(0)| of the lines, which
+        rounding of the roots and of the windows' ends cannot cross: a
+        dropped cut has no computed root inside a window.
         """
         sigma = self.sigma
         if isinstance(sigma, ArctanProfile):
@@ -631,15 +641,27 @@ class GraphicalStrip:
         if not isinstance(sigma, PwlProfile):
             return None
         m = np.unique(sigma.piece_slopes())
-        turn = (m[m > 0.0, None] * affine_product(x, x)[:, None, :]
+        x0 = np.max(np.abs(x[:, 0]), initial=0.0)
+        reach = self.x_max + 1e-12 * (self.x_max ** 2 + x0 ** 2) / self.x_max
+        m = m[m * reach ** 2 >= 2.0]
+        turn = (m[:, None] * affine_product(x, x)[:, None, :]
                 - constant_poly(2.0))
         return np.concatenate([x[:, None, :],
                                z[:, None, :] - constant_poly(sigma.w), turn],
                               axis=1)
 
     def is_graphical(self) -> bool:
-        """Do sigma's slopes lie in [-2, 2), down to `_SLOPE_EPS` below -2?"""
-        return not any(slope_rule_breaks(*self.sigma.slope_bounds()))
+        """Do sigma's slopes lie in [-2/x_max^2, 2/x_max^2), down to
+        `_SLOPE_EPS` / x_max^2 below the floor?
+
+        The dilation (x, y, z) -> (k x, k y, k^2 z) maps the strip of
+        sigma(z) on |x| < 1 to the strip of sigma(z / k^2) on |x| < k, so
+        x_max^2 times sigma's slopes obey the rule at half-width 1
+        (`slope_rule_breaks`).
+        """
+        k = self.x_max * self.x_max
+        lo, hi = self.sigma.slope_bounds()
+        return not any(slope_rule_breaks(k * lo, k * hi))
 
 
 @dataclass(frozen=True)

@@ -765,9 +765,10 @@ PINNED_RUNS = {
 }
 
 
-#: Outputs of the broken-plane graph function (the fan vertices of an OBJ)
-#: and of the sigma-rho window check (a census of each kind of rho), pinned
-#: the same way.
+#: Outputs of the broken-plane graph function (the fan vertices of an OBJ),
+#: of the sigma-rho window check (a census of each kind of rho) and of the
+#: exact census kernel (the strip and broken-plane censuses of the bench's
+#: `census` workload at seed 3), pinned the same way.
 GUARD_RUNS = {
     ("export-obj", "--surface", "broken-plane", "--u", "1", "--window",
      "-1,1", "--res", "40"): (
@@ -787,6 +788,25 @@ GUARD_RUNS = {
            "violations=0",
         {"monotonicity.json": "44f654183bd04ee32b0d0e66ef2c0fdbc"
                               "5af8431b58c0962df5ee6555cbf27ef"}),
+    ("monotonicity", "--lines", "2000", "--seed", "3", "--surface", "strip",
+     "--profile", "samples(-2,-0.524071,-1,-0.391383,0,-0.781518,1,"
+                  "-0.469757,2,-0.092597)"): (
+        0, "monotonicity: PASS surface=strip lines=2000 max-crossings=1 "
+           "violations=0",
+        {"monotonicity.json": "2d563838b6a6d30d733398a2a644d6f2"
+                              "33165634f7e6512bfce26141021a35a7"}),
+    ("monotonicity", "--lines", "2000", "--seed", "3", "--surface", "strip",
+     "--profile", "arctan(-1)"): (
+        0, "monotonicity: PASS surface=strip lines=2000 max-crossings=1 "
+           "violations=0",
+        {"monotonicity.json": "d599ffc5e0fac2151e507c0a6b45cf56"
+                              "9f404b7917eba6e50204c2cce9d2db35"}),
+    ("monotonicity", "--lines", "2000", "--seed", "3", "--surface",
+     "broken-plane", "--u", "1"): (
+        1, "monotonicity: FAIL surface=broken-plane lines=2000 "
+           "max-crossings=2 violations=8",
+        {"monotonicity.json": "6946c42388fdc17c403843e61c767cc3"
+                              "86770816160cca70d517901fb883b0d6"}),
 }
 
 
@@ -808,7 +828,8 @@ def test_artifact_bytes_are_pinned(tmp_path, monkeypatch, capsys, argv):
 
 @pytest.mark.parametrize("argv", list(GUARD_RUNS),
                          ids=["broken-plane-obj", "sigma-rho-arctan",
-                              "sigma-rho-id"])
+                              "sigma-rho-id", "census-pwl-strip",
+                              "census-arctan-strip", "census-broken-plane"])
 def test_shared_rule_outputs_are_pinned(tmp_path, monkeypatch, capsys, argv):
     _assert_pinned(tmp_path, monkeypatch, capsys, argv, GUARD_RUNS)
 

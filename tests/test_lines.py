@@ -17,6 +17,7 @@ from heisurf.lines import (
     _line_points,
     _line_polys,
     _merge,
+    _normalized,
     _poly_roots,
     _window,
     box_volume,
@@ -29,7 +30,8 @@ from heisurf.lines import (
     sample_lines,
 )
 from heisurf.strips import (ArctanProfile, BrokenPlane, CallableProfile,
-                            PwlProfile, broken_plane, strip_surface)
+                            PwlProfile, affine_product, broken_plane,
+                            constant_poly, is_area_minimizing, strip_surface)
 
 RNG = np.random.default_rng(7)
 
@@ -169,6 +171,24 @@ def test_graphical_strips_meet_lines_at_most_once():
             assert crossings(strip, line, n_scan=600).count <= 1
 
 
+@pytest.mark.parametrize("sigma, x_max, graphical", [
+    (ArctanProfile(-1.0), 1.3, True),
+    (ArctanProfile(-1.0), 1.5, False),
+    (PwlProfile.line(1.5), 1.0, True),
+    (PwlProfile.line(1.5), 1.3, False),
+])
+def test_the_slope_rule_at_a_half_width_is_the_census_verdict(sigma, x_max,
+                                                              graphical):
+    # by dilation the rule at half-width x_max is [-2/x_max^2, 2/x_max^2):
+    # arctan(-1) breaks it past sqrt(2), linear(1.5) past sqrt(4/3)
+    strip = strip_surface(sigma, x_max=x_max)
+    assert strip.is_graphical() is is_area_minimizing(strip) is graphical
+    report = monotonicity_check(strip, n=100_000, seed=3)
+    assert report.count_method == "exact"
+    assert report.passed is graphical
+    assert len(report.violations) == (0 if graphical else 8)
+
+
 def test_bulk_counts_match_scalar_counts():
     bp = broken_plane(1.0, x_max=1.0)
     theta, v, w = sample_lines(1.2, 120, seed=21)
@@ -290,6 +310,83 @@ def test_scan_outputs_are_unchanged_on_near_steep_lines(surface, digest):
                   degenerate.astype(bool), bulk.astype(np.int64)):
         sha.update(array.tobytes())
     assert sha.hexdigest() == digest
+
+
+# sha256 of the exact kernel's counts, roots and degenerate flags
+# (`_cut_crossings`) on the probe lines, recorded before the kernel built
+# each chunk's reading points once and dropped the turn cuts beyond the slab
+@pytest.mark.parametrize("surface, digest", [
+    # positive slopes 0.3, 1.5 and 1.9, all below 2 / x_max^2 = 2
+    (strip_surface(PwlProfile.from_knots([(-1, 0.5), (0, -0.5), (1, 1.0)],
+                                         0.3, 1.9)),
+     "58995922b4eae1429015521e9585c9b6bc28fc587881b93d8cc7e2e7d1f8831a"),
+    # of the positive slopes 0.3, 0.4 and 0.8 only 0.8 reaches 2 / 2^2
+    (strip_surface(PwlProfile.from_knots([(-1, 0.5), (0, -0.5), (1, -0.1)],
+                                         0.3, 0.8), x_max=2.0),
+     "f796d488a88265bdf65aad2b5d6882cf82b0727b5374b46d8170d9b8ec808f50"),
+    (strip_surface(ArctanProfile(8.0), x_max=2.0),
+     "bc8590245350654fdf5660bbfe703070d9c70bf230bd2673da9379f6d973286b"),
+    (broken_plane(1.0),
+     "f96970dd53cc78e2099c45d941bb9b6eec0e885e9f74f807071490aacefe5329"),
+    (sigma_rho_membership(ArctanProfile(5.0), (-1e3, 1e3)),
+     "052a03f08ad8417880989cc06e857ec7b6ea80fb4bbab2ea4c9276ea70fa4c50"),
+])
+def test_exact_outputs_are_unchanged_on_the_probe_lines(surface, digest):
+    theta, v, w = _scan_probe_lines()
+    counts, roots, degenerate = _cut_crossings(surface, theta, v, w)
+    sha = hashlib.sha256()
+    for array in (counts.astype(np.int64), roots.astype(np.float64),
+                  degenerate.astype(bool)):
+        sha.update(array.tobytes())
+    assert sha.hexdigest() == digest
+
+
+def _all_turn_cuts(strip):
+    """The PWL strip with a turn cut m x^2 - 2 for every slope m > 0."""
+    sigma = strip.sigma
+
+    def cuts(x, y, z):
+        m = np.unique(sigma.piece_slopes())
+        turn = (m[m > 0.0, None] * affine_product(x, x)[:, None, :]
+                - constant_poly(2.0))
+        return np.concatenate([x[:, None, :],
+                               z[:, None, :] - constant_poly(sigma.w), turn],
+                              axis=1)
+    return MembershipSlab(strip.membership_offset, strip.x_max, cuts)
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(st.sampled_from((0.5, 1.0, 2.0)),
+       st.lists(st.floats(-1.0, 1.0), min_size=2, max_size=4),
+       st.floats(-1.0, 1.0), st.integers(0, 2**16))
+def test_dropped_turn_cuts_leave_the_exact_counts_unchanged(x_max, offsets,
+                                                            value, seed):
+    # every slope lies within 1e-9 of 2 / x_max^2, where the turn cuts'
+    # roots lie next to the windows' ends: the cuts of the slopes below it
+    # are dropped, none with a computed root inside a window, and the
+    # counts, roots and degenerate flags are those of the whole cut set
+    slopes = 2.0 / x_max ** 2 + 1e-9 * np.asarray(offsets)
+    w = 0.5 * np.arange(len(slopes) - 1.0) - 0.25 * (len(slopes) - 2)
+    v = value + np.concatenate([[0.0], np.cumsum(slopes[1:-1] * 0.5)])
+    strip = strip_surface(PwlProfile(w, v, slopes[0], slopes[-1]),
+                          x_max=x_max)
+    theta, v, w = sample_lines(1.5, 400, seed)
+    x, y, z = _line_polys(theta, v, w)
+    full = _all_turn_cuts(strip)
+    every, cuts = full.line_cuts(x, y, z), strip.line_cuts(x, y, z)
+    dropped = np.array([not any(np.array_equal(c, k)
+                                for k in cuts.swapaxes(0, 1))
+                        for c in every.swapaxes(0, 1)])
+    m = np.unique(strip.sigma.piece_slopes())
+    below = m * x_max ** 2 < 2.0 * (1.0 - 1e-10)
+    assert np.count_nonzero(dropped) >= np.count_nonzero(below)
+    roots = _poly_roots(_normalized(every[:, dropped]))
+    lo, hi = _window(x, x_max)
+    inside = (roots > lo[:, None, None]) & (roots < hi[:, None, None])
+    assert not inside.any()
+    pruned = _cut_crossings(strip, theta, v, w)
+    for got, want in zip(pruned, _cut_crossings(full, theta, v, w)):
+        assert np.array_equal(got, want)
 
 
 # ---------------------------------------------------------------------------

@@ -456,6 +456,18 @@ def test_minimality_classification():
         is_area_minimizing(object())
 
 
+@pytest.mark.parametrize("slope, graphical", [
+    (-8.0, True), (-8.0000000039, True), (-8.1, False),
+    (7.999999, True), (8.0, False),
+])
+def test_the_slope_rule_at_half_width_one_half_is_four_times_wider(
+        slope, graphical):
+    # at half-width x_max the rule is [-2/x_max^2, 2/x_max^2), with the
+    # tolerance below the floor scaled alike
+    strip = strip_surface(PwlProfile.line(slope), x_max=0.5)
+    assert strip.is_graphical() is is_area_minimizing(strip) is graphical
+
+
 def test_strip_surface_from_alpha_profile():
     strip = strip_surface(PwlProfile.line(2.0), kind="alpha")
     assert float(strip.sigma(3.0)) == pytest.approx(3.0)
