@@ -13,7 +13,7 @@ failed verdict's witness interval may be unbounded.  The exit codes:
     0   verdict true / computation succeeded
     1   verdict false (the checked property fails)
     2   usage error (bad flags, malformed profile spec, bad preconditions)
-    3   numeric failure (no quadrature convergence or bracketed root, a
+    3   numeric failure (no quadrature convergence, a `SolverError`, a
         floating-point fault, a degenerate mesh, too few calibration lines)
         or out of memory (a `MemoryError`, say from a large size flag)
 

@@ -16,15 +16,15 @@ pairs.  The strip of a PWL or arctan profile, a broken plane and a
 sigma-rho slab hand the census cuts along a batch of lines (`line_cuts`):
 polynomials in t of degree <= 2 between whose roots the offset changes
 sign at most once.  Reading the offset at the window's ends and beside
-each cut root counts their crossings exactly (`_cut_crossings`), and only
-the lines counted twice or more are bisected.  Each chunk of lines has its
-polynomials, cut roots and reading points built once, and the bisection
-gathers its bracket lines once, not once a step.  The scan (`_crossings`,
-behind `crossings`, `crossing_counts` and the census of any other
-closed-form surface) reads a grid over the window padded by 1e-3 and
-clamped to |t| <= 50, so crossings of near-steep lines beyond that are
-missed.  Both see only transversal intersections, and both read the
-same three members of a surface: `membership_offset`, `x_max` and
+each cut root counts their crossings exactly (`_count_crossings` with
+``least=2``), and only the lines counted twice or more are bisected.
+Each chunk of lines has its polynomials, cut roots and reading points
+built once, and the bisection gathers its bracket lines once, not once a
+step.  The scan (behind `crossings`, `crossing_counts` and the census of
+any other closed-form surface) reads a grid over the window padded by
+1e-3 and clamped to |t| <= 50, so crossings of near-steep lines beyond
+that are missed.  Both see only transversal intersections, and both read
+the same three members of a surface: `membership_offset`, `x_max` and
 `line_cuts` (None where it has none).
 A graphical strip with slopes in [-2, 2) meets almost every horizontal
 line at most once; surfaces carrying a horizontal shortcut chord are met
@@ -66,11 +66,6 @@ class LineSample:
     theta: float
     v: float
     w: float
-
-    def points_at(self, ts) -> np.ndarray:
-        """Points of this line at parameters ts (`_line_points`)."""
-        return _line_points(self.theta, self.v, self.w,
-                            np.asarray(ts, dtype=float))
 
 
 # ---------------------------------------------------------------------------
@@ -208,13 +203,9 @@ def _near(t):
     return _NEAR * np.maximum(1.0, np.abs(t))
 
 
-def _line_points(theta, v, w, ts):
-    """Points rot_theta(t, v, w - v t/2) at parameters ts (broadcast)."""
-    return _points(np.cos(theta), np.sin(theta), v, w, ts)
-
-
 def _points(cos, sin, v, w, ts):
-    """`_line_points` of the lines whose direction is (cos, sin)."""
+    """Points rot_theta(t, v, w - v t/2) at parameters ts (broadcast) of
+    the lines whose direction (cos theta, sin theta) is (cos, sin)."""
     x = ts * cos - v * sin
     out = np.empty(x.shape + (3,))
     out[..., 0] = x
@@ -392,17 +383,6 @@ def _count_crossings(surface, theta, v, w, n_scan=None, least=1):
     return counts, roots[np.repeat(merged >= least, merged)], degenerate
 
 
-def _crossings(surface, theta, v, w, n_scan):
-    """`_count_crossings` by a scan at n_scan points per line."""
-    return _count_crossings(surface, theta, v, w, n_scan)
-
-
-def _cut_crossings(surface, theta, v, w):
-    """`_count_crossings` read exactly beside a surface's cuts
-    (`line_cuts`); only the lines counted twice or more are bisected."""
-    return _count_crossings(surface, theta, v, w, least=2)
-
-
 class LineCrossings(NamedTuple):
     count: int
     roots: tuple[float, ...]
@@ -418,7 +398,7 @@ def crossings(surface, line: LineSample,
     roots bisected to 1e-10, and closer than 1e-8 merged, flagging the
     line degenerate (a grazing contact).
     """
-    count, roots, degenerate = _crossings(
+    count, roots, degenerate = _count_crossings(
         surface, *np.array([[line.theta], [line.v], [line.w]]), n_scan)
     return LineCrossings(int(count[0]), tuple(roots.tolist()),
                          bool(degenerate[0]))
@@ -474,14 +454,14 @@ def monotonicity_check(surface, radius: float = 1.5, n: int = 400,
     surface with a membership offset.  A surface with line cuts (a strip
     of a PWL or arctan profile, a broken plane, a sigma-rho slab) is
     counted exactly over |x| <= x_max from the offset's signs beside its
-    cuts (`_cut_crossings`, count method "exact").  Otherwise (the strip
-    of a closed-form sigma other than arctan, or a surface with no line
-    cuts) `crossing_counts` scans every line at 400 points, and the lines
-    it counts once or more are re-counted by one kernel call at 800
-    points, which drops the sign changes outside the line's window (count
-    method "scan").  Lines still crossing twice are the
-    witnesses; the first 8 are reported.  Grazing contacts are merged away
-    and never counted as violations.
+    cuts (`_count_crossings` with ``least=2``, count method "exact").
+    Otherwise (the strip of a closed-form sigma other than arctan, or a
+    surface with no line cuts) `crossing_counts` scans every line at 400
+    points, and the lines it counts once or more are re-counted by one
+    kernel call at 800 points, which drops the sign changes outside the
+    line's window (count method "scan").  Lines still crossing twice are
+    the witnesses; only the first 8 are built and reported.  Grazing
+    contacts are merged away and never counted as violations.
     """
     if isinstance(surface, Profile):
         surface = strip_surface(surface)
@@ -489,20 +469,21 @@ def monotonicity_check(surface, radius: float = 1.5, n: int = 400,
     if surface.line_cuts(*_line_polys(theta[:1], v[:1], w[:1])) is None:
         counts = crossing_counts(surface, theta, v, w, n_scan=_CENSUS_SCAN)
         crossed = np.nonzero(counts > 0)[0]
-        refined, roots, degenerate = _crossings(
+        refined, roots, degenerate = _count_crossings(
             surface, theta[crossed], v[crossed], w[crossed], _CENSUS_RECOUNT)
         counts[crossed] = refined
         roots = roots[np.repeat(refined > 1, refined)]
         method = "scan"
     else:
-        counts, roots, degenerate = _cut_crossings(surface, theta, v, w)
+        counts, roots, degenerate = _count_crossings(surface, theta, v, w,
+                                                     least=2)
         method = "exact"
     bins, sizes = np.unique(counts, return_counts=True)
-    multi = np.nonzero(counts > 1)[0]
-    per_line = np.split(roots, np.cumsum(counts[multi])[:-1])
+    multi = np.nonzero(counts > 1)[0][:_WITNESSES]
+    per_line = np.split(roots, np.cumsum(counts[multi]))
     bad = tuple((LineSample(float(theta[i]), float(v[i]), float(w[i])),
                  tuple(r.tolist()))
                 for i, r in zip(multi, per_line))
     return CrossingReport(n, seed, radius,
                           dict(zip(bins.tolist(), sizes.tolist())),
-                          bad[:_WITNESSES], int(np.sum(degenerate)), method)
+                          bad, int(np.sum(degenerate)), method)

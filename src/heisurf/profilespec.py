@@ -50,18 +50,18 @@ class ProfileSpecError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# builders
+# builders; each kind's defaults are declared once, in `_KINDS`
 
 
-def _build_constant(value: float = 0.0) -> Profile:
+def _build_constant(value: float) -> Profile:
     return PwlProfile.constant(value)
 
 
-def _build_linear(slope: float = 1.0, intercept: float = 0.0) -> Profile:
+def _build_linear(slope: float, intercept: float) -> Profile:
     return PwlProfile.line(slope, intercept)
 
 
-def _build_broken_plane_alpha(u: float = 1.0) -> Profile:
+def _build_broken_plane_alpha(u: float) -> Profile:
     if u < 0.0:
         raise ProfileSpecError("broken-plane-alpha needs a nonnegative opening")
     if u == 0.0:
@@ -69,22 +69,21 @@ def _build_broken_plane_alpha(u: float = 1.0) -> Profile:
     return PwlProfile.from_knots([(-0.5 * u, u), (0.5 * u, -u)])
 
 
-def _build_arctan(scale: float = 1.0) -> Profile:
+def _build_arctan(scale: float) -> Profile:
     s = float(scale)
     if s == 0.0:
         return PwlProfile.constant(0.0)
     return ArctanProfile(s)
 
 
-def _build_triangle_bump(height: float = 1.0, halfwidth: float = 1.0) -> Profile:
+def _build_triangle_bump(height: float, halfwidth: float) -> Profile:
     if not halfwidth > 0.0:
         raise ProfileSpecError("triangle-bump needs a positive halfwidth")
     return PwlProfile.from_knots([(-halfwidth, 0.0), (0.0, height),
                                   (halfwidth, 0.0)])
 
 
-def _build_samples(points, slope_left: float = 0.0,
-                   slope_right: float = 0.0) -> Profile:
+def _build_samples(points, slope_left: float, slope_right: float) -> Profile:
     pts = [(float(w), float(v)) for w, v in points]
     return PwlProfile.from_knots(pts, slope_left, slope_right)
 

@@ -67,7 +67,8 @@ class ProfileError(ValueError):
 
 
 class SolverError(ArithmeticError):
-    """An equation handed to `Profile.solve` has no root it can reach."""
+    """No root to be had: an equation outside `Profile.solve`'s contract,
+    or a competitor sweep whose exit height is not finite."""
 
 
 #: One slope rule per chart: the lowest admissible slope (a slope up to
@@ -88,11 +89,10 @@ def slope_rule_breaks(lo: float, hi: float,
     return not lo >= floor - _SLOPE_EPS, not hi < ceiling
 
 
-#: Doublings of the search step before an unbounded root counts as missing.
-_BRACKET_DOUBLINGS = 64
 #: Safeguarded Newton steps allowed per point before `SolverError`; points
 #: that converge need a handful (a Newton step is taken only when it at
-#: most halves the step before it, a bisection halves the bracket).
+#: most halves the step before it, a bisection halves the floats in the
+#: bracket, so 64 of them reach adjacent floats).
 _MAX_STEPS = 200
 
 
@@ -100,6 +100,16 @@ def _flat_equation(q, c):
     q, c = np.broadcast_arrays(np.asarray(q, dtype=float),
                                np.asarray(c, dtype=float))
     return q.ravel(), c.ravel(), c.shape
+
+
+def _float_mid(a, b):
+    """The float halfway between a and b in the order of the floats (by
+    their int64 images, negative floats mirrored)."""
+    mag = np.iinfo(np.int64).max
+    ka, kb = (k ^ ((k >> 63) & mag) for k in (a.view(np.int64),
+                                               b.view(np.int64)))
+    mid = (ka >> 1) + (kb >> 1) + (ka & kb & 1)
+    return (mid ^ ((mid >> 63) & mag)).view(float)
 
 
 def _shaped(w: np.ndarray, shape):
@@ -127,11 +137,13 @@ class Profile:
         raise NotImplementedError
 
     def solve(self, q, c):  # pragma: no cover - abstract
-        """The w with w + q f(w) = c, for an increasing left side.
+        """The w with w + q f(w) = c, for q <= 0 and a non-increasing f.
 
-        ``q`` and ``c`` broadcast against each other; the result has their
-        common shape.  A left side that does not reach ``c`` raises
-        `SolverError`.
+        This is `RuledEntireGraph`'s ruling-height equation, q = -x^2/2.
+        Its left side minus c, g, rises at least as fast as w, so the root
+        is unique and within |g(c)| = |q f(c)| of ``c``.  ``q`` and ``c``
+        broadcast; the result has their common shape.  An equation outside
+        this contract may raise `SolverError`.
         """
         raise NotImplementedError
 
@@ -378,12 +390,15 @@ class CallableProfile(Profile):
     def solve(self, q, c):
         """Root of w + q f(w) = c by safeguarded Newton-bisection.
 
-        The bracket is found by doubling a step outward from ``c`` on each
-        side; `SolverError` is raised after `_BRACKET_DOUBLINGS` doublings.
-        Inside the bracket a Newton step is taken when it stays inside and
-        at most halves the previous step, else the bracket is bisected.  A
-        point stops once its step is at the ulp level or its residual is at
-        the rounding level of w and c (which includes a residual of 0).
+        The bracket is the contract's [c - r, c + r], r = |q f(c)| widened
+        by 4 eps (r + |c|); an end on the wrong side (a rising profile, or
+        a left side not finite there) raises `SolverError`.  A Newton step
+        is taken when it stays inside and at most halves the previous step,
+        else the bracket is bisected in the order of the floats
+        (`_float_mid`), which reaches adjacent floats within 64 halvings
+        even where r is orders of magnitude above the root's distance
+        from c (arctan(-1e30)).  A point stops once its step is at the ulp
+        of the root or its residual at the rounding level of w and c.
         """
         q, c, shape = _flat_equation(q, c)
         eps = np.finfo(float).eps
@@ -392,17 +407,24 @@ class CallableProfile(Profile):
             return w + q[i] * np.asarray(self(w), dtype=float) - c[i]
 
         idx = np.arange(c.size)
-        L, gL = _outward(g, idx, c, -1.0)
-        H, gH = _outward(g, idx, c, 1.0)
+        r = np.abs(q * np.asarray(self(c), dtype=float))
+        r = r + 4.0 * eps * (r + np.abs(c))
+        L, H = c - r, c + r
+        gL, gH = g(L, idx), g(H, idx)
+        wrong = ~((gL <= 0.0) & (gH >= 0.0))
+        if wrong.any():
+            raise SolverError(
+                f"no root within |q f(c)| of c = {float(c[wrong][0])!r}: "
+                "the profile rises or the equation is not finite there")
         out = np.where(gL >= 0.0, L, H)
         act = np.flatnonzero((gL < 0.0) & (gH > 0.0))
         L, H, gL, gH = L[act], H[act], gL[act], gH[act]
-        with np.errstate(divide="ignore", invalid="ignore"):
+        # the first step and the Newton steps may overflow or divide by zero
+        # where the bracket is wide; a step that leaves it is a bisection
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             w = L - gL * (H - L) / (gH - gL)
-        w = np.where((w > L) & (w < H), w, 0.5 * (L + H))
+        w = np.where((w > L) & (w < H), w, _float_mid(L, H))
         last = H - L
-        # steps stop at the ulp of the root, or of eps * bracket near w = 0
-        floor = eps * last
         for _ in range(_MAX_STEPS):
             if not act.size:
                 break
@@ -413,20 +435,19 @@ class CallableProfile(Profile):
             settled = np.abs(gw) <= 4.0 * eps * (np.abs(w) + np.abs(c[act]))
             L = np.where(gw < 0.0, w, L)
             H = np.where(gw > 0.0, w, H)
-            with np.errstate(divide="ignore", invalid="ignore"):
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
                 slope = 1.0 + q[act] * np.asarray(self.derivative(w),
                                                   dtype=float)
                 newton = w - gw / slope
             take = ((newton > L) & (newton < H)
                     & (np.abs(newton - w) <= 0.5 * last))
-            nxt = np.where(take, newton, 0.5 * (L + H))
+            nxt = np.where(take, newton, _float_mid(L, H))
             last = np.abs(nxt - w)
-            ulp = np.spacing(np.maximum(np.abs(nxt), floor))
-            done = settled | (last <= 2.0 * ulp)
+            done = settled | (last <= 2.0 * np.spacing(np.abs(nxt)))
             out[act[done]] = np.where(settled, w, nxt)[done]
             keep = ~done
             act, w, L, H = act[keep], nxt[keep], L[keep], H[keep]
-            last, floor = last[keep], floor[keep]
+            last = last[keep]
         if act.size:
             raise SolverError(f"no convergence within {_MAX_STEPS} steps")
         return _shaped(out, shape)
@@ -495,28 +516,6 @@ class ArctanProfile(CallableProfile):
     def tail_limits(self, window: float = 1.0e3) -> tuple[float, float]:
         h = 0.5 * math.pi * self.scale
         return -h, h
-
-
-def _outward(g, idx: np.ndarray, start: np.ndarray,
-             direction: float) -> tuple[np.ndarray, np.ndarray]:
-    """Double a step from ``start`` until ``direction * g`` is nonnegative."""
-    step = np.ones_like(start)
-    end = start + direction * step
-    val = g(end, idx)
-    todo = np.flatnonzero(~(direction * val >= 0.0))
-    for _ in range(_BRACKET_DOUBLINGS):
-        if not todo.size:
-            break
-        step[todo] *= 2.0
-        end[todo] = start[todo] + direction * step[todo]
-        val[todo] = g(end[todo], idx[todo])
-        todo = todo[~(direction * val[todo] >= 0.0)]
-    if todo.size:
-        side = "below" if direction < 0 else "above"
-        raise SolverError(
-            f"no root bracketed {side} w = {float(start[todo[0]])!r} within "
-            f"{_BRACKET_DOUBLINGS} doublings of the search step")
-    return end, val
 
 
 # ---------------------------------------------------------------------------

@@ -165,3 +165,71 @@ def test_every_private_definition_is_used_in_the_package():
                     for name, line in _private_definitions(tree)
                     if name not in used)
     assert not unused, f"private names no code in heisurf uses: {unused}"
+
+
+TESTS = pathlib.Path(__file__).parent
+
+
+def _heisurf_modules(tree: ast.Module) -> dict[str, str]:
+    """The names a test module binds to heisurf modules, with their paths."""
+    bound = {}
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "heisurf":
+                    bound[alias.asname or "heisurf"] = \
+                        alias.name if alias.asname else "heisurf"
+        elif isinstance(node, ast.ImportFrom) and node.module == "heisurf":
+            for alias in node.names:
+                bound[alias.asname or alias.name] = f"heisurf.{alias.name}"
+    return bound
+
+
+def _constant(name: str) -> bool:
+    bare = name.lstrip("_")
+    return bool(bare) and bare == bare.upper() and bare != bare.lower()
+
+
+def _constant_patches(source: str) -> list[str]:
+    """The ``monkeypatch.setattr`` calls of a test source that set an
+    upper-case module constant of heisurf, as ``line: module.NAME``."""
+    tree = ast.parse(source)
+    bound = _heisurf_modules(tree)
+    found = []
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Call) and node.args
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "setattr"
+                and isinstance(node.func.value, ast.Name)
+                and node.func.value.id == "monkeypatch"):
+            continue
+        first = node.args[0]
+        if isinstance(first, ast.Constant) and isinstance(first.value, str):
+            module, _, name = first.value.rpartition(".")
+        elif len(node.args) > 1 and isinstance(node.args[1], ast.Constant):
+            head, *rest = ast.unparse(first).split(".")
+            module = ".".join([bound.get(head, head), *rest])
+            name = str(node.args[1].value)
+        else:
+            continue
+        if module.split(".")[0] == "heisurf" and _constant(name):
+            found.append(f"{node.lineno}: {module}.{name}")
+    return found
+
+
+def test_the_constant_patch_lint_sees_both_forms():
+    source = ("import heisurf.strips as strips\n"
+              "def test(monkeypatch):\n"
+              "    monkeypatch.setattr(strips, '_MAX_STEPS', 0)\n"
+              "    monkeypatch.setattr('heisurf.lines._REACH', 1.0)\n"
+              "    monkeypatch.setattr(strips, 'strip_surface', None)\n")
+    assert _constant_patches(source) == ["3: heisurf.strips._MAX_STEPS",
+                                         "4: heisurf.lines._REACH"]
+
+
+@pytest.mark.parametrize("path", sorted(TESTS.glob("test_*.py")),
+                         ids=lambda p: p.stem)
+def test_no_test_sets_a_module_constant(path):
+    # a module constant that only a test tunes is an option no caller needs
+    found = _constant_patches(path.read_text(encoding="utf-8"))
+    assert not found, f"{path.name} patches module constants: {found}"

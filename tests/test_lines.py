@@ -12,12 +12,11 @@ from heisurf.families import MembershipSlab, sigma_rho_membership
 from heisurf.lines import (
     CalibrationResult,
     LineSample,
-    _crossings,
-    _cut_crossings,
-    _line_points,
+    _count_crossings,
     _line_polys,
     _merge,
     _normalized,
+    _points,
     _poly_roots,
     _window,
     box_volume,
@@ -39,11 +38,17 @@ finite = st.floats(min_value=-5.0, max_value=5.0, allow_nan=False)
 angles = st.floats(min_value=0.0, max_value=math.pi - 1e-9)
 
 
+def line_points(theta, v, w, ts):
+    """Points rot_theta(t, v, w - v t/2) of the lines (theta, v, w) at
+    parameters ts (broadcast)."""
+    return _points(np.cos(theta), np.sin(theta), v, w,
+                   np.asarray(ts, dtype=float))
+
+
 @settings(derandomize=True, max_examples=80)
 @given(angles, finite, finite)
 def test_line_points_are_horizontal_chords(theta, v, w):
-    line = LineSample(theta, v, w)
-    pts = line.points_at(np.linspace(-2.0, 2.0, 9))
+    pts = line_points(theta, v, w, np.linspace(-2.0, 2.0, 9))
     off = chord_offset_arr(pts[:-1], pts[1:])
     assert np.max(np.abs(off)) < 1e-12
 
@@ -51,10 +56,10 @@ def test_line_points_are_horizontal_chords(theta, v, w):
 def test_line_through_points_recovers_shortcut_chord():
     # the witness chord of the unit broken plane is a segment of this line
     line = LineSample(0.0, -0.5, 0.0)
-    ends = line.points_at([0.5, -0.5])
+    ends = line_points(0.0, -0.5, 0.0, [0.5, -0.5])
     assert ends.tolist() == [[0.5, -0.5, 0.125], [-0.5, -0.5, -0.125]]
     # the chord midpoint sits on the line but off the broken plane
-    assert line.points_at(0.0).tolist() == [0.0, -0.5, 0.0]
+    assert line_points(0.0, -0.5, 0.0, 0.0).tolist() == [0.0, -0.5, 0.0]
 
 
 def test_ball_distance_special_cases():
@@ -69,7 +74,7 @@ def test_ball_distance_matches_grid_minimum():
     ts = np.linspace(-8.0, 8.0, 40001)
     for v, w in zip(vs, ws):
         line = LineSample(0.0, v, w)
-        brute = np.min(norm_arr(line.points_at(ts)))
+        brute = np.min(norm_arr(line_points(0.0, v, w, ts)))
         assert line_ball_distance(v, w) == pytest.approx(brute, abs=1e-6)
 
 
@@ -266,7 +271,7 @@ def test_broken_plane_census_is_unchanged_in_few_offset_calls(monkeypatch):
     monkeypatch.undo()
     # the scan kernel still reproduces the recorded roots
     theta, v, w = np.array([witness[:3] for witness in CENSUS_101_WITNESSES]).T
-    counts, bisected, _ = _crossings(bp, theta, v, w, 800)
+    counts, bisected, _ = _count_crossings(bp, theta, v, w, 800)
     assert counts.tolist() == [2] * len(CENSUS_101_WITNESSES)
     assert bisected == pytest.approx(
         [r for witness in CENSUS_101_WITNESSES for r in witness[3]],
@@ -288,9 +293,9 @@ def _scan_probe_lines():
 
 
 # sha256 of the scan's counts, roots and degenerate flags at 400 points per
-# line (`_crossings`) and of its bare counts (`crossing_counts`) on the
-# probe lines, recorded from the scan when it had a window function of its
-# own with a special rule for steep lines
+# line (`_count_crossings` with an n_scan) and of its bare counts
+# (`crossing_counts`) on the probe lines, recorded from the scan when it had
+# a window function of its own with a special rule for steep lines
 @pytest.mark.parametrize("surface, digest", [
     (broken_plane(1.0),
      "3c010eba610c93a8edc95dd210d4311af03b3b76c37543694ecc0d224c7bc610"),
@@ -303,7 +308,7 @@ def _scan_probe_lines():
 ])
 def test_scan_outputs_are_unchanged_on_near_steep_lines(surface, digest):
     theta, v, w = _scan_probe_lines()
-    counts, roots, degenerate = _crossings(surface, theta, v, w, 400)
+    counts, roots, degenerate = _count_crossings(surface, theta, v, w, 400)
     bulk = crossing_counts(surface, theta, v, w, 400)
     sha = hashlib.sha256()
     for array in (counts.astype(np.int64), roots.astype(np.float64),
@@ -313,8 +318,9 @@ def test_scan_outputs_are_unchanged_on_near_steep_lines(surface, digest):
 
 
 # sha256 of the exact kernel's counts, roots and degenerate flags
-# (`_cut_crossings`) on the probe lines, recorded before the kernel built
-# each chunk's reading points once and dropped the turn cuts beyond the slab
+# (`_count_crossings` with ``least=2``) on the probe lines, recorded before
+# the kernel built each chunk's reading points once and dropped the turn
+# cuts beyond the slab
 @pytest.mark.parametrize("surface, digest", [
     # positive slopes 0.3, 1.5 and 1.9, all below 2 / x_max^2 = 2
     (strip_surface(PwlProfile.from_knots([(-1, 0.5), (0, -0.5), (1, 1.0)],
@@ -333,7 +339,8 @@ def test_scan_outputs_are_unchanged_on_near_steep_lines(surface, digest):
 ])
 def test_exact_outputs_are_unchanged_on_the_probe_lines(surface, digest):
     theta, v, w = _scan_probe_lines()
-    counts, roots, degenerate = _cut_crossings(surface, theta, v, w)
+    counts, roots, degenerate = _count_crossings(surface, theta, v, w,
+                                                 least=2)
     sha = hashlib.sha256()
     for array in (counts.astype(np.int64), roots.astype(np.float64),
                   degenerate.astype(bool)):
@@ -384,8 +391,9 @@ def test_dropped_turn_cuts_leave_the_exact_counts_unchanged(x_max, offsets,
     lo, hi = _window(x, x_max)
     inside = (roots > lo[:, None, None]) & (roots < hi[:, None, None])
     assert not inside.any()
-    pruned = _cut_crossings(strip, theta, v, w)
-    for got, want in zip(pruned, _cut_crossings(full, theta, v, w)):
+    pruned = _count_crossings(strip, theta, v, w, least=2)
+    for got, want in zip(pruned,
+                         _count_crossings(full, theta, v, w, least=2)):
         assert np.array_equal(got, want)
 
 
@@ -416,15 +424,15 @@ piecewise_surfaces = st.one_of(
 @given(piecewise_surfaces, st.integers(0, 2**16))
 def test_exact_roots_lie_on_the_surface_and_contain_the_scan(surface, seed):
     theta, v, w = sample_lines(1.5, 120, seed)
-    counts, roots, _ = _cut_crossings(surface, theta, v, w)
+    counts, roots, _ = _count_crossings(surface, theta, v, w, least=2)
     multi = counts > 1
     line = np.repeat(np.nonzero(multi)[0], counts[multi])
-    pts = _line_points(theta[line], v[line], w[line], roots)
+    pts = line_points(theta[line], v[line], w[line], roots)
     assert np.all(np.abs(surface.membership_offset(pts)) <= 1e-9)
     # x is evaluated here in another order than in the kernel's window
     assert np.all(np.abs(pts[:, 0]) <= surface.x_max * (1.0 + 1e-12))
     # the scan sees a subset of the transversal crossings
-    scanned, _, _ = _crossings(surface, theta, v, w, 4000)
+    scanned, _, _ = _count_crossings(surface, theta, v, w, 4000)
     assert np.all(counts >= scanned)
     # the census verdict does not depend on the count method
     scan_only = MembershipSlab(surface.membership_offset, surface.x_max)
@@ -453,8 +461,8 @@ def test_line_tangent_to_a_strip_piece_has_no_crossing():
     # offset touches zero without changing sign, as the scan also finds
     strip = strip_surface(PwlProfile.line(8.0))
     line = LineSample(0.0, 0.25, 0.125)
-    counts, roots, degenerate = _cut_crossings(
-        strip, *np.array([[line.theta], [line.v], [line.w]]))
+    counts, roots, degenerate = _count_crossings(
+        strip, *np.array([[line.theta], [line.v], [line.w]]), least=2)
     assert counts.tolist() == [0] and roots.size == 0
     assert degenerate.tolist() == [False]
     assert crossings(strip, line, n_scan=3200).count == 0
@@ -471,9 +479,10 @@ def test_lines_through_a_sigma_knot_count_it_once():
     cos, sin = np.cos(theta), np.sin(theta)
     t0, v = 0.5 * cos + 0.25 * sin, -0.5 * sin + 0.25 * cos
     w = 0.5 * v * t0
-    assert np.abs(_line_points(theta, v, w, t0)
+    assert np.abs(line_points(theta, v, w, t0)
                   - [0.5, 0.25, 0.0]).max() < 1e-15
-    counts, roots, degenerate = _cut_crossings(strip, theta, v, w)
+    counts, roots, degenerate = _count_crossings(strip, theta, v, w,
+                                                 least=2)
     assert counts.tolist() == [1] * 64 and not degenerate.any()
     assert roots.size == 0  # single crossings file no witness roots
 
@@ -484,19 +493,20 @@ def test_pieces_too_short_for_floats_keep_their_crossings():
     # counts see through sign changes when the piece between the knots is
     # shorter than float spacing along the line
     theta, v, w = sample_lines(1.5, 2000, 5)
-    counts = [_cut_crossings(strip_surface(PwlProfile(
-        np.array([0.0, gap]), np.array([0.0, 4.0]))), theta, v, w)[0]
+    counts = [_count_crossings(strip_surface(PwlProfile(
+        np.array([0.0, gap]), np.array([0.0, 4.0]))), theta, v, w,
+        least=2)[0]
         for gap in (1e-9, 1e-300)]
     assert np.array_equal(counts[0], counts[1])
-    scanned, _, _ = _crossings(strip_surface(PwlProfile(
+    scanned, _, _ = _count_crossings(strip_surface(PwlProfile(
         np.array([0.0, 1e-9]), np.array([0.0, 4.0]))), theta, v, w, 4000)
     assert np.all(counts[0] >= scanned) and counts[0].max() == 3
 
 
 def test_line_inside_the_fan_has_no_exact_crossing():
     # the x-axis lies in the broken plane's fan, where the offset is zero
-    counts, roots, _ = _cut_crossings(broken_plane(1.0), np.zeros(1),
-                                      np.zeros(1), np.zeros(1))
+    counts, roots, _ = _count_crossings(broken_plane(1.0), np.zeros(1),
+                                        np.zeros(1), np.zeros(1), least=2)
     assert counts.tolist() == [0] and roots.size == 0
 
 
@@ -507,7 +517,7 @@ def test_lines_through_an_arctan_strip_axis_count_one():
     strip = strip_surface(ArctanProfile(-1.0))
     theta = np.linspace(0.1, 3.0, 30)
     v, w = np.zeros(30), np.linspace(-1.0, 1.0, 30)
-    counts, _, degenerate = _cut_crossings(strip, theta, v, w)
+    counts, _, degenerate = _count_crossings(strip, theta, v, w, least=2)
     assert counts.tolist() == [1] * 30 and not degenerate.any()
     for line in zip(theta, v, w):
         assert crossings(strip, LineSample(*line), n_scan=3200).count == 1
@@ -518,19 +528,19 @@ def test_lines_through_an_arctan_strip_axis_count_one():
 
 
 def _dense_counts(surface, theta, v, w, n_scan):
-    """`_crossings` at n_scan points per line over each line's whole
+    """`_count_crossings` at n_scan points per line over each line's whole
     window: its reach (|t| <= 50) is widened to hold every window."""
     reach = float(np.max(np.abs(_window(_line_polys(theta, v, w)[0],
                                         surface.x_max))))
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(lines, "_REACH", max(lines._REACH, reach))
-        return _crossings(surface, theta, v, w, n_scan)[0]
+        return _count_crossings(surface, theta, v, w, n_scan)[0]
 
 
 def _check_cut_counts(surface, seed):
     """The census's cut counts of 500 lines equal the dense scan's."""
     theta, v, w = sample_lines(1.5, 500, seed)
-    counts, roots, _ = _cut_crossings(surface, theta, v, w)
+    counts, roots, _ = _count_crossings(surface, theta, v, w, least=2)
     dense = _dense_counts(surface, theta, v, w, 3200)
     # a line whose two roots share a cell of that grid (as where one of
     # them lies in its 1e-3 padding beyond |x| = x_max) is scanned again,
@@ -542,7 +552,7 @@ def _check_cut_counts(surface, seed):
     # evaluated here in another order than in the window)
     multi = counts > 1
     line = np.repeat(np.nonzero(multi)[0], counts[multi])
-    pts = _line_points(theta[line], v[line], w[line], roots)
+    pts = line_points(theta[line], v[line], w[line], roots)
     assert np.all(np.abs(surface.membership_offset(pts)) <= 1e-9)
     assert np.all(np.abs(pts[:, 0]) <= surface.x_max * (1.0 + 1e-12))
 
@@ -580,11 +590,11 @@ def test_a_line_crossing_an_arctan_strip_twice_on_one_side_counts_two():
     # alone bracket no sign change
     strip = strip_surface(ArctanProfile(8.0))
     line = LineSample(math.pi / 2 - 0.02, -0.9, 0.0)
-    counts, roots, degenerate = _cut_crossings(
-        strip, *np.array([[line.theta], [line.v], [line.w]]))
+    counts, roots, degenerate = _count_crossings(
+        strip, *np.array([[line.theta], [line.v], [line.w]]), least=2)
     assert counts.tolist() == [2] and not degenerate.any()
-    assert np.all((line.points_at(roots)[:, 0] > 0.7)
-                  & (line.points_at(roots)[:, 0] < 0.9))
+    x = line_points(line.theta, line.v, line.w, roots)[:, 0]
+    assert np.all((x > 0.7) & (x < 0.9))
     dense = crossings(strip, line, n_scan=3200)
     assert dense.count == 2
     assert roots == pytest.approx(dense.roots, rel=0.0, abs=1e-9)
@@ -602,8 +612,8 @@ def test_slab_offset_changes_sign_at_most_once_between_its_cuts():
     cuts = slab.line_cuts(x, y, z)
     lo, hi = _window(x, slab.x_max)
     t = lo[:, None] + (hi - lo)[:, None] * np.linspace(0.0, 1.0, 2001)[1:-1]
-    px, py, pz = np.moveaxis(_line_points(theta[:, None], v[:, None],
-                                          w[:, None], t), -1, 0)
+    px, py, pz = np.moveaxis(line_points(theta[:, None], v[:, None],
+                                         w[:, None], t), -1, 0)
     m = (py + 2.0 * pz) / (2.0 - 2.0 * px)
     r = (2.0 * pz - py) / (2.0 + 2.0 * px)
     sign = np.sign(slab.membership_offset(np.stack([px, py, pz], axis=-1)))
@@ -616,8 +626,8 @@ def test_slab_offset_changes_sign_at_most_once_between_its_cuts():
         clamped = py - 2.0 * c + (px + 1.0) * (c + WIGGLE(c))
         assert np.array_equal(sign[side], np.sign(clamped[side]))
     # the cuts are M = a and M = b
-    at = _line_points(theta[:, None, None], v[:, None, None],
-                      w[:, None, None], _poly_roots(cuts))
+    at = line_points(theta[:, None, None], v[:, None, None],
+                     w[:, None, None], _poly_roots(cuts))
     m_cut = (at[..., 1] + 2.0 * at[..., 2]) / (2.0 - 2.0 * at[..., 0])
     assert np.nanmax(np.abs(m_cut[:, 0] - a)) < 1e-9
     assert np.nanmax(np.abs(m_cut[:, 1] - b)) < 1e-9

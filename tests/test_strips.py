@@ -6,15 +6,17 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from heisurf.core import chord_offset_arr
-from heisurf.families import RuledEntireGraph, scaling_limit
+from heisurf.families import _PROBES, RuledEntireGraph, scaling_limit
 from heisurf.profilespec import ProfileSpec
 from heisurf.strips import (
+    ArctanProfile,
     BrokenPlane,
     CallableProfile,
     GraphicalStrip,
     ProfileError,
     PwlProfile,
     SolverError,
+    _float_mid,
     alpha_to_sigma,
     broken_plane,
     eta_of,
@@ -405,12 +407,80 @@ def test_unbounded_ruling_height_matches_bisection(sigma, x_max):
     assert np.max(np.abs(residual) / np.maximum(1.0, np.abs(zp))) < 1e-12
 
 
-def test_ruling_height_without_a_root_raises():
-    # x = 1: z - sigma(z)/2 = atan(z) never reaches 5
-    bounded = CallableProfile(
+def rising_profile() -> CallableProfile:
+    """2z - 2 atan z: at x = 1 the left side z - sigma(z)/2 is atan z."""
+    return CallableProfile(
         lambda z: 2.0 * z - 2.0 * np.arctan(z),
         dfn=lambda z: 2.0 - 2.0 / (1.0 + np.asarray(z) ** 2))
-    assert bounded.solve(-0.5, 1.0) == pytest.approx(math.tan(1.0))
+
+
+def step_profile() -> CallableProfile:
+    """The step of acceptance gate 7: 1 below zero, -1 above, 0 at 0."""
+    return CallableProfile(
+        lambda z: np.where(np.asarray(z) < 0.0, 1.0,
+                           np.where(np.asarray(z) > 0.0, -1.0, 0.0)),
+        name="step")
+
+
+@pytest.mark.parametrize("sigma", [
+    ArctanProfile(-1.0),
+    ArctanProfile(-8.0),
+    step_profile(),
+    CallableProfile(lambda z: -np.arctan(z)),  # slopes by differences
+    # steep at 0: the roots near 0 lie far inside brackets up to 1e302 wide
+    ArctanProfile(-1e30),
+    ArctanProfile(-1e300),
+], ids=["arctan(-1)", "arctan(-8)", "step", "-arctan-no-dfn", "arctan(-1e30)",
+        "arctan(-1e300)"])
+def test_ruling_height_lies_in_the_bracket_of_the_contract(sigma):
+    # the probe points of `scaling_limit` at each dilation t, then random
+    # points: for q <= 0 and a non-increasing sigma the root is within
+    # |q sigma(c)| of c
+    t = np.repeat([2.0, 4.0, 8.0, 16.0], len(_PROBES))
+    rng = np.random.default_rng(5)
+    x = np.concatenate([t * np.tile(_PROBES[:, 0], 4),
+                        rng.uniform(-20.0, 20.0, 3000)])
+    zp = np.concatenate([t * t * np.tile(_PROBES[:, 1], 4),
+                         rng.uniform(-500.0, 500.0, 3000)])
+    q = -0.5 * x * x
+    got = sigma.solve(q, zp)
+    r = np.abs(q * np.asarray(sigma(zp)))
+    eps = np.finfo(float).eps
+    assert np.all(np.abs(got - zp) <= r + 8.0 * eps * (r + np.abs(zp)))
+    assert_matches(got, bisect_reference(sigma, q, zp, -1e6, 1e6))
+
+
+@settings(derandomize=True, database=None, max_examples=200)
+@given(st.floats(allow_nan=False), st.floats(allow_nan=False))
+def test_float_midpoints_halve_the_floats_between_the_ends(a, b):
+    lo, hi = np.array([min(a, b)]), np.array([max(a, b)])
+    mid = _float_mid(lo, hi)
+    assert lo <= mid <= hi
+    # the ends' positions in the order of the floats, counted from 0
+    pos = [np.sign(v) * np.abs(v).view(np.int64).astype(float)
+           for v in (lo, mid, hi)]
+    assert abs((pos[1] - pos[0]) - (pos[2] - pos[1])) <= 1.0 + 1e-3 * (
+        pos[2] - pos[0])
+
+
+def test_float_midpoints_reach_adjacent_floats_in_64_halvings():
+    lo, hi = np.array([-1e300, 5e-324, 1.0]), np.array([1e300, 1e300, 3.0])
+    for _ in range(64):
+        mid = _float_mid(lo, hi)
+        lo, hi = np.where(mid < 0.5, mid, lo), np.where(mid < 0.5, hi, mid)
+    assert np.all(np.nextafter(lo, np.inf) >= hi)
+
+
+def test_a_rising_profile_is_outside_the_bracket():
+    # atan(z) = 1 has the root tan(1), but sigma rises, and tan(1) lies
+    # beyond the bracket 1 + |sigma(1)|/2 the contract gives
+    with pytest.raises(SolverError):
+        rising_profile().solve(-0.5, 1.0)
+
+
+def test_ruling_height_without_a_root_raises():
+    # x = 1: z - sigma(z)/2 = atan(z) never reaches 5
+    bounded = rising_profile()
     with pytest.raises(SolverError):
         bounded.solve(-0.5, np.array([0.0, 5.0, 1.0]))
     # slope 2 at x = 1: the left side is flat, no height solves it
