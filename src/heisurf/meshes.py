@@ -5,9 +5,12 @@ a fixed row-major order, numbers are written with 17 significant digits,
 and the same inputs always produce byte-identical ``.obj`` text.  Files
 contain only comment, ``v`` and ``f`` records, with 1-based face indices
 and the group z coordinate up.  The writer formats each distinct
-coordinate magnitude once per mesh and puts the sign back from each
-value's sign bit, so ``-0.0`` stays ``-0``; face indices come from a digit
-table of ``0..n``.  Each record is one row of bytes, laid out from those
+coordinate magnitude once per mesh, all at once (`_fmt17_cells`): the 17
+digits are exact, from a double-double product, and `reports.fmt17`,
+which defines the format, writes the few values the product cannot
+decide.  The sign is put back from each value's sign bit, so ``-0.0``
+stays ``-0``; face indices come from a digit table of ``0..n``.  Each
+record is one row of bytes, laid out from those
 NUL-padded cells, and the NULs are dropped.
 
 Validation and OBJ writing both run over fixed-size chunks of `_CHUNK`
@@ -24,6 +27,7 @@ joined as arrays before its one `MeshObj` is made.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -31,7 +35,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .reports import atomic_write_chunks
+from .reports import atomic_write_chunks, fmt17
 
 __all__ = [
     "DegenerateMeshError",
@@ -132,9 +136,12 @@ class MeshObj:
         """The OBJ text as ASCII bytes: header comments, then ``v`` and
         ``f`` records.
 
-        Coordinates are written with ``%.17g``, so they read back exactly.
-        This is the join of the chunks that `write_obj` streams to disk
-        (`_obj_chunks`); the bytes are never decoded into a `str`.
+        Coordinates are written as `reports.fmt17` writes them, with 17
+        significant digits, so they read back exactly; the digits are exact
+        from a double-double product (`_fmt17_cells`), and `fmt17` writes
+        the values it cannot decide.  This is the join of the chunks that
+        `write_obj` streams to disk (`_obj_chunks`); the bytes are never
+        decoded into a `str`.
         """
         return b"".join(self._obj_chunks())
 
@@ -142,10 +149,11 @@ class MeshObj:
         """The OBJ bytes in order: the header, then `_CHUNK` records at a
         time, ``v`` records first.
 
-        Each distinct magnitude is formatted once per mesh and a ``-`` is
-        put back from each value's sign bit (``-0.0`` stays ``-0``); face
-        indices are gathered from a digit table of ``0..n``.  Each chunk's
-        records are laid out as rows of bytes (`_records`).
+        Each distinct magnitude is formatted once per mesh, all of them
+        together and exactly (`_coordinate_table`), and a ``-`` is put back
+        from each value's sign bit (``-0.0`` stays ``-0``); face indices
+        are gathered from a digit table of ``0..n``.  Each chunk's records
+        are laid out as rows of bytes (`_records`).
         """
         yield "".join(f"# {line}\n" for line in self.header).encode("ascii")
         cells, rows = _coordinate_table(self.vertices)
@@ -157,25 +165,210 @@ class MeshObj:
                                              axis=0))
 
 
+# ---------------------------------------------------------------------------
+# exact 17-digit cells of coordinate magnitudes
+
+
+# the magnitudes whose digits `_fmt17_cells` computes: beyond them 10^q or
+# Dekker's split of x would leave the normal range
+_EXACT_LOW, _EXACT_HIGH = 1e-280, 1e290
+# a product x 10^q within this of a half-integer goes to `fmt17`; the
+# double-double's error is below 1e-14 at 1e17
+_TIE_MARGIN = 1e-6
+# the exponents q of the tabulated powers 10^q, with room for x 10^q to
+# land in [1e16, 1e17) from any x in the exact range
+_Q_LOW, _Q_HIGH = -280, 300
+
+
+def _split(a):
+    """Dekker's split of doubles into halves of 26 bits, a = big + small."""
+    c = 134217729.0 * a
+    big = c - (c - a)
+    return big, a - big
+
+
+@functools.cache
+def _powers_of_ten() -> np.ndarray:
+    """10^q for q in [_Q_LOW, _Q_HIGH], one column each, in four rows:
+    high, 10^q rounded to a double; Dekker's split of high; and low, the
+    rest of 10^q rounded to a double.  Exact from Python integers."""
+    table = np.empty((_Q_HIGH - _Q_LOW + 1, 4))
+    for row, q in zip(table, range(_Q_LOW, _Q_HIGH + 1)):
+        power = 10 ** abs(q)
+        if q >= 0:
+            high = float(power)
+            low = float(power - int(high))
+        else:
+            high = 1 / power
+            num, den = high.as_integer_ratio()
+            low = (den - num * power) / (den * power)
+        row[:] = high, *_split(high), low
+    table.setflags(write=False)
+    return table.T
+
+
+def _scaled(x, k):
+    """x 10^(16 - k) as an unevaluated sum high + low of doubles."""
+    ten, ten_big, ten_small, ten_low = _powers_of_ten().take(16 - k - _Q_LOW,
+                                                             axis=1)
+    x_big, x_small = _split(x)
+    high = x * ten
+    low = ((((x_big * ten_big - high) + x_big * ten_small)
+            + x_small * ten_big) + x_small * ten_small) + x * ten_low
+    return high, low
+
+
+def _off_range(high, low) -> np.ndarray:
+    """1 where high + low >= 1e17, -1 where it is below 1e16, else 0.
+
+    The pair is compared, not its high part alone: the high part of
+    9.99...e16 may round to 1e17.
+    """
+    return (((high - 1e17) + low >= 0).astype(np.int64)
+            - ((high - 1e16) + low < 0))
+
+
+@functools.cache
+def _four_digits() -> np.ndarray:
+    """The four ASCII digits of each of 0..9999 as the bytes of a uint32."""
+    digits = np.arange(10000)[:, None] // np.array([1000, 100, 10, 1]) % 10
+    return (digits + ord("0")).astype(np.uint8).view(np.uint32).ravel()
+
+
+def _digit_stream(nearest: np.ndarray, zeros: np.ndarray) -> np.ndarray:
+    """ASCII digits of integers in [1e16, 1e17), one row each, after
+    `zeros` zeros: column 1 + zeros + i holds digit i and the others ``0``.
+
+    The 24 columns are the digits of nearest 10^(6 - zeros), taken four at
+    a time from its high and low 12 digits, each of which fits an int64.
+    """
+    scale = 10 ** (6 - zeros)
+    top = nearest // 10 ** 8 * scale
+    low = nearest % 10 ** 8 * scale + top % 10 ** 4 * 10 ** 8
+    high = top // 10 ** 4 + low // 10 ** 12
+    low %= 10 ** 12
+    stream = np.empty((len(nearest), 24), dtype=np.uint8)
+    words = stream.view(np.uint32)
+    four_digits = _four_digits()
+    for column, part in enumerate((high, low)):
+        for place in range(3):
+            words[:, 3 * column + place] = four_digits[
+                part // 10 ** (8 - 4 * place) % 10 ** 4]
+    return stream
+
+
+def _layout(nearest: np.ndarray, k: np.ndarray
+            ) -> tuple[np.ndarray, np.ndarray]:
+    """``%g`` cells, one row each, of nearest 10^(k - 16) for integers
+    nearest in [1e16, 1e17), and the length of each.
+
+    Fixed notation for -4 <= k < 17, the digits after ``0.`` and -k-1
+    zeros when k < 0; otherwise ``d.ddde+XX``, with at least two exponent
+    digits.  Trailing fraction zeros are dropped, and so is a bare point.
+    """
+    n = len(k)
+    sci = (k < -4) | (k > 16)
+    # the stream is `zeros` zeros, the one before the point included, then
+    # the 17 digits; the point follows `point` of it
+    zeros = np.where(sci, 0, np.maximum(-k, 0))
+    point = np.where(sci | (k < 0), 1, k + 1).astype(np.uint8)[:, None]
+    stream = _digit_stream(nearest, zeros)
+    # the stream up to its last nonzero digit and every integer digit
+    place = np.arange(24, dtype=np.uint8)
+    kept = np.maximum(((stream != ord("0")) * place).max(axis=1,
+                                                         keepdims=True),
+                      point)
+    length = kept + (kept > point)
+    cells = stream[:, :-1].copy()
+    np.copyto(cells, stream[:, 1:], where=place[:-1] < point)
+    cells[np.arange(n), point[:, 0]] = ord(".")
+    cells *= place[:-1] < length
+    length = length[:, 0]
+    at = sci.nonzero()[0]
+    if at.size:
+        # the exponent of a scientific cell follows its last digit
+        e = k[at, None]
+        e_abs = np.abs(e)
+        wide = e_abs >= 100
+        suffix = np.zeros((len(at), 5), dtype=np.uint8)
+        suffix[:, :1] = ord("e")
+        suffix[:, 1:2] = np.where(e < 0, ord("-"), ord("+"))
+        suffix[:, 2:3] = np.where(wide, e_abs // 100,
+                                  e_abs // 10 % 10) + ord("0")
+        suffix[:, 3:4] = np.where(wide, e_abs // 10 % 10,
+                                  e_abs % 10) + ord("0")
+        suffix[:, 4:] = np.where(wide, e_abs % 10 + ord("0"), 0)
+        cells[at[:, None], length[at, None] + np.arange(5)] = suffix
+        length[at] = length[at] + 4 + wide[:, 0]
+    return cells, length
+
+
+def _fmt17_cells(values: np.ndarray) -> np.ndarray:
+    """`reports.fmt17` of nonnegative finite doubles as an ``(n, w)``
+    uint8 table of ASCII cells, NUL-padded to w, the longest text's length.
+
+    The 17 digits of x are those of the integer nearest x 10^q, where
+    q = 16 - k and 10^k <= x < 10^(k+1).  The product is a double-double
+    (Dekker 1971): 10^q is a pair of doubles tabulated on first use from
+    Python integers, and Dekker's split gives the product's rounding error
+    exactly, as numpy has no fused multiply-add.  Its error is below 1e-14
+    at 1e17.  `fmt17`, which defines the format, writes each value the
+    product cannot decide: zero, x outside [1e-280, 1e290], and a product
+    within `_TIE_MARGIN` of a half-integer.
+    """
+    x = np.asarray(values, dtype=np.float64).ravel()
+    inside = (x >= _EXACT_LOW) & (x <= _EXACT_HIGH)
+    # 1 stands in for the values outside, which `fmt17` writes
+    exact = np.where(inside, x, 1.0)
+    k = np.floor(np.log10(exact)).astype(np.int64)
+    high, low = _scaled(exact, k)
+    # the estimate of k is one off where the pair lies outside [1e16, 1e17)
+    step = _off_range(high, low)
+    moved = step.nonzero()[0]
+    if moved.size:
+        k[moved] += step[moved]
+        high[moved], low[moved] = _scaled(exact[moved], k[moved])
+        step[moved] = _off_range(high[moved], low[moved])
+    whole = np.floor(low)
+    fraction = low - whole
+    decided = inside & (step == 0) & (np.abs(fraction - 0.5) > _TIE_MARGIN)
+    nearest = (high.astype(np.int64) + whole.astype(np.int64)
+               + (fraction > 0.5))
+    # 10^17 - 1/2 and above round to the next power of ten
+    carry = nearest == 10 ** 17
+    nearest[carry] = 10 ** 16
+    k += carry
+    cells, length = _layout(nearest, k)
+    undecided = (~decided).nonzero()[0]
+    texts = [fmt17(v) for v in x[undecided].tolist()]
+    width = max([int(length.max(where=decided, initial=0)),
+                 *map(len, texts)])
+    table = cells[:, :width]
+    table[undecided] = np.array(texts, dtype=f"S{width}").view(
+        np.uint8).reshape(len(undecided), width)
+    return table
+
+
 # clears the sign bit of a float64 viewed as int64
 _MAGNITUDE = np.int64(0x7FFF_FFFF_FFFF_FFFF)
 
 
 def _coordinate_table(vertices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``%.17g`` cells of the signed coordinates and each coordinate's row.
+    """`reports.fmt17` cells of the signed coordinates and each one's row.
 
     The table holds NUL-padded ASCII cells, one per distinct magnitude and
     then each of those after a ``-``; the ``(n, 3)`` rows pick a value's
-    cell by its magnitude and sign bit.  Each magnitude is formatted once.
+    cell by its magnitude and sign bit.  The magnitudes are formatted once,
+    together, by `_fmt17_cells`, whose digits are exact from a
+    double-double product; `reports.fmt17` defines the format and writes
+    each magnitude the product cannot decide.
     """
     bits = vertices.view(np.int64)
     magnitudes, inverse = np.unique(bits & _MAGNITUDE, return_inverse=True)
-    words = ("%.17g " * len(magnitudes)
-             % tuple(magnitudes.view(np.float64).tolist()))
-    table = np.array(words.encode("ascii").split(), dtype=bytes)
-    k, w = len(table), table.itemsize
+    table = _fmt17_cells(magnitudes.view(np.float64))
+    k, w = table.shape
     signed = np.zeros((2, k, w + 1), dtype=np.uint8)
-    signed[:, :, -w:] = table.view(np.uint8).reshape(k, w)
+    signed[:, :, 1:] = table
     signed[1, :, 0] = ord("-")
     return (signed.reshape(2 * k, w + 1),
             inverse.reshape(bits.shape) + k * (bits < 0))
@@ -389,8 +582,10 @@ def competitor_mesh(comp, z_cap: float, res: int, res_cross: int,
     width = bottom + bottom[::-1]
     if float(np.min(width)) > 1e-9:
         def flat_point(X, T):
-            z_lo = -np.asarray(comp.phi(-X, np.full_like(X, -u)), dtype=float)
-            z_hi = np.asarray(comp.phi(X, np.full_like(X, -u)), dtype=float)
+            # the heights of the two bottom edges depend on the column only
+            x = X[:, :1]
+            z_lo = -np.asarray(comp.phi(-x, np.full_like(x, -u)), dtype=float)
+            z_hi = np.asarray(comp.phi(x, np.full_like(x, -u)), dtype=float)
             Z = z_lo + np.asarray(T, dtype=float) * (z_hi - z_lo)
             return np.stack([X, -u * np.ones_like(X), Z], axis=-1)
 

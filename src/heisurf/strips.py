@@ -624,7 +624,10 @@ class GraphicalStrip:
         t-derivative v (sigma'(z) x^2 - 2) / (2 x^2), so it is monotone
         where x and sigma'(z) x^2 - 2 keep their signs, and there the offset
         x (y/x - sigma(z)) changes sign at most once.  For sigma = k arctan
-        the cuts are x and k x^2 - 2 (1 + z^2).  For a PWL sigma they are x,
+        the cuts are x and k x^2 - 2 (1 + z^2), which is at most -2 for
+        k <= 0 and is then dropped.  For k > 0 it is kept on every line:
+        dropping it where it cannot meet the slab would need a rounding
+        margin in z as well as in x.  For a PWL sigma they are x,
         z - z_j for each knot z_j, and m x^2 - 2 for each piece slope m
         with m x_max^2 >= 2: elsewhere m x^2 - 2 is negative on the slab.
         A turn cut is kept up to a margin in x of 1e-12 (x_max^2 + x0^2) /
@@ -634,6 +637,8 @@ class GraphicalStrip:
         """
         sigma = self.sigma
         if isinstance(sigma, ArctanProfile):
+            if sigma.scale <= 0.0:
+                return x[:, None, :]
             turn = (sigma.scale * affine_product(x, x)
                     - 2.0 * (constant_poly(1.0) + affine_product(z, z)))
             return np.stack([x, turn], axis=1)

@@ -101,6 +101,18 @@ def test_no_module_imports_a_private_name_of_another():
     assert not found, found
 
 
+def test_only_reports_spells_the_seventeen_digit_format():
+    # `reports.fmt17` defines how every number is written; the OBJ writer
+    # computes the same digits exactly and hands it what it cannot decide
+    found = [f"heisurf/{stem}.py line {number}"
+             for stem in ["__init__", *MODULES] if stem != "reports"
+             for number, line in enumerate(
+                 (SRC / f"{stem}.py").read_text(encoding="utf-8")
+                 .splitlines(), 1)
+             if ".17g" in line]
+    assert not found, found
+
+
 #: The concrete profile kinds; only their owner module tells them apart.
 PROFILE_KINDS = {"PwlProfile", "ArctanProfile", "CallableProfile"}
 

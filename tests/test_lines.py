@@ -349,10 +349,15 @@ def test_exact_outputs_are_unchanged_on_the_probe_lines(surface, digest):
 
 
 def _all_turn_cuts(strip):
-    """The PWL strip with a turn cut m x^2 - 2 for every slope m > 0."""
+    """The strip with every turn cut: k x^2 - 2 (1 + z^2) for sigma =
+    k arctan, and for a PWL sigma m x^2 - 2 for every slope m > 0."""
     sigma = strip.sigma
 
     def cuts(x, y, z):
+        if isinstance(sigma, ArctanProfile):
+            turn = (sigma.scale * affine_product(x, x)
+                    - 2.0 * (constant_poly(1.0) + affine_product(z, z)))
+            return np.stack([x, turn], axis=1)
         m = np.unique(sigma.piece_slopes())
         turn = (m[m > 0.0, None] * affine_product(x, x)[:, None, :]
                 - constant_poly(2.0))
@@ -365,9 +370,10 @@ def _all_turn_cuts(strip):
 @settings(derandomize=True, database=None, max_examples=40, deadline=None)
 @given(st.sampled_from((0.5, 1.0, 2.0)),
        st.lists(st.floats(-1.0, 1.0), min_size=2, max_size=4),
-       st.floats(-1.0, 1.0), st.integers(0, 2**16))
+       st.floats(-1.0, 1.0), st.integers(0, 2**16), st.floats(-9.0, 3.0))
 def test_dropped_turn_cuts_leave_the_exact_counts_unchanged(x_max, offsets,
-                                                            value, seed):
+                                                            value, seed,
+                                                            exponent):
     # every slope lies within 1e-9 of 2 / x_max^2, where the turn cuts'
     # roots lie next to the windows' ends: the cuts of the slopes below it
     # are dropped, none with a computed root inside a window, and the
@@ -394,6 +400,15 @@ def test_dropped_turn_cuts_leave_the_exact_counts_unchanged(x_max, offsets,
     pruned = _count_crossings(strip, theta, v, w, least=2)
     for got, want in zip(pruned,
                          _count_crossings(full, theta, v, w, least=2)):
+        assert np.array_equal(got, want)
+    # k arctan with k from -1e-9 to -1e3 keeps only the cut x, since its
+    # turn cut k x^2 - 2 (1 + z^2) is at most -2; near-steep lines included
+    arctan = strip_surface(ArctanProfile(-10.0 ** exponent), x_max=x_max)
+    probe = _scan_probe_lines()
+    assert arctan.line_cuts(*_line_polys(*probe)).shape[1] == 1
+    for got, want in zip(_count_crossings(arctan, *probe, least=2),
+                         _count_crossings(_all_turn_cuts(arctan), *probe,
+                                          least=2)):
         assert np.array_equal(got, want)
 
 

@@ -1,10 +1,14 @@
 """Deterministic structured-grid meshes and Wavefront OBJ export."""
 import hashlib
+import math
 import os
 import tracemalloc
+from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from heisurf import cli, meshes
 from heisurf.families import build_competitor, sigma_rho_surface
@@ -357,6 +361,34 @@ def reference_obj(mesh):
             + "".join("f %d %d %d\n" % tuple(f) for f in mesh.faces.tolist()))
 
 
+def _around(*values):
+    """Each value between its two float neighbours."""
+    return [v for x in values
+            for v in (math.nextafter(x, 0.0), x, math.nextafter(x, math.inf))]
+
+
+#: exact ties of the 18th significant digit, which `_fmt17_cells` hands to
+#: `fmt17`: 10 (1e15 + 0.25) = 10000000000000002.5 rounds to even, down,
+#: and 10 (1e15 + 0.75) up
+TIES = [1e15 + 0.25, 1e15 + 0.75, 1e14 + 0.125, 1e14 + 0.375]
+
+#: magnitudes at the edges of the ``%.17g`` layouts and of `_fmt17_cells`
+FMT17_BOUNDARY = [
+    # where fixed notation switches to scientific, where 17 integer digits
+    # end, and exponents of three digits
+    *_around(1e-5, 1e-4, 1e16, 1e17, 1e100, 1e-100),
+    # doubles whose 17 digits round up to a power of ten
+    math.nextafter(1e23, 0.0), 1e23, 1e-14, 1e98, 1e-176,
+    # doubles just below a power of ten whose scaled high part rounds to
+    # 1e17: their 17 digits are 9.99...
+    1e-6, 1e-12, 1e24,
+    # exact halves and ties
+    0.5, 2.5, 0.125, *TIES,
+    # the ends of the range the double-double product decides
+    *_around(1e-280, 1e290),
+]
+
+
 # the vertex counts at which the widest face index gains a digit, and the
 # record counts around the chunk boundaries of the OBJ writer
 @pytest.mark.parametrize("n", [3, 9, 10, 99, 100, 999, 1000, 1001, 10000,
@@ -366,7 +398,8 @@ def reference_obj(mesh):
 def test_obj_text_equals_a_per_record_writer(tmp_path, n, header):
     rng = np.random.default_rng(n)
     # every coordinate drawn from the extremes or with a random exponent
-    extremes = [0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300, 0.1, -1.0]
+    extremes = [0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300, 0.1, -1.0,
+                *FMT17_BOUNDARY, *(-v for v in FMT17_BOUNDARY)]
     mixed = rng.standard_normal(3 * n) * 10.0 ** rng.integers(-320, 300, 3 * n)
     coordinates = np.where(rng.random(3 * n) < 0.3,
                            rng.choice(extremes, 3 * n), mixed)
@@ -382,6 +415,44 @@ def test_obj_text_equals_a_per_record_writer(tmp_path, n, header):
         write_obj(mesh, str(path))
         assert path.read_bytes() == mesh.to_obj_text()
         assert mesh.to_obj_text() == reference_obj(mesh).encode("ascii")
+
+
+def _undecidable(value):
+    """Is value zero, outside [1e-280, 1e290], or x 10^(16 - k) within
+    `_TIE_MARGIN` of a half-integer, with 10^k <= x < 10^(k+1)?"""
+    if not 1e-280 <= value <= 1e290:
+        return True
+    exact = Fraction(value)
+    k = math.floor(math.log10(value))
+    k += (exact >= Fraction(10) ** (k + 1)) - (exact < Fraction(10) ** k)
+    scaled = exact * Fraction(10) ** (16 - k)
+    return abs(scaled - math.floor(scaled) - Fraction(1, 2)) \
+        <= meshes._TIE_MARGIN
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(st.lists(st.integers(0, 0x7FEF_FFFF_FFFF_FFFF), min_size=1,
+                max_size=40))
+@example([int(v) for v in np.array(FMT17_BOUNDARY).view(np.int64)])
+@example([0, 1, 0x000F_FFFF_FFFF_FFFF, 0x0010_0000_0000_0000,
+          0x7FEF_FFFF_FFFF_FFFF])
+def test_fmt17_cells_write_fmt17(bits):
+    # float64 bit patterns over every exponent, subnormals included: the
+    # cells are `fmt17`'s texts, as wide as the longest, and `fmt17` itself
+    # writes exactly the values the double-double product cannot decide
+    values = np.array(bits, dtype=np.int64).view(np.float64)
+    with mock.patch.object(meshes, "fmt17", wraps=fmt17) as fallback:
+        table = meshes._fmt17_cells(values)
+    texts = [fmt17(v) for v in values.tolist()]
+    assert table.dtype == np.uint8
+    assert table.shape == (len(values), max(map(len, texts)))
+    assert [bytes(row).rstrip(b"\0") for row in table] \
+        == [text.encode("ascii") for text in texts]
+    handed = [call.args[0] for call in fallback.call_args_list]
+    assert handed == [v for v in values.tolist() if _undecidable(v)]
+    # among them the ties, zero and values beyond the range
+    assert all(map(_undecidable, [*TIES, 0.0, 5e-324, 1e-300, 1e300]))
+    assert not any(map(_undecidable, [0.1, 2.5, 1e-280, 1e290]))
 
 
 def test_a_stream_that_fails_partway_leaves_no_file(tmp_path, monkeypatch):
