@@ -124,12 +124,6 @@ class ScalarField:
         return ScalarField(window=tuple(map(float, window)), fn=fn,
                            region=region, entire=entire, name=name)
 
-    def default_region(self) -> VRegion:
-        if self.region is not None:
-            return self.region
-        x0, x1, z0, z1 = self.window
-        return VRegion.rect(x0, x1, z0, z1)
-
     def domain_contains(self, x: np.ndarray, z: np.ndarray) -> np.ndarray:
         if self.entire:
             return np.ones(np.broadcast_shapes(np.shape(x), np.shape(z)), dtype=bool)
@@ -181,13 +175,12 @@ def intrinsic_gradient(
 # area
 
 
-def _resolve_region(field: ScalarField, region: Optional[VRegion]) -> VRegion:
-    return region if region is not None else field.default_region()
-
-
 def graph_area(field: ScalarField, region: Optional[VRegion] = None) -> float:
-    """Sub-Riemannian area of the intrinsic graph of f over the region."""
-    reg = _resolve_region(field, region)
+    """Sub-Riemannian area of the intrinsic graph of f over the region,
+    by default the field's own region, else its window."""
+    reg = region if region is not None else field.region
+    if reg is None:
+        reg = VRegion.rect(*field.window)
 
     def integrand(x, z):
         g = intrinsic_gradient(field, x, z, clip=reg)

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -120,37 +120,12 @@ def sample_lines(radius: float, n: int,
     return theta, v, w
 
 
-def line_measure_of_ball(radius: float, n: int, seed: int = 0,
-                         center: Optional[Sequence[float]] = None):
-    """Monte-Carlo measure of the lines meeting B(center, r), with SE.
-
-    For an off-origin center the box is the padded axis-aligned hull of the
-    sheared chart image, so agreement with the origin estimate is a real
-    test of translation invariance, not an algebraic identity: ``center``
-    is that oracle, and the census and calibration use the origin alone.
-    """
+def line_measure_of_ball(radius: float, n: int, seed: int = 0):
+    """Monte-Carlo measure of the lines meeting B(0, r), with SE."""
     rng = np.random.default_rng(seed)
-    if center is None:
-        _, v, w = _sample_box(radius, n, rng)
-        p = float(np.mean(line_ball_distance(v, w) <= radius))
-        vol = box_volume(radius)
-    else:
-        gx, gy, gz = map(float, center)
-        r1 = math.hypot(gx, gy)
-        vmax = radius + r1
-        wmax = 1.5 * radius ** 2 + r1 * vmax + abs(gz) + 0.5 * r1 * r1
-        theta = rng.uniform(0.0, math.pi, size=n)
-        v = rng.uniform(-vmax, vmax, size=n)
-        w = rng.uniform(-wmax, wmax, size=n)
-        # shift each line by center^{-1} and test against the origin ball
-        cos, sin = np.cos(theta), np.sin(theta)
-        a = -(cos * gx + sin * gy)
-        b = -(-sin * gx + cos * gy)
-        c = -gz
-        v0 = v + b
-        w0 = w + a * v + c + 0.5 * a * b
-        p = float(np.mean(line_ball_distance(v0, w0) <= radius))
-        vol = math.pi * 2.0 * vmax * 2.0 * wmax
+    _, v, w = _sample_box(radius, n, rng)
+    p = float(np.mean(line_ball_distance(v, w) <= radius))
+    vol = box_volume(radius)
     return vol * p, vol * math.sqrt(max(p * (1.0 - p), 0.0) / n)
 
 

@@ -5,13 +5,13 @@ a fixed row-major order, numbers are written with 17 significant digits,
 and the same inputs always produce byte-identical ``.obj`` text.  Files
 contain only comment, ``v`` and ``f`` records, with 1-based face indices
 and the group z coordinate up.  The writer formats each distinct
-coordinate magnitude once per mesh, all at once (`_fmt17_cells`): the 17
-digits are exact, from a double-double product, and `reports.fmt17`,
-which defines the format, writes the few values the product cannot
-decide.  The sign is put back from each value's sign bit, so ``-0.0``
-stays ``-0``; face indices come from a digit table of ``0..n``.  Each
-record is one row of bytes, laid out from those
-NUL-padded cells, and the NULs are dropped.
+coordinate magnitude once per mesh, all at once (`_fmt17_cells`): in
+[1e-4, 1e17), where `fmt17` writes fixed notation, the 17 digits are
+exact, from Dekker's product, and `reports.fmt17`, which defines the
+format, writes zero, the other magnitudes and the exact ties.  The sign
+is put back from each value's sign bit, so ``-0.0`` stays ``-0``; face
+indices come from a digit table of ``0..n``.  Each record is one row of
+bytes, laid out from those NUL-padded cells, and the NULs are dropped.
 
 Validation and OBJ writing both run over fixed-size chunks of `_CHUNK`
 faces or records, so their memory follows the mesh arrays, not the size
@@ -137,11 +137,11 @@ class MeshObj:
         ``f`` records.
 
         Coordinates are written as `reports.fmt17` writes them, with 17
-        significant digits, so they read back exactly; the digits are exact
-        from a double-double product (`_fmt17_cells`), and `fmt17` writes
-        the values it cannot decide.  This is the join of the chunks that
-        `write_obj` streams to disk (`_obj_chunks`); the bytes are never
-        decoded into a `str`.
+        significant digits, so they read back exactly; where they are in
+        fixed notation the digits are exact, from Dekker's product
+        (`_fmt17_cells`), and `fmt17` writes the rest.  This is the join
+        of the chunks that `write_obj` streams to disk (`_obj_chunks`); the
+        bytes are never decoded into a `str`.
         """
         return b"".join(self._obj_chunks())
 
@@ -169,15 +169,11 @@ class MeshObj:
 # exact 17-digit cells of coordinate magnitudes
 
 
-# the magnitudes whose digits `_fmt17_cells` computes: beyond them 10^q or
-# Dekker's split of x would leave the normal range
-_EXACT_LOW, _EXACT_HIGH = 1e-280, 1e290
-# a product x 10^q within this of a half-integer goes to `fmt17`; the
-# double-double's error is below 1e-14 at 1e17
-_TIE_MARGIN = 1e-6
-# the exponents q of the tabulated powers 10^q, with room for x 10^q to
-# land in [1e16, 1e17) from any x in the exact range
-_Q_LOW, _Q_HIGH = -280, 300
+# the decades 10^k <= x < 10^(k+1), k in [-4, 16], where `fmt17` writes
+# fixed notation: 1e-4 .. 1e16, each the smallest double >= 10^k (the four
+# below 1 round up, the others are exact), and the exact 10^(16 - k)
+_DECADES = np.array([float(f"1e{k}") for k in range(-4, 17)])
+_SCALES = np.array([float(f"1e{16 - k}") for k in range(-4, 17)])
 
 
 def _split(a):
@@ -187,45 +183,17 @@ def _split(a):
     return big, a - big
 
 
-@functools.cache
-def _powers_of_ten() -> np.ndarray:
-    """10^q for q in [_Q_LOW, _Q_HIGH], one column each, in four rows:
-    high, 10^q rounded to a double; Dekker's split of high; and low, the
-    rest of 10^q rounded to a double.  Exact from Python integers."""
-    table = np.empty((_Q_HIGH - _Q_LOW + 1, 4))
-    for row, q in zip(table, range(_Q_LOW, _Q_HIGH + 1)):
-        power = 10 ** abs(q)
-        if q >= 0:
-            high = float(power)
-            low = float(power - int(high))
-        else:
-            high = 1 / power
-            num, den = high.as_integer_ratio()
-            low = (den - num * power) / (den * power)
-        row[:] = high, *_split(high), low
-    table.setflags(write=False)
-    return table.T
-
-
-def _scaled(x, k):
-    """x 10^(16 - k) as an unevaluated sum high + low of doubles."""
-    ten, ten_big, ten_small, ten_low = _powers_of_ten().take(16 - k - _Q_LOW,
-                                                             axis=1)
+def _scaled(x):
+    """k with 10^k <= x < 10^(k+1), and x 10^(16 - k) exactly, as an
+    unevaluated sum high + low of doubles, for x in [1e-4, 1e17)."""
+    at = np.searchsorted(_DECADES, x, side="right") - 1
+    ten = _SCALES[at]
     x_big, x_small = _split(x)
+    ten_big, ten_small = _split(ten)
     high = x * ten
-    low = ((((x_big * ten_big - high) + x_big * ten_small)
-            + x_small * ten_big) + x_small * ten_small) + x * ten_low
-    return high, low
-
-
-def _off_range(high, low) -> np.ndarray:
-    """1 where high + low >= 1e17, -1 where it is below 1e16, else 0.
-
-    The pair is compared, not its high part alone: the high part of
-    9.99...e16 may round to 1e17.
-    """
-    return (((high - 1e17) + low >= 0).astype(np.int64)
-            - ((high - 1e16) + low < 0))
+    low = (((x_big * ten_big - high) + x_big * ten_small)
+           + x_small * ten_big) + x_small * ten_small
+    return at - 4, high, low
 
 
 @functools.cache
@@ -259,19 +227,17 @@ def _digit_stream(nearest: np.ndarray, zeros: np.ndarray) -> np.ndarray:
 
 def _layout(nearest: np.ndarray, k: np.ndarray
             ) -> tuple[np.ndarray, np.ndarray]:
-    """``%g`` cells, one row each, of nearest 10^(k - 16) for integers
-    nearest in [1e16, 1e17), and the length of each.
+    """Fixed-notation ``%g`` cells, one row each, of nearest 10^(k - 16)
+    for integers nearest in [1e16, 1e17) and k in [-4, 16], and the length
+    of each.
 
-    Fixed notation for -4 <= k < 17, the digits after ``0.`` and -k-1
-    zeros when k < 0; otherwise ``d.ddde+XX``, with at least two exponent
-    digits.  Trailing fraction zeros are dropped, and so is a bare point.
+    The digits follow ``0.`` and -k-1 zeros when k < 0.  Trailing fraction
+    zeros are dropped, and so is a bare point.
     """
-    n = len(k)
-    sci = (k < -4) | (k > 16)
     # the stream is `zeros` zeros, the one before the point included, then
     # the 17 digits; the point follows `point` of it
-    zeros = np.where(sci, 0, np.maximum(-k, 0))
-    point = np.where(sci | (k < 0), 1, k + 1).astype(np.uint8)[:, None]
+    zeros = np.maximum(-k, 0)
+    point = np.maximum(k + 1, 1).astype(np.uint8)[:, None]
     stream = _digit_stream(nearest, zeros)
     # the stream up to its last nonzero digit and every integer digit
     place = np.arange(24, dtype=np.uint8)
@@ -281,57 +247,33 @@ def _layout(nearest: np.ndarray, k: np.ndarray
     length = kept + (kept > point)
     cells = stream[:, :-1].copy()
     np.copyto(cells, stream[:, 1:], where=place[:-1] < point)
-    cells[np.arange(n), point[:, 0]] = ord(".")
+    cells[np.arange(len(k)), point[:, 0]] = ord(".")
     cells *= place[:-1] < length
-    length = length[:, 0]
-    at = sci.nonzero()[0]
-    if at.size:
-        # the exponent of a scientific cell follows its last digit
-        e = k[at, None]
-        e_abs = np.abs(e)
-        wide = e_abs >= 100
-        suffix = np.zeros((len(at), 5), dtype=np.uint8)
-        suffix[:, :1] = ord("e")
-        suffix[:, 1:2] = np.where(e < 0, ord("-"), ord("+"))
-        suffix[:, 2:3] = np.where(wide, e_abs // 100,
-                                  e_abs // 10 % 10) + ord("0")
-        suffix[:, 3:4] = np.where(wide, e_abs // 10 % 10,
-                                  e_abs % 10) + ord("0")
-        suffix[:, 4:] = np.where(wide, e_abs % 10 + ord("0"), 0)
-        cells[at[:, None], length[at, None] + np.arange(5)] = suffix
-        length[at] = length[at] + 4 + wide[:, 0]
-    return cells, length
+    return cells, length[:, 0]
 
 
 def _fmt17_cells(values: np.ndarray) -> np.ndarray:
     """`reports.fmt17` of nonnegative finite doubles as an ``(n, w)``
     uint8 table of ASCII cells, NUL-padded to w, the longest text's length.
 
-    The 17 digits of x are those of the integer nearest x 10^q, where
-    q = 16 - k and 10^k <= x < 10^(k+1).  The product is a double-double
-    (Dekker 1971): 10^q is a pair of doubles tabulated on first use from
-    Python integers, and Dekker's split gives the product's rounding error
-    exactly, as numpy has no fused multiply-add.  Its error is below 1e-14
-    at 1e17.  `fmt17`, which defines the format, writes each value the
-    product cannot decide: zero, x outside [1e-280, 1e290], and a product
-    within `_TIE_MARGIN` of a half-integer.
+    For x in [1e-4, 1e17), where `fmt17` writes fixed notation, the 17
+    digits are those of the integer nearest x 10^q, where q = 16 - k and
+    10^k <= x < 10^(k+1).  k is looked up in `_DECADES`; 10^q, q in
+    [0, 20], is a double, so Dekker's product (Dekker 1971) gives x 10^q
+    exactly as a pair of doubles, with Dekker's split standing in for the
+    fused multiply-add numpy lacks.  `fmt17`, which defines the format,
+    writes the rest: zero, x outside [1e-4, 1e17), and the exact ties,
+    where x 10^q is a half-integer.
     """
     x = np.asarray(values, dtype=np.float64).ravel()
-    inside = (x >= _EXACT_LOW) & (x <= _EXACT_HIGH)
+    inside = (x >= _DECADES[0]) & (x < 1e17)
     # 1 stands in for the values outside, which `fmt17` writes
-    exact = np.where(inside, x, 1.0)
-    k = np.floor(np.log10(exact)).astype(np.int64)
-    high, low = _scaled(exact, k)
-    # the estimate of k is one off where the pair lies outside [1e16, 1e17)
-    step = _off_range(high, low)
-    moved = step.nonzero()[0]
-    if moved.size:
-        k[moved] += step[moved]
-        high[moved], low[moved] = _scaled(exact[moved], k[moved])
-        step[moved] = _off_range(high[moved], low[moved])
+    k, high, low = _scaled(np.where(inside, x, 1.0))
+    # high is an integer, and low a multiple of 2^-46, so the fraction is
+    # exact
     whole = np.floor(low)
     fraction = low - whole
-    decided = inside & (step == 0) & (np.abs(fraction - 0.5) > _TIE_MARGIN)
+    decided = inside & (fraction != 0.5)
     nearest = (high.astype(np.int64) + whole.astype(np.int64)
                + (fraction > 0.5))
     # 10^17 - 1/2 and above round to the next power of ten
@@ -359,9 +301,9 @@ def _coordinate_table(vertices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     The table holds NUL-padded ASCII cells, one per distinct magnitude and
     then each of those after a ``-``; the ``(n, 3)`` rows pick a value's
     cell by its magnitude and sign bit.  The magnitudes are formatted once,
-    together, by `_fmt17_cells`, whose digits are exact from a
-    double-double product; `reports.fmt17` defines the format and writes
-    each magnitude the product cannot decide.
+    together, by `_fmt17_cells`, whose digits are exact from Dekker's
+    product in fixed notation; `reports.fmt17` defines the format and
+    writes zero, the other magnitudes and the exact ties.
     """
     bits = vertices.view(np.int64)
     magnitudes, inverse = np.unique(bits & _MAGNITUDE, return_inverse=True)

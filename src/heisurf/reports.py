@@ -4,9 +4,9 @@ Every number is written with 17 significant digits, enough to round-trip a
 double exactly, so re-running a command with the same inputs produces
 byte-identical files and reproducibility can be checked by hashing.
 `fmt17` defines that format.  The OBJ writer (`meshes`) writes it for all
-of a mesh's coordinates at once, with digits that are exact from a
-double-double product, and hands `fmt17` each value that product cannot
-decide.
+of a mesh's coordinates at once: its digits are exact, from Dekker's
+product, where `fmt17` writes fixed notation, and it hands `fmt17` zero,
+the other magnitudes and the exact ties.
 `dump_json` walks a payload once: the same walk converts numpy scalars and
 arrays, writes the text and reports every NaN or infinity with its key, so
 a caller can refuse a payload by exactly the numbers it would write.  Files

@@ -103,7 +103,8 @@ def test_no_module_imports_a_private_name_of_another():
 
 def test_only_reports_spells_the_seventeen_digit_format():
     # `reports.fmt17` defines how every number is written; the OBJ writer
-    # computes the same digits exactly and hands it what it cannot decide
+    # computes the same digits exactly where it writes fixed notation and
+    # hands it the rest
     found = [f"heisurf/{stem}.py line {number}"
              for stem in ["__init__", *MODULES] if stem != "reports"
              for number, line in enumerate(

@@ -96,10 +96,36 @@ def test_measure_scales_like_radius_cubed():
     assert result.se < 0.25
 
 
+def _measure_of_ball_about(center, radius, n, seed):
+    """Monte-Carlo measure of the lines meeting B(center, r), with SE.
+
+    The box is the padded axis-aligned hull of the sheared chart image, so
+    agreement with `line_measure_of_ball` about the origin is a real test
+    of translation invariance, not an algebraic identity.
+    """
+    rng = np.random.default_rng(seed)
+    gx, gy, gz = center
+    r1 = math.hypot(gx, gy)
+    vmax = radius + r1
+    wmax = 1.5 * radius ** 2 + r1 * vmax + abs(gz) + 0.5 * r1 * r1
+    theta = rng.uniform(0.0, math.pi, size=n)
+    v = rng.uniform(-vmax, vmax, size=n)
+    w = rng.uniform(-wmax, wmax, size=n)
+    # shift each line by center^{-1} and test against the origin ball
+    cos, sin = np.cos(theta), np.sin(theta)
+    a = -(cos * gx + sin * gy)
+    b = -(-sin * gx + cos * gy)
+    v0 = v + b
+    w0 = w + a * v - gz + 0.5 * a * b
+    p = float(np.mean(line_ball_distance(v0, w0) <= radius))
+    vol = math.pi * 2.0 * vmax * 2.0 * wmax
+    return vol * p, vol * math.sqrt(p * (1.0 - p) / n)
+
+
 def test_measure_is_translation_invariant():
     origin, se0 = line_measure_of_ball(1.0, 150_000, seed=5)
-    moved, se1 = line_measure_of_ball(1.0, 150_000, seed=6,
-                                      center=(0.6, -0.4, 0.3))
+    moved, se1 = _measure_of_ball_about((0.6, -0.4, 0.3), 1.0, 150_000,
+                                        seed=6)
     assert abs(moved - origin) < 3.0 * math.hypot(se0, se1)
     assert se1 < 0.05 * moved
 

@@ -2,6 +2,8 @@
 import hashlib
 import math
 import os
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
 from unittest import mock
@@ -372,10 +374,15 @@ def _around(*values):
 #: and 10 (1e15 + 0.75) up
 TIES = [1e15 + 0.25, 1e15 + 0.75, 1e14 + 0.125, 1e14 + 0.375]
 
+#: the nearest misses of a tie, which `_fmt17_cells` decides itself:
+#: x 10^20 is a half-integer plus and minus 2^-46
+NEAR_TIES = [0.00010019038333442954, 0.00010008122311088296]
+
 #: magnitudes at the edges of the ``%.17g`` layouts and of `_fmt17_cells`
 FMT17_BOUNDARY = [
-    # where fixed notation switches to scientific, where 17 integer digits
-    # end, and exponents of three digits
+    # where fixed notation switches to scientific, at the ends of the range
+    # `_fmt17_cells` decides, where 17 integer digits end, and exponents of
+    # three digits
     *_around(1e-5, 1e-4, 1e16, 1e17, 1e100, 1e-100),
     # doubles whose 17 digits round up to a power of ten
     math.nextafter(1e23, 0.0), 1e23, 1e-14, 1e98, 1e-176,
@@ -383,8 +390,8 @@ FMT17_BOUNDARY = [
     # 1e17: their 17 digits are 9.99...
     1e-6, 1e-12, 1e24,
     # exact halves and ties
-    0.5, 2.5, 0.125, *TIES,
-    # the ends of the range the double-double product decides
+    0.5, 2.5, 0.125, *TIES, *NEAR_TIES,
+    # deep in scientific notation, where `fmt17` writes every value
     *_around(1e-280, 1e290),
 ]
 
@@ -418,16 +425,20 @@ def test_obj_text_equals_a_per_record_writer(tmp_path, n, header):
 
 
 def _undecidable(value):
-    """Is value zero, outside [1e-280, 1e290], or x 10^(16 - k) within
-    `_TIE_MARGIN` of a half-integer, with 10^k <= x < 10^(k+1)?"""
-    if not 1e-280 <= value <= 1e290:
-        return True
+    """Is value zero, outside [1e-4, 1e17), or x 10^(16 - k) exactly a
+    half-integer, with 10^k <= x < 10^(k+1)?"""
     exact = Fraction(value)
-    k = math.floor(math.log10(value))
-    k += (exact >= Fraction(10) ** (k + 1)) - (exact < Fraction(10) ** k)
+    if not Fraction(1, 10 ** 4) <= exact < 10 ** 17:
+        return True
+    k = _decade(exact)
     scaled = exact * Fraction(10) ** (16 - k)
-    return abs(scaled - math.floor(scaled) - Fraction(1, 2)) \
-        <= meshes._TIE_MARGIN
+    return scaled - math.floor(scaled) == Fraction(1, 2)
+
+
+def _decade(exact):
+    """k with 10^k <= exact < 10^(k+1), for a positive Fraction."""
+    k = math.floor(math.log10(exact))
+    return k + (exact >= Fraction(10) ** (k + 1)) - (exact < Fraction(10) ** k)
 
 
 @settings(derandomize=True, database=None, max_examples=300, deadline=None)
@@ -439,7 +450,7 @@ def _undecidable(value):
 def test_fmt17_cells_write_fmt17(bits):
     # float64 bit patterns over every exponent, subnormals included: the
     # cells are `fmt17`'s texts, as wide as the longest, and `fmt17` itself
-    # writes exactly the values the double-double product cannot decide
+    # writes exactly the values the exact product does not decide
     values = np.array(bits, dtype=np.int64).view(np.float64)
     with mock.patch.object(meshes, "fmt17", wraps=fmt17) as fallback:
         table = meshes._fmt17_cells(values)
@@ -450,9 +461,74 @@ def test_fmt17_cells_write_fmt17(bits):
         == [text.encode("ascii") for text in texts]
     handed = [call.args[0] for call in fallback.call_args_list]
     assert handed == [v for v in values.tolist() if _undecidable(v)]
-    # among them the ties, zero and values beyond the range
-    assert all(map(_undecidable, [*TIES, 0.0, 5e-324, 1e-300, 1e300]))
-    assert not any(map(_undecidable, [0.1, 2.5, 1e-280, 1e290]))
+    # among them the ties, zero and values beyond the fixed-notation range
+    assert all(map(_undecidable,
+                   [*TIES, 0.0, 5e-324, 1e-300, 1e-280, 1e290, 1e300]))
+    assert not any(map(_undecidable,
+                       [0.1, 2.5, 1e-4, 1e17 - 16, *NEAR_TIES]))
+
+
+#: the float64 bit patterns of 1e-4 and of 1e17 - 16, the ends of the range
+#: `_fmt17_cells` decides
+_FIXED_BITS = [int(b) for b in np.array([1e-4, 1e17 - 16]).view(np.int64)]
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(st.lists(st.integers(*_FIXED_BITS), min_size=1, max_size=40))
+@example(_FIXED_BITS)
+@example([int(v) for v in np.array([v for v in FMT17_BOUNDARY
+                                    if 1e-4 <= v < 1e17]).view(np.int64)])
+def test_scaled_product_is_exact(bits):
+    # k is x's decade, and high + low is x 10^(16 - k) with no rounding
+    values = np.array(bits, dtype=np.int64).view(np.float64)
+    k, high, low = meshes._scaled(values)
+    for x, q, h, lo in zip(values.tolist(), (16 - k).tolist(),
+                           high.tolist(), low.tolist()):
+        assert 16 - q == _decade(Fraction(x))
+        assert Fraction(h) + Fraction(lo) == Fraction(x) * 10 ** q
+
+
+def test_decades_are_the_smallest_doubles_at_least_each_power_of_ten():
+    assert len(meshes._DECADES) == len(meshes._SCALES) == 21
+    for k, bound, scale in zip(range(-4, 17), meshes._DECADES.tolist(),
+                               meshes._SCALES.tolist()):
+        power = Fraction(10) ** k
+        assert Fraction(math.nextafter(bound, 0.0)) < power <= Fraction(bound)
+        assert Fraction(scale) == Fraction(10) ** (16 - k)
+
+
+_DISPATCH_SCRIPT = """
+import sys
+import numpy as np
+from heisurf import meshes
+np.save(sys.argv[2], meshes._fmt17_cells(np.load(sys.argv[1])))
+"""
+
+
+def test_fmt17_cells_do_not_depend_on_the_cpu_dispatch(tmp_path):
+    # the cells are the same bytes with every dispatched numpy kernel this
+    # CPU runs switched off, in a fresh interpreter
+    umath = pytest.importorskip("numpy._core._multiarray_umath")
+    disabled = [name for name in umath.__cpu_dispatch__
+                if umath.__cpu_features__.get(name)]
+    if not disabled:
+        pytest.skip("this CPU runs no dispatched numpy kernel")
+    rng = np.random.default_rng(7)
+    # bit patterns, most of them in the range the exact product decides
+    bits = np.concatenate([rng.integers(*_FIXED_BITS, 40_000, endpoint=True),
+                           rng.integers(0, 0x7FEF_FFFF_FFFF_FFFF, 2_000)])
+    values = tmp_path / "values.npy"
+    np.save(values, bits.view(np.float64))
+    cells = tmp_path / "cells.npy"
+    src = os.path.dirname(os.path.dirname(os.path.abspath(meshes.__file__)))
+    subprocess.run([sys.executable, "-W", "error", "-c", _DISPATCH_SCRIPT,
+                    str(values), str(cells)], check=True, timeout=120,
+                   env={**os.environ, "PYTHONPATH": src,
+                        "NPY_DISABLE_CPU_FEATURES": " ".join(disabled)})
+    expected = meshes._fmt17_cells(bits.view(np.float64))
+    got = np.load(cells)
+    assert got.shape == expected.shape
+    assert got.tobytes() == expected.tobytes()
 
 
 def test_a_stream_that_fails_partway_leaves_no_file(tmp_path, monkeypatch):
