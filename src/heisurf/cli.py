@@ -21,9 +21,13 @@ A numeric failure is an `ArithmeticError` (every numeric error class of the
 package subclasses it) or a floating-point `RuntimeWarning`.  Each handler
 imports the modules it uses when it first runs.
 
-Two tables decide which flags a run may take: `_SURFACES` says which surface
-flags each (command, ``--surface``) pair reads, and `_DOMAINS` holds the
-domain of each numeric flag.  Both are checked once, before any handler.
+Each flag's argparse settings are declared once, in `_FLAGS`.  `_COMMANDS`
+gives each command's help, handler and flags, and `_SURFACES` the surface
+flags of each (command, ``--surface``) pair, each flag marked required,
+optional or with its default; `_DOMAINS` holds the domain of each numeric
+flag.  One pass, `_read_flags`, reads them all before any handler: it
+refuses a surface flag the pair does not read, requires what the run needs,
+fills in defaults, checks domains and builds every profile.
 
 The output directory comes from ``--output-dir``, the ``HEISURF_OUTPUT_DIR``
 environment variable, or the current directory, in that order.  Stochastic
@@ -43,9 +47,9 @@ import re
 import shlex
 import sys
 import warnings
-from typing import Any, Optional, Sequence
+from typing import Optional, Sequence
 
-from .profilespec import ProfileSpec, parse_profile
+from .profilespec import parse_profile
 from .reports import atomic_write_text, dump_csv, dump_json, fmt17
 from .strips import (SLOPE_RULES, broken_plane, require_pwl,
                      slope_rule_breaks, strip_surface)
@@ -64,37 +68,54 @@ EXIT_NUMERIC = 3
 # ---------------------------------------------------------------------------
 # flag tables
 
-#: argparse settings of the surface flags, keyed by dest.  They all default
-#: to None, so that a given flag can be told from an omitted one.
-_SURFACE_FLAGS = {
-    "profile": {}, "kind": {"choices": ("sigma", "alpha")}, "rho": {},
-    "u": {"type": float},
+#: argparse settings of every flag, keyed by dest, in help order; --surface
+#: takes its choices from `_SURFACES`.  Every flag defaults to None, so that
+#: a given flag can be told from an omitted one.
+_FLAGS = {
+    "surface": {}, "alpha": {}, "tau": {},
+    "profile": {"help": "ruling slope profile; non-increasing for "
+                        "scaling-limit"},
+    "kind": {"choices": ("sigma", "alpha")}, "rho": {}, "u": {"type": float},
     "competitor_kind": {"choices": ("minimal", "harmonic")},
-    "z_cap": {"type": float}, "window": {"help": "height window 'lo,hi'"},
-    "x_max": {"type": float},
+    "z_cap": {"type": float}, "t_grid": {},
+    "window": {"help": "height window 'lo,hi'; for scaling-limit, the "
+                       "height bound"},
+    "x_max": {"type": float}, "lambdas": {}, "res": {"type": int},
+    "x_res": {"type": int}, "r1": {"type": float}, "r2": {"type": float},
+    "lines": {"type": int}, "radius": {"type": float},
+    "check_chords": {"type": int,
+                     "help": "sample this many interior chord pairs"},
+    "seed": {"type": int}, "max_z": {"type": float},
+    "output_dir": {"help": "directory for artifacts (default: "
+                           f"${OUTPUT_DIR_ENV} or the current directory)"},
+    "out": {"help": "base name for artifact files "
+                    "(default: the subcommand name)"},
 }
 
-#: The surface flags each (command, --surface) pair reads; a trailing "?"
-#: marks one that may be omitted.  Any other surface flag is refused.
+#: The surface flags each (command, --surface) pair reads.  A bare flag is
+#: required, a trailing "?" marks one that may be omitted, and "=text" one
+#: that stands for its default text when omitted.  Any other surface flag
+#: is refused.
 _SURFACES = {
     **{(command, surface): flags
        for command in ("area", "energy")
-       for surface, flags in (("strip", "profile kind? window x_max?"),
+       for surface, flags in (("strip", "profile kind=sigma window x_max=1"),
                               ("broken-plane", "u z_cap"),
                               ("sigma-rho", "rho window"))},
-    ("monotonicity", "strip"): "profile kind? x_max?",
-    ("monotonicity", "broken-plane"): "u x_max?",
+    ("monotonicity", "strip"): "profile kind=sigma x_max=1",
+    ("monotonicity", "broken-plane"): "u x_max=1",
     ("monotonicity", "sigma-rho"): "rho window",
-    ("export-obj", "strip"): "profile kind? window x_max?",
-    ("export-obj", "broken-plane"): "u window x_max?",
+    ("export-obj", "strip"): "profile kind=sigma window x_max=1",
+    ("export-obj", "broken-plane"): "u window x_max=1",
     ("export-obj", "sigma-rho"): "rho window",
-    ("export-obj", "competitor"): "u competitor_kind? z_cap?",
+    ("export-obj", "competitor"): "u competitor_kind=minimal z_cap?",
 }
 
-#: What an omitted optional surface flag stands for; an omitted competitor
-#: --z-cap is twice the opening.
-_SURFACE_DEFAULTS = {"kind": "sigma", "x_max": 1.0,
-                     "competitor_kind": "minimal"}
+#: The flags whose value is a profile spec, built before any handler runs.
+_PROFILES = ("profile", "rho", "alpha", "tau")
+
+#: The flags every command reads.
+_OUTPUT = " output_dir? out?"
 
 _NONNEGATIVE = (lambda x: math.isfinite(x) and x >= 0.0,
                 "a finite number >= 0")
@@ -105,15 +126,20 @@ _POSITIVE = (lambda x: math.isfinite(x) and x > 0.0, "a finite number > 0")
 #: command.  Comma-separated values are tested as tuples of floats.
 _DOMAINS = {
     **dict.fromkeys(("u", "max_z"), _NONNEGATIVE),
+    ("competitor", "u"): _POSITIVE,
     **dict.fromkeys(("x_max", "radius", "r1", "r2"), _POSITIVE),
     "z_cap": (math.isfinite, "a finite number"),
+    **dict.fromkeys((("area", "z_cap"), ("energy", "z_cap")), _NONNEGATIVE),
     "window": (lambda w: (len(w) == 2 and all(map(math.isfinite, w))
                           and w[0] < w[1]), "two finite numbers lo < hi"),
-    ("scaling-limit", "window"): _POSITIVE,
+    ("scaling-limit", "window"): (lambda w: len(w) == 1 and _POSITIVE[0](*w),
+                                  _POSITIVE[1]),
     "lambdas": (lambda ls: (len(set(ls)) == len(ls) >= 2
                             and all(_POSITIVE[0](x) for x in ls)),
                 "two or more distinct finite numbers > 0"),
-    "t_grid": (lambda ts: all(map(math.isfinite, ts)), "finite numbers"),
+    "t_grid": (lambda ts: (all(map(_POSITIVE[0], ts))
+                           and all(a < b for a, b in zip(ts, ts[1:]))),
+               "finite numbers > 0, strictly increasing"),
     **dict.fromkeys(("lines", "res", "x_res"), (lambda n: n >= 1,
                                                 "at least 1")),
     **dict.fromkeys(("check_chords", "seed"), (lambda n: n >= 0,
@@ -125,50 +151,62 @@ def _option(dest: str) -> str:
     return "--" + dest.replace("_", "-")
 
 
-def _check_domains(args) -> None:
-    """Test every given numeric flag against its domain; comma-separated
-    values are replaced by their tuples of floats."""
-    for dest, value in list(vars(args).items()):
-        domain = _DOMAINS.get((args.command, dest), _DOMAINS.get(dest))
-        if domain is None or value is None:
-            continue
-        test, text = domain
-        try:
-            parsed = (tuple(float(p) for p in value.split(","))
-                      if isinstance(value, str) else value)
-            ok = test(parsed)
-        except ValueError:
-            ok = False
-        if not ok:
-            raise ValueError(f"{_option(dest)} must be {text}, got {value!r}")
-        setattr(args, dest, parsed)
+def _read(flags: str) -> dict:
+    """dest -> (required, default text) of each flag of a flag list."""
+    read = {}
+    for word in flags.split():
+        name, _, default = word.partition("=")
+        dest = name.rstrip("?")
+        read[dest] = (dest == name and not default, default or None)
+    return read
 
 
-def _read_surface_flags(args) -> None:
-    """Check the surface flags against `_SURFACES`: refuse the ones the pair
-    does not read and require the ones it cannot do without.  Fill in the
-    defaults, build --profile/--rho, and keep in ``args.inputs`` the values
-    the payload records."""
-    surface = getattr(args, "surface", None)
-    if surface is None:
-        return
-    reads = _SURFACES[args.command, surface].split()
-    pair = f"{args.command} --surface {surface}"
-    args.inputs = {}
-    for dest in _SURFACE_FLAGS:
-        value = getattr(args, dest, None)
-        if dest not in reads and dest + "?" not in reads:
-            if value is not None:
-                raise ValueError(f"{_option(dest)} must be omitted with {pair}")
-            continue
-        if value is None and dest in reads:
-            raise ValueError(f"{_option(dest)} is required with {pair}")
+def _read_flags(args) -> None:
+    """The one pass over a run's flags, before any handler: refuse a surface
+    flag the run's --surface does not read, require the flags it cannot do
+    without, fill in defaults, test each value against its domain
+    (comma-separated values become tuples of floats) and build each profile,
+    whose spec goes to ``args.specs``.  A --surface run keeps in
+    ``args.inputs`` the surface flags it read, as its payload records
+    them."""
+    command = where = args.command
+    pair = {}
+    if getattr(args, "surface", None) is not None:
+        where += f" --surface {args.surface}"
+        pair = _read(_SURFACES[command, args.surface])
+        args.inputs = {}
+    read = {**_read(_COMMANDS[command][2] + _OUTPUT), **pair}
+    args.specs = {}
+    for dest in [dest for dest in _FLAGS if hasattr(args, dest)]:
+        value = getattr(args, dest)
+        if dest not in read and value is not None:
+            raise ValueError(f"{_option(dest)} must be omitted with {where}")
+        required, default = read.get(dest, (False, None))
         if value is None:
-            value = _SURFACE_DEFAULTS.get(dest)
-        args.inputs[dest] = list(value) if dest == "window" else value
-        if dest in ("profile", "rho"):
-            spec, value = _build_profile(value)
-            args.inputs[dest] = spec.to_json()
+            if required:
+                raise ValueError(f"{_option(dest)} is required with {where}")
+            if default is None:
+                continue
+            value = _FLAGS[dest].get("type", str)(default)
+        domain = _DOMAINS.get((command, dest), _DOMAINS.get(dest))
+        if domain is not None:
+            test, text = domain
+            try:
+                parsed = (tuple(float(p) for p in value.split(","))
+                          if isinstance(value, str) else value)
+                ok = test(parsed)
+            except ValueError:
+                ok = False
+            if not ok:
+                raise ValueError(f"{_option(dest)} must be {text}, "
+                                 f"got {value!r}")
+            value = parsed
+        recorded = list(value) if isinstance(value, tuple) else value
+        if dest in _PROFILES:
+            spec = args.specs[dest] = parse_profile(value)
+            value, recorded = spec.build(), spec.to_json()
+        if dest in pair:
+            args.inputs[dest] = recorded
         setattr(args, dest, value)
 
 
@@ -218,11 +256,6 @@ def _report(args, verdict: Optional[bool], detail: str,
     return EXIT_FALSE if failed else EXIT_TRUE
 
 
-def _build_profile(text: str) -> tuple[ProfileSpec, Any]:
-    spec = parse_profile(text)
-    return spec, spec.build()
-
-
 # ---------------------------------------------------------------------------
 # verdict commands on profiles
 
@@ -243,7 +276,7 @@ def _cmd_check(args):
     too low, else its highest slope, on the interval where the profile
     takes it (`Profile.where_slope`).  The alpha chart takes only a
     piecewise-linear profile, as the alpha<->sigma transform does."""
-    spec, profile = _build_profile(args.profile)
+    spec, profile = args.specs["profile"], args.profile
     if args.kind == "alpha":
         require_pwl(profile)
     lo, hi = profile.slope_bounds()
@@ -292,9 +325,8 @@ def _cmd_scalar(args):
 
 def _cmd_second_variation(args):
     from .variation import second_variation_experiment
-    alpha_spec, alpha = _build_profile(args.alpha)
-    tau_spec, tau = _build_profile(args.tau)
-    result = second_variation_experiment(require_pwl(alpha), require_pwl(tau),
+    result = second_variation_experiment(require_pwl(args.alpha),
+                                         require_pwl(args.tau),
                                          window=args.window,
                                          lambdas=args.lambdas)
     # plateaued sweeps carry an odd |lambda|^3 residual, so the fit only
@@ -303,7 +335,8 @@ def _cmd_second_variation(args):
     rows = [(lam, delta, lam * lam * result.second_variation)
             for lam, delta in zip(result.lambdas, result.delta_areas)]
     payload = {
-        "alpha": alpha_spec.to_json(), "tau": tau_spec.to_json(),
+        "alpha": args.specs["alpha"].to_json(),
+        "tau": args.specs["tau"].to_json(),
         "window": list(result.window), "lambdas": list(result.lambdas),
         "delta_areas": list(result.delta_areas),
         "second_variation": result.second_variation,
@@ -343,14 +376,13 @@ def _finite_or_none(value: float) -> Optional[float]:
 
 def _cmd_scaling_limit(args):
     from .families import RuledEntireGraph, scaling_limit
-    spec, profile = _build_profile(args.profile)
-    graph = RuledEntireGraph(profile)
-    report = scaling_limit(graph, t_grid=args.t_grid, window=args.window)
+    report = scaling_limit(RuledEntireGraph(args.profile), t_grid=args.t_grid,
+                           window=args.window[0])
     ok = bool((not report.errors) or report.converged())
     # a vertical-plane limit has infinite opening and tail slopes; `kind`
     # says so, and the payload writes them as null
     payload = {
-        "profile": spec.to_json(), "kind": report.kind,
+        "profile": args.specs["profile"].to_json(), "kind": report.kind,
         "slope_neg_limit": _finite_or_none(report.slope_neg_limit),
         "slope_pos_limit": _finite_or_none(report.slope_pos_limit),
         "theta": report.theta, "u": _finite_or_none(report.u),
@@ -363,7 +395,7 @@ def _cmd_scaling_limit(args):
 def _cmd_sigma_rho(args):
     from .families import (chord_obstruction_check, sigma_rho_area,
                            sigma_rho_area_quadrature, sigma_rho_surface)
-    spec, rho = _build_profile(args.rho)
+    rho = args.rho
     a, b = args.window
     closed = sigma_rho_area(rho, a, b)
     quad = sigma_rho_area_quadrature(rho, a, b)
@@ -385,7 +417,7 @@ def _cmd_sigma_rho(args):
         ok = bool(ok and rep.ok and rep.corner_offset <= 1e-9)
         detail += " chords=" + ("clear" if rep.ok else "violated")
     return ok, detail, {
-        "rho": spec.to_json(), "window": [a, b], "area": closed,
+        "rho": args.specs["rho"].to_json(), "window": [a, b], "area": closed,
         "area_quadrature": quad, "relative_gap": gap,
         "horizontality_residual": residual, "obstruction": obstruction,
         "verdict": ok}
@@ -449,8 +481,9 @@ def _cmd_export_obj(args):
     elif args.surface == "sigma-rho":
         mesh = mesh_from_ruled(surface, res, x_res, header)
     else:
-        z_cap = 2.0 * args.u if args.z_cap is None else args.z_cap
-        mesh = competitor_mesh(surface, z_cap, res, x_res, header)
+        from .families import competitor_z_cap
+        mesh = competitor_mesh(surface, competitor_z_cap(args.u, args.z_cap),
+                               res, x_res, header)
 
     path = os.path.join(_outdir(args), (args.out or args.surface) + ".obj")
     write_obj(mesh, path)
@@ -470,23 +503,35 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"error: {message}\n")
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--output-dir", default=None,
-                     help="directory for artifacts (default: "
-                          f"${OUTPUT_DIR_ENV} or the current directory)")
-    sub.add_argument("--out", default=None,
-                     help="base name for artifact files "
-                          "(default: the subcommand name)")
-
-
-def _add_surface(sub: argparse.ArgumentParser, command: str) -> None:
-    """--surface and every surface flag one of its choices reads."""
-    pairs = {s: f.replace("?", "").split()
-             for (c, s), f in _SURFACES.items() if c == command}
-    sub.add_argument("--surface", choices=tuple(pairs), required=True)
-    for dest, settings in _SURFACE_FLAGS.items():
-        if any(dest in reads for reads in pairs.values()):
-            sub.add_argument(_option(dest), default=None, **settings)
+#: Each command: its help, its handler and the flags it reads, in the
+#: notation of `_SURFACES`.  ``surface`` stands for --surface and every
+#: surface flag its choices read; every command also reads `_OUTPUT`.
+_COMMANDS = {
+    "check-strip": ("is the profile's ruled surface a graph?", _cmd_check,
+                    "profile kind=sigma"),
+    "check-minimal": ("is the profile's surface area-minimizing?",
+                      _cmd_check, "profile kind=alpha"),
+    "area": ("horizontal perimeter of a surface", _cmd_scalar, "surface"),
+    "energy": ("intrinsic Dirichlet energy", _cmd_scalar, "surface"),
+    "second-variation": ("exact deformed areas vs the quadratic model",
+                         _cmd_second_variation,
+                         "alpha tau window? lambdas=0.02,0.04,0.06,0.08"),
+    "monotonicity": ("crossing census over random horizontal lines",
+                     _cmd_monotonicity,
+                     "surface lines=400 radius=1.5 seed=0"),
+    "scaling-limit": ("classify the blow-down of an entire graph",
+                      _cmd_scaling_limit, "profile t_grid=2,4,8,16 "
+                                          "window=1000"),
+    "sigma-rho": ("equal-area spanning surface of a sweep profile",
+                  _cmd_sigma_rho, "rho window check_chords=0 seed=0"),
+    "competitor": ("compare spanning competitors with the broken plane",
+                   _cmd_competitor, "u z_cap?"),
+    "export-obj": ("write a surface mesh as .obj", _cmd_export_obj,
+                   "surface res x_res?"),
+    "calibrate-lines": ("check the cubic scaling of the line measure",
+                        _cmd_calibrate_lines,
+                        "r1=1 r2=2 lines=200000 seed=0 max_z=3"),
+}
 
 
 @functools.cache
@@ -494,98 +539,23 @@ def build_parser() -> argparse.ArgumentParser:
     """The ``heisurf`` parser, built on the first call and shared after it.
 
     Every call returns the same parser, so it must not be mutated.  Reuse
-    is safe because `parse_args` returns a fresh namespace each time, every
-    default is an immutable constant, and ``--output-dir`` falls back to
-    ``HEISURF_OUTPUT_DIR`` when a command runs, not here.
+    is safe because `parse_args` returns a fresh namespace each time and
+    every flag defaults to None: `_read_flags` fills in the defaults, and
+    ``--output-dir`` falls back to ``HEISURF_OUTPUT_DIR``, when a command
+    runs, not here.
     """
     parser = _Parser(
         prog="heisurf",
         description="Minimal-surface experiments in the Heisenberg group.")
     subs = parser.add_subparsers(dest="command", required=True)
-
-    p = subs.add_parser("check-strip",
-                        help="is the profile's ruled surface a graph?")
-    p.add_argument("--profile", required=True)
-    p.add_argument("--kind", choices=("sigma", "alpha"), default="sigma")
-    _add_common(p)
-    p.set_defaults(func=_cmd_check)
-
-    p = subs.add_parser("check-minimal",
-                        help="is the profile's surface area-minimizing?")
-    p.add_argument("--profile", required=True)
-    p.add_argument("--kind", choices=("alpha", "sigma"), default="alpha")
-    _add_common(p)
-    p.set_defaults(func=_cmd_check)
-
-    for name, help_text in (("area", "horizontal perimeter of a surface"),
-                            ("energy", "intrinsic Dirichlet energy")):
-        p = subs.add_parser(name, help=help_text)
-        _add_surface(p, name)
-        _add_common(p)
-        p.set_defaults(func=_cmd_scalar)
-
-    p = subs.add_parser("second-variation",
-                        help="exact deformed areas vs the quadratic model")
-    p.add_argument("--alpha", required=True)
-    p.add_argument("--tau", required=True)
-    p.add_argument("--window", default=None)
-    p.add_argument("--lambdas", default=(0.02, 0.04, 0.06, 0.08))
-    _add_common(p)
-    p.set_defaults(func=_cmd_second_variation)
-
-    p = subs.add_parser("monotonicity",
-                        help="crossing census over random horizontal lines")
-    _add_surface(p, "monotonicity")
-    p.add_argument("--lines", type=int, default=400)
-    p.add_argument("--radius", type=float, default=1.5)
-    p.add_argument("--seed", type=int, default=0)
-    _add_common(p)
-    p.set_defaults(func=_cmd_monotonicity)
-
-    p = subs.add_parser("scaling-limit",
-                        help="classify the blow-down of an entire graph")
-    p.add_argument("--profile", required=True,
-                   help="non-increasing ruling slope profile")
-    p.add_argument("--t-grid", default=(2.0, 4.0, 8.0, 16.0))
-    p.add_argument("--window", type=float, default=1.0e3)
-    _add_common(p)
-    p.set_defaults(func=_cmd_scaling_limit)
-
-    p = subs.add_parser("sigma-rho",
-                        help="equal-area spanning surface of a sweep profile")
-    p.add_argument("--rho", required=True)
-    p.add_argument("--window", required=True)
-    p.add_argument("--check-chords", type=int, default=0,
-                   help="sample this many interior chord pairs")
-    p.add_argument("--seed", type=int, default=0)
-    _add_common(p)
-    p.set_defaults(func=_cmd_sigma_rho)
-
-    p = subs.add_parser("competitor",
-                        help="compare spanning competitors with the broken "
-                             "plane")
-    p.add_argument("--u", type=float, required=True)
-    p.add_argument("--z-cap", type=float, default=None)
-    _add_common(p)
-    p.set_defaults(func=_cmd_competitor)
-
-    p = subs.add_parser("export-obj", help="write a surface mesh as .obj")
-    _add_surface(p, "export-obj")
-    p.add_argument("--res", type=int, required=True)
-    p.add_argument("--x-res", type=int, default=None)
-    _add_common(p)
-    p.set_defaults(func=_cmd_export_obj)
-
-    p = subs.add_parser("calibrate-lines",
-                        help="check the cubic scaling of the line measure")
-    p.add_argument("--r1", type=float, default=1.0)
-    p.add_argument("--r2", type=float, default=2.0)
-    p.add_argument("--lines", type=int, default=200_000)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-z", type=float, default=3.0)
-    _add_common(p)
-    p.set_defaults(func=_cmd_calibrate_lines)
-
+    for command, (help_text, _, flags) in _COMMANDS.items():
+        sub = subs.add_parser(command, help=help_text)
+        pairs = {s: f for (c, s), f in _SURFACES.items() if c == command}
+        reads = _read(" ".join([flags, *pairs.values(), _OUTPUT]))
+        for dest in filter(reads.__contains__, _FLAGS):
+            sub.add_argument(_option(dest), default=None, **(
+                {"choices": tuple(pairs)} if dest == "surface"
+                else _FLAGS[dest]))
     return parser
 
 
@@ -622,13 +592,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 0 if code in (0, None) else int(code)
     args.argv = argv
     try:
-        _check_domains(args)
-        _read_surface_flags(args)
+        _read_flags(args)
         # a floating-point fault is a numeric failure, not a stderr warning
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            return _report(args, *args.func(args))
+            return _report(args, *_COMMANDS[args.command][1](args))
     except (ArithmeticError, RuntimeWarning) as exc:
+        # a float ** that overflows says only "(34, 'Numerical result out
+        # of range')"
+        if isinstance(exc, OverflowError):
+            exc = f"floating-point overflow: {exc.args[-1]}"
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except (ValueError, TypeError) as exc:

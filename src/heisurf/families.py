@@ -70,6 +70,7 @@ __all__ = [
     "broken_plane_area",
     "broken_plane_energy",
     "CompareReport",
+    "competitor_z_cap",
     "competitor_compare",
 ]
 
@@ -808,16 +809,22 @@ class CompareReport:
     energy_pieces: Mapping[str, float]
 
 
+def competitor_z_cap(u: float, z_cap: Optional[float] = None) -> float:
+    """The half-height of the slab |z| <= z_cap a competitor of opening u
+    is truncated to: z_cap, or twice the opening when it is omitted."""
+    return 2.0 * float(u) if z_cap is None else float(z_cap)
+
+
 def competitor_compare(u: float, z_cap: Optional[float] = None) -> CompareReport:
     """Compare both spanning surfaces against the broken plane on a window.
 
     The doubled half-surfaces and the broken-plane patch are truncated to
-    the slab |z| <= z_cap (default 2u), which must clear the sweep exit
-    height and the fan.
+    the slab |z| <= z_cap (`competitor_z_cap`), which must clear the sweep
+    exit height and the fan.
     """
     if not u > 0:
         raise ValueError("u must be positive")
-    z_cap = 2.0 * float(u) if z_cap is None else float(z_cap)
+    z_cap = competitor_z_cap(u, z_cap)
     root = math.sqrt(1.0 + u * u)
 
     minimal = build_competitor("minimal", u)

@@ -278,7 +278,8 @@ def test_scaling_limit_refuses_a_repeated_t(tmp_path, capsys):
     assert run(tmp_path, "scaling-limit", "--profile", "arctan(-1)",
                "--t-grid", "2,2") == 2
     assert capsys.readouterr().err == (
-        "error: t grid must be positive and strictly increasing\n")
+        "error: --t-grid must be finite numbers > 0, strictly increasing, "
+        "got '2,2'\n")
     assert not os.listdir(str(tmp_path))
 
 
@@ -448,6 +449,16 @@ def test_out_of_memory_exits_with_three(tmp_path, monkeypatch, capsys):
         ("export-obj", "--surface", "competitor", "--u", "1e200", "--res", "2"),
         ("export-obj", "--surface", "competitor", "--u", "1e200", "--res", "2",
          "--z-cap", "1e305"))),
+    # a float ** that overflows: the strip's reach, the sampling box's
+    # height and the fan's energy
+    *((argv, "floating-point overflow: Numerical result out of range")
+      for argv in (
+        ("monotonicity", "--surface", "strip", "--profile", "linear(0)",
+         "--x-max", "1e300", "--lines", "10"),
+        ("calibrate-lines", "--r1", "1e300", "--r2", "1e301", "--lines",
+         "100"),
+        ("energy", "--surface", "broken-plane", "--u", "1e300", "--z-cap",
+         "1"))),
 ])
 def test_degenerate_numerics_exit_with_three(tmp_path, capsys, argv, text):
     assert run(tmp_path, *argv) == 3
@@ -643,6 +654,16 @@ def test_out_of_domain_window_or_width_exits_with_two(tmp_path, capsys, argv):
     # the census no longer takes a scan resolution
     (("monotonicity", "--surface", "broken-plane", "--u", "1", "--scan", "2"),
      "unrecognized arguments: --scan"),
+    # domains the library would refuse with its own words
+    (("competitor", "--u", "0"), "--u must be a finite number > 0"),
+    (("scaling-limit", "--profile", "arctan(-1)", "--t-grid", "2,1"),
+     "--t-grid must be finite numbers > 0, strictly increasing"),
+    (("scaling-limit", "--profile", "arctan(-1)", "--t-grid", "0,1"),
+     "--t-grid must be finite numbers > 0, strictly increasing"),
+    (("area", "--surface", "broken-plane", "--u", "1", "--z-cap", "-1"),
+     "--z-cap must be a finite number >= 0"),
+    (("energy", "--surface", "broken-plane", "--u", "1", "--z-cap", "-1"),
+     "--z-cap must be a finite number >= 0"),
 ])
 def test_flag_outside_the_tables_exits_with_two(tmp_path, capfd, argv,
                                                 message):
@@ -974,3 +995,154 @@ def test_the_shared_parser_carries_no_state_between_calls(
             seeds.append(load(here, "monotonicity.json")["seed"])
     assert codes == [2, 0, 1, 1]
     assert seeds == [5, 0]
+
+
+# ---------------------------------------------------------------------------
+# the parser's surface
+
+REQUIRED = "required"
+FREE = (None, None)
+OUTPUT_FLAGS = {"--output-dir": FREE, "--out": FREE}
+SURFACE_CHOICES = ("broken-plane", "sigma-rho", "strip")
+KIND_CHOICES = ("alpha", "sigma")
+SURFACE_FLAGS = {"--profile": FREE, "--kind": (KIND_CHOICES, "sigma"),
+                 "--rho": FREE, "--u": FREE, "--window": FREE,
+                 "--x-max": (None, "1")}
+
+#: Each command's options: their choices (sorted) and what leaving one out
+#: stands for: REQUIRED, the text the option then equals, or None where the
+#: handler decides (and for a surface flag, whose need depends on the
+#: --surface).
+PARSER_SURFACE = {
+    "check-strip": {"--profile": (None, REQUIRED),
+                    "--kind": (KIND_CHOICES, "sigma")},
+    "check-minimal": {"--profile": (None, REQUIRED),
+                      "--kind": (KIND_CHOICES, "alpha")},
+    **{command: {"--surface": (SURFACE_CHOICES, REQUIRED), **SURFACE_FLAGS,
+                 "--z-cap": FREE}
+       for command in ("area", "energy")},
+    "second-variation": {"--alpha": (None, REQUIRED),
+                         "--tau": (None, REQUIRED), "--window": FREE,
+                         "--lambdas": (None, "0.02,0.04,0.06,0.08")},
+    "monotonicity": {"--surface": (SURFACE_CHOICES, REQUIRED),
+                     **SURFACE_FLAGS, "--lines": (None, "400"),
+                     "--radius": (None, "1.5"), "--seed": (None, "0")},
+    "scaling-limit": {"--profile": (None, REQUIRED),
+                      "--t-grid": (None, "2,4,8,16"),
+                      "--window": (None, "1000")},
+    "sigma-rho": {"--rho": (None, REQUIRED), "--window": (None, REQUIRED),
+                  "--check-chords": (None, "0"), "--seed": (None, "0")},
+    "competitor": {"--u": (None, REQUIRED), "--z-cap": FREE},
+    "export-obj": {"--surface": (("broken-plane", "competitor", "sigma-rho",
+                                  "strip"), REQUIRED),
+                   **SURFACE_FLAGS,
+                   "--competitor-kind": (("harmonic", "minimal"), "minimal"),
+                   "--z-cap": FREE, "--res": (None, REQUIRED),
+                   "--x-res": FREE},
+    "calibrate-lines": {"--r1": (None, "1"), "--r2": (None, "2"),
+                        "--lines": (None, "200000"), "--seed": (None, "0"),
+                        "--max-z": (None, "3")},
+}
+
+#: Runs of each command on which its options are left out or given; the
+#: first gives every option the command requires and nothing else.
+BASES = {
+    "check-strip": ("--profile linear(0.5)",),
+    "check-minimal": ("--profile linear(0.5)",),
+    **dict.fromkeys(("area", "energy"), (
+        "--surface strip --profile linear(0.5) --window 0,1",
+        "--surface broken-plane --u 1 --z-cap 1")),
+    "second-variation": (
+        "--alpha broken-plane-alpha(1) --tau triangle-bump(1,1)",),
+    "monotonicity": ("--surface strip --profile linear(0.5)",
+                     "--surface broken-plane --u 1"),
+    "scaling-limit": ("--profile arctan(-1)",),
+    "sigma-rho": ("--rho id --window 0,1",),
+    "competitor": ("--u 1",),
+    "export-obj": ("--surface strip --profile linear(0.5) --window 0,1 "
+                   "--res 3",
+                   "--surface broken-plane --u 1 --window -1,1 --res 3",
+                   "--surface competitor --u 1 --res 3"),
+    "calibrate-lines": ("",),
+}
+
+
+def test_every_command_offers_its_recorded_options_and_choices():
+    commands = next(action for action in cli.build_parser()._actions
+                    if action.dest == "command").choices
+    assert set(commands) == set(PARSER_SURFACE)
+    for command, options in PARSER_SURFACE.items():
+        offered = {option: tuple(sorted(action.choices or ())) or None
+                   for action in commands[command]._actions
+                   for option in action.option_strings
+                   if option not in ("-h", "--help")}
+        assert offered == {option: choices for option, (choices, _) in
+                           {**options, **OUTPUT_FLAGS}.items()}, command
+
+
+def _outcome(tmp_path, capsys, command, argv):
+    """Exit code, verdict line and artifacts of a run, less the argv each
+    artifact records."""
+    out = tmp_path / str(len(os.listdir(str(tmp_path))))
+    out.mkdir()
+    code = run(out, command, *argv)
+    artifacts = {}
+    for name in sorted(os.listdir(str(out))):
+        text = (out / name).read_text()
+        if name.endswith(".json"):
+            artifacts[name] = {**json.loads(text), "argv": None}
+        else:
+            artifacts[name] = [line for line in text.splitlines()
+                               if not line.startswith("#")]
+    return code, capsys.readouterr().out, artifacts
+
+
+@pytest.mark.parametrize("command", list(PARSER_SURFACE))
+def test_an_omitted_option_equals_its_recorded_default(tmp_path, capsys,
+                                                       command):
+    for option, (_, omitted) in PARSER_SURFACE[command].items():
+        if omitted in (None, REQUIRED):
+            continue
+        compared = 0
+        for base in BASES[command]:
+            argv = base.split()
+            if option in argv:
+                continue
+            given = _outcome(tmp_path, capsys, command,
+                             [*argv, option, omitted])
+            if given[0] == 2:  # a surface flag this --surface does not read
+                continue
+            assert given == _outcome(tmp_path, capsys, command, argv), (
+                command, base, option)
+            compared += 1
+        assert compared, (command, option)
+
+
+@pytest.mark.parametrize("command, option", [
+    (command, option) for command, options in PARSER_SURFACE.items()
+    for option, (_, omitted) in options.items() if omitted == REQUIRED])
+def test_a_missing_required_option_exits_with_two(tmp_path, capsys, command,
+                                                  option):
+    argv = BASES[command][0].split()
+    at = argv.index(option)
+    assert run(tmp_path, command, *argv[:at], *argv[at + 2:]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+    assert option in err
+    assert not os.listdir(str(tmp_path))
+
+
+@pytest.mark.parametrize("argv, option, value", [
+    # an omitted competitor cap is twice the opening
+    (("competitor", "--u", "1.5"), "--z-cap", "3"),
+    (("export-obj", "--surface", "competitor", "--u", "1.5", "--res", "3"),
+     "--z-cap", "3"),
+    # an omitted --x-res is --res
+    (("export-obj", "--surface", "strip", "--profile", "linear(0.5)",
+      "--window", "0,1", "--res", "3"), "--x-res", "3"),
+])
+def test_an_omitted_option_may_follow_another(tmp_path, capsys, argv, option,
+                                              value):
+    command, *argv = argv
+    assert _outcome(tmp_path, capsys, command, argv) == _outcome(
+        tmp_path, capsys, command, [*argv, option, value])
