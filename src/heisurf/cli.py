@@ -123,7 +123,9 @@ _POSITIVE = (lambda x: math.isfinite(x) and x > 0.0, "a finite number > 0")
 
 #: The domain of each numeric flag: a test and what the error says the
 #: value must be.  A (command, flag) key overrides the flag's domain for one
-#: command.  Comma-separated values are tested as tuples of floats.
+#: command, and a (surface, flag) key for one --surface; the competitor's
+#: u is positive both as a command and as a surface.  Comma-separated
+#: values are tested as tuples of floats.
 _DOMAINS = {
     **dict.fromkeys(("u", "max_z"), _NONNEGATIVE),
     ("competitor", "u"): _POSITIVE,
@@ -170,10 +172,11 @@ def _read_flags(args) -> None:
     ``args.inputs`` the surface flags it read, as its payload records
     them."""
     command = where = args.command
+    surface = getattr(args, "surface", None)
     pair = {}
-    if getattr(args, "surface", None) is not None:
-        where += f" --surface {args.surface}"
-        pair = _read(_SURFACES[command, args.surface])
+    if surface is not None:
+        where += f" --surface {surface}"
+        pair = _read(_SURFACES[command, surface])
         args.inputs = {}
     read = {**_read(_COMMANDS[command][2] + _OUTPUT), **pair}
     args.specs = {}
@@ -188,7 +191,8 @@ def _read_flags(args) -> None:
             if default is None:
                 continue
             value = _FLAGS[dest].get("type", str)(default)
-        domain = _DOMAINS.get((command, dest), _DOMAINS.get(dest))
+        domain = _DOMAINS.get((command, dest), _DOMAINS.get(
+            (surface, dest), _DOMAINS.get(dest)))
         if domain is not None:
             test, text = domain
             try:

@@ -5,17 +5,18 @@ a fixed row-major order, numbers are written with 17 significant digits,
 and the same inputs always produce byte-identical ``.obj`` text.  Files
 contain only comment, ``v`` and ``f`` records, with 1-based face indices
 and the group z coordinate up.  The writer formats each distinct
-coordinate magnitude once per mesh, all at once (`_fmt17_cells`): in
-[1e-4, 1e17), where `fmt17` writes fixed notation, the 17 digits are
-exact, from Dekker's product, and `reports.fmt17`, which defines the
-format, writes zero, the other magnitudes and the exact ties.  The sign
-is put back from each value's sign bit, so ``-0.0`` stays ``-0``; face
-indices come from a digit table of ``0..n``.  Each record is one row of
-bytes, laid out from those NUL-padded cells, and the NULs are dropped.
+coordinate magnitude once per block of `_CHUNK` vertices, all of the
+block's at once (`_fmt17_cells`): in [1e-4, 1e17), where `fmt17` writes
+fixed notation, the 17 digits are exact, from Dekker's product, and
+`reports.fmt17`, which defines the format, writes zero, the other
+magnitudes and the exact ties.  The sign is put back from each value's
+sign bit, so ``-0.0`` stays ``-0``; face indices come from a digit table
+of ``0..n``.  Each record is one row of bytes, laid out from those
+NUL-padded cells, and the NULs are dropped.
 
 Validation and OBJ writing both run over fixed-size chunks of `_CHUNK`
-faces or records, so their memory follows the mesh arrays, not the size
-of the OBJ text: `write_obj` streams the chunks through the one atomic
+faces or records, so their working memory follows a chunk, not the mesh
+or the OBJ text: `write_obj` streams the chunks through the one atomic
 writer of `reports`, and `MeshObj.to_obj_text` joins the same chunks.
 
 Graph patches are tessellated over mapped grids ``(x, t) -> (x, y(x, t))``
@@ -23,7 +24,8 @@ so the footprint may have curved upper/lower edges; columns where the
 footprint pinches to a point produce collapsed cells whose zero-area
 triangles are dropped, keeping the mesh valid at wedge corners.  Every
 exported mesh is validated once, as a whole: the competitor's pieces are
-joined as arrays before its one `MeshObj` is made.
+assembled in place, each written into its slice of vertex and face arrays
+allocated once, before its one `MeshObj` is made.
 """
 from __future__ import annotations
 
@@ -137,11 +139,12 @@ class MeshObj:
         ``f`` records.
 
         Coordinates are written as `reports.fmt17` writes them, with 17
-        significant digits, so they read back exactly; where they are in
-        fixed notation the digits are exact, from Dekker's product
-        (`_fmt17_cells`), and `fmt17` writes the rest.  This is the join
-        of the chunks that `write_obj` streams to disk (`_obj_chunks`); the
-        bytes are never decoded into a `str`.
+        significant digits, so they read back exactly; each distinct
+        magnitude of a block of `_CHUNK` vertices is formatted once, and
+        where it is in fixed notation the digits are exact, from Dekker's
+        product (`_fmt17_cells`), and `fmt17` writes the rest.  This is
+        the join of the chunks that `write_obj` streams to disk
+        (`_obj_chunks`); the bytes are never decoded into a `str`.
         """
         return b"".join(self._obj_chunks())
 
@@ -149,20 +152,22 @@ class MeshObj:
         """The OBJ bytes in order: the header, then `_CHUNK` records at a
         time, ``v`` records first.
 
-        Each distinct magnitude is formatted once per mesh, all of them
+        Each block of `_CHUNK` vertices gets its own table, in which each
+        distinct magnitude of the block is formatted once, all of them
         together and exactly (`_coordinate_table`), and a ``-`` is put back
         from each value's sign bit (``-0.0`` stays ``-0``); face indices
         are gathered from a digit table of ``0..n``.  Each chunk's records
         are laid out as rows of bytes (`_records`).
         """
         yield "".join(f"# {line}\n" for line in self.header).encode("ascii")
-        cells, rows = _coordinate_table(self.vertices)
+        for start in range(0, self.n_vertices, _CHUNK):
+            cells, rows = _coordinate_table(
+                self.vertices[start:start + _CHUNK])
+            yield _records("v", np.take(cells, rows, axis=0))
         digits = _index_digits(self.n_vertices)
-        for kind, table, index in (("v", cells, rows),
-                                   ("f", digits, self.faces)):
-            for start in range(0, len(index), _CHUNK):
-                yield _records(kind, np.take(table, index[start:start + _CHUNK],
-                                             axis=0))
+        for start in range(0, self.n_faces, _CHUNK):
+            yield _records("f", np.take(
+                digits, self.faces[start:start + _CHUNK], axis=0))
 
 
 # ---------------------------------------------------------------------------
@@ -298,12 +303,13 @@ _MAGNITUDE = np.int64(0x7FFF_FFFF_FFFF_FFFF)
 def _coordinate_table(vertices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """`reports.fmt17` cells of the signed coordinates and each one's row.
 
-    The table holds NUL-padded ASCII cells, one per distinct magnitude and
-    then each of those after a ``-``; the ``(n, 3)`` rows pick a value's
-    cell by its magnitude and sign bit.  The magnitudes are formatted once,
-    together, by `_fmt17_cells`, whose digits are exact from Dekker's
-    product in fixed notation; `reports.fmt17` defines the format and
-    writes zero, the other magnitudes and the exact ties.
+    The writer calls it on one block of `_CHUNK` vertices at a time.  The
+    table holds NUL-padded ASCII cells, one per distinct magnitude of the
+    block and then each of those after a ``-``; the ``(n, 3)`` rows pick a
+    value's cell by its magnitude and sign bit.  The magnitudes are
+    formatted once, together, by `_fmt17_cells`, whose digits are exact
+    from Dekker's product in fixed notation; `reports.fmt17` defines the
+    format and writes zero, the other magnitudes and the exact ties.
     """
     bits = vertices.view(np.int64)
     magnitudes, inverse = np.unique(bits & _MAGNITUDE, return_inverse=True)
@@ -316,15 +322,23 @@ def _coordinate_table(vertices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             inverse.reshape(bits.shape) + k * (bits < 0))
 
 
+# the ASCII digits 0..9
+_DIGITS = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)
+
+
 def _index_digits(n: int) -> np.ndarray:
     """ASCII digits of ``0..n``, row i holding i's, NUL in place of leading
-    zeros; row 0 is all NUL, as 1-based face indices never use it."""
+    zeros; row 0 is all NUL, as 1-based face indices never use it.
+
+    The column of place p repeats each digit p times, cycling through
+    0..9, so it is written from uint8 runs with no integer temporaries.
+    """
     width = len(str(n))
-    index = np.arange(n + 1)
     table = np.empty((n + 1, width), dtype=np.uint8)
     for column in range(width):
         place = 10 ** (width - 1 - column)
-        table[:, column] = index // place % 10 + ord("0")
+        runs = np.resize(_DIGITS, -(-(n + 1) // place))
+        table[:, column] = np.repeat(runs, place)[:n + 1]
         table[:place, column] = 0  # 0..place-1 have no digit here
     return table
 
@@ -351,25 +365,26 @@ def _records(kind: str, cells: np.ndarray) -> bytes:
 
 
 def _grid_faces(nu: int, nv: int) -> np.ndarray:
-    """Two triangles per cell of an (nu+1) x (nv+1) vertex grid, 1-based."""
-    i, j = np.meshgrid(np.arange(nu), np.arange(nv), indexing="ij")
-    v00 = i * (nv + 1) + j + 1
-    v01 = v00 + 1
-    v10 = v00 + (nv + 1)
-    v11 = v10 + 1
-    lower = np.stack([v00, v10, v11], axis=-1).reshape(-1, 3)
-    upper = np.stack([v00, v11, v01], axis=-1).reshape(-1, 3)
-    faces = np.empty((2 * nu * nv, 3), dtype=int)
-    faces[0::2] = lower
-    faces[1::2] = upper
-    return faces
+    """Two triangles per cell of an (nu+1) x (nv+1) vertex grid, 1-based:
+    cell (i, j) with corners v00, v01 = v00 + 1, v10 = v00 + nv + 1 and
+    v11 = v10 + 1 gives (v00, v10, v11), then (v00, v11, v01).
+
+    Each corner column is written straight into the face array from the
+    cells' v00, the one other grid-sized array."""
+    v00 = np.arange(nu)[:, None] * (nv + 1) + np.arange(1, nv + 1)
+    faces = np.empty((nu, nv, 2, 3), dtype=int)
+    for triangle, corners in enumerate(((nv + 1, nv + 2), (nv + 2, 1))):
+        faces[:, :, triangle, 0] = v00
+        for column, shift in enumerate(corners, 1):
+            np.add(v00, shift, out=faces[:, :, triangle, column])
+    return faces.reshape(-1, 3)
 
 
-def _grid(point_fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
-          u_range: tuple[float, float], v_range: tuple[float, float],
-          res_u: int, res_v: int,
-          drop_degenerate: bool = False) -> tuple[np.ndarray, np.ndarray]:
-    """Vertices and faces of ``point_fn`` over a parameter rectangle."""
+def _grid_points(point_fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
+                 u_range: tuple[float, float], v_range: tuple[float, float],
+                 res_u: int, res_v: int) -> np.ndarray:
+    """The (n, 3) vertices of ``point_fn`` over a parameter rectangle, in
+    the order of `_grid_faces(res_u, res_v)`."""
     if res_u < 1 or res_v < 1:
         raise ValueError("resolution must be at least 1 cell per direction")
     for lo, hi in (u_range, v_range):
@@ -382,19 +397,21 @@ def _grid(point_fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
     pts = np.asarray(point_fn(U, V), dtype=float)
     if pts.shape != (res_u + 1, res_v + 1, 3):
         raise ValueError("point function must return one 3-point per node")
-    vertices = pts.reshape(-1, 3)
-    faces = _grid_faces(res_u, res_v)
-    if drop_degenerate:
-        faces = faces[~_degenerate_faces(vertices, faces)]
-    return vertices, faces
+    return pts.reshape(-1, 3)
 
 
-def _stack(pieces: Sequence[tuple[np.ndarray, np.ndarray]]
-           ) -> tuple[np.ndarray, np.ndarray]:
-    """Concatenate (vertices, faces) pieces, reindexing the faces."""
-    offsets = np.cumsum([0] + [len(v) for v, _ in pieces])
-    return (np.concatenate([v for v, _ in pieces]),
-            np.concatenate([f + k for (_, f), k in zip(pieces, offsets)]))
+def _joined_faces(faces: Sequence[np.ndarray],
+                  sizes: Sequence[int]) -> np.ndarray:
+    """The faces of consecutive pieces of ``sizes`` vertices in one array,
+    each piece's shifted by the vertices before it straight into its
+    slice."""
+    joined = np.empty((sum(map(len, faces)), 3), dtype=int)
+    row = shift = 0
+    for piece, size in zip(faces, sizes):
+        np.add(piece, shift, out=joined[row:row + len(piece)])
+        row += len(piece)
+        shift += size
+    return joined
 
 
 def mesh_from_mapped_grid(point_fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
@@ -407,8 +424,8 @@ def mesh_from_mapped_grid(point_fn: Callable[[np.ndarray, np.ndarray], np.ndarra
     ``point_fn`` maps broadcastable parameter arrays to points of shape
     ``(..., 3)``.
     """
-    return MeshObj(*_grid(point_fn, u_range, v_range, res_u, res_v),
-                   tuple(header))
+    return MeshObj(_grid_points(point_fn, u_range, v_range, res_u, res_v),
+                   _grid_faces(res_u, res_v), tuple(header))
 
 
 def mesh_from_graph(phi: Callable[[np.ndarray, np.ndarray], np.ndarray],
@@ -440,10 +457,13 @@ def mesh_from_ruled(surface, res_w: int, res_s: int,
 def merge_meshes(meshes: Iterable[MeshObj],
                  header: Sequence[str] = ()) -> MeshObj:
     """Concatenate meshes, reindexing faces; headers come from the argument."""
-    parts = [(mesh.vertices, mesh.faces) for mesh in meshes]
-    if not parts:
+    meshes = list(meshes)
+    if not meshes:
         raise ValueError("nothing to merge")
-    return MeshObj(*_stack(parts), tuple(header))
+    return MeshObj(np.concatenate([mesh.vertices for mesh in meshes]),
+                   _joined_faces([mesh.faces for mesh in meshes],
+                                 [mesh.n_vertices for mesh in meshes]),
+                   tuple(header))
 
 
 # ---------------------------------------------------------------------------
@@ -472,12 +492,9 @@ def broken_plane_mesh(bp, z_window: tuple[float, float], res_x: int,
     return mesh_from_graph(bp.value, (-xm, xm, z0, z1), res_x, res_z, header)
 
 
-def _flip(points: np.ndarray) -> np.ndarray:
-    """The isometry (x, y, z) -> (-x, y, -z) joining the two halves."""
-    out = np.array(points, dtype=float)
-    out[..., 0] *= -1.0
-    out[..., 2] *= -1.0
-    return out
+# the isometry (x, y, z) -> (-x, y, -z) joining the two halves, as the
+# factor of each coordinate
+_FLIP = np.array([-1.0, 1.0, -1.0])
 
 
 def competitor_mesh(comp, z_cap: float, res: int, res_cross: int,
@@ -507,33 +524,46 @@ def competitor_mesh(comp, z_cap: float, res: int, res_cross: int,
     def wall_point(X, Z):
         return np.stack([X, -u * X, Z], axis=-1)
 
-    # the pieces are joined as arrays and validated once, as one mesh: a
-    # piece's bounding box lies inside the whole one's, so no piece's own
-    # check could reject a face that the whole mesh's check accepts.  The
-    # flip has determinant +1 (a rotation about the y axis), so the
-    # mirrored pieces keep their winding
-    patch = _grid(patch_point, (-1.0, 1.0), (0.0, 1.0), res, res_cross,
-                  drop_degenerate=True)
-    pieces = [patch, (_flip(patch[0]), patch[1])]
-    if z_cap > b:
-        wall = _grid(wall_point, (-1.0, 1.0), (b, z_cap), res, res_cross)
-        pieces += [wall, (_flip(wall[0]), wall[1])]
+    def flat_point(X, T):
+        # the heights of the two bottom edges depend on the column only
+        x = X[:, :1]
+        z_lo = -np.asarray(comp.phi(-x, np.full_like(x, -u)), dtype=float)
+        z_hi = np.asarray(comp.phi(x, np.full_like(x, -u)), dtype=float)
+        Z = z_lo + np.asarray(T, dtype=float) * (z_hi - z_lo)
+        return np.stack([X, -u * np.ones_like(X), Z], axis=-1)
 
+    patch = _grid_points(patch_point, (-1.0, 1.0), (0.0, 1.0), res, res_cross)
+    grid = _grid_faces(res, res_cross)
+    kept = grid[~_degenerate_faces(patch, grid)]
+    walled = z_cap > b
     xs = np.linspace(-1.0, 1.0, res + 1)
     bottom = np.asarray(comp.phi(xs, np.full_like(xs, -u)), dtype=float)
-    width = bottom + bottom[::-1]
-    if float(np.min(width)) > 1e-9:
-        def flat_point(X, T):
-            # the heights of the two bottom edges depend on the column only
-            x = X[:, :1]
-            z_lo = -np.asarray(comp.phi(-x, np.full_like(x, -u)), dtype=float)
-            z_hi = np.asarray(comp.phi(x, np.full_like(x, -u)), dtype=float)
-            Z = z_lo + np.asarray(T, dtype=float) * (z_hi - z_lo)
-            return np.stack([X, -u * np.ones_like(X), Z], axis=-1)
+    flat = float(np.min(bottom + bottom[::-1])) > 1e-9
 
-        pieces.append(_grid(flat_point, (-1.0, 1.0), (0.0, 1.0), res,
-                            res_cross))
-    return MeshObj(*_stack(pieces), tuple(header))
+    # every piece has the grid's vertices: the face and vertex arrays are
+    # allocated once, the faces shifted into theirs before the vertices are
+    # made, and each piece's vertices written into its slot, the mirrored
+    # ones from the slot just written.  The pieces are validated once, as
+    # one mesh: a piece's bounding box lies inside the whole one's, so no
+    # piece's own check could reject a face that the whole mesh's check
+    # accepts.  The flip has determinant +1 (a rotation about the y axis),
+    # so the mirrored pieces keep their winding
+    count = 2 + 2 * walled + flat
+    faces = _joined_faces([kept] * 2 + [grid] * (count - 2),
+                          [len(patch)] * count)
+    del grid, kept
+    vertices = np.empty((count, len(patch), 3))
+    vertices[0] = patch
+    del patch
+    np.multiply(vertices[0], _FLIP, out=vertices[1])
+    if walled:
+        vertices[2] = _grid_points(wall_point, (-1.0, 1.0), (b, z_cap), res,
+                                   res_cross)
+        np.multiply(vertices[2], _FLIP, out=vertices[3])
+    if flat:
+        vertices[-1] = _grid_points(flat_point, (-1.0, 1.0), (0.0, 1.0), res,
+                                    res_cross)
+    return MeshObj(vertices.reshape(-1, 3), faces, tuple(header))
 
 
 def write_obj(mesh: MeshObj, path: str) -> str:

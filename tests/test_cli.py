@@ -664,6 +664,8 @@ def test_out_of_domain_window_or_width_exits_with_two(tmp_path, capsys, argv):
      "--z-cap must be a finite number >= 0"),
     (("energy", "--surface", "broken-plane", "--u", "1", "--z-cap", "-1"),
      "--z-cap must be a finite number >= 0"),
+    (("export-obj", "--surface", "competitor", "--u", "0", "--res", "3"),
+     "--u must be a finite number > 0"),
 ])
 def test_flag_outside_the_tables_exits_with_two(tmp_path, capfd, argv,
                                                 message):

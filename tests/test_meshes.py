@@ -424,6 +424,41 @@ def test_obj_text_equals_a_per_record_writer(tmp_path, n, header):
         assert mesh.to_obj_text() == reference_obj(mesh).encode("ascii")
 
 
+def _blocks(*blocks):
+    """A faceless mesh of `_CHUNK` vertices per block of coordinates (the
+    last block as given), each block's values cycled to fill it."""
+    rows = [np.resize(np.asarray(block, dtype=float), (meshes._CHUNK, 3))
+            for block in blocks[:-1]]
+    last = np.asarray(blocks[-1], dtype=float).reshape(-1, 3)
+    return MeshObj(np.concatenate([*rows, last]), np.empty((0, 3), dtype=int))
+
+
+#: coordinates with 17 significant digits, which widen a block's cells
+DIGITS = np.random.default_rng(28).uniform(-1.0, 1.0, 3 * meshes._CHUNK)
+
+#: magnitudes `_fmt17_cells` hands to `fmt17`, each with its own sign
+UNDECIDED = [0.0, -0.0, 5e-324, -1e-300, 9.9e-5, -1e17, 1e200, *TIES,
+             -TIES[0]]
+
+
+def test_each_block_of_vertices_is_written_from_its_own_table():
+    assert all(_undecidable(abs(v)) for v in UNDECIDED)
+    # a repeated magnitude on both sides of the first boundary: the last
+    # vertex of one block starts the next, once negated
+    after = DIGITS.reshape(-1, 3)[:5].copy()
+    after[:2] = DIGITS.reshape(-1, 3)[meshes._CHUNK - 1]
+    after[0] *= -1.0
+    for mesh in (
+            # blocks of different cell widths: signed zeros, whose widest
+            # cell is ``-0``, between blocks of 17-digit values
+            _blocks(DIGITS, [0.0, -0.0, -0.0, 0.0], DIGITS[:7 * 3]),
+            _blocks([0.0, -0.0, 0.0], DIGITS, [-0.0, 0.0, -0.0]),
+            # a block whose every magnitude `fmt17` writes, and one part-block
+            _blocks(UNDECIDED, DIGITS, UNDECIDED[:6]),
+            _blocks(DIGITS, after)):
+        assert mesh.to_obj_text() == reference_obj(mesh).encode("ascii")
+
+
 def _undecidable(value):
     """Is value zero, outside [1e-4, 1e17), or x 10^(16 - k) exactly a
     half-integer, with 10^k <= x < 10^(k+1)?"""
@@ -590,6 +625,29 @@ def test_competitor_export_memory_follows_the_mesh_arrays(tmp_path, res):
     arrays = mesh.vertices.nbytes + mesh.faces.nbytes
     assert build_peak <= 3 * arrays
     assert write_peak <= 3 * arrays
+
+
+@pytest.mark.parametrize("res, write_bound", [(100, 1.0), (200, 0.5)])
+def test_competitor_export_transient_does_not_follow_the_mesh(tmp_path, res,
+                                                              write_bound):
+    # the pieces are assembled in place and the writer's tables are made
+    # per block of `_CHUNK` vertices, so the write's transient falls as a
+    # share of the mesh arrays as the mesh grows
+    comp = build_competitor("minimal", 1.0)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        mesh = competitor_mesh(comp, 2.0, res, res)
+        build_peak = tracemalloc.get_traced_memory()[1] - before
+        live = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        write_obj(mesh, str(tmp_path / "competitor.obj"))
+        write_peak = tracemalloc.get_traced_memory()[1] - live
+    finally:
+        tracemalloc.stop()
+    arrays = mesh.vertices.nbytes + mesh.faces.nbytes
+    assert build_peak <= 2 * arrays
+    assert write_peak <= write_bound * arrays
 
 
 @pytest.mark.parametrize("argv, digest", [
