@@ -7,12 +7,15 @@ contain only comment, ``v`` and ``f`` records, with 1-based face indices
 and the group z coordinate up.  The writer formats each distinct
 coordinate magnitude once per block of `_CHUNK` vertices, all of the
 block's at once (`_fmt17_cells`): in [1e-4, 1e17), where `fmt17` writes
-fixed notation, the 17 digits are exact, from Dekker's product, and
-`reports.fmt17`, which defines the format, writes zero, the other
-magnitudes and the exact ties.  The sign is put back from each value's
-sign bit, so ``-0.0`` stays ``-0``; face indices come from a digit table
-of ``0..n``.  Each record is one row of bytes, laid out from those
-NUL-padded cells, and the NULs are dropped.
+fixed notation, the 17 digits are exact, from Dekker's product, looked up
+four at a time and laid out a decade at a time, and `reports.fmt17`,
+which defines the format, writes zero, the other magnitudes and the exact
+ties.  Each cell of the coordinate table is a space, the sign, put back
+from each value's sign bit (``-0.0`` stays ``-0``), and the text; face
+indices come from a table of a space and the digits of ``0..n``.  Each
+record is one row of bytes, into which its three NUL-padded cells are
+gathered straight from the table, and the NULs are dropped; a block of
+faces whose indices all have the table's full width has none to drop.
 
 Validation and OBJ writing both run over fixed-size chunks of `_CHUNK`
 faces or records, so their working memory follows a chunk, not the mesh
@@ -65,17 +68,30 @@ def _triangle_areas(vertices: np.ndarray, faces: np.ndarray) -> np.ndarray:
 
     Written out by component on contiguous coordinate columns, in the order
     of operations of ``0.5 * norm(cross(b - a, c - a))``, so the areas
-    equal that form bit for bit.
+    equal that form bit for bit.  The corners are gathered as coordinate
+    rows, and each later step writes in place into the edge, cross-product
+    or area arrays, so a pass holds about ten arrays of its faces' size.
     """
-    x, y, z = np.ascontiguousarray(vertices.T)
-    i, j, k = np.ascontiguousarray(faces.T) - 1
-    ax, ay, az = x[i], y[i], z[i]
-    ux, uy, uz = x[j] - ax, y[j] - ay, z[j] - az
-    wx, wy, wz = x[k] - ax, y[k] - ay, z[k] - az
-    cx = uy * wz - uz * wy
-    cy = uz * wx - ux * wz
-    cz = ux * wy - uy * wx
-    return 0.5 * np.sqrt((cx * cx + cy * cy) + cz * cz)
+    columns = np.ascontiguousarray(vertices.T)
+    # the coordinate rows of the corners a, b and c; b and c become the
+    # edges b - a and c - a
+    a, u, w = (columns.take(corner - 1, axis=1) for corner in faces.T)
+    u -= a
+    w -= a
+    del a
+    cross = np.empty_like(u)
+    area = np.empty(len(faces))
+    for axis in range(3):
+        p, q = (axis + 1) % 3, (axis + 2) % 3
+        np.multiply(u[p], w[q], out=cross[axis])
+        np.multiply(u[q], w[p], out=area)
+        cross[axis] -= area
+    cross *= cross
+    np.add(cross[0], cross[1], out=area)
+    area += cross[2]
+    np.sqrt(area, out=area)
+    area *= 0.5
+    return area
 
 
 def _degenerate_faces(vertices: np.ndarray, faces: np.ndarray) -> np.ndarray:
@@ -142,9 +158,10 @@ class MeshObj:
         significant digits, so they read back exactly; each distinct
         magnitude of a block of `_CHUNK` vertices is formatted once, and
         where it is in fixed notation the digits are exact, from Dekker's
-        product (`_fmt17_cells`), and `fmt17` writes the rest.  This is
-        the join of the chunks that `write_obj` streams to disk
-        (`_obj_chunks`); the bytes are never decoded into a `str`.
+        product, and laid out a decade at a time (`_fmt17_cells`), and
+        `fmt17` writes the rest.  This is the join of the chunks that
+        `write_obj` streams to disk (`_obj_chunks`); the bytes are never
+        decoded into a `str`.
         """
         return b"".join(self._obj_chunks())
 
@@ -152,22 +169,26 @@ class MeshObj:
         """The OBJ bytes in order: the header, then `_CHUNK` records at a
         time, ``v`` records first.
 
-        Each block of `_CHUNK` vertices gets its own table, in which each
-        distinct magnitude of the block is formatted once, all of them
-        together and exactly (`_coordinate_table`), and a ``-`` is put back
-        from each value's sign bit (``-0.0`` stays ``-0``); face indices
-        are gathered from a digit table of ``0..n``.  Each chunk's records
-        are laid out as rows of bytes (`_records`).
+        Each block of `_CHUNK` vertices gets its own table of cells, in
+        which each distinct magnitude of the block is formatted once, all
+        of them together and exactly, after a space and, from each value's
+        sign bit, a ``-`` (``-0.0`` stays ``-0``) (`_coordinate_table`);
+        the cells of face indices are a space and the digits of ``0..n``.
+        Each chunk's records are gathered from the table into rows of bytes
+        (`_records`); a block of faces whose smallest index has every digit
+        of the widest has no NUL padding to drop.
         """
         yield "".join(f"# {line}\n" for line in self.header).encode("ascii")
         for start in range(0, self.n_vertices, _CHUNK):
-            cells, rows = _coordinate_table(
-                self.vertices[start:start + _CHUNK])
-            yield _records("v", np.take(cells, rows, axis=0))
+            yield _records("v", *_coordinate_table(
+                self.vertices[start:start + _CHUNK]))
         digits = _index_digits(self.n_vertices)
+        # indices from 10^(w-1) on have all w digits of the widest, so the
+        # rows of a block whose smallest index is one of them hold no NUL
+        full = 10 ** (digits.shape[1] - 2)
         for start in range(0, self.n_faces, _CHUNK):
-            yield _records("f", np.take(
-                digits, self.faces[start:start + _CHUNK], axis=0))
+            faces = self.faces[start:start + _CHUNK]
+            yield _records("f", digits, faces, padded=faces.min() < full)
 
 
 # ---------------------------------------------------------------------------
@@ -202,59 +223,91 @@ def _scaled(x):
 
 
 @functools.cache
-def _four_digits() -> np.ndarray:
-    """The four ASCII digits of each of 0..9999 as the bytes of a uint32."""
+def _four_digits() -> tuple[np.ndarray, np.ndarray]:
+    """The four ASCII digits of each of 0..9999 as the bytes of a uint32,
+    then the same with trailing zeros as NULs, and the number of trailing
+    zeros of each, 4 for 0."""
     digits = np.arange(10000)[:, None] // np.array([1000, 100, 10, 1]) % 10
-    return (digits + ord("0")).astype(np.uint8).view(np.uint32).ravel()
+    zeros = np.cumprod(digits[:, ::-1] == 0, axis=1)[:, ::-1]
+    text = ((digits + ord("0")) * np.stack([np.ones_like(zeros), 1 - zeros])
+            ).astype(np.uint8)
+    return text.view(np.uint32).ravel(), zeros.sum(axis=1).astype(np.uint8)
 
 
-def _digit_stream(nearest: np.ndarray, zeros: np.ndarray) -> np.ndarray:
-    """ASCII digits of integers in [1e16, 1e17), one row each, after
-    `zeros` zeros: column 1 + zeros + i holds digit i and the others ``0``.
+def _digits(nearest: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The 17 ASCII digits of integers in [1e16, 1e17), one row each, with
+    NUL in place of trailing zeros and four NUL columns after them, and
+    how many digits there are up to the last nonzero one.
 
-    The 24 columns are the digits of nearest 10^(6 - zeros), taken four at
-    a time from its high and low 12 digits, each of which fits an int64.
+    The digits are a leading one and four groups of four, split off with
+    ``//`` and a multiply-subtract; each group's text and trailing zeros
+    are looked up.
     """
-    scale = 10 ** (6 - zeros)
-    top = nearest // 10 ** 8 * scale
-    low = nearest % 10 ** 8 * scale + top % 10 ** 4 * 10 ** 8
-    high = top // 10 ** 4 + low // 10 ** 12
-    low %= 10 ** 12
-    stream = np.empty((len(nearest), 24), dtype=np.uint8)
-    words = stream.view(np.uint32)
-    four_digits = _four_digits()
-    for column, part in enumerate((high, low)):
-        for place in range(3):
-            words[:, 3 * column + place] = four_digits[
-                part // 10 ** (8 - 4 * place) % 10 ** 4]
-    return stream
+    high = nearest // 10 ** 8
+    low = nearest - high * 10 ** 8
+    top = high // 10 ** 4
+    lead = top // 10 ** 4
+    third = low // 10 ** 4
+    groups = (lead, top - lead * 10 ** 4, high - top * 10 ** 4, third,
+              low - third * 10 ** 4)
+    words, trailing = _four_digits()
+    stream = np.zeros((len(nearest), 24), dtype=np.uint8)
+    columns = stream.view(np.uint32)
+    # the last group is trimmed, and each before it when all after it are
+    # zeros
+    columns[:, 4] = words[groups[4] + 10000]
+    zeros = trailing[groups[4]]
+    for column, place in ((3, 4), (2, 8), (1, 12)):
+        after = zeros == place
+        columns[:, column] = words[groups[column] + 10000 * after]
+        zeros += after * trailing[groups[column]]
+    columns[:, 0] = words[lead]
+    # the leading digit is the last of the first group's four
+    return stream[:, 3:], 17 - zeros
+
+
+# the longest text of `fmt17`, such as ``1.2345678901234567e-100``; a
+# fixed-notation cell is at most ``0.000`` and 17 digits long
+_WIDTH = 23
+_POINT = np.frombuffer(b"0.000", dtype=np.uint8)
 
 
 def _layout(nearest: np.ndarray, k: np.ndarray
             ) -> tuple[np.ndarray, np.ndarray]:
     """Fixed-notation ``%g`` cells, one row each, of nearest 10^(k - 16)
-    for integers nearest in [1e16, 1e17) and k in [-4, 16], and the length
-    of each.
+    for integers nearest in [1e16, 1e17) and k in [-4, 16] sorted, and
+    the length of each.
 
-    The digits follow ``0.`` and -k-1 zeros when k < 0.  Trailing fraction
-    zeros are dropped, and so is a bare point.
+    The digits follow ``0.`` and -k-1 zeros when k < 0, and a point after
+    the first k+1 of them otherwise.  Trailing fraction zeros are dropped,
+    and so is a bare point.  The rows of each decade k are contiguous, so
+    each is laid out with slice copies.
     """
-    # the stream is `zeros` zeros, the one before the point included, then
-    # the 17 digits; the point follows `point` of it
-    zeros = np.maximum(-k, 0)
-    point = np.maximum(k + 1, 1).astype(np.uint8)[:, None]
-    stream = _digit_stream(nearest, zeros)
-    # the stream up to its last nonzero digit and every integer digit
-    place = np.arange(24, dtype=np.uint8)
-    kept = np.maximum(((stream != ord("0")) * place).max(axis=1,
-                                                         keepdims=True),
-                      point)
-    length = kept + (kept > point)
-    cells = stream[:, :-1].copy()
-    np.copyto(cells, stream[:, 1:], where=place[:-1] < point)
-    cells[np.arange(len(k)), point[:, 0]] = ord(".")
-    cells *= place[:-1] < length
-    return cells, length[:, 0]
+    digits, significant = _digits(nearest)
+    cells = np.zeros((len(k), _WIDTH), dtype=np.uint8)
+    bounds = np.searchsorted(k, np.arange(-4, 18)).tolist()
+    for decade, lo, hi in zip(range(-4, 17), bounds, bounds[1:]):
+        if lo == hi:
+            continue
+        rows = cells[lo:hi]
+        if decade < 0:
+            rows[:, :1 - decade] = _POINT[:1 - decade]
+            rows[:, 1 - decade:18 - decade] = digits[lo:hi, :17]
+        else:
+            # integer digits are written, zero or not, and the point only
+            # before a fraction digit
+            np.maximum(digits[lo:hi, :decade + 1], ord("0"),
+                       out=rows[:, :decade + 1])
+            np.multiply(digits[lo:hi, decade + 1] != 0, np.uint8(ord(".")),
+                        out=rows[:, decade + 1])
+            rows[:, decade + 2:18] = digits[lo:hi, decade + 1:17]
+    length = (np.maximum(significant + (significant > k + 1), k + 1)
+              - np.minimum(k, 0))
+    return cells, length
+
+
+# the largest double below 1e17
+_LAST = math.nextafter(1e17, 0.0)
 
 
 def _fmt17_cells(values: np.ndarray) -> np.ndarray:
@@ -269,28 +322,35 @@ def _fmt17_cells(values: np.ndarray) -> np.ndarray:
     fused multiply-add numpy lacks.  `fmt17`, which defines the format,
     writes the rest: zero, x outside [1e-4, 1e17), and the exact ties,
     where x 10^q is a half-integer.
+
+    The cells are laid out a decade at a time (`_layout`).  Sorted values
+    have sorted decades; other values are grouped by a stable sort of k.
     """
     x = np.asarray(values, dtype=np.float64).ravel()
     inside = (x >= _DECADES[0]) & (x < 1e17)
-    # 1 stands in for the values outside, which `fmt17` writes
-    k, high, low = _scaled(np.where(inside, x, 1.0))
+    # the ends of the range stand in for the values outside it, which
+    # `fmt17` writes, so that sorted values keep sorted decades
+    k, high, low = _scaled(np.clip(x, _DECADES[0], _LAST))
     # high is an integer, and low a multiple of 2^-46, so the fraction is
     # exact
     whole = np.floor(low)
     fraction = low - whole
     decided = inside & (fraction != 0.5)
+    # no double of a decade is within 1/2 of 10^17 once scaled, so the 17
+    # digits never carry into the next decade
     nearest = (high.astype(np.int64) + whole.astype(np.int64)
                + (fraction > 0.5))
-    # 10^17 - 1/2 and above round to the next power of ten
-    carry = nearest == 10 ** 17
-    nearest[carry] = 10 ** 16
-    k += carry
-    cells, length = _layout(nearest, k)
+    order = None if np.all(k[:-1] <= k[1:]) else np.argsort(k, kind="stable")
+    rows = slice(None) if order is None else order
+    cells, length = _layout(nearest[rows], k[rows])
     undecided = (~decided).nonzero()[0]
     texts = [fmt17(v) for v in x[undecided].tolist()]
-    width = max([int(length.max(where=decided, initial=0)),
+    width = max([int(length.max(where=decided[rows], initial=0)),
                  *map(len, texts)])
     table = cells[:, :width]
+    if order is not None:
+        table = np.empty_like(table)
+        table[order] = cells[:, :width]
     table[undecided] = np.array(texts, dtype=f"S{width}").view(
         np.uint8).reshape(len(undecided), width)
     return table
@@ -304,21 +364,23 @@ def _coordinate_table(vertices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """`reports.fmt17` cells of the signed coordinates and each one's row.
 
     The writer calls it on one block of `_CHUNK` vertices at a time.  The
-    table holds NUL-padded ASCII cells, one per distinct magnitude of the
-    block and then each of those after a ``-``; the ``(n, 3)`` rows pick a
-    value's cell by its magnitude and sign bit.  The magnitudes are
-    formatted once, together, by `_fmt17_cells`, whose digits are exact
-    from Dekker's product in fixed notation; `reports.fmt17` defines the
-    format and writes zero, the other magnitudes and the exact ties.
+    table holds NUL-padded ASCII cells, each a space and then one distinct
+    magnitude of the block, first as it is and then after a ``-``; the
+    ``(n, 3)`` rows pick a value's cell by its magnitude and sign bit.  The
+    magnitudes are formatted once, together, by `_fmt17_cells`, whose
+    digits are exact from Dekker's product in fixed notation;
+    `reports.fmt17` defines the format and writes zero, the other
+    magnitudes and the exact ties.
     """
     bits = vertices.view(np.int64)
     magnitudes, inverse = np.unique(bits & _MAGNITUDE, return_inverse=True)
     table = _fmt17_cells(magnitudes.view(np.float64))
     k, w = table.shape
-    signed = np.zeros((2, k, w + 1), dtype=np.uint8)
-    signed[:, :, 1:] = table
-    signed[1, :, 0] = ord("-")
-    return (signed.reshape(2 * k, w + 1),
+    signed = np.zeros((2, k, w + 2), dtype=np.uint8)
+    signed[:, :, 0] = ord(" ")
+    signed[1, :, 1] = ord("-")
+    signed[:, :, 2:] = table
+    return (signed.reshape(2 * k, w + 2),
             inverse.reshape(bits.shape) + k * (bits < 0))
 
 
@@ -327,37 +389,40 @@ _DIGITS = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)
 
 
 def _index_digits(n: int) -> np.ndarray:
-    """ASCII digits of ``0..n``, row i holding i's, NUL in place of leading
-    zeros; row 0 is all NUL, as 1-based face indices never use it.
+    """Cells of ``0..n``: row i holds a space, then i's ASCII digits, with
+    NUL in place of leading zeros; row 0 has no digit, as 1-based face
+    indices never use it.
 
     The column of place p repeats each digit p times, cycling through
     0..9, so it is written from uint8 runs with no integer temporaries.
     """
     width = len(str(n))
-    table = np.empty((n + 1, width), dtype=np.uint8)
-    for column in range(width):
-        place = 10 ** (width - 1 - column)
+    table = np.empty((n + 1, width + 1), dtype=np.uint8)
+    table[:, 0] = ord(" ")
+    for column in range(1, width + 1):
+        place = 10 ** (width - column)
         runs = np.resize(_DIGITS, -(-(n + 1) // place))
         table[:, column] = np.repeat(runs, place)[:n + 1]
         table[:place, column] = 0  # 0..place-1 have no digit here
     return table
 
 
-def _records(kind: str, cells: np.ndarray) -> bytes:
-    """``kind cell cell cell\\n`` per record of ``(m, 3, w)`` NUL-padded cells.
+def _records(kind: str, table: np.ndarray, rows: np.ndarray,
+             padded: bool = True) -> bytes:
+    """``kind cell cell cell\\n`` per record of ``(m, 3)`` rows of a table
+    of NUL-padded cells, each of which begins with its space.
 
-    Each record is laid out as one uint8 row; the NULs of the padding are
-    dropped from the rows at the end.
+    Each record is one uint8 row, into which the cells are gathered
+    straight from the table; the NULs are dropped from the rows at the
+    end, unless ``padded`` is false: no cell the rows pick has a NUL.
     """
-    m, _, w = cells.shape
-    rows = np.empty((m, 3 * w + 5), dtype=np.uint8)
-    rows[:, 0] = ord(kind)
-    fields = rows[:, 1:-1].reshape(m, 3, w + 1)
-    fields[:, :, 0] = ord(" ")
-    fields[:, :, 1:] = cells
-    rows[:, -1] = ord("\n")
-    flat = rows.ravel()
-    return flat[flat != 0].tobytes()
+    m, w = len(rows), table.shape[1]
+    out = np.empty((m, 3 * w + 2), dtype=np.uint8)
+    out[:, 0] = ord(kind)
+    np.take(table, rows, axis=0, out=out[:, 1:-1].reshape(m, 3, w))
+    out[:, -1] = ord("\n")
+    flat = out.ravel()
+    return (flat[flat != 0] if padded else flat).tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -169,6 +169,24 @@ def test_areas_and_degenerate_mask_equal_the_cross_norm_form(scale):
     assert len(passes) == 3
 
 
+def test_an_area_pass_holds_about_ten_arrays_of_its_faces():
+    # the edges, the cross product and the areas are written in place: one
+    # pass over 8,192 faces peaks at 10 arrays of as many doubles (0.66 MB),
+    # where the by-component form with a new array per step held 18
+    # (1.18 MB)
+    mesh = flat_graph(64, 64)
+    assert mesh.n_faces == meshes._CHUNK
+    columns = np.ascontiguousarray(mesh.vertices.T)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        meshes._triangle_areas(columns.T, mesh.faces)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak <= 11 * 8 * meshes._CHUNK
+
+
 def test_face_indices_must_be_in_range():
     verts = [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]
     with pytest.raises(ValueError, match="out of range"):
@@ -459,6 +477,79 @@ def test_each_block_of_vertices_is_written_from_its_own_table():
         assert mesh.to_obj_text() == reference_obj(mesh).encode("ascii")
 
 
+@pytest.mark.parametrize("n", [12_345, 123_456])
+def test_face_blocks_of_full_width_indices_are_not_compacted(n):
+    # a block whose smallest index has every digit of the widest, 10^(w-1),
+    # holds no NUL and skips the compaction; one index below it, 10^(w-1) - 1,
+    # is a digit shorter, and so is compacted; blocks of both kinds alternate
+    full = 10 ** (len(str(n)) - 1)
+    rng = np.random.default_rng(n)
+    blocks = []
+    for smallest, size in ((full, meshes._CHUNK), (full - 1, meshes._CHUNK),
+                           (full, meshes._CHUNK), (full - 1, meshes._CHUNK),
+                           (full, 100)):
+        first = rng.integers(full, n - 1, size)
+        first[0] = smallest
+        blocks.append(first[:, None] + np.arange(3))
+    mesh = MeshObj(rng.uniform(-1.0, 1.0, (n, 3)), np.concatenate(blocks),
+                   ("full width",))
+    with mock.patch.object(meshes, "_records",
+                           wraps=meshes._records) as records:
+        text = mesh.to_obj_text()
+    padded = [call.kwargs["padded"] for call in records.call_args_list
+              if call.args[0] == "f"]
+    assert padded == [False, True, False, True, False]
+    assert text == reference_obj(mesh).encode("ascii")
+
+
+def _carries(texts):
+    """The doubles of decimal texts that lie below their text, yet whose 17
+    significant digits end in zeros: rounding carried through a run of
+    nines."""
+    return [float(text) for text in texts
+            if Fraction(float(text)) < Fraction(text)
+            and len(fmt17(float(text)).replace(".", "").strip("0")) < 17]
+
+
+def test_a_large_shuffled_table_is_laid_out_decade_by_decade():
+    # a few thousand magnitudes over all 21 fixed-notation decades, shuffled,
+    # so that each decade's rows are grouped by a stable sort before they
+    # are laid out; the sorted table takes the contiguous-decade path
+    rng = np.random.default_rng(29)
+    decades = [float(f"1e{k}") for k in range(-4, 18)]
+    spread = [lo * rng.uniform(1.0, 10.0, 120) for lo in decades[:-1]]
+    carries = _carries([f"{m}e{e}" for m in range(101, 1000)
+                        for e in range(-6, 15)])
+    ends = [*meshes._DECADES, *(math.nextafter(v, 0.0) for v in decades[1:])]
+    values = np.concatenate([
+        *spread, carries, ends, TIES, NEAR_TIES, FMT17_BOUNDARY,
+        [0.0, 5e-324, 9.9e-5, 1e17, 1e200, 1.7976931348623157e308]])
+    assert len(carries) > 200
+    inside = [_decade(Fraction(v)) for v in values.tolist()
+              if 1e-4 <= v < 1e17]
+    assert set(inside) == set(range(-4, 17))
+    for table in (np.sort(values), rng.permutation(values)):
+        with mock.patch.object(meshes, "fmt17", wraps=fmt17) as fallback:
+            cells = meshes._fmt17_cells(table)
+        texts = [fmt17(v) for v in table.tolist()]
+        assert cells.shape == (len(table), max(map(len, texts)))
+        assert [bytes(row).rstrip(b"\0") for row in cells] \
+            == [text.encode("ascii") for text in texts]
+        handed = [call.args[0] for call in fallback.call_args_list]
+        assert handed == [v for v in table.tolist() if _undecidable(v)]
+
+
+def test_no_double_of_a_decade_rounds_up_to_the_next():
+    # the largest double of each decade is further than 1/2 below 10^17
+    # once scaled, and rounding is monotone, so no 17 digits carry into the
+    # next decade: `_fmt17_cells` needs no carry
+    for k, bound in zip(range(-4, 17), [*meshes._DECADES[1:].tolist(),
+                                        1e17]):
+        largest = Fraction(math.nextafter(bound, 0.0))
+        assert _decade(largest) == k
+        assert largest * Fraction(10) ** (16 - k) < 10 ** 17 - Fraction(1, 2)
+
+
 def _undecidable(value):
     """Is value zero, outside [1e-4, 1e17), or x 10^(16 - k) exactly a
     half-integer, with 10^k <= x < 10^(k+1)?"""
@@ -540,14 +631,24 @@ np.save(sys.argv[2], meshes._fmt17_cells(np.load(sys.argv[1])))
 """
 
 
-def test_fmt17_cells_do_not_depend_on_the_cpu_dispatch(tmp_path):
-    # the cells are the same bytes with every dispatched numpy kernel this
-    # CPU runs switched off, in a fresh interpreter
+def _without_dispatch(script, *args):
+    """Run script in a fresh interpreter with every dispatched numpy kernel
+    this CPU runs switched off."""
     umath = pytest.importorskip("numpy._core._multiarray_umath")
     disabled = [name for name in umath.__cpu_dispatch__
                 if umath.__cpu_features__.get(name)]
     if not disabled:
         pytest.skip("this CPU runs no dispatched numpy kernel")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(meshes.__file__)))
+    subprocess.run([sys.executable, "-W", "error", "-c", script,
+                    *map(str, args)], check=True, timeout=120,
+                   env={**os.environ, "PYTHONPATH": src,
+                        "NPY_DISABLE_CPU_FEATURES": " ".join(disabled)})
+
+
+def test_fmt17_cells_do_not_depend_on_the_cpu_dispatch(tmp_path):
+    # the cells are the same bytes with every dispatched numpy kernel this
+    # CPU runs switched off, in a fresh interpreter
     rng = np.random.default_rng(7)
     # bit patterns, most of them in the range the exact product decides
     bits = np.concatenate([rng.integers(*_FIXED_BITS, 40_000, endpoint=True),
@@ -555,15 +656,48 @@ def test_fmt17_cells_do_not_depend_on_the_cpu_dispatch(tmp_path):
     values = tmp_path / "values.npy"
     np.save(values, bits.view(np.float64))
     cells = tmp_path / "cells.npy"
-    src = os.path.dirname(os.path.dirname(os.path.abspath(meshes.__file__)))
-    subprocess.run([sys.executable, "-W", "error", "-c", _DISPATCH_SCRIPT,
-                    str(values), str(cells)], check=True, timeout=120,
-                   env={**os.environ, "PYTHONPATH": src,
-                        "NPY_DISABLE_CPU_FEATURES": " ".join(disabled)})
+    _without_dispatch(_DISPATCH_SCRIPT, values, cells)
     expected = meshes._fmt17_cells(bits.view(np.float64))
     got = np.load(cells)
     assert got.shape == expected.shape
     assert got.tobytes() == expected.tobytes()
+
+
+_WRITER_SCRIPT = """
+import sys
+import numpy as np
+from heisurf import meshes
+mesh = meshes.MeshObj(np.load(sys.argv[1]), np.load(sys.argv[2]), ("cpu",))
+with open(sys.argv[3], "wb") as fh:
+    fh.write(mesh.to_obj_text())
+"""
+
+
+def test_obj_text_does_not_depend_on_the_cpu_dispatch(tmp_path):
+    # the whole writer, tables, gathers, compaction and the face fast path
+    # included, gives the same bytes with every dispatched numpy kernel this
+    # CPU runs switched off
+    rng = np.random.default_rng(29)
+    # faces of consecutive vertices of a wide random cloud, whose blocks
+    # start below and above 10000, the first index with every digit, then
+    # faceless vertices from every decade, signed, with zeros, ties and
+    # magnitudes below 1e-4 among them
+    cloud = rng.uniform(-1e16, 1e16, (20_000, 3))
+    bits = rng.integers(*_FIXED_BITS, 9 * meshes._CHUNK, endpoint=True)
+    bits[::40] = rng.integers(0, _FIXED_BITS[0], len(bits[::40]))
+    spread = bits.view(np.float64)
+    spread[::97] = rng.choice([0.0, *TIES], len(spread[::97]))
+    spread *= rng.choice([-1.0, 1.0], len(spread))
+    vertices = np.concatenate([cloud, spread.reshape(-1, 3)])
+    faces = np.arange(1, len(cloud) - 1)[:, None] + np.arange(3)
+    np.save(tmp_path / "vertices.npy", vertices)
+    np.save(tmp_path / "faces.npy", faces)
+    obj = tmp_path / "mesh.obj"
+    _without_dispatch(_WRITER_SCRIPT, tmp_path / "vertices.npy",
+                      tmp_path / "faces.npy", obj)
+    mesh = MeshObj(vertices, faces, ("cpu",))
+    assert obj.read_bytes() == mesh.to_obj_text()
+    assert obj.read_bytes() == reference_obj(mesh).encode("ascii")
 
 
 def test_a_stream_that_fails_partway_leaves_no_file(tmp_path, monkeypatch):
@@ -571,14 +705,14 @@ def test_a_stream_that_fails_partway_leaves_no_file(tmp_path, monkeypatch):
     records = meshes._records
     calls = []
 
-    def failing(kind, cells):
+    def failing(kind, table, rows, **options):
         calls.append(kind)
         if len(calls) == 2:
             # the v records are in the temporary file by now
             assert [name for name in os.listdir(str(tmp_path))
                     if name.startswith(".tmp-") and name.endswith("~")]
             raise RuntimeError("stream broken")
-        return records(kind, cells)
+        return records(kind, table, rows, **options)
 
     monkeypatch.setattr(meshes, "_records", failing)
     target = tmp_path / "mesh.obj"
