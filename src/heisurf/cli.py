@@ -349,7 +349,8 @@ def _cmd_second_variation(args):
         "residual_order": result.residual_order, "consistent": ok}
     detail = (f"II={fmt17(result.second_variation)} "
               f"fitted-c={fmt17(result.quadratic_fit)} "
-              f"order={result.residual_order:.2f}")
+              + ("order=exact" if result.residual_order is None
+                 else f"order={result.residual_order:.2f}"))
     return (ok, detail, payload,
             dump_csv(("lambda", "delta_area", "quadratic_model"), rows))
 

@@ -115,10 +115,15 @@ class RuledEntireGraph:
         out = x * slope
         return out if out.ndim else float(out)
 
-    def dilated_value(self, t: float, x, zprime):
-        """Graph function of the rescaled graph: f_t(x, z') = f(tx, t^2 z')/t."""
-        t = float(t)
-        if not t > 0:
+    def dilated_value(self, t, x, zprime):
+        """Graph function of the rescaled graph: f_t(x, z') = f(tx, t^2 z')/t.
+
+        ``t`` broadcasts against ``x`` and ``zprime``: a column of t with a
+        row of points evaluates every dilation in one `graph_value` call,
+        one profile `solve`, with one row of results per t.
+        """
+        t = np.asarray(t, dtype=float)
+        if not np.all(t > 0):
             raise ValueError("dilation parameter must be positive")
         x = np.asarray(x, dtype=float)
         zp = np.asarray(zprime, dtype=float)
@@ -200,7 +205,8 @@ def scaling_limit(graph: RuledEntireGraph,
     equal limits give the plane u = 0.  A limit at +inf above the one at
     -inf (a closed-form profile that rises beyond the heights its
     `Profile.direction` reads) raises `ProfileError`.  When both limits are
-    finite the rescaled graph is evaluated on the probe points and compared
+    finite the rescaled graphs of the whole t grid are evaluated on the
+    probe points in one `RuledEntireGraph.dilated_value` call and compared
     against the limit graph, giving one max-error entry per ``t``.
     """
     ts = tuple(float(t) for t in t_grid)
@@ -224,9 +230,9 @@ def scaling_limit(graph: RuledEntireGraph,
     if math.isfinite(slope_neg) and math.isfinite(slope_pos):
         ref = broken_plane_graph_value(slope_neg, slope_pos,
                                        _PROBES[:, 0], _PROBES[:, 1])
-        for t in ts:
-            ft = graph.dilated_value(t, _PROBES[:, 0], _PROBES[:, 1])
-            errors.append(float(np.max(np.abs(ft - ref))))
+        ft = graph.dilated_value(np.array(ts)[:, None], _PROBES[:, 0],
+                                 _PROBES[:, 1])
+        errors = np.max(np.abs(ft - ref), axis=1).tolist()
     return ScalingLimitReport(slope_neg, slope_pos, theta, u, ts,
                               tuple(errors))
 
@@ -515,7 +521,7 @@ def _nexus_param(u: float, x, y, corner_y):
     """
     with np.errstate(divide="ignore", invalid="ignore"):
         t = -corner_y / ((y - corner_y) / (x + 1.0) + 0.5 * u) - 1.0
-    return np.clip(np.nan_to_num(t, nan=0.0), 0.0, 1.0)
+    return np.clip(np.where(np.isnan(t), 0.0, t), 0.0, 1.0)
 
 
 def _arc_param(u: float, x, y, corner_y):
@@ -542,7 +548,7 @@ def _arc_param(u: float, x, y, corner_y):
             ahead = (cand > 0.0) & (corner_y + cand * dy < 0.0)
             lam = np.where(ahead, cand, lam)
         t = lam * dx1 - 1.0
-    return np.clip(np.nan_to_num(t, nan=0.0), 0.0, 1.0)
+    return np.clip(np.where(np.isnan(t), 0.0, t), 0.0, 1.0)
 
 
 #: The sweep guide of each competitor kind over 0 <= t <= 1, as functions
@@ -598,6 +604,13 @@ class CompetitorSurface:
         return float(np.max(np.abs(0.5 * (s_up + s_lo) + 0.5 * self.u)))
 
 
+def _seam_y(x: np.ndarray, chord_y: np.ndarray,
+            guide_y: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+    """A sweep seam at x: the fan chord's values ``chord_y`` for x <= 0,
+    the guide footprint beyond."""
+    return np.where(x <= 0.0, chord_y, guide_y(np.clip(x, 0.0, 1.0)))
+
+
 def _wedge_subregions(apex_y: float, u: float,
                       guide_y: Callable[[np.ndarray], np.ndarray]
                       ) -> dict[str, VRegion]:
@@ -617,7 +630,7 @@ def _wedge_subregions(apex_y: float, u: float,
     def seam(chord):
         def bound(x):
             x = np.asarray(x, dtype=float)
-            return np.where(x <= 0.0, chord(x), guide_y(np.clip(x, 0.0, 1.0)))
+            return _seam_y(x, chord(x), guide_y)
         return bound
 
     top = lambda x: -u * np.asarray(x, dtype=float)
@@ -663,10 +676,12 @@ def build_competitor(kind: str, u: float) -> CompetitorSurface:
         corner (-1, c) their segment runs to (+u on or above the seam)."""
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
-        x, y = np.broadcast_arrays(x, y)
-        fan = ((x <= 0.0) & (y >= regions["fan"].lo(x))
-               & (y <= regions["fan"].hi(x)))
-        corner = np.where(~fan & (y >= regions["upper"].lo(x)), u, -u)
+        if x.shape != y.shape:
+            x, y = np.broadcast_arrays(x, y)
+        # the upper fan chord bounds the fan and starts the upper seam
+        upper = regions["fan"].hi(x)
+        fan = (x <= 0.0) & (y >= regions["fan"].lo(x)) & (y <= upper)
+        corner = np.where(~fan & (y >= _seam_y(x, upper, guide_y)), u, -u)
         return x, y, fan, corner
 
     def phi(x, y):

@@ -171,6 +171,10 @@ class PwlProfile(Profile):
 
     Evaluation, algebra, inversion and composition are all exact: every
     operation produces the knots of the result directly instead of sampling.
+    Construction takes a scalar knot as a one-knot array and refuses, in
+    this order, knots that are not matching non-empty 1-d arrays, positions
+    that do not strictly increase (a NaN among two or more positions fails
+    here) and values that are not finite.
     """
 
     w: np.ndarray
@@ -179,13 +183,19 @@ class PwlProfile(Profile):
     slope_right: float = 0.0
 
     def __post_init__(self):
-        w = np.atleast_1d(np.asarray(self.w, dtype=float))
-        v = np.atleast_1d(np.asarray(self.v, dtype=float))
+        # ndarray methods and slices: on a few knots the np.all, np.diff
+        # and np.atleast_1d wrappers cost more than the checks themselves
+        w = np.asarray(self.w, dtype=float)
+        v = np.asarray(self.v, dtype=float)
+        if not w.ndim:
+            w = w.reshape(1)
+        if not v.ndim:
+            v = v.reshape(1)
         if w.ndim != 1 or w.shape != v.shape or len(w) == 0:
             raise ProfileError("knots must be matching non-empty 1-d arrays")
-        if len(w) > 1 and not np.all(np.diff(w) > 0):
+        if not (w[1:] > w[:-1]).all():
             raise ProfileError("knot positions must be strictly increasing")
-        if not (np.all(np.isfinite(w)) and np.all(np.isfinite(v))):
+        if not (np.isfinite(w).all() and np.isfinite(v).all()):
             raise ProfileError("knots must be finite")
         object.__setattr__(self, "w", w)
         object.__setattr__(self, "v", v)

@@ -81,29 +81,32 @@ def ruled_area_closed_form(alpha: PwlProfile, tau: Optional[PwlProfile],
     """Exact half-strip area of the deformed surface over a w-window.
 
     Valid while the rulings sweep monotonically (the density eta' - s^2
-    delta'/2 stays positive); a reversing sweep is refused.
+    delta'/2 stays positive); a reversing sweep is refused.  delta at the
+    cuts, eta' at the piece midpoints and G at the cut values are one
+    array evaluation each; the pieces are then added in order, in floats.
     """
     a, b = map(float, window)
     if not b > a:
         raise ValueError("empty window")
     delta = delta_profile(alpha, tau)
-    eta = eta_of(alpha)
     cuts = np.concatenate([[a], delta.w[(delta.w > a) & (delta.w < b)], [b]])
+    d = delta(cuts)
+    ep = eta_of(alpha).derivative(0.5 * (cuts[:-1] + cuts[1:]))
+    width = cuts[1:] - cuts[:-1]
+    rate = (d[1:] - d[:-1]) / width
+    if np.any(rate > 2.0 * ep):
+        raise ProfileError("ruling sweep reverses: deformation too large")
+    prim = g_primitive(d).tolist()
+    d = d.tolist()
     total = 0.0
-    for w0, w1 in zip(cuts[:-1], cuts[1:]):
-        d0 = float(delta(w0))
-        d1 = float(delta(w1))
-        mid = 0.5 * (w0 + w1)
-        ep = float(eta.derivative(mid))
-        g = (d1 - d0) / (w1 - w0)
-        if g > 2.0 * ep:
-            raise ProfileError("ruling sweep reverses: deformation too large")
+    for d0, d1, p0, p1, e, r, dw in zip(d, d[1:], prim, prim[1:], ep.tolist(),
+                                        rate.tolist(), width.tolist()):
         if abs(d1 - d0) < 1e-8 * (1.0 + abs(d0)):
             dm = 0.5 * (d0 + d1)
-            total += ep * math.sqrt(1.0 + dm * dm) * (w1 - w0)
+            total += e * math.sqrt(1.0 + dm * dm) * dw
         else:
-            total += ep * (g_primitive(d1) - g_primitive(d0)) / g
-    total -= (g_primitive(float(delta(b))) - g_primitive(float(delta(a)))) / 6.0
+            total += e * (p1 - p0) / r
+    total -= (prim[-1] - prim[0]) / 6.0
     return total
 
 
@@ -130,34 +133,39 @@ def _auto_window(alpha: PwlProfile, tau: PwlProfile) -> tuple[float, float]:
 
 def second_variation(alpha: PwlProfile, tau: PwlProfile,
                      window: Optional[tuple[float, float]] = None) -> float:
-    """Quadratic coefficient II(tau) of the deformed-area expansion."""
+    """Quadratic coefficient II(tau) of the deformed-area expansion.
+
+    The window is cut at the knots of alpha and where eta crosses a knot of
+    tau, so the integrand is smooth on each piece.  The 40 Gauss-Legendre
+    nodes of every piece form one (pieces, 40) array; each row is summed,
+    and the rows are added in piece order.
+    """
     if window is None:
         window = _auto_window(alpha, tau)
     a, b = map(float, window)
     eta = eta_of(alpha)
-    cuts = {a, b}
-    cuts.update(float(w) for w in alpha.w if a < w < b)
-    # split where eta crosses a knot of tau, so tau(eta(.)) stays linear
     base = np.unique(np.concatenate([[a], alpha.w[(alpha.w > a) & (alpha.w < b)],
                                      [b]]))
-    for w0, w1 in zip(base[:-1], base[1:]):
-        e0, e1 = float(eta(w0)), float(eta(w1))
-        for v in tau.w:
-            if (e0 - v) * (e1 - v) < 0:
-                cuts.add(w0 + (v - e0) / (e1 - e0) * (w1 - w0))
-    cuts = np.array(sorted(cuts))
+    # split where eta crosses a knot of tau, so tau(eta(.)) stays linear
+    e = eta(base)
+    piece, knot = np.nonzero((e[:-1, None] - tau.w) * (e[1:, None] - tau.w) < 0)
+    w0, e0, e1 = base[piece], e[piece], e[piece + 1]
+    crossings = w0 + (tau.w[knot] - e0) / (e1 - e0) * (base[piece + 1] - w0)
+    cuts = np.unique(np.concatenate([base, crossings]))
     gl_nodes, gl_weights = _gauss_legendre()
+    mid = (0.5 * (cuts[:-1] + cuts[1:]))[:, None]
+    half = (0.5 * (cuts[1:] - cuts[:-1]))[:, None]
+    slope = alpha.derivative(mid)
+    nodes = mid + half * gl_nodes
+    avals = alpha(nodes)
+    tvals = tau(eta(nodes))
+    rows = np.sum(half * gl_weights * tvals ** 2 * (1.0 + slope)
+                  / (1.0 + avals ** 2) ** 1.5, axis=1)
+    # left to right, one row at a time: np.sum would pair the rows, and
+    # Python 3.12's sum() compensates
     total = 0.0
-    for w0, w1 in zip(cuts[:-1], cuts[1:]):
-        mid = 0.5 * (w0 + w1)
-        slope = float(alpha.derivative(mid))
-        nodes = mid + 0.5 * (w1 - w0) * gl_nodes
-        weights = 0.5 * (w1 - w0) * gl_weights
-        avals = np.asarray(alpha(nodes))
-        tvals = np.asarray(tau(np.asarray(eta(nodes))))
-        total += float(np.sum(
-            weights * tvals ** 2 * (1.0 + slope)
-            / (1.0 + avals ** 2) ** 1.5))
+    for row in rows.tolist():
+        total += row
     return total
 
 
@@ -172,15 +180,17 @@ class SecondVariationResult:
     second_variation: float
     quadratic_fit: float
     quartic_fit: float
-    residual_order: float
+    residual_order: Optional[float]
     window: tuple[float, float]
 
     def consistent(self, rel_tol: float = 1e-4) -> bool:
         """The quadratic fit matches II to rel_tol and the fitted residual
-        order is at least 2.7."""
+        order is at least 2.7, or the quadratic model is exact (no residual
+        order)."""
         ref = max(abs(self.second_variation), 1e-12)
         return (abs(self.quadratic_fit - self.second_variation) <= rel_tol * ref
-                and self.residual_order >= 2.7)
+                and (self.residual_order is None
+                     or self.residual_order >= 2.7))
 
 
 def second_variation_experiment(
@@ -199,6 +209,9 @@ def second_variation_experiment(
     plane) contribute an odd |lam|^3 residual instead: the order drops to
     about 3 and the fitted coefficient carries an O(max lam) bias of a few
     percent, so callers should gate them via consistent(rel_tol=0.05).
+    Where every residual is exactly 0.0 (II and every excess vanish, as
+    where alpha' = -1 on all heights tau moves) the quadratic model is
+    exact and ``residual_order`` is None: there is no order to fit.
     """
     if window is None:
         window = _auto_window(alpha, tau)
@@ -213,8 +226,10 @@ def second_variation_experiment(
     design = np.stack([lam2, lam2 ** 2], axis=-1)
     (c2, c4), *_ = np.linalg.lstsq(design, deltas, rcond=None)
     residuals = np.abs(deltas - lam2 * ii)
-    residuals = np.maximum(residuals, 1e-300)
-    order = float(np.polyfit(np.log(lambdas), np.log(residuals), 1)[0])
+    order = None
+    if residuals.any():
+        residuals = np.maximum(residuals, 1e-300)
+        order = float(np.polyfit(np.log(lambdas), np.log(residuals), 1)[0])
     return SecondVariationResult(
         lambdas=lambdas,
         delta_areas=tuple(float(d) for d in deltas),

@@ -235,6 +235,29 @@ def test_second_variation_writes_csv_and_detects_instability(tmp_path):
     assert all(float(line.split(",")[1]) < 0.0 for line in csv_lines[1:])
 
 
+@pytest.mark.parametrize("alpha, tau", [
+    ("linear(-1)", "triangle-bump(1,1)"),
+    ("samples(-1,1,1,-1)", "triangle-bump(0,0.5)"),
+])
+def test_an_exact_quadratic_model_passes_as_check_minimal_does(
+        tmp_path, capsys, alpha, tau):
+    # alpha' = -1 wherever the bump deforms the strip, so II and every area
+    # excess are exactly 0.0: the quadratic model is exact, with no residual
+    # order to fit, and both commands pass the profile
+    assert run(tmp_path, "check-minimal", "--kind", "alpha",
+               "--profile", alpha) == 0
+    assert run(tmp_path, "second-variation", "--alpha", alpha,
+               "--tau", tau) == 0
+    assert ("second-variation: PASS II=0 fitted-c=0 order=exact "
+            in capsys.readouterr().out)
+    text = (tmp_path / "second-variation.json").read_text()
+    assert "NaN" not in text and "Infinity" not in text
+    data = json.loads(text)
+    assert data["delta_areas"] == [0, 0, 0, 0]
+    assert data["residual_order"] is None
+    assert data["consistent"] is True
+
+
 def test_monotonicity_passes_on_a_strip_and_fails_on_the_broken_plane(
         tmp_path):
     assert run(tmp_path, "monotonicity", "--surface", "strip",

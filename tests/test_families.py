@@ -17,6 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 from heisurf.core import chord_offset_arr, project_arr
 from heisurf.families import (
+    _PROBES,
     ChordObstructionReport,
     CompetitorSurface,
     RuledEntireGraph,
@@ -44,7 +45,8 @@ from heisurf.families import (
 from heisurf.lines import monotonicity_check
 from heisurf.profilespec import profile_from_string
 from heisurf.quadrature import QuadConfig
-from heisurf.strips import CallableProfile, GraphicalStrip, ProfileError, PwlProfile
+from heisurf.strips import (ArctanProfile, CallableProfile, GraphicalStrip,
+                             ProfileError, PwlProfile)
 from heisurf.surfaces import strip_patch
 
 AREA_ID = (2.0 / 3.0) * (2.0 * math.sqrt(5.0) + math.asinh(2.0))
@@ -204,6 +206,41 @@ def test_every_constant_profile_blows_down_to_its_own_plane(m):
     rep = scaling_limit(RuledEntireGraph(PwlProfile.constant(m)))
     assert rep.kind == "plane"
     assert rep.theta == pytest.approx(math.atan(m) % math.pi, abs=1e-9)
+
+
+@st.composite
+def blow_down_graphs(draw):
+    """Ruled entire graphs with finite tail limits: non-increasing PWL
+    profiles with flat tails, arctan profiles, and closed-form profiles."""
+    kind = draw(st.sampled_from(("pwl", "arctan", "callable")))
+    if kind == "pwl":
+        n = draw(st.integers(1, 7))
+        w = sorted(draw(st.lists(st.floats(-5.0, 5.0), min_size=n,
+                                 max_size=n, unique=True)))
+        v = sorted(draw(st.lists(st.floats(-3.0, 3.0), min_size=n,
+                                 max_size=n)), reverse=True)
+        return RuledEntireGraph(PwlProfile(np.array(w), np.array(v)))
+    scale = draw(st.floats(0.01, 5.0))
+    if kind == "arctan":
+        return RuledEntireGraph(ArctanProfile(-scale))
+    return RuledEntireGraph(CallableProfile(lambda z: -scale * np.arctan(z)))
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(blow_down_graphs(),
+       st.lists(st.floats(0.5, 20.0), min_size=1, max_size=5, unique=True))
+def test_scaling_limit_errors_are_the_per_t_deviations(graph, ts):
+    # one batched evaluation of every dilation gives the errors that
+    # evaluating the graph once per t gives
+    ts = sorted(ts)
+    rep = scaling_limit(graph, ts)
+    x, zp = _PROBES[:, 0], _PROBES[:, 1]
+    ref = broken_plane_graph_value(rep.slope_neg_limit, rep.slope_pos_limit,
+                                   x, zp)
+    want = tuple(float(np.max(np.abs(graph.graph_value(t * x, t * t * zp) / t
+                                      - ref))) for t in ts)
+    assert rep.errors == want
+    assert repr(rep.errors) == repr(want)
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,6 @@
 import hashlib
 import math
 import os
-import subprocess
-import sys
 import tracemalloc
 from fractions import Fraction
 from unittest import mock
@@ -631,22 +629,8 @@ np.save(sys.argv[2], meshes._fmt17_cells(np.load(sys.argv[1])))
 """
 
 
-def _without_dispatch(script, *args):
-    """Run script in a fresh interpreter with every dispatched numpy kernel
-    this CPU runs switched off."""
-    umath = pytest.importorskip("numpy._core._multiarray_umath")
-    disabled = [name for name in umath.__cpu_dispatch__
-                if umath.__cpu_features__.get(name)]
-    if not disabled:
-        pytest.skip("this CPU runs no dispatched numpy kernel")
-    src = os.path.dirname(os.path.dirname(os.path.abspath(meshes.__file__)))
-    subprocess.run([sys.executable, "-W", "error", "-c", script,
-                    *map(str, args)], check=True, timeout=120,
-                   env={**os.environ, "PYTHONPATH": src,
-                        "NPY_DISABLE_CPU_FEATURES": " ".join(disabled)})
-
-
-def test_fmt17_cells_do_not_depend_on_the_cpu_dispatch(tmp_path):
+def test_fmt17_cells_do_not_depend_on_the_cpu_dispatch(tmp_path,
+                                                       without_dispatch):
     # the cells are the same bytes with every dispatched numpy kernel this
     # CPU runs switched off, in a fresh interpreter
     rng = np.random.default_rng(7)
@@ -656,7 +640,7 @@ def test_fmt17_cells_do_not_depend_on_the_cpu_dispatch(tmp_path):
     values = tmp_path / "values.npy"
     np.save(values, bits.view(np.float64))
     cells = tmp_path / "cells.npy"
-    _without_dispatch(_DISPATCH_SCRIPT, values, cells)
+    without_dispatch(_DISPATCH_SCRIPT, values, cells)
     expected = meshes._fmt17_cells(bits.view(np.float64))
     got = np.load(cells)
     assert got.shape == expected.shape
@@ -673,7 +657,8 @@ with open(sys.argv[3], "wb") as fh:
 """
 
 
-def test_obj_text_does_not_depend_on_the_cpu_dispatch(tmp_path):
+def test_obj_text_does_not_depend_on_the_cpu_dispatch(tmp_path,
+                                                      without_dispatch):
     # the whole writer, tables, gathers, compaction and the face fast path
     # included, gives the same bytes with every dispatched numpy kernel this
     # CPU runs switched off
@@ -693,8 +678,8 @@ def test_obj_text_does_not_depend_on_the_cpu_dispatch(tmp_path):
     np.save(tmp_path / "vertices.npy", vertices)
     np.save(tmp_path / "faces.npy", faces)
     obj = tmp_path / "mesh.obj"
-    _without_dispatch(_WRITER_SCRIPT, tmp_path / "vertices.npy",
-                      tmp_path / "faces.npy", obj)
+    without_dispatch(_WRITER_SCRIPT, tmp_path / "vertices.npy",
+                     tmp_path / "faces.npy", obj)
     mesh = MeshObj(vertices, faces, ("cpu",))
     assert obj.read_bytes() == mesh.to_obj_text()
     assert obj.read_bytes() == reference_obj(mesh).encode("ascii")

@@ -44,6 +44,31 @@ def test_constant_and_line_profiles():
     assert line.derivative(-10.0) == 0.5
 
 
+@pytest.mark.parametrize("w, v, message", [
+    # the shape check comes first, then the order, then finiteness
+    ([[0.0, 1.0]], [[0.0, 1.0]], "matching non-empty"),
+    ([0.0, 1.0], [0.0], "matching non-empty"),
+    ([], [], "matching non-empty"),
+    ([math.nan, 0.0], [math.inf], "matching non-empty"),
+    ([0.0, math.nan, 2.0], [0.0, 0.0, 0.0], "strictly increasing"),
+    ([1.0, 0.0], [math.inf, 0.0], "strictly increasing"),
+    ([0.0, 1.0], [0.0, math.inf], "knots must be finite"),
+    ([0.0, math.inf], [0.0, 1.0], "knots must be finite"),
+    ([math.nan], [0.0], "knots must be finite"),
+])
+def test_knots_are_refused_in_a_fixed_order(w, v, message):
+    with pytest.raises(ProfileError, match=message):
+        PwlProfile(np.array(w), np.array(v))
+
+
+def test_a_scalar_knot_becomes_a_one_knot_array():
+    p = PwlProfile(1.5, -2.0, 0.5, 0.5)
+    assert p.w.shape == p.v.shape == (1,)
+    assert (p.w.tolist(), p.v.tolist()) == ([1.5], [-2.0])
+    assert p(3.5) == -1.0
+    assert PwlProfile(1.5, [-2.0]).v.tolist() == [-2.0]
+
+
 def test_triangle_bump_evaluation_and_slopes():
     p = triangle_bump()
     assert p(-0.5) == pytest.approx(0.5)

@@ -15,10 +15,14 @@ the middle piece carries weight (1 + alpha') = -1 and contributes
 negative, so that surface admits an area-decreasing ruled deformation.
 """
 import math
+import os
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from heisurf import variation
 from heisurf.strips import ProfileError, PwlProfile, eta_of
 from heisurf.surfaces import RuledSurface
 from heisurf.variation import (
@@ -219,3 +223,139 @@ def test_deformed_sweep_near_the_fan_edge_stays_injective():
     dist = np.hypot(diff[..., 0], diff[..., 1])
     np.fill_diagonal(dist, np.inf)
     assert dist.min() > 1e-4
+
+
+# ---------------------------------------------------------------------------
+# the array kernels against the per-piece loops they replaced
+
+
+def reference_area(alpha, tau, window):
+    """`ruled_area_closed_form` as a per-piece loop of scalar evaluations."""
+    a, b = map(float, window)
+    if not b > a:
+        raise ValueError("empty window")
+    delta = delta_profile(alpha, tau)
+    eta = eta_of(alpha)
+    cuts = np.concatenate([[a], delta.w[(delta.w > a) & (delta.w < b)], [b]])
+    total = 0.0
+    for w0, w1 in zip(cuts[:-1], cuts[1:]):
+        d0 = float(delta(w0))
+        d1 = float(delta(w1))
+        mid = 0.5 * (w0 + w1)
+        ep = float(eta.derivative(mid))
+        g = (d1 - d0) / (w1 - w0)
+        if g > 2.0 * ep:
+            raise ProfileError("ruling sweep reverses: deformation too large")
+        if abs(d1 - d0) < 1e-8 * (1.0 + abs(d0)):
+            dm = 0.5 * (d0 + d1)
+            total += ep * math.sqrt(1.0 + dm * dm) * (w1 - w0)
+        else:
+            total += ep * (g_primitive(d1) - g_primitive(d0)) / g
+    total -= (g_primitive(float(delta(b))) - g_primitive(float(delta(a)))) / 6.0
+    return total
+
+
+def reference_second_variation(alpha, tau, window):
+    """`second_variation` as a per-piece loop of 40-node quadratures."""
+    a, b = map(float, window)
+    eta = eta_of(alpha)
+    cuts = {a, b}
+    cuts.update(float(w) for w in alpha.w if a < w < b)
+    base = np.unique(np.concatenate([[a], alpha.w[(alpha.w > a) & (alpha.w < b)],
+                                     [b]]))
+    for w0, w1 in zip(base[:-1], base[1:]):
+        e0, e1 = float(eta(w0)), float(eta(w1))
+        for v in tau.w:
+            if (e0 - v) * (e1 - v) < 0:
+                cuts.add(w0 + (v - e0) / (e1 - e0) * (w1 - w0))
+    cuts = np.array(sorted(cuts))
+    gl_nodes, gl_weights = np.polynomial.legendre.leggauss(40)
+    total = 0.0
+    for w0, w1 in zip(cuts[:-1], cuts[1:]):
+        mid = 0.5 * (w0 + w1)
+        slope = float(alpha.derivative(mid))
+        nodes = mid + 0.5 * (w1 - w0) * gl_nodes
+        weights = 0.5 * (w1 - w0) * gl_weights
+        avals = np.asarray(alpha(nodes))
+        tvals = np.asarray(tau(np.asarray(eta(nodes))))
+        total += float(np.sum(
+            weights * tvals ** 2 * (1.0 + slope)
+            / (1.0 + avals ** 2) ** 1.5))
+    return total
+
+
+def experiment_outcome(alpha, tau):
+    try:
+        return second_variation_experiment(alpha, tau)
+    except ProfileError as exc:
+        return f"ProfileError: {exc}"
+
+
+@st.composite
+def strip_profiles(draw):
+    """PWL alpha with 1-7 knots, every slope above -1, each tail flat or
+    sloped."""
+    n = draw(st.integers(1, 7))
+    w = sorted(draw(st.lists(st.floats(-3.0, 3.0), min_size=n, max_size=n,
+                             unique=True)))
+    slopes = draw(st.lists(st.floats(-1.0, 3.0, exclude_min=True),
+                           min_size=n + 1, max_size=n + 1))
+    v = [draw(st.floats(-2.0, 2.0))]
+    for w0, w1, s in zip(w, w[1:], slopes[1:]):
+        v.append(v[-1] + s * (w1 - w0))
+    left, right = (s if draw(st.booleans()) else 0.0
+                   for s in (slopes[0], slopes[-1]))
+    return PwlProfile(np.array(w), np.array(v), left, right)
+
+
+@st.composite
+def triangle_bumps(draw):
+    centre = draw(st.floats(-2.0, 2.0))
+    half = draw(st.floats(0.05, 2.0))
+    height = draw(st.floats(-3.0, 3.0))
+    return PwlProfile.from_knots([(centre - half, 0.0), (centre, height),
+                                  (centre + half, 0.0)])
+
+
+@settings(derandomize=True, database=None, max_examples=50, deadline=None)
+@given(strip_profiles(), triangle_bumps())
+# a tau too steep for the largest lambda
+@example(ZERO, PwlProfile.from_knots([(-0.05, 0.0), (0.0, 3.0), (0.05, 0.0)]))
+def test_experiment_equals_the_per_piece_loops(alpha, tau):
+    # every float of the experiment, and every refusal, is what the
+    # per-piece loops give
+    got = experiment_outcome(alpha, tau)
+    with mock.patch.object(variation, "ruled_area_closed_form",
+                           reference_area), \
+            mock.patch.object(variation, "second_variation",
+                              reference_second_variation):
+        want = experiment_outcome(alpha, tau)
+    assert got == want
+    assert repr(got) == repr(want)  # the signs of zeros too
+
+
+def test_an_exact_quadratic_model_has_no_residual_order():
+    # alpha' = -1 throughout: II and every area excess are exactly 0.0
+    res = second_variation_experiment(PwlProfile.line(-1.0), TENT)
+    assert res.second_variation == 0.0
+    assert res.delta_areas == (0.0,) * 4
+    assert res.residual_order is None
+    assert res.consistent()
+    # one nonzero residual still fits an order
+    assert second_variation_experiment(ZERO, TENT).residual_order is not None
+
+
+_ORACLES_SCRIPT = """
+import sys
+sys.path.insert(0, sys.argv[1])
+import test_families, test_variation
+test_variation.test_experiment_equals_the_per_piece_loops()
+test_families.test_scaling_limit_errors_are_the_per_t_deviations()
+"""
+
+
+def test_the_oracles_do_not_depend_on_the_cpu_dispatch(without_dispatch):
+    # the array kernels equal the per-piece loops, and the batched
+    # dilations the per-t ones, with every dispatched numpy kernel this CPU
+    # runs switched off
+    without_dispatch(_ORACLES_SCRIPT, os.path.dirname(os.path.abspath(__file__)))
