@@ -15,7 +15,9 @@ counted often enough, drops roots outside the window and merges grazing
 pairs.  The strip of a PWL or arctan profile, a broken plane and a
 sigma-rho slab hand the census cuts along a batch of lines (`line_cuts`):
 polynomials in t of degree <= 2 between whose roots the offset changes
-sign at most once.  Reading the offset at the window's ends and beside
+sign at most once.  A strip none of whose slopes turns the offset on the
+slab hands the one cut x; only a strip with a turning slope adds its knot
+and turn cuts.  Reading the offset at the window's ends and beside
 each cut root counts their crossings exactly (`_count_crossings` with
 ``least=2``), and only the lines counted twice or more are bisected.
 Each chunk of lines has its polynomials, cut roots and reading points

@@ -126,14 +126,19 @@ def atomic_write_chunks(path: str, chunks: Iterable[bytes]) -> str:
 
     The chunks are taken one at a time while the temporary file is open.
     If taking or writing one fails, the temporary file is removed and an
-    existing file at path keeps its old bytes.
+    existing file at path keeps its old bytes.  The file gets the mode a
+    plain ``open`` would give it, 0o666 less the umask, not the 0o600 of
+    `tempfile.mkstemp`.
     """
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
+    umask = os.umask(0)
+    os.umask(umask)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
     try:
         with os.fdopen(fd, "wb") as handle:
             handle.writelines(chunks)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

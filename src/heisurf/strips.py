@@ -334,40 +334,57 @@ class PwlProfile(Profile):
         return PwlProfile(self.v, self.w, 1.0 / self.slope_left,
                           1.0 / self.slope_right)
 
-    def preimage(self, v: float) -> Optional[float]:
-        """Leftmost w with self(w) = v, for a nondecreasing profile.
+    def preimages(self, v) -> np.ndarray:
+        """Leftmost w with self(w) = v for each of the levels ``v``, for a
+        nondecreasing profile; NaN where there is none.
 
-        Inside the knot range this is the first knot at level v or the
-        interpolant on the piece that rises through v; beyond it, the tail's
-        affine root, or None where the tail does not rise to v.
+        One `searchsorted` finds each level's first knot at or above it.
+        Inside the knot range the preimage is that knot where it is at the
+        level, else the interpolant on the piece that rises through v;
+        beyond it, the tail's affine root, or NaN where the tail does not
+        rise to v.  Each branch reads the other levels clamped to its range,
+        so they raise no floating-point warning there.
         """
         w, vals = self.w, self.v
-        if v < vals[0]:
-            if self.slope_left > 0:
-                return float(w[0] - (vals[0] - v) / self.slope_left)
-            return None
-        if v > vals[-1]:
-            if self.slope_right > 0:
-                return float(w[-1] + (v - vals[-1]) / self.slope_right)
-            return None
-        i = int(np.searchsorted(vals, v, side="left"))
-        if vals[i] == v:
-            return float(w[i])
-        frac = (v - vals[i - 1]) / (vals[i] - vals[i - 1])
-        return float(w[i - 1] + frac * (w[i] - w[i - 1]))
+        v = np.asarray(v, dtype=float)
+        first, last = vals[0], vals[-1]
+        inside = np.minimum(np.maximum(v, first), last)
+        i = vals.searchsorted(inside)
+        lo, hi = vals.take(i - 1, mode="clip"), vals.take(i, mode="clip")
+        wlo, whi = w.take(i - 1, mode="clip"), w.take(i, mode="clip")
+        frac = np.divide(inside - lo, hi - lo, out=np.zeros(v.shape),
+                         where=hi > lo)
+        out = np.where(hi == inside, whi, wlo + frac * (whi - wlo))
+        below, above = v < first, v > last
+        if below.any():
+            left = (w[0] - (first - np.minimum(v, first)) / self.slope_left
+                    if self.slope_left > 0 else np.nan)
+            out = np.where(below, left, out)
+        if above.any():
+            right = (w[-1] + (np.maximum(v, last) - last) / self.slope_right
+                     if self.slope_right > 0 else np.nan)
+            out = np.where(above, right, out)
+        return out
+
+    def preimage(self, v: float) -> Optional[float]:
+        """`preimages` of one level: a float, or None where there is none."""
+        w = float(self.preimages(np.array([v]))[0])
+        return None if math.isnan(w) else w
 
     def compose(self, inner: "PwlProfile") -> "PwlProfile":
         """Exact self(inner(.)) for a nondecreasing inner profile.
 
-        Each outer knot is pulled back through the leftmost preimage; where
-        the inner profile plateaus, both plateau endpoints are inner knots
-        already, so the composition stays exactly piecewise linear.
+        Every outer knot is pulled back through the leftmost preimage at
+        once (`preimages`); where the inner profile plateaus, both plateau
+        endpoints are inner knots already, so the composition stays exactly
+        piecewise linear.
         """
         if np.any(inner.piece_slopes() < 0):
             raise ProfileError("compose needs a nondecreasing inner profile")
-        pulled = [w for w in map(inner.preimage, self.w) if w is not None]
+        pulled = inner.preimages(self.w)
+        pulled = pulled[~np.isnan(pulled)]
         grid = np.unique(np.concatenate([inner.w, pulled])) \
-            if pulled else inner.w
+            if pulled.size else inner.w
         return PwlProfile(
             grid, self(inner(grid)),
             self.slope_left * inner.slope_left,
@@ -613,6 +630,13 @@ def affine_product(p: np.ndarray, q: np.ndarray) -> np.ndarray:
 # strips
 
 
+def _turns(m: float, reach: float) -> bool:
+    """Does the slope m turn on the slab |x| <= reach, m reach^2 >= 2?
+    Tested as reach >= sqrt(2) / sqrt(m), which is finite for every m > 0,
+    so the test cannot overflow."""
+    return m > 0.0 and reach >= math.sqrt(2.0) / math.sqrt(m)
+
+
 @dataclass(frozen=True)
 class GraphicalStrip:
     """Union of horizontal lines (x, x sigma(z), z) over |x| <= x_max."""
@@ -621,8 +645,11 @@ class GraphicalStrip:
     x_max: float = 1.0
 
     def membership_offset(self, points: np.ndarray) -> np.ndarray:
+        """y - x sigma(z).  Where x sigma(z) overflows, the offset is the
+        infinity of its sign: y is finite, so the product decides it."""
         p = np.asarray(points, dtype=float)
-        return p[..., 1] - p[..., 0] * np.asarray(self.sigma(p[..., 2]))
+        with np.errstate(over="ignore"):
+            return p[..., 1] - p[..., 0] * np.asarray(self.sigma(p[..., 2]))
 
     def line_cuts(self, x, y, z):
         """Cuts of the offset along lines; None for a closed-form sigma
@@ -633,31 +660,30 @@ class GraphicalStrip:
         changes sign at most once.  Along a line y/x - sigma(z) has
         t-derivative v (sigma'(z) x^2 - 2) / (2 x^2), so it is monotone
         where x and sigma'(z) x^2 - 2 keep their signs, and there the offset
-        x (y/x - sigma(z)) changes sign at most once.  For sigma = k arctan
-        the cuts are x and k x^2 - 2 (1 + z^2), which is at most -2 for
-        k <= 0 and is then dropped.  For k > 0 it is kept on every line:
-        dropping it where it cannot meet the slab would need a rounding
-        margin in z as well as in x.  For a PWL sigma they are x,
-        z - z_j for each knot z_j, and m x^2 - 2 for each piece slope m
-        with m x_max^2 >= 2: elsewhere m x^2 - 2 is negative on the slab.
-        A turn cut is kept up to a margin in x of 1e-12 (x_max^2 + x0^2) /
-        x_max past the slab, with x0 the largest |x(0)| of the lines, which
-        rounding of the roots and of the windows' ends cannot cross: a
-        dropped cut has no computed root inside a window.
+        x (y/x - sigma(z)) changes sign at most once.  A slope m of sigma
+        turns on the slab when m reach^2 >= 2, with reach = x_max plus a
+        margin of 1e-12 (x_max^2 + x0^2) / x_max, x0 the largest |x(0)| of
+        the lines, which rounding of the roots and of the windows' ends
+        cannot cross.  If no slope turns (`slope_bounds`), sigma'(z) x^2 - 2
+        is negative wherever the offset is read, and the one cut is x.  A
+        strip whose slopes turn keeps every cut where a turn may lie: for
+        sigma = k arctan, x and k x^2 - 2 (1 + z^2); for a PWL sigma, x,
+        z - z_j for each knot z_j and m x^2 - 2 for each turning slope m.
         """
         sigma = self.sigma
+        if not isinstance(sigma, (PwlProfile, ArctanProfile)):
+            return None
+        x0 = float(np.abs(x[:, 0]).max(initial=0.0))
+        # x_max^2 is never formed; a margin past the largest float is inf
+        reach = self.x_max + 1e-12 * (self.x_max + x0 * (x0 / self.x_max))
+        if not _turns(sigma.slope_bounds()[1], reach):
+            return x[:, None, :]
         if isinstance(sigma, ArctanProfile):
-            if sigma.scale <= 0.0:
-                return x[:, None, :]
             turn = (sigma.scale * affine_product(x, x)
                     - 2.0 * (constant_poly(1.0) + affine_product(z, z)))
             return np.stack([x, turn], axis=1)
-        if not isinstance(sigma, PwlProfile):
-            return None
-        m = np.unique(sigma.piece_slopes())
-        x0 = np.max(np.abs(x[:, 0]), initial=0.0)
-        reach = self.x_max + 1e-12 * (self.x_max ** 2 + x0 ** 2) / self.x_max
-        m = m[m * reach ** 2 >= 2.0]
+        m = np.array([s for s in np.unique(sigma.piece_slopes()).tolist()
+                      if _turns(s, reach)])
         turn = (m[:, None] * affine_product(x, x)[:, None, :]
                 - constant_poly(2.0))
         return np.concatenate([x[:, None, :],

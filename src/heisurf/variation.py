@@ -122,12 +122,12 @@ def _auto_window(alpha: PwlProfile, tau: PwlProfile) -> tuple[float, float]:
     eta = eta_of(alpha)
     if np.any(eta.piece_slopes() < 0):
         raise ProfileError("graph profile slopes below -2 are not supported")
-    ends = [eta.preimage(float(v)) for v in (tau.w[0], tau.w[-1])]
-    if None in ends:
+    ends = eta.preimages(tau.w[[0, -1]])
+    if np.isnan(ends).any():
         raise ProfileError("height map does not reach the requested level")
     pad = 1.0 + float(np.max(np.abs(tau.v)))
-    lo = min(ends[0], float(alpha.w[0]))
-    hi = max(ends[1], float(alpha.w[-1]))
+    lo = min(float(ends[0]), float(alpha.w[0]))
+    hi = max(float(ends[1]), float(alpha.w[-1]))
     return lo - pad, hi + pad
 
 

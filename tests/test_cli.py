@@ -472,12 +472,10 @@ def test_out_of_memory_exits_with_three(tmp_path, monkeypatch, capsys):
         ("export-obj", "--surface", "competitor", "--u", "1e200", "--res", "2"),
         ("export-obj", "--surface", "competitor", "--u", "1e200", "--res", "2",
          "--z-cap", "1e305"))),
-    # a float ** that overflows: the strip's reach, the sampling box's
-    # height and the fan's energy
+    # a float ** that overflows: the sampling box's height and the fan's
+    # energy
     *((argv, "floating-point overflow: Numerical result out of range")
       for argv in (
-        ("monotonicity", "--surface", "strip", "--profile", "linear(0)",
-         "--x-max", "1e300", "--lines", "10"),
         ("calibrate-lines", "--r1", "1e300", "--r2", "1e301", "--lines",
          "100"),
         ("energy", "--surface", "broken-plane", "--u", "1e300", "--z-cap",
@@ -791,6 +789,34 @@ def test_reruns_with_identical_arguments_are_byte_identical(tmp_path):
     assert (tmp_path / "competitor.obj").read_bytes() == first
 
 
+@pytest.mark.parametrize("umask", [0o022, 0o077])
+def test_artifacts_get_the_mode_of_the_umask(tmp_path, monkeypatch, umask):
+    # JSON, CSV and a streamed OBJ, each renamed into place from a
+    # temporary file, have the same bytes under either umask; the output
+    # directory comes from the environment, so no argv names it
+    commands = [("second-variation", "--alpha", "broken-plane-alpha(1)",
+                 "--tau", "triangle-bump(1,1)"),
+                ("export-obj", "--surface", "competitor", "--u", "1",
+                 "--res", "4")]
+    written = []
+    for mask in (umask, 0o022 ^ 0o077 ^ umask):
+        out = tmp_path / oct(mask)
+        monkeypatch.setenv(cli.OUTPUT_DIR_ENV, str(out))
+        old = os.umask(mask)
+        try:
+            for argv in commands:
+                assert cli.main(list(argv)) == 0
+        finally:
+            os.umask(old)
+        assert {name: os.stat(out / name).st_mode & 0o777
+                for name in os.listdir(str(out))} == {
+            name: 0o666 & ~mask for name in ("competitor.obj",
+                                              "second-variation.csv",
+                                              "second-variation.json")}
+        written.append(_artifacts(out))
+    assert written[0] == written[1]
+
+
 #: Exit code, stdout line and sha256 of every artifact of each command of
 #: acceptance test_09, run with the output directory from the environment.
 PINNED_RUNS = {
@@ -925,6 +951,37 @@ def test_artifact_bytes_are_pinned(tmp_path, monkeypatch, capsys, argv):
                               "census-arctan-strip", "census-broken-plane"])
 def test_shared_rule_outputs_are_pinned(tmp_path, monkeypatch, capsys, argv):
     _assert_pinned(tmp_path, monkeypatch, capsys, argv, GUARD_RUNS)
+
+
+_CENSUS_PINS_SCRIPT = """
+import contextlib, hashlib, io, os, sys
+sys.path.insert(0, sys.argv[1])
+import heisurf.cli as cli
+from test_cli import GUARD_RUNS
+censuses = [argv for argv in GUARD_RUNS if argv[0] == "monotonicity"]
+assert len(censuses) == 5
+for n, argv in enumerate(censuses):
+    out = os.path.join(sys.argv[2], str(n))
+    os.environ[cli.OUTPUT_DIR_ENV] = out
+    line = io.StringIO()
+    with contextlib.redirect_stdout(line):
+        code = cli.main(list(argv))
+    digests = {name: hashlib.sha256(open(os.path.join(out, name), "rb")
+                                    .read()).hexdigest()
+               for name in sorted(os.listdir(out))}
+    want = GUARD_RUNS[argv]
+    assert (code, line.getvalue(), digests) == (
+        want[0], want[1] + "\\n", want[2]), argv
+"""
+
+
+def test_census_pins_do_not_depend_on_the_cpu_dispatch(tmp_path,
+                                                       without_dispatch):
+    # the five censuses of GUARD_RUNS (sigma-rho and the bench's strips and
+    # broken plane) write their pinned bytes with every dispatched numpy
+    # kernel this CPU runs switched off
+    without_dispatch(_CENSUS_PINS_SCRIPT,
+                     os.path.dirname(os.path.abspath(__file__)), tmp_path)
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,13 @@
 """Line-family geometry, hit sampling, and crossing counts."""
 import hashlib
+import json
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+import heisurf.cli as cli
 import heisurf.lines as lines
 from heisurf.core import chord_offset_arr, norm_arr
 from heisurf.families import MembershipSlab, sigma_rho_membership
@@ -28,6 +30,7 @@ from heisurf.lines import (
     monotonicity_check,
     sample_lines,
 )
+from heisurf.profilespec import profile_from_string
 from heisurf.strips import (ArctanProfile, BrokenPlane, CallableProfile,
                             PwlProfile, affine_product, broken_plane,
                             constant_poly, is_area_minimizing, strip_surface)
@@ -401,9 +404,10 @@ def test_dropped_turn_cuts_leave_the_exact_counts_unchanged(x_max, offsets,
                                                             value, seed,
                                                             exponent):
     # every slope lies within 1e-9 of 2 / x_max^2, where the turn cuts'
-    # roots lie next to the windows' ends: the cuts of the slopes below it
-    # are dropped, none with a computed root inside a window, and the
-    # counts, roots and degenerate flags are those of the whole cut set
+    # roots lie next to the windows' ends: the turn cuts of the slopes
+    # below it are dropped, none with a computed root inside a window, and
+    # the counts, roots and degenerate flags are those of the whole cut
+    # set; where no slope turns the knot cuts drop too, roots inside
     slopes = 2.0 / x_max ** 2 + 1e-9 * np.asarray(offsets)
     w = 0.5 * np.arange(len(slopes) - 1.0) - 0.25 * (len(slopes) - 2)
     v = value + np.concatenate([[0.0], np.cumsum(slopes[1:-1] * 0.5)])
@@ -419,7 +423,8 @@ def test_dropped_turn_cuts_leave_the_exact_counts_unchanged(x_max, offsets,
     m = np.unique(strip.sigma.piece_slopes())
     below = m * x_max ** 2 < 2.0 * (1.0 - 1e-10)
     assert np.count_nonzero(dropped) >= np.count_nonzero(below)
-    roots = _poly_roots(_normalized(every[:, dropped]))
+    turn = np.arange(every.shape[1]) > len(strip.sigma.w)
+    roots = _poly_roots(_normalized(every[:, dropped & turn]))
     lo, hi = _window(x, x_max)
     inside = (roots > lo[:, None, None]) & (roots < hi[:, None, None])
     assert not inside.any()
@@ -459,6 +464,84 @@ piecewise_surfaces = st.one_of(
     st.floats(0.0, 3.0, exclude_min=True).map(broken_plane),
     pwl_profiles((0.2, 3.0), (-0.5, 0.5)).map(
         lambda rho: sigma_rho_membership(rho, (0.0, 1.0))))
+
+
+@st.composite
+def rule_strips(draw):
+    """A PWL or arctan strip at x_max in {0.5, 1, 2} whose slopes, times
+    x_max^2, are drawn from [-3, 0], [-3, 1.9], [-1.9, 1.9], [1, 3] or
+    [2, 3]: its highest slope lies on either side of the turning rule, its
+    lowest on either side of the slope floor."""
+    x_max = draw(st.sampled_from((0.5, 1.0, 2.0)))
+    k = 1.0 / (x_max * x_max)
+    slopes = draw(st.sampled_from(((-3.0, 0.0), (-3.0, 1.9), (-1.9, 1.9),
+                                   (1.0, 3.0), (2.0, 3.0))))
+    if draw(st.booleans()):
+        sigma = ArctanProfile(k * draw(st.floats(*slopes)))
+    else:
+        p = draw(pwl_profiles(slopes))
+        sigma = PwlProfile(p.w, k * p.v, k * p.slope_left, k * p.slope_right)
+    return strip_surface(sigma, x_max=x_max)
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(rule_strips(), st.integers(0, 2**16))
+@example(strip_surface(PwlProfile.line(-2.5)), 0)
+@example(strip_surface(PwlProfile.line(-2.001)), 0)
+@example(strip_surface(profile_from_string("samples(-1,0,0,-3,1,-2)")), 0)
+def test_the_census_cuts_count_as_every_turn_cut(strip, seed):
+    # a strip with no turning slope is read beside the one cut x; its
+    # census and the census beside every knot and turn cut give one count
+    # and one degenerate flag per line, and roots within the bisection's
+    # tolerance, max(1e-10, 1e-14 window length)
+    theta, v, w = sample_lines(1.5, 300, seed)
+    x, y, z = _line_polys(theta, v, w)
+    top = strip.sigma.slope_bounds()[1] * strip.x_max ** 2
+    if top < 2.0 * (1.0 - 1e-9):
+        assert strip.line_cuts(x, y, z).shape[1] == 1
+    oracle = _all_turn_cuts(strip)
+    counts, roots, degenerate = _count_crossings(strip, theta, v, w,
+                                                 least=2)
+    want = _count_crossings(oracle, theta, v, w, least=2)
+    assert np.array_equal(counts, want[0])
+    assert np.array_equal(degenerate, want[2])
+    lo, hi = _window(x, strip.x_max)
+    multi = counts > 1
+    line = np.repeat(np.nonzero(multi)[0], counts[multi])
+    assert np.all(np.abs(roots - want[1])
+                  <= np.maximum(1e-10, 1e-14 * (hi - lo))[line])
+    report = monotonicity_check(strip, n=300, seed=seed)
+    expected = monotonicity_check(oracle, n=300, seed=seed)
+    assert report.histogram == expected.histogram
+    assert report.degenerate_lines == expected.degenerate_lines
+    assert [line for line, _ in report.violations] == [
+        line for line, _ in expected.violations]
+
+
+@pytest.mark.parametrize("profile, x_max", [
+    *((profile, x_max) for profile in (
+        "linear(1)", "linear(-2.5)", "samples(-1,0,0,-3,1,-2)", "arctan(1)",
+        "arctan(-1)") for x_max in ("1e-200", "1e200")),
+    ("linear(0)", "1e300"),
+])
+def test_a_census_at_an_extreme_width_ends_in_the_full_cut_verdict(
+        tmp_path, profile, x_max):
+    # neither the reach x_max (1 + 1e-12 (1 + (x0 / x_max)^2)) nor the
+    # turning test forms x_max^2, and an offset y - x sigma(z) whose product
+    # passes the largest float is the infinity of its sign
+    code = cli.main(["monotonicity", "--surface", "strip", "--profile",
+                     profile, "--x-max", x_max, "--lines", "200",
+                     "--output-dir", str(tmp_path)])
+    with open(tmp_path / "monotonicity.json", encoding="ascii") as fh:
+        payload = json.load(fh)
+    strip = strip_surface(profile_from_string(profile), x_max=float(x_max))
+    oracle = monotonicity_check(_all_turn_cuts(strip),
+                                radius=payload["radius"], n=200,
+                                seed=payload["seed"])
+    assert code == (0 if oracle.passed else 1)
+    assert payload["histogram"] == {str(k): c
+                                    for k, c in oracle.histogram.items()}
+    assert payload["degenerate_lines"] == oracle.degenerate_lines
 
 
 @settings(derandomize=True, database=None, max_examples=60, deadline=None)

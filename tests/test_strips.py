@@ -116,6 +116,76 @@ def test_preimage_is_the_leftmost_point_at_a_level():
     assert p.preimage(1.5) is None
 
 
+def _reference_preimage(p, v):
+    """The per-level preimage: the first knot at level v, the interpolant
+    on the piece rising through it, a tail's root, or None."""
+    w, vals = p.w, p.v
+    if v < vals[0]:
+        return (float(w[0] - (vals[0] - v) / p.slope_left)
+                if p.slope_left > 0 else None)
+    if v > vals[-1]:
+        return (float(w[-1] + (v - vals[-1]) / p.slope_right)
+                if p.slope_right > 0 else None)
+    i = int(np.searchsorted(vals, v, side="left"))
+    if vals[i] == v:
+        return float(w[i])
+    frac = (v - vals[i - 1]) / (vals[i] - vals[i - 1])
+    return float(w[i - 1] + frac * (w[i] - w[i - 1]))
+
+
+def test_preimages_read_each_level_in_its_own_branch_only():
+    # 1e10 / 1e-300 would overflow in the left tail's arithmetic, and
+    # warnings are errors here
+    p = PwlProfile(np.array([0.0, 1.0]), np.array([0.0, 1.0]), 1e-300, 1.0)
+    levels = [-1.0, 0.5, 1e10]
+    assert p.preimages(levels).tolist() == [_reference_preimage(p, v)
+                                            for v in levels]
+
+
+@st.composite
+def nondecreasing_profiles(draw):
+    """1-5 knots on a 1/4 grid, rises drawn from {0, 1/4, ..., 1} and
+    random values (so plateaus and levels shared with other profiles
+    occur), and tails that are flat or rise."""
+    n = draw(st.integers(1, 5))
+    w = np.cumsum(draw(st.lists(st.integers(1, 4), min_size=n,
+                                max_size=n))) * 0.25 - 1.5
+    rise = draw(st.lists(st.one_of(st.sampled_from([0.0, 0.25, 0.5, 1.0]),
+                                   st.floats(0.0, 2.0)),
+                         min_size=n - 1, max_size=n - 1))
+    v = draw(st.sampled_from([-0.5, 0.0, 0.25])) + np.concatenate(
+        [[0.0], np.cumsum(rise)])
+    tails = st.one_of(st.just(0.0), st.sampled_from([0.5, 1.0]),
+                      st.floats(1e-3, 3.0))
+    return PwlProfile(w, v, draw(tails), draw(tails))
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(nondecreasing_profiles(), nondecreasing_profiles(),
+       st.floats(-3.0, 3.0))
+def test_compose_pulls_every_knot_back_as_the_per_knot_loop(outer, inner,
+                                                             scale):
+    # an outer profile of any sign, so its knots' levels fall below, on and
+    # above the inner knots, plateaus and flat tails (no preimage) included
+    outer = PwlProfile(outer.w, outer.v * scale, outer.slope_left,
+                       outer.slope_right)
+    levels = np.concatenate([outer.w, inner.v, inner.v + 0.125])
+    want = [_reference_preimage(inner, v) for v in levels]
+    got = inner.preimages(levels)
+    assert [None if math.isnan(g) else g for g in got.tolist()] == want
+    assert [inner.preimage(v) for v in levels] == want
+    pulled = [w for w in (_reference_preimage(inner, v) for v in outer.w)
+              if w is not None]
+    grid = np.unique(np.concatenate([inner.w, pulled])) \
+        if pulled else inner.w
+    comp = outer.compose(inner)
+    assert comp.w.tobytes() == grid.tobytes()
+    assert comp.v.tobytes() == outer(inner(grid)).tobytes()
+    assert (repr(comp.slope_left), repr(comp.slope_right)) == (
+        repr(outer.slope_left * inner.slope_left),
+        repr(outer.slope_right * inner.slope_right))
+
+
 # ---------------------------------------------------------------------------
 # the questions a profile answers, against dense evaluation
 
