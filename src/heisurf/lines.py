@@ -335,9 +335,11 @@ def _count_crossings(surface, theta, v, w, n_scan=None, least=1):
     A line's count is its number of sign changes (`_sign_readings`, exact
     with n_scan None, else a scan).  The lines counted ``least`` times or
     more are bisected (`_bisect`) and recounted: their roots outside the
-    window are dropped, and roots closer than 1e-8 (times a window length
-    above 1) merge, flagging the line degenerate (a grazing contact).  A
-    line recounted below ``least`` keeps no root.
+    window are dropped, and roots closer than 1e-8 (times their magnitude
+    above 1) merge, flagging the line degenerate (a grazing contact).  The
+    merge distance follows the roots, not the window: the window of a
+    near-steep line or of a wide strip is long, and crossings O(1) apart
+    on it stay two.  A line recounted below ``least`` keeps no root.
     """
     counts = np.zeros(len(theta), dtype=int)
     lo, hi = np.zeros(len(theta)), np.zeros(len(theta))
@@ -354,7 +356,7 @@ def _count_crossings(surface, theta, v, w, n_scan=None, least=1):
     inside = (root >= lo[line]) & (root <= hi[line])
     line, root = line[inside], root[inside]
     merged, roots, degenerate = _merge(
-        line, root, 1e-8 * np.maximum(1.0, hi - lo)[line], len(theta))
+        line, root, 1e-8 * np.maximum(1.0, np.abs(root)), len(theta))
     recounted = counts >= least
     counts[recounted] = merged[recounted]
     return counts, roots[np.repeat(merged >= least, merged)], degenerate
@@ -372,8 +374,8 @@ def crossings(surface, line: LineSample,
 
     `_count_crossings` of the line's window (|x| <= x_max) clamped to
     |t| <= 50, so crossings of a near-steep line beyond that are missed:
-    roots bisected to 1e-10, and closer than 1e-8 merged, flagging the
-    line degenerate (a grazing contact).
+    roots bisected to 1e-10, and closer than 1e-8 (times their magnitude
+    above 1) merged, flagging the line degenerate (a grazing contact).
     """
     count, roots, degenerate = _count_crossings(
         surface, *np.array([[line.theta], [line.v], [line.w]]), n_scan)

@@ -21,7 +21,6 @@ from __future__ import annotations
 import json
 import math
 import os
-import tempfile
 from typing import Any, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -121,24 +120,34 @@ def dump_csv(header: Sequence[str], rows: Sequence[Sequence[Any]]) -> str:
     return "\n".join(out) + "\n"
 
 
+def _create_temporary(directory: str) -> tuple[int, str]:
+    """(descriptor, path) of a new file ``.tmp-<hex>~`` in directory, open
+    for writing.  It is created with mode 0o666, which the umask trims as
+    for a plain ``open``; `tempfile.mkstemp` would give every artifact
+    0o600.  The umask is applied by the system, not read, so no other
+    thread sees it changed."""
+    flags = os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0)
+    while True:
+        tmp = os.path.join(directory, f".tmp-{os.urandom(8).hex()}~")
+        try:
+            return os.open(tmp, flags, 0o666), tmp
+        except FileExistsError:
+            continue
+
+
 def atomic_write_chunks(path: str, chunks: Iterable[bytes]) -> str:
     """Write byte chunks, in order, to path via a temporary file and rename.
 
     The chunks are taken one at a time while the temporary file is open.
     If taking or writing one fails, the temporary file is removed and an
-    existing file at path keeps its old bytes.  The file gets the mode a
-    plain ``open`` would give it, 0o666 less the umask, not the 0o600 of
-    `tempfile.mkstemp`.
+    existing file at path keeps its old bytes.
     """
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
-    umask = os.umask(0)
-    os.umask(umask)
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
+    fd, tmp = _create_temporary(directory)
     try:
         with os.fdopen(fd, "wb") as handle:
             handle.writelines(chunks)
-        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -366,11 +366,6 @@ class PwlProfile(Profile):
             out = np.where(above, right, out)
         return out
 
-    def preimage(self, v: float) -> Optional[float]:
-        """`preimages` of one level: a float, or None where there is none."""
-        w = float(self.preimages(np.array([v]))[0])
-        return None if math.isnan(w) else w
-
     def compose(self, inner: "PwlProfile") -> "PwlProfile":
         """Exact self(inner(.)) for a nondecreasing inner profile.
 
@@ -648,8 +643,9 @@ class GraphicalStrip:
         """y - x sigma(z).  Where x sigma(z) overflows, the offset is the
         infinity of its sign: y is finite, so the product decides it."""
         p = np.asarray(points, dtype=float)
+        sigma = np.asarray(self.sigma(p[..., 2]))
         with np.errstate(over="ignore"):
-            return p[..., 1] - p[..., 0] * np.asarray(self.sigma(p[..., 2]))
+            return p[..., 1] - p[..., 0] * sigma
 
     def line_cuts(self, x, y, z):
         """Cuts of the offset along lines; None for a closed-form sigma

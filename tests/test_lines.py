@@ -518,30 +518,57 @@ def test_the_census_cuts_count_as_every_turn_cut(strip, seed):
         line for line, _ in expected.violations]
 
 
+def _reading_counts(surface, theta, v, w):
+    """Each line's sign changes in the exact readings beside its cuts: its
+    true count, with no bisection and no merge."""
+    return np.concatenate([np.count_nonzero(changes, axis=1) for *_, changes
+                           in lines._sign_readings(surface, theta, v, w)])
+
+
 @pytest.mark.parametrize("profile, x_max", [
     *((profile, x_max) for profile in (
         "linear(1)", "linear(-2.5)", "samples(-1,0,0,-3,1,-2)", "arctan(1)",
         "arctan(-1)") for x_max in ("1e-200", "1e200")),
     ("linear(0)", "1e300"),
 ])
-def test_a_census_at_an_extreme_width_ends_in_the_full_cut_verdict(
+def test_a_census_at_an_extreme_width_ends_in_the_true_verdict(
         tmp_path, profile, x_max):
     # neither the reach x_max (1 + 1e-12 (1 + (x0 / x_max)^2)) nor the
     # turning test forms x_max^2, and an offset y - x sigma(z) whose product
-    # passes the largest float is the infinity of its sign
+    # passes the largest float is the infinity of its sign.  No sampled
+    # line meets the strip at 1e-200; at 1e200 every sloped profile has
+    # lines crossing it twice, O(1) apart on windows 1e200 long, and the
+    # census counts each crossing the readings of every cut see
     code = cli.main(["monotonicity", "--surface", "strip", "--profile",
                      profile, "--x-max", x_max, "--lines", "200",
                      "--output-dir", str(tmp_path)])
     with open(tmp_path / "monotonicity.json", encoding="ascii") as fh:
         payload = json.load(fh)
+    assert code == (0 if x_max == "1e-200" or profile == "linear(0)" else 1)
     strip = strip_surface(profile_from_string(profile), x_max=float(x_max))
-    oracle = monotonicity_check(_all_turn_cuts(strip),
-                                radius=payload["radius"], n=200,
-                                seed=payload["seed"])
-    assert code == (0 if oracle.passed else 1)
-    assert payload["histogram"] == {str(k): c
-                                    for k, c in oracle.histogram.items()}
-    assert payload["degenerate_lines"] == oracle.degenerate_lines
+    counts = _reading_counts(_all_turn_cuts(strip),
+                             *sample_lines(payload["radius"], 200,
+                                           payload["seed"]))
+    assert payload["histogram"] == {
+        str(k): int(c) for k, c in enumerate(np.bincount(counts)) if c}
+    assert payload["degenerate_lines"] == 0
+
+
+@pytest.mark.parametrize("exponent", [8, 10, 12])
+def test_roots_on_a_near_steep_line_merge_at_their_own_scale(exponent):
+    # at theta = pi/2 + 10^-exponent the windows are about 2 10^exponent
+    # long; a merge distance of 1e-8 times that (2 to 2e4) joined
+    # crossings 0.066 or more apart (t = -6.88, -1.20, 7.37 on line 9) and
+    # flagged 8, 56 and 56 lines degenerate
+    theta, v, w = sample_lines(1.5, 400, 11)
+    theta = np.full_like(theta, math.pi / 2 + 10.0 ** -exponent)
+    strip = strip_surface(ArctanProfile(8.0), x_max=1.0)
+    counts, roots, degenerate = _count_crossings(strip, theta, v, w,
+                                                 least=2)
+    assert np.array_equal(counts, _reading_counts(strip, theta, v, w))
+    assert np.count_nonzero(counts == 3) == 56
+    assert not degenerate.any()
+    assert np.all(np.diff(roots.reshape(-1, 3), axis=1) > 0.05)
 
 
 @settings(derandomize=True, database=None, max_examples=60, deadline=None)

@@ -109,11 +109,9 @@ def test_preimage_is_the_leftmost_point_at_a_level():
     # a plateau at level 1 on [1, 2], a rising left tail, a flat right tail
     p = PwlProfile.from_knots([(0.0, 0.0), (1.0, 1.0), (2.0, 1.0)],
                               slope_left=0.5, slope_right=0.0)
-    assert p.preimage(-1.0) == -2.0
-    assert p.preimage(0.0) == 0.0
-    assert p.preimage(0.25) == 0.25
-    assert p.preimage(1.0) == 1.0
-    assert p.preimage(1.5) is None
+    assert p.preimages([-1.0, 0.0, 0.25, 1.0]).tolist() == [
+        -2.0, 0.0, 0.25, 1.0]
+    assert np.isnan(p.preimages([1.5])).all()
 
 
 def _reference_preimage(p, v):
@@ -173,7 +171,6 @@ def test_compose_pulls_every_knot_back_as_the_per_knot_loop(outer, inner,
     want = [_reference_preimage(inner, v) for v in levels]
     got = inner.preimages(levels)
     assert [None if math.isnan(g) else g for g in got.tolist()] == want
-    assert [inner.preimage(v) for v in levels] == want
     pulled = [w for w in (_reference_preimage(inner, v) for v in outer.w)
               if w is not None]
     grid = np.unique(np.concatenate([inner.w, pulled])) \
@@ -384,6 +381,17 @@ def test_strip_points_and_membership():
     off = pts.copy()
     off[:, 1] += 1e-3
     assert np.all(np.abs(strip.membership_offset(off)) > 1e-9)
+
+
+def test_only_the_offsets_product_may_overflow():
+    # x sigma(z) past the largest float is the infinity of its sign; a
+    # sigma that overflows by itself is still a floating-point fault
+    wide = GraphicalStrip(PwlProfile.line(1.0), x_max=1e200)
+    pts = np.array([[1e200, 0.0, 1e200], [-1e200, 0.0, 1e200]])
+    assert wide.membership_offset(pts).tolist() == [-math.inf, math.inf]
+    steep = GraphicalStrip(PwlProfile.line(10.0))
+    with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+        steep.membership_offset(np.array([1.0, 0.0, 1e308]))
 
 
 def test_strip_rulings_are_horizontal_lines():
