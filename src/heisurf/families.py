@@ -282,14 +282,14 @@ class MembershipSlab:
     """Adapter exposing a membership offset over the slab |x| <= x_max.
 
     Suitable for the line-crossing census: the offset is zero on the
-    surface and its sign says on which side of the sheet a point lies.
+    surface and its sign says on which side of the sheet a point lies, and
+    ``line_cuts`` hands the census cuts of the offset along lines, as
+    `strips.GraphicalStrip.line_cuts` does.
     """
 
     fn: Callable[[np.ndarray], np.ndarray]
+    line_cuts: Callable
     x_max: float = 1.0
-    #: Cuts of the offset along lines, as `strips.GraphicalStrip.line_cuts`;
-    #: by default it has none (None).
-    line_cuts: Callable = lambda x, y, z: None
 
     def membership_offset(self, points: np.ndarray) -> np.ndarray:
         return self.fn(points)
@@ -336,7 +336,7 @@ def sigma_rho_membership(rho: Profile, window: tuple[float, float]) -> Membershi
         p, q = y + 2.0 * z, 2.0 * (constant_poly(1.0) - x)
         return np.stack([p - a * q, p - b * q], axis=1)
 
-    return MembershipSlab(offset, line_cuts=cuts)
+    return MembershipSlab(offset, cuts)
 
 
 def sigma_rho_area(rho: Profile, a: float, b: float) -> float:

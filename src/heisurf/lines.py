@@ -12,22 +12,20 @@ of t (`_window`).  Crossings are the sign changes of the membership offset
 read along that window by one reader (`_sign_readings`), and one step
 (`_count_crossings`) counts them, bisects the brackets of the lines
 counted often enough, drops roots outside the window and merges grazing
-pairs.  The strip of a PWL or arctan profile, a broken plane and a
-sigma-rho slab hand the census cuts along a batch of lines (`line_cuts`):
-polynomials in t of degree <= 2 between whose roots the offset changes
-sign at most once.  A strip none of whose slopes turns the offset on the
-slab hands the one cut x; only a strip with a turning slope adds its knot
-and turn cuts.  Reading the offset at the window's ends and beside
-each cut root counts their crossings exactly (`_count_crossings` with
-``least=2``), and only the lines counted twice or more are bisected.
-Each chunk of lines has its polynomials, cut roots and reading points
-built once, and the bisection gathers its bracket lines once, not once a
-step.  The scan (behind `crossings`, `crossing_counts` and the census of
-any other closed-form surface) reads a grid over the window padded by
+pairs.  Every surface the census takes hands it cuts along a batch of
+lines (`line_cuts`): polynomials in t of degree <= 2 between whose roots
+the offset changes sign at most once.  A strip none of whose slopes turns
+the offset on the slab hands the one cut x; only a strip with a turning
+slope adds its knot and turn cuts.  Reading the offset at the window's
+ends and beside each cut root counts the crossings exactly
+(`_count_crossings` with ``least=2``), the census's only count, and only
+the lines counted twice or more are bisected.  Each chunk of lines has its
+polynomials, cut roots and reading points built once, and the bisection
+gathers its bracket lines once, not once a step.  The scan behind
+`crossings` and `crossing_counts` reads a grid over the window padded by
 1e-3 and clamped to |t| <= 50, so crossings of near-steep lines beyond
-that are missed.  Both see only transversal intersections, and both read
-the same three members of a surface: `membership_offset`, `x_max` and
-`line_cuts` (None where it has none).
+that are missed.  Both see only transversal intersections; the census
+reads `membership_offset`, `x_max` and `line_cuts`, the scan the first two.
 A graphical strip with slopes in [-2, 2) meets almost every horizontal
 line at most once; surfaces carrying a horizontal shortcut chord are met
 twice, and the census in `monotonicity_check` finds such lines.  The
@@ -165,9 +163,9 @@ def calibrate_ratio(r_small: float = 1.0, r_big: float = 2.0,
 # crossings: one sign reader and one count step, read exactly beside a
 # surface's cuts or on a grid
 
-# The scan clamps every line's window to [-_REACH, _REACH], so it misses
-# the crossings of a near-steep line (window about 2 x_max / |cos theta|
-# long) that lie beyond |t| = _REACH.
+# The scan of `crossings` and `crossing_counts`, never the census, clamps
+# every line's window to [-_REACH, _REACH], so it misses the crossings of a
+# near-steep line (window about 2 x_max / |cos theta| long) beyond that.
 _REACH = 50.0
 _CHUNK = 4096  # lines per kernel call, which bounds the kernels' memory
 
@@ -288,16 +286,21 @@ def _sign_readings(surface, theta, v, w, n_scan=None):
         yield sl, (lo, hi), t, F, sign[:, :-1] * sign[:, 1:] < 0
 
 
-def _bisect(offset_fn, theta, v, w, brackets, length):
+def _wide(a, b):
+    """Is the bracket [a, b] wider than max(1e-10, 1e-14 max(|a|, |b|))?"""
+    return b - a > np.maximum(1e-10, 1e-14 * np.maximum(np.abs(a), np.abs(b)))
+
+
+def _bisect(offset_fn, theta, v, w, brackets):
     """Roots of the sign-change brackets (line, a, b, offset at a), in their
-    order: all bisected together, one offset call per step, to
-    max(1e-10, 1e-14 length) with ``length`` the window length of each line.
-    The direction and chart of each bracket's line are gathered once.
+    order: all bisected together, one offset call per step, until each is
+    no wider than max(1e-10, 1e-14 max(|a|, |b|)) at its current ends
+    (`_wide`), a tolerance that follows the root, not the window.  The
+    direction and chart of each bracket's line are gathered once.
     """
     line, a, b, fa = map(np.concatenate, zip(*brackets))
-    tol = np.maximum(1e-10, 1e-14 * length)[line]
     cos, sin, v, w = np.cos(theta[line]), np.sin(theta[line]), v[line], w[line]
-    live = np.nonzero(b - a > tol)[0]
+    live = np.nonzero(_wide(a, b))[0]
     while live.size:
         m = 0.5 * (a[live] + b[live])
         fm = np.asarray(offset_fn(
@@ -307,7 +310,7 @@ def _bisect(offset_fn, theta, v, w, brackets, length):
         a[live] = np.where(left | hit, m, a[live])
         b[live] = np.where(left, b[live], m)
         fa[live] = np.where(left, fm, fa[live])
-        live = live[b[live] - a[live] > tol[live]]
+        live = live[_wide(a[live], b[live])]
     return line, 0.5 * (a + b)
 
 
@@ -351,8 +354,7 @@ def _count_crossings(surface, theta, v, w, n_scan=None, least=1):
         row, col = np.nonzero(changes & (counts[sl] >= least)[:, None])
         brackets.append((row + sl.start, t[row, col], t[row, col + 1],
                          F[row, col]))
-    line, root = _bisect(surface.membership_offset, theta, v, w, brackets,
-                         hi - lo)
+    line, root = _bisect(surface.membership_offset, theta, v, w, brackets)
     inside = (root >= lo[line]) & (root <= hi[line])
     line, root = line[inside], root[inside]
     merged, roots, degenerate = _merge(
@@ -374,8 +376,9 @@ def crossings(surface, line: LineSample,
 
     `_count_crossings` of the line's window (|x| <= x_max) clamped to
     |t| <= 50, so crossings of a near-steep line beyond that are missed:
-    roots bisected to 1e-10, and closer than 1e-8 (times their magnitude
-    above 1) merged, flagging the line degenerate (a grazing contact).
+    roots bisected to max(1e-10, 1e-14 |root|), 1e-10 there, and closer
+    than 1e-8 (times their magnitude above 1) merged, flagging the line
+    degenerate (a grazing contact).
     """
     count, roots, degenerate = _count_crossings(
         surface, *np.array([[line.theta], [line.v], [line.w]]), n_scan)
@@ -388,10 +391,8 @@ def crossing_counts(surface, theta, v, w, n_scan: int) -> np.ndarray:
     batch of lines given as arrays.
 
     The sign changes of `_sign_readings` alone, without the bisection,
-    the recount inside the window or the merge: the census's first count
-    of a surface with no line cuts (the strip of a closed-form sigma other
-    than arctan).  Like `crossings` it misses crossings of near-steep
-    lines beyond |t| = 50.
+    the recount inside the window or the merge; no census reads it.  Like
+    `crossings` it misses crossings of near-steep lines beyond |t| = 50.
     """
     theta, v, w = (np.asarray(a, dtype=float) for a in (theta, v, w))
     counts = np.zeros(len(theta), dtype=int)
@@ -410,7 +411,6 @@ class CrossingReport:
     histogram: dict[int, int]
     violations: tuple[tuple[LineSample, tuple[float, ...]], ...]
     degenerate_lines: int = 0
-    count_method: str = "scan"
 
     @property
     def max_crossings(self) -> int:
@@ -421,8 +421,7 @@ class CrossingReport:
         return self.max_crossings <= 1
 
 
-#: Census scan points per line, re-count points and witnesses reported.
-_CENSUS_SCAN, _CENSUS_RECOUNT, _WITNESSES = 400, 800, 8
+_WITNESSES = 8  #: witnesses reported
 
 
 def monotonicity_check(surface, radius: float = 1.5, n: int = 400,
@@ -430,33 +429,19 @@ def monotonicity_check(surface, radius: float = 1.5, n: int = 400,
     """Crossing-count census over random lines meeting a gauge ball.
 
     Accepts a slope profile (realized as a strip of half-width 1) or any
-    surface with a membership offset.  A surface with line cuts (a strip
-    of a PWL or arctan profile, a broken plane, a sigma-rho slab) is
-    counted exactly over |x| <= x_max from the offset's signs beside its
-    cuts (`_count_crossings` with ``least=2``, count method "exact").
-    Otherwise (the strip of a closed-form sigma other than arctan, or a
-    surface with no line cuts) `crossing_counts` scans every line at 400
-    points, and the lines it counts once or more are re-counted by one
-    kernel call at 800 points, which drops the sign changes outside the
-    line's window (count method "scan").  Lines still crossing twice are
-    the witnesses; only the first 8 are built and reported.  Grazing
+    surface with a membership offset and line cuts.  Every line is counted
+    exactly over |x| <= x_max from the offset's signs beside its cuts
+    (`_count_crossings` with ``least=2``); a strip whose cuts are unknown
+    (`GraphicalStrip.line_cuts`) raises `ProfileError`.  Lines crossing
+    twice or more are the witnesses; only the first 8 are built and
+    reported.  Grazing
     contacts are merged away and never counted as violations.
     """
     if isinstance(surface, Profile):
         surface = strip_surface(surface)
     theta, v, w = sample_lines(radius, n, seed)
-    if surface.line_cuts(*_line_polys(theta[:1], v[:1], w[:1])) is None:
-        counts = crossing_counts(surface, theta, v, w, n_scan=_CENSUS_SCAN)
-        crossed = np.nonzero(counts > 0)[0]
-        refined, roots, degenerate = _count_crossings(
-            surface, theta[crossed], v[crossed], w[crossed], _CENSUS_RECOUNT)
-        counts[crossed] = refined
-        roots = roots[np.repeat(refined > 1, refined)]
-        method = "scan"
-    else:
-        counts, roots, degenerate = _count_crossings(surface, theta, v, w,
-                                                     least=2)
-        method = "exact"
+    counts, roots, degenerate = _count_crossings(surface, theta, v, w,
+                                                 least=2)
     bins, sizes = np.unique(counts, return_counts=True)
     multi = np.nonzero(counts > 1)[0][:_WITNESSES]
     per_line = np.split(roots, np.cumsum(counts[multi]))
@@ -465,4 +450,4 @@ def monotonicity_check(surface, radius: float = 1.5, n: int = 400,
                 for i, r in zip(multi, per_line))
     return CrossingReport(n, seed, radius,
                           dict(zip(bins.tolist(), sizes.tolist())),
-                          bad, int(np.sum(degenerate)), method)
+                          bad, int(np.sum(degenerate)))

@@ -23,10 +23,10 @@ horizontal chords whose endpoints lie on the surface but whose interior
 does not.
 
 Along a horizontal line x, y and z are affine in the line parameter t.
-For a PWL or arctan strip and for a broken plane, `line_cuts` hands the
-crossing census in `lines` polynomials in t of degree <= 2 between whose
-roots the membership offset changes sign at most once.  A polynomial in t
-is an array whose last axis holds the coefficients of (1, t, t^2).
+A strip and a broken plane hand the crossing census in `lines`, through
+`line_cuts`, polynomials in t of degree <= 2 between whose roots the
+membership offset changes sign at most once.  A polynomial in t is an
+array whose last axis holds the coefficients of (1, t, t^2).
 """
 from __future__ import annotations
 
@@ -648,8 +648,7 @@ class GraphicalStrip:
             return p[..., 1] - p[..., 0] * sigma
 
     def line_cuts(self, x, y, z):
-        """Cuts of the offset along lines; None for a closed-form sigma
-        other than `ArctanProfile`.
+        """Cuts of the offset along lines.
 
         ``x``, ``y``, ``z`` are (n, 3) polynomials, one line each, and the
         cuts are (n, K, 3) polynomials between whose roots the offset
@@ -661,23 +660,29 @@ class GraphicalStrip:
         margin of 1e-12 (x_max^2 + x0^2) / x_max, x0 the largest |x(0)| of
         the lines, which rounding of the roots and of the windows' ends
         cannot cross.  If no slope turns (`slope_bounds`), sigma'(z) x^2 - 2
-        is negative wherever the offset is read, and the one cut is x.  A
-        strip whose slopes turn keeps every cut where a turn may lie: for
-        sigma = k arctan, x and k x^2 - 2 (1 + z^2); for a PWL sigma, x,
-        z - z_j for each knot z_j and m x^2 - 2 for each turning slope m.
+        is negative wherever the offset is read, and the one cut is x (a
+        closed-form sigma's on its declared slopes).  A strip whose slopes
+        turn keeps every cut where a turn may lie: for sigma = k arctan, x
+        and k x^2 - 2 (1 + z^2); for a PWL sigma, x, z - z_j for each knot
+        z_j and m x^2 - 2 for each turning slope m; any other sigma raises
+        `ProfileError`, as undeclared slopes do.
         """
         sigma = self.sigma
-        if not isinstance(sigma, (PwlProfile, ArctanProfile)):
-            return None
         x0 = float(np.abs(x[:, 0]).max(initial=0.0))
         # x_max^2 is never formed; a margin past the largest float is inf
         reach = self.x_max + 1e-12 * (self.x_max + x0 * (x0 / self.x_max))
-        if not _turns(sigma.slope_bounds()[1], reach):
+        top = sigma.slope_bounds()[1]
+        if not _turns(top, reach):
             return x[:, None, :]
         if isinstance(sigma, ArctanProfile):
             turn = (sigma.scale * affine_product(x, x)
                     - 2.0 * (constant_poly(1.0) + affine_product(z, z)))
             return np.stack([x, turn], axis=1)
+        if not isinstance(sigma, PwlProfile):
+            raise ProfileError(
+                f"{sigma.name or 'a closed-form profile'}: slope {top!r} "
+                f"turns on |x| <= {self.x_max!r}, and only a PWL or arctan "
+                "profile locates the turn cuts sigma'(z) x^2 = 2")
         m = np.array([s for s in np.unique(sigma.piece_slopes()).tolist()
                       if _turns(s, reach)])
         turn = (m[:, None] * affine_product(x, x)[:, None, :]

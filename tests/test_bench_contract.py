@@ -55,38 +55,39 @@ def test_tracer_wraps_every_target_and_the_competitor_fields():
 def test_tracer_counts_the_census_scan_and_the_crossings_calls():
     tracing = _load_tracing()
     bp = broken_plane(1.0)
-    # a library closed-form profile has no line cuts: it is scanned
+    # a library closed-form profile with declared slopes inside the rule is
+    # counted from its one cut x, as every census is
     smooth = strip_surface(CallableProfile(
-        lambda z: -np.arctan(z), dfn=lambda z: -1.0 / (1.0 + z * z)))
+        lambda z: -np.arctan(z), dfn=lambda z: -1.0 / (1.0 + z * z),
+        slopes=(-1.0, 0.0)))
     arctan = strip_surface(profile_from_string("arctan(-1)"))
     untraced = [lines.monotonicity_check(s, n=200, seed=101)
                 for s in (smooth, bp, arctan)]
     assert untraced[1].max_crossings >= 2  # the census files witnesses
-    assert [r.count_method for r in untraced] == ["scan", "exact", "exact"]
+    theta, v, w = lines.sample_lines(1.5, 200, 101)
     tracer = tracing.Tracer()
     tracer.install()
     try:
-        mark = tracer.mark()
-        closed_form = lines.monotonicity_check(arctan, n=200, seed=101)
-        closed_form_pass = tracer.summary(mark)
-        scanned = lines.monotonicity_check(smooth, n=200, seed=101)
-        mark = tracer.mark()
-        exact = lines.monotonicity_check(bp, n=200, seed=101)
-        exact_pass = tracer.summary(mark)
+        passes = []
+        for surface in (arctan, smooth, bp):
+            mark = tracer.mark()
+            passes.append((lines.monotonicity_check(surface, n=200, seed=101),
+                           tracer.summary(mark)))
         hit = lines.crossings(bp, lines.LineSample(0.0, -0.5, 0.0))
+        # the scan is read only where called: its offset-point counter
+        # reads the count pass's arguments
+        scanned = lines.crossing_counts(smooth, theta, v, w, 400)
     finally:
         tracer.remove()
-    assert [scanned, exact, closed_form] == untraced
+    assert [report for report, _ in passes] == [untraced[2], untraced[0],
+                                                untraced[1]]
     assert hit.count == 2
-    # the CLI's arctan profile is counted from its cuts, without a scan
-    assert "crossing_counts" not in closed_form_pass["calls"]
-    assert closed_form_pass["counters"].get("lines.offset_points", 0) == 0
-    # the library strip is scanned: the offset-point counter reads the
-    # count pass's arguments, its re-count stays inside the crossing kernel
+    assert scanned.shape == (200,)
+    # every census is counted exactly, from its cuts, without a scan
+    for _, summary in passes:
+        assert "crossing_counts" not in summary["calls"]
+        assert summary["counters"].get("lines.offset_points", 0) == 0
     assert tracer.counters["lines.offset_points"] == 200 * 400
-    # the broken plane is counted exactly, without a scan
-    assert "crossing_counts" not in exact_pass["calls"]
-    assert exact_pass["counters"].get("lines.offset_points", 0) == 0
     calls = tracer.summary((0, tracing.Counter()))["calls"]
     assert calls.get("crossings", 0) == 1
     assert calls.get("crossing_counts", 0) == 1

@@ -536,8 +536,7 @@ def test_a_nan_inside_any_container_exits_with_three_and_writes_nothing(
     import heisurf.lines as lines
     report = types.SimpleNamespace(
         passed=True, n_lines=1, seed=0, radius=1.5, histogram={1: bad},
-        degenerate_lines=0, count_method="exact", violations=[],
-        max_crossings=1)
+        degenerate_lines=0, violations=[], max_crossings=1)
     monkeypatch.setattr(lines, "monotonicity_check", lambda *a, **k: report)
     assert run(tmp_path, "monotonicity", "--surface", "broken-plane",
                "--u", "1") == 3

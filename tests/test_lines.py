@@ -32,8 +32,9 @@ from heisurf.lines import (
 )
 from heisurf.profilespec import profile_from_string
 from heisurf.strips import (ArctanProfile, BrokenPlane, CallableProfile,
-                            PwlProfile, affine_product, broken_plane,
-                            constant_poly, is_area_minimizing, strip_surface)
+                            ProfileError, PwlProfile, affine_product,
+                            broken_plane, constant_poly, is_area_minimizing,
+                            strip_surface)
 
 RNG = np.random.default_rng(7)
 
@@ -218,7 +219,6 @@ def test_the_slope_rule_at_a_half_width_is_the_census_verdict(sigma, x_max,
     strip = strip_surface(sigma, x_max=x_max)
     assert strip.is_graphical() is is_area_minimizing(strip) is graphical
     report = monotonicity_check(strip, n=100_000, seed=3)
-    assert report.count_method == "exact"
     assert report.passed is graphical
     assert len(report.violations) == (0 if graphical else 8)
 
@@ -290,7 +290,6 @@ def test_broken_plane_census_is_unchanged_in_few_offset_calls(monkeypatch):
     report = monotonicity_check(bp, radius=1.5, n=2000, seed=101)
     assert report.histogram == {0: 672, 1: 1301, 2: 27}
     assert report.degenerate_lines == 0
-    assert report.count_method == "exact"
     assert [(line.theta, line.v, line.w) for line, _ in report.violations] \
         == [witness[:3] for witness in CENSUS_101_WITNESSES]
     # the census reads the offset's signs beside the cuts in one call and
@@ -349,7 +348,11 @@ def test_scan_outputs_are_unchanged_on_near_steep_lines(surface, digest):
 # sha256 of the exact kernel's counts, roots and degenerate flags
 # (`_count_crossings` with ``least=2``) on the probe lines, recorded before
 # the kernel built each chunk's reading points once and dropped the turn
-# cuts beyond the slab
+# cuts beyond the slab.  The x_max = 2 PWL strip and arctan(8) were
+# re-recorded when the bisection came to stop at each root's own scale:
+# their counts and degenerate flags stayed, and their roots on the
+# near-steep lines moved by at most 2e-6, inside the old tolerance of 1e-14
+# times those lines' windows (up to 4e8 long)
 @pytest.mark.parametrize("surface, digest", [
     # positive slopes 0.3, 1.5 and 1.9, all below 2 / x_max^2 = 2
     (strip_surface(PwlProfile.from_knots([(-1, 0.5), (0, -0.5), (1, 1.0)],
@@ -358,9 +361,9 @@ def test_scan_outputs_are_unchanged_on_near_steep_lines(surface, digest):
     # of the positive slopes 0.3, 0.4 and 0.8 only 0.8 reaches 2 / 2^2
     (strip_surface(PwlProfile.from_knots([(-1, 0.5), (0, -0.5), (1, -0.1)],
                                          0.3, 0.8), x_max=2.0),
-     "f796d488a88265bdf65aad2b5d6882cf82b0727b5374b46d8170d9b8ec808f50"),
+     "2418a063a310443829566944e15550d03f82e531cb05cbaaf38820efa094d44b"),
     (strip_surface(ArctanProfile(8.0), x_max=2.0),
-     "bc8590245350654fdf5660bbfe703070d9c70bf230bd2673da9379f6d973286b"),
+     "9c0fccdf7a561d942f1a1a7c49256d3b26bfc2e8a793444a850c4c28ec58d713"),
     (broken_plane(1.0),
      "f96970dd53cc78e2099c45d941bb9b6eec0e885e9f74f807071490aacefe5329"),
     (sigma_rho_membership(ArctanProfile(5.0), (-1e3, 1e3)),
@@ -393,7 +396,7 @@ def _all_turn_cuts(strip):
         return np.concatenate([x[:, None, :],
                                z[:, None, :] - constant_poly(sigma.w), turn],
                               axis=1)
-    return MembershipSlab(strip.membership_offset, strip.x_max, cuts)
+    return MembershipSlab(strip.membership_offset, cuts, strip.x_max)
 
 
 @settings(derandomize=True, database=None, max_examples=40, deadline=None)
@@ -493,7 +496,7 @@ def test_the_census_cuts_count_as_every_turn_cut(strip, seed):
     # a strip with no turning slope is read beside the one cut x; its
     # census and the census beside every knot and turn cut give one count
     # and one degenerate flag per line, and roots within the bisection's
-    # tolerance, max(1e-10, 1e-14 window length)
+    # tolerance, max(1e-10, 1e-14 |root|)
     theta, v, w = sample_lines(1.5, 300, seed)
     x, y, z = _line_polys(theta, v, w)
     top = strip.sigma.slope_bounds()[1] * strip.x_max ** 2
@@ -505,11 +508,8 @@ def test_the_census_cuts_count_as_every_turn_cut(strip, seed):
     want = _count_crossings(oracle, theta, v, w, least=2)
     assert np.array_equal(counts, want[0])
     assert np.array_equal(degenerate, want[2])
-    lo, hi = _window(x, strip.x_max)
-    multi = counts > 1
-    line = np.repeat(np.nonzero(multi)[0], counts[multi])
     assert np.all(np.abs(roots - want[1])
-                  <= np.maximum(1e-10, 1e-14 * (hi - lo))[line])
+                  <= np.maximum(1e-10, 1e-14 * np.abs(want[1])))
     report = monotonicity_check(strip, n=300, seed=seed)
     expected = monotonicity_check(oracle, n=300, seed=seed)
     assert report.histogram == expected.histogram
@@ -554,6 +554,32 @@ def test_a_census_at_an_extreme_width_ends_in_the_true_verdict(
     assert payload["degenerate_lines"] == 0
 
 
+def test_witness_roots_on_windows_1e200_long_are_bisected_to_their_scale(
+        tmp_path):
+    # the lines' windows are about 1e200 long; a bisection stopped at 1e-14
+    # times that left brackets 2e186 wide and reported the first witness's
+    # roots as -0.648 and 1.7e186.  Along a line the offset y - x z of
+    # sigma(z) = z is quadratic in t, so the two sign changes a dense scan
+    # of |t| <= 100 finds are all of its crossings (the farthest is at 84)
+    assert cli.main(["monotonicity", "--surface", "strip", "--profile",
+                     "linear(1)", "--x-max", "1e200",
+                     "--output-dir", str(tmp_path)]) == 1
+    with open(tmp_path / "monotonicity.json", encoding="ascii") as fh:
+        payload = json.load(fh)
+    assert payload["histogram"] == {"0": 156, "2": 244}
+    assert payload["violations"][0]["roots"] == [-0.2792468875495714,
+                                                 3.2270977874556355]
+    strip = strip_surface(PwlProfile.line(1.0), x_max=1e200)
+    for witness in payload["violations"]:
+        line = LineSample(witness["theta"], witness["v"], witness["w"])
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(lines, "_REACH", 100.0)
+            dense = crossings(strip, line, n_scan=6400)
+        assert dense.count == 2 and not dense.degenerate
+        assert witness["roots"] == pytest.approx(dense.roots, rel=0.0,
+                                                 abs=1e-9)
+
+
 @pytest.mark.parametrize("exponent", [8, 10, 12])
 def test_roots_on_a_near_steep_line_merge_at_their_own_scale(exponent):
     # at theta = pi/2 + 10^-exponent the windows are about 2 10^exponent
@@ -585,25 +611,26 @@ def test_exact_roots_lie_on_the_surface_and_contain_the_scan(surface, seed):
     # the scan sees a subset of the transversal crossings
     scanned, _, _ = _count_crossings(surface, theta, v, w, 4000)
     assert np.all(counts >= scanned)
-    # the census verdict does not depend on the count method
-    scan_only = MembershipSlab(surface.membership_offset, surface.x_max)
+    # the census verdict is that of a dense scan of the same lines
     exact = monotonicity_check(surface, n=120, seed=seed)
-    scan = monotonicity_check(scan_only, n=120, seed=seed)
-    assert (exact.count_method, scan.count_method) == ("exact", "scan")
-    assert exact.passed == scan.passed
+    assert exact.passed == (_dense_counts(surface, theta, v, w, 3200).max()
+                            <= 1)
+
+
+def _histogram(counts):
+    bins, sizes = np.unique(counts, return_counts=True)
+    return dict(zip(bins.tolist(), sizes.tolist()))
 
 
 @pytest.mark.parametrize("seed", range(12))
 def test_scanned_census_files_lines_as_the_exact_census(seed):
-    # a raw sign change in the 1e-3 padding beyond |x| = x_max, or on a
-    # reversed window, is no crossing: the scan's re-count drops it, so a
-    # line that never meets the strip is not filed in bin 1
+    # a raw sign change in the 1e-3 padding beyond |x| = x_max is no
+    # crossing: the dense scan drops its root, so a line that never meets
+    # the strip is filed in bin 0 by both
     v_strip = strip_surface(PwlProfile.from_knots([(-1, 1), (0, -1), (1, 1)]))
-    scan_only = MembershipSlab(v_strip.membership_offset, v_strip.x_max)
     exact = monotonicity_check(v_strip, n=2000, seed=seed)
-    scan = monotonicity_check(scan_only, n=2000, seed=seed)
-    assert (exact.count_method, scan.count_method) == ("exact", "scan")
-    assert scan.histogram == exact.histogram
+    dense = _dense_counts(v_strip, *sample_lines(1.5, 2000, seed), 3200)
+    assert exact.histogram == _histogram(dense)
 
 
 def test_line_tangent_to_a_strip_piece_has_no_crossing():
@@ -733,6 +760,42 @@ def test_arctan_strip_counts_equal_the_dense_scan(surface, seed):
 @given(closed_form_slabs, st.integers(0, 2**16))
 def test_closed_form_slab_counts_equal_the_dense_scan(surface, seed):
     _check_cut_counts(surface, seed)
+
+
+def _sine(k, slopes):
+    """The closed-form profile k sin z, with ``slopes`` declared."""
+    return CallableProfile(lambda z: k * np.sin(z),
+                           dfn=lambda z: k * np.cos(z), slopes=slopes,
+                           name=f"{k!r} sin")
+
+
+@settings(derandomize=True, database=None, max_examples=12, deadline=None)
+@given(st.floats(-1.9, 1.9), st.sampled_from((0.5, 1.0, 2.0)),
+       st.floats(2.0, 3.0), st.integers(0, 2**16))
+def test_a_closed_form_strip_inside_the_rule_is_counted_exactly(
+        amplitude, x_max, over, seed):
+    # k sin z with |k| x_max^2 <= 1.9 has its declared slopes [-|k|, |k|]
+    # inside the rule, so no slope turns and the one cut is x: the census
+    # is exact, and equals a dense scan of the same lines
+    k = amplitude / (x_max * x_max)
+    strip = strip_surface(_sine(k, (-abs(k), abs(k))), x_max=x_max)
+    theta, v, w = sample_lines(1.5, 500, seed)
+    counts = _count_crossings(strip, theta, v, w, least=2)[0]
+    assert np.array_equal(counts, _dense_counts(strip, theta, v, w, 3200))
+    report = monotonicity_check(strip, n=500, seed=seed)
+    assert report.histogram == _histogram(counts)
+    assert report.passed and report.degenerate_lines == 0
+    # a slope that turns on the slab needs turn cuts k sin does not locate
+    k = over / (x_max * x_max)
+    turning = strip_surface(_sine(k, (-k, k)), x_max=x_max)
+    with pytest.raises(ProfileError, match="turn cuts"):
+        monotonicity_check(turning, n=50, seed=seed)
+    # and undeclared slopes give the census no rule to read
+    with pytest.raises(ProfileError, match="not declared"):
+        monotonicity_check(_sine(k, None), n=50, seed=seed)
+    # a slab hands the census its cuts; it has no default of none
+    with pytest.raises(TypeError):
+        MembershipSlab(strip.membership_offset)
 
 
 def test_a_line_crossing_an_arctan_strip_twice_on_one_side_counts_two():
