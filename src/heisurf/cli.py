@@ -6,9 +6,10 @@ it writes the CSV and the payload, as JSON with the command and argv
 added, into the output directory, prints the verdict line
 ``<command>: PASS|FAIL|OK <detail>`` (OK when the verdict is None), and
 picks the exit code.  ``export-obj`` writes its ``.obj`` itself and no
-JSON.  A payload that holds a NaN, or an infinity on a run whose verdict is
-not false, is a numeric failure, raised before anything is written; a
-failed verdict's witness interval may be unbounded.  The exit codes:
+JSON.  A handler's payload is its report's fields, the inputs the run read
+(``args.inputs``) and what only the command knows, such as its verdict.  A
+payload that holds a NaN or an infinity is a numeric failure, raised before
+anything is written; an unbounded end is written as null.  The exit codes:
 
     0   verdict true / computation succeeded
     1   verdict false (the checked property fails)
@@ -47,7 +48,7 @@ import re
 import shlex
 import sys
 import warnings
-from typing import Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 from .profilespec import parse_profile
 from .reports import atomic_write_text, dump_csv, dump_json, fmt17
@@ -168,18 +169,17 @@ def _read_flags(args) -> None:
     flag the run's --surface does not read, require the flags it cannot do
     without, fill in defaults, test each value against its domain
     (comma-separated values become tuples of floats) and build each profile,
-    whose spec goes to ``args.specs``.  A --surface run keeps in
-    ``args.inputs`` the surface flags it read, as its payload records
-    them."""
+    whose spec goes to ``args.specs``.  ``args.inputs`` keeps, as the
+    payload records them, the JSON of every profile and, on a --surface
+    run, the surface and the surface flags it read."""
     command = where = args.command
     surface = getattr(args, "surface", None)
     pair = {}
     if surface is not None:
         where += f" --surface {surface}"
-        pair = _read(_SURFACES[command, surface])
-        args.inputs = {}
+        pair = _read("surface " + _SURFACES[command, surface])
     read = {**_read(_COMMANDS[command][2] + _OUTPUT), **pair}
-    args.specs = {}
+    args.specs, args.inputs = {}, {}
     for dest in [dest for dest in _FLAGS if hasattr(args, dest)]:
         value = getattr(args, dest)
         if dest not in read and value is not None:
@@ -209,7 +209,7 @@ def _read_flags(args) -> None:
         if dest in _PROFILES:
             spec = args.specs[dest] = parse_profile(value)
             value, recorded = spec.build(), spec.to_json()
-        if dest in pair:
+        if dest in pair or dest in _PROFILES:
             args.inputs[dest] = recorded
         setattr(args, dest, value)
 
@@ -237,16 +237,21 @@ def _outdir(args) -> str:
     return args.output_dir or os.environ.get(OUTPUT_DIR_ENV) or "."
 
 
+def _finite_or_none(value: float) -> Optional[float]:
+    return value if math.isfinite(value) else None
+
+
 def _report(args, verdict: Optional[bool], detail: str,
             payload: Optional[dict], csv: Optional[str] = None) -> int:
     """Write what a handler returned, print its verdict line and return its
-    exit code; a payload that may not be written is an `ArithmeticError`."""
+    exit code; a payload holding a NaN or an infinity is an
+    `ArithmeticError`."""
     failed = verdict is not None and not verdict
     base = os.path.join(_outdir(args), args.out or args.command)
     if payload is not None:
         text, bad = dump_json({"command": args.command,
                                "argv": ["heisurf", *args.argv], **payload})
-        if any(math.isnan(value) for _, value in bad) or (bad and not failed):
+        if bad:
             key, value = min(bad, key=lambda hit: not math.isnan(hit[1]))
             raise ArithmeticError(f"{key} is {fmt17(value)}, not finite")
     word = "OK" if verdict is None else "FAIL" if failed else "PASS"
@@ -287,7 +292,7 @@ def _cmd_check(args):
     too_low, too_high = slope_rule_breaks(lo, hi, args.kind)
     ok = not (too_low or too_high)
     detail = f"profile={spec.spec_string()} slopes=[{fmt17(lo)},{fmt17(hi)}]"
-    payload = {"profile": spec.to_json(), "kind": args.kind, "verdict": ok,
+    payload = {**args.inputs, "kind": args.kind, "verdict": ok,
                "slope_bounds": [lo, hi], "witness": None,
                "rule": _RULES[args.command, args.kind]}
     if args.command == "check-minimal":
@@ -295,7 +300,8 @@ def _cmd_check(args):
     if not ok:
         slope = lo if too_low else hi
         a, b = profile.where_slope(slope)
-        payload["witness"] = {"slope": slope, "interval": [a, b]}
+        payload["witness"] = {"slope": slope, "interval": [
+            _finite_or_none(a), _finite_or_none(b)]}
         detail += f" witness slope {fmt17(slope)} on [{fmt17(a)},{fmt17(b)}]"
     return ok, detail, payload
 
@@ -320,7 +326,7 @@ def _cmd_scalar(args):
             surface = strip_patch(surface, args.window)
         value = surface.area() if area else surface.intrinsic_energy()
     return (None, f"surface={args.surface} value={fmt17(value)}",
-            {"surface": args.surface, "value": value, **args.inputs})
+            {"value": value, **args.inputs})
 
 
 # ---------------------------------------------------------------------------
@@ -338,15 +344,7 @@ def _cmd_second_variation(args):
     ok = bool(result.consistent(rel_tol=0.05))
     rows = [(lam, delta, lam * lam * result.second_variation)
             for lam, delta in zip(result.lambdas, result.delta_areas)]
-    payload = {
-        "alpha": args.specs["alpha"].to_json(),
-        "tau": args.specs["tau"].to_json(),
-        "window": list(result.window), "lambdas": list(result.lambdas),
-        "delta_areas": list(result.delta_areas),
-        "second_variation": result.second_variation,
-        "quadratic_fit": result.quadratic_fit,
-        "quartic_fit": result.quartic_fit,
-        "residual_order": result.residual_order, "consistent": ok}
+    payload = {**vars(result), **args.inputs, "consistent": ok}
     detail = (f"II={fmt17(result.second_variation)} "
               f"fitted-c={fmt17(result.quadratic_fit)} "
               + ("order=exact" if result.residual_order is None
@@ -363,20 +361,12 @@ def _cmd_monotonicity(args):
     violations = [{"theta": line.theta, "v": line.v, "w": line.w,
                    "roots": list(roots)}
                   for line, roots in report.violations]
-    payload = {
-        "surface": args.surface, "n_lines": report.n_lines,
-        "seed": report.seed, "radius": report.radius,
-        "histogram": {str(k): v for k, v in report.histogram.items()},
-        "degenerate_lines": report.degenerate_lines,
-        "count_method": "exact", "violations": violations,
-        "max_crossings": report.max_crossings, "verdict": ok, **args.inputs}
+    payload = {**vars(report), **args.inputs, "count_method": "exact",
+               "violations": violations,
+               "max_crossings": report.max_crossings, "verdict": ok}
     return ok, (f"surface={args.surface} lines={report.n_lines} "
                 f"max-crossings={report.max_crossings} "
                 f"violations={len(report.violations)}"), payload
-
-
-def _finite_or_none(value: float) -> Optional[float]:
-    return value if math.isfinite(value) else None
 
 
 def _cmd_scaling_limit(args):
@@ -386,13 +376,10 @@ def _cmd_scaling_limit(args):
     ok = bool((not report.errors) or report.converged())
     # a vertical-plane limit has infinite opening and tail slopes; `kind`
     # says so, and the payload writes them as null
-    payload = {
-        "profile": args.specs["profile"].to_json(), "kind": report.kind,
-        "slope_neg_limit": _finite_or_none(report.slope_neg_limit),
-        "slope_pos_limit": _finite_or_none(report.slope_pos_limit),
-        "theta": report.theta, "u": _finite_or_none(report.u),
-        "t_grid": list(report.t_grid), "errors": list(report.errors),
-        "converged": ok}
+    payload = {**vars(report), **args.inputs, "kind": report.kind,
+               "converged": ok}
+    for key in ("slope_neg_limit", "slope_pos_limit", "u"):
+        payload[key] = _finite_or_none(payload[key])
     return ok, (f"kind={report.kind} theta={fmt17(report.theta)} "
                 f"u={fmt17(report.u)}"), payload
 
@@ -415,14 +402,11 @@ def _cmd_sigma_rho(args):
         z2 = a + 0.75 * (b - a)
         rep = chord_obstruction_check(rho, z1, z2, n=args.check_chords,
                                       seed=args.seed)
-        obstruction = {"z_left": z1, "z_right": z2, "ok": rep.ok,
-                       "min_abs_offset": rep.min_abs_offset,
-                       "corner_offset": rep.corner_offset,
-                       "n_pairs": rep.n_pairs}
+        obstruction = {**vars(rep), "z_left": z1, "z_right": z2}
         ok = bool(ok and rep.ok and rep.corner_offset <= 1e-9)
         detail += " chords=" + ("clear" if rep.ok else "violated")
     return ok, detail, {
-        "rho": args.specs["rho"].to_json(), "window": [a, b], "area": closed,
+        **args.inputs, "window": [a, b], "area": closed,
         "area_quadrature": quad, "relative_gap": gap,
         "horizontality_residual": residual, "obstruction": obstruction,
         "verdict": ok}
@@ -432,22 +416,15 @@ def _cmd_competitor(args):
     from .families import competitor_compare
     report = competitor_compare(args.u, z_cap=args.z_cap)
     ok = bool(report.area_margin > 0.0)
-    totals = {
-        "area_competitor": report.area_competitor,
-        "area_reference": report.area_reference,
-        "area_margin": report.area_margin,
-        "energy_competitor": report.energy_competitor,
-        "energy_reference": report.energy_reference,
-        "energy_margin": report.energy_margin,
-    }
-    rows = [*totals.items(),
-            *((f"area_piece_{k}", v) for k, v in report.area_pieces.items()),
-            *((f"energy_piece_{k}", v)
-              for k, v in report.energy_pieces.items())]
-    payload = {
-        "u": report.u, "z_cap": report.z_cap,
-        **totals, "area_pieces": dict(report.area_pieces),
-        "energy_pieces": dict(report.energy_pieces), "verdict": ok}
+    payload = {**vars(report), "verdict": ok}
+    # the CSV: each total, then each piece ("area_pieces" gives the rows
+    # "area_piece_<name>")
+    rows = []
+    for key, value in vars(report).items():
+        if isinstance(value, Mapping):
+            rows += [(f"{key[:-1]}_{k}", v) for k, v in value.items()]
+        elif key not in ("u", "z_cap"):
+            rows.append((key, value))
     detail = (f"u={fmt17(report.u)} "
               f"area-margin={fmt17(report.area_margin)} "
               f"energy-margin={fmt17(report.energy_margin)}")
@@ -458,10 +435,9 @@ def _cmd_calibrate_lines(args):
     from .lines import calibrate_ratio
     result = calibrate_ratio(args.r1, args.r2, n=args.lines, seed=args.seed)
     ok = bool(abs(result.zscore) <= args.max_z)
-    payload = {
-        "r1": args.r1, "r2": args.r2, "n": args.lines, "seed": args.seed,
-        "ratio": result.ratio, "se": result.se, "expected": result.expected,
-        "zscore": result.zscore, "max_z": args.max_z, "verdict": ok}
+    payload = {**vars(result), "r1": args.r1, "r2": args.r2, "n": args.lines,
+               "seed": args.seed, "zscore": result.zscore,
+               "max_z": args.max_z, "verdict": ok}
     return ok, (f"ratio={fmt17(result.ratio)} "
                 f"expected={fmt17(result.expected)} "
                 f"z={result.zscore:+.2f}"), payload

@@ -545,12 +545,39 @@ def test_a_nan_inside_any_container_exits_with_three_and_writes_nothing(
     assert not os.listdir(str(tmp_path))
 
 
-def test_a_failed_verdict_may_record_an_unbounded_witness(tmp_path):
-    # the knot of linear(-2.5) at 0 joins two pieces of one slope, and the
-    # witness is the whole run of them
-    assert run(tmp_path, "check-strip", "--profile", "linear(-2.5)") == 1
-    assert load(tmp_path, "check-strip.json")["witness"] == {
-        "slope": -2.5, "interval": [-math.inf, math.inf]}
+@pytest.mark.parametrize("argv", [
+    ("check-strip", "--profile", "linear(-2.5)"),
+    ("check-strip", "--profile", "linear(3)"),
+    ("check-minimal", "--profile", "linear(-2.5)", "--kind", "sigma"),
+], ids=["check-strip-falling", "check-strip-rising", "check-minimal-sigma"])
+def test_an_unbounded_witness_end_is_written_as_null(tmp_path, capsys, argv):
+    # the knot of linear(m) at 0 joins two pieces of one slope, and the
+    # witness is the whole run of them; the verdict line keeps the infinities
+    assert run(tmp_path, *argv) == 1
+    out = capsys.readouterr().out
+    assert out.endswith(" on [-inf,inf]\n"), out
+    with open(tmp_path / f"{argv[0]}.json", encoding="ascii") as fh:
+        text = fh.read()
+    assert "Infinity" not in text
+    assert json.loads(text)["witness"]["interval"] == [None, None]
+
+
+def test_every_report_field_reaches_the_payload(tmp_path, monkeypatch):
+    # a field the report grows is written without the CLI naming it: in the
+    # JSON payload and, as a total, in the CSV
+    import dataclasses
+    import heisurf.families as families
+    report = families.competitor_compare(1.0)
+    wider = dataclasses.make_dataclass(
+        "WiderReport", [("extra_margin", float)],
+        bases=(families.CompareReport,), frozen=True, eq=False)
+    monkeypatch.setattr(families, "competitor_compare", lambda *a, **k: wider(
+        **vars(report), extra_margin=0.25))
+    assert run(tmp_path, "competitor", "--u", "1") == 0
+    data = load(tmp_path, "competitor.json")
+    assert data["extra_margin"] == 0.25
+    assert set(vars(report)) < set(data)
+    assert "extra_margin,0.25\n" in (tmp_path / "competitor.csv").read_text()
 
 
 @pytest.mark.parametrize("profile, interval", [

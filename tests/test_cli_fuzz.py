@@ -1,8 +1,8 @@
 """Fuzz the command line over its flag and profile grammar.
 
 Whatever the flags, a run ends in a documented exit code, writes no
-traceback or warning to stderr (C-level output included), puts no NaN in an
-artifact, and puts no infinity in the artifact of a successful run.
+traceback or warning to stderr (C-level output included), and puts no NaN
+and no infinity in any artifact.
 """
 import json
 import math
@@ -162,5 +162,4 @@ def test_every_command_line_ends_in_a_documented_exit_code(capfd, argv):
         assert not caught, (argv, [str(w.message) for w in caught])
         for name in os.listdir(outdir):
             bad = _non_finite(os.path.join(outdir, name))
-            assert not any(math.isnan(x) for x in bad), (argv, name)
-            assert code != 0 or not bad, (argv, name)
+            assert not bad, (argv, name)
