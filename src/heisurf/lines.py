@@ -7,30 +7,30 @@ induced (v, w) maps are shears).  The measure of the lines meeting a gauge
 ball of radius r therefore scales exactly like r^3; both facts are backed
 by Monte-Carlo tests rather than taken on faith.
 
-Along a line x, y and z are affine in t, and |x| <= x_max is one window
-of t (`_window`).  Crossings are the sign changes of the membership offset
-read along that window by one reader (`_sign_readings`), and one step
-(`_count_crossings`) counts them, bisects the brackets of the lines
-counted often enough, drops roots outside the window and merges grazing
-pairs.  Every surface the census takes hands it cuts along a batch of
-lines (`line_cuts`): polynomials in t of degree <= 2 between whose roots
-the offset changes sign at most once.  A strip none of whose slopes turns
-the offset on the slab hands the one cut x; only a strip with a turning
-slope adds its knot and turn cuts.  Reading the offset at the window's
-ends and beside each cut root counts the crossings exactly
+Along a line x, y and z are polynomials of degree 1 in t (`_line_polys`),
+and |x| <= x_max is one window of t (`_window`).  Crossings are the sign
+changes of the membership offset read along that window.  One loop
+(`_count_crossings`) builds the polynomials of 4,096 lines at a time, reads
+and counts the sign changes along them and keeps the brackets of the lines
+counted often enough, with their lines' polynomials and windows; one
+bisection of all of them, one window filter and one merge of grazing pairs
+finish the count.  Every surface the census takes hands it cuts along a
+batch of lines (`line_cuts`): polynomials in t of degree <= 2 between whose
+roots the offset changes sign at most once.  A strip none of whose slopes
+turns the offset on the slab hands the one cut x; only a strip with a
+turning slope adds its knot and turn cuts.  Reading the offset at the
+window's ends and beside each cut root counts the crossings exactly
 (`_count_crossings` with ``least=2``), the census's only count, and only
-the lines counted twice or more are bisected.  Each chunk of lines has its
-polynomials, cut roots and reading points built once, and the bisection
-gathers its bracket lines once, not once a step.  The scan behind
-`crossings` and `crossing_counts` reads a grid over the window padded by
-1e-3 and clamped to |t| <= 50, so crossings of near-steep lines beyond
-that are missed.  Both see only transversal intersections; the census
-reads `membership_offset`, `x_max` and `line_cuts`, the scan the first two.
-A graphical strip with slopes in [-2, 2) meets almost every horizontal
-line at most once; surfaces carrying a horizontal shortcut chord are met
-twice, and the census in `monotonicity_check` finds such lines.  The
-parameter t is plane arclength, so steep and shallow directions are
-handled identically.
+the lines counted twice or more are bisected.  The scan behind `crossings`
+and `crossing_counts` reads a grid over the window padded by 1e-3 and
+clamped to |t| <= 50, so crossings of near-steep lines beyond that are
+missed.  Both see only transversal intersections; the census reads
+`membership_offset`, `x_max` and `line_cuts`, the scan the first two.  A
+graphical strip with slopes in [-2, 2) meets almost every horizontal line
+at most once; surfaces carrying a horizontal shortcut chord are met twice,
+and the census in `monotonicity_check` finds such lines.  The parameter t
+is plane arclength, so steep and shallow directions are handled
+identically.
 """
 from __future__ import annotations
 
@@ -160,8 +160,8 @@ def calibrate_ratio(r_small: float = 1.0, r_big: float = 2.0,
 
 
 # ---------------------------------------------------------------------------
-# crossings: one sign reader and one count step, read exactly beside a
-# surface's cuts or on a grid
+# crossings: one chunk loop and one bisection, reading the offset exactly
+# beside a surface's cuts or on a grid
 
 # The scan of `crossings` and `crossing_counts`, never the census, clamps
 # every line's window to [-_REACH, _REACH], so it misses the crossings of a
@@ -178,26 +178,27 @@ def _near(t):
     return _NEAR * np.maximum(1.0, np.abs(t))
 
 
-def _points(cos, sin, v, w, ts):
-    """Points rot_theta(t, v, w - v t/2) at parameters ts (broadcast) of
-    the lines whose direction (cos theta, sin theta) is (cos, sin)."""
-    x = ts * cos - v * sin
-    out = np.empty(x.shape + (3,))
-    out[..., 0] = x
-    out[..., 1] = ts * sin + v * cos
-    out[..., 2] = w - 0.5 * v * ts
-    return out
-
-
 def _line_polys(theta, v, w):
-    """x, y and z along the lines as polynomials in t (strips' convention):
-    the slopes of x and y are cos theta and sin theta."""
+    """x, y and z along the lines as polynomials in t (strips' convention),
+    the rows of one array (lines, 3, 3) laid out so that each of x, y and z
+    is contiguous: the slopes of x and y are cos theta and sin theta."""
     cos, sin = np.cos(theta), np.sin(theta)
-    x, y, z = np.zeros((3,) + np.shape(theta) + (3,))
+    x, y, z = polys = np.zeros((3,) + np.shape(theta) + (3,))
     x[..., 0], x[..., 1] = -v * sin, cos
     y[..., 0], y[..., 1] = v * cos, sin
     z[..., 0], z[..., 1] = w, -0.5 * v
-    return x, y, z
+    return np.moveaxis(polys, 0, -2)
+
+
+def _at(polys, t):
+    """Points (x, y, z) at parameters t (lines, ...) of the lines whose
+    polynomials are polys (`_line_polys`), broadcast to t's shape."""
+    out = np.empty(t.shape + (3,))
+    c0, c1 = polys[..., 0], polys[..., 1]
+    for k in range(3):
+        np.multiply(c1[..., k], t, out=out[..., k])
+        out[..., k] += c0[..., k]
+    return out
 
 
 def _normalized(c):
@@ -253,65 +254,29 @@ def _readings(lo, hi, roots):
     return np.sort(np.clip(t, lo, hi), axis=1)
 
 
-def _sign_readings(surface, theta, v, w, n_scan=None):
-    """The membership offset's signs along the lines, _CHUNK lines a call.
-
-    Yields (slice, (lo, hi), t, F, changes): the lines' windows, the
-    sorted parameters t at which the offset F is read, and ``changes``
-    marking the consecutive readings of opposite nonzero signs.  With
-    n_scan None the reading is exact: between consecutive cut roots
-    (`line_cuts`) the offset changes sign at most once, so t is the
-    window's ends and both sides of each root (`_readings`).  Otherwise
-    it is a scan: the window is clamped to |t| <= _REACH (a window wholly
-    beyond comes out reversed, lo > hi) and t is an n_scan grid from 1e-3
-    before it to 1e-3 past it, started slightly off the ends so that it
-    does not land exactly on surface points.
-    """
-    for start in range(0, len(theta), _CHUNK):
-        sl = slice(start, start + _CHUNK)
-        x, y, z = _line_polys(theta[sl], v[sl], w[sl])
-        cos, sin = x[:, 1:2], y[:, 1:2]
-        lo, hi = _window(x, surface.x_max)
-        if n_scan is None:
-            roots = _poly_roots(_normalized(surface.line_cuts(x, y, z)))
-            t = _readings(lo, hi, roots.reshape(len(x), -1))
-        else:
-            lo, hi = np.maximum(lo, -_REACH), np.minimum(hi, _REACH)
-            a, b = lo - 1e-3, hi + 1e-3
-            grid = np.linspace(0.0, 1.0, n_scan) + 1.738e-9
-            t = a[:, None] + (b - a)[:, None] * grid
-        F = np.asarray(surface.membership_offset(
-            _points(cos, sin, v[sl, None], w[sl, None], t)))
-        sign = np.sign(F)
-        yield sl, (lo, hi), t, F, sign[:, :-1] * sign[:, 1:] < 0
-
-
 def _wide(a, b):
     """Is the bracket [a, b] wider than max(1e-10, 1e-14 max(|a|, |b|))?"""
     return b - a > np.maximum(1e-10, 1e-14 * np.maximum(np.abs(a), np.abs(b)))
 
 
-def _bisect(offset_fn, theta, v, w, brackets):
-    """Roots of the sign-change brackets (line, a, b, offset at a), in their
-    order: all bisected together, one offset call per step, until each is
-    no wider than max(1e-10, 1e-14 max(|a|, |b|)) at its current ends
-    (`_wide`), a tolerance that follows the root, not the window.  The
-    direction and chart of each bracket's line are gathered once.
+def _bisect(offset_fn, polys, a, b, fa):
+    """Roots of the sign-change brackets [a, b], with offset fa at a, on
+    the lines whose polynomials are polys (`_line_polys`, read by `_at`):
+    all bisected together, one offset call per step, until each is no
+    wider than max(1e-10, 1e-14 max(|a|, |b|)) at its current ends
+    (`_wide`), a tolerance that follows the root, not the window.
     """
-    line, a, b, fa = map(np.concatenate, zip(*brackets))
-    cos, sin, v, w = np.cos(theta[line]), np.sin(theta[line]), v[line], w[line]
     live = np.nonzero(_wide(a, b))[0]
     while live.size:
         m = 0.5 * (a[live] + b[live])
-        fm = np.asarray(offset_fn(
-            _points(cos[live], sin[live], v[live], w[live], m)))
+        fm = np.asarray(offset_fn(_at(polys[live], m)))
         hit = fm == 0.0
         left = ~hit & ((fm < 0) == (fa[live] < 0))
         a[live] = np.where(left | hit, m, a[live])
         b[live] = np.where(left, b[live], m)
         fa[live] = np.where(left, fm, fa[live])
         live = live[_wide(a[live], b[live])]
-    return line, 0.5 * (a + b)
+    return 0.5 * (a + b)
 
 
 def _merge(line, root, eps, n_lines):
@@ -335,27 +300,50 @@ def _count_crossings(surface, theta, v, w, n_scan=None, least=1):
     """(counts, roots of the lines crossing ``least`` times or more,
     degenerate) of the lines (theta, v, w).
 
-    A line's count is its number of sign changes (`_sign_readings`, exact
-    with n_scan None, else a scan).  The lines counted ``least`` times or
-    more are bisected (`_bisect`) and recounted: their roots outside the
-    window are dropped, and roots closer than 1e-8 (times their magnitude
-    above 1) merge, flagging the line degenerate (a grazing contact).  The
-    merge distance follows the roots, not the window: the window of a
-    near-steep line or of a wide strip is long, and crossings O(1) apart
-    on it stay two.  A line recounted below ``least`` keeps no root.
+    A line's count is its number of sign changes in the membership offset
+    read along its window, _CHUNK lines at a time.  With n_scan None the
+    reading is exact: between consecutive cut roots (`line_cuts`) the
+    offset changes sign at most once, so it is read at the window's ends
+    and beside each root (`_readings`).  Otherwise it is a scan: the window
+    is clamped to |t| <= _REACH (a window wholly beyond comes out
+    reversed, lo > hi) and read on an n_scan grid from 1e-3 before it to
+    1e-3 past it, started slightly off the ends so that it does not land
+    exactly on surface points.  The brackets of the lines counted
+    ``least`` times or more are bisected together (`_bisect`) and the
+    lines recounted: their roots outside the window are dropped, and roots
+    closer than 1e-8 (times their magnitude above 1) merge, flagging the
+    line degenerate (a grazing contact).  The merge distance follows the
+    roots, not the window: the window of a near-steep line or of a wide
+    strip is long, and crossings O(1) apart on it stay two.  A line
+    recounted below ``least`` keeps no root.
     """
     counts = np.zeros(len(theta), dtype=int)
-    lo, hi = np.zeros(len(theta)), np.zeros(len(theta))
-    brackets = [(np.empty(0, dtype=int),) + (np.empty(0),) * 3]
-    for sl, window, t, F, changes in _sign_readings(surface, theta, v, w,
-                                                    n_scan):
-        lo[sl], hi[sl] = window
+    # each bracket's line, the line's polynomials and window, a, b and fa
+    found = [(np.empty(0, dtype=int), np.empty((0, 3, 3)))
+             + (np.empty(0),) * 5]
+    for start in range(0, len(theta), _CHUNK):
+        sl = slice(start, start + _CHUNK)
+        polys = _line_polys(theta[sl], v[sl], w[sl])
+        x, y, z = np.moveaxis(polys, 1, 0)
+        lo, hi = _window(x, surface.x_max)
+        if n_scan is None:
+            roots = _poly_roots(_normalized(surface.line_cuts(x, y, z)))
+            t = _readings(lo, hi, roots.reshape(len(x), -1))
+        else:
+            lo, hi = np.maximum(lo, -_REACH), np.minimum(hi, _REACH)
+            a, b = lo - 1e-3, hi + 1e-3
+            grid = np.linspace(0.0, 1.0, n_scan) + 1.738e-9
+            t = a[:, None] + (b - a)[:, None] * grid
+        F = np.asarray(surface.membership_offset(_at(polys[:, None], t)))
+        sign = np.sign(F)
+        changes = sign[:, :-1] * sign[:, 1:] < 0
         counts[sl] = np.count_nonzero(changes, axis=1)
         row, col = np.nonzero(changes & (counts[sl] >= least)[:, None])
-        brackets.append((row + sl.start, t[row, col], t[row, col + 1],
-                         F[row, col]))
-    line, root = _bisect(surface.membership_offset, theta, v, w, brackets)
-    inside = (root >= lo[line]) & (root <= hi[line])
+        found.append((row + start, polys[row], lo[row], hi[row],
+                      t[row, col], t[row, col + 1], F[row, col]))
+    line, polys, lo, hi, a, b, fa = map(np.concatenate, zip(*found))
+    root = _bisect(surface.membership_offset, polys, a, b, fa)
+    inside = (root >= lo) & (root <= hi)
     line, root = line[inside], root[inside]
     merged, roots, degenerate = _merge(
         line, root, 1e-8 * np.maximum(1.0, np.abs(root)), len(theta))
@@ -390,15 +378,12 @@ def crossing_counts(surface, theta, v, w, n_scan: int) -> np.ndarray:
     """Sign-change counts of the scan at n_scan points per line, for a
     batch of lines given as arrays.
 
-    The sign changes of `_sign_readings` alone, without the bisection,
-    the recount inside the window or the merge; no census reads it.  Like
-    `crossings` it misses crossings of near-steep lines beyond |t| = 50.
+    The scan's sign changes (`_count_crossings`), with no line bisected,
+    recounted or merged; no census reads it.  Like `crossings` it misses
+    crossings of near-steep lines beyond |t| = 50.
     """
     theta, v, w = (np.asarray(a, dtype=float) for a in (theta, v, w))
-    counts = np.zeros(len(theta), dtype=int)
-    for sl, _, _, _, changes in _sign_readings(surface, theta, v, w, n_scan):
-        counts[sl] = np.count_nonzero(changes, axis=1)
-    return counts
+    return _count_crossings(surface, theta, v, w, n_scan, least=math.inf)[0]
 
 
 @dataclass(frozen=True)

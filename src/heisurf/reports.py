@@ -8,13 +8,14 @@ of a mesh's coordinates at once: its digits are exact, from Dekker's
 product, where `fmt17` writes fixed notation, and it hands `fmt17` zero,
 the other magnitudes and the exact ties.
 `dump_json` walks a payload once: the same walk converts numpy scalars and
-arrays, writes the text and reports every NaN or infinity with its key, so
-a caller can refuse a payload by exactly the numbers it would write.  Files
-are written by one atomic writer, `atomic_write_chunks`: the bytes go to a
-temporary name in the target directory, chunk by chunk, and the file is
-renamed into place, so readers never observe a half-written artifact.  An
-OBJ export streams its chunks through it, so its memory does not grow
-with the file; `atomic_write_text` hands it ASCII text or bytes whole.
+arrays, writes the text and refuses the first NaN or infinity it meets
+with an `ArithmeticError` naming its key, so no payload is written with a
+number JSON has no word for.  Files are written by one atomic writer,
+`atomic_write_chunks`: the bytes go to a temporary name in the target
+directory, chunk by chunk, and the file is renamed into place, so readers
+never observe a half-written artifact.  An OBJ export streams its chunks
+through it, so its memory does not grow with the file; `atomic_write_text`
+hands it ASCII text or bytes whole.
 """
 from __future__ import annotations
 
@@ -44,27 +45,20 @@ def fmt17(x: float) -> str:
     return format(x, ".17g")
 
 
-#: The JSON words, which the standard parser accepts, for the non-finite
-#: numbers `fmt17` writes.
-_JSON_WORDS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-
-
-def _emit(obj: Any, lines: list[str], level: int, key: str,
-          non_finite: list) -> None:
+def _emit(obj: Any, lines: list[str], level: int, key: str) -> None:
     """Append the JSON text of ``obj`` to ``lines``, converting numpy
-    scalars and arrays on the way, and append (innermost key, value) of each
-    NaN or infinity to ``non_finite``."""
+    scalars and arrays on the way; a NaN or an infinity is an
+    `ArithmeticError` naming its innermost key."""
     if obj is None or isinstance(obj, (bool, str)):
         lines.append(json.dumps(obj))
     elif isinstance(obj, (int, np.integer)):
         lines.append(str(int(obj)))
     elif isinstance(obj, (float, np.floating)):
-        text = fmt17(obj)
-        if text in _JSON_WORDS:
-            non_finite.append((key, float(obj)))
-        lines.append(_JSON_WORDS.get(text, text))
+        if not math.isfinite(obj):
+            raise ArithmeticError(f"{key} is {fmt17(obj)}, not finite")
+        lines.append(fmt17(obj))
     elif isinstance(obj, np.ndarray):
-        _emit(obj.tolist(), lines, level, key, non_finite)
+        _emit(obj.tolist(), lines, level, key)
     elif isinstance(obj, (Mapping, list, tuple)):
         if isinstance(obj, Mapping):
             items = {str(k): v for k, v in obj.items()}
@@ -80,25 +74,23 @@ def _emit(obj: Any, lines: list[str], level: int, key: str,
         separator = opening + "\n"
         for label, inner_key, item in entries:
             lines.append(separator + "  " * (level + 1) + label)
-            _emit(item, lines, level + 1, inner_key, non_finite)
+            _emit(item, lines, level + 1, inner_key)
             separator = ",\n"
         lines.append("\n" + "  " * level + closing)
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-def dump_json(obj: Any) -> tuple[str, list[tuple[str, float]]]:
+def dump_json(obj: Any) -> str:
     """Serialize with sorted keys, two-space indent and 17-digit floats.
 
-    Returns the text and, in the order written, (innermost key, value) of
-    every NaN or infinity in it; a number outside any mapping has the key
-    "".  The text is parseable by ``json.loads``.
+    The first NaN or infinity written is an `ArithmeticError` naming its
+    innermost key ("" outside any mapping).  The text is RFC 8259 JSON.
     """
     lines: list[str] = []
-    non_finite: list[tuple[str, float]] = []
-    _emit(obj, lines, 0, "", non_finite)
+    _emit(obj, lines, 0, "")
     lines.append("\n")
-    return "".join(lines), non_finite
+    return "".join(lines)
 
 
 def _csv_cell(value: Any) -> str:

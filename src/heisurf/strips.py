@@ -698,11 +698,12 @@ class GraphicalStrip:
         The dilation (x, y, z) -> (k x, k y, k^2 z) maps the strip of
         sigma(z) on |x| < 1 to the strip of sigma(z / k^2) on |x| < k, so
         x_max^2 times sigma's slopes obey the rule at half-width 1
-        (`slope_rule_breaks`).
+        (`slope_rule_breaks`).  A zero slope stays zero at every width,
+        where x_max^2 overflows to inf and inf * 0 would be NaN.
         """
         k = self.x_max * self.x_max
-        lo, hi = self.sigma.slope_bounds()
-        return not any(slope_rule_breaks(k * lo, k * hi))
+        lo, hi = (k * s if s else s for s in self.sigma.slope_bounds())
+        return not any(slope_rule_breaks(lo, hi))
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ from heisurf.core import (
     norm_arr,
     project_arr,
 )
-from heisurf.lines import _points
+from heisurf.lines import _at, _line_polys
 
 coords = st.floats(-50.0, 50.0, allow_nan=False, allow_infinity=False)
 points = st.builds(lambda x, y, z: np.array([x, y, z]), coords, coords, coords)
@@ -122,8 +122,8 @@ def test_line_parabola_matches_projected_samples():
 def test_vertical_line_projects_to_point():
     # a Y-parallel horizontal line (theta = pi/2) projects to one point of V0
     theta = math.pi / 2
-    proj = project_arr(_points(np.cos(theta), np.sin(theta), -0.5, 0.1,
-                               np.linspace(-3, 3, 7)))
+    proj = project_arr(_at(_line_polys(theta, -0.5, 0.1),
+                           np.linspace(-3, 3, 7)))
     assert np.ptp(proj[:, 0]) <= 1e-15
     assert np.max(np.abs(proj[:, 1] - proj[0, 1])) <= 1e-12
 

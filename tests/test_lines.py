@@ -14,11 +14,11 @@ from heisurf.families import MembershipSlab, sigma_rho_membership
 from heisurf.lines import (
     CalibrationResult,
     LineSample,
+    _at,
     _count_crossings,
     _line_polys,
     _merge,
     _normalized,
-    _points,
     _poly_roots,
     _window,
     box_volume,
@@ -45,8 +45,8 @@ angles = st.floats(min_value=0.0, max_value=math.pi - 1e-9)
 def line_points(theta, v, w, ts):
     """Points rot_theta(t, v, w - v t/2) of the lines (theta, v, w) at
     parameters ts (broadcast)."""
-    return _points(np.cos(theta), np.sin(theta), v, w,
-                   np.asarray(ts, dtype=float))
+    return _at(_line_polys(*np.broadcast_arrays(theta, v, w)),
+               np.asarray(ts, dtype=float))
 
 
 @settings(derandomize=True, max_examples=80)
@@ -310,10 +310,10 @@ def test_broken_plane_census_is_unchanged_in_few_offset_calls(monkeypatch):
                           for r in witness[3]], rel=0.0, abs=1e-10)
 
 
-def _scan_probe_lines():
-    """2,000 sampled lines and 112 within 1e-2 to 1e-8 of steep, whose
+def _scan_probe_lines(n=2000):
+    """n sampled lines and 112 within 1e-2 to 1e-8 of steep, whose
     windows the scan clamps to |t| <= 50."""
-    theta, v, w = sample_lines(1.5, 2000, 11)
+    theta, v, w = sample_lines(1.5, n, 11)
     steep = np.array([(math.pi / 2 + sign * 10.0 ** -k, vv, ww)
                       for k in range(2, 9) for sign in (-1, 1)
                       for vv in (-1.4, -0.6, 0.3, 1.2) for ww in (-1.0, 0.5)])
@@ -345,6 +345,20 @@ def test_scan_outputs_are_unchanged_on_near_steep_lines(surface, digest):
     assert sha.hexdigest() == digest
 
 
+# the surfaces whose exact outputs are pinned on the probe lines
+_PROBE_SURFACES = [
+    # positive slopes 0.3, 1.5 and 1.9, all below 2 / x_max^2 = 2
+    strip_surface(PwlProfile.from_knots([(-1, 0.5), (0, -0.5), (1, 1.0)],
+                                        0.3, 1.9)),
+    # of the positive slopes 0.3, 0.4 and 0.8 only 0.8 reaches 2 / 2^2
+    strip_surface(PwlProfile.from_knots([(-1, 0.5), (0, -0.5), (1, -0.1)],
+                                        0.3, 0.8), x_max=2.0),
+    strip_surface(ArctanProfile(8.0), x_max=2.0),
+    broken_plane(1.0),
+    sigma_rho_membership(ArctanProfile(5.0), (-1e3, 1e3)),
+]
+
+
 # sha256 of the exact kernel's counts, roots and degenerate flags
 # (`_count_crossings` with ``least=2``) on the probe lines, recorded before
 # the kernel built each chunk's reading points once and dropped the turn
@@ -353,22 +367,13 @@ def test_scan_outputs_are_unchanged_on_near_steep_lines(surface, digest):
 # their counts and degenerate flags stayed, and their roots on the
 # near-steep lines moved by at most 2e-6, inside the old tolerance of 1e-14
 # times those lines' windows (up to 4e8 long)
-@pytest.mark.parametrize("surface, digest", [
-    # positive slopes 0.3, 1.5 and 1.9, all below 2 / x_max^2 = 2
-    (strip_surface(PwlProfile.from_knots([(-1, 0.5), (0, -0.5), (1, 1.0)],
-                                         0.3, 1.9)),
-     "58995922b4eae1429015521e9585c9b6bc28fc587881b93d8cc7e2e7d1f8831a"),
-    # of the positive slopes 0.3, 0.4 and 0.8 only 0.8 reaches 2 / 2^2
-    (strip_surface(PwlProfile.from_knots([(-1, 0.5), (0, -0.5), (1, -0.1)],
-                                         0.3, 0.8), x_max=2.0),
-     "2418a063a310443829566944e15550d03f82e531cb05cbaaf38820efa094d44b"),
-    (strip_surface(ArctanProfile(8.0), x_max=2.0),
-     "9c0fccdf7a561d942f1a1a7c49256d3b26bfc2e8a793444a850c4c28ec58d713"),
-    (broken_plane(1.0),
-     "f96970dd53cc78e2099c45d941bb9b6eec0e885e9f74f807071490aacefe5329"),
-    (sigma_rho_membership(ArctanProfile(5.0), (-1e3, 1e3)),
-     "052a03f08ad8417880989cc06e857ec7b6ea80fb4bbab2ea4c9276ea70fa4c50"),
-])
+@pytest.mark.parametrize("surface, digest", zip(_PROBE_SURFACES, [
+    "58995922b4eae1429015521e9585c9b6bc28fc587881b93d8cc7e2e7d1f8831a",
+    "2418a063a310443829566944e15550d03f82e531cb05cbaaf38820efa094d44b",
+    "9c0fccdf7a561d942f1a1a7c49256d3b26bfc2e8a793444a850c4c28ec58d713",
+    "f96970dd53cc78e2099c45d941bb9b6eec0e885e9f74f807071490aacefe5329",
+    "052a03f08ad8417880989cc06e857ec7b6ea80fb4bbab2ea4c9276ea70fa4c50",
+]))
 def test_exact_outputs_are_unchanged_on_the_probe_lines(surface, digest):
     theta, v, w = _scan_probe_lines()
     counts, roots, degenerate = _count_crossings(surface, theta, v, w,
@@ -378,6 +383,42 @@ def test_exact_outputs_are_unchanged_on_the_probe_lines(surface, digest):
                   degenerate.astype(bool)):
         sha.update(array.tobytes())
     assert sha.hexdigest() == digest
+
+
+# sha256, on 8,300 sampled lines and the 112 near-steep ones (three
+# 4,096-line kernel chunks), of the exact kernel (`_count_crossings` with
+# ``least=2``), of the scan at 400 points per line and of its bare counts
+# (`crossing_counts`), recorded before the kernel's chunk loop was merged
+# into `_count_crossings`
+@pytest.mark.parametrize("surface, digest", zip(_PROBE_SURFACES, [
+    "e241b7f2053af791f2c076c901dba6844ce9efcc9b0068417e6685f7f3df71d6",
+    "ac7bbac4bb011e71bc819cd5dbb15a20587ea15ffc7857b72a26658f451f6a5c",
+    "123de075f9cc3147330a4d4327d4c8f4583db7b38de3d30c1d107bb1b0f1fee5",
+    "c149d67b0f6132437acbcc9ad75db2cf744b4580b291ba30b91ee5b448d70ee4",
+    "3f452b66812c79df783b2264cfdaaca788b34766cfa321a2a08e6709353d44ec",
+]))
+def test_the_kernel_is_unchanged_across_chunk_boundaries(surface, digest):
+    theta, v, w = _scan_probe_lines(8300)
+    assert len(theta) > 2 * lines._CHUNK
+    sha = hashlib.sha256()
+    for counts, roots, degenerate in (
+            _count_crossings(surface, theta, v, w, least=2),
+            _count_crossings(surface, theta, v, w, 400)):
+        for array in (counts.astype(np.int64), roots.astype(np.float64),
+                      degenerate.astype(bool)):
+            sha.update(array.tobytes())
+    sha.update(crossing_counts(surface, theta, v, w, 400)
+               .astype(np.int64).tobytes())
+    assert sha.hexdigest() == digest
+
+
+def test_an_empty_batch_has_empty_counts():
+    surface = broken_plane(1.0)
+    assert crossing_counts(surface, [], [], [], 400).shape == (0,)
+    for n_scan in (None, 400):
+        counts, roots, degenerate = _count_crossings(
+            surface, *np.empty((3, 0)), n_scan, least=2)
+        assert counts.size == roots.size == degenerate.size == 0
 
 
 def _all_turn_cuts(strip):
@@ -417,7 +458,7 @@ def test_dropped_turn_cuts_leave_the_exact_counts_unchanged(x_max, offsets,
     strip = strip_surface(PwlProfile(w, v, slopes[0], slopes[-1]),
                           x_max=x_max)
     theta, v, w = sample_lines(1.5, 400, seed)
-    x, y, z = _line_polys(theta, v, w)
+    x, y, z = np.moveaxis(_line_polys(theta, v, w), 1, 0)
     full = _all_turn_cuts(strip)
     every, cuts = full.line_cuts(x, y, z), strip.line_cuts(x, y, z)
     dropped = np.array([not any(np.array_equal(c, k)
@@ -439,7 +480,8 @@ def test_dropped_turn_cuts_leave_the_exact_counts_unchanged(x_max, offsets,
     # turn cut k x^2 - 2 (1 + z^2) is at most -2; near-steep lines included
     arctan = strip_surface(ArctanProfile(-10.0 ** exponent), x_max=x_max)
     probe = _scan_probe_lines()
-    assert arctan.line_cuts(*_line_polys(*probe)).shape[1] == 1
+    x, y, z = np.moveaxis(_line_polys(*probe), 1, 0)
+    assert arctan.line_cuts(x, y, z).shape[1] == 1
     for got, want in zip(_count_crossings(arctan, *probe, least=2),
                          _count_crossings(_all_turn_cuts(arctan), *probe,
                                           least=2)):
@@ -498,7 +540,7 @@ def test_the_census_cuts_count_as_every_turn_cut(strip, seed):
     # and one degenerate flag per line, and roots within the bisection's
     # tolerance, max(1e-10, 1e-14 |root|)
     theta, v, w = sample_lines(1.5, 300, seed)
-    x, y, z = _line_polys(theta, v, w)
+    x, y, z = np.moveaxis(_line_polys(theta, v, w), 1, 0)
     top = strip.sigma.slope_bounds()[1] * strip.x_max ** 2
     if top < 2.0 * (1.0 - 1e-9):
         assert strip.line_cuts(x, y, z).shape[1] == 1
@@ -521,8 +563,7 @@ def test_the_census_cuts_count_as_every_turn_cut(strip, seed):
 def _reading_counts(surface, theta, v, w):
     """Each line's sign changes in the exact readings beside its cuts: its
     true count, with no bisection and no merge."""
-    return np.concatenate([np.count_nonzero(changes, axis=1) for *_, changes
-                           in lines._sign_readings(surface, theta, v, w)])
+    return _count_crossings(surface, theta, v, w, least=math.inf)[0]
 
 
 @pytest.mark.parametrize("profile, x_max", [
@@ -708,7 +749,7 @@ def test_lines_through_an_arctan_strip_axis_count_one():
 def _dense_counts(surface, theta, v, w, n_scan):
     """`_count_crossings` at n_scan points per line over each line's whole
     window: its reach (|t| <= 50) is widened to hold every window."""
-    reach = float(np.max(np.abs(_window(_line_polys(theta, v, w)[0],
+    reach = float(np.max(np.abs(_window(_line_polys(theta, v, w)[:, 0],
                                         surface.x_max))))
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(lines, "_REACH", max(lines._REACH, reach))
@@ -822,7 +863,7 @@ def test_slab_offset_changes_sign_at_most_once_between_its_cuts():
     a, b = -3.0, 2.0
     slab = sigma_rho_membership(WIGGLE, (a, b))
     theta, v, w = sample_lines(1.5, 200, 11)
-    x, y, z = _line_polys(theta, v, w)
+    x, y, z = np.moveaxis(_line_polys(theta, v, w), 1, 0)
     cuts = slab.line_cuts(x, y, z)
     lo, hi = _window(x, slab.x_max)
     t = lo[:, None] + (hi - lo)[:, None] * np.linspace(0.0, 1.0, 2001)[1:-1]

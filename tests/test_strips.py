@@ -641,6 +641,19 @@ def test_the_slope_rule_at_half_width_one_half_is_four_times_wider(
     assert strip.is_graphical() is is_area_minimizing(strip) is graphical
 
 
+@pytest.mark.parametrize("x_max", [1e154, 1e155, 1e200])
+@pytest.mark.parametrize("slope, graphical", [
+    (0.0, True), (1e-300, False), (-1e-300, False),
+])
+def test_the_slope_rule_holds_where_x_max_squared_overflows(
+        x_max, slope, graphical):
+    # x_max^2 is 1e308 at 1e154 and inf from about 1.4e154 on: a zero
+    # slope stays inside the rule, as the census of a flat strip finds,
+    # and 1e-300 times either is far outside it
+    strip = strip_surface(PwlProfile.line(slope), x_max=x_max)
+    assert strip.is_graphical() is is_area_minimizing(strip) is graphical
+
+
 def test_strip_surface_from_alpha_profile():
     strip = strip_surface(PwlProfile.line(2.0), kind="alpha")
     assert float(strip.sigma(3.0)) == pytest.approx(3.0)
