@@ -22,10 +22,13 @@ Registry kinds:
 ``triangle-bump(height, halfwidth)``
     The tent of the given height supported on ``[-halfwidth, halfwidth]``.
 ``samples(w1, v1, w2, v2, ...)``
-    Piecewise-linear interpolation through the listed knots; abscissae
-    must be strictly increasing and each piece's slope finite (a knot gap
-    so small that the slope overflows is refused).  The JSON form also
-    carries optional ``slope_left`` / ``slope_right`` tail slopes.
+    Piecewise-linear interpolation through the listed knots.  The JSON form
+    also carries optional ``slope_left`` / ``slope_right`` tail slopes.
+
+The knots of every piecewise-linear kind but the constant and linear ones
+pass one check, `_check_points`: abscissae must be strictly increasing and
+each piece's slope finite (a knot gap so small, or a value step so large,
+that the slope overflows is a `ProfileSpecError`).
 """
 from __future__ import annotations
 
@@ -66,7 +69,8 @@ def _build_broken_plane_alpha(u: float) -> Profile:
         raise ProfileSpecError("broken-plane-alpha needs a nonnegative opening")
     if u == 0.0:
         return PwlProfile.constant(0.0)
-    return PwlProfile.from_knots([(-0.5 * u, u), (0.5 * u, -u)])
+    return PwlProfile.from_knots(
+        _check_points("broken-plane-alpha", [(-0.5 * u, u), (0.5 * u, -u)]))
 
 
 def _build_arctan(scale: float) -> Profile:
@@ -79,8 +83,8 @@ def _build_arctan(scale: float) -> Profile:
 def _build_triangle_bump(height: float, halfwidth: float) -> Profile:
     if not halfwidth > 0.0:
         raise ProfileSpecError("triangle-bump needs a positive halfwidth")
-    return PwlProfile.from_knots([(-halfwidth, 0.0), (0.0, height),
-                                  (halfwidth, 0.0)])
+    return PwlProfile.from_knots(_check_points(
+        "triangle-bump", [(-halfwidth, 0.0), (0.0, height), (halfwidth, 0.0)]))
 
 
 def _build_samples(points, slope_left: float, slope_right: float) -> Profile:
@@ -117,23 +121,24 @@ def registry_kinds() -> tuple[str, ...]:
     return tuple(_KINDS)
 
 
-def _check_points(points: Any) -> tuple[tuple[float, float], ...]:
+def _check_points(kind: str, points: Any) -> tuple[tuple[float, float], ...]:
+    """The knots of a PWL kind as float pairs, refused unless they are finite,
+    strictly increasing and every piece's slope is finite."""
     try:
         pts = tuple((float(w), float(v)) for w, v in points)
     except (TypeError, ValueError) as exc:
-        raise ProfileSpecError(f"samples points must be (w, v) pairs: {exc}")
+        raise ProfileSpecError(f"{kind} points must be (w, v) pairs: {exc}")
     if not pts:
-        raise ProfileSpecError("samples needs at least one knot")
+        raise ProfileSpecError(f"{kind} needs at least one knot")
     ws = [w for w, _ in pts]
     if any(not math.isfinite(w) or not math.isfinite(v) for w, v in pts):
-        raise ProfileSpecError("samples knots must be finite")
+        raise ProfileSpecError(f"{kind} knots must be finite")
     if any(b <= a for a, b in zip(ws, ws[1:])):
-        raise ProfileSpecError(
-            "samples abscissae must be strictly increasing")
+        raise ProfileSpecError(f"{kind} abscissae must be strictly increasing")
     for (w0, v0), (w1, v1) in zip(pts, pts[1:]):
         if not math.isfinite((v1 - v0) / (w1 - w0)):
             raise ProfileSpecError(
-                f"samples slope between w={w0!r} and w={w1!r} is not finite")
+                f"{kind} slope between w={w0!r} and w={w1!r} is not finite")
     return pts
 
 
@@ -158,7 +163,7 @@ class ProfileSpec:
                 raise ProfileSpecError(
                     f"{self.kind} does not take a parameter {key!r}")
             if key == "points":
-                params[key] = _check_points(value)
+                params[key] = _check_points(self.kind, value)
             else:
                 try:
                     params[key] = float(value)

@@ -169,8 +169,8 @@ class Profile:
 class PwlProfile(Profile):
     """Piecewise-linear profile: knot points plus slopes beyond each end.
 
-    Evaluation, algebra, inversion and composition are all exact: every
-    operation produces the knots of the result directly instead of sampling.
+    Evaluation, scaling by a number and the leftmost preimages of levels
+    are exact: each reads or keeps the knots themselves instead of sampling.
     Construction takes a scalar knot as a one-knot array and refuses, in
     this order, knots that are not matching non-empty 1-d arrays, positions
     that do not strictly increase (a NaN among two or more positions fails
@@ -302,23 +302,7 @@ class PwlProfile(Profile):
         return tuple(float(v) if s == 0.0 else math.copysign(math.inf, s)
                      for v, s in ends)
 
-    # -- exact algebra ------------------------------------------------------
-
-    def _binary(self, other, op) -> "PwlProfile":
-        if np.isscalar(other) or isinstance(other, (int, float)):
-            return PwlProfile(self.w, op(self.v, float(other)),
-                              self.slope_left, self.slope_right)
-        if not isinstance(other, PwlProfile):
-            return NotImplemented
-        grid = np.unique(np.concatenate([self.w, other.w]))
-        return PwlProfile(
-            grid, op(self(grid), other(grid)),
-            float(op(self.slope_left, other.slope_left)),
-            float(op(self.slope_right, other.slope_right)),
-        )
-
-    def __sub__(self, other):
-        return self._binary(other, lambda a, b: a - b)
+    # -- scaling and preimages ----------------------------------------------
 
     def __mul__(self, c: float):
         c = float(c)
@@ -326,13 +310,6 @@ class PwlProfile(Profile):
                           self.slope_right * c)
 
     __rmul__ = __mul__
-
-    def inverse(self) -> "PwlProfile":
-        slopes = self.piece_slopes()
-        if np.any(slopes <= 0):
-            raise ProfileError("inverse needs a strictly increasing profile")
-        return PwlProfile(self.v, self.w, 1.0 / self.slope_left,
-                          1.0 / self.slope_right)
 
     def preimages(self, v) -> np.ndarray:
         """Leftmost w with self(w) = v for each of the levels ``v``, for a
@@ -365,26 +342,6 @@ class PwlProfile(Profile):
                      if self.slope_right > 0 else np.nan)
             out = np.where(above, right, out)
         return out
-
-    def compose(self, inner: "PwlProfile") -> "PwlProfile":
-        """Exact self(inner(.)) for a nondecreasing inner profile.
-
-        Every outer knot is pulled back through the leftmost preimage at
-        once (`preimages`); where the inner profile plateaus, both plateau
-        endpoints are inner knots already, so the composition stays exactly
-        piecewise linear.
-        """
-        if np.any(inner.piece_slopes() < 0):
-            raise ProfileError("compose needs a nondecreasing inner profile")
-        pulled = inner.preimages(self.w)
-        pulled = pulled[~np.isnan(pulled)]
-        grid = np.unique(np.concatenate([inner.w, pulled])) \
-            if pulled.size else inner.w
-        return PwlProfile(
-            grid, self(inner(grid)),
-            self.slope_left * inner.slope_left,
-            self.slope_right * inner.slope_right,
-        )
 
 
 @dataclass(frozen=True)

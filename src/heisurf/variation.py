@@ -4,11 +4,13 @@ A strip with graph profile alpha (value along the edge x = 1, parameter w)
 has rulings at heights eta(w) = w + alpha(w)/2.  A deformation profile tau
 tilts the rulings: with
 
-    zeta(z) = z - tau(z)/2,   h = zeta^{-1} o eta,   delta = alpha - tau o h,
+    zeta(z) = z - tau(z)/2,   delta = alpha - tau o zeta^{-1} o eta,
 
 the deformed surface keeps its ruling at height eta(w) but changes its plane
-slope to delta(w).  Its area over [a, b], normalized to the half-strip swept
-from the axis to x = 1, is exactly
+slope to delta(w).  For piecewise-linear alpha and tau, delta's knots are
+alpha's and the heights where eta reaches zeta at a knot of tau, and
+`delta_profile` reads delta there.  Its area over [a, b], normalized to the
+half-strip swept from the axis to x = 1, is exactly
 
     A(tau) = int_a^b sqrt(1 + delta^2) eta'(w) dw
              - (1/6) [G(delta(b)) - G(delta(a))],
@@ -69,11 +71,26 @@ def zeta_profile(tau: PwlProfile) -> PwlProfile:
 
 
 def delta_profile(alpha: PwlProfile, tau: Optional[PwlProfile]) -> PwlProfile:
-    """Deformed slope profile delta = alpha - tau(h(.)), h = zeta^{-1} o eta."""
+    """delta = alpha - tau o zeta^{-1} o eta, read once at each of its knots:
+    alpha's and the leftmost heights where eta reaches a level of zeta
+    (`preimages`), but for a level within 4 ulps of eta at a knot of alpha,
+    which is that knot's own and would leave a piece one ulp wide.  A slope
+    of alpha below -2 (eta falling) is refused."""
     if tau is None:
         return alpha
-    h = zeta_profile(tau).inverse().compose(eta_of(alpha))
-    return alpha - tau.compose(h)
+    eta, zeta = eta_of(alpha), zeta_profile(tau)
+    if np.any(eta.piece_slopes() < 0):
+        raise ProfileError("graph profile slopes below -2 are not supported")
+    levels = zeta.v[np.abs(zeta.v[:, None] - eta.v).min(axis=1)
+                    > 4.0 * np.spacing(np.abs(zeta.v))]
+    pulled = eta.preimages(levels)
+    w = np.unique(np.concatenate([alpha.w, pulled[~np.isnan(pulled)]]))
+    return PwlProfile(
+        w, alpha(w) - tau(zeta.preimages(eta(w))),
+        alpha.slope_left - tau.slope_left
+        * ((1.0 / zeta.slope_left) * eta.slope_left),
+        alpha.slope_right - tau.slope_right
+        * ((1.0 / zeta.slope_right) * eta.slope_right))
 
 
 def ruled_area_closed_form(alpha: PwlProfile, tau: Optional[PwlProfile],

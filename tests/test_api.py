@@ -203,18 +203,22 @@ def _constant(name: str) -> bool:
     return bool(bare) and bare == bare.upper() and bare != bare.lower()
 
 
+#: The calls that set an attribute: ``setattr`` on any receiver or none
+#: (``monkeypatch.setattr``, the ``patch`` of ``MonkeyPatch.context()``, the
+#: builtin) and ``mock.patch`` or ``mock.patch.object``.
+_PATCHERS = ("setattr", "patch", "patch.object")
+
+
 def _constant_patches(source: str) -> list[str]:
-    """The ``monkeypatch.setattr`` calls of a test source that set an
+    """The patching calls (`_PATCHERS`) of a test source that set an
     upper-case module constant of heisurf, as ``line: module.NAME``."""
     tree = ast.parse(source)
     bound = _heisurf_modules(tree)
     found = []
     for node in ast.walk(tree):
         if not (isinstance(node, ast.Call) and node.args
-                and isinstance(node.func, ast.Attribute)
-                and node.func.attr == "setattr"
-                and isinstance(node.func.value, ast.Name)
-                and node.func.value.id == "monkeypatch"):
+                and f".{ast.unparse(node.func)}".endswith(
+                    tuple(f".{p}" for p in _PATCHERS))):
             continue
         first = node.args[0]
         if isinstance(first, ast.Constant) and isinstance(first.value, str):
@@ -226,18 +230,28 @@ def _constant_patches(source: str) -> list[str]:
         else:
             continue
         if module.split(".")[0] == "heisurf" and _constant(name):
-            found.append(f"{node.lineno}: {module}.{name}")
-    return found
+            found.append((node.lineno, f"{node.lineno}: {module}.{name}"))
+    return [text for _, text in sorted(found)]
 
 
 def test_the_constant_patch_lint_sees_both_forms():
+    # a module and a name, or one dotted string, through every patcher
     source = ("import heisurf.strips as strips\n"
+              "from heisurf import lines\n"
               "def test(monkeypatch):\n"
               "    monkeypatch.setattr(strips, '_MAX_STEPS', 0)\n"
               "    monkeypatch.setattr('heisurf.lines._REACH', 1.0)\n"
-              "    monkeypatch.setattr(strips, 'strip_surface', None)\n")
-    assert _constant_patches(source) == ["3: heisurf.strips._MAX_STEPS",
-                                         "4: heisurf.lines._REACH"]
+              "    monkeypatch.setattr(strips, 'strip_surface', None)\n"
+              "    with pytest.MonkeyPatch.context() as patch:\n"
+              "        patch.setattr(lines, '_REACH', 100.0)\n"
+              "    setattr(lines, '_CHUNK', 1)\n"
+              "    with mock.patch.object(lines, '_NEAR', 0.0), \\\n"
+              "            mock.patch('heisurf.lines._CHUNK', 2):\n"
+              "        pass\n")
+    assert _constant_patches(source) == [
+        "4: heisurf.strips._MAX_STEPS", "5: heisurf.lines._REACH",
+        "8: heisurf.lines._REACH", "9: heisurf.lines._CHUNK",
+        "10: heisurf.lines._NEAR", "11: heisurf.lines._CHUNK"]
 
 
 @pytest.mark.parametrize("path", sorted(TESTS.glob("test_*.py")),

@@ -235,6 +235,34 @@ def test_second_variation_writes_csv_and_detects_instability(tmp_path):
     assert all(float(line.split(",")[1]) < 0.0 for line in csv_lines[1:])
 
 
+@pytest.mark.parametrize("alpha, tau, lambdas, line", [
+    # pulled back twice, through eta and through an interpolant of it, a
+    # knot of tau lands on two floats 5.6e-17 apart at w = -0.1972
+    # (lam = -0.08), a piece whose rate, 4.0, passes 2 eta' = 3.89
+    ("samples(-2,-0.06,-0.75,-0.67,0,0.75)", "triangle-bump(-0.22,0.23)",
+     "0.06,0.08", "II=0.0089413673183693643 fitted-c=0.0089413673599506201 "
+                  "order=4.00"),
+    # eta at the knot -0.1 of alpha is 0.30000000000000004, one ulp above
+    # zeta's level 0.3 at a knot of tau: pulled back, that level would
+    # leave a piece one ulp wide
+    ("samples(-1.2,-0.1,-0.6,-0.1,-0.1,0.8,0,1)", "triangle-bump(0.5,0.3)",
+     "0.02,0.04,0.06,0.08", "II=0.051739428589933995 "
+                            "fitted-c=0.051739437323501968 order=3.98"),
+])
+def test_a_deformation_that_does_not_reverse_is_not_refused(
+        tmp_path, capsys, alpha, tau, lambdas, line):
+    assert run(tmp_path, "second-variation", "--alpha", alpha, "--tau", tau,
+               "--lambdas", lambdas) == 0
+    assert f"second-variation: PASS {line} " in capsys.readouterr().out
+
+
+def test_second_variation_refuses_a_falling_height_map(tmp_path, capsys):
+    assert run(tmp_path, "second-variation", "--alpha", "linear(-3)",
+               "--tau", "triangle-bump(1,1)", "--window", "-2,2") == 2
+    assert capsys.readouterr().err == (
+        "error: graph profile slopes below -2 are not supported\n")
+
+
 @pytest.mark.parametrize("alpha, tau", [
     ("linear(-1)", "triangle-bump(1,1)"),
     ("samples(-1,1,1,-1)", "triangle-bump(0,0.5)"),
@@ -505,6 +533,30 @@ def test_knot_pair_with_overflowing_slope_exits_with_two(tmp_path, capsys,
     err = capsys.readouterr().err
     assert err == ("error: samples slope between w=0.0 and w=1e-310 is not "
                    "finite\n")
+    assert not os.listdir(str(tmp_path))
+
+
+@pytest.mark.parametrize("argv, knots", [
+    (("check-strip", "--profile", "triangle-bump(1,1e-320)"),
+     "triangle-bump slope between w=-1e-320 and w=0.0"),
+    (("monotonicity", "--surface", "strip", "--profile",
+      "triangle-bump(1,1e-320)"),
+     "triangle-bump slope between w=-1e-320 and w=0.0"),
+    (("second-variation", "--alpha", "constant(0)", "--tau",
+      "triangle-bump(1,1e-320)"),
+     "triangle-bump slope between w=-1e-320 and w=0.0"),
+    (("check-minimal", "--profile", "triangle-bump(1e308,1e-10)"),
+     "triangle-bump slope between w=-1e-10 and w=0.0"),
+    (("check-strip", "--profile", "broken-plane-alpha(1e308)"),
+     "broken-plane-alpha slope between w=-5e+307 and w=5e+307"),
+])
+def test_every_pwl_kind_refuses_an_overflowing_slope_as_samples_does(
+        tmp_path, capsys, argv, knots):
+    # one rule refuses the knots of every piecewise-linear kind as it
+    # builds them, so an overflowing slope is a usage error, not a numeric
+    # failure further on
+    assert run(tmp_path, *argv) == 2
+    assert capsys.readouterr().err == f"error: {knots} is not finite\n"
     assert not os.listdir(str(tmp_path))
 
 

@@ -612,13 +612,30 @@ def test_witness_roots_on_windows_1e200_long_are_bisected_to_their_scale(
                                                  3.2270977874556355]
     strip = strip_surface(PwlProfile.line(1.0), x_max=1e200)
     for witness in payload["violations"]:
-        line = LineSample(witness["theta"], witness["v"], witness["w"])
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(lines, "_REACH", 100.0)
-            dense = crossings(strip, line, n_scan=6400)
-        assert dense.count == 2 and not dense.degenerate
-        assert witness["roots"] == pytest.approx(dense.roots, rel=0.0,
-                                                 abs=1e-9)
+        line = np.array([[witness["theta"]], [witness["v"]], [witness["w"]]])
+        roots = _scanned_roots(strip, line, np.linspace(-100.0, 100.0, 6400))
+        assert len(roots) == 2 and roots[1] - roots[0] > 1e-8
+        assert witness["roots"] == pytest.approx(roots, rel=0.0, abs=1e-9)
+
+
+def _scanned_roots(surface, line, t):
+    """The roots of the membership offset along one line (theta, v, w)
+    where its readings at the parameters t change sign, each bisected to
+    adjacent floats."""
+    polys = _line_polys(*line)
+
+    def offset(t):
+        return surface.membership_offset(_at(polys, t[None]))[0]
+    f = offset(t)
+    i = np.nonzero(np.sign(f[:-1]) * np.sign(f[1:]) < 0)[0]
+    a, b, fa = t[i], t[i + 1], f[i]
+    for _ in range(80):
+        m = 0.5 * (a + b)
+        fm = offset(m)
+        left = np.sign(fm) == np.sign(fa)
+        a, b, fa = np.where(left, m, a), np.where(left, b, m), \
+            np.where(left, fm, fa)
+    return 0.5 * (a + b)
 
 
 @pytest.mark.parametrize("exponent", [8, 10, 12])
@@ -665,9 +682,9 @@ def _histogram(counts):
 
 @pytest.mark.parametrize("seed", range(12))
 def test_scanned_census_files_lines_as_the_exact_census(seed):
-    # a raw sign change in the 1e-3 padding beyond |x| = x_max is no
-    # crossing: the dense scan drops its root, so a line that never meets
-    # the strip is filed in bin 0 by both
+    # a sign change beyond |x| = x_max is no crossing: the dense scan reads
+    # the window only, so a line that never meets the strip inside it is
+    # filed in bin 0 by both
     v_strip = strip_surface(PwlProfile.from_knots([(-1, 1), (0, -1), (1, 1)]))
     exact = monotonicity_check(v_strip, n=2000, seed=seed)
     dense = _dense_counts(v_strip, *sample_lines(1.5, 2000, seed), 3200)
@@ -747,13 +764,13 @@ def test_lines_through_an_arctan_strip_axis_count_one():
 
 
 def _dense_counts(surface, theta, v, w, n_scan):
-    """`_count_crossings` at n_scan points per line over each line's whole
-    window: its reach (|t| <= 50) is widened to hold every window."""
-    reach = float(np.max(np.abs(_window(_line_polys(theta, v, w)[:, 0],
-                                        surface.x_max))))
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(lines, "_REACH", max(lines._REACH, reach))
-        return _count_crossings(surface, theta, v, w, n_scan)[0]
+    """The sign changes of the membership offset read at n_scan points
+    across each line's whole window |x| <= x_max, its ends included."""
+    polys = _line_polys(theta, v, w)
+    lo, hi = _window(polys[:, 0], surface.x_max)
+    t = lo[:, None] + (hi - lo)[:, None] * np.linspace(0.0, 1.0, n_scan)
+    sign = np.sign(surface.membership_offset(_at(polys[:, None], t)))
+    return np.count_nonzero(sign[:, :-1] * sign[:, 1:] < 0, axis=1)
 
 
 def _check_cut_counts(surface, seed):
@@ -761,8 +778,7 @@ def _check_cut_counts(surface, seed):
     theta, v, w = sample_lines(1.5, 500, seed)
     counts, roots, _ = _count_crossings(surface, theta, v, w, least=2)
     dense = _dense_counts(surface, theta, v, w, 3200)
-    # a line whose two roots share a cell of that grid (as where one of
-    # them lies in its 1e-3 padding beyond |x| = x_max) is scanned again,
+    # a line whose two roots share a cell of that grid is scanned again,
     # 32 times finer
     for i in np.nonzero(counts != dense)[0]:
         line = theta[i:i + 1], v[i:i + 1], w[i:i + 1]

@@ -14,8 +14,10 @@ the middle piece carries weight (1 + alpha') = -1 and contributes
 -int dw/(1+4w^2)^{3/2} = -1/sqrt(2), giving II = -1/sqrt(2) + 2^{-3/2}(2/3):
 negative, so that surface admits an area-decreasing ruled deformation.
 """
+import bisect
 import math
 import os
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -188,10 +190,10 @@ def test_fan_edge_experiment_decreases_area_at_the_predicted_rate():
     assert res.consistent(rel_tol=0.05)
 
 
-def test_compose_is_refused_for_a_decreasing_inner_profile():
-    falling = PwlProfile.from_knots([(-1.0, 1.0), (1.0, -1.0)])
-    with pytest.raises(ProfileError, match="nondecreasing inner"):
-        TENT.compose(falling)
+def test_delta_profile_refuses_a_falling_height_map():
+    # alpha' = -3 makes eta' = -1/2: no ruling height has one preimage
+    with pytest.raises(ProfileError, match="slopes below -2"):
+        delta_profile(PwlProfile.line(-3.0), TENT)
 
 
 def test_deformed_sweep_near_the_fan_edge_stays_injective():
@@ -332,6 +334,128 @@ def test_experiment_equals_the_per_piece_loops(alpha, tau):
         want = experiment_outcome(alpha, tau)
     assert got == want
     assert repr(got) == repr(want)  # the signs of zeros too
+
+
+# ---------------------------------------------------------------------------
+# delta against exact rationals of the stored pieces
+
+
+def exact_pieces(w, v, left, right):
+    """The PWL function with knots (w, v) and tail slopes left and right,
+    exact on Fractions."""
+    w, v = [Fraction(x) for x in w], [Fraction(x) for x in v]
+    left, right = Fraction(left), Fraction(right)
+
+    def f(x):
+        i = bisect.bisect_right(w, x)
+        if i == 0:
+            return v[0] + left * (x - w[0])
+        if i == len(w):
+            return v[-1] + right * (x - w[-1])
+        return v[i - 1] + (v[i] - v[i - 1]) * (x - w[i - 1]) / (w[i] - w[i - 1])
+    return f
+
+
+def exact_preimage(p, y):
+    """The leftmost w at which the stored pieces of a nondecreasing PWL
+    profile reach the level y, or None."""
+    w, v = [Fraction(x) for x in p.w], [Fraction(x) for x in p.v]
+    if y < v[0]:
+        return w[0] - (v[0] - y) / Fraction(p.slope_left) \
+            if p.slope_left > 0 else None
+    if y > v[-1]:
+        return w[-1] + (y - v[-1]) / Fraction(p.slope_right) \
+            if p.slope_right > 0 else None
+    i = bisect.bisect_left(v, y)
+    if v[i] == y:
+        return w[i]
+    return w[i - 1] + (y - v[i - 1]) * (w[i] - w[i - 1]) / (v[i] - v[i - 1])
+
+
+def exact_delta(alpha, tau):
+    """(knots, delta, eta) of the deformed slope profile, exact for the stored
+    pieces of alpha, eta, tau and zeta: tau o zeta^{-1} is the profile over
+    heights with knots zeta.v and values tau.v."""
+    eta, zeta = eta_of(alpha), zeta_profile(tau)
+    pulled = (exact_preimage(eta, Fraction(y)) for y in zeta.v.tolist())
+    knots = sorted({Fraction(w) for w in alpha.w.tolist()}
+                   | {p for p in pulled if p is not None})
+    a = exact_pieces(alpha.w, alpha.v, alpha.slope_left, alpha.slope_right)
+    e = exact_pieces(eta.w, eta.v, eta.slope_left, eta.slope_right)
+    shifted = exact_pieces(
+        zeta.v, tau.v, Fraction(tau.slope_left) / Fraction(zeta.slope_left),
+        Fraction(tau.slope_right) / Fraction(zeta.slope_right))
+    return knots, lambda g: a(g) - shifted(e(g)), e
+
+
+def eighths(lo, hi):
+    return st.integers(lo, hi).map(lambda k: k / 8.0)
+
+
+@st.composite
+def eighth_grid_cases(draw):
+    """(alpha, lam tau): knots and values on a 1/8 grid, alpha's slopes at
+    least -2 (plateaus of eta included), tau's tails flat or sloped, and
+    lam from {+-1/16, +-1/8, +-1/4, +-1/2}."""
+    n = draw(st.integers(1, 5))
+    w = sorted(draw(st.sets(st.integers(-16, 16), min_size=n, max_size=n)))
+    v = [draw(st.integers(-16, 16))]
+    for w0, w1 in zip(w, w[1:]):
+        v.append(v[-1] + draw(st.integers(-2 * (w1 - w0), 3 * (w1 - w0))))
+    tails = st.sampled_from([-2.0, -1.0, 0.0, 0.5, 1.0, 3.0])
+    alpha = PwlProfile(np.array(w) / 8.0, np.array(v) / 8.0, draw(tails),
+                       draw(tails))
+    m = draw(st.integers(1, 4))
+    tw = sorted(draw(st.sets(st.integers(-16, 16), min_size=m, max_size=m)))
+    tv = draw(st.lists(st.integers(-16, 16), min_size=m, max_size=m))
+    tau = PwlProfile(np.array(tw) / 8.0, np.array(tv) / 8.0,
+                     draw(eighths(-8, 8)), draw(eighths(-8, 8)))
+    lam = draw(st.sampled_from([1.0, -1.0])) * 2.0 ** -draw(st.integers(1, 4))
+    return alpha, tau * lam
+
+
+@settings(derandomize=True, database=None, max_examples=400, deadline=None)
+@given(eighth_grid_cases())
+def test_delta_is_exact_at_its_own_knots(case):
+    alpha, tau = case
+    try:
+        zeta = zeta_profile(tau)
+    except ProfileError:
+        return  # tau's slope reaches 2: no deformation to check
+    delta = delta_profile(alpha, tau)
+    knots, exact, eta = exact_delta(alpha, tau)
+
+    def ulps(x, y):
+        return abs(Fraction(x) - y) / Fraction(math.ulp(max(abs(y), 1.0)))
+    # every knot and no other, each within 4 ulps of the exact one (ulps of
+    # 1 where it is smaller); a knot's rounding moves delta by delta' and
+    # eta's by (tau o zeta^{-1})', so a value is within 4 ulps times 1 + the
+    # steeper of the two, and a tail's slope within 4 ulps
+    assert len(delta.w) == len(knots)
+    assert all(ulps(g, k) <= 4 for g, k in zip(delta.w.tolist(), knots))
+    steep = 1 + max(map(abs, [
+        *((exact(k1) - exact(k0)) / (k1 - k0)
+          for k0, k1 in zip(knots, knots[1:])),
+        delta.slope_left, delta.slope_right,
+        *(tau.piece_slopes() / zeta.piece_slopes()).tolist()]))
+    assert all(ulps(d, exact(k)) <= 4 * steep
+               for d, k in zip(delta.v.tolist(), knots))
+    assert ulps(delta.slope_left, exact(knots[0]) - exact(knots[0] - 1)) <= 4
+    assert ulps(delta.slope_right,
+                exact(knots[-1] + 1) - exact(knots[-1])) <= 4
+    # the sweep is refused exactly where an exact piece's rate exceeds
+    # 2 eta'
+    a, b = Fraction(-4), Fraction(4)
+    cuts = [a, *(k for k in knots if a < k < b), b]
+    reverses = any(exact(g1) - exact(g0) > 2 * (eta(g1) - eta(g0))
+                   for g0, g1 in zip(cuts, cuts[1:]))
+    try:
+        ruled_area_closed_form(alpha, tau, (-4.0, 4.0))
+        refused = False
+    except ProfileError as exc:
+        assert "sweep reverses" in str(exc)
+        refused = True
+    assert refused == reverses
 
 
 def test_an_exact_quadratic_model_has_no_residual_order():
